@@ -133,7 +133,7 @@ runTrajectory(const TrajectoryConfig &config)
                    // is the artifact, so parallelism would hide the
                    // per-simulation cost the trajectory tracks.
 
-    // -- Stage 1: fused streaming campaign (the shipped pipeline). --
+    // -- Stage 1: the campaign. --
     Characterizer fused(machines, ccfg);
     Clock::time_point t0 = Clock::now();
     fused.prepare(benchmarks, /*jobs=*/1);
@@ -159,29 +159,7 @@ runTrajectory(const TrajectoryConfig &config)
             hashResult(campaign_fp, fused.simulation(b, m));
     out.campaign_fingerprint = campaign_fp.value();
 
-    // -- Stage 2: materialized-window baseline, then parity check. --
-    uarch::SimulationConfig sim = ccfg.simulationConfig();
-    std::vector<uarch::SimulationResult> materialized;
-    materialized.reserve(benchmarks.size() * machines.size());
-    t0 = Clock::now();
-    for (const suites::BenchmarkInfo &b : benchmarks)
-        for (const uarch::MachineConfig &machine : machines)
-            materialized.push_back(
-                uarch::simulateMaterialized(b.profile, machine, sim));
-    out.materialized_seconds = secondsSince(t0);
-    if (out.fused_seconds > 0.0)
-        out.speedup_vs_materialized =
-            out.materialized_seconds / out.fused_seconds;
-
-    out.parity_bit_identical = true;
-    std::size_t pair = 0;
-    for (const suites::BenchmarkInfo &b : benchmarks)
-        for (std::size_t m = 0; m < machines.size(); ++m)
-            if (!uarch::bitIdentical(materialized[pair++],
-                                     fused.simulation(b, m)))
-                out.parity_bit_identical = false;
-
-    // -- Stage 3: stats pipeline over the campaign's feature matrix. --
+    // -- Stage 2: stats pipeline over the campaign's feature matrix. --
     t0 = Clock::now();
     stats::Matrix features = fused.featureMatrix(benchmarks);
     stats::PcaResult pca = stats::fitPca(features);
@@ -205,7 +183,7 @@ runTrajectory(const TrajectoryConfig &config)
         stats_fp.f64(v);
     out.stats_fingerprint = stats_fp.value();
 
-    // -- Stage 4: artifact-store reuse proof (optional). --
+    // -- Stage 3: artifact-store reuse proof (optional). --
     if (!config.store_dir.empty()) {
         out.store_checked = true;
         SessionConfig scfg;
@@ -255,8 +233,6 @@ renderTrajectoryFacts(const TrajectoryResult &r)
     os << "campaign: simulations=" << r.simulations
        << " records=" << r.records_total
        << " fingerprint=" << hex16(r.campaign_fingerprint) << "\n";
-    os << "parity: fused-vs-materialized bit-identical: "
-       << yesNo(r.parity_bit_identical) << "\n";
     os << "stats: rows=" << r.feature_rows << " cols=" << r.feature_cols
        << " pca_retained=" << r.pca_retained
        << " fingerprint=" << hex16(r.stats_fingerprint) << "\n";
@@ -273,7 +249,7 @@ renderTrajectoryJson(const TrajectoryResult &r)
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"schema\": \"speclens-bench-trajectory-v2\",\n";
+    os << "  \"schema\": \"speclens-bench-trajectory-v3\",\n";
     os << "  \"pr\": " << r.config.pr << ",\n";
     os << "  \"seed_baseline\": {\n";
     os << "    \"records_per_second\": "
@@ -298,18 +274,12 @@ renderTrajectoryJson(const TrajectoryResult &r)
     os << "    \"fingerprint\": \"" << hex16(r.campaign_fingerprint)
        << "\",\n";
     os << "    \"fused_seconds\": " << jsonNumber(r.fused_seconds) << ",\n";
-    os << "    \"materialized_seconds\": "
-       << jsonNumber(r.materialized_seconds) << ",\n";
-    os << "    \"speedup_vs_materialized\": "
-       << jsonNumber(r.speedup_vs_materialized) << ",\n";
     os << "    \"speedup_vs_seed\": " << jsonNumber(r.speedup_vs_seed)
        << ",\n";
     os << "    \"simulations_per_second\": "
        << jsonNumber(r.simulations_per_second) << ",\n";
     os << "    \"records_per_second\": " << jsonNumber(r.records_per_second)
-       << ",\n";
-    os << "    \"parity_bit_identical\": "
-       << (r.parity_bit_identical ? "true" : "false") << "\n";
+       << "\n";
     os << "  },\n";
     os << "  \"stats\": {\n";
     os << "    \"seconds\": " << jsonNumber(r.stats_seconds) << ",\n";

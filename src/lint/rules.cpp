@@ -1833,7 +1833,7 @@ struct BenchArtifact
     std::string filename;
     std::string text;
     std::uint64_t pr = 0; //!< From the file name.
-    int version = 0;      //!< 1 or 2; 0 when the schema is foreign.
+    int version = 0;      //!< 1, 2 or 3; 0 when the schema is foreign.
 };
 
 /** Collect BENCH_<pr>.json artifacts under @p dir, name-sorted. */
@@ -1863,6 +1863,8 @@ collectBenchArtifacts(const std::string &dir)
                     artifact.version = 1;
                 else if (schema == "speclens-bench-trajectory-v2")
                     artifact.version = 2;
+                else if (schema == "speclens-bench-trajectory-v3")
+                    artifact.version = 3;
             }
         }
         artifacts.push_back(std::move(artifact));
@@ -1933,7 +1935,7 @@ class BenchSchemaRule final : public RuleBase
             jsonString(a.text, "schema", schema);
             error(out, loc,
                   "unknown trajectory schema '" + schema + "'",
-                  "expected speclens-bench-trajectory-v1 or -v2");
+                  "expected speclens-bench-trajectory-v1, -v2 or -v3");
             return;
         }
         double pr = 0.0;
@@ -1966,27 +1968,24 @@ class BenchSchemaRule final : public RuleBase
             !isHex16(fingerprint))
             error(out, loc,
                   "campaign fingerprint is not a 16-hex digest");
-        bool parity = false;
-        if (!jsonBool(a.text, "parity_bit_identical", parity,
-                      campaign) ||
-            !parity)
+        double fused = 0.0;
+        if (!jsonNumber(a.text, "fused_seconds", fused, campaign) ||
+            !(fused > 0.0))
+            error(out, loc, "campaign timing missing or non-positive");
+        // A checked store stage must be a zero-simulation exact replay.
+        std::size_t store = a.text.find("\"store\"");
+        bool checked = false, identical = false;
+        double warm_runs = -1.0;
+        if (store != std::string::npos &&
+            jsonBool(a.text, "checked", checked, store) && checked &&
+            !(jsonBool(a.text, "warm_bit_identical", identical, store) &&
+              identical &&
+              jsonNumber(a.text, "warm_simulations_run", warm_runs, store) &&
+              warm_runs == 0.0))
             error(out, loc,
-                  "fused/materialized parity is not bit-identical",
-                  "the streaming pipeline diverged from the "
-                  "materialized baseline; never commit such a run");
-        double fused = 0.0, materialized = 0.0, speedup = 0.0;
-        if (jsonNumber(a.text, "fused_seconds", fused, campaign) &&
-            jsonNumber(a.text, "materialized_seconds", materialized,
-                       campaign) &&
-            jsonNumber(a.text, "speedup_vs_materialized", speedup,
-                       campaign)) {
-            if (!(fused > 0.0) || !(materialized > 0.0))
-                error(out, loc, "non-positive campaign timings");
-            else if (!nearRel(speedup, materialized / fused, 1e-6))
-                error(out, loc,
-                      "speedup_vs_materialized does not equal "
-                      "materialized_seconds / fused_seconds");
-        }
+                  "warm-store rerun is not a bit-identical "
+                  "zero-simulation replay",
+                  "never commit such a run");
         if (a.version >= 2)
             checkSeedBaseline(a, loc, campaign, out);
     }

@@ -13,7 +13,6 @@
 #define SPECLENS_TRACE_TRACE_GENERATOR_H
 
 #include <cstdint>
-#include <vector>
 
 #include "stats/rng.h"
 #include "trace/address_stream.h"
@@ -51,13 +50,6 @@ class TraceGenerator
      * primitive.
      */
     std::size_t fill(RecordBatch &batch, std::uint64_t count);
-
-    /**
-     * Generate @p count instructions into a vector.  Thin adapter over
-     * fill() kept for tests and the materialized baseline path; the
-     * stream is identical to the batched form by construction.
-     */
-    std::vector<Instruction> generate(std::size_t count);
 
     /** The profile this generator draws from. */
     const WorkloadProfile &profile() const { return profile_; }

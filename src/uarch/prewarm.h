@@ -39,7 +39,7 @@
  * state for the WHOLE hierarchy or mutates nothing and returns false,
  * in which case the caller must run the walking path.  Equivalence is
  * enforced bit-for-bit by tests/uarch/prewarm_equivalence_test.cpp and
- * transitively by the streaming parity suite.
+ * end to end by the parity suite, whose reference model always walks.
  */
 
 #ifndef SPECLENS_UARCH_PREWARM_H

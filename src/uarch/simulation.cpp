@@ -9,6 +9,8 @@
 #include <array>
 #include <bit>
 #include <iostream>
+#include <span>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "trace/trace_generator.h"
@@ -126,7 +128,7 @@ class Playback
      */
     void
     prewarm(const trace::WorkloadProfile &profile,
-            const MachineConfig &machine, bool force_walk)
+            const MachineConfig &machine)
     {
         std::uint64_t llc_lines =
             (machine.caches.l3 ? machine.caches.l3->size_bytes
@@ -139,8 +141,7 @@ class Playback
         // provable regime — or a touched hierarchy, as in phase 2+ of
         // a phased run — falls back to the walk below, which remains
         // the semantic definition.
-        if (!force_walk &&
-            PrewarmSolver::apply(caches_, tlbs_, profile, llc_lines)) {
+        if (PrewarmSolver::apply(caches_, tlbs_, profile, llc_lines)) {
             static obs::Counter &analytic =
                 obs::Registry::global().counter("uarch.prewarm.analytic");
             analytic.add();
@@ -232,56 +233,7 @@ class Playback
             predictor_);
     }
 
-    /**
-     * Play a pre-materialized instruction vector (the pre-batching
-     * playback form).  Kept as the baseline side of the streaming-vs-
-     * materialized parity contract and of the `bench trajectory`
-     * speedup measurement; access order is identical to the fused
-     * path, so results are bit-identical.
-     */
-    void
-    playVector(const std::vector<trace::Instruction> &window,
-               PerfCounters *record)
-    {
-        std::visit(
-            [&](auto &predictor) {
-                if (record)
-                    playVectorLoop<true>(predictor, window, record);
-                else
-                    playVectorLoop<false>(predictor, window, nullptr);
-            },
-            predictor_);
-    }
-
   private:
-    /**
-     * Ordered structure pass over one record: I-side access, branch
-     * resolution, D-side access.  Shared by the fused and materialized
-     * loops so both apply the exact same access sequence.
-     * @return true when a branch record mispredicted.
-     */
-    template <typename Predictor>
-    bool
-    stepStructures(Predictor &predictor, std::uint64_t pc,
-                   trace::OpClass op, std::uint64_t address,
-                   std::uint32_t branch_id, bool taken)
-    {
-        caches_.accessInstr(pc);
-        tlbs_.accessInstr(pc);
-
-        bool mispredicted = false;
-        if (op == trace::OpClass::Branch) {
-            bool predicted = predictor.predict(pc, branch_id);
-            mispredicted = predicted != taken;
-            predictor.update(pc, branch_id, taken);
-        }
-        if (op == trace::OpClass::Load || op == trace::OpClass::Store) {
-            caches_.accessData(address, pc);
-            tlbs_.accessData(address);
-        }
-        return mispredicted;
-    }
-
     template <bool Record, typename Predictor>
     void
     playLoop(Predictor &predictor, trace::TraceGenerator &generator,
@@ -317,8 +269,8 @@ class Playback
         // when the line/page changes and counts the repeats, flushing
         // the run right before the next real probe.  Final counters
         // and replacement state are bit-identical to probing every
-        // record — the materialized baseline and the parity tests
-        // check exactly that.
+        // record — the per-record reference model and the parity
+        // tests check exactly that.
         constexpr std::uint64_t kNoRun = ~0ull;
         const unsigned i_line_shift = static_cast<unsigned>(
             std::countr_zero(std::uint64_t{caches_.instrLineBytes()}));
@@ -478,56 +430,6 @@ class Playback
         }
     }
 
-    template <bool Record, typename Predictor>
-    void
-    playVectorLoop(Predictor &predictor,
-                   const std::vector<trace::Instruction> &window,
-                   PerfCounters *record)
-    {
-        Snapshot start = capture(caches_, tlbs_);
-
-        std::uint64_t kernel = 0, loads = 0, stores = 0, fp_ops = 0;
-        std::uint64_t simd_ops = 0, branches = 0, taken_branches = 0;
-        std::uint64_t mispredictions = 0;
-
-        for (const trace::Instruction &inst : window) {
-            bool mispredicted =
-                stepStructures(predictor, inst.pc, inst.op, inst.address,
-                               inst.branch_id, inst.taken);
-
-            if constexpr (Record) {
-                kernel += inst.kernel ? 1 : 0;
-                switch (inst.op) {
-                  case trace::OpClass::Load: ++loads; break;
-                  case trace::OpClass::Store: ++stores; break;
-                  case trace::OpClass::FpAlu: ++fp_ops; break;
-                  case trace::OpClass::Simd: ++simd_ops; break;
-                  case trace::OpClass::Branch:
-                    ++branches;
-                    taken_branches += inst.taken ? 1 : 0;
-                    mispredictions += mispredicted ? 1 : 0;
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
-
-        if constexpr (Record) {
-            PerfCounters &c = *record;
-            c.instructions += window.size();
-            c.kernel_instructions += kernel;
-            c.loads += loads;
-            c.stores += stores;
-            c.fp_ops += fp_ops;
-            c.simd_ops += simd_ops;
-            c.branches += branches;
-            c.taken_branches += taken_branches;
-            c.branch_mispredictions += mispredictions;
-            addDelta(c, start, capture(caches_, tlbs_));
-        }
-    }
-
     CacheHierarchy caches_;
     TlbHierarchy tlbs_;
     PredictorVariant predictor_;
@@ -535,129 +437,97 @@ class Playback
     std::uint64_t audit_batches_ = 0;
 };
 
-/** Fused-pipeline simulate() body, with an optional audit trail. */
-SimulationResult
-simulateFused(const trace::WorkloadProfile &profile,
-              const MachineConfig &machine, const SimulationConfig &config,
-              verify::AuditTrail *trail)
+/** One phase of a run: an effective profile plus exact window counts. */
+struct PhaseWindow
 {
-    trace::WorkloadProfile effective =
-        config.apply_machine_transform
-            ? transformForMachine(profile, machine)
-            : profile;
+    trace::WorkloadProfile effective; //!< Machine-transformed profile.
+    std::uint64_t warmup = 0;         //!< Records excluded from counters.
+    std::uint64_t instructions = 0;   //!< Measured records.
+};
 
-    trace::TraceGenerator generator(effective, config.seed_salt);
+/** @p profile as @p machine runs it under @p config. */
+trace::WorkloadProfile
+effectiveProfile(const trace::WorkloadProfile &profile,
+                 const MachineConfig &machine, const SimulationConfig &config)
+{
+    return config.apply_machine_transform
+               ? transformForMachine(profile, machine)
+               : profile;
+}
+
+/**
+ * The measurement: play @p phases in order over one set of machine
+ * structures (caches, TLBs and predictor state carry across phase
+ * boundaries, as on hardware) and return one result per phase.  Each
+ * phase prewarms (when enabled), plays its warm-up window, closes out
+ * prefetch attribution and plays its measured window from a fresh
+ * generator.  A non-null @p trail collects audit evidence in every
+ * build.
+ */
+std::vector<SimulationResult>
+runPhases(std::span<const PhaseWindow> phases, const MachineConfig &machine,
+          const SimulationConfig &config, verify::AuditTrail *trail)
+{
+    // Builds with SPECLENS_AUDIT on audit every run; without a caller
+    // trail the evidence goes to a local one, printed below.
+    verify::AuditTrail implicit;
+#ifndef SPECLENS_AUDIT_OFF
+    if (!trail)
+        trail = &implicit;
+#endif
     Playback playback(machine);
     playback.attachAudit(trail);
-    if (config.prewarm) {
-        playback.prewarm(effective, machine, config.force_prewarm_walk);
-        playback.auditPoint(/*post_prewarm=*/true);
-    }
 
-    SimulationResult result;
-    playback.play(generator, config.warmup, nullptr);
-    playback.retireUnusedPrefetches();
-    playback.play(generator, config.instructions, &result.counters);
+    std::vector<SimulationResult> results;
+    results.reserve(phases.size());
+    for (const PhaseWindow &phase : phases) {
+        if (config.prewarm) {
+            playback.prewarm(phase.effective, machine);
+            // The prewarm-boundary fill invariants only hold while the
+            // structures are untouched; later phases warm into state
+            // the previous phase left behind.
+            playback.auditPoint(/*post_prewarm=*/results.empty());
+        }
+
+        trace::TraceGenerator generator(phase.effective, config.seed_salt);
+        playback.play(generator, phase.warmup, nullptr);
+        playback.retireUnusedPrefetches();
+
+        SimulationResult &result = results.emplace_back();
+        playback.play(generator, phase.instructions, &result.counters);
+        result.cpi_stack = computeCpiStack(result.counters,
+                                           machine.latencies,
+                                           phase.effective.exec);
+        result.power = computePower(result.counters,
+                                    result.cpi_stack.total(), machine.power);
+
+        // Surfaced in the run manifest so the prefetch-vs-demand-miss
+        // separation (lint rule SL014) is checkable from artifacts alone.
+        if (result.counters.prefetch_fills != 0) {
+            static obs::Counter &prefetch_fills =
+                obs::Registry::global().counter("uarch.prefetch.fills");
+            prefetch_fills.add(result.counters.prefetch_fills);
+        }
+    }
     playback.auditPoint(/*post_prewarm=*/false);
 
-    // Surfaced in the run manifest so the prefetch-vs-demand-miss
-    // separation (lint rule SL014) is checkable from artifacts alone.
-    if (result.counters.prefetch_fills != 0) {
-        static obs::Counter &prefetch_fills =
-            obs::Registry::global().counter("uarch.prefetch.fills");
-        prefetch_fills.add(result.counters.prefetch_fills);
-    }
-
-    result.cpi_stack = computeCpiStack(result.counters,
-                                       machine.latencies,
-                                       effective.exec);
-    result.power = computePower(result.counters,
-                                result.cpi_stack.total(), machine.power);
-    return result;
-}
-
-#ifndef SPECLENS_AUDIT_OFF
-/**
- * Surface violations found by the implicit (SPECLENS_AUDIT=ON) hooks:
- * nothing holds the trail after simulate() returns, so print each
- * record to stderr.  The verify.violations counter has already moved.
- */
-void
-reportImplicitAudit(const verify::AuditTrail &trail)
-{
-    for (const verify::Violation &v : trail.violations)
+    // Nothing holds the implicit trail after this returns, so print
+    // each violation; the verify.violations counter has already moved.
+    for (const verify::Violation &v : implicit.violations)
         std::cerr << "speclens: audit violation: "
                   << verify::renderViolation(v) << "\n";
+    return results;
 }
-#endif
 
 } // namespace
 
 SimulationResult
 simulate(const trace::WorkloadProfile &profile, const MachineConfig &machine,
-         const SimulationConfig &config)
+         const SimulationConfig &config, verify::AuditTrail *trail)
 {
-#ifndef SPECLENS_AUDIT_OFF
-    verify::AuditTrail trail;
-    SimulationResult result = simulateFused(profile, machine, config, &trail);
-    reportImplicitAudit(trail);
-    return result;
-#else
-    return simulateFused(profile, machine, config, nullptr);
-#endif
-}
-
-SimulationResult
-simulateAudited(const trace::WorkloadProfile &profile,
-                const MachineConfig &machine, const SimulationConfig &config,
-                verify::AuditTrail &trail)
-{
-    return simulateFused(profile, machine, config, &trail);
-}
-
-SimulationResult
-simulateMaterialized(const trace::WorkloadProfile &profile,
-                     const MachineConfig &machine,
-                     const SimulationConfig &config)
-{
-    trace::WorkloadProfile effective =
-        config.apply_machine_transform
-            ? transformForMachine(profile, machine)
-            : profile;
-
-    trace::TraceGenerator generator(effective, config.seed_salt);
-    Playback playback(machine);
-#ifndef SPECLENS_AUDIT_OFF
-    verify::AuditTrail trail;
-    playback.attachAudit(&trail);
-#endif
-    if (config.prewarm) {
-        playback.prewarm(effective, machine, config.force_prewarm_walk);
-        playback.auditPoint(/*post_prewarm=*/true);
-    }
-
-    // Materialize both windows up front — the pre-batching memory
-    // profile this path exists to preserve.
-    std::vector<trace::Instruction> warmup =
-        generator.generate(static_cast<std::size_t>(config.warmup));
-    std::vector<trace::Instruction> measured =
-        generator.generate(static_cast<std::size_t>(config.instructions));
-
-    SimulationResult result;
-    playback.playVector(warmup, nullptr);
-    playback.retireUnusedPrefetches();
-    playback.playVector(measured, &result.counters);
-    playback.auditPoint(/*post_prewarm=*/false);
-#ifndef SPECLENS_AUDIT_OFF
-    reportImplicitAudit(trail);
-#endif
-
-    result.cpi_stack = computeCpiStack(result.counters,
-                                       machine.latencies,
-                                       effective.exec);
-    result.power = computePower(result.counters,
-                                result.cpi_stack.total(), machine.power);
-    return result;
+    const PhaseWindow phase{effectiveProfile(profile, machine, config),
+                            config.warmup, config.instructions};
+    return std::move(runPhases({&phase, 1}, machine, config, trail).front());
 }
 
 bool
@@ -718,58 +588,27 @@ simulatePhased(const trace::PhasedWorkload &workload,
 {
     workload.validate();
 
-    Playback playback(machine);
-#ifndef SPECLENS_AUDIT_OFF
-    verify::AuditTrail trail;
-    playback.attachAudit(&trail);
-#endif
-    PhasedSimulationResult result;
-    double weighted_cpi = 0.0;
-
-    bool first_phase = true;
+    // Each phase gets a weight-proportional share of both windows,
+    // never less than one record.
+    std::vector<PhaseWindow> phases;
+    phases.reserve(workload.phases.size());
     for (const trace::Phase &phase : workload.phases) {
-        trace::WorkloadProfile effective =
-            config.apply_machine_transform
-                ? transformForMachine(phase.profile, machine)
-                : phase.profile;
-        if (config.prewarm) {
-            playback.prewarm(effective, machine, config.force_prewarm_walk);
-            // The prewarm-boundary fill invariants only hold while the
-            // structures are untouched; later phases warm into state
-            // the previous phase left behind.
-            playback.auditPoint(/*post_prewarm=*/first_phase);
-        }
-        first_phase = false;
-
         auto share = [&phase](std::uint64_t total) {
             return std::max<std::uint64_t>(
                 1, static_cast<std::uint64_t>(
                        phase.weight * static_cast<double>(total)));
         };
-
-        trace::TraceGenerator generator(effective, config.seed_salt);
-        playback.play(generator, share(config.warmup), nullptr);
-        playback.retireUnusedPrefetches();
-
-        SimulationResult phase_result;
-        playback.play(generator, share(config.instructions),
-                      &phase_result.counters);
-        phase_result.cpi_stack = computeCpiStack(
-            phase_result.counters, machine.latencies, effective.exec);
-        phase_result.power =
-            computePower(phase_result.counters,
-                         phase_result.cpi_stack.total(), machine.power);
-
-        result.combined_counters += phase_result.counters;
-        weighted_cpi += phase.weight * phase_result.cpi();
-        result.per_phase.push_back(std::move(phase_result));
+        phases.push_back({effectiveProfile(phase.profile, machine, config),
+                          share(config.warmup), share(config.instructions)});
     }
-    playback.auditPoint(/*post_prewarm=*/false);
-#ifndef SPECLENS_AUDIT_OFF
-    reportImplicitAudit(trail);
-#endif
 
-    result.combined_cpi = weighted_cpi;
+    PhasedSimulationResult result;
+    result.per_phase = runPhases(phases, machine, config, nullptr);
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+        result.combined_counters += result.per_phase[i].counters;
+        result.combined_cpi +=
+            workload.phases[i].weight * result.per_phase[i].cpi();
+    }
     return result;
 }
 

@@ -9,6 +9,12 @@
  * and power estimate.  A warm-up window is excluded from the counters
  * so cold-start compulsory misses do not distort the steady-state
  * rates the paper's metrics describe.
+ *
+ * simulate() and simulatePhased() share one internal driver that plays
+ * an ordered list of phases (an effective profile plus exact warm-up
+ * and measured record counts) over one set of structures: simulate()
+ * is the one-phase case.  The per-record reference model the parity
+ * tests hold it to lives under tests/uarch/.
  */
 
 #ifndef SPECLENS_UARCH_SIMULATION_H
@@ -56,16 +62,6 @@ struct SimulationConfig
     bool prewarm = true;
 
     /**
-     * Skip the closed-form prewarm solver and run the walking path
-     * even when the pattern is provable.  Both paths leave bit-for-bit
-     * identical state (enforced by tests/uarch/prewarm_equivalence_
-     * test.cpp), so this knob is not result-determining and is
-     * excluded from hashInto(); it exists for equivalence tests and
-     * A/B timing.
-     */
-    bool force_prewarm_walk = false;
-
-    /**
      * Feed every result-determining field (the window sizes, the seed
      * salt and both mode flags) to @p fp — the canonical "window" hash
      * shared by all artifact-store fingerprints.
@@ -94,45 +90,26 @@ struct SimulationResult
  * instruction stream is fused into the structure models: records flow
  * from the generator in small structure-of-arrays batches, never as a
  * window-sized buffer.
- */
-SimulationResult simulate(const trace::WorkloadProfile &profile,
-                          const MachineConfig &machine,
-                          const SimulationConfig &config = {});
-
-/**
- * simulate() with the structural invariant prover forced on,
- * independent of the SPECLENS_AUDIT build switch: the live structures
+ *
+ * With @p trail non-null the structural invariant prover runs
+ * regardless of the SPECLENS_AUDIT build switch: the live structures
  * are audited after prewarm, at sampled batch boundaries and at end of
  * run, and the evidence accumulates in @p trail (verify.audits /
  * verify.violations obs counters move in step).  Auditing never
- * mutates structure state, so the returned result is bit-identical to
- * simulate() on the same inputs.  This is the entry point behind
- * `speclens audit`.
+ * mutates structure state, so the result is bit-identical to an
+ * unaudited run.  This is the entry point behind `speclens audit`.
  */
-SimulationResult simulateAudited(const trace::WorkloadProfile &profile,
-                                 const MachineConfig &machine,
-                                 const SimulationConfig &config,
-                                 verify::AuditTrail &trail);
-
-/**
- * simulate(), but through the pre-batching playback form: the whole
- * window is materialized as a std::vector<Instruction> and replayed
- * per instruction.  Kept as the baseline side of the streaming-vs-
- * materialized parity contract (results must satisfy bitIdentical
- * against simulate()) and of the `bench trajectory` speedup
- * measurement.
- */
-SimulationResult
-simulateMaterialized(const trace::WorkloadProfile &profile,
-                     const MachineConfig &machine,
-                     const SimulationConfig &config = {});
+SimulationResult simulate(const trace::WorkloadProfile &profile,
+                          const MachineConfig &machine,
+                          const SimulationConfig &config = {},
+                          verify::AuditTrail *trail = nullptr);
 
 /**
  * True when two results agree bit-for-bit: every event count equal and
  * every derived double (CPI-stack components, power rails) identical
  * under exact floating-point comparison.  This is the contract the
- * fused pipeline must honour against the materialized baseline and a
- * warm artifact-store rerun against a cold one.
+ * fused pipeline must honour against the reference model and a warm
+ * artifact-store rerun against a cold one.
  */
 bool bitIdentical(const SimulationResult &a, const SimulationResult &b);
 
@@ -153,7 +130,8 @@ struct PhasedSimulationResult
  * Measure a phased workload end to end: phases run in sequence within
  * one set of machine structures (caches, TLBs and predictor state
  * carry across phase boundaries, as on hardware), each receiving a
- * share of the measured window proportional to its weight.
+ * share of both windows proportional to its weight (at least one
+ * record each).
  *
  * @param workload Validated phased workload.
  * @param machine Machine model.

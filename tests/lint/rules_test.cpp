@@ -391,16 +391,16 @@ replaced(std::string text, const std::string &from, const std::string &to)
     return text;
 }
 
-/** A fully consistent v2 trajectory artifact for PR @p pr. */
+/** A fully consistent v3 trajectory artifact for PR @p pr. */
 std::string
 benchArtifactText(std::uint64_t pr)
 {
-    const double fused = 2.0, materialized = 4.0;
+    const double fused = 2.0;
     const double records_per_second = 12'880'000.0 / fused;
     std::ostringstream os;
     os.precision(17);
     os << "{\n";
-    os << "  \"schema\": \"speclens-bench-trajectory-v2\",\n";
+    os << "  \"schema\": \"speclens-bench-trajectory-v3\",\n";
     os << "  \"pr\": " << pr << ",\n";
     os << "  \"seed_baseline\": {\n";
     os << "    \"records_per_second\": " << core::kSeedRecordsPerSecond
@@ -424,14 +424,10 @@ benchArtifactText(std::uint64_t pr)
     os << "    \"records_total\": 12880000,\n";
     os << "    \"fingerprint\": \"00112233aabbccdd\",\n";
     os << "    \"fused_seconds\": " << fused << ",\n";
-    os << "    \"materialized_seconds\": " << materialized << ",\n";
-    os << "    \"speedup_vs_materialized\": " << materialized / fused
-       << ",\n";
     os << "    \"speedup_vs_seed\": "
        << records_per_second / core::kSeedRecordsPerSecond << ",\n";
     os << "    \"simulations_per_second\": " << 161.0 / fused << ",\n";
-    os << "    \"records_per_second\": " << records_per_second << ",\n";
-    os << "    \"parity_bit_identical\": true\n";
+    os << "    \"records_per_second\": " << records_per_second << "\n";
     os << "  },\n";
     os << "  \"stats\": {\n";
     os << "    \"seconds\": 0.5,\n";
@@ -440,7 +436,12 @@ benchArtifactText(std::uint64_t pr)
     os << "    \"fingerprint\": \"ffeeddccbbaa9988\"\n";
     os << "  },\n";
     os << "  \"store\": {\n";
-    os << "    \"checked\": false\n";
+    os << "    \"checked\": true,\n";
+    os << "    \"cold_seconds\": 2.5,\n";
+    os << "    \"warm_seconds\": 0.1,\n";
+    os << "    \"warm_simulations_run\": 0,\n";
+    os << "    \"warm_hit_rate\": 1,\n";
+    os << "    \"warm_bit_identical\": true\n";
     os << "  }\n";
     os << "}\n";
     return os.str();
@@ -568,13 +569,21 @@ TEST(Rules, SL020_BenchSchemaVolumeMismatch)
 
 TEST(Rules, SL020_ParityRegressionIsAnError)
 {
+    // Cold/warm parity: a warm-store rerun that disagrees with the cold
+    // campaign, or that had to simulate, must never be committed.
     TempDir dir("speclens_sl020_parity_test");
     LintContext context = cleanContext();
     context.bench_dir = dir.path.string();
     writeFile(dir.path / "BENCH_4.json",
               replaced(benchArtifactText(4),
-                       "\"parity_bit_identical\": true",
-                       "\"parity_bit_identical\": false"));
+                       "\"warm_bit_identical\": true",
+                       "\"warm_bit_identical\": false"));
+    expectFires("SL020", context);
+
+    writeFile(dir.path / "BENCH_4.json",
+              replaced(benchArtifactText(4),
+                       "\"warm_simulations_run\": 0",
+                       "\"warm_simulations_run\": 3"));
     expectFires("SL020", context);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -406,11 +407,35 @@ TEST(TraceGeneratorTest, KernelFractionConverges)
     EXPECT_NEAR(kernel / static_cast<double>(n), 0.25, 0.01);
 }
 
-TEST(TraceGeneratorTest, GenerateReturnsRequestedCount)
+TEST(TraceGeneratorTest, FillMatchesNextAcrossBatchBoundaries)
 {
+    // Two full batches plus a tail, pulled through odd-sized fill()
+    // requests so request edges and batch-capacity edges both land
+    // mid-stream: every record must equal the next() stream's.
     WorkloadProfile p = testProfile();
-    TraceGenerator gen(p);
-    EXPECT_EQ(gen.generate(1234).size(), 1234u);
+    TraceGenerator scalar(p, 3);
+    TraceGenerator batched(p, 3);
+    const std::uint64_t total = 2 * kRecordBatchCapacity + 7;
+    const std::uint64_t requests[] = {1, 4095, 4097, 9999, 3};
+    RecordBatch batch;
+    std::uint64_t produced = 0;
+    for (std::size_t r = 0; produced < total; ++r) {
+        std::uint64_t want = std::min(requests[r % 5], total - produced);
+        std::size_t n = batched.fill(batch, want);
+        ASSERT_EQ(n, std::min<std::uint64_t>(want, kRecordBatchCapacity));
+        ASSERT_EQ(batch.size, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            Instruction inst = scalar.next();
+            ASSERT_EQ(batch.pc[i], inst.pc) << "record " << produced + i;
+            ASSERT_EQ(batch.op[i], inst.op) << "record " << produced + i;
+            ASSERT_EQ(batch.address[i], inst.address);
+            ASSERT_EQ(batch.branch_id[i], inst.branch_id);
+            ASSERT_EQ(batch.taken(i), inst.taken);
+            ASSERT_EQ(batch.kernel(i), inst.kernel);
+        }
+        produced += n;
+    }
+    EXPECT_EQ(produced, total);
 }
 
 TEST(TraceGeneratorTest, InvalidProfileRejectedAtConstruction)

@@ -1,26 +1,31 @@
 /**
  * @file
- * Streaming-vs-materialized parity contract.
+ * Driver-vs-reference-model parity contract.
  *
- * The fused pipeline streams records through the structure models in
- * SoA batches and collapses same-line/same-page runs; the materialized
- * baseline builds the whole window as a std::vector<Instruction> and
- * replays it per record.  Both must produce bit-identical
- * SimulationResults — every counter equal, every derived double equal
- * by bit pattern — for EVERY shipped workload on EVERY shipped
- * machine.  A single differing bit here means a run-collapsing or
- * cold-fill shortcut changed observable state, not just speed.
+ * The simulation driver streams records through the structure models
+ * in SoA batches, collapses same-line/same-page runs, resolves
+ * branches with batch predictor kernels and prewarms with the
+ * closed-form solver; the reference model (reference_model.h) does
+ * none of that — one record, one full probe, one scalar predictor call
+ * at a time, always the walking prewarm.  Both must produce
+ * bit-identical results — every counter equal, every derived double
+ * equal by bit pattern — for EVERY shipped workload on EVERY shipped
+ * machine, and for phased runs.  A single differing bit here means a
+ * fast path changed observable state, not just speed.
  */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "reference_model.h"
 #include "suites/emerging.h"
 #include "suites/machines.h"
 #include "suites/spec2006.h"
 #include "suites/spec2017.h"
+#include "trace/phased_workload.h"
 #include "uarch/simulation.h"
 
 using namespace speclens;
@@ -44,10 +49,11 @@ expectParity(const suites::BenchmarkInfo &benchmark,
 {
     uarch::SimulationResult fused =
         uarch::simulate(benchmark.profile, machine, config);
-    uarch::SimulationResult materialized =
-        uarch::simulateMaterialized(benchmark.profile, machine, config);
-    EXPECT_TRUE(uarch::bitIdentical(fused, materialized))
-        << benchmark.name << " on " << machine.name;
+    uarch::SimulationResult expected =
+        reference::simulate(benchmark.profile, machine, config);
+    EXPECT_TRUE(uarch::bitIdentical(fused, expected))
+        << benchmark.name << " on " << machine.name
+        << " warmup=" << config.warmup;
 }
 
 void
@@ -58,6 +64,33 @@ expectSuiteParity(const std::vector<suites::BenchmarkInfo> &benchmarks)
         for (const uarch::MachineConfig &machine :
              suites::profilingMachines())
             expectParity(b, machine, config);
+}
+
+/** Phased driver vs the reference model over three derived phases. */
+void
+expectPhasedParity(const suites::BenchmarkInfo &benchmark,
+                   const uarch::MachineConfig &machine)
+{
+    trace::PhasedWorkload workload =
+        trace::derivePhases(benchmark.profile, 3);
+    uarch::SimulationConfig config = tinyWindow();
+    uarch::PhasedSimulationResult fused =
+        uarch::simulatePhased(workload, machine, config);
+    uarch::PhasedSimulationResult expected =
+        reference::simulatePhased(workload, machine, config);
+
+    const std::string where = benchmark.name + " on " + machine.name;
+    ASSERT_EQ(fused.per_phase.size(), expected.per_phase.size()) << where;
+    for (std::size_t i = 0; i < fused.per_phase.size(); ++i)
+        EXPECT_TRUE(uarch::bitIdentical(fused.per_phase[i],
+                                        expected.per_phase[i]))
+            << where << " phase " << i;
+    uarch::SimulationResult fused_combined, expected_combined;
+    fused_combined.counters = fused.combined_counters;
+    expected_combined.counters = expected.combined_counters;
+    EXPECT_TRUE(uarch::bitIdentical(fused_combined, expected_combined))
+        << where;
+    EXPECT_EQ(fused.combined_cpi, expected.combined_cpi) << where;
 }
 
 TEST(StreamingParity, Cpu2017AllMachines)
@@ -130,6 +163,42 @@ TEST(StreamingParity, SaltedAndUnwarmedWindows)
     uarch::SimulationConfig unwarmed = tinyWindow();
     unwarmed.prewarm = false;
     expectParity(xz, machine, unwarmed);
+}
+
+// Degenerate warm-up windows (0 and 1 records) put the analytic
+// prewarm's final state straight into the measured window, or one
+// record ahead of it; the reference model always walks, so these pin
+// the analytic solver to the walk on every shipped machine.
+TEST(StreamingParity, DegenerateWarmupWindowsAllMachines)
+{
+    const suites::BenchmarkInfo &first = suites::spec2017().front();
+    for (const uarch::MachineConfig &machine : suites::profilingMachines()) {
+        for (std::uint64_t warmup : {std::uint64_t{0}, std::uint64_t{1},
+                                     std::uint64_t{2'000}}) {
+            uarch::SimulationConfig config;
+            config.instructions = 2'000;
+            config.warmup = warmup;
+            expectParity(first, machine, config);
+        }
+    }
+}
+
+// Phases share one set of structures: phase 1 prewarms analytically,
+// later phases fall back to the walk over a touched hierarchy.  The
+// phased driver must match the reference on every profiling machine
+// and on a prefetching memory-centric machine.
+TEST(StreamingParity, PhasedAllProfilingMachinesAndOneMemoryCentric)
+{
+    const suites::BenchmarkInfo &gcc =
+        suites::spec2017Benchmark("502.gcc_r");
+    for (const uarch::MachineConfig &machine : suites::profilingMachines())
+        expectPhasedParity(gcc, machine);
+    for (const uarch::MachineConfig &machine :
+         suites::memoryCentricMachines())
+        if (machine.caches.l2_prefetch_degree > 0) {
+            expectPhasedParity(gcc, machine);
+            break;
+        }
 }
 
 } // namespace

@@ -7,10 +7,11 @@
  * cold-fill counters, ticks, last-access indices and every statistic —
  * or to mutate nothing and return false.  These tests compare the two
  * paths' full state digests across every replacement policy, TLB
- * geometry and stride regime, sweep degenerate warm-up windows through
- * the public simulate() A/B knob (force_prewarm_walk), and pin the
- * all-or-nothing fallback contract for patterns outside the provable
- * regime.
+ * geometry and stride regime, and pin the all-or-nothing fallback
+ * contract for patterns outside the provable regime.  End to end, the
+ * reference-model parity sweep (parity_test.cpp) always walks, so it
+ * holds the analytic path to the walk on every shipped machine,
+ * including degenerate warm-up windows.
  */
 
 #include <cstdint>
@@ -238,33 +239,6 @@ TEST(PrewarmEquivalence, RandomOverflowFallsBackUntouched)
               fresh);
 }
 
-// ---------------------------------------------------------------------
-// End-to-end A/B through the public knob: force_prewarm_walk must be
-// invisible in results for every shipped machine, including degenerate
-// warm-up windows (0 and 1 instructions).
-
-TEST(PrewarmEquivalence, ForceWalkIsResultInvisibleOnShippedMachines)
-{
-    const trace::WorkloadProfile &profile =
-        suites::spec2017().front().profile;
-    for (const uarch::MachineConfig &machine :
-         suites::profilingMachines()) {
-        for (std::uint64_t warmup : {std::uint64_t{0}, std::uint64_t{1},
-                                     std::uint64_t{2'000}}) {
-            uarch::SimulationConfig config;
-            config.instructions = 2'000;
-            config.warmup = warmup;
-            uarch::SimulationResult analytic =
-                uarch::simulate(profile, machine, config);
-            config.force_prewarm_walk = true;
-            uarch::SimulationResult walked =
-                uarch::simulate(profile, machine, config);
-            EXPECT_TRUE(uarch::bitIdentical(analytic, walked))
-                << machine.name << " warmup=" << warmup;
-        }
-    }
-}
-
 #ifndef SPECLENS_METRICS_OFF
 TEST(PrewarmEquivalence, ObsCountersRecordTheDecision)
 {
@@ -283,18 +257,13 @@ TEST(PrewarmEquivalence, ObsCountersRecordTheDecision)
 
     // Shipped machines and profiles are fully in the provable regime.
     std::uint64_t analytic_before = analytic.value();
+    std::uint64_t walked_before = walked.value();
     uarch::simulate(profile, machine, config);
     EXPECT_EQ(analytic.value(), analytic_before + 1);
-
-    // The A/B knob forces the walking path.
-    std::uint64_t walked_before = walked.value();
-    config.force_prewarm_walk = true;
-    uarch::simulate(profile, machine, config);
-    EXPECT_EQ(walked.value(), walked_before + 1);
+    EXPECT_EQ(walked.value(), walked_before);
 
     // Phased runs walk from phase 2 on (touched hierarchy): shipped
     // fallback coverage, counted per phase.
-    config.force_prewarm_walk = false;
     trace::PhasedWorkload phased = trace::derivePhases(profile, 3);
     analytic_before = analytic.value();
     walked_before = walked.value();

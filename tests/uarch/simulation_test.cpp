@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
+#include "trace/phased_workload.h"
 #include "uarch/machine.h"
 #include "uarch/simulation.h"
 
@@ -171,6 +173,35 @@ TEST(SimulationTest, TwoLevelMachineRuns)
     EXPECT_EQ(r.counters.l2tlb_misses,
               r.counters.dtlb_misses + r.counters.itlb_misses);
 }
+
+#ifndef SPECLENS_METRICS_OFF
+// Phased runs go through the same driver as simulate(), so they move
+// the uarch.prefetch.fills manifest metric too — by exactly the run's
+// combined fills, or manifests under-report memory-centric campaigns.
+TEST(SimulationTest, PhasedRunMovesPrefetchFillsMetric)
+{
+    MachineConfig machine;
+    for (const MachineConfig &m : suites::memoryCentricMachines())
+        if (m.caches.l2_prefetch_degree > 0) {
+            machine = m;
+            break;
+        }
+    ASSERT_GT(machine.caches.l2_prefetch_degree, 0u);
+
+    trace::PhasedWorkload workload = trace::derivePhases(
+        suites::spec2017Benchmark("519.lbm_r").profile, 3);
+    SimulationConfig config;
+    config.instructions = 20'000;
+    config.warmup = 5'000;
+
+    obs::Counter &fills =
+        obs::Registry::global().counter("uarch.prefetch.fills");
+    const std::uint64_t before = fills.value();
+    PhasedSimulationResult r = simulatePhased(workload, machine, config);
+    ASSERT_GT(r.combined_counters.prefetch_fills, 0u);
+    EXPECT_EQ(fills.value() - before, r.combined_counters.prefetch_fills);
+}
+#endif
 
 } // namespace
 } // namespace uarch

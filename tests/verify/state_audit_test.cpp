@@ -496,8 +496,8 @@ TEST(StateAudit, SimulateAuditedRunsCleanOnShippedModels)
     for (const uarch::MachineConfig &machine :
          suites::profilingMachines()) {
         AuditTrail trail;
-        uarch::SimulationResult result = uarch::simulateAudited(
-            benchmark.profile, machine, config, trail);
+        uarch::SimulationResult result =
+            uarch::simulate(benchmark.profile, machine, config, &trail);
         EXPECT_GT(result.counters.instructions, 0u);
         EXPECT_GE(trail.audits, 2u) << machine.name;
         for (const Violation &v : trail.violations)
@@ -514,8 +514,8 @@ TEST(StateAudit, SimulateAuditedMatchesSimulateBitForBit)
     const auto &benchmark = suites::spec2017()[1];
     const uarch::MachineConfig machine = suites::skylakeMachine();
     AuditTrail trail;
-    uarch::SimulationResult audited = uarch::simulateAudited(
-        benchmark.profile, machine, config, trail);
+    uarch::SimulationResult audited =
+        uarch::simulate(benchmark.profile, machine, config, &trail);
     uarch::SimulationResult plain =
         uarch::simulate(benchmark.profile, machine, config);
     EXPECT_TRUE(uarch::bitIdentical(audited, plain));

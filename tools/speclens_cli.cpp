@@ -943,7 +943,7 @@ jsonNumberField(const std::string &text, const std::string &key,
 /**
  * Print a previous-vs-current delta table to stderr (never stdout:
  * rates are timing-dependent, and stdout stays byte-deterministic).
- * Parses both schema v1 (no speedup_vs_seed) and v2 artifacts.
+ * Parses schema v1 (no speedup_vs_seed) through v3 artifacts.
  */
 void
 printTrajectoryDelta(const std::string &prev_path,
@@ -955,7 +955,7 @@ printTrajectoryDelta(const std::string &prev_path,
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     // Rates live in the campaign block; searching from there skips the
-    // v2 seed_baseline object, whose fields share these key names.
+    // v2+ seed_baseline object, whose fields share these key names.
     std::size_t campaign = text.find("\"campaign\"");
     if (campaign == std::string::npos)
         campaign = 0;
@@ -1066,13 +1066,11 @@ cmdBenchTrajectory(const CliOptions &opts)
     }
     file.close();
     std::fprintf(stderr,
-                 "[speclens-bench] wrote %s: fused=%.3fs "
-                 "materialized=%.3fs speedup=%.2fx stats=%.3fs\n",
+                 "[speclens-bench] wrote %s: fused=%.3fs stats=%.3fs\n",
                  out_path.c_str(), result.fused_seconds,
-                 result.materialized_seconds,
-                 result.speedup_vs_materialized, result.stats_seconds);
+                 result.stats_seconds);
 
-    // Delta table against the most recent earlier artifact (v1 or v2).
+    // Delta table against the most recent earlier artifact (any schema).
     for (int prev = config.pr - 1; prev >= 0; --prev) {
         std::string prev_path = core::trajectoryArtifactName(prev);
         if (std::filesystem::exists(prev_path)) {
@@ -1081,12 +1079,10 @@ cmdBenchTrajectory(const CliOptions &opts)
         }
     }
 
-    // Exit code doubles as the contract check: parity and (when a
-    // store was given) warm reuse must both hold.
-    bool ok = result.parity_bit_identical &&
-              (!result.store_checked ||
-               (result.warm_bit_identical &&
-                result.warm_simulations_run == 0));
+    // Exit code doubles as the contract check: when a store was given,
+    // the warm rerun must simulate nothing and match bit for bit.
+    bool ok = !result.store_checked ||
+              (result.warm_bit_identical && result.warm_simulations_run == 0);
     return ok ? 0 : 1;
 }
 
@@ -1207,8 +1203,7 @@ cmdAudit(const CliOptions &opts)
     for (const suites::BenchmarkInfo &b : benchmarks) {
         for (const uarch::MachineConfig &machine : machines) {
             verify::AuditTrail trail;
-            (void)uarch::simulateAudited(b.profile, machine, window,
-                                         trail);
+            (void)uarch::simulate(b.profile, machine, window, &trail);
             ++simulations;
             audits += trail.audits;
             for (const verify::Violation &v : trail.violations)
