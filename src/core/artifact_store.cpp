@@ -19,6 +19,8 @@
 
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "uarch/perf_counters.h"
+#include "verify/violation.h"
 
 namespace speclens {
 namespace core {
@@ -465,11 +467,26 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
     if (out_phased && kind != kKindPhased)
         return fail(StoreStatus::Corrupt, "pair entry, phased requested");
 
+    // A checksum only proves the bytes are the ones written; the
+    // counters must also satisfy the accounting identities every
+    // simulated window does.
+    auto identityDefect = [](const uarch::PerfCounters &counters,
+                             const std::string &where) {
+        std::vector<verify::Violation> found =
+            uarch::checkCounterIdentities(counters);
+        return found.empty() ? std::string()
+                             : "counter identity broken in " + where +
+                                   ": " +
+                                   verify::renderViolation(found.front());
+    };
     if (kind == kKindPair) {
         uarch::SimulationResult result;
         readResult(reader, result);
         if (reader.failed() || !reader.exhausted())
             return fail(StoreStatus::Corrupt, "malformed payload");
+        std::string defect = identityDefect(result.counters, "result");
+        if (!defect.empty())
+            return fail(StoreStatus::Corrupt, defect);
         if (out)
             *out = result;
     } else {
@@ -484,6 +501,13 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
         result.combined_cpi = reader.f64();
         if (reader.failed() || !reader.exhausted())
             return fail(StoreStatus::Corrupt, "malformed payload");
+        std::string defect =
+            identityDefect(result.combined_counters, "combined counters");
+        for (std::size_t k = 0; defect.empty() && k < phases; ++k)
+            defect = identityDefect(result.per_phase[k].counters,
+                                    "phase " + std::to_string(k));
+        if (!defect.empty())
+            return fail(StoreStatus::Corrupt, defect);
         if (info)
             info->phases = phases;
         if (out_phased)
@@ -671,13 +695,6 @@ CampaignStore::entryPath(const StoreKey &key) const
            fingerprintHex(key.fingerprint) + kStoreEntrySuffix;
 }
 
-std::string
-CampaignStore::legacyEntryPath(const StoreKey &key) const
-{
-    return directory_ + "/" + fingerprintHex(key.fingerprint) +
-           kStoreEntrySuffix;
-}
-
 std::unique_lock<std::mutex>
 CampaignStore::lockShard(const Shard &shard) const
 {
@@ -814,16 +831,9 @@ CampaignStore::load(const StoreKey &key, uarch::SimulationResult &out)
     }
 
     std::string bytes;
-    std::string path = entryPath(key);
-    bool readable = readFile(path, bytes);
-    if (!readable) {
-        // Pre-shard stores keep entries flat in the root.
-        path = legacyEntryPath(key);
-        readable = readFile(path, bytes);
-    }
-
+    const std::string path = entryPath(key);
     StoreStatus status;
-    if (!readable) {
+    if (!readFile(path, bytes)) {
         status = StoreStatus::Miss;
     } else {
         StoreInstruments::get().bytes_read.add(bytes.size());
@@ -842,12 +852,8 @@ CampaignStore::loadPhased(const StoreKey &key,
 {
     obs::Span span(StoreInstruments::get().load_time);
     std::string bytes;
-    bool readable = readFile(entryPath(key), bytes);
-    if (!readable)
-        readable = readFile(legacyEntryPath(key), bytes);
-
     StoreStatus status;
-    if (!readable) {
+    if (!readFile(entryPath(key), bytes)) {
         status = StoreStatus::Miss;
     } else {
         StoreInstruments::get().bytes_read.add(bytes.size());
@@ -966,18 +972,13 @@ CampaignStore::counters() const
 std::size_t
 CampaignStore::entryCount() const
 {
-    auto countDir = [](const std::string &dir) {
+    std::size_t count = 0;
+    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
         std::error_code ec;
-        std::size_t count = 0;
-        for (const auto &entry : fs::directory_iterator(dir, ec)) {
-            if (entry.path().extension() == kStoreEntrySuffix)
+        for (const auto &file : fs::directory_iterator(shardPath(shard), ec))
+            if (file.path().extension() == kStoreEntrySuffix)
                 ++count;
-        }
-        return count;
-    };
-    std::size_t count = countDir(directory_);
-    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard)
-        count += countDir(shardPath(shard));
+    }
     return count;
 }
 
@@ -985,16 +986,15 @@ std::vector<StoreEntryInfo>
 CampaignStore::scan() const
 {
     std::vector<StoreEntryInfo> entries;
-    auto scanDir = [&](const std::string &dir,
-                       const std::string &rel_prefix) {
+    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
         std::error_code ec;
-        for (const auto &file : fs::directory_iterator(dir, ec)) {
+        for (const auto &file : fs::directory_iterator(shardPath(shard), ec)) {
             if (file.path().extension() != kStoreEntrySuffix)
                 continue;
 
             StoreEntryInfo info;
-            info.filename =
-                rel_prefix + file.path().filename().string();
+            info.filename = storeShardDirName(shard) + "/" +
+                            file.path().filename().string();
             std::error_code size_ec;
             auto size = fs::file_size(file.path(), size_ec);
             info.file_bytes = size_ec ? 0 : size;
@@ -1023,10 +1023,7 @@ CampaignStore::scan() const
             }
             entries.push_back(std::move(info));
         }
-    };
-    scanDir(directory_, "");
-    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard)
-        scanDir(shardPath(shard), storeShardDirName(shard) + "/");
+    }
     std::sort(entries.begin(), entries.end(),
               [](const StoreEntryInfo &a, const StoreEntryInfo &b) {
                   return a.filename < b.filename;
@@ -1038,21 +1035,16 @@ std::size_t
 CampaignStore::invalidate()
 {
     lruClear();
-    auto clearDir = [](const std::string &dir) {
+    std::size_t removed = 0;
+    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
         std::error_code ec;
-        std::size_t removed = 0;
-        for (const auto &file : fs::directory_iterator(dir, ec)) {
-            if (file.path().extension() != kStoreEntrySuffix)
-                continue;
+        for (const auto &file : fs::directory_iterator(shardPath(shard), ec)) {
             std::error_code remove_ec;
-            if (fs::remove(file.path(), remove_ec))
+            if (file.path().extension() == kStoreEntrySuffix &&
+                fs::remove(file.path(), remove_ec))
                 ++removed;
         }
-        return removed;
-    };
-    std::size_t removed = clearDir(directory_);
-    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard)
-        removed += clearDir(shardPath(shard));
+    }
     return removed;
 }
 

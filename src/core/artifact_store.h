@@ -20,7 +20,9 @@
  *
  * Entries are loaded defensively.  Every file carries a magic, the
  * engine version, its own fingerprint, a payload checksum and a
- * length-checked payload; truncated, corrupt, version-mismatched or
+ * length-checked payload, and the decoded counters must satisfy the
+ * machine-free accounting identities (uarch::checkCounterIdentities);
+ * truncated, corrupt, identity-violating, version-mismatched or
  * fingerprint-mismatched entries are counted, reported and recomputed
  * — never trusted.  A load can always fail soft: the caller falls back
  * to simulation, exactly as if the entry had never existed.
@@ -47,11 +49,10 @@
  * `<store>/shard-<hex>/<16-hex>.slart`.  Each shard has its own mutex
  * and its own bounded LRU of deserialized pair results, so concurrent
  * requests against a shared store handle (the `speclens serve` daemon)
- * only contend when they touch the same shard.  Stores written before
- * sharding kept every entry in the store root; load() falls back to
- * that flat path on a shard miss, so pre-shard stores stay warm.  The
- * SL025 lint rule audits the layout (a misfiled entry is an error, a
- * legacy root-level entry a warning).
+ * only contend when they touch the same shard.  Only shards are read:
+ * a root-level `*.slart` left by a store written before sharding is
+ * not an entry, and its pair recomputes into its shard.  The SL025
+ * lint rule audits the layout (a misfiled entry is an error).
  *
  * Thread safety: load/save/counters may be called concurrently (the
  * Characterizer's workers do).  Distinct keys touch distinct files;
@@ -219,11 +220,7 @@ struct StoreCounters
 /** Verified description of one on-disk entry (see CampaignStore::scan). */
 struct StoreEntryInfo
 {
-    /**
-     * Entry path relative to the store root: `shard-<x>/<hex>.slart`
-     * for a sharded entry, a bare file name for a pre-shard
-     * root-level entry.
-     */
+    /** Entry path relative to the store root: `shard-<x>/<hex>.slart`. */
     std::string filename;
     std::uint64_t file_bytes = 0;
 
@@ -326,15 +323,14 @@ class CampaignStore
     /** Lifetime I/O counters of this handle. */
     StoreCounters counters() const;
 
-    /** Number of entry files currently on disk (root + all shards). */
+    /** Number of entry files currently in the shards. */
     std::size_t entryCount() const;
 
     /**
      * Read and verify every entry in the store: magic, engine version,
-     * checksum, payload shape, and file-name/header fingerprint
-     * agreement.  Walks the store root (pre-shard entries) and every
-     * shard subdirectory; results are sorted by relative path for
-     * stable output.
+     * checksum, payload shape, counter identities and file-name/header
+     * fingerprint agreement.  Walks every shard subdirectory; results
+     * are sorted by relative path for stable output.
      */
     std::vector<StoreEntryInfo> scan() const;
 
@@ -349,13 +345,6 @@ class CampaignStore
 
     /** Sharded entry file path for @p key (diagnostics and tests). */
     std::string entryPath(const StoreKey &key) const;
-
-    /**
-     * Pre-shard flat path of @p key (`<store>/<hex>.slart`): where a
-     * store written before sharding keeps the entry.  load() falls
-     * back to it on a shard miss.
-     */
-    std::string legacyEntryPath(const StoreKey &key) const;
 
   private:
     /** One shard: its own lock and its slice of the result LRU. */

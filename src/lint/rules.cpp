@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -24,7 +25,7 @@
 #include "core/artifact_store.h"
 #include "core/characterization.h"
 #include "core/perf_trajectory.h"
-#include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "stats/normalize.h"
 #include "suites/emerging.h"
@@ -52,12 +53,6 @@ inUnit(double v)
     return std::isfinite(v) && v >= 0.0 && v <= 1.0;
 }
 
-bool
-isPowerOfTwo(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
 /** Shared emit helper bound to one rule's code. */
 class RuleBase : public Rule
 {
@@ -78,6 +73,20 @@ class RuleBase : public Rule
     {
         emit(out, Severity::Error, std::move(location),
              std::move(message), std::move(fix_hint));
+    }
+
+    /** An error at @p loc (plus the violation's own location) for
+     *  each violation in @p found that @p owner reports. */
+    void
+    violationErrors(std::vector<Diagnostic> &out, const std::string &loc,
+                    const std::vector<verify::Violation> &found,
+                    const std::string &owner) const
+    {
+        for (const verify::Violation &v : found)
+            if (v.structure == owner)
+                error(out,
+                      v.location.empty() ? loc : loc + "/" + v.location,
+                      v.detail);
     }
 };
 
@@ -373,219 +382,24 @@ class BranchModelRule final : public RuleBase
 // Machine rules (SL007-SL011): the seven Table IV configurations.
 // ====================================================================
 
-class CacheMonotonicityRule final : public RuleBase
+/**
+ * One machine-rule family: reports the uarch::checkMachineConfig()
+ * violations whose structure is the rule's name.  SL010 additionally
+ * owns the one cross-machine check, distinct short names.
+ */
+class MachineFamilyRule final : public RuleBase
 {
   public:
-    std::string code() const override { return "SL007"; }
-    std::string name() const override { return "cache-monotonic"; }
-    std::string
-    description() const override
+    MachineFamilyRule(std::string code, std::string name,
+                      std::string description)
+        : code_(std::move(code)), name_(std::move(name)),
+          description_(std::move(description))
     {
-        return "cache capacity and visible latency grow with the "
-               "hierarchy level";
     }
 
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        for (const uarch::MachineConfig &m : context.machines) {
-            const std::string loc = "machine:" + m.short_name;
-            const uarch::CacheHierarchyConfig &c = m.caches;
-            if (c.l2.size_bytes < c.l1d.size_bytes ||
-                c.l2.size_bytes < c.l1i.size_bytes)
-                error(out, loc + "/caches.l2",
-                      "L2 (" + num(double(c.l2.size_bytes)) +
-                          " bytes) is smaller than an L1",
-                      "capacity must not shrink with level");
-            if (c.l3 && c.l3->size_bytes <= c.l2.size_bytes)
-                error(out, loc + "/caches.l3",
-                      "L3 (" + num(double(c.l3->size_bytes)) +
-                          " bytes) is not larger than L2 (" +
-                          num(double(c.l2.size_bytes)) + " bytes)",
-                      "drop the level instead of shrinking it");
-            const std::uint32_t line = c.l1d.line_bytes;
-            for (const uarch::CacheConfig *cache :
-                 {&c.l1i, &c.l2, c.l3 ? &*c.l3 : nullptr}) {
-                if (cache && cache->line_bytes != line)
-                    error(out, loc + "/caches." + cache->name,
-                          "line size " +
-                              std::to_string(cache->line_bytes) +
-                              " differs from L1D's " +
-                              std::to_string(line),
-                          "mixed line sizes break inclusive fills");
-            }
-
-            const uarch::LatencyModel &lat = m.latencies;
-            if (!(lat.l2_hit_cycles > 0.0 &&
-                  lat.l3_hit_cycles > lat.l2_hit_cycles &&
-                  lat.memory_cycles > lat.l3_hit_cycles))
-                error(out, loc + "/latencies",
-                      "visible latencies must increase with depth: "
-                      "L2 " + num(lat.l2_hit_cycles) + ", L3 " +
-                          num(lat.l3_hit_cycles) + ", memory " +
-                          num(lat.memory_cycles));
-            if (lat.mispredict_penalty <= 0.0 ||
-                lat.icache_l2_penalty <= 0.0 ||
-                lat.l2tlb_hit_cycles <= 0.0 ||
-                lat.page_walk_cycles <= lat.l2tlb_hit_cycles)
-                error(out, loc + "/latencies",
-                      "front-end and TLB penalties must be positive "
-                      "and a page walk must cost more than an L2 TLB "
-                      "hit");
-        }
-    }
-};
-
-class CacheGeometryRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL008"; }
-    std::string name() const override { return "cache-geometry"; }
-    std::string
-    description() const override
-    {
-        return "every cache has a power-of-two line size and a "
-               "geometry its ways divide evenly";
-    }
-
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        for (const uarch::MachineConfig &m : context.machines) {
-            const uarch::CacheHierarchyConfig &c = m.caches;
-            for (const uarch::CacheConfig *cache :
-                 {&c.l1i, &c.l1d, &c.l2, c.l3 ? &*c.l3 : nullptr}) {
-                if (!cache)
-                    continue;
-                checkCache(out, m.short_name, *cache);
-            }
-        }
-    }
-
-  private:
-    void
-    checkCache(std::vector<Diagnostic> &out,
-               const std::string &machine,
-               const uarch::CacheConfig &cache) const
-    {
-        const std::string loc =
-            "machine:" + machine + "/caches." + cache.name;
-        if (!isPowerOfTwo(cache.line_bytes) || cache.line_bytes < 16 ||
-            cache.line_bytes > 256) {
-            error(out, loc,
-                  "line size " + std::to_string(cache.line_bytes) +
-                      " is not a power of two in [16, 256]");
-            return;
-        }
-        if (cache.associativity == 0) {
-            error(out, loc, "associativity is zero");
-            return;
-        }
-        std::uint64_t way_bytes =
-            std::uint64_t(cache.line_bytes) * cache.associativity;
-        if (cache.size_bytes == 0 ||
-            cache.size_bytes % way_bytes != 0)
-            error(out, loc,
-                  "capacity " + std::to_string(cache.size_bytes) +
-                      " is not a multiple of line size x ways (" +
-                      std::to_string(way_bytes) + ")",
-                  "sets() would truncate and silently drop capacity");
-        else if (cache.size_bytes / way_bytes == 0)
-            error(out, loc, "geometry yields zero sets");
-        if (std::uint64_t(cache.associativity) * cache.line_bytes >
-            cache.size_bytes)
-            error(out, loc,
-                  "more ways than lines: associativity " +
-                      std::to_string(cache.associativity) +
-                      " exceeds capacity / line size");
-    }
-};
-
-class TlbConfigRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL009"; }
-    std::string name() const override { return "tlb-config"; }
-    std::string
-    description() const override
-    {
-        return "TLB entries/ways/page sizes are sane and a shared L2 "
-               "TLB covers the L1 TLBs";
-    }
-
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        for (const uarch::MachineConfig &m : context.machines) {
-            const uarch::TlbHierarchyConfig &t = m.tlbs;
-            checkTlb(out, m.short_name, t.itlb);
-            checkTlb(out, m.short_name, t.dtlb);
-            if (!t.l2tlb)
-                continue;
-            checkTlb(out, m.short_name, *t.l2tlb);
-            const std::string loc =
-                "machine:" + m.short_name + "/tlbs." + t.l2tlb->name;
-            if (t.l2tlb->entries < t.itlb.entries ||
-                t.l2tlb->entries < t.dtlb.entries)
-                error(out, loc,
-                      "second-level TLB (" +
-                          std::to_string(t.l2tlb->entries) +
-                          " entries) is smaller than a first-level "
-                          "TLB",
-                      "a victim/second-level TLB must cover what the "
-                      "L1 TLBs hold");
-            if (t.l2tlb->page_bytes != t.itlb.page_bytes ||
-                t.l2tlb->page_bytes != t.dtlb.page_bytes)
-                error(out, loc,
-                      "page size differs between TLB levels");
-        }
-    }
-
-  private:
-    void
-    checkTlb(std::vector<Diagnostic> &out, const std::string &machine,
-             const uarch::TlbConfig &tlb) const
-    {
-        const std::string loc =
-            "machine:" + machine + "/tlbs." + tlb.name;
-        if (tlb.entries == 0) {
-            error(out, loc, "TLB has zero entries");
-            return;
-        }
-        if (tlb.associativity == 0 ||
-            tlb.associativity > tlb.entries)
-            error(out, loc,
-                  "associativity " +
-                      std::to_string(tlb.associativity) +
-                      " is outside [1, entries=" +
-                      std::to_string(tlb.entries) + "]",
-                  "use entries for a fully associative TLB");
-        else if (tlb.entries % tlb.associativity != 0)
-            error(out, loc,
-                  "entries " + std::to_string(tlb.entries) +
-                      " are not a multiple of associativity " +
-                      std::to_string(tlb.associativity));
-        if (!isPowerOfTwo(tlb.page_bytes) || tlb.page_bytes < 4096)
-            error(out, loc,
-                  "page size " + std::to_string(tlb.page_bytes) +
-                      " is not a power of two >= 4096");
-    }
-};
-
-class MachineConfigRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL010"; }
-    std::string name() const override { return "machine-config"; }
-    std::string
-    description() const override
-    {
-        return "frequency, predictor size and power coefficients are "
-               "in plausible hardware ranges";
-    }
+    std::string code() const override { return code_; }
+    std::string name() const override { return name_; }
+    std::string description() const override { return description_; }
 
     void
     run(const LintContext &context,
@@ -594,45 +408,20 @@ class MachineConfigRule final : public RuleBase
         std::set<std::string> short_names;
         for (const uarch::MachineConfig &m : context.machines) {
             const std::string loc = "machine:" + m.short_name;
-            if (m.short_name.empty() || m.name.empty())
-                error(out, loc, "machine has an empty name");
-            else if (!short_names.insert(m.short_name).second)
+            violationErrors(out, loc, uarch::checkMachineConfig(m), name_);
+            if (name_ == "machine-config" && !m.short_name.empty() &&
+                !short_names.insert(m.short_name).second)
                 error(out, loc,
                       "duplicate machine short name '" + m.short_name +
                           "'",
-                      "short names key the per-machine feature "
-                      "columns");
-            if (!std::isfinite(m.frequency_ghz) ||
-                m.frequency_ghz < 0.5 || m.frequency_ghz > 6.0)
-                error(out, loc + "/frequency_ghz",
-                      "clock of " + num(m.frequency_ghz) +
-                          " GHz is outside the plausible [0.5, 6] "
-                          "range");
-            if (m.predictor_size_log2 < 8 ||
-                m.predictor_size_log2 > 20)
-                error(out, loc + "/predictor_size_log2",
-                      "predictor table of 2^" +
-                          std::to_string(m.predictor_size_log2) +
-                          " entries is outside [2^8, 2^20]");
-            const uarch::PowerModelConfig &p = m.power;
-            if (p.core_static_watts <= 0.0 ||
-                p.energy_per_instruction_nj <= 0.0 ||
-                p.llc_static_watts <= 0.0 ||
-                p.dram_static_watts <= 0.0 ||
-                p.llc_access_energy_nj <= 0.0 ||
-                p.dram_access_energy_nj <= 0.0)
-                error(out, loc + "/power",
-                      "static power and per-event energies must be "
-                      "positive");
-            if (std::fabs(p.frequency_ghz - m.frequency_ghz) > 1e-9)
-                error(out, loc + "/power.frequency_ghz",
-                      "power-model clock (" + num(p.frequency_ghz) +
-                          " GHz) disagrees with the machine clock (" +
-                          num(m.frequency_ghz) + " GHz)",
-                      "set power.frequency_ghz = frequency_ghz when "
-                      "building the machine");
+                      "short names key the per-machine feature columns");
         }
     }
+
+  private:
+    std::string code_;
+    std::string name_;
+    std::string description_;
 };
 
 class TransformRule final : public RuleBase
@@ -1255,82 +1044,6 @@ readTextFile(const std::string &path, std::string &out)
     return true;
 }
 
-/**
- * Position of the value of @p key at or after @p from, or npos.
- *
- * The artifact JSON is machine-rendered with a fixed section order,
- * so a quoted-key scan (not a full parser) addresses fields reliably:
- * callers scope nested keys by first locating their section's key.
- */
-std::size_t
-jsonValuePos(const std::string &text, const std::string &key,
-             std::size_t from)
-{
-    const std::string needle = "\"" + key + "\"";
-    std::size_t at = text.find(needle, from);
-    if (at == std::string::npos)
-        return std::string::npos;
-    std::size_t pos = at + needle.size();
-    while (pos < text.size() && std::isspace(
-                                    static_cast<unsigned char>(text[pos])))
-        ++pos;
-    if (pos >= text.size() || text[pos] != ':')
-        return std::string::npos;
-    ++pos;
-    while (pos < text.size() && std::isspace(
-                                    static_cast<unsigned char>(text[pos])))
-        ++pos;
-    return pos < text.size() ? pos : std::string::npos;
-}
-
-bool
-jsonNumber(const std::string &text, const std::string &key, double &out,
-           std::size_t from = 0)
-{
-    std::size_t pos = jsonValuePos(text, key, from);
-    if (pos == std::string::npos)
-        return false;
-    try {
-        std::size_t consumed = 0;
-        out = std::stod(text.substr(pos, 64), &consumed);
-        return consumed > 0;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
-bool
-jsonString(const std::string &text, const std::string &key,
-           std::string &out, std::size_t from = 0)
-{
-    std::size_t pos = jsonValuePos(text, key, from);
-    if (pos == std::string::npos || text[pos] != '"')
-        return false;
-    std::size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos)
-        return false;
-    out = text.substr(pos + 1, end - pos - 1);
-    return true;
-}
-
-bool
-jsonBool(const std::string &text, const std::string &key, bool &out,
-         std::size_t from = 0)
-{
-    std::size_t pos = jsonValuePos(text, key, from);
-    if (pos == std::string::npos)
-        return false;
-    if (text.compare(pos, 4, "true") == 0) {
-        out = true;
-        return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
 bool
 isHex16(const std::string &s)
 {
@@ -1403,6 +1116,55 @@ constexpr CounterField kCounterFields[] = {
      &uarch::PerfCounters::branch_mispredictions},
 };
 
+/**
+ * Every machine a store entry may name, by full name: the context's
+ * profiling machines plus the memory-centric and sensitivity variants
+ * (memory-centric entries usually come from the variant suites).
+ */
+std::map<std::string, uarch::MachineConfig>
+knownMachines(const LintContext &context)
+{
+    std::map<std::string, uarch::MachineConfig> machines;
+    for (const uarch::MachineConfig &m : context.machines)
+        machines.emplace(m.name, m);
+    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
+        machines.emplace(m.name, std::move(m));
+    for (uarch::MachineConfig &m : suites::sensitivityMachines())
+        machines.emplace(m.name, std::move(m));
+    return machines;
+}
+
+/** The machine @p info names, or null when no known model matches. */
+const uarch::MachineConfig *
+entryMachine(const std::map<std::string, uarch::MachineConfig> &machines,
+             const core::StoreEntryInfo &info)
+{
+    auto found = machines.find(info.machine);
+    return found == machines.end() ? nullptr : &found->second;
+}
+
+/**
+ * Call @p visit(info, result) for every pair entry of the store at
+ * @p dir that loads clean; returns how many were visited.  Defective
+ * entries are SL016's to report, load failures SL018's.
+ */
+template <typename Visit>
+std::size_t
+forEachPairEntry(const std::string &dir, Visit visit)
+{
+    core::CampaignStore store(dir);
+    std::size_t visited = 0;
+    for (const core::StoreEntryInfo &info : store.scan()) {
+        uarch::SimulationResult result;
+        if (info.status != core::StoreStatus::Hit || info.phases != 0 ||
+            store.load(keyFromInfo(info), result) != core::StoreStatus::Hit)
+            continue;
+        visit(info, result);
+        ++visited;
+    }
+    return visited;
+}
+
 class StoreResultAuditRule final : public RuleBase
 {
   public:
@@ -1425,12 +1187,15 @@ class StoreResultAuditRule final : public RuleBase
                  "given)");
             return;
         }
+        const auto machines = knownMachines(context);
         core::CampaignStore store(context.store_dir);
         std::size_t audited = 0;
         for (const core::StoreEntryInfo &info : store.scan()) {
             if (info.status != core::StoreStatus::Hit)
                 continue; // SL016 reports defective entries.
             const std::string loc = "store/" + info.filename;
+            const uarch::MachineConfig *machine =
+                entryMachine(machines, info);
             core::StoreKey key = keyFromInfo(info);
             if (info.phases == 0) {
                 uarch::SimulationResult result;
@@ -1441,7 +1206,7 @@ class StoreResultAuditRule final : public RuleBase
                           "campaign");
                     continue;
                 }
-                auditResult(loc, result, out);
+                auditResult(loc, result, machine, out);
             } else {
                 uarch::PhasedSimulationResult result;
                 if (store.loadPhased(key, result) !=
@@ -1454,11 +1219,11 @@ class StoreResultAuditRule final : public RuleBase
                     continue;
                 }
                 auditCounters(loc + "/combined",
-                              result.combined_counters, out);
+                              result.combined_counters, machine, out);
                 for (std::size_t i = 0; i < result.per_phase.size();
                      ++i)
                     auditResult(loc + "/phase" + std::to_string(i),
-                                result.per_phase[i], out);
+                                result.per_phase[i], machine, out);
             }
             ++audited;
         }
@@ -1469,8 +1234,8 @@ class StoreResultAuditRule final : public RuleBase
 
   private:
     void
-    auditCounters(const std::string &loc,
-                  const uarch::PerfCounters &c,
+    auditCounters(const std::string &loc, const uarch::PerfCounters &c,
+                  const uarch::MachineConfig *machine,
                   std::vector<Diagnostic> &out) const
     {
         if (c.instructions == 0) {
@@ -1479,60 +1244,18 @@ class StoreResultAuditRule final : public RuleBase
                   "paper's rates; invalidate and re-run");
             return;
         }
-        if (c.loads + c.stores + c.branches + c.fp_ops + c.simd_ops >
-            c.instructions)
-            error(out, loc,
-                  "instruction classes sum past the retired total",
-                  "classes are disjoint; the entry bytes are "
-                  "inconsistent");
-        if (c.taken_branches > c.branches ||
-            c.branch_mispredictions > c.branches)
-            error(out, loc,
-                  "taken/mispredicted branches exceed retired "
-                  "branches");
-        if (c.kernel_instructions > c.instructions)
-            error(out, loc,
-                  "kernel instructions exceed retired instructions");
-        const struct
-        {
-            const char *level;
-            std::uint64_t accesses;
-            std::uint64_t misses;
-        } levels[] = {
-            {"l1d", c.l1d_accesses, c.l1d_misses},
-            {"l1i", c.l1i_accesses, c.l1i_misses},
-            {"l2d", c.l2d_accesses, c.l2d_misses},
-            {"l2i", c.l2i_accesses, c.l2i_misses},
-            {"l3", c.l3_accesses, c.l3_misses},
-            {"dtlb", c.dtlb_accesses, c.dtlb_misses},
-            {"itlb", c.itlb_accesses, c.itlb_misses},
-        };
-        for (const auto &l : levels) {
-            if (l.misses > l.accesses)
-                error(out, loc + "/" + l.level,
-                      "misses (" + std::to_string(l.misses) +
-                          ") exceed accesses (" +
-                          std::to_string(l.accesses) + ")");
-        }
-        if (c.l2tlb_misses > c.itlb_misses + c.dtlb_misses)
-            error(out, loc,
-                  "L2 TLB misses exceed the L1 TLB miss stream that "
-                  "feeds them");
-        if (c.page_walks != c.l2tlb_misses)
-            error(out, loc,
-                  "page walks (" + std::to_string(c.page_walks) +
-                      ") != L2 TLB misses (" +
-                      std::to_string(c.l2tlb_misses) + ")",
-                  "every last-level TLB miss walks the page table, "
-                  "and nothing else does");
+        violationErrors(out, loc,
+                        uarch::checkCounterIdentities(c, machine),
+                        "counters");
     }
 
     void
     auditResult(const std::string &loc,
                 const uarch::SimulationResult &result,
+                const uarch::MachineConfig *machine,
                 std::vector<Diagnostic> &out) const
     {
-        auditCounters(loc, result.counters, out);
+        auditCounters(loc, result.counters, machine, out);
         if (!(std::isfinite(result.cpi()) && result.cpi() > 0.0))
             error(out, loc,
                   "stored CPI is " + num(result.cpi()) +
@@ -1579,25 +1302,13 @@ class StoreMetricRangeRule final : public RuleBase
                  "directory given)");
             return;
         }
-        std::map<std::string, const uarch::MachineConfig *> machines;
-        for (const uarch::MachineConfig &m : context.machines)
-            machines.emplace(m.name, &m);
-
-        core::CampaignStore store(context.store_dir);
-        std::size_t checked = 0;
-        for (const core::StoreEntryInfo &info : store.scan()) {
-            if (info.status != core::StoreStatus::Hit ||
-                info.phases != 0)
-                continue;
+        const auto machines = knownMachines(context);
+        auto check = [&](const core::StoreEntryInfo &info,
+                         const uarch::SimulationResult &result) {
             const std::string loc = "store/" + info.filename;
-            uarch::SimulationResult result;
-            if (store.load(keyFromInfo(info), result) !=
-                core::StoreStatus::Hit)
-                continue; // SL018 reports the load failure.
             const uarch::PerfCounters &c = result.counters;
             if (c.instructions == 0)
-                continue; // SL018 reports the empty window.
-
+                return; // SL018 reports the empty window.
             double ipc = result.ipc();
             if (!(ipc > 0.0 && ipc <= 8.0))
                 error(out, loc,
@@ -1626,41 +1337,12 @@ class StoreMetricRangeRule final : public RuleBase
                               num(m.value) +
                               ", outside [0, 1000] (at most one "
                               "event per instruction)");
-
-            // Demand-miss plumbing: each level's access stream is the
-            // previous level's miss stream (prefetch fills bypass the
-            // demand counters, so this holds with prefetching too).
-            if (c.l2d_accesses != c.l1d_misses ||
-                c.l2i_accesses != c.l1i_misses)
-                error(out, loc,
-                      "L2 demand accesses do not equal the L1 miss "
-                      "streams that generate them");
-            if (c.l3_accesses != c.l2d_misses + c.l2i_misses)
-                error(out, loc,
-                      "last-level accesses (" +
-                          std::to_string(c.l3_accesses) +
-                          ") do not equal the L2 miss total (" +
-                          std::to_string(c.l2d_misses +
-                                         c.l2i_misses) +
-                          ")");
-
-            auto machine = machines.find(info.machine);
-            if (machine != machines.end()) {
-                const uarch::MachineConfig &m = *machine->second;
-                if (!m.caches.l3 && c.l3_accesses != c.l3_misses)
-                    error(out, loc,
-                          "two-level machine '" + info.machine +
-                              "' must mirror every last-level access "
-                              "as a miss");
-                if (!m.tlbs.l2tlb &&
-                    c.l2tlb_misses != c.itlb_misses + c.dtlb_misses)
-                    error(out, loc,
-                          "machine '" + info.machine +
-                              "' has no L2 TLB, so every L1 TLB miss "
-                              "must walk");
-            }
-            ++checked;
-        }
+            violationErrors(out, loc,
+                            uarch::checkCounterIdentities(
+                                c, entryMachine(machines, info)),
+                            "topology");
+        };
+        std::size_t checked = forEachPairEntry(context.store_dir, check);
         emit(out, Severity::Info, "store",
              std::to_string(checked) +
                  " pair entries range-checked in " +
@@ -1691,30 +1373,11 @@ class MemoryMetricRangeRule final : public RuleBase
                  "directory given)");
             return;
         }
-        // Memory-centric entries are usually produced by the variant
-        // suites, not the shipped profiling machines, so resolve names
-        // against both.
-        std::map<std::string, uarch::MachineConfig> machines;
-        for (const uarch::MachineConfig &m : context.machines)
-            machines.emplace(m.name, m);
-        for (uarch::MachineConfig &m : suites::memoryCentricMachines())
-            machines.emplace(m.name, std::move(m));
-        for (uarch::MachineConfig &m : suites::sensitivityMachines())
-            machines.emplace(m.name, std::move(m));
-
-        core::CampaignStore store(context.store_dir);
-        std::size_t checked = 0;
-        for (const core::StoreEntryInfo &info : store.scan()) {
-            if (info.status != core::StoreStatus::Hit ||
-                info.phases != 0)
-                continue;
+        const auto machines = knownMachines(context);
+        auto check = [&](const core::StoreEntryInfo &info,
+                         const uarch::SimulationResult &result) {
             const std::string loc = "store/" + info.filename;
-            uarch::SimulationResult result;
-            if (store.load(keyFromInfo(info), result) !=
-                core::StoreStatus::Hit)
-                continue; // SL018 reports the load failure.
             const uarch::PerfCounters &c = result.counters;
-
             const struct
             {
                 const char *metric;
@@ -1736,90 +1399,12 @@ class MemoryMetricRangeRule final : public RuleBase
                 error(out, loc,
                       "dram_bw_utilization is " + num(bw) +
                           ", not a finite non-negative ratio");
-
-            // The per-slot-bit accounting can never consume or evict
-            // more lines than the prefetcher filled; the remainder is
-            // still resident in L2.
-            if (c.prefetch_useful + c.prefetch_evicted_unused >
-                c.prefetch_fills)
-                error(out, loc,
-                      "prefetch_useful + prefetch_evicted_unused (" +
-                          std::to_string(c.prefetch_useful +
-                                         c.prefetch_evicted_unused) +
-                          ") exceeds prefetch_fills (" +
-                          std::to_string(c.prefetch_fills) + ")");
-            if (c.dram_row_hits > c.dram_accesses)
-                error(out, loc,
-                      "dram_row_hits (" +
-                          std::to_string(c.dram_row_hits) +
-                          ") exceeds dram_accesses (" +
-                          std::to_string(c.dram_accesses) + ")");
-
-            auto machine = machines.find(info.machine);
-            if (machine != machines.end()) {
-                const uarch::MachineConfig &m = machine->second;
-                if (m.caches.l2_prefetch_degree == 0 &&
-                    (c.prefetch_fills != 0 || c.prefetch_useful != 0 ||
-                     c.prefetch_evicted_unused != 0))
-                    error(out, loc,
-                          "machine '" + info.machine +
-                              "' has no prefetcher but the entry "
-                              "carries prefetch counters");
-                bool way_pred_off =
-                    m.caches.l1i.way_prediction ==
-                        uarch::WayPredictionKind::None &&
-                    m.caches.l1d.way_prediction ==
-                        uarch::WayPredictionKind::None &&
-                    m.caches.l2.way_prediction ==
-                        uarch::WayPredictionKind::None &&
-                    (!m.caches.l3 ||
-                     m.caches.l3->way_prediction ==
-                         uarch::WayPredictionKind::None);
-                if (way_pred_off && (c.way_pred_hits != 0 ||
-                                     c.way_pred_mispredicts != 0))
-                    error(out, loc,
-                          "machine '" + info.machine +
-                              "' has no way predictor but the entry "
-                              "carries way-prediction counters");
-                if (!m.caches.dram) {
-                    if (c.dram_accesses != 0 || c.dram_row_hits != 0 ||
-                        c.dram_busy_cycles != 0 ||
-                        c.dram_budget_cycles != 0)
-                        error(out, loc,
-                              "machine '" + info.machine +
-                                  "' has no DRAM model but the entry "
-                                  "carries DRAM counters");
-                } else if (c.dram_row_hits <= c.dram_accesses) {
-                    // The open-page policy's exact cycle identities
-                    // (skipped when the hit bound above already
-                    // fired, since the miss count would underflow).
-                    const uarch::DramConfig &d = *m.caches.dram;
-                    std::uint64_t misses =
-                        c.dram_accesses - c.dram_row_hits;
-                    std::uint64_t busy =
-                        c.dram_row_hits * d.burst_cycles +
-                        misses * (d.activate_cycles + d.burst_cycles);
-                    if (c.dram_busy_cycles != busy)
-                        error(out, loc,
-                              "dram_busy_cycles (" +
-                                  std::to_string(c.dram_busy_cycles) +
-                                  ") breaks the open-page identity "
-                                  "(expected " + std::to_string(busy) +
-                                  ")");
-                    std::uint64_t budget =
-                        c.dram_accesses * d.cycles_per_burst_budget;
-                    if (c.dram_budget_cycles != budget)
-                        error(out, loc,
-                              "dram_budget_cycles (" +
-                                  std::to_string(
-                                      c.dram_budget_cycles) +
-                                  ") is not accesses * "
-                                  "cycles_per_burst_budget (" +
-                                  std::to_string(budget) + ")");
-                }
-            }
-            ++checked;
-        }
+            violationErrors(out, loc,
+                            uarch::checkCounterIdentities(
+                                c, entryMachine(machines, info)),
+                            "memory");
+        };
+        std::size_t checked = forEachPairEntry(context.store_dir, check);
         emit(out, Severity::Info, "store",
              std::to_string(checked) +
                  " entries memory-metric-checked in " +
@@ -1827,11 +1412,12 @@ class MemoryMetricRangeRule final : public RuleBase
     }
 };
 
-/** Parsed identity of one BENCH_<pr>.json artifact. */
+/** One BENCH_<pr>.json artifact, parsed. */
 struct BenchArtifact
 {
     std::string filename;
-    std::string text;
+    bool readable = false;
+    std::optional<obs::JsonValue> doc; //!< Null when not valid JSON.
     std::uint64_t pr = 0; //!< From the file name.
     int version = 0;      //!< 1, 2 or 3; 0 when the schema is foreign.
 };
@@ -1856,16 +1442,18 @@ collectBenchArtifacts(const std::string &dir)
         BenchArtifact artifact;
         artifact.filename = name;
         artifact.pr = std::stoull(digits);
-        if (readTextFile(entry.path().string(), artifact.text)) {
-            std::string schema;
-            if (jsonString(artifact.text, "schema", schema)) {
-                if (schema == "speclens-bench-trajectory-v1")
-                    artifact.version = 1;
-                else if (schema == "speclens-bench-trajectory-v2")
-                    artifact.version = 2;
-                else if (schema == "speclens-bench-trajectory-v3")
-                    artifact.version = 3;
-            }
+        std::string text;
+        artifact.readable =
+            readTextFile(entry.path().string(), text) && !text.empty();
+        artifact.doc = obs::parseJson(text);
+        std::string schema;
+        if (artifact.doc && artifact.doc->string("schema", schema)) {
+            if (schema == "speclens-bench-trajectory-v1")
+                artifact.version = 1;
+            else if (schema == "speclens-bench-trajectory-v2")
+                artifact.version = 2;
+            else if (schema == "speclens-bench-trajectory-v3")
+                artifact.version = 3;
         }
         artifacts.push_back(std::move(artifact));
     }
@@ -1920,41 +1508,39 @@ class BenchSchemaRule final : public RuleBase
                   std::vector<Diagnostic> &out) const
     {
         const std::string loc = "bench/" + a.filename;
-        if (a.text.empty()) {
+        if (!a.readable) {
             error(out, loc, "artifact is unreadable or empty");
             return;
         }
-        if (!obs::validateJson(a.text)) {
+        if (!a.doc) {
             error(out, loc, "artifact is not well-formed JSON",
                   "regenerate it with `speclens bench trajectory "
                   "--pr N`");
             return;
         }
+        const obs::JsonValue &doc = *a.doc;
         if (a.version == 0) {
             std::string schema;
-            jsonString(a.text, "schema", schema);
+            doc.string("schema", schema);
             error(out, loc,
                   "unknown trajectory schema '" + schema + "'",
                   "expected speclens-bench-trajectory-v1, -v2 or -v3");
             return;
         }
-        double pr = 0.0;
-        if (!jsonNumber(a.text, "pr", pr) ||
-            static_cast<std::uint64_t>(pr) != a.pr)
+        std::uint64_t pr = 0;
+        if (!doc.u64("pr", pr) || pr != a.pr)
             error(out, loc,
                   "embedded pr number does not match the file name",
                   "trajectory files must be named BENCH_<pr>.json");
 
-        std::size_t campaign = a.text.find("\"campaign\"");
-        if (campaign == std::string::npos) {
+        if (!doc.find("campaign")) {
             error(out, loc, "missing campaign section");
             return;
         }
         double simulations = 0.0, per_sim = 0.0, total = 0.0;
-        if (jsonNumber(a.text, "simulations", simulations, campaign) &&
-            jsonNumber(a.text, "records_per_simulation", per_sim,
-                       campaign) &&
-            jsonNumber(a.text, "records_total", total, campaign)) {
+        if (doc.number("campaign.simulations", simulations) &&
+            doc.number("campaign.records_per_simulation", per_sim) &&
+            doc.number("campaign.records_total", total)) {
             if (total != simulations * per_sim)
                 error(out, loc,
                       "records_total != simulations * "
@@ -1963,48 +1549,41 @@ class BenchSchemaRule final : public RuleBase
             error(out, loc, "campaign volume fields missing");
         }
         std::string fingerprint;
-        if (!jsonString(a.text, "fingerprint", fingerprint,
-                        campaign) ||
+        if (!doc.string("campaign.fingerprint", fingerprint) ||
             !isHex16(fingerprint))
             error(out, loc,
                   "campaign fingerprint is not a 16-hex digest");
         double fused = 0.0;
-        if (!jsonNumber(a.text, "fused_seconds", fused, campaign) ||
-            !(fused > 0.0))
+        if (!doc.number("campaign.fused_seconds", fused) || !(fused > 0.0))
             error(out, loc, "campaign timing missing or non-positive");
         // A checked store stage must be a zero-simulation exact replay.
-        std::size_t store = a.text.find("\"store\"");
         bool checked = false, identical = false;
         double warm_runs = -1.0;
-        if (store != std::string::npos &&
-            jsonBool(a.text, "checked", checked, store) && checked &&
-            !(jsonBool(a.text, "warm_bit_identical", identical, store) &&
+        if (doc.boolean("store.checked", checked) && checked &&
+            !(doc.boolean("store.warm_bit_identical", identical) &&
               identical &&
-              jsonNumber(a.text, "warm_simulations_run", warm_runs, store) &&
+              doc.number("store.warm_simulations_run", warm_runs) &&
               warm_runs == 0.0))
             error(out, loc,
                   "warm-store rerun is not a bit-identical "
                   "zero-simulation replay",
                   "never commit such a run");
         if (a.version >= 2)
-            checkSeedBaseline(a, loc, campaign, out);
+            checkSeedBaseline(doc, loc, out);
     }
 
     void
-    checkSeedBaseline(const BenchArtifact &a, const std::string &loc,
-                      std::size_t campaign,
+    checkSeedBaseline(const obs::JsonValue &doc, const std::string &loc,
                       std::vector<Diagnostic> &out) const
     {
-        std::size_t baseline = a.text.find("\"seed_baseline\"");
-        if (baseline == std::string::npos) {
+        if (!doc.find("seed_baseline")) {
             error(out, loc, "v2 artifact lacks a seed_baseline block");
             return;
         }
         double seed_rps = 0.0, seed_sps = 0.0;
-        if (!jsonNumber(a.text, "records_per_second", seed_rps,
-                        baseline) ||
-            !jsonNumber(a.text, "simulations_per_second", seed_sps,
-                        baseline) ||
+        if (!doc.number("seed_baseline.records_per_second", seed_rps) ||
+            !doc.number("seed_baseline.simulations_per_second",
+                        seed_sps) ||
             !nearRel(seed_rps, core::kSeedRecordsPerSecond, 1e-6) ||
             !nearRel(seed_sps, core::kSeedSimulationsPerSecond, 1e-6))
             error(out, loc,
@@ -2014,8 +1593,8 @@ class BenchSchemaRule final : public RuleBase
                   "in core/perf_trajectory.h are the trajectory's "
                   "fixed origin");
         double rps = 0.0, vs_seed = 0.0;
-        if (jsonNumber(a.text, "records_per_second", rps, campaign) &&
-            jsonNumber(a.text, "speedup_vs_seed", vs_seed, campaign) &&
+        if (doc.number("campaign.records_per_second", rps) &&
+            doc.number("campaign.speedup_vs_seed", vs_seed) &&
             !nearRel(vs_seed, rps / core::kSeedRecordsPerSecond, 1e-6))
             error(out, loc,
                   "speedup_vs_seed does not equal records_per_second "
@@ -2063,20 +1642,15 @@ class BenchTrajectoryRule final : public RuleBase
                       "each PR contributes exactly one BENCH file");
             if (a.version == 0)
                 continue; // SL020 reports the schema defect.
-            double instructions = 0.0, warmup = 0.0, salt = 0.0,
-                   jobs = 0.0;
-            bool have =
-                jsonNumber(a.text, "instructions", instructions) &&
-                jsonNumber(a.text, "warmup", warmup) &&
-                jsonNumber(a.text, "seed_salt", salt) &&
-                jsonNumber(a.text, "jobs", jobs);
-            if (!have ||
-                instructions !=
-                    static_cast<double>(
-                        core::kTrajectoryInstructions) ||
-                warmup !=
-                    static_cast<double>(core::kTrajectoryWarmup) ||
-                salt != 0.0 || jobs != 1.0)
+            std::uint64_t instructions = 0, warmup = 0, salt = 0,
+                          jobs = 0;
+            bool have = a.doc->u64("config.instructions", instructions) &&
+                        a.doc->u64("config.warmup", warmup) &&
+                        a.doc->u64("config.seed_salt", salt) &&
+                        a.doc->u64("config.jobs", jobs);
+            if (!have || instructions != core::kTrajectoryInstructions ||
+                warmup != core::kTrajectoryWarmup || salt != 0 ||
+                jobs != 1)
                 error(out, loc,
                       "measurement configuration is not the pinned "
                       "trajectory window",
@@ -2091,6 +1665,25 @@ class BenchTrajectoryRule final : public RuleBase
                  std::to_string(artifacts.back().pr));
     }
 };
+
+/** The store's run manifest, parsed; null when absent or not JSON. */
+struct ManifestFile
+{
+    bool present = false;
+    std::optional<obs::JsonValue> doc;
+};
+
+ManifestFile
+readManifest(const std::string &store_dir)
+{
+    ManifestFile manifest;
+    std::string text;
+    manifest.present =
+        readTextFile(store_dir + "/" + obs::kManifestFileName, text);
+    if (manifest.present)
+        manifest.doc = obs::parseJson(text);
+    return manifest;
+}
 
 class ManifestSchemaRule final : public RuleBase
 {
@@ -2114,67 +1707,62 @@ class ManifestSchemaRule final : public RuleBase
                  "given)");
             return;
         }
-        const std::string path =
-            context.store_dir + "/" + obs::kManifestFileName;
-        std::string text;
-        if (!readTextFile(path, text)) {
+        ManifestFile manifest = readManifest(context.store_dir);
+        if (!manifest.present) {
             emit(out, Severity::Info, "manifest",
                  "store has no run manifest (written by campaign "
                  "runs; nothing to check)");
             return;
         }
         const std::string loc = "store/run-manifest.json";
-        if (!obs::validateJson(text)) {
+        if (!manifest.doc) {
             error(out, loc, "manifest is not well-formed JSON",
                   "delete it and re-run a campaign with --store");
             return;
         }
-        double version = 0.0;
-        if (!jsonNumber(text, "manifest_version", version) ||
-            version != 1.0)
+        const obs::JsonValue &doc = *manifest.doc;
+        std::uint64_t version = 0;
+        if (!doc.u64("manifest_version", version) || version != 1)
             error(out, loc,
                   "manifest_version is not 1",
                   "this checker understands schema version 1 only");
-        double engine = 0.0;
-        if (jsonNumber(text, "engine_version", engine) &&
-            engine !=
-                static_cast<double>(core::kStoreEngineVersion))
+        std::uint64_t engine = 0;
+        if (doc.u64("engine_version", engine) &&
+            engine != core::kStoreEngineVersion)
             emit(out, Severity::Warning, loc,
                  "manifest was written by engine version " +
-                     num(engine) + ", current is " +
+                     std::to_string(engine) + ", current is " +
                      std::to_string(core::kStoreEngineVersion),
                  "re-run the campaign to refresh it");
         std::string fingerprint;
-        if (!jsonString(text, "config_fingerprint", fingerprint) ||
+        if (!doc.string("config_fingerprint", fingerprint) ||
             !isHex16(fingerprint))
             error(out, loc,
                   "config_fingerprint is not a 16-hex digest");
-        for (const char *block :
-             {"\"run\"", "\"totals\"", "\"rejected\"", "\"metrics\""})
-            if (text.find(block) == std::string::npos)
+        for (const char *block : {"run", "totals", "rejected", "metrics"})
+            if (!doc.find(block))
                 error(out, loc,
-                      std::string("missing manifest block ") + block);
-        std::size_t totals = text.find("\"totals\"");
-        if (totals != std::string::npos) {
-            for (const char *key : {"entries", "hits", "misses",
-                                    "simulations", "saves"}) {
+                      std::string("missing manifest block \"") + block +
+                          "\"");
+        const struct
+        {
+            const char *block;
+            std::vector<const char *> keys;
+        } required[] = {
+            {"totals", {"entries", "hits", "misses", "simulations", "saves"}},
+            {"rejected",
+             {"corrupt", "stale_version", "fingerprint_mismatch",
+              "orphaned_temp"}},
+        };
+        for (const auto &r : required) {
+            if (!doc.find(r.block))
+                continue;
+            for (const char *key : r.keys) {
                 double value = 0.0;
-                if (!jsonNumber(text, key, value, totals))
+                if (!doc.number(std::string(r.block) + "." + key, value))
                     error(out, loc,
-                          std::string("totals block lacks '") + key +
+                          std::string(r.block) + " block lacks '" + key +
                               "'");
-            }
-        }
-        std::size_t rejected = text.find("\"rejected\"");
-        if (rejected != std::string::npos) {
-            for (const char *key :
-                 {"corrupt", "stale_version", "fingerprint_mismatch",
-                  "orphaned_temp"}) {
-                double value = 0.0;
-                if (!jsonNumber(text, key, value, rejected))
-                    error(out, loc,
-                          std::string("rejected block lacks '") +
-                              key + "'");
             }
         }
     }
@@ -2202,32 +1790,29 @@ class ManifestStoreRule final : public RuleBase
                  "given)");
             return;
         }
-        const std::string path =
-            context.store_dir + "/" + obs::kManifestFileName;
-        std::string text;
-        if (!readTextFile(path, text)) {
+        ManifestFile manifest = readManifest(context.store_dir);
+        if (!manifest.present) {
             emit(out, Severity::Info, "manifest",
                  "store has no run manifest to cross-check");
             return;
         }
         const std::string loc = "store/run-manifest.json";
-        std::size_t totals = text.find("\"totals\"");
-        double entries = 0.0, misses = 0.0, simulations = 0.0,
-               saves = 0.0;
-        if (totals == std::string::npos ||
-            !jsonNumber(text, "entries", entries, totals) ||
-            !jsonNumber(text, "misses", misses, totals) ||
-            !jsonNumber(text, "simulations", simulations, totals) ||
-            !jsonNumber(text, "saves", saves, totals))
+        std::uint64_t entries = 0, misses = 0, simulations = 0,
+                      saves = 0;
+        if (!manifest.doc ||
+            !manifest.doc->u64("totals.entries", entries) ||
+            !manifest.doc->u64("totals.misses", misses) ||
+            !manifest.doc->u64("totals.simulations", simulations) ||
+            !manifest.doc->u64("totals.saves", saves))
             return; // SL022 reports the schema defect.
 
         core::CampaignStore store(context.store_dir);
-        const double on_disk =
-            static_cast<double>(store.entryCount());
+        const std::size_t on_disk = store.entryCount();
         if (entries != on_disk)
             error(out, loc,
-                  "manifest records " + num(entries) +
-                      " entries but the store holds " + num(on_disk),
+                  "manifest records " + std::to_string(entries) +
+                      " entries but the store holds " +
+                      std::to_string(on_disk),
                   "the store changed since the manifest was written; "
                   "re-run the campaign with --store to refresh it");
         if (saves > simulations)
@@ -2331,7 +1916,7 @@ class StoreShardLayoutRule final : public RuleBase
     description() const override
     {
         return "every store entry sits in the shard its fingerprint "
-               "names; flat root entries are legacy";
+               "names";
     }
 
     void
@@ -2346,21 +1931,10 @@ class StoreShardLayoutRule final : public RuleBase
         }
         namespace fs = std::filesystem;
         std::error_code ec;
-        std::size_t well_placed = 0, legacy = 0, misfiled = 0;
+        std::size_t well_placed = 0, misfiled = 0;
         for (const fs::directory_entry &entry :
              fs::directory_iterator(context.store_dir, ec)) {
             std::string name = entry.path().filename().string();
-            if (entry.is_regular_file() && isEntryName(name)) {
-                // Pre-shard flat layout: load() still finds these
-                // through the root fallback, so this is a warning,
-                // not an error.
-                ++legacy;
-                emit(out, Severity::Warning, "store/" + name,
-                     "entry uses the pre-shard flat layout",
-                     "re-run the campaign with --store to rewrite it "
-                     "into its fingerprint shard");
-                continue;
-            }
             if (!entry.is_directory() ||
                 name.rfind(core::kStoreShardPrefix, 0) != 0)
                 continue;
@@ -2401,7 +1975,6 @@ class StoreShardLayoutRule final : public RuleBase
         emit(out, Severity::Info, "store",
              std::to_string(well_placed) +
                  " entries correctly sharded, " +
-                 std::to_string(legacy) + " legacy flat, " +
                  std::to_string(misfiled) + " misfiled");
     }
 
@@ -2470,10 +2043,22 @@ defaultRules()
     rules.push_back(std::make_unique<WorkingSetShapeRule>());
     rules.push_back(std::make_unique<CodeModelRule>());
     rules.push_back(std::make_unique<BranchModelRule>());
-    rules.push_back(std::make_unique<CacheMonotonicityRule>());
-    rules.push_back(std::make_unique<CacheGeometryRule>());
-    rules.push_back(std::make_unique<TlbConfigRule>());
-    rules.push_back(std::make_unique<MachineConfigRule>());
+    rules.push_back(std::make_unique<MachineFamilyRule>(
+        "SL007", "cache-monotonic",
+        "cache capacity and visible latency grow with the hierarchy "
+        "level"));
+    rules.push_back(std::make_unique<MachineFamilyRule>(
+        "SL008", "cache-geometry",
+        "every cache has a power-of-two line size and a geometry its "
+        "ways divide evenly"));
+    rules.push_back(std::make_unique<MachineFamilyRule>(
+        "SL009", "tlb-config",
+        "TLB entries/ways/page sizes are sane and a shared L2 TLB "
+        "covers the L1 TLBs"));
+    rules.push_back(std::make_unique<MachineFamilyRule>(
+        "SL010", "machine-config",
+        "frequency, predictor size and power coefficients are in "
+        "plausible hardware ranges"));
     rules.push_back(std::make_unique<TransformRule>());
     rules.push_back(std::make_unique<CrossReferenceRule>());
     rules.push_back(std::make_unique<InputSetRule>());

@@ -4,12 +4,11 @@
  */
 
 #include "export.h"
+#include "json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
@@ -41,29 +40,6 @@ jsonNumber(double v)
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%.17g", v);
     return buffer;
-}
-
-/** JSON string literal with escapes for ", \ and control characters. */
-std::string
-jsonString(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        unsigned char u = static_cast<unsigned char>(c);
-        if (c == '"')
-            out += "\\\"";
-        else if (c == '\\')
-            out += "\\\\";
-        else if (u < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof(buffer), "\\u%04x", u);
-            out += buffer;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
 }
 
 void
@@ -119,7 +95,7 @@ renderJson(const Snapshot &snapshot)
     const char *sep = "";
     for (const auto &[name, value] : snapshot.counters) {
         out += sep;
-        out += "\n    " + jsonString(name) + ": " + std::to_string(value);
+        out += "\n    " + jsonQuote(name) + ": " + std::to_string(value);
         sep = ",";
     }
     out += snapshot.counters.empty() ? "},\n" : "\n  },\n";
@@ -128,7 +104,7 @@ renderJson(const Snapshot &snapshot)
     sep = "";
     for (const auto &[name, value] : snapshot.gauges) {
         out += sep;
-        out += "\n    " + jsonString(name) + ": " + jsonNumber(value);
+        out += "\n    " + jsonQuote(name) + ": " + jsonNumber(value);
         sep = ",";
     }
     out += snapshot.gauges.empty() ? "},\n" : "\n  },\n";
@@ -137,7 +113,7 @@ renderJson(const Snapshot &snapshot)
     sep = "";
     for (const auto &[name, stats] : snapshot.timings) {
         out += sep;
-        out += "\n    " + jsonString(name) + ": {\"count\": " +
+        out += "\n    " + jsonQuote(name) + ": {\"count\": " +
                std::to_string(stats.count) +
                ", \"total_ns\": " + std::to_string(stats.total_ns) +
                ", \"min_ns\": " + std::to_string(stats.min_ns) +
@@ -212,201 +188,10 @@ exportAtExit(std::string path, ExportFormat format)
     (void)registered;
 }
 
-// ====================================================================
-// Minimal JSON well-formedness checker (RFC 8259 syntax).
-// ====================================================================
-
-namespace {
-
-class JsonScanner
-{
-  public:
-    explicit JsonScanner(const std::string &text) : text_(text) {}
-
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value(0))
-            return false;
-        skipWs();
-        return position_ == text_.size();
-    }
-
-  private:
-    static constexpr int kMaxDepth = 64;
-
-    bool
-    value(int depth)
-    {
-        if (depth > kMaxDepth)
-            return false;
-        if (position_ >= text_.size())
-            return false;
-        char c = text_[position_];
-        if (c == '{')
-            return object(depth);
-        if (c == '[')
-            return array(depth);
-        if (c == '"')
-            return string();
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return number();
-    }
-
-    bool
-    object(int depth)
-    {
-        ++position_; // '{'
-        skipWs();
-        if (eat('}'))
-            return true;
-        for (;;) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (!eat(':'))
-                return false;
-            skipWs();
-            if (!value(depth + 1))
-                return false;
-            skipWs();
-            if (eat(','))
-                continue;
-            return eat('}');
-        }
-    }
-
-    bool
-    array(int depth)
-    {
-        ++position_; // '['
-        skipWs();
-        if (eat(']'))
-            return true;
-        for (;;) {
-            skipWs();
-            if (!value(depth + 1))
-                return false;
-            skipWs();
-            if (eat(','))
-                continue;
-            return eat(']');
-        }
-    }
-
-    bool
-    string()
-    {
-        if (!eat('"'))
-            return false;
-        while (position_ < text_.size()) {
-            unsigned char c =
-                static_cast<unsigned char>(text_[position_]);
-            if (c == '"') {
-                ++position_;
-                return true;
-            }
-            if (c < 0x20)
-                return false; // Raw control character.
-            if (c == '\\') {
-                ++position_;
-                if (position_ >= text_.size())
-                    return false;
-                char e = text_[position_];
-                if (e == 'u') {
-                    for (int k = 1; k <= 4; ++k) {
-                        if (position_ + k >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[position_ + k])))
-                            return false;
-                    }
-                    position_ += 4;
-                } else if (!std::strchr("\"\\/bfnrt", e)) {
-                    return false;
-                }
-            }
-            ++position_;
-        }
-        return false; // Unterminated.
-    }
-
-    bool
-    number()
-    {
-        std::size_t start = position_;
-        eat('-');
-        if (!digits())
-            return false;
-        if (eat('.') && !digits())
-            return false;
-        if (position_ < text_.size() &&
-            (text_[position_] == 'e' || text_[position_] == 'E')) {
-            ++position_;
-            if (position_ < text_.size() &&
-                (text_[position_] == '+' || text_[position_] == '-'))
-                ++position_;
-            if (!digits())
-                return false;
-        }
-        return position_ > start;
-    }
-
-    bool
-    digits()
-    {
-        std::size_t start = position_;
-        while (position_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[position_])))
-            ++position_;
-        return position_ > start;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        std::size_t n = std::strlen(word);
-        if (text_.compare(position_, n, word) != 0)
-            return false;
-        position_ += n;
-        return true;
-    }
-
-    bool
-    eat(char c)
-    {
-        if (position_ < text_.size() && text_[position_] == c) {
-            ++position_;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (position_ < text_.size() &&
-               (text_[position_] == ' ' || text_[position_] == '\t' ||
-                text_[position_] == '\n' || text_[position_] == '\r'))
-            ++position_;
-    }
-
-    const std::string &text_;
-    std::size_t position_ = 0;
-};
-
-} // namespace
-
 bool
 validateJson(const std::string &text)
 {
-    return JsonScanner(text).valid();
+    return parseJson(text).has_value();
 }
 
 } // namespace obs

@@ -68,8 +68,8 @@ bool writeMetricsFile(const std::string &path, ExportFormat format,
 void exportAtExit(std::string path, ExportFormat format);
 
 /**
- * True when @p text is one complete, well-formed JSON value (RFC 8259
- * syntax; no schema checks).  Depth-limited against stack abuse.
+ * True when @p text is one complete, well-formed JSON value: it
+ * parses with parseJson() (obs/json.h; no schema checks).
  */
 bool validateJson(const std::string &text);
 

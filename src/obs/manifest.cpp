@@ -5,7 +5,6 @@
 
 #include "manifest.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -14,34 +13,12 @@
 #include <thread>
 
 #include "export.h"
+#include "json.h"
 
 namespace speclens {
 namespace obs {
 
 namespace {
-
-/** JSON string literal (same escaping rules as the JSON exporter). */
-std::string
-quote(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        unsigned char u = static_cast<unsigned char>(c);
-        if (c == '"')
-            out += "\\\"";
-        else if (c == '\\')
-            out += "\\\\";
-        else if (u < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof(buffer), "\\u%04x", u);
-            out += buffer;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
 
 void
 appendObject(
@@ -54,7 +31,7 @@ appendObject(
     const char *sep = "";
     for (const auto &[name, value] : fields) {
         out += sep;
-        out += "\n    " + quote(name) + ": " + quote(value);
+        out += "\n    " + jsonQuote(name) + ": " + jsonQuote(value);
         sep = ",";
     }
     out += fields.empty() ? "},\n" : "\n  },\n";
@@ -71,7 +48,7 @@ appendObject(
     const char *sep = "";
     for (const auto &[name, value] : fields) {
         out += sep;
-        out += "\n    " + quote(name) + ": " + std::to_string(value);
+        out += "\n    " + jsonQuote(name) + ": " + std::to_string(value);
         sep = ",";
     }
     out += fields.empty() ? "},\n" : "\n  },\n";
@@ -107,7 +84,7 @@ renderManifest(const Manifest &manifest)
     out += "  \"engine_version\": " +
            std::to_string(manifest.engine_version) + ",\n";
     out += "  \"config_fingerprint\": " +
-           quote(manifest.config_fingerprint) + ",\n";
+           jsonQuote(manifest.config_fingerprint) + ",\n";
     appendObject(out, "run", manifest.run);
     appendObject(out, "totals", manifest.totals);
     appendObject(out, "rejected", manifest.rejected);

@@ -8,211 +8,44 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <map>
+#include <optional>
+
+#include "obs/json.h"
 
 namespace speclens {
 namespace serve {
 
 namespace {
 
-// ----- Flat JSON parsing ----------------------------------------------
-//
-// The protocol needs no general JSON library: requests and responses
-// are single-level objects whose values are strings, unsigned
-// integers, booleans or arrays of strings.  The parser below accepts
-// exactly that grammar (with arbitrary whitespace) and rejects
-// everything else, which doubles as input validation for the server.
-
-/** One parsed value. */
-struct JsonValue
+/**
+ * @p payload as a flat object: every member a string, a number, a
+ * bool or an array of strings.  Nested objects, nulls and mixed
+ * arrays are rejected, which doubles as input validation for the
+ * server.
+ */
+std::optional<obs::JsonValue>
+parseFlatObject(const std::string &payload)
 {
-    enum class Kind { String, Number, Bool, Array } kind = Kind::String;
-    std::string str;
-    std::uint64_t num = 0;
-    bool flag = false;
-    std::vector<std::string> items;
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    /** Parse the whole payload as one flat object. */
-    bool parseObject(std::map<std::string, JsonValue> &fields)
-    {
-        skipSpace();
-        if (!consume('{'))
-            return false;
-        skipSpace();
-        if (consume('}'))
-            return atEnd();
-        while (true) {
-            std::string key;
-            if (!parseString(key))
-                return false;
-            skipSpace();
-            if (!consume(':'))
-                return false;
-            JsonValue value;
-            if (!parseValue(value))
-                return false;
-            fields[key] = std::move(value);
-            skipSpace();
-            if (consume(',')) {
-                skipSpace();
-                continue;
-            }
-            if (consume('}'))
-                return atEnd();
-            return false;
-        }
+    using Kind = obs::JsonValue::Kind;
+    std::optional<obs::JsonValue> doc = obs::parseJson(payload);
+    if (!doc || doc->kind != Kind::Object)
+        return std::nullopt;
+    auto isString = [](const obs::JsonValue &v) {
+        return v.kind == Kind::String;
+    };
+    for (const obs::JsonValue &value : doc->items) {
+        bool flat = value.kind == Kind::Array
+                        ? std::all_of(value.items.begin(),
+                                      value.items.end(), isString)
+                        : value.kind != Kind::Object &&
+                              value.kind != Kind::Null;
+        if (!flat)
+            return std::nullopt;
     }
-
-  private:
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool consume(char c)
-    {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool atEnd()
-    {
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-    bool parseHex4(unsigned &out)
-    {
-        out = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size())
-                return false;
-            char c = text_[pos_++];
-            unsigned digit;
-            if (c >= '0' && c <= '9')
-                digit = static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                digit = static_cast<unsigned>(c - 'a') + 10;
-            else if (c >= 'A' && c <= 'F')
-                digit = static_cast<unsigned>(c - 'A') + 10;
-            else
-                return false;
-            out = (out << 4) | digit;
-        }
-        return true;
-    }
-
-    bool parseString(std::string &out)
-    {
-        skipSpace();
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return false;
-            char esc = text_[pos_++];
-            switch (esc) {
-            case '"': out.push_back('"'); break;
-            case '\\': out.push_back('\\'); break;
-            case '/': out.push_back('/'); break;
-            case 'n': out.push_back('\n'); break;
-            case 't': out.push_back('\t'); break;
-            case 'r': out.push_back('\r'); break;
-            case 'b': out.push_back('\b'); break;
-            case 'f': out.push_back('\f'); break;
-            case 'u': {
-                unsigned code;
-                if (!parseHex4(code) || code > 0xff)
-                    return false; // encoder only emits \u00XX
-                out.push_back(static_cast<char>(code));
-                break;
-            }
-            default: return false;
-            }
-        }
-        return false; // unterminated
-    }
-
-    bool parseValue(JsonValue &value)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        char c = text_[pos_];
-        if (c == '"') {
-            value.kind = JsonValue::Kind::String;
-            return parseString(value.str);
-        }
-        if (c == '[') {
-            ++pos_;
-            value.kind = JsonValue::Kind::Array;
-            skipSpace();
-            if (consume(']'))
-                return true;
-            while (true) {
-                std::string item;
-                if (!parseString(item))
-                    return false;
-                value.items.push_back(std::move(item));
-                skipSpace();
-                if (consume(',')) {
-                    skipSpace();
-                    continue;
-                }
-                return consume(']');
-            }
-        }
-        if (c == 't' || c == 'f') {
-            const char *word = c == 't' ? "true" : "false";
-            for (const char *p = word; *p; ++p)
-                if (pos_ >= text_.size() || text_[pos_++] != *p)
-                    return false;
-            value.kind = JsonValue::Kind::Bool;
-            value.flag = c == 't';
-            return true;
-        }
-        if (c >= '0' && c <= '9') {
-            value.kind = JsonValue::Kind::Number;
-            value.num = 0;
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9') {
-                std::uint64_t digit =
-                    static_cast<std::uint64_t>(text_[pos_] - '0');
-                if (value.num > (UINT64_MAX - digit) / 10)
-                    return false; // overflow
-                value.num = value.num * 10 + digit;
-                ++pos_;
-            }
-            return true;
-        }
-        return false;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+    return doc;
+}
 
 // ----- Socket helpers --------------------------------------------------
 
@@ -291,47 +124,25 @@ opFromName(const std::string &name, Op &op)
 }
 
 std::string
-jsonQuote(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        unsigned char u = static_cast<unsigned char>(c);
-        if (c == '"')
-            out += "\\\"";
-        else if (c == '\\')
-            out += "\\\\";
-        else if (u < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof(buffer), "\\u%04x", u);
-            out += buffer;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
-std::string
 encodeRequest(const Request &request)
 {
-    std::string out = "{\"op\": " + jsonQuote(opName(request.op));
+    std::string out = "{\"op\": " + obs::jsonQuote(opName(request.op));
     if (!request.benchmarks.empty()) {
         out += ", \"benchmarks\": [";
         const char *sep = "";
         for (const std::string &name : request.benchmarks) {
             out += sep;
-            out += jsonQuote(name);
+            out += obs::jsonQuote(name);
             sep = ", ";
         }
         out += "]";
     }
     if (!request.category.empty())
-        out += ", \"category\": " + jsonQuote(request.category);
+        out += ", \"category\": " + obs::jsonQuote(request.category);
     if (request.op == Op::Subset)
         out += ", \"k\": " + std::to_string(request.k);
     if (!request.metric.empty())
-        out += ", \"metric\": " + jsonQuote(request.metric);
+        out += ", \"metric\": " + obs::jsonQuote(request.metric);
     out += "}";
     return out;
 }
@@ -341,58 +152,48 @@ encodeResponse(const Response &response)
 {
     return std::string("{\"ok\": ") +
            (response.ok ? "true" : "false") +
-           ", \"output\": " + jsonQuote(response.output) +
-           ", \"error\": " + jsonQuote(response.error) + "}";
+           ", \"output\": " + obs::jsonQuote(response.output) +
+           ", \"error\": " + obs::jsonQuote(response.error) + "}";
 }
 
 bool
 decodeRequest(const std::string &payload, Request &request,
-              std::string &error)
+               std::string &error)
 {
-    std::map<std::string, JsonValue> fields;
-    Parser parser(payload);
-    if (!parser.parseObject(fields)) {
+    std::optional<obs::JsonValue> doc = parseFlatObject(payload);
+    if (!doc) {
         error = "malformed request frame";
         return false;
     }
-    auto op = fields.find("op");
-    if (op == fields.end() ||
-        op->second.kind != JsonValue::Kind::String ||
-        !opFromName(op->second.str, request.op)) {
+    std::string op;
+    if (!doc->string("op", op) || !opFromName(op, request.op)) {
         error = "unknown op";
         return false;
     }
-    auto benchmarks = fields.find("benchmarks");
-    if (benchmarks != fields.end()) {
-        if (benchmarks->second.kind != JsonValue::Kind::Array) {
+    if (const obs::JsonValue *benchmarks = doc->find("benchmarks")) {
+        if (benchmarks->kind != obs::JsonValue::Kind::Array) {
             error = "benchmarks must be an array of strings";
             return false;
         }
-        request.benchmarks = std::move(benchmarks->second.items);
+        request.benchmarks.clear();
+        for (const obs::JsonValue &name : benchmarks->items)
+            request.benchmarks.push_back(name.text);
     }
-    auto category = fields.find("category");
-    if (category != fields.end()) {
-        if (category->second.kind != JsonValue::Kind::String) {
-            error = "category must be a string";
-            return false;
-        }
-        request.category = std::move(category->second.str);
+    if (doc->find("category") && !doc->string("category", request.category)) {
+        error = "category must be a string";
+        return false;
     }
-    auto k = fields.find("k");
-    if (k != fields.end()) {
-        if (k->second.kind != JsonValue::Kind::Number) {
+    std::uint64_t k = 0;
+    if (doc->find("k")) {
+        if (!doc->u64("k", k)) {
             error = "k must be an unsigned integer";
             return false;
         }
-        request.k = static_cast<std::size_t>(k->second.num);
+        request.k = static_cast<std::size_t>(k);
     }
-    auto metric = fields.find("metric");
-    if (metric != fields.end()) {
-        if (metric->second.kind != JsonValue::Kind::String) {
-            error = "metric must be a string";
-            return false;
-        }
-        request.metric = std::move(metric->second.str);
+    if (doc->find("metric") && !doc->string("metric", request.metric)) {
+        error = "metric must be a string";
+        return false;
     }
     return true;
 }
@@ -401,26 +202,17 @@ bool
 decodeResponse(const std::string &payload, Response &response,
                std::string &error)
 {
-    std::map<std::string, JsonValue> fields;
-    Parser parser(payload);
-    if (!parser.parseObject(fields)) {
+    std::optional<obs::JsonValue> doc = parseFlatObject(payload);
+    if (!doc) {
         error = "malformed response frame";
         return false;
     }
-    auto ok = fields.find("ok");
-    if (ok == fields.end() || ok->second.kind != JsonValue::Kind::Bool) {
+    if (!doc->boolean("ok", response.ok)) {
         error = "response missing ok";
         return false;
     }
-    response.ok = ok->second.flag;
-    auto output = fields.find("output");
-    if (output != fields.end() &&
-        output->second.kind == JsonValue::Kind::String)
-        response.output = std::move(output->second.str);
-    auto err = fields.find("error");
-    if (err != fields.end() &&
-        err->second.kind == JsonValue::Kind::String)
-        response.error = std::move(err->second.str);
+    doc->string("output", response.output);
+    doc->string("error", response.error);
     return true;
 }
 

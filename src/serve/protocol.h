@@ -23,10 +23,11 @@
  * where `output` is byte-identical to what the batch CLI prints on
  * stdout for the same query (the serve-smoke check `cmp`s the two).
  *
- * The codec is dependency-free: the encoder writes exactly the shapes
- * above and the decoder accepts any flat JSON object whose values are
- * strings, unsigned integers, booleans or arrays of strings — enough
- * for this protocol, and strict about everything else.
+ * The encoder writes exactly the shapes above; the decoder reads the
+ * payload with the shared JSON reader (obs/json.h) and accepts any
+ * flat object whose values are strings, unsigned integers, booleans or
+ * arrays of strings — enough for this protocol, and strict about
+ * everything else.
  */
 
 #ifndef SPECLENS_SERVE_PROTOCOL_H
@@ -88,9 +89,6 @@ struct Response
     /** Rejection reason when !ok (no trailing newline). */
     std::string error;
 };
-
-/** JSON string literal with escaping (control chars as \\u00XX). */
-std::string jsonQuote(const std::string &text);
 
 /** Encode @p request as a flat JSON object (no frame header). */
 std::string encodeRequest(const Request &request);

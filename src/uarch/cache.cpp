@@ -42,26 +42,48 @@ CacheConfig::sets() const
     return associativity == 0 ? 0 : line_capacity / associativity;
 }
 
-void
-CacheConfig::validate() const
+std::vector<verify::Violation>
+CacheConfig::checkGeometry() const
 {
-    if (line_bytes == 0 || !std::has_single_bit(line_bytes))
-        throw std::invalid_argument(name + ": line size not a power of two");
-    if (associativity == 0)
-        throw std::invalid_argument(name + ": zero associativity");
-    if (size_bytes == 0 ||
-        size_bytes % (static_cast<std::uint64_t>(line_bytes) *
-                      associativity) != 0) {
-        throw std::invalid_argument(name +
-                                    ": capacity not divisible by way size");
+    std::vector<verify::Violation> out;
+    auto fail = [&out](const char *invariant, std::string detail) {
+        out.push_back({"cache-geometry", invariant, "", std::move(detail)});
+    };
+    if (!std::has_single_bit(line_bytes)) {
+        fail("line-size", "line size " + std::to_string(line_bytes) +
+                              " is not a power of two");
+        return out;
     }
+    if (associativity == 0) {
+        fail("associativity", "associativity is zero");
+        return out;
+    }
+    const std::uint64_t way_bytes =
+        static_cast<std::uint64_t>(line_bytes) * associativity;
+    if (size_bytes == 0 || size_bytes % way_bytes != 0)
+        fail("capacity", "capacity " + std::to_string(size_bytes) +
+                             " is not a multiple of line size x ways (" +
+                             std::to_string(way_bytes) + ")");
+    if (way_bytes > size_bytes)
+        fail("ways", "more ways than lines: associativity " +
+                         std::to_string(associativity) +
+                         " exceeds capacity / line size");
     // The tree-PLRU state is a 32-bit word per set and the decision
     // tree requires a power-of-two way count.
     if (policy == ReplacementPolicy::TreePlru &&
-        (!std::has_single_bit(associativity) || associativity > 32)) {
-        throw std::invalid_argument(
-            name + ": tree-PLRU needs power-of-two associativity <= 32");
-    }
+        (!std::has_single_bit(associativity) || associativity > 32))
+        fail("tree-plru", "tree-PLRU needs power-of-two associativity "
+                          "<= 32, not " +
+                              std::to_string(associativity));
+    return out;
+}
+
+void
+CacheConfig::validate() const
+{
+    std::vector<verify::Violation> found = checkGeometry();
+    if (!found.empty())
+        throw std::invalid_argument(name + ": " + found.front().detail);
 }
 
 void

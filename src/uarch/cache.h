@@ -21,6 +21,7 @@
 
 #include "stats/fingerprint.h"
 #include "stats/rng.h"
+#include "verify/violation.h"
 
 namespace speclens {
 namespace verify {
@@ -73,12 +74,17 @@ struct CacheConfig
     std::uint64_t sets() const;
 
     /**
-     * Validate the geometry (power-of-two line size, associativity
-     * divides capacity).  Set counts need not be powers of two — real
-     * LLCs such as the 30 MB / 20-way Broadwell L3 of Table IV have
-     * non-power-of-two set counts, so indexing is modulo.
-     * @throws std::invalid_argument on malformed geometry.
+     * Geometry violations (power-of-two line size, ways divide the
+     * capacity, tree-PLRU way count), family "cache-geometry".  Set
+     * counts need not be powers of two — real LLCs such as the 30 MB /
+     * 20-way Broadwell L3 of Table IV have non-power-of-two set
+     * counts, so indexing is modulo.  TLBs reuse this check with the
+     * page size as the line size, so no line-size range is imposed.
      */
+    std::vector<verify::Violation> checkGeometry() const;
+
+    /** @throws std::invalid_argument naming the first checkGeometry()
+     *  violation. */
     void validate() const;
 
     /** Feed every field, in declaration order, to @p fp. */

@@ -12,19 +12,29 @@
 namespace speclens {
 namespace uarch {
 
+std::vector<verify::Violation>
+DramConfig::checkGeometry() const
+{
+    std::vector<verify::Violation> out;
+    auto fail = [&out](const char *invariant, const char *detail) {
+        out.push_back({"machine-config", invariant, "", detail});
+    };
+    if (!std::has_single_bit(banks))
+        fail("dram-banks", "DRAM bank count not a power of two");
+    if (!std::has_single_bit(row_bytes))
+        fail("dram-row", "DRAM row size not a power of two");
+    if (burst_cycles == 0 || activate_cycles == 0 ||
+        cycles_per_burst_budget == 0)
+        fail("dram-cycles", "DRAM cycle costs must be positive");
+    return out;
+}
+
 void
 DramConfig::validate() const
 {
-    if (banks == 0 || !std::has_single_bit(banks))
-        throw std::invalid_argument(
-            "DRAM: bank count not a power of two");
-    if (row_bytes == 0 || !std::has_single_bit(row_bytes))
-        throw std::invalid_argument(
-            "DRAM: row size not a power of two");
-    if (burst_cycles == 0 || activate_cycles == 0 ||
-        cycles_per_burst_budget == 0)
-        throw std::invalid_argument(
-            "DRAM: cycle costs must be positive");
+    std::vector<verify::Violation> found = checkGeometry();
+    if (!found.empty())
+        throw std::invalid_argument(found.front().detail);
 }
 
 void

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "stats/fingerprint.h"
+#include "verify/violation.h"
 
 namespace speclens {
 namespace verify {
@@ -47,7 +48,31 @@ struct DramConfig
      */
     std::uint32_t cycles_per_burst_budget = 6;
 
-    /** @throws std::invalid_argument on malformed geometry. */
+    /**
+     * Busy cycles of @p accesses requests of which @p row_hits found
+     * their row open: a burst per hit, an activate plus a burst per
+     * miss (open-page policy).  Requires row_hits <= accesses.
+     */
+    std::uint64_t
+    busyCycles(std::uint64_t accesses, std::uint64_t row_hits) const
+    {
+        return row_hits * burst_cycles +
+               (accesses - row_hits) *
+                   (std::uint64_t(activate_cycles) + burst_cycles);
+    }
+
+    /** Cycles the channel grants @p accesses requests. */
+    std::uint64_t
+    budgetCycles(std::uint64_t accesses) const
+    {
+        return accesses * cycles_per_burst_budget;
+    }
+
+    /** Geometry violations (power-of-two banks and rows, positive
+     *  cycle costs), family "machine-config". */
+    std::vector<verify::Violation> checkGeometry() const;
+
+    /** @throws std::invalid_argument naming the first violation. */
     void validate() const;
 
     /** Feed every field, in declaration order, to @p fp. */

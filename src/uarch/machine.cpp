@@ -6,6 +6,9 @@
 #include "machine.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "stats/rng.h"
@@ -15,76 +18,172 @@ namespace uarch {
 
 namespace {
 
-void
-validateTlb(const std::string &machine, const TlbConfig &tlb)
+std::string
+num(double v)
 {
-    auto fail = [&](const std::string &what) {
-        throw std::invalid_argument("machine " + machine + ", " +
-                                    tlb.name + ": " + what);
-    };
-    if (tlb.entries == 0)
-        fail("TLB has zero entries");
-    if (tlb.associativity == 0 || tlb.associativity > tlb.entries ||
-        tlb.entries % tlb.associativity != 0)
-        fail("associativity must divide the entry count");
-    if (tlb.page_bytes < 4096 ||
-        (tlb.page_bytes & (tlb.page_bytes - 1)) != 0)
-        fail("page size must be a power of two >= 4096");
+    std::ostringstream out;
+    out << v;
+    return out.str();
+}
+
+/** Appends violations of one lint family at one machine location. */
+struct Reporter
+{
+    std::vector<verify::Violation> &out;
+    const char *family;
+
+    void
+    operator()(std::string location, const char *invariant,
+               std::string detail) const
+    {
+        out.push_back({family, invariant, std::move(location),
+                       std::move(detail)});
+    }
+};
+
+void
+checkTlb(const Reporter &fail, const TlbConfig &tlb)
+{
+    const std::string loc = "tlbs." + tlb.name;
+    if (tlb.entries == 0) {
+        fail(loc, "entries", "TLB has zero entries");
+        return;
+    }
+    if (tlb.associativity == 0 || tlb.associativity > tlb.entries)
+        fail(loc, "associativity",
+             "associativity " + std::to_string(tlb.associativity) +
+                 " is outside [1, entries=" +
+                 std::to_string(tlb.entries) + "]");
+    else if (tlb.entries % tlb.associativity != 0)
+        fail(loc, "associativity",
+             "entries " + std::to_string(tlb.entries) +
+                 " are not a multiple of associativity " +
+                 std::to_string(tlb.associativity));
+    if (!std::has_single_bit(tlb.page_bytes) || tlb.page_bytes < 4096)
+        fail(loc, "page-size",
+             "page size " + std::to_string(tlb.page_bytes) +
+                 " is not a power of two >= 4096");
 }
 
 } // namespace
 
-void
-validateMachineConfig(const MachineConfig &machine)
+std::vector<verify::Violation>
+checkMachineConfig(const MachineConfig &machine)
 {
-    auto fail = [&machine](const std::string &what) {
-        throw std::invalid_argument("machine " + machine.short_name +
-                                    ": " + what);
-    };
-
+    std::vector<verify::Violation> out;
     const CacheHierarchyConfig &c = machine.caches;
-    c.l1i.validate();
-    c.l1d.validate();
-    c.l2.validate();
-    if (c.l3)
-        c.l3->validate();
+    const std::vector<const CacheConfig *> levels = {
+        &c.l1i, &c.l1d, &c.l2, c.l3 ? &*c.l3 : nullptr};
+
+    const Reporter monotonic{out, "cache-monotonic"};
     if (c.l2.size_bytes < c.l1d.size_bytes ||
         c.l2.size_bytes < c.l1i.size_bytes)
-        fail("L2 is smaller than an L1");
+        monotonic("caches.l2", "capacity-order",
+                  "L2 (" + num(double(c.l2.size_bytes)) +
+                      " bytes) is smaller than an L1");
     if (c.l3 && c.l3->size_bytes <= c.l2.size_bytes)
-        fail("L3 is not larger than L2");
-
-    validateTlb(machine.short_name, machine.tlbs.itlb);
-    validateTlb(machine.short_name, machine.tlbs.dtlb);
-    if (machine.tlbs.l2tlb)
-        validateTlb(machine.short_name, *machine.tlbs.l2tlb);
-
+        monotonic("caches.l3", "capacity-order",
+                  "L3 (" + num(double(c.l3->size_bytes)) +
+                      " bytes) is not larger than L2 (" +
+                      num(double(c.l2.size_bytes)) + " bytes)");
+    for (const CacheConfig *cache : levels)
+        if (cache && cache->line_bytes != c.l1d.line_bytes)
+            monotonic("caches." + cache->name, "line-size",
+                      "line size " + std::to_string(cache->line_bytes) +
+                          " differs from L1D's " +
+                          std::to_string(c.l1d.line_bytes));
     const LatencyModel &lat = machine.latencies;
     if (!(lat.l2_hit_cycles > 0.0 &&
           lat.l3_hit_cycles > lat.l2_hit_cycles &&
           lat.memory_cycles > lat.l3_hit_cycles))
-        fail("visible latencies must increase with hierarchy depth");
-    if (lat.mispredict_penalty <= 0.0 || lat.icache_l2_penalty <= 0.0 ||
-        lat.l2tlb_hit_cycles <= 0.0 ||
-        lat.page_walk_cycles <= lat.l2tlb_hit_cycles)
-        fail("front-end and TLB penalties must be positive, with a "
-             "page walk costing more than an L2 TLB hit");
+        monotonic("latencies", "latency-order",
+                  "visible latencies must increase with depth: L2 " +
+                      num(lat.l2_hit_cycles) + ", L3 " +
+                      num(lat.l3_hit_cycles) + ", memory " +
+                      num(lat.memory_cycles));
+    if (!(lat.mispredict_penalty > 0.0 && lat.icache_l2_penalty > 0.0 &&
+          lat.l2tlb_hit_cycles > 0.0 &&
+          lat.page_walk_cycles > lat.l2tlb_hit_cycles))
+        monotonic("latencies", "penalties",
+                  "front-end and TLB penalties must be positive and a "
+                  "page walk must cost more than an L2 TLB hit");
 
-    if (machine.frequency_ghz < 0.5 || machine.frequency_ghz > 6.0)
-        fail("clock frequency outside the plausible [0.5, 6] GHz range");
-    if (machine.predictor_size_log2 < 8 ||
-        machine.predictor_size_log2 > 20)
-        fail("predictor size outside [2^8, 2^20] entries");
+    // The [16, 256] line bound is a machine-level rule: the shared
+    // geometry check also serves TLBs, whose "line" is a page.
+    for (const CacheConfig *cache : levels) {
+        if (!cache)
+            continue;
+        const std::string loc = "caches." + cache->name;
+        if (!std::has_single_bit(cache->line_bytes) ||
+            cache->line_bytes < 16 || cache->line_bytes > 256) {
+            out.push_back({"cache-geometry", "line-size", loc,
+                           "line size " +
+                               std::to_string(cache->line_bytes) +
+                               " is not a power of two in [16, 256]"});
+            continue;
+        }
+        for (verify::Violation &v : cache->checkGeometry()) {
+            v.location = loc;
+            out.push_back(std::move(v));
+        }
+    }
 
+    const Reporter tlb{out, "tlb-config"};
+    const TlbHierarchyConfig &t = machine.tlbs;
+    checkTlb(tlb, t.itlb);
+    checkTlb(tlb, t.dtlb);
+    if (t.l2tlb) {
+        checkTlb(tlb, *t.l2tlb);
+        const std::string loc = "tlbs." + t.l2tlb->name;
+        if (t.l2tlb->entries < t.itlb.entries ||
+            t.l2tlb->entries < t.dtlb.entries)
+            tlb(loc, "l2tlb-reach",
+                "second-level TLB (" + std::to_string(t.l2tlb->entries) +
+                    " entries) is smaller than a first-level TLB");
+        if (t.l2tlb->page_bytes != t.itlb.page_bytes ||
+            t.l2tlb->page_bytes != t.dtlb.page_bytes)
+            tlb(loc, "page-agreement",
+                "page size differs between TLB levels");
+    }
+
+    const Reporter config{out, "machine-config"};
+    if (machine.short_name.empty() || machine.name.empty())
+        config("", "name", "machine has an empty name");
+    if (!(machine.frequency_ghz >= 0.5 && machine.frequency_ghz <= 6.0))
+        config("frequency_ghz", "clock",
+               "clock of " + num(machine.frequency_ghz) +
+                   " GHz is outside the plausible [0.5, 6] range");
+    if (machine.predictor_size_log2 < 8 || machine.predictor_size_log2 > 20)
+        config("predictor_size_log2", "predictor-size",
+               "predictor table of 2^" +
+                   std::to_string(machine.predictor_size_log2) +
+                   " entries is outside [2^8, 2^20]");
     const PowerModelConfig &p = machine.power;
-    if (p.core_static_watts <= 0.0 ||
-        p.energy_per_instruction_nj <= 0.0 ||
-        p.llc_static_watts <= 0.0 || p.dram_static_watts <= 0.0 ||
-        p.llc_access_energy_nj <= 0.0 || p.dram_access_energy_nj <= 0.0)
-        fail("static power and per-event energies must be positive");
-    double freq_diff = p.frequency_ghz - machine.frequency_ghz;
-    if (freq_diff < -1e-9 || freq_diff > 1e-9)
-        fail("power-model clock disagrees with the machine clock");
+    if (!(p.core_static_watts > 0.0 && p.energy_per_instruction_nj > 0.0 &&
+          p.llc_static_watts > 0.0 && p.dram_static_watts > 0.0 &&
+          p.llc_access_energy_nj > 0.0 && p.dram_access_energy_nj > 0.0))
+        config("power", "power-coefficients",
+               "static power and per-event energies must be positive");
+    if (!(std::fabs(p.frequency_ghz - machine.frequency_ghz) <= 1e-9))
+        config("power.frequency_ghz", "power-clock",
+               "power-model clock (" + num(p.frequency_ghz) +
+                   " GHz) disagrees with the machine clock (" +
+                   num(machine.frequency_ghz) + " GHz)");
+    if (c.dram)
+        for (verify::Violation &v : c.dram->checkGeometry()) {
+            v.location = "caches.dram";
+            out.push_back(std::move(v));
+        }
+    return out;
+}
+
+void
+validateMachineConfig(const MachineConfig &machine)
+{
+    std::vector<verify::Violation> found = checkMachineConfig(machine);
+    if (!found.empty())
+        throw std::invalid_argument("machine " + machine.short_name + ": " +
+                                    verify::renderViolation(found.front()));
 }
 
 std::string

@@ -21,6 +21,7 @@
 #define SPECLENS_UARCH_MACHINE_H
 
 #include <string>
+#include <vector>
 
 #include "trace/workload_profile.h"
 #include "uarch/branch_predictor.h"
@@ -28,6 +29,7 @@
 #include "uarch/cpi_model.h"
 #include "uarch/power_model.h"
 #include "uarch/tlb.h"
+#include "verify/violation.h"
 
 namespace speclens {
 namespace uarch {
@@ -97,13 +99,23 @@ struct MachineConfig
 };
 
 /**
- * Structural validation of a machine configuration: cache geometries
- * and capacity/latency monotonicity, TLB geometries, clock and power
- * coefficients.  The same invariants are covered (with richer
- * reporting) by lint rules SL007-SL010; this throwing form backs the
- * SPECLENS_VALIDATE startup assertions in the characterization runner.
+ * Every single-machine configuration invariant, stated once: cache
+ * capacity and latency order, line-size agreement, cache and TLB
+ * geometry (tree-PLRU way counts included), a finite plausible clock,
+ * predictor size, positive power coefficients, power clock == machine
+ * clock and the DRAM geometry.  Violation::structure names the lint
+ * family that reports it — "cache-monotonic" (SL007), "cache-geometry"
+ * (SL008), "tlb-config" (SL009) or "machine-config" (SL010) — and
+ * Violation::location the offending field ("caches.L2", "latencies").
+ */
+std::vector<verify::Violation>
+checkMachineConfig(const MachineConfig &machine);
+
+/**
+ * checkMachineConfig() as a precondition: backs the SPECLENS_VALIDATE
+ * startup assertions in the characterization runner.
  *
- * @throws std::invalid_argument naming the offending structure.
+ * @throws std::invalid_argument naming the first violation.
  */
 void validateMachineConfig(const MachineConfig &machine);
 

@@ -14,9 +14,14 @@
 #define SPECLENS_UARCH_PERF_COUNTERS_H
 
 #include <cstdint>
+#include <vector>
+
+#include "verify/violation.h"
 
 namespace speclens {
 namespace uarch {
+
+struct MachineConfig;
 
 /** Raw event counts accumulated over a simulation window. */
 struct PerfCounters
@@ -179,6 +184,26 @@ struct PerfCounters
     /** Elementwise accumulate (merging simulation windows). */
     PerfCounters &operator+=(const PerfCounters &rhs);
 };
+
+/**
+ * The accounting identities every simulated window satisfies, stated
+ * once for the auditor's trail, the store's load-time check and the
+ * lint rules.  Without @p machine only the machine-free identities
+ * run: class sums and branch/kernel bounds, misses <= accesses per
+ * level, page_walks == l2tlb_misses <= L1 TLB misses, demand plumbing
+ * (each level's accesses are the previous level's misses) and the
+ * prefetch-fill and DRAM row-hit bounds.  With @p machine the topology
+ * identities join: a two-level machine mirrors last-level accesses as
+ * misses, a machine without an L2 TLB walks on every L1 TLB miss,
+ * counters of a disabled feature stay zero, and the DRAM busy/budget
+ * cycles follow the open-page cost model.
+ *
+ * Violation::structure groups them by the lint rule that reports
+ * them: "counters" (SL018), "topology" (SL019) and "memory" (SL026).
+ */
+std::vector<verify::Violation>
+checkCounterIdentities(const PerfCounters &counters,
+                       const MachineConfig *machine = nullptr);
 
 } // namespace uarch
 } // namespace speclens

@@ -191,12 +191,19 @@ class Playback
             verify::StateAuditor::auditAll(caches_, tlbs_, predictor_,
                                            trail_->violations);
         }
-        static obs::Counter &audits =
-            obs::Registry::global().counter("verify.audits");
-        static obs::Counter &violations =
-            obs::Registry::global().counter("verify.violations");
-        audits.add();
-        violations.add(trail_->violations.size() - before);
+        countAudit(before);
+    }
+
+    /** Audit one measured window's counters against the accounting
+     *  identities of @p machine. */
+    void
+    auditWindow(const PerfCounters &counters, const MachineConfig &machine)
+    {
+        ++trail_->audits;
+        std::size_t before = trail_->violations.size();
+        for (verify::Violation &v : checkCounterIdentities(counters, &machine))
+            trail_->violations.push_back(std::move(v));
+        countAudit(before);
     }
 
     /**
@@ -430,6 +437,19 @@ class Playback
         }
     }
 
+    /** Move the verify.* counters for the audit point that started
+     *  with @p before violations on the trail. */
+    void
+    countAudit(std::size_t before)
+    {
+        static obs::Counter &audits =
+            obs::Registry::global().counter("verify.audits");
+        static obs::Counter &violations =
+            obs::Registry::global().counter("verify.violations");
+        audits.add();
+        violations.add(trail_->violations.size() - before);
+    }
+
     CacheHierarchy caches_;
     TlbHierarchy tlbs_;
     PredictorVariant predictor_;
@@ -500,6 +520,8 @@ runPhases(std::span<const PhaseWindow> phases, const MachineConfig &machine,
                                            phase.effective.exec);
         result.power = computePower(result.counters,
                                     result.cpi_stack.total(), machine.power);
+        if (trail)
+            playback.auditWindow(result.counters, machine);
 
         // Surfaced in the run manifest so the prefetch-vs-demand-miss
         // separation (lint rule SL014) is checkable from artifacts alone.

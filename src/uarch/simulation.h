@@ -94,7 +94,9 @@ struct SimulationResult
  * With @p trail non-null the structural invariant prover runs
  * regardless of the SPECLENS_AUDIT build switch: the live structures
  * are audited after prewarm, at sampled batch boundaries and at end of
- * run, and the evidence accumulates in @p trail (verify.audits /
+ * run, each measured window's counters are held against
+ * checkCounterIdentities() with @p machine, and the evidence
+ * accumulates in @p trail (verify.audits /
  * verify.violations obs counters move in step).  Auditing never
  * mutates structure state, so the result is bit-identical to an
  * unaudited run.  This is the entry point behind `speclens audit`.

@@ -432,28 +432,22 @@ StateAuditor::auditDram(const uarch::DramModel &dram,
             return;
     }
 
+    // Open-page policy cycle identities: every access costs exactly a
+    // burst (row hit) or an activate plus a burst (row miss), and the
+    // budget grants a fixed allowance per access.
     if (dram.row_hits_ > dram.accesses_) {
         em.emit("hit-bound", "",
                 std::to_string(dram.row_hits_) + " row hits > " +
                     std::to_string(dram.accesses_) + " accesses");
-    }
-
-    // Open-page policy cycle identities: every access costs exactly a
-    // burst (row hit) or an activate plus a burst (row miss), and the
-    // budget grants a fixed allowance per access.
-    std::uint64_t misses = dram.accesses_ - dram.row_hits_;
-    std::uint64_t expected_busy =
-        dram.row_hits_ * cfg.burst_cycles +
-        misses * (cfg.activate_cycles + cfg.burst_cycles);
-    if (dram.row_hits_ <= dram.accesses_ &&
-        dram.busy_cycles_ != expected_busy) {
+    } else if (dram.busy_cycles_ !=
+               cfg.busyCycles(dram.accesses_, dram.row_hits_)) {
         em.emit("busy-identity", "",
                 std::to_string(dram.busy_cycles_) +
                     " busy cycles, expected " +
-                    std::to_string(expected_busy));
+                    std::to_string(
+                        cfg.busyCycles(dram.accesses_, dram.row_hits_)));
     }
-    if (dram.budget_cycles_ !=
-        dram.accesses_ * cfg.cycles_per_burst_budget) {
+    if (dram.budget_cycles_ != cfg.budgetCycles(dram.accesses_)) {
         em.emit("budget-identity", "",
                 std::to_string(dram.budget_cycles_) +
                     " budget cycles for " +

@@ -1,11 +1,13 @@
 /**
  * @file
- * Structured invariant-violation records produced by the state auditor.
+ * Structured invariant-violation records produced by the state auditor,
+ * uarch::checkMachineConfig and uarch::checkCounterIdentities.
  *
  * A Violation names the structure it was found in (cache/TLB/predictor
- * instance), the invariant that failed, the location inside the
- * structure (set/way/table index) and a human-readable detail string
- * with the offending values.  An AuditTrail accumulates violations
+ * instance, or the lint family / counter group that owns a config or
+ * counter invariant), the invariant that failed, the location inside
+ * the structure (set/way/table index, config field) and a
+ * human-readable detail string with the offending values.  An AuditTrail accumulates violations
  * across the audit points of one simulation.
  */
 

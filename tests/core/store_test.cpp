@@ -226,6 +226,71 @@ TEST(CampaignStore, ChecksumFlipDetected)
     std::filesystem::remove_all(dir);
 }
 
+// A checksum-valid entry whose counters break an accounting identity
+// (one page walk no L2 TLB miss explains) is Corrupt on load, counted,
+// recomputed and overwritten; the rewritten entry then serves.
+TEST(CampaignStore, BrokenCounterIdentityRejectedOnLoad)
+{
+    const std::string dir = storeDir("identity");
+    const uarch::SimulationConfig window = tinyWindow();
+    const auto &benchmark = suites::spec2017Benchmark("505.mcf_r");
+    const auto &machine = suites::skylakeMachine();
+    core::StoreKey key =
+        core::makeStoreKey(benchmark.profile, machine, window);
+
+    core::CampaignStore store(dir);
+    uarch::SimulationResult fresh =
+        uarch::simulate(benchmark.profile, machine, window);
+    uarch::SimulationResult bad = fresh;
+    bad.counters.page_walks += 1;
+    ASSERT_TRUE(store.save(key, bad));
+
+    uarch::SimulationResult out;
+    EXPECT_EQ(store.load(key, out), core::StoreStatus::Corrupt);
+    EXPECT_EQ(store.counters().corrupt, 1u);
+
+    uarch::SimulationResult recomputed = core::storedSimulate(
+        &store, benchmark.profile, machine, window);
+    expectBitIdentical(fresh, recomputed);
+    EXPECT_EQ(store.counters().computed, 1u);
+    EXPECT_EQ(store.load(key, out), core::StoreStatus::Hit);
+    expectBitIdentical(fresh, out);
+    std::filesystem::remove_all(dir);
+}
+
+// One phase breaking an identity rejects the whole phased entry, and
+// the scan names the phase and the identity.
+TEST(CampaignStore, PhasedEntryWithBrokenPhaseRejectedOnLoad)
+{
+    const std::string dir = storeDir("identity_phased");
+    uarch::SimulationConfig window = tinyWindow();
+    window.instructions = 6'000;
+    const auto &base = suites::spec2017Benchmark("502.gcc_r");
+    trace::PhasedWorkload workload =
+        trace::derivePhases(base.profile, 3, 0.35);
+    const auto &machine = suites::skylakeMachine();
+    core::StoreKey key = core::makeStoreKey(workload, machine, window);
+
+    core::CampaignStore store(dir);
+    uarch::PhasedSimulationResult bad =
+        uarch::simulatePhased(workload, machine, window);
+    ASSERT_EQ(bad.per_phase.size(), 3u);
+    bad.per_phase[1].counters.l3_accesses += 1;
+    ASSERT_TRUE(store.savePhased(key, bad));
+
+    uarch::PhasedSimulationResult out;
+    EXPECT_EQ(store.loadPhased(key, out), core::StoreStatus::Corrupt);
+    EXPECT_EQ(store.counters().corrupt, 1u);
+    std::vector<core::StoreEntryInfo> entries = store.scan();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].status, core::StoreStatus::Corrupt);
+    EXPECT_NE(entries[0].detail.find("phase 1"), std::string::npos)
+        << entries[0].detail;
+    EXPECT_NE(entries[0].detail.find("l3-plumbing"), std::string::npos)
+        << entries[0].detail;
+    std::filesystem::remove_all(dir);
+}
+
 // An entry written by a different engine version is StaleVersion (and
 // would be recomputed), even though its checksum is intact.
 TEST(CampaignStore, EngineVersionBumpDetected)

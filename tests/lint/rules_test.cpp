@@ -20,6 +20,7 @@
 #include "core/perf_trajectory.h"
 #include "lint/rules.h"
 #include "obs/manifest.h"
+#include "suites/machines.h"
 #include "trace/phased_workload.h"
 #include "uarch/simulation.h"
 
@@ -505,11 +506,13 @@ TEST(Rules, SL018_StoreResultAudit)
                result);
     EXPECT_EQ(errorCount(runRule("SL018", context)), 0u);
 
-    // ...and a page-walk/last-level-miss mismatch is a finding.
+    // ...and a negative CPI-stack component is a finding.  (A broken
+    // counter identity never reaches SL018: the store rejects such an
+    // entry on load and SL016 reports it.)
     window.seed_salt = 7;
     uarch::SimulationResult bad = uarch::simulate(
         context.cpu2017[0].profile, context.machines[0], window);
-    bad.counters.page_walks += 1;
+    bad.cpi_stack.backend_memory = -0.25;
     store.save(core::makeStoreKey(context.cpu2017[0].profile,
                                   context.machines[0], window),
                bad);
@@ -533,11 +536,12 @@ TEST(Rules, SL019_StoreMetricRange)
                result);
     EXPECT_EQ(errorCount(runRule("SL019", context)), 0u);
 
-    // An L3 access that no L2 miss explains breaks demand plumbing.
+    // A CPI of 0.1 is an IPC of 10, past any modelled issue width.
     window.seed_salt = 7;
     uarch::SimulationResult bad = uarch::simulate(
         context.cpu2017[0].profile, context.machines[0], window);
-    bad.counters.l3_accesses += 1;
+    bad.cpi_stack = uarch::CpiStack{};
+    bad.cpi_stack.base = 0.1;
     store.save(core::makeStoreKey(context.cpu2017[0].profile,
                                   context.machines[0], window),
                bad);
@@ -564,6 +568,20 @@ TEST(Rules, SL020_BenchSchemaVolumeMismatch)
               replaced(benchArtifactText(3),
                        "\"records_total\": 12880000",
                        "\"records_total\": 12880001"));
+    expectFires("SL020", context);
+}
+
+TEST(Rules, SL020_MissingCampaignFingerprintIsAnError)
+{
+    // The stats section also has a "fingerprint": the campaign one
+    // must be read from the campaign section, not the next match.
+    TempDir dir("speclens_sl020_fingerprint_test");
+    LintContext context = cleanContext();
+    context.bench_dir = dir.path.string();
+    writeFile(dir.path / "BENCH_3.json",
+              replaced(benchArtifactText(3),
+                       "    \"fingerprint\": \"00112233aabbccdd\",\n",
+                       ""));
     expectFires("SL020", context);
 }
 
@@ -738,9 +756,39 @@ TEST(Rules, SL025_MisfiledEntryIsAnError)
     expectFires("SL025", context);
 }
 
-TEST(Rules, SL025_LegacyFlatEntryIsAWarning)
+TEST(Rules, SL026_MemoryMetricRange)
 {
-    TempDir dir("speclens_sl025_legacy_test");
+    TempDir dir("speclens_sl026_test");
+    core::CampaignStore store(dir.path.string());
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    uarch::SimulationConfig window;
+    window.instructions = 2'000;
+    window.warmup = 500;
+    ASSERT_EQ(context.machines[0].caches.l2_prefetch_degree, 0u);
+
+    uarch::SimulationResult result = uarch::simulate(
+        context.cpu2017[0].profile, context.machines[0], window);
+    store.save(core::makeStoreKey(context.cpu2017[0].profile,
+                                  context.machines[0], window),
+               result);
+    EXPECT_EQ(errorCount(runRule("SL026", context)), 0u);
+
+    // Prefetch fills on a machine without a prefetcher: consistent on
+    // their own (so the entry loads), wrong for the machine named.
+    window.seed_salt = 7;
+    uarch::SimulationResult bad = uarch::simulate(
+        context.cpu2017[0].profile, context.machines[0], window);
+    bad.counters.prefetch_fills = 5;
+    store.save(core::makeStoreKey(context.cpu2017[0].profile,
+                                  context.machines[0], window),
+               bad);
+    expectFires("SL026", context);
+}
+
+TEST(Rules, SL016_BrokenCounterIdentityIsCorrupt)
+{
+    TempDir dir("speclens_sl016_identity_test");
     core::CampaignStore store(dir.path.string());
     LintContext context = cleanContext();
     context.store_dir = dir.path.string();
@@ -748,22 +796,100 @@ TEST(Rules, SL025_LegacyFlatEntryIsAWarning)
     window.instructions = 2'000;
     window.warmup = 500;
 
-    core::StoreKey key = core::makeStoreKey(
+    uarch::SimulationResult bad = uarch::simulate(
         context.cpu2017[0].profile, context.machines[0], window);
-    store.save(key, uarch::simulate(context.cpu2017[0].profile,
-                                    context.machines[0], window));
+    bad.counters.page_walks += 1;
+    store.save(core::makeStoreKey(context.cpu2017[0].profile,
+                                  context.machines[0], window),
+               bad);
+    std::vector<Diagnostic> found = runRule("SL016", context);
+    ASSERT_EQ(errorCount(found), 1u);
+    for (const Diagnostic &d : found) {
+        if (d.severity == Severity::Error) {
+            EXPECT_NE(d.message.find("walk-consistency"),
+                      std::string::npos)
+                << d.message;
+        }
+    }
+}
 
-    // A pre-shard store kept entries in the root: readable, so only a
-    // warning, never an error.
-    std::filesystem::path name = entryBaseName(key);
-    std::filesystem::rename(
-        dir.path / core::storeShardDirName(
-                       core::storeShardIndex(key.fingerprint)) /
-            name,
-        dir.path / name);
-    std::vector<Diagnostic> found = runRule("SL025", context);
-    EXPECT_EQ(errorCount(found), 0u);
-    EXPECT_GE(countSeverity(found, Severity::Warning), 1u);
+// ---------------------------------------------------------------------
+// Machine configuration: one statement behind the validator and lint.
+
+/** One seeded machine mutation and the lint rule that owns it. */
+struct MachineMutation
+{
+    const char *what;
+    const char *code;
+    void (*apply)(uarch::MachineConfig &);
+};
+
+const MachineMutation kMachineMutations[] = {
+    {"NaN clock", "SL010",
+     [](uarch::MachineConfig &m) {
+         m.frequency_ghz = std::numeric_limits<double>::quiet_NaN();
+         m.power.frequency_ghz = m.frequency_ghz;
+     }},
+    {"L1I line 32 vs L1D 64", "SL007",
+     [](uarch::MachineConfig &m) {
+         m.caches.l1i.line_bytes = 32;
+         m.caches.l1d.line_bytes = 64;
+     }},
+    {"tree-PLRU with 3 ways", "SL008",
+     [](uarch::MachineConfig &m) {
+         m.caches.l1d.policy = uarch::ReplacementPolicy::TreePlru;
+         m.caches.l1d.associativity = 3;
+         m.caches.l1d.size_bytes = 3 * 64 * 64;
+     }},
+    {"L3 not larger than L2", "SL007",
+     [](uarch::MachineConfig &m) {
+         ASSERT_TRUE(m.caches.l3.has_value());
+         m.caches.l3->size_bytes = m.caches.l2.size_bytes;
+     }},
+    {"TLB ways not dividing entries", "SL009",
+     [](uarch::MachineConfig &m) { m.tlbs.dtlb.associativity = 3; }},
+    {"power clock != clock", "SL010",
+     [](uarch::MachineConfig &m) { m.power.frequency_ghz += 0.5; }},
+};
+
+bool
+validatorThrows(const uarch::MachineConfig &machine)
+{
+    try {
+        uarch::validateMachineConfig(machine);
+        return false;
+    } catch (const std::invalid_argument &) {
+        return true;
+    }
+}
+
+TEST(MachineConfigAgreement, ValidatorThrowsExactlyWhenLintFires)
+{
+    const LintContext clean = cleanContext();
+    ASSERT_FALSE(validatorThrows(clean.machines[0]));
+    for (const MachineMutation &mutation : kMachineMutations) {
+        LintContext context = clean;
+        mutation.apply(context.machines[0]);
+        std::vector<Diagnostic> found = runRule(mutation.code, context);
+        EXPECT_GT(errorCount(found), 0u) << mutation.what;
+        EXPECT_EQ(validatorThrows(context.machines[0]),
+                  errorCount(found) > 0)
+            << mutation.what;
+    }
+}
+
+TEST(MachineConfigAgreement, EveryBuiltMachinePasses)
+{
+    std::vector<uarch::MachineConfig> machines =
+        suites::profilingMachines();
+    for (auto family : {suites::sensitivityMachines(),
+                        suites::memoryCentricMachines(),
+                        suites::powerMachines()})
+        machines.insert(machines.end(), family.begin(), family.end());
+    for (const uarch::MachineConfig &machine : machines)
+        for (const verify::Violation &v : uarch::checkMachineConfig(machine))
+            ADD_FAILURE() << machine.name << ": "
+                          << verify::renderViolation(v);
 }
 
 } // namespace

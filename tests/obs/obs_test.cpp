@@ -4,8 +4,8 @@
  *
  * Covers the metrics registry (instrument identity, snapshot ordering,
  * exact counts under concurrent mutation), the RAII timing span, both
- * exporters against golden renderings, the dependency-free JSON
- * well-formedness checker, and the run-manifest renderer/writer.
+ * exporters against golden renderings, the JSON reader and its
+ * well-formedness check, and the run-manifest renderer/writer.
  *
  * Tests that assert recorded *values* skip themselves when the build
  * was configured with -DSPECLENS_METRICS=OFF (mutation hooks compile
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 
@@ -323,6 +325,63 @@ TEST(ValidateJson, DepthLimitStopsPathologicalNesting)
     std::string deep(200, '[');
     deep += std::string(200, ']');
     EXPECT_FALSE(validateJson(deep));
+}
+
+// ====================================================================
+// JSON reader
+// ====================================================================
+
+TEST(JsonReader, EveryByteRoundTripsThroughQuote)
+{
+    for (int b = 0; b <= 0xff; ++b) {
+        std::string text = "a";
+        text.push_back(static_cast<char>(b));
+        text.push_back('z');
+        std::optional<JsonValue> doc = parseJson(jsonQuote(text));
+        ASSERT_TRUE(doc.has_value()) << "byte " << b;
+        ASSERT_EQ(doc->kind, JsonValue::Kind::String) << "byte " << b;
+        EXPECT_EQ(doc->text, text) << "byte " << b;
+    }
+}
+
+TEST(JsonReader, PathsResolveWithinTheirSection)
+{
+    std::optional<JsonValue> doc = parseJson(
+        "{\"campaign\": {\"runs\": 3}, "
+        "\"stats\": {\"fingerprint\": \"ab\", \"ok\": true}}");
+    ASSERT_TRUE(doc.has_value());
+    std::string text;
+    EXPECT_FALSE(doc->string("campaign.fingerprint", text));
+    EXPECT_TRUE(doc->string("stats.fingerprint", text));
+    EXPECT_EQ(text, "ab");
+    bool flag = false;
+    EXPECT_TRUE(doc->boolean("stats.ok", flag));
+    EXPECT_TRUE(flag);
+    EXPECT_FALSE(doc->boolean("stats.fingerprint", flag));
+    EXPECT_EQ(doc->find("campaign.runs.deeper"), nullptr);
+    EXPECT_EQ(doc->find(""), &*doc);
+}
+
+TEST(JsonReader, ExactUnsignedReadsRejectInexactNumbers)
+{
+    std::uint64_t value = 0;
+    for (const char *exact : {"0", "7", "18446744073709551615"}) {
+        std::optional<JsonValue> doc = parseJson(exact);
+        ASSERT_TRUE(doc.has_value()) << exact;
+        EXPECT_TRUE(doc->u64("", value)) << exact;
+    }
+    EXPECT_EQ(value, 18446744073709551615ull);
+    for (const char *inexact :
+         {"1.5", "-1", "1e3", "18446744073709551616", "-0"}) {
+        std::optional<JsonValue> doc = parseJson(inexact);
+        ASSERT_TRUE(doc.has_value()) << inexact;
+        EXPECT_FALSE(doc->u64("", value)) << inexact;
+        double number = 0.0;
+        EXPECT_TRUE(doc->number("", number)) << inexact;
+    }
+    EXPECT_FALSE(parseJson("01").has_value());
+    EXPECT_FALSE(parseJson("1.").has_value());
+    EXPECT_FALSE(parseJson("+1").has_value());
 }
 
 // ====================================================================

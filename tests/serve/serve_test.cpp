@@ -172,9 +172,9 @@ TEST(ShardedStore, ParallelMixedTrafficMatchesSerialStoreBytes)
 }
 
 // Every entry must land in the shard its fingerprint's top nibble
-// names, and a pre-shard flat-layout entry left in the store root
-// must still load (legacy fallback).
-TEST(ShardedStore, EntriesLandInFingerprintShardAndLegacyRootLoads)
+// names.  A pre-shard flat-layout entry left in the store root is not
+// an entry: its pair is a Miss and recomputes into its shard.
+TEST(ShardedStore, EntriesLandInFingerprintShardAndRootEntriesRecompute)
 {
     const std::string dir = storeDir("layout");
     const uarch::SimulationConfig window = tinyWindow();
@@ -183,6 +183,9 @@ TEST(ShardedStore, EntriesLandInFingerprintShardAndLegacyRootLoads)
 
     core::StoreKey key =
         core::makeStoreKey(benchmark.profile, machine, window);
+    const std::filesystem::path flat =
+        std::filesystem::path(dir) /
+        std::filesystem::path(shardedPath(dir, key)).filename();
     {
         core::CampaignStore store(dir);
         core::storedSimulate(&store, benchmark.profile, machine,
@@ -190,15 +193,18 @@ TEST(ShardedStore, EntriesLandInFingerprintShardAndLegacyRootLoads)
         EXPECT_TRUE(std::filesystem::exists(shardedPath(dir, key)));
 
         // Demote the entry to the pre-shard flat layout.
-        std::filesystem::path flat =
-            std::filesystem::path(dir) /
-            std::filesystem::path(shardedPath(dir, key)).filename();
         std::filesystem::rename(shardedPath(dir, key), flat);
     }
     core::CampaignStore reopened(dir);
     uarch::SimulationResult result;
+    EXPECT_EQ(reopened.load(key, result), core::StoreStatus::Miss);
+    EXPECT_EQ(reopened.entryCount(), 0u);
+    EXPECT_TRUE(reopened.scan().empty());
+
+    core::storedSimulate(&reopened, benchmark.profile, machine, window);
+    EXPECT_EQ(reopened.counters().computed, 1u);
+    EXPECT_TRUE(std::filesystem::exists(shardedPath(dir, key)));
     EXPECT_EQ(reopened.load(key, result), core::StoreStatus::Hit);
-    EXPECT_EQ(reopened.counters().hits, 1u);
     std::filesystem::remove_all(dir);
 }
 
@@ -372,6 +378,32 @@ TEST(Protocol, ResponseRoundTripsAndRejectsMalformed)
     EXPECT_FALSE(
         serve::decodeRequest("{\"op\": \"stats\"} trailing", request,
                              error));
+}
+
+// `k` must be exactly an unsigned integer, and every value flat.
+TEST(Protocol, RejectsInexactKAndNestedValues)
+{
+    serve::Request request;
+    std::string error;
+    for (const char *k : {"1.5", "-1", "1e3", "18446744073709551616"}) {
+        const std::string payload =
+            std::string("{\"op\": \"subset\", \"k\": ") + k + "}";
+        EXPECT_FALSE(serve::decodeRequest(payload, request, error)) << k;
+    }
+    EXPECT_TRUE(serve::decodeRequest(
+        "{\"op\": \"subset\", \"k\": 18446744073709551615}", request,
+        error))
+        << error;
+    EXPECT_FALSE(serve::decodeRequest(
+        "{\"op\": \"stats\", \"extra\": {\"nested\": 1}}", request,
+        error));
+    EXPECT_FALSE(serve::decodeRequest(
+        "{\"op\": \"characterize\", \"benchmarks\": [[\"505.mcf_r\"]]}",
+        request, error));
+    serve::Response response;
+    EXPECT_FALSE(serve::decodeResponse(
+        "{\"ok\": true, \"output\": {\"text\": \"x\"}}", response,
+        error));
 }
 
 // A daemon answer must be byte-identical to direct query-op

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -504,6 +505,92 @@ TEST(StateAudit, SimulateAuditedRunsCleanOnShippedModels)
             ADD_FAILURE() << machine.name << ": "
                           << renderViolation(v);
     }
+}
+
+// Every measured window on every profiling and memory-centric machine
+// satisfies the counter identities the store enforces on load, with
+// the machine's topology identities on top.
+TEST(StateAudit, SimulateTrailHoldsCounterIdentitiesOnEveryMachine)
+{
+    uarch::SimulationConfig config;
+    config.instructions = 20'000;
+    config.warmup = 5'000;
+    const auto &benchmark = suites::spec2017()[0];
+    std::vector<uarch::MachineConfig> machines =
+        suites::profilingMachines();
+    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
+        machines.push_back(std::move(m));
+    for (const uarch::MachineConfig &machine : machines) {
+        AuditTrail trail;
+        uarch::simulate(benchmark.profile, machine, config, &trail);
+        for (const Violation &v : trail.violations)
+            ADD_FAILURE() << machine.name << ": " << renderViolation(v);
+    }
+}
+
+/** Invariant names checkCounterIdentities() reports for @p c. */
+std::vector<std::string>
+brokenIdentities(const uarch::PerfCounters &c,
+                 const uarch::MachineConfig *machine = nullptr)
+{
+    std::vector<std::string> names;
+    for (const Violation &v : uarch::checkCounterIdentities(c, machine))
+        names.push_back(v.invariant);
+    return names;
+}
+
+TEST(StateAudit, CounterIdentitiesTripOnSeededCorruption)
+{
+    uarch::SimulationConfig config;
+    config.instructions = 5'000;
+    config.warmup = 1'000;
+    const auto &benchmark = suites::spec2017()[0];
+    const uarch::MachineConfig &skylake = suites::skylakeMachine();
+    const uarch::PerfCounters clean =
+        uarch::simulate(benchmark.profile, skylake, config).counters;
+    ASSERT_TRUE(brokenIdentities(clean, &skylake).empty());
+
+    const struct
+    {
+        const char *invariant;
+        void (*corrupt)(uarch::PerfCounters &);
+    } rows[] = {
+        {"class-sum",
+         [](uarch::PerfCounters &c) { c.loads = c.instructions + 1; }},
+        {"branch-bound",
+         [](uarch::PerfCounters &c) { c.taken_branches = c.branches + 1; }},
+        {"kernel-bound",
+         [](uarch::PerfCounters &c) {
+             c.kernel_instructions = c.instructions + 1;
+         }},
+        {"miss-bound",
+         [](uarch::PerfCounters &c) { c.dtlb_misses = c.dtlb_accesses + 1; }},
+        {"walk-consistency", [](uarch::PerfCounters &c) { ++c.page_walks; }},
+        {"l2-plumbing", [](uarch::PerfCounters &c) { ++c.l2i_accesses; }},
+        {"l3-plumbing", [](uarch::PerfCounters &c) { ++c.l3_accesses; }},
+        {"prefetch-fill-bound",
+         [](uarch::PerfCounters &c) { c.prefetch_useful = 1; }},
+        {"row-hit-bound", [](uarch::PerfCounters &c) { c.dram_row_hits = 1; }},
+    };
+    for (const auto &row : rows) {
+        uarch::PerfCounters c = clean;
+        row.corrupt(c);
+        std::vector<std::string> names = brokenIdentities(c);
+        EXPECT_NE(std::find(names.begin(), names.end(), row.invariant),
+                  names.end())
+            << row.invariant;
+    }
+
+    // Topology identities need the machine: Skylake has neither a
+    // prefetcher nor a way predictor nor a DRAM model.
+    uarch::PerfCounters c = clean;
+    c.prefetch_fills = 1;
+    c.way_pred_hits = 1;
+    c.dram_accesses = 1;
+    EXPECT_TRUE(brokenIdentities(c).empty());
+    EXPECT_EQ(brokenIdentities(c, &skylake),
+              (std::vector<std::string>{"prefetch-off", "waypred-off",
+                                        "dram-off"}));
 }
 
 TEST(StateAudit, SimulateAuditedMatchesSimulateBitForBit)

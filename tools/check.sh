@@ -140,6 +140,11 @@ rm -rf "$STORE_DIR"
     >"$BUILD_DIR/store-warm.out" 2>"$BUILD_DIR/store-warm.err"
 cmp "$BUILD_DIR/store-cold.out" "$BUILD_DIR/store-warm.out"
 grep -q 'simulations=0 ' "$BUILD_DIR/store-warm.err"
+# Every entry the cold run wrote must pass the load-time checks
+# (checksum and counter identities): nothing rejected on the warm run.
+grep -q 'rejected=0$' "$BUILD_DIR/store-warm.err" ||
+    { echo "warm run rejected store entries:" >&2
+      grep 'rejected=' "$BUILD_DIR/store-warm.err" >&2; exit 1; }
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$STORE_DIR" \
     >/dev/null
 echo "warm run: zero simulations, stdout byte-identical"
@@ -158,6 +163,9 @@ rm -rf "$MEM_STORE"
     >"$BUILD_DIR/memory-warm.out" 2>"$BUILD_DIR/memory-warm.err"
 cmp "$BUILD_DIR/memory-cold.out" "$BUILD_DIR/memory-warm.out"
 grep -q 'simulations=0 ' "$BUILD_DIR/memory-warm.err"
+grep -q 'rejected=0$' "$BUILD_DIR/memory-warm.err" ||
+    { echo "memory-centric warm run rejected store entries:" >&2
+      grep 'rejected=' "$BUILD_DIR/memory-warm.err" >&2; exit 1; }
 # SL026 range-checks the stored memory-centric metrics.
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$MEM_STORE" \
     >/dev/null

@@ -31,12 +31,12 @@
  */
 
 #include <atomic>
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,6 +52,7 @@
 #include "core/query_ops.h"
 #include "core/service_context.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "core/phase_analysis.h"
 #include "core/suite_report.h"
@@ -726,19 +727,19 @@ cmdCampaignManifest(const CliOptions &opts)
     }
     std::string text((std::istreambuf_iterator<char>(file)),
                      std::istreambuf_iterator<char>());
-    if (!obs::validateJson(text)) {
+    std::optional<obs::JsonValue> doc = obs::parseJson(text);
+    if (!doc) {
         std::fprintf(stderr,
                      "error: %s is not well-formed JSON\n",
                      path.c_str());
         return 1;
     }
     for (const char *key :
-         {"\"manifest_version\"", "\"engine_version\"",
-          "\"config_fingerprint\"", "\"run\"", "\"totals\"",
-          "\"rejected\"", "\"metrics\""}) {
-        if (text.find(key) == std::string::npos) {
+         {"manifest_version", "engine_version", "config_fingerprint",
+          "run", "totals", "rejected", "metrics"}) {
+        if (!doc->find(key)) {
             std::fprintf(stderr,
-                         "error: manifest %s lacks required key %s\n",
+                         "error: manifest %s lacks required key \"%s\"\n",
                          path.c_str(), key);
             return 1;
         }
@@ -920,30 +921,9 @@ highestBenchPr(const std::filesystem::path &dir)
 }
 
 /**
- * Pull the number following `"key":` out of @p text (enough JSON for
- * the BENCH_* artifacts we write ourselves, v1 and v2 alike).
- */
-bool
-jsonNumberField(const std::string &text, const std::string &key,
-                double &out, std::size_t from = 0)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = text.find(needle, from);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])))
-        ++pos;
-    char *end = nullptr;
-    out = std::strtod(text.c_str() + pos, &end);
-    return end != text.c_str() + pos;
-}
-
-/**
  * Print a previous-vs-current delta table to stderr (never stdout:
  * rates are timing-dependent, and stdout stays byte-deterministic).
- * Parses schema v1 (no speedup_vs_seed) through v3 artifacts.
+ * Reads schema v1 (no speedup_vs_seed) through v3 artifacts.
  */
 void
 printTrajectoryDelta(const std::string &prev_path,
@@ -954,16 +934,11 @@ printTrajectoryDelta(const std::string &prev_path,
         return;
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    // Rates live in the campaign block; searching from there skips the
-    // v2+ seed_baseline object, whose fields share these key names.
-    std::size_t campaign = text.find("\"campaign\"");
-    if (campaign == std::string::npos)
-        campaign = 0;
+    std::optional<obs::JsonValue> doc = obs::parseJson(text);
     double prev_sims = 0.0, prev_records = 0.0;
-    if (!jsonNumberField(text, "simulations_per_second", prev_sims,
-                         campaign) ||
-        !jsonNumberField(text, "records_per_second", prev_records,
-                         campaign) ||
+    if (!doc ||
+        !doc->number("campaign.simulations_per_second", prev_sims) ||
+        !doc->number("campaign.records_per_second", prev_records) ||
         prev_sims <= 0.0 || prev_records <= 0.0) {
         std::fprintf(stderr,
                      "[speclens-bench] no rates in %s; delta skipped\n",
@@ -981,7 +956,7 @@ printTrajectoryDelta(const std::string &prev_path,
                  prev_records, r.records_per_second,
                  (r.records_per_second / prev_records - 1.0) * 100.0);
     double prev_seed = 0.0;
-    if (jsonNumberField(text, "speedup_vs_seed", prev_seed) &&
+    if (doc->number("campaign.speedup_vs_seed", prev_seed) &&
         prev_seed > 0.0)
         std::fprintf(stderr,
                      "  speedup_vs_seed: %.3fx -> %.3fx\n", prev_seed,
