@@ -39,29 +39,12 @@ analyzeInputSets(Characterizer &characterizer,
         for (const suites::BenchmarkInfo &input : group.inputs)
             rows.push_back(sim.indexOf(input.name));
 
-        std::size_t dims = sim.scores.cols();
-        std::vector<double> centroid(dims, 0.0);
-        for (std::size_t r : rows) {
-            auto row = sim.scores.row(r);
-            for (std::size_t d = 0; d < dims; ++d)
-                centroid[d] += row[d];
-        }
-        for (double &v : centroid)
-            v /= static_cast<double>(rows.size());
-
         RepresentativeInput rep;
         rep.benchmark = group.benchmark.name;
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-            double dist = stats::distance(sim.scores.row(rows[k]),
-                                          centroid, config.metric);
-            if (dist < best) {
-                best = dist;
-                rep.input_index = static_cast<int>(k) + 1;
-                rep.variant_name = group.inputs[k].name;
-                rep.distance_to_aggregate = dist;
-            }
-        }
+        std::size_t k = stats::nearestToCentroid(
+            sim.scores, rows, config.metric, &rep.distance_to_aggregate);
+        rep.input_index = static_cast<int>(k) + 1;
+        rep.variant_name = group.inputs[k].name;
 
         for (std::size_t a = 0; a < rows.size(); ++a)
             for (std::size_t b = a + 1; b < rows.size(); ++b)

@@ -42,34 +42,6 @@ shortestLinkageMember(const SimilarityResult &analysis,
     return best;
 }
 
-/** Representative closest to the cluster centroid in PC space. */
-std::size_t
-medoidMember(const SimilarityResult &analysis,
-             const std::vector<std::size_t> &cluster)
-{
-    std::size_t dims = analysis.scores.cols();
-    std::vector<double> centroid(dims, 0.0);
-    for (std::size_t leaf : cluster) {
-        auto row = analysis.scores.row(leaf);
-        for (std::size_t d = 0; d < dims; ++d)
-            centroid[d] += row[d];
-    }
-    for (double &v : centroid)
-        v /= static_cast<double>(cluster.size());
-
-    std::size_t best = cluster.front();
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (std::size_t leaf : cluster) {
-        double dist = stats::distance(analysis.scores.row(leaf), centroid,
-                                      analysis.config.metric);
-        if (dist < best_dist) {
-            best_dist = dist;
-            best = leaf;
-        }
-    }
-    return best;
-}
-
 } // namespace
 
 SubsetResult
@@ -87,18 +59,18 @@ selectSubset(const SimilarityResult &analysis, std::size_t subset_size,
     auto clusters = analysis.dendrogram.cutIntoClusters(subset_size);
     for (const auto &cluster : clusters) {
         std::size_t rep;
-        if (cluster.size() <= 2) {
+        if (rule == RepresentativeRule::Medoid) {
+            // Closest to the cluster centroid in PC space; the two
+            // members of a pair tie, and the first one wins.
+            rep = cluster[stats::nearestToCentroid(
+                analysis.scores, cluster, analysis.config.metric)];
+        } else if (cluster.size() <= 2) {
             // For singleton and two-member clusters the join height
-            // carries no in-cluster information; the medoid rule
-            // degenerates too, so take the first (lowest-index) member
-            // — for pairs both members are equally representative.
-            rep = rule == RepresentativeRule::Medoid && cluster.size() == 2
-                      ? medoidMember(analysis, cluster)
-                      : cluster.front();
+            // carries no in-cluster information, so take the first
+            // (lowest-index) member.
+            rep = cluster.front();
         } else {
-            rep = rule == RepresentativeRule::ShortestLinkage
-                      ? shortestLinkageMember(analysis, cluster)
-                      : medoidMember(analysis, cluster);
+            rep = shortestLinkageMember(analysis, cluster);
         }
         out.representatives.push_back(analysis.labels[rep]);
         std::vector<std::string> names;

@@ -107,5 +107,32 @@ pairwiseDistances(const Matrix &points, DistanceMetric metric)
     return out;
 }
 
+std::size_t
+nearestToCentroid(const Matrix &points, const std::vector<std::size_t> &rows,
+                  DistanceMetric metric, double *distance_out)
+{
+    if (rows.empty())
+        throw std::invalid_argument("nearestToCentroid: no rows");
+    std::vector<double> centroid(points.cols(), 0.0);
+    for (std::size_t r : rows) {
+        const double *row = points.rowPtr(r);
+        for (std::size_t d = 0; d < centroid.size(); ++d)
+            centroid[d] += row[d];
+    }
+    for (double &v : centroid)
+        v /= static_cast<double>(rows.size());
+
+    std::vector<double> dist(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k)
+        dist[k] = distance(points.row(rows[k]), centroid, metric);
+    double best = *std::min_element(dist.begin(), dist.end());
+    std::size_t k = 0;
+    while (dist[k] > best * (1.0 + 1e-9))
+        ++k;
+    if (distance_out)
+        *distance_out = dist[k];
+    return k;
+}
+
 } // namespace stats
 } // namespace speclens

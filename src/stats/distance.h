@@ -39,6 +39,23 @@ double squaredEuclidean(const std::vector<double> &a,
 Matrix pairwiseDistances(const Matrix &points,
                          DistanceMetric metric = DistanceMetric::Euclidean);
 
+/**
+ * Position within @p rows of the row of @p points nearest the rows'
+ * centroid: the medoid-style representative of a group of points.
+ * Distances within a relative 1e-9 of the smallest tie, and a tie goes
+ * to the earliest position.  Both members of a pair sit exactly halfway
+ * from their midpoint, so without the tolerance the pick would fall to
+ * rounding noise in the coordinates.
+ *
+ * @param distance When non-null, receives the winner's distance to the
+ *        centroid.
+ * @throws std::invalid_argument when @p rows is empty.
+ */
+std::size_t nearestToCentroid(const Matrix &points,
+                              const std::vector<std::size_t> &rows,
+                              DistanceMetric metric = DistanceMetric::Euclidean,
+                              double *distance = nullptr);
+
 } // namespace stats
 } // namespace speclens
 

@@ -16,31 +16,42 @@
 namespace speclens {
 namespace stats {
 
-Matrix
-PcaResult::project(const Matrix &raw) const
-{
-    Matrix standardized = zscoreWith(raw, training_stats);
-    return standardized.multiply(loadings);
-}
-
-std::size_t
-PcaResult::dominantMetric(std::size_t pc) const
-{
-    if (pc >= retained)
-        throw std::out_of_range("PcaResult::dominantMetric: pc index");
-    std::size_t best = 0;
-    double best_mag = -1.0;
-    for (std::size_t m = 0; m < loadings.rows(); ++m) {
-        double mag = std::fabs(loadings(m, pc));
-        if (mag > best_mag) {
-            best_mag = mag;
-            best = m;
-        }
-    }
-    return best;
-}
-
 namespace {
+
+/** Relative tolerance shared by the rank cap and the sign anchor. */
+constexpr double kRelativeTolerance = 1e-9;
+
+/**
+ * Row of the entry anchoring column @p c's sign: the lowest index whose
+ * magnitude is within a relative kRelativeTolerance of the column's
+ * largest, so a near-tie resolves the same way whichever side of the
+ * eigenproblem produced the column.
+ */
+std::size_t
+anchorRow(const Matrix &m, std::size_t c)
+{
+    double largest = 0.0;
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        largest = std::max(largest, std::fabs(m(r, c)));
+    double floor = largest * (1.0 - kRelativeTolerance);
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        if (std::fabs(m(r, c)) >= floor)
+            return r;
+    return 0;
+}
+
+/** Number of eigenvalues above kRelativeTolerance * the largest. */
+std::size_t
+numericalRank(const std::vector<double> &eigenvalues)
+{
+    if (eigenvalues.empty() || !(eigenvalues.front() > 0.0))
+        return 0;
+    double floor = kRelativeTolerance * eigenvalues.front();
+    std::size_t rank = 0;
+    while (rank < eigenvalues.size() && eigenvalues[rank] > floor)
+        ++rank;
+    return rank;
+}
 
 std::size_t
 retainCount(const std::vector<double> &eigenvalues,
@@ -77,6 +88,21 @@ retainCount(const std::vector<double> &eigenvalues,
 
 } // namespace
 
+Matrix
+PcaResult::project(const Matrix &raw) const
+{
+    Matrix standardized = zscoreWith(raw, training_stats);
+    return standardized.multiply(loadings);
+}
+
+std::size_t
+PcaResult::dominantMetric(std::size_t pc) const
+{
+    if (pc >= retained)
+        throw std::out_of_range("PcaResult::dominantMetric: pc index");
+    return anchorRow(loadings, pc);
+}
+
 PcaResult
 fitPca(const Matrix &raw, const RetentionPolicy &policy)
 {
@@ -89,34 +115,61 @@ fitPca(const Matrix &raw, const RetentionPolicy &policy)
 
     PcaResult out;
     out.training_stats = columnStats(raw);
-
     Matrix standardized = zscoreWith(raw, out.training_stats);
-    Matrix corr = covarianceMatrix(standardized);
 
-    // The eigensolve dominates fit cost for wide metric sets; timed
-    // separately so the bench trajectory can report the stage.
+    // Decompose whichever side of the problem is smaller.  For the
+    // (zero-mean) standardized features Z, the p x p correlation matrix
+    // Z'Z/(n-1) and the n x n Gram matrix ZZ'/(n-1) share their nonzero
+    // eigenvalues, and a Gram eigenvector u maps to the correlation
+    // eigenvector Z'u / sqrt((n-1) lambda).  The suites have at most 43
+    // rows against 140 features, so the Gram side is the one that runs
+    // in practice.
+    std::size_t n = raw.rows(), p = raw.cols();
+    bool wide = n < p;
     static obs::Timing &eigen_time =
         obs::Registry::global().timing("stats.pca.eigen");
     EigenDecomposition eig;
     {
         obs::Span eigen_span(eigen_time);
-        eig = symmetricEigen(corr);
+        eig = symmetricEigen(
+            wide ? standardized.multiply(standardized.transposed())
+                       .scaled(1.0 / static_cast<double>(n - 1))
+                 : covarianceMatrix(standardized));
     }
 
     // Numerical noise can produce tiny negative eigenvalues on
-    // rank-deficient correlation matrices; clamp them for the variance
-    // bookkeeping.
+    // rank-deficient matrices; clamp them for the variance bookkeeping.
+    // The Gram side has only n eigenvalues; the other p - n are exactly
+    // zero.
     out.eigenvalues = eig.values;
     for (double &v : out.eigenvalues)
         if (v < 0.0 && v > -1e-9)
             v = 0.0;
+    out.eigenvalues.resize(p, 0.0);
 
-    std::size_t k = retainCount(out.eigenvalues, policy);
+    std::size_t rank = numericalRank(out.eigenvalues);
+    if (rank == 0)
+        throw std::invalid_argument("fitPca: every column is constant");
+    std::size_t k = std::min(retainCount(out.eigenvalues, policy), rank);
     out.retained = k;
 
     std::vector<std::size_t> keep(k);
     std::iota(keep.begin(), keep.end(), std::size_t{0});
     out.loadings = eig.vectors.selectCols(keep);
+    if (wide) {
+        out.loadings = standardized.transposed().multiply(out.loadings);
+        for (std::size_t c = 0; c < k; ++c) {
+            double norm = std::sqrt(static_cast<double>(n - 1) *
+                                    out.eigenvalues[c]);
+            for (std::size_t r = 0; r < p; ++r)
+                out.loadings(r, c) /= norm;
+        }
+    }
+    // Canonical sign: each component's anchor entry is positive.
+    for (std::size_t c = 0; c < k; ++c)
+        if (out.loadings(anchorRow(out.loadings, c), c) < 0.0)
+            for (std::size_t r = 0; r < p; ++r)
+                out.loadings(r, c) = -out.loadings(r, c);
     out.scores = standardized.multiply(out.loadings);
 
     double total = std::accumulate(out.eigenvalues.begin(),

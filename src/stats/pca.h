@@ -9,6 +9,12 @@
  * >= 1, i.e. components that explain at least as much variance as one
  * original standardised metric — and reports the cumulative variance
  * they cover (e.g. 7 PCs / 91% for the speed-INT dendrogram in Fig. 2).
+ *
+ * The eigensolve runs on whichever side of the problem is smaller.  A
+ * suite matrix has far fewer benchmarks (n <= 43) than features
+ * (p = 140), and the p x p correlation matrix then has rank <= n - 1;
+ * the n x n Gram matrix of the same standardized data carries the same
+ * nonzero eigenvalues, and its eigenvectors map to the loadings.
  */
 
 #ifndef SPECLENS_STATS_PCA_H
@@ -23,7 +29,15 @@
 namespace speclens {
 namespace stats {
 
-/** How many principal components to retain. */
+/**
+ * How many principal components to retain.
+ *
+ * Whatever the policy, no component past the numerical rank is kept:
+ * only components with eigenvalue > 1e-9 x the largest qualify.
+ * Beyond the rank a component has no defined loading on either side
+ * of the eigenproblem, only solver noise.  FixedCount(50) on a 10-row
+ * matrix therefore keeps at most 9 components.
+ */
 struct RetentionPolicy
 {
     /**
@@ -64,13 +78,22 @@ struct PcaResult
     /** Standardisation parameters of the training data. */
     ColumnStats training_stats;
 
-    /** All eigenvalues of the correlation matrix, descending. */
+    /**
+     * All p eigenvalues of the correlation matrix, descending.  A fit
+     * with n < p rows solved the Gram side; its last p - n entries are
+     * exact zeros.
+     */
     std::vector<double> eigenvalues;
 
     /**
      * Loading matrix: column k holds the loading factors a_k of
      * Equation (1) in the paper, i.e. the weights combining original
      * metrics into PC k.  Only retained components are kept.
+     *
+     * Each column has a canonical sign: its largest-magnitude entry
+     * is positive (entries within a relative 1e-9 of the largest tie,
+     * and the lowest index wins), so loadings and scores do not depend
+     * on which side of the eigenproblem was solved.
      */
     Matrix loadings;
 
@@ -95,7 +118,8 @@ struct PcaResult
     /**
      * Index of the original metric with the largest absolute loading on
      * component @p pc — "PC2 is dominated by branch MPKI" style
-     * statements in the paper come from this.
+     * statements in the paper come from this.  It is the entry the
+     * sign rule makes positive, so near-ties resolve the same way.
      */
     std::size_t dominantMetric(std::size_t pc) const;
 };
@@ -107,7 +131,8 @@ struct PcaResult
  *
  * @param raw Observations x metrics (rows x cols), at least 2 rows.
  * @param policy Component retention policy (Kaiser by default).
- * @throws std::invalid_argument for degenerate input.
+ * @throws std::invalid_argument for degenerate input: fewer than 2
+ *         rows, no columns, or every column constant.
  */
 PcaResult fitPca(const Matrix &raw,
                  const RetentionPolicy &policy = RetentionPolicy::kaiser());

@@ -69,6 +69,47 @@ TEST(InputSetAnalysisTest, SameBenchmarkInputsClusterTightly)
               analysis.median_cross_benchmark_distance);
 }
 
+TEST(InputSetAnalysisTest, TwoInputGroupsPickTheFirstInput)
+{
+    // Both inputs of a two-input group sit exactly halfway from their
+    // midpoint, so the pick is a tie and must go to input 1 whatever
+    // the rounding in the PC scores, including a flipped PC sign.
+    Characterizer characterizer(suites::profilingMachines(),
+                                quickConfig());
+    std::size_t two_input_groups = 0;
+    for (const auto &groups :
+         {suites::inputSetGroupsInt(), suites::inputSetGroupsFp()}) {
+        InputSetAnalysis analysis = analyzeInputSets(characterizer, groups);
+        const SimilarityResult &sim = analysis.similarity;
+        for (const suites::InputSetGroup &group : groups) {
+            if (group.inputs.size() != 2)
+                continue;
+            ++two_input_groups;
+            auto rep = std::find_if(
+                analysis.representatives.begin(),
+                analysis.representatives.end(),
+                [&](const RepresentativeInput &r) {
+                    return r.benchmark == group.benchmark.name;
+                });
+            ASSERT_NE(rep, analysis.representatives.end());
+            EXPECT_EQ(rep->input_index, 1) << group.benchmark.name;
+
+            std::vector<std::size_t> rows = {
+                sim.indexOf(group.inputs[0].name),
+                sim.indexOf(group.inputs[1].name)};
+            for (std::size_t pc = 0; pc < sim.scores.cols(); ++pc) {
+                stats::Matrix flipped = sim.scores;
+                for (std::size_t r = 0; r < flipped.rows(); ++r)
+                    flipped(r, pc) = -flipped(r, pc);
+                EXPECT_EQ(stats::nearestToCentroid(flipped, rows), 0u)
+                    << group.benchmark.name << " pc" << pc + 1;
+            }
+        }
+    }
+    // 603.bwaves_s and 657.xz_s at least.
+    EXPECT_GE(two_input_groups, 2u);
+}
+
 // ---------------------------------------------------------------------
 // Rate vs speed
 // ---------------------------------------------------------------------

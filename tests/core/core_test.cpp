@@ -241,6 +241,28 @@ TEST_F(SubsettingTest, RepresentativeBelongsToItsCluster)
     }
 }
 
+TEST_F(SubsettingTest, PairClustersTakeTheFirstMemberUnderEitherRule)
+{
+    // The members of a pair are equidistant from its centroid, so the
+    // medoid rule ties like the shortest-linkage rule does and must not
+    // fall to rounding noise.  Ten leaves in nine clusters leave a pair.
+    std::size_t pairs = 0;
+    for (std::size_t k = 1; k <= 9; ++k)
+        for (RepresentativeRule rule :
+             {RepresentativeRule::ShortestLinkage,
+              RepresentativeRule::Medoid}) {
+            SubsetResult subset = selectSubset(sim_, k, rule);
+            for (std::size_t c = 0; c < k; ++c)
+                if (subset.clusters[c].size() == 2) {
+                    ++pairs;
+                    EXPECT_EQ(subset.representatives[c],
+                              subset.clusters[c].front())
+                        << representativeRuleName(rule) << " k=" << k;
+                }
+        }
+    EXPECT_GE(pairs, 2u);
+}
+
 TEST_F(SubsettingTest, ClustersPartitionTheSuite)
 {
     SubsetResult subset = selectSubset(sim_, 4);

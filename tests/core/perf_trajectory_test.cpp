@@ -159,11 +159,19 @@ TEST(Trajectory, JsonIsWellFormedAndCarriesTheFacts)
 }
 
 // The golden result: the pinned trajectory window (150k + 40k, salt 0)
-// must reproduce the fingerprints the committed BENCH_10.json records.
-// Any change to the simulation driver, trace generator, structure
-// models or stats stage that moves a single result bit fails here; a
-// deliberate results change must re-pin both values together with a
-// kStoreEngineVersion bump.
+// must reproduce the campaign fingerprint the committed BENCH_10.json
+// records.  Any change to the simulation driver, trace generator,
+// structure models or stats stage that moves a single result bit fails
+// here; a deliberate results change must re-pin both values together
+// with a kStoreEngineVersion bump.
+//
+// The stats fingerprint alone was re-pinned (57331f8fe007d3ea, as in
+// BENCH_10.json, -> 93208e520dfa08fc) when fitPca() moved to the
+// smaller-side eigensolve with a canonical component sign: the same
+// eigenvalues up to rounding, exact zeros past the Gram side's n, and
+// loadings that agree with the correlation-side oracle in
+// tests/stats/pca_parity_test.cpp.  No simulation result changed, so
+// the campaign fingerprint and kStoreEngineVersion stay.
 TEST(Trajectory, PinnedWindowReproducesGoldenFingerprints)
 {
     core::TrajectoryConfig config; // the pinned defaults
@@ -174,7 +182,7 @@ TEST(Trajectory, PinnedWindowReproducesGoldenFingerprints)
 
     EXPECT_EQ(r.simulations, 301u);
     EXPECT_EQ(r.campaign_fingerprint, 0xd847d360243018d8ull);
-    EXPECT_EQ(r.stats_fingerprint, 0x57331f8fe007d3eaull);
+    EXPECT_EQ(r.stats_fingerprint, 0x93208e520dfa08fcull);
 }
 
 } // namespace

@@ -18,6 +18,24 @@ TEST(DistanceTest, Euclidean)
     EXPECT_DOUBLE_EQ(squaredEuclidean({0, 0}, {3, 4}), 25.0);
 }
 
+TEST(DistanceTest, NearestToCentroidBreaksOnlyNearTies)
+{
+    // Row 2 is nearer than row 1 by a relative 1e-12, which is
+    // rounding-noise scale: a tie, so the earlier position wins.
+    Matrix points{{4.0, 0.0}, {-1.0, 0.0}, {-1.0 + 1e-12, 0.0}};
+    double dist = 0.0;
+    EXPECT_EQ(nearestToCentroid(points, {0, 1, 2},
+                                DistanceMetric::Euclidean, &dist),
+              1u);
+    EXPECT_NEAR(dist, 5.0 / 3.0, 1e-9);
+    // A real gap is not a tie; positions index @p rows, not points.
+    Matrix apart{{4.0, 0.0}, {-1.5, 0.0}, {-1.0, 0.0}};
+    EXPECT_EQ(nearestToCentroid(apart, {0, 1, 2}), 2u);
+    EXPECT_EQ(nearestToCentroid(apart, {2, 1, 0}), 0u);
+    EXPECT_EQ(nearestToCentroid(apart, {1}), 0u);
+    EXPECT_THROW(nearestToCentroid(apart, {}), std::invalid_argument);
+}
+
 TEST(DistanceTest, Manhattan)
 {
     EXPECT_DOUBLE_EQ(

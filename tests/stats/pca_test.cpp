@@ -198,6 +198,65 @@ TEST(PcaTest, RejectsDegenerateInput)
 {
     EXPECT_THROW(fitPca(Matrix{{1.0, 2.0}}), std::invalid_argument);
     EXPECT_THROW(fitPca(Matrix()), std::invalid_argument);
+    // Every column constant: no component has a defined loading.
+    EXPECT_THROW(fitPca(Matrix(4, 6, 2.5)), std::invalid_argument);
+}
+
+TEST(PcaTest, RetentionCappedAtNumericalRank)
+{
+    // Ten centered observations span at most nine directions.
+    Rng rng(37);
+    Matrix m(10, 140);
+    for (std::size_t r = 0; r < 10; ++r)
+        for (std::size_t c = 0; c < 140; ++c)
+            m(r, c) = rng.gaussian();
+    for (RetentionPolicy policy :
+         {RetentionPolicy::fixedCount(50),
+          RetentionPolicy::varianceCovered(1.0)}) {
+        PcaResult pca = fitPca(m, policy);
+        EXPECT_LE(pca.retained, 9u);
+        EXPECT_EQ(pca.loadings.cols(), pca.retained);
+        Matrix gram = pca.loadings.transposed().multiply(pca.loadings);
+        EXPECT_TRUE(gram.approxEquals(Matrix::identity(pca.retained), 1e-9))
+            << gram.toString();
+    }
+}
+
+TEST(PcaTest, WideFitPadsEigenvaluesWithExactZeros)
+{
+    Rng rng(41);
+    Matrix m(8, 30);
+    for (std::size_t r = 0; r < 8; ++r)
+        for (std::size_t c = 0; c < 30; ++c)
+            m(r, c) = rng.gaussian();
+    PcaResult pca = fitPca(m);
+    ASSERT_EQ(pca.eigenvalues.size(), 30u);
+    for (std::size_t i = 8; i < 30; ++i)
+        EXPECT_EQ(pca.eigenvalues[i], 0.0);
+    double total = 0.0;
+    for (double v : pca.eigenvalues)
+        total += v;
+    EXPECT_NEAR(total, 30.0, 1e-9);
+}
+
+TEST(PcaTest, CanonicalSignMakesDominantLoadingPositive)
+{
+    Rng rng(43);
+    for (std::size_t rows : {6u, 40u}) {
+        Matrix m(rows, 12);
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < 12; ++c)
+                m(r, c) = rng.gaussian();
+        PcaResult pca = fitPca(m, RetentionPolicy::fixedCount(4));
+        for (std::size_t c = 0; c < pca.retained; ++c)
+            EXPECT_GT(pca.loadings(pca.dominantMetric(c), c), 0.0);
+
+        // Negating the data negates no component: the sign is a
+        // property of the subspace, not of the solver's starting point.
+        PcaResult flipped = fitPca(m.scaled(-1.0),
+                                   RetentionPolicy::fixedCount(4));
+        EXPECT_TRUE(flipped.loadings.approxEquals(pca.loadings, 1e-9));
+    }
 }
 
 } // namespace
