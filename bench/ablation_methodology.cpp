@@ -78,8 +78,9 @@ int
 main(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::parseOptions(argc, argv);
-    core::AnalysisSession session = bench::makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(bench::serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
 
     bench::banner("Ablation 1: linkage rule (mean subset validation "
                   "error across the 4 sub-suites)");

@@ -53,9 +53,10 @@ main(int argc, char **argv)
         // prefetcher.  Store entries still never collide — the
         // prefetch degree is part of the machine fingerprint.
 
-        core::AnalysisSession session =
-            bench::makeSession(opts, {base, prefetching});
-        core::Characterizer &characterizer = session.characterizer();
+        core::ServiceContext context(
+            bench::serviceConfig(opts, {base, prefetching}));
+        core::Characterizer &characterizer =
+            context.characterizerFor(context.config().machines);
 
         const char *streaming[] = {"519.lbm_r", "503.bwaves_r",
                                    "554.roms_r", "649.fotonik3d_s"};
@@ -99,11 +100,12 @@ main(int argc, char **argv)
     bench::banner("Table IX (d): prefetcher sensitivity "
                   "(memory-centric machine variants)");
 
-    core::AnalysisSession sensitivity_session =
-        bench::makeSession(opts, suites::memoryCentricMachines());
+    core::ServiceContext sensitivity_context(
+        bench::serviceConfig(opts, suites::memoryCentricMachines()));
     core::SensitivityReport report = core::classifySensitivity(
-        sensitivity_session.characterizer(), suites::spec2017(),
-        core::Metric::L2dMpki);
+        sensitivity_context.characterizerFor(
+            sensitivity_context.memoryMachines()),
+        suites::spec2017(), core::Metric::L2dMpki);
 
     for (core::SensitivityClass cls :
          {core::SensitivityClass::High,

@@ -3,10 +3,11 @@
  * Shared plumbing for the table/figure reproduction benches.
  *
  * Every bench binary regenerates one table or figure of the paper.
- * They share: command-line parsing for the simulation window, an
- * AnalysisSession (memoised Characterizer over the seven Table IV
- * machines, optionally backed by the persistent `--store` artifact
- * cache), and small printing conventions.
+ * They share: command-line parsing for the simulation window, the
+ * ServiceConfig a bench builds its core::ServiceContext from (the
+ * context pools a memoised Characterizer per machine set, optionally
+ * backed by the persistent `--store` artifact cache), and small
+ * printing conventions.
  *
  * With `--store DIR`, the first run of any bench populates the
  * directory and every later run of *any* bench or CLI command reusing
@@ -25,9 +26,9 @@
 #include <string>
 #include <vector>
 
-#include "core/analysis_session.h"
 #include "core/characterization.h"
 #include "core/option_parse.h"
+#include "core/service_context.h"
 #include "obs/export.h"
 #include "suites/machines.h"
 
@@ -171,26 +172,23 @@ parseOptions(int argc, char **argv)
     return opts;
 }
 
-/** Session over an explicit machine set. */
-inline core::AnalysisSession
-makeSession(const BenchOptions &opts,
-            std::vector<uarch::MachineConfig> machines)
+/**
+ * Service configuration from the parsed options; @p machines is the
+ * set the bench measures on (what its run manifest describes).
+ */
+inline core::ServiceConfig
+serviceConfig(const BenchOptions &opts,
+              std::vector<uarch::MachineConfig> machines =
+                  suites::profilingMachines())
 {
-    core::SessionConfig config;
+    core::ServiceConfig config;
     config.machines = std::move(machines);
     config.characterization.instructions = opts.instructions;
     config.characterization.warmup = opts.warmup;
     config.characterization.seed_salt = opts.seed_salt;
     config.characterization.jobs = opts.jobs;
     config.store_dir = opts.store_dir;
-    return core::AnalysisSession(std::move(config));
-}
-
-/** Session over the seven Table IV machines. */
-inline core::AnalysisSession
-makeSession(const BenchOptions &opts)
-{
-    return makeSession(opts, suites::profilingMachines());
+    return config;
 }
 
 /** Section banner. */

@@ -2,8 +2,8 @@
  * @file
  * Serve-daemon load test: M client threads fire a deterministic mix of
  * characterize / subset / sensitivity / stats queries at an in-process
- * server and the harness reports latency percentiles, store / LRU hit
- * rates and in-flight dedup savings.
+ * server and the harness reports latency percentiles, store and memo
+ * hit counts and in-flight dedup savings.
  *
  * Output conventions (the bench-suite contract):
  *  - stdout: deterministic facts only — the request mix, response-ok
@@ -147,11 +147,7 @@ main(int argc, char **argv)
     }
 
     serve::ServerConfig config;
-    config.service.characterization.instructions = opts.instructions;
-    config.service.characterization.warmup = opts.warmup;
-    config.service.characterization.seed_salt = opts.seed_salt;
-    config.service.characterization.jobs = opts.jobs;
-    config.service.store_dir = opts.store_dir;
+    config.service = bench::serviceConfig(opts);
 
     serve::Server server(config);
     std::string error;
@@ -242,13 +238,9 @@ main(int argc, char **argv)
 
     core::ServiceContext &context = *server.context();
     std::size_t simulations = context.simulationsRun();
-    std::size_t store_hits = 0, lru_hits = 0, dedup_shared = 0,
-                memo_hits = 0;
-    if (core::CampaignStore *store = context.store()) {
-        core::StoreCounters counters = store->counters();
-        store_hits = counters.hits;
-        lru_hits = counters.lru_hits;
-    }
+    std::size_t store_hits = 0, dedup_shared = 0, memo_hits = 0;
+    if (core::CampaignStore *store = context.store())
+        store_hits = store->counters().hits;
     if (obs::kMetricsEnabled) {
         obs::Snapshot snapshot = obs::Registry::global().snapshot();
         for (const auto &[name, value] : snapshot.counters) {
@@ -279,10 +271,9 @@ main(int argc, char **argv)
                                : 0.0,
                  wall_ms);
     std::fprintf(stderr,
-                 "reuse: simulations=%zu store_hits=%zu lru_hits=%zu "
-                 "memo_hits=%zu dedup_shared=%zu\n",
-                 simulations, store_hits, lru_hits, memo_hits,
-                 dedup_shared);
+                 "reuse: simulations=%zu store_hits=%zu memo_hits=%zu "
+                 "dedup_shared=%zu\n",
+                 simulations, store_hits, memo_hits, dedup_shared);
 
     if (!out_path.empty()) {
         std::ofstream file(out_path, std::ios::trunc);
@@ -304,7 +295,6 @@ main(int argc, char **argv)
              << "  \"wall_ms\": " << wall_ms << ",\n"
              << "  \"simulations\": " << simulations << ",\n"
              << "  \"store_hits\": " << store_hits << ",\n"
-             << "  \"lru_hits\": " << lru_hits << ",\n"
              << "  \"memo_hits\": " << memo_hits << ",\n"
              << "  \"dedup_shared\": " << dedup_shared << "\n"
              << "}\n";

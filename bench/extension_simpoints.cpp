@@ -36,11 +36,11 @@ main(int argc, char **argv)
     bench::banner("Extension: SimPoint-style phase reduction "
                   "(cluster phases, simulate representatives)");
 
-    // The session exists for its store wiring: the phased ground-truth
+    // The context exists for its store wiring: the phased ground-truth
     // runs and phase probes go through simpointEstimate rather than
     // the characterizer, but persist to the same store.
-    core::AnalysisSession session =
-        bench::makeSession(opts, {suites::skylakeMachine()});
+    core::ServiceContext context(
+        bench::serviceConfig(opts, {suites::skylakeMachine()}));
 
     const char *bases[] = {"502.gcc_r", "505.mcf_r", "538.imagick_r",
                            "554.roms_r"};
@@ -63,7 +63,7 @@ main(int argc, char **argv)
         config.warmup = opts.warmup;
         core::SimPointResult result = core::simpointEstimate(
             workload, suites::skylakeMachine(), config,
-            session.store());
+            context.store());
 
         // Naive baseline: extrapolate the heaviest phase alone.
         std::size_t heaviest = 0;
@@ -77,7 +77,7 @@ main(int argc, char **argv)
         // Same key as the simpointEstimate probe of the same phase, so
         // this is a store hit even on the cold run.
         double naive_cpi =
-            core::storedSimulate(session.store(),
+            core::storedSimulate(context.store(),
                                  workload.phases[heaviest].profile,
                                  suites::skylakeMachine(), probe)
                 .cpi();

@@ -24,8 +24,9 @@ int
 main(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::parseOptions(argc, argv);
-    core::AnalysisSession session = bench::makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(bench::serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
 
     bench::banner("Fig. 11: CPU2017 vs CPU2006 in the PC workload "
                   "space");

@@ -25,8 +25,9 @@ int
 main(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::parseOptions(argc, argv);
-    core::AnalysisSession session = bench::makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(bench::serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
 
     bench::banner("Fig. 12: power-characteristic PC space (3 Intel "
                   "machines, core/LLC/DRAM power)");

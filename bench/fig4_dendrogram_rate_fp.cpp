@@ -55,8 +55,9 @@ int
 main(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::parseOptions(argc, argv);
-    core::AnalysisSession session = bench::makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(bench::serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
 
     analyze(characterizer, suites::spec2017RateFp(),
             "Fig. 4: SPECrate FP dendrogram",

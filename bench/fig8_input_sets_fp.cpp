@@ -20,8 +20,9 @@ int
 main(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::parseOptions(argc, argv);
-    core::AnalysisSession session = bench::makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(bench::serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
 
     bench::banner("Fig. 8: similarity of CPU2017 FP benchmarks and "
                   "their input sets");

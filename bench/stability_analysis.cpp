@@ -29,15 +29,15 @@ main(int argc, char **argv)
                   "across-benchmark signal (SPECrate INT, Skylake, "
                   "5 seeds)");
 
-    // The session exists for its store wiring: the (benchmark, trial)
+    // The context exists for its store wiring: the (benchmark, trial)
     // re-measurements run through analyzeStability, not the
     // characterizer, but persist to (and replay from) the same store.
-    core::AnalysisSession session =
-        bench::makeSession(opts, {suites::skylakeMachine()});
+    core::ServiceContext context(
+        bench::serviceConfig(opts, {suites::skylakeMachine()}));
 
     core::StabilityReport report = core::analyzeStability(
         suites::spec2017RateInt(), suites::skylakeMachine(), 5,
-        opts.instructions, opts.warmup, opts.jobs, session.store());
+        opts.instructions, opts.warmup, opts.jobs, context.store());
 
     core::TextTable table({"Metric", "Noise (within)",
                            "Signal (across)", "SNR", "Informative?"});

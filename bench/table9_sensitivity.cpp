@@ -72,18 +72,20 @@ main(int argc, char **argv)
     bench::BenchOptions opts = bench::parseOptions(argc, argv);
 
     // Sensitivity uses the paper's four-machine subset.  One shared
-    // session: the three classifications reuse the same 43 x 4
+    // characterizer: the three classifications reuse the same 43 x 4
     // campaign instead of re-measuring it per metric.
-    core::AnalysisSession session =
-        bench::makeSession(opts, suites::sensitivityMachines());
+    core::ServiceContext context(
+        bench::serviceConfig(opts, suites::sensitivityMachines()));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.sensitivityMachines());
 
-    classify(session.characterizer(), core::Metric::BranchMpki,
+    classify(characterizer, core::Metric::BranchMpki,
              "Table IX (a): branch-prediction sensitivity",
              "603.bwaves_s, 503.bwaves_r");
-    classify(session.characterizer(), core::Metric::L1dMpki,
+    classify(characterizer, core::Metric::L1dMpki,
              "Table IX (b): L1 D-cache sensitivity",
              "549.fotonik3d_r, 649.fotonik3d_s");
-    classify(session.characterizer(), core::Metric::DtlbMpmi,
+    classify(characterizer, core::Metric::DtlbMpmi,
              "Table IX (c): L1 D-TLB sensitivity",
              "503.bwaves_r, 507.cactuBSSN_r, 557.xz_r, 511.povray_r, "
              "657.xz_s, 649.fotonik3d_s, 607.cactuBSSN_s");

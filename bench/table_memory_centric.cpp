@@ -33,8 +33,8 @@ main(int argc, char **argv)
     bench::banner("Memory-centric model: prefetchers, way prediction "
                   "and the DRAM row buffer");
 
-    core::AnalysisSession session =
-        bench::makeSession(opts, suites::memoryCentricMachines());
+    core::ServiceContext context(
+        bench::serviceConfig(opts, suites::memoryCentricMachines()));
 
     // Streaming vs pointer-chasing split of the ablation bench: the
     // classes the three prefetch engines are supposed to tell apart.
@@ -45,7 +45,7 @@ main(int argc, char **argv)
     };
 
     core::QueryOutcome outcome =
-        core::runMemoryQuery(session.context(), benchmarks);
+        core::runMemoryQuery(context, benchmarks);
     if (!outcome.ok) {
         std::fprintf(stderr, "%s\n", outcome.error.c_str());
         return 1;
@@ -54,7 +54,8 @@ main(int argc, char **argv)
 
     bench::banner("Campaign-aggregate prefetch accounting");
 
-    core::Characterizer &characterizer = session.characterizer();
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.memoryMachines());
     core::TextTable table({"Machine", "Pf fills", "Useful", "Evicted",
                            "Row hits", "DRAM acc", "BW util"});
     for (std::size_t m = 0; m < characterizer.machines().size(); ++m) {

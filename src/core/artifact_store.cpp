@@ -39,11 +39,8 @@ struct StoreInstruments
     obs::Counter &bytes_read;
     obs::Counter &bytes_written;
     obs::Counter &orphaned_swept;
-    obs::Counter &lru_hits;
-    obs::Counter &lru_evictions;
     obs::Timing &load_time;
     obs::Timing &save_time;
-    obs::Timing &shard_wait;
 
     static const StoreInstruments &
     get()
@@ -57,11 +54,8 @@ struct StoreInstruments
             registry.counter("core.store.bytes_read"),
             registry.counter("core.store.bytes_written"),
             registry.counter("core.store.orphaned_temp_swept"),
-            registry.counter("core.store.lru.hits"),
-            registry.counter("core.store.lru.evictions"),
             registry.timing("core.store.load"),
             registry.timing("core.store.save"),
-            registry.timing("core.store.shard.wait"),
         };
         return instruments;
     }
@@ -632,9 +626,8 @@ storeStatusName(StoreStatus status)
     return "unknown";
 }
 
-CampaignStore::CampaignStore(std::string directory,
-                             std::size_t lru_capacity)
-    : directory_(std::move(directory)), lru_capacity_(lru_capacity)
+CampaignStore::CampaignStore(std::string directory)
+    : directory_(std::move(directory))
 {
     // Best effort: a directory that cannot be created degrades the
     // store to misses + failed saves rather than aborting the run.
@@ -695,179 +688,33 @@ CampaignStore::entryPath(const StoreKey &key) const
            fingerprintHex(key.fingerprint) + kStoreEntrySuffix;
 }
 
-std::unique_lock<std::mutex>
-CampaignStore::lockShard(const Shard &shard) const
-{
-    if (obs::kMetricsEnabled) {
-        std::unique_lock<std::mutex> lock(shard.mutex,
-                                          std::try_to_lock);
-        if (lock.owns_lock()) {
-            StoreInstruments::get().shard_wait.record(0);
-            return lock;
-        }
-        const std::uint64_t start = obs::nowNs();
-        lock.lock();
-        StoreInstruments::get().shard_wait.record(obs::nowNs() - start);
-        return lock;
-    }
-    return std::unique_lock<std::mutex>(shard.mutex);
-}
-
-bool
-CampaignStore::lruLookup(Shard &shard, const StoreKey &key,
-                         uarch::SimulationResult &out)
-{
-    if (lru_capacity_ == 0)
-        return false;
-
-    std::string path;
-    std::uint64_t cached_bytes = 0;
-    {
-        std::unique_lock<std::mutex> lock = lockShard(shard);
-        auto it = shard.index.find(key.fingerprint);
-        if (it == shard.index.end())
-            return false;
-        path = it->second->path;
-        cached_bytes = it->second->file_bytes;
-    }
-
-    // Revalidate with one stat: a rewritten entry (different size) or
-    // a vanished file drops the cached value and falls back to a full
-    // defensive disk load.
-    std::error_code ec;
-    std::uint64_t on_disk = fs::file_size(path, ec);
-    std::unique_lock<std::mutex> lock = lockShard(shard);
-    auto it = shard.index.find(key.fingerprint);
-    if (it == shard.index.end())
-        return false;
-    if (ec || on_disk != cached_bytes) {
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
-        lru_size_.fetch_sub(1, std::memory_order_relaxed);
-        return false;
-    }
-    // Refresh recency.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    out = it->second->result;
-    lru_hits_.fetch_add(1, std::memory_order_relaxed);
-    StoreInstruments::get().lru_hits.add();
-    return true;
-}
-
-void
-CampaignStore::lruInsert(Shard &shard, std::uint64_t fingerprint,
-                         const uarch::SimulationResult &result,
-                         const std::string &path,
-                         std::uint64_t file_bytes)
-{
-    if (lru_capacity_ == 0)
-        return;
-    const std::size_t per_shard =
-        std::max<std::size_t>(1, lru_capacity_ / kStoreShardCount);
-
-    std::unique_lock<std::mutex> lock = lockShard(shard);
-    auto it = shard.index.find(fingerprint);
-    if (it != shard.index.end()) {
-        it->second->result = result;
-        it->second->path = path;
-        it->second->file_bytes = file_bytes;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return;
-    }
-    shard.lru.push_front(
-        Shard::CachedResult{fingerprint, result, path, file_bytes});
-    shard.index.emplace(fingerprint, shard.lru.begin());
-    lru_size_.fetch_add(1, std::memory_order_relaxed);
-    while (shard.lru.size() > per_shard) {
-        shard.index.erase(shard.lru.back().fingerprint);
-        shard.lru.pop_back();
-        lru_size_.fetch_sub(1, std::memory_order_relaxed);
-        lru_evictions_.fetch_add(1, std::memory_order_relaxed);
-        StoreInstruments::get().lru_evictions.add();
-    }
-}
-
-void
-CampaignStore::lruErase(std::uint64_t fingerprint)
-{
-    if (lru_capacity_ == 0)
-        return;
-    Shard &shard = shards_[storeShardIndex(fingerprint)];
-    std::unique_lock<std::mutex> lock = lockShard(shard);
-    auto it = shard.index.find(fingerprint);
-    if (it == shard.index.end())
-        return;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    lru_size_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void
-CampaignStore::lruClear()
-{
-    for (Shard &shard : shards_) {
-        std::unique_lock<std::mutex> lock = lockShard(shard);
-        lru_size_.fetch_sub(shard.lru.size(),
-                            std::memory_order_relaxed);
-        shard.lru.clear();
-        shard.index.clear();
-    }
-}
-
-std::size_t
-CampaignStore::lruSize() const
-{
-    return lru_size_.load(std::memory_order_relaxed);
-}
-
 StoreStatus
 CampaignStore::load(const StoreKey &key, uarch::SimulationResult &out)
 {
-    obs::Span span(StoreInstruments::get().load_time);
-    Shard &shard = shards_[storeShardIndex(key.fingerprint)];
-    if (lruLookup(shard, key, out)) {
-        recordLoad(StoreStatus::Hit);
-        return StoreStatus::Hit;
-    }
-
-    std::string bytes;
-    const std::string path = entryPath(key);
-    StoreStatus status;
-    if (!readFile(path, bytes)) {
-        status = StoreStatus::Miss;
-    } else {
-        StoreInstruments::get().bytes_read.add(bytes.size());
-        status = verifyEntry(bytes, key.fingerprint, &out, nullptr,
-                             nullptr);
-    }
-    if (status == StoreStatus::Hit)
-        lruInsert(shard, key.fingerprint, out, path, bytes.size());
-    recordLoad(status);
-    return status;
+    return loadEntry(key, &out, nullptr);
 }
 
 StoreStatus
 CampaignStore::loadPhased(const StoreKey &key,
                           uarch::PhasedSimulationResult &out)
 {
-    obs::Span span(StoreInstruments::get().load_time);
-    std::string bytes;
-    StoreStatus status;
-    if (!readFile(entryPath(key), bytes)) {
-        status = StoreStatus::Miss;
-    } else {
-        StoreInstruments::get().bytes_read.add(bytes.size());
-        status = verifyEntry(bytes, key.fingerprint, nullptr, &out,
-                             nullptr);
-    }
-    recordLoad(status);
-    return status;
+    return loadEntry(key, nullptr, &out);
 }
 
-void
-CampaignStore::recordLoad(StoreStatus status)
+StoreStatus
+CampaignStore::loadEntry(const StoreKey &key,
+                         uarch::SimulationResult *pair,
+                         uarch::PhasedSimulationResult *phased)
 {
     const StoreInstruments &instruments = StoreInstruments::get();
+    obs::Span span(instruments.load_time);
+    std::string bytes;
+    StoreStatus status = StoreStatus::Miss;
+    if (readFile(entryPath(key), bytes)) {
+        instruments.bytes_read.add(bytes.size());
+        status = verifyEntry(bytes, key.fingerprint, pair, phased,
+                             nullptr);
+    }
     switch (status) {
       case StoreStatus::Hit:
           hits_.fetch_add(1, std::memory_order_relaxed);
@@ -890,6 +737,7 @@ CampaignStore::recordLoad(StoreStatus status)
           instruments.rejected.add();
           break;
     }
+    return status;
 }
 
 void
@@ -902,9 +750,6 @@ bool
 CampaignStore::save(const StoreKey &key,
                     const uarch::SimulationResult &result)
 {
-    // The cached copy (if any) predates this write; drop it so the
-    // next load re-verifies the fresh bytes.
-    lruErase(key.fingerprint);
     return writeEntry(serializeEntry(key, result), entryPath(key));
 }
 
@@ -912,7 +757,6 @@ bool
 CampaignStore::savePhased(const StoreKey &key,
                           const uarch::PhasedSimulationResult &result)
 {
-    lruErase(key.fingerprint);
     return writeEntry(serializePhasedEntry(key, result), entryPath(key));
 }
 
@@ -964,8 +808,6 @@ CampaignStore::counters() const
     out.saves = saves_.load(std::memory_order_relaxed);
     out.computed = computed_.load(std::memory_order_relaxed);
     out.orphaned_temp = orphaned_temp_.load(std::memory_order_relaxed);
-    out.lru_hits = lru_hits_.load(std::memory_order_relaxed);
-    out.lru_evictions = lru_evictions_.load(std::memory_order_relaxed);
     return out;
 }
 
@@ -1034,7 +876,6 @@ CampaignStore::scan() const
 std::size_t
 CampaignStore::invalidate()
 {
-    lruClear();
     std::size_t removed = 0;
     for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
         std::error_code ec;
@@ -1051,7 +892,6 @@ CampaignStore::invalidate()
 std::size_t
 CampaignStore::invalidateStale()
 {
-    lruClear();
     std::size_t removed = 0;
     for (const StoreEntryInfo &info : scan()) {
         if (info.status == StoreStatus::Hit)

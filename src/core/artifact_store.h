@@ -46,40 +46,31 @@
  *
  * Directory layout: entries live in kStoreShardCount shard
  * subdirectories keyed by the top nibble(s) of the fingerprint —
- * `<store>/shard-<hex>/<16-hex>.slart`.  Each shard has its own mutex
- * and its own bounded LRU of deserialized pair results, so concurrent
- * requests against a shared store handle (the `speclens serve` daemon)
- * only contend when they touch the same shard.  Only shards are read:
- * a root-level `*.slart` left by a store written before sharding is
- * not an entry, and its pair recomputes into its shard.  The SL025
- * lint rule audits the layout (a misfiled entry is an error).
+ * `<store>/shard-<hex>/<16-hex>.slart`.  Shards are a directory layout
+ * only (they keep any one directory small); no lock or cache hangs off
+ * them.  Only shards are read: a root-level `*.slart` left by a store
+ * written before sharding is not an entry, and its pair recomputes
+ * into its shard.  The SL025 lint rule audits the layout (a misfiled
+ * entry is an error).
+ *
+ * The store holds no results in memory: every load() reads and
+ * verifies the entry's bytes, so a rewritten or truncated file is
+ * seen on the next load.  The in-process result cache is the
+ * Characterizer's memo, which sits in front of the store.
  *
  * Thread safety: load/save/counters may be called concurrently (the
- * Characterizer's workers do).  Distinct keys touch distinct files;
- * concurrent saves of the same key write identical bytes through
- * unique temp files and an atomic rename, so the last rename wins and
- * every reader sees a complete entry.  I/O counters are lock-free
- * atomics; only the per-shard LRU takes a (sharded) lock, whose wait
- * time is exported as the `core.store.shard.wait` timing.
- *
- * LRU trust model: the cache holds only results this handle itself
- * verified from disk (never unverified saves), and every cache hit
- * revalidates the entry file's size with one stat — a truncated or
- * resized file drops the cached value and re-reads disk.  A same-size
- * external rewrite between two loads on one long-lived handle is the
- * one tamper the cache cannot see; reopening the store (what any other
- * process does) always re-verifies the bytes.
+ * Characterizer's workers do) and take no lock.  Distinct keys touch
+ * distinct files; concurrent saves of the same key write identical
+ * bytes through unique temp files and an atomic rename, so the last
+ * rename wins and every reader sees a complete entry.  I/O counters
+ * are lock-free atomics.
  */
 
 #ifndef SPECLENS_CORE_ARTIFACT_STORE_H
 #define SPECLENS_CORE_ARTIFACT_STORE_H
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -101,17 +92,14 @@ constexpr std::uint64_t kStoreEngineVersion = 2;
 constexpr const char *kStoreEntrySuffix = ".slart";
 
 /**
- * Number of shard subdirectories (and independent locks/LRUs).  A
- * power of two so the shard index is the fingerprint's top nibble;
- * part of the on-disk layout contract SL025 lints.
+ * Number of shard subdirectories.  A power of two so the shard index
+ * is the fingerprint's top nibble; part of the on-disk layout contract
+ * SL025 lints.
  */
 constexpr std::size_t kStoreShardCount = 16;
 
 /** Shard subdirectory prefix: `shard-<hex digit>`. */
 constexpr const char *kStoreShardPrefix = "shard-";
-
-/** Default total capacity of the in-memory result LRU (all shards). */
-constexpr std::size_t kStoreDefaultLruCapacity = 256;
 
 /** Shard index of a fingerprint: its top nibble. */
 constexpr std::size_t
@@ -208,13 +196,11 @@ struct StoreCounters
     std::size_t orphaned_temp = 0;
 
     /**
-     * Hits served from the in-memory LRU without re-reading and
-     * re-deserializing the entry file (a subset of `hits`).
+     * Always zero: the store keeps no in-memory results, so every hit
+     * reads its entry file.  Kept only because the benchmark harness
+     * (perfbench/harness/main.cpp) still reports it.
      */
     std::size_t lru_hits = 0;
-
-    /** Cached results dropped to keep the LRU within capacity. */
-    std::size_t lru_evictions = 0;
 };
 
 /** Verified description of one on-disk entry (see CampaignStore::scan). */
@@ -265,14 +251,8 @@ struct StoreEntryInfo
 class CampaignStore
 {
   public:
-    /**
-     * Open (creating if necessary) the store at @p directory.
-     * @p lru_capacity bounds the total in-memory result cache across
-     * all shards (0 disables caching).
-     */
-    explicit CampaignStore(std::string directory,
-                           std::size_t lru_capacity =
-                               kStoreDefaultLruCapacity);
+    /** Open (creating if necessary) the store at @p directory. */
+    explicit CampaignStore(std::string directory);
 
     CampaignStore(const CampaignStore &) = delete;
     CampaignStore &operator=(const CampaignStore &) = delete;
@@ -284,12 +264,6 @@ class CampaignStore
 
     /** Absolute path of shard @p shard's subdirectory. */
     std::string shardPath(std::size_t shard) const;
-
-    /** Total in-memory LRU capacity across all shards. */
-    std::size_t lruCapacity() const { return lru_capacity_; }
-
-    /** Results currently held by the in-memory LRU (all shards). */
-    std::size_t lruSize() const;
 
     /**
      * Load the entry for @p key into @p out.  Returns Hit on success;
@@ -347,64 +321,24 @@ class CampaignStore
     std::string entryPath(const StoreKey &key) const;
 
   private:
-    /** One shard: its own lock and its slice of the result LRU. */
-    struct Shard
-    {
-        /** Most-recently-used first. */
-        struct CachedResult
-        {
-            std::uint64_t fingerprint = 0;
-            uarch::SimulationResult result;
-            std::string path;            //!< File the bytes came from.
-            std::uint64_t file_bytes = 0; //!< Size at verification time.
-        };
-
-        mutable std::mutex mutex;
-        std::list<CachedResult> lru;
-        std::map<std::uint64_t, std::list<CachedResult>::iterator> index;
-    };
-
     /**
      * Remove temp files a crashed writer left behind (constructor).
      * Returns the number removed.
      */
     std::size_t sweepOrphanedTempFiles();
 
-    /** Tally one load outcome. */
-    void recordLoad(StoreStatus status);
+    /**
+     * Read and verify @p key's entry into whichever of @p pair /
+     * @p phased is non-null, and tally the outcome.
+     */
+    StoreStatus loadEntry(const StoreKey &key,
+                          uarch::SimulationResult *pair,
+                          uarch::PhasedSimulationResult *phased);
 
     /** Temp-file + atomic-rename write of one serialized entry. */
     bool writeEntry(const std::string &bytes, const std::string &path);
 
-    /**
-     * Acquire @p shard's mutex, recording the contended wait time into
-     * the `core.store.shard.wait` timing (0 when uncontended).
-     */
-    std::unique_lock<std::mutex> lockShard(const Shard &shard) const;
-
-    /**
-     * Serve @p key from the shard LRU if present and the backing file
-     * still has the size recorded at verification time.
-     */
-    bool lruLookup(Shard &shard, const StoreKey &key,
-                   uarch::SimulationResult &out);
-
-    /** Cache a disk-verified result; evicts past capacity. */
-    void lruInsert(Shard &shard, std::uint64_t fingerprint,
-                   const uarch::SimulationResult &result,
-                   const std::string &path, std::uint64_t file_bytes);
-
-    /** Drop @p fingerprint from its shard's LRU (entry rewritten). */
-    void lruErase(std::uint64_t fingerprint);
-
-    /** Drop every cached result (invalidate paths). */
-    void lruClear();
-
     std::string directory_;
-    std::size_t lru_capacity_;
-
-    mutable std::array<Shard, kStoreShardCount> shards_;
-    std::atomic<std::size_t> lru_size_{0};
 
     // Lock-free I/O counters (materialized by counters()).
     std::atomic<std::size_t> hits_{0};
@@ -415,8 +349,6 @@ class CampaignStore
     std::atomic<std::size_t> saves_{0};
     std::atomic<std::size_t> computed_{0};
     std::atomic<std::size_t> orphaned_temp_{0};
-    std::atomic<std::size_t> lru_hits_{0};
-    std::atomic<std::size_t> lru_evictions_{0};
 };
 
 /**

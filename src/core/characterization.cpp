@@ -90,25 +90,22 @@ Characterizer::obtainResult(const suites::BenchmarkInfo &benchmark,
 {
     static obs::Counter &simulations =
         obs::Registry::global().counter("core.characterize.simulations");
+    StoreKey key;
     if (store_) {
-        StoreKey key = storeKey(benchmark, machine_index);
+        key = storeKey(benchmark, machine_index);
         uarch::SimulationResult loaded;
         if (store_->load(key, loaded) == StoreStatus::Hit)
             return loaded;
-        // Miss, or a defensive rejection (corrupt / stale / mismatched
-        // entry): recompute and overwrite with a fresh entry.
-        uarch::SimulationResult result =
-            runSimulation(benchmark, machine_index);
-        simulations_run_.fetch_add(1, std::memory_order_relaxed);
-        simulations.add();
-        store_->recordComputed();
-        store_->save(key, result);
-        return result;
     }
-    uarch::SimulationResult result =
-        runSimulation(benchmark, machine_index);
+    // No store, a miss, or a defensive rejection (corrupt / stale /
+    // mismatched entry): simulate, and overwrite with a fresh entry.
+    uarch::SimulationResult result = runSimulation(benchmark, machine_index);
     simulations_run_.fetch_add(1, std::memory_order_relaxed);
     simulations.add();
+    if (store_) {
+        store_->recordComputed();
+        store_->save(key, result);
+    }
     return result;
 }
 

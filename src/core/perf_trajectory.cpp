@@ -11,8 +11,8 @@
 #include <sstream>
 #include <vector>
 
-#include "core/analysis_session.h"
 #include "core/characterization.h"
+#include "core/service_context.h"
 #include "stats/distance.h"
 #include "stats/fingerprint.h"
 #include "stats/pca.h"
@@ -186,23 +186,25 @@ runTrajectory(const TrajectoryConfig &config)
     // -- Stage 3: artifact-store reuse proof (optional). --
     if (!config.store_dir.empty()) {
         out.store_checked = true;
-        SessionConfig scfg;
+        ServiceConfig scfg;
         scfg.machines = machines;
         scfg.characterization = ccfg;
         scfg.store_dir = config.store_dir;
 
         {
-            AnalysisSession cold(scfg);
+            ServiceContext cold(scfg);
             t0 = Clock::now();
-            cold.characterizer().prepare(benchmarks, /*jobs=*/1);
+            cold.characterizerFor(machines).prepare(benchmarks,
+                                                    /*jobs=*/1);
             out.store_cold_seconds = secondsSince(t0);
         }
 
-        AnalysisSession warm(scfg);
+        ServiceContext warm_context(scfg);
+        Characterizer &warm = warm_context.characterizerFor(machines);
         t0 = Clock::now();
-        warm.characterizer().prepare(benchmarks, /*jobs=*/1);
+        warm.prepare(benchmarks, /*jobs=*/1);
         out.store_warm_seconds = secondsSince(t0);
-        out.warm_simulations_run = warm.characterizer().simulationsRun();
+        out.warm_simulations_run = warm.simulationsRun();
 
         std::size_t pairs = benchmarks.size() * machines.size();
         if (pairs > 0)
@@ -213,7 +215,7 @@ runTrajectory(const TrajectoryConfig &config)
         out.warm_bit_identical = true;
         for (const suites::BenchmarkInfo &b : benchmarks)
             for (std::size_t m = 0; m < machines.size(); ++m)
-                if (!uarch::bitIdentical(warm.characterizer().simulation(b, m),
+                if (!uarch::bitIdentical(warm.simulation(b, m),
                                          fused.simulation(b, m)))
                     out.warm_bit_identical = false;
     }

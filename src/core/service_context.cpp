@@ -52,16 +52,20 @@ ServiceContext::ServiceContext(ServiceConfig config)
     indexSuite(cpu2006_);
     indexSuite(emerging_);
 
-    // Until a Characterizer is pooled the fingerprint covers the
-    // profiling set; the first characterizerFor() repins it to the
-    // actual campaign machines (for a batch session: identical to the
-    // pre-split AnalysisSession computation).
-    fingerprintConfig(profiling_machines_);
+    // Anything that changes what a campaign measures must change this,
+    // so manifests from different configurations never look comparable.
+    // The tag keeps its old name so existing manifests stay comparable.
+    stats::Fingerprinter fp;
+    fp.tag("speclens.session");
+    fp.u64(kStoreEngineVersion);
+    config_.characterization.hashInto(fp);
+    fp.u64(config_.machines.size());
+    for (const uarch::MachineConfig &machine : config_.machines)
+        machine.hashInto(fp);
+    config_fingerprint_ = hex16(fp.value());
 
-    if (!config_.store_dir.empty()) {
-        store_ = std::make_shared<CampaignStore>(
-            config_.store_dir, config_.store_lru_capacity);
-    }
+    if (!config_.store_dir.empty())
+        store_ = std::make_shared<CampaignStore>(config_.store_dir);
 }
 
 ServiceContext::~ServiceContext()
@@ -76,9 +80,7 @@ ServiceContext::~ServiceContext()
     manifest.config_fingerprint = configFingerprint();
     manifest.run = {
         {"store_dir", store_->directory()},
-        {"machines", std::to_string(primary_machine_count_ != 0
-                                        ? primary_machine_count_
-                                        : profiling_machines_.size())},
+        {"machines", std::to_string(config_.machines.size())},
         {"metrics", obs::kMetricsEnabled ? "on" : "off"},
     };
     manifest.totals = {
@@ -123,23 +125,6 @@ ServiceContext::machineSetFingerprint(
     return fp.value();
 }
 
-void
-ServiceContext::fingerprintConfig(
-    const std::vector<uarch::MachineConfig> &machines)
-{
-    // Identical tag/order to the pre-split AnalysisSession: anything
-    // that changes what a campaign measures must change this, so
-    // manifests from different configurations never look comparable.
-    stats::Fingerprinter fp;
-    fp.tag("speclens.session");
-    fp.u64(kStoreEngineVersion);
-    config_.characterization.hashInto(fp);
-    fp.u64(machines.size());
-    for (const uarch::MachineConfig &machine : machines)
-        machine.hashInto(fp);
-    config_fingerprint_ = hex16(fp.value());
-}
-
 Characterizer &
 ServiceContext::characterizerFor(
     const std::vector<uarch::MachineConfig> &machines)
@@ -160,26 +145,8 @@ ServiceContext::characterizerFor(
             resolveJobCount(config_.characterization.jobs));
     }
     characterizer->setWorkerPool(pool_.get());
-
-    if (characterizers_.empty()) {
-        // First pooled set = the primary campaign: pin the manifest
-        // fingerprint to it (batch-compat, see header).
-        primary_machine_count_ = machines.size();
-        fingerprintConfig(machines);
-    }
     return *characterizers_.emplace(key, std::move(characterizer))
                 .first->second;
-}
-
-ThreadPool &
-ServiceContext::workerPool()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!pool_) {
-        pool_ = std::make_unique<ThreadPool>(
-            resolveJobCount(config_.characterization.jobs));
-    }
-    return *pool_;
 }
 
 std::size_t
@@ -189,6 +156,16 @@ ServiceContext::simulationsRun() const
     std::size_t total = 0;
     for (const auto &entry : characterizers_)
         total += entry.second->simulationsRun();
+    return total;
+}
+
+std::size_t
+ServiceContext::cachedMeasurements() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t total = 0;
+    for (const auto &entry : characterizers_)
+        total += entry.second->cachedMeasurements();
     return total;
 }
 
@@ -209,12 +186,6 @@ ServiceContext::summary() const
            " simulations=" + std::to_string(c.computed) +
            " saves=" + std::to_string(c.saves) +
            " rejected=" + std::to_string(rejected);
-}
-
-const std::string &
-ServiceContext::configFingerprint() const
-{
-    return config_fingerprint_;
 }
 
 } // namespace core

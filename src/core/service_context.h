@@ -3,34 +3,36 @@
  * Process-lifetime analysis service state: immutable model registry,
  * shared artifact store, shared worker pool, Characterizer pool.
  *
- * The batch CLI rebuilt every workload and machine model, reopened the
- * store and re-derived the campaign fingerprint on each invocation.  A
- * long-running server answering many queries needs the opposite
- * ownership split:
+ * One ServiceContext serves a whole process — a batch CLI command or
+ * bench binary, or every request of the `speclens serve` daemon.  It
+ * snapshots the shipped benchmark suites and machine sets into an
+ * immutable registry, opens the CampaignStore once, owns one bounded
+ * ThreadPool, and pools Characterizers keyed by machine set so every
+ * request against the same machines shares one memo cache and one
+ * in-flight dedup map.
  *
- *  - ServiceContext (this class) is built once per process.  It snap-
- *    shots the shipped benchmark suites and machine sets into an
- *    immutable registry, opens the (sharded) CampaignStore once, owns
- *    one bounded ThreadPool, and pools Characterizers keyed by machine
- *    set so every request against the same machines shares one memo
- *    cache and one in-flight dedup map.
+ * The Characterizer memo is the process's one in-memory result cache
+ * (the store keeps none).  For the daemon its key space is closed:
+ * the query ops (query_ops.h) name benchmarks through findBenchmark()
+ * and measure on the context's fixed sets (7 profiling, 4 sensitivity,
+ * 4 memory-centric machines), all at the context's one window.  It
+ * therefore holds at most (|CPU2017| + |CPU2006| + |emerging|) x 15
+ * results and needs no eviction.
  *
- *  - AnalysisSession (analysis_session.h) is per request: a cheap
- *    borrow of a context plus the machine set the request runs on.
- *    Constructing one allocates nothing but a shared_ptr copy.
- *
- * The context keeps the batch contract on destruction: when a store is
- * attached it prints the `[speclens-store] ...` reuse summary to
- * stderr and writes the run manifest (atomic temp+rename) into the
- * store directory.  The configuration fingerprint is computed exactly
- * as the pre-split AnalysisSession did — over the window and the
- * *primary* (first-pooled) machine set — so warm/cold manifests of a
- * batch run stay comparable across the refactor.
+ * On destruction, when a store is attached, the context prints the
+ * one-line `[speclens-store] ...` reuse summary to *stderr* (never
+ * stdout — warm and cold runs must stay byte-identical on stdout; the
+ * summary includes `simulations=N` and CI asserts `simulations=0` on a
+ * warm run) and writes the run manifest (`run-manifest.json`,
+ * obs/manifest.h, atomic temp+rename) into the store directory.  The
+ * manifest's configuration fingerprint covers the window and
+ * ServiceConfig::machines, fixed at construction, so it does not
+ * depend on which query a daemon answers first.
  *
  * Thread safety: the registry is immutable after construction;
- * characterizerFor() and workerPool() are guarded by one mutex (the
- * returned references stay valid for the context's lifetime); the
- * store and Characterizers are internally thread-safe.
+ * characterizerFor() is guarded by one mutex (the returned references
+ * stay valid for the context's lifetime); the store and Characterizers
+ * are internally thread-safe.
  */
 
 #ifndef SPECLENS_CORE_SERVICE_CONTEXT_H
@@ -47,6 +49,7 @@
 #include "core/characterization.h"
 #include "core/parallel.h"
 #include "suites/benchmark_info.h"
+#include "suites/machines.h"
 #include "uarch/machine.h"
 
 namespace speclens {
@@ -55,6 +58,15 @@ namespace core {
 /** Everything a ServiceContext is built from. */
 struct ServiceConfig
 {
+    /**
+     * The machine set the run is about: what the manifest's
+     * configuration fingerprint and machine count describe.  A batch
+     * entry point names the set its campaign measures on; queries over
+     * other sets still work through characterizerFor().
+     */
+    std::vector<uarch::MachineConfig> machines =
+        suites::profilingMachines();
+
     /** Simulation window parameters (including seed_salt and jobs). */
     CharacterizationConfig characterization;
 
@@ -63,9 +75,6 @@ struct ServiceConfig
      * no summary, no manifest).
      */
     std::string store_dir;
-
-    /** Total in-memory result-LRU capacity of the store. */
-    std::size_t store_lru_capacity = kStoreDefaultLruCapacity;
 };
 
 /** Process-lifetime shared analysis state (see file comment). */
@@ -145,20 +154,17 @@ class ServiceContext
     /** The attached store; null when persistence is disabled. */
     CampaignStore *store() const { return store_.get(); }
 
-    /** True when results persist across processes. */
-    bool persistent() const { return store_ != nullptr; }
-
-    /**
-     * The shared bounded worker pool (config jobs, 0 = one per
-     * hardware thread), created on first use.
-     */
-    ThreadPool &workerPool();
-
     /**
      * Simulations executed across every pooled Characterizer — the
      * figure a warm-store acceptance check expects to be zero.
      */
     std::size_t simulationsRun() const;
+
+    /**
+     * Results memoised across every pooled Characterizer: one per
+     * distinct (benchmark, machine) pair measured so far.
+     */
+    std::size_t cachedMeasurements() const;
 
     /**
      * One-line machine-parseable reuse summary, e.g.
@@ -171,21 +177,19 @@ class ServiceContext
 
     /**
      * 16-hex fingerprint over everything that determines this
-     * context's results: engine version, simulation window and the
-     * primary machine set (the first one pooled; the profiling set
-     * until a Characterizer exists).  Recorded in the run manifest so
-     * warm and cold runs of the same configuration are diffable.
+     * context's results: engine version, simulation window and
+     * ServiceConfig::machines.  Recorded in the run manifest so warm
+     * and cold runs of the same configuration are diffable.
      */
-    const std::string &configFingerprint() const;
+    const std::string &configFingerprint() const
+    {
+        return config_fingerprint_;
+    }
 
   private:
     /** Fingerprint of one machine set (Characterizer pool key). */
     static std::uint64_t
     machineSetFingerprint(const std::vector<uarch::MachineConfig> &machines);
-
-    /** Recompute config_fingerprint_ over @p machines. */
-    void fingerprintConfig(
-        const std::vector<uarch::MachineConfig> &machines);
 
     ServiceConfig config_;
 
@@ -204,8 +208,6 @@ class ServiceContext
     std::unique_ptr<ThreadPool> pool_;
     std::map<std::uint64_t, std::unique_ptr<Characterizer>>
         characterizers_;
-    /** Machine count of the primary (first-pooled) set, for the manifest. */
-    std::size_t primary_machine_count_ = 0;
     std::string config_fingerprint_;
 };
 

@@ -23,8 +23,8 @@
  *     "metrics": { "counters": ..., "gauges": ..., "timings": ... }
  *   }
  *
- * The writer lives in obs so it stays dependency-free; the session
- * layer (core/analysis_session.cpp) fills the fields and writes the
+ * The writer lives in obs so it stays dependency-free; the core
+ * layer (core/service_context.cpp) fills the fields and writes the
  * file next to the store as kManifestFileName.
  */
 

@@ -172,15 +172,9 @@ Server::dispatch(const Request &request)
             " dropped=" +
             std::to_string(dropped_.load(std::memory_order_relaxed)) +
             "\n" + context.summary() + "\nsimulations=" +
-            std::to_string(context.simulationsRun()) + "\n";
-        if (core::CampaignStore *store = context.store()) {
-            core::StoreCounters c = store->counters();
-            outcome.output +=
-                "lru: size=" + std::to_string(store->lruSize()) +
-                " capacity=" + std::to_string(store->lruCapacity()) +
-                " hits=" + std::to_string(c.lru_hits) +
-                " evictions=" + std::to_string(c.lru_evictions) + "\n";
-        }
+            std::to_string(context.simulationsRun()) +
+            "\nmemo: entries=" +
+            std::to_string(context.cachedMeasurements()) + "\n";
         break;
     }
     case Op::Shutdown:

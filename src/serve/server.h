@@ -6,11 +6,11 @@
  * Architecture: one blocking accept loop, one detached-by-join thread
  * per connection, all requests dispatched against a single shared
  * ServiceContext — so every query shares the immutable model registry,
- * the sharded artifact store (with its result LRU), the worker pool
- * and the per-machine-set Characterizers.  Two concurrent requests
- * that need the same (benchmark, machine) cell share one simulation
- * through the Characterizer's in-flight dedup map; a warm store makes
- * a query run zero simulations.
+ * the artifact store, the worker pool and the per-machine-set
+ * Characterizers, whose memo is the one in-memory result cache.  Two
+ * concurrent requests that need the same (benchmark, machine) cell
+ * share one simulation through the Characterizer's in-flight dedup
+ * map; a warm store makes a query run zero simulations.
  *
  * Graceful drain: requestDrain() is async-signal-safe (an atomic flag
  * plus shutdown() on the listening socket — both fine in a SIGTERM
@@ -50,7 +50,7 @@ struct ServerConfig
     /** TCP port; 0 picks an ephemeral port (see Server::port()). */
     std::uint16_t port = 0;
 
-    /** Shared analysis state (store dir, window, jobs, LRU size). */
+    /** Shared analysis state (machines, window, jobs, store dir). */
     core::ServiceConfig service;
 
     /** Per-frame size limit, both directions. */

@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "core/analysis_session.h"
 #include "core/artifact_store.h"
 #include "core/characterization.h"
+#include "core/service_context.h"
 #include "obs/export.h"
 #include "obs/manifest.h"
 #include "suites/emerging.h"
@@ -462,8 +462,7 @@ TEST(CampaignStore, PhasedRoundTripAndKindMismatch)
 TEST(CampaignStore, WarmCampaignRunsZeroSimulations)
 {
     const std::string dir = storeDir("warm");
-    core::SessionConfig config;
-    config.machines = suites::profilingMachines();
+    core::ServiceConfig config;
     config.characterization.instructions = 2'000;
     config.characterization.warmup = 500;
     config.store_dir = dir;
@@ -471,16 +470,20 @@ TEST(CampaignStore, WarmCampaignRunsZeroSimulations)
         suites::spec2017RateInt();
 
     {
-        core::AnalysisSession cold(config);
-        cold.characterizer().prepare(benchmarks);
-        EXPECT_GT(cold.characterizer().simulationsRun(), 0u);
+        core::ServiceContext cold(config);
+        core::Characterizer &characterizer =
+            cold.characterizerFor(cold.profilingMachines());
+        characterizer.prepare(benchmarks);
+        EXPECT_GT(characterizer.simulationsRun(), 0u);
         EXPECT_EQ(cold.store()->counters().computed,
-                  cold.characterizer().simulationsRun());
+                  characterizer.simulationsRun());
     }
 
-    core::AnalysisSession warm(config);
-    warm.characterizer().prepare(benchmarks);
-    EXPECT_EQ(warm.characterizer().simulationsRun(), 0u);
+    core::ServiceContext warm(config);
+    core::Characterizer &characterizer =
+        warm.characterizerFor(warm.profilingMachines());
+    characterizer.prepare(benchmarks);
+    EXPECT_EQ(characterizer.simulationsRun(), 0u);
     EXPECT_EQ(warm.store()->counters().computed, 0u);
     EXPECT_EQ(warm.store()->counters().misses, 0u);
     EXPECT_NE(warm.summary().find("simulations=0"), std::string::npos);
@@ -590,7 +593,7 @@ TEST(CampaignStore, OrphanedTempFilesSweptOnOpen)
     std::filesystem::remove_all(dir);
 }
 
-// Swept orphans surface in the session's `rejected=` summary rather
+// Swept orphans surface in the context's `rejected=` summary rather
 // than disappearing silently.
 TEST(CampaignStore, OrphanSweepCountsIntoSessionSummary)
 {
@@ -598,34 +601,35 @@ TEST(CampaignStore, OrphanSweepCountsIntoSessionSummary)
     std::filesystem::create_directories(dir);
     writeFile(dir + "/feedface00000001.slart.tmp", "torn write");
 
-    core::SessionConfig config;
+    core::ServiceConfig config;
     config.machines = {suites::skylakeMachine()};
     config.characterization.instructions = 2'000;
     config.characterization.warmup = 500;
     config.store_dir = dir;
-    core::AnalysisSession session(config);
-    EXPECT_EQ(session.store()->counters().orphaned_temp, 1u);
-    EXPECT_NE(session.summary().find("rejected=1"), std::string::npos)
-        << session.summary();
+    core::ServiceContext context(config);
+    EXPECT_EQ(context.store()->counters().orphaned_temp, 1u);
+    EXPECT_NE(context.summary().find("rejected=1"), std::string::npos)
+        << context.summary();
     std::filesystem::remove_all(dir);
 }
 
-// Every store-backed session leaves a run manifest in the store
+// Every store-backed context leaves a run manifest in the store
 // directory: well-formed JSON carrying the v1 schema keys and the
-// session's configuration fingerprint.
-TEST(AnalysisSession, WritesRunManifestOnDestruction)
+// context's configuration fingerprint.
+TEST(ServiceContext, WritesRunManifestOnDestruction)
 {
     const std::string dir = storeDir("manifest");
     std::string fingerprint;
     {
-        core::SessionConfig config;
+        core::ServiceConfig config;
         config.machines = suites::profilingMachines();
         config.characterization.instructions = 2'000;
         config.characterization.warmup = 500;
         config.store_dir = dir;
-        core::AnalysisSession session(config);
-        session.characterizer().prepare(suites::spec2017RateInt());
-        fingerprint = session.configFingerprint();
+        core::ServiceContext context(config);
+        context.characterizerFor(context.profilingMachines())
+            .prepare(suites::spec2017RateInt());
+        fingerprint = context.configFingerprint();
         EXPECT_EQ(fingerprint.size(), 16u);
     }
 
@@ -644,13 +648,14 @@ TEST(AnalysisSession, WritesRunManifestOnDestruction)
 
     // A warm rerun rewrites the manifest with the same identity block.
     {
-        core::SessionConfig config;
+        core::ServiceConfig config;
         config.machines = suites::profilingMachines();
         config.characterization.instructions = 2'000;
         config.characterization.warmup = 500;
         config.store_dir = dir;
-        core::AnalysisSession warm(config);
-        warm.characterizer().prepare(suites::spec2017RateInt());
+        core::ServiceContext warm(config);
+        warm.characterizerFor(warm.profilingMachines())
+            .prepare(suites::spec2017RateInt());
         EXPECT_EQ(warm.configFingerprint(), fingerprint);
     }
     std::string warm_body = readFile(path);
@@ -661,27 +666,27 @@ TEST(AnalysisSession, WritesRunManifestOnDestruction)
 
 // A different simulation window or machine set must change the
 // manifest's configuration fingerprint.
-TEST(AnalysisSession, ConfigFingerprintCoversWindowAndMachines)
+TEST(ServiceContext, ConfigFingerprintCoversWindowAndMachines)
 {
-    core::SessionConfig config;
+    core::ServiceConfig config;
     config.machines = {suites::skylakeMachine()};
     config.characterization.instructions = 2'000;
     config.characterization.warmup = 500;
     const std::string base =
-        core::AnalysisSession(config).configFingerprint();
+        core::ServiceContext(config).configFingerprint();
 
-    core::SessionConfig wider = config;
+    core::ServiceConfig wider = config;
     wider.characterization.instructions = 4'000;
-    EXPECT_NE(core::AnalysisSession(wider).configFingerprint(), base);
+    EXPECT_NE(core::ServiceContext(wider).configFingerprint(), base);
 
-    core::SessionConfig more = config;
+    core::ServiceConfig more = config;
     more.machines = suites::profilingMachines();
-    EXPECT_NE(core::AnalysisSession(more).configFingerprint(), base);
+    EXPECT_NE(core::ServiceContext(more).configFingerprint(), base);
 
     // jobs is execution policy, not measurement configuration.
-    core::SessionConfig jobs = config;
+    core::ServiceConfig jobs = config;
     jobs.characterization.jobs = 7;
-    EXPECT_EQ(core::AnalysisSession(jobs).configFingerprint(), base);
+    EXPECT_EQ(core::ServiceContext(jobs).configFingerprint(), base);
 }
 
 // A store on an unwritable path degrades soft: analyses still run,

@@ -4,12 +4,13 @@
  *
  * Covers the shared-core concurrency contracts the daemon is built
  * on: the sharded store serves parallel mixed read/write traffic with
- * byte-identical files to a serial run, the in-memory result LRU
- * stays within its bounds, two concurrent identical queries share
- * exactly one simulation, the wire protocol round-trips hostile
- * strings, daemon responses are byte-identical to direct query-op
- * rendering, a warm store answers queries with zero simulations, and
- * a graceful drain drops nothing.
+ * byte-identical files to a serial run, the Characterizer memo holds
+ * each requested (benchmark, machine) pair once, two concurrent
+ * identical queries share exactly one simulation, the manifest
+ * fingerprint does not depend on the first query, the wire protocol
+ * round-trips hostile strings, daemon responses are byte-identical to
+ * direct query-op rendering, a warm store answers queries with zero
+ * simulations, and a graceful drain drops nothing.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,60 +210,11 @@ TEST(ShardedStore, EntriesLandInFingerprintShardAndRootEntriesRecompute)
     std::filesystem::remove_all(dir);
 }
 
-// The in-memory result LRU never exceeds its configured capacity, and
-// eviction / hit counters move.
-TEST(ShardedStore, LruStaysBoundedAndCountsHitsAndEvictions)
+// A good load followed by truncation of the entry file reads Corrupt:
+// the store keeps no copy of the result that could outlive its file.
+TEST(ShardedStore, TruncatedEntryAfterGoodLoadReadsCorrupt)
 {
-    const std::string dir = storeDir("lru");
-    const uarch::SimulationConfig window = tinyWindow();
-    const auto &machines = suites::profilingMachines();
-    std::vector<suites::BenchmarkInfo> benchmarks =
-        suites::spec2017();
-    benchmarks.resize(12);
-
-    const std::size_t capacity = 16;
-    core::CampaignStore store(dir, capacity);
-    EXPECT_EQ(store.lruCapacity(), capacity);
-
-    for (const auto &benchmark : benchmarks)
-        for (const auto &machine : machines)
-            core::storedSimulate(&store, benchmark.profile, machine,
-                                 window);
-    EXPECT_EQ(store.lruSize(), 0u) << "save must not populate the LRU";
-
-    // Load everything twice: first pass fills (and overflows) the
-    // LRU from disk, second pass gets at least some LRU hits.
-    for (int pass = 0; pass < 2; ++pass)
-        for (const auto &benchmark : benchmarks)
-            for (const auto &machine : machines) {
-                core::StoreKey key = core::makeStoreKey(
-                    benchmark.profile, machine, window);
-                uarch::SimulationResult result;
-                ASSERT_EQ(store.load(key, result),
-                          core::StoreStatus::Hit);
-            }
-
-    EXPECT_LE(store.lruSize(), capacity);
-    EXPECT_GT(store.counters().lru_evictions, 0u);
-    // 84 entries > 16 slots: consecutive same-key loads are not in
-    // the access pattern, but per-shard recency means *some* reload
-    // lands in cache; assert on an explicit immediate re-load.
-    core::StoreKey key = core::makeStoreKey(
-        benchmarks.front().profile, machines.front(), window);
-    uarch::SimulationResult result;
-    ASSERT_EQ(store.load(key, result), core::StoreStatus::Hit);
-    std::size_t before = store.counters().lru_hits;
-    ASSERT_EQ(store.load(key, result), core::StoreStatus::Hit);
-    EXPECT_GT(store.counters().lru_hits, before);
-    std::filesystem::remove_all(dir);
-}
-
-// An LRU-cached result whose backing file was truncated after caching
-// must be revalidated against the disk (size check) and recomputed —
-// the cache must never outlive the artifact it mirrors.
-TEST(ShardedStore, LruRevalidatesBackingFileSize)
-{
-    const std::string dir = storeDir("lru_revalidate");
+    const std::string dir = storeDir("truncate_after_load");
     const uarch::SimulationConfig window = tinyWindow();
     const auto &benchmark = suites::spec2017().front();
     const auto &machine = suites::profilingMachines().front();
@@ -272,7 +225,6 @@ TEST(ShardedStore, LruRevalidatesBackingFileSize)
         core::makeStoreKey(benchmark.profile, machine, window);
     uarch::SimulationResult result;
     ASSERT_EQ(store.load(key, result), core::StoreStatus::Hit);
-    ASSERT_EQ(store.lruSize(), 1u);
 
     std::filesystem::resize_file(shardedPath(dir, key), 20);
     EXPECT_EQ(store.load(key, result), core::StoreStatus::Corrupt);
@@ -317,6 +269,58 @@ TEST(ServiceContext, PoolsCharacterizersByMachineSet)
         context.characterizerFor(context.sensitivityMachines());
     EXPECT_EQ(&a, &b);
     EXPECT_NE(&a, &c);
+}
+
+// The configuration fingerprint comes from ServiceConfig::machines, not
+// from whichever machine set a context happens to pool first (a
+// daemon's first request must not decide what its manifest says).
+TEST(ServiceContext, ConfigFingerprintIgnoresFirstPooledSet)
+{
+    core::ServiceContext sensitivity_first(tinyServiceConfig());
+    sensitivity_first.characterizerFor(
+        sensitivity_first.sensitivityMachines());
+    sensitivity_first.characterizerFor(
+        sensitivity_first.profilingMachines());
+
+    core::ServiceContext profiling_first(tinyServiceConfig());
+    profiling_first.characterizerFor(profiling_first.profilingMachines());
+    profiling_first.characterizerFor(
+        profiling_first.sensitivityMachines());
+
+    EXPECT_EQ(sensitivity_first.configFingerprint(),
+              profiling_first.configFingerprint());
+}
+
+// The memo is the one in-memory result cache: after a round of every
+// query op it holds exactly one result per distinct (benchmark,
+// machine) pair requested, and repeating the round adds none.
+TEST(ServiceContext, MemoHoldsEachRequestedPairOnce)
+{
+    core::ServiceContext context(tinyServiceConfig());
+    const std::vector<std::string> characterize = {
+        "505.mcf_r", "519.lbm_r", context.cpu2006().front().name,
+        context.emerging().front().name};
+    const std::vector<std::string> memory = {
+        "519.lbm_r", context.cpu2006().front().name,
+        context.emerging().front().name};
+
+    std::set<std::string> profiled(characterize.begin(),
+                                   characterize.end());
+    for (const suites::BenchmarkInfo &b : suites::spec2017SpeedInt())
+        profiled.insert(b.name);
+    const std::size_t pairs =
+        profiled.size() * context.profilingMachines().size() +
+        memory.size() * context.memoryMachines().size() +
+        context.cpu2017().size() * context.sensitivityMachines().size();
+
+    for (int round = 0; round < 2; ++round) {
+        EXPECT_TRUE(core::runCharacterizeQuery(context, characterize).ok);
+        EXPECT_TRUE(core::runMemoryQuery(context, memory).ok);
+        EXPECT_TRUE(core::runSubsetQuery(context, "speed-int", 3).ok);
+        EXPECT_TRUE(core::runSensitivityQuery(context, "branch").ok);
+        EXPECT_EQ(context.cachedMeasurements(), pairs) << "round " << round;
+        EXPECT_EQ(context.simulationsRun(), pairs) << "round " << round;
+    }
 }
 
 // The registry indexes every shipped suite by CLI-visible name.

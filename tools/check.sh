@@ -213,11 +213,14 @@ echo "metrics on: stdout unchanged, metrics exported, manifest valid"
 
 step "serve smoke"
 # The daemon must answer byte-for-byte what the batch CLI prints for
-# the same question, then drain cleanly on the shutdown op; the
+# the same question, then drain cleanly on the shutdown op and leave a
+# run manifest whose configuration fingerprint matches the batch
+# CLI's, even though its first query pools another machine set; the
 # loadtest must hold response parity across concurrent clients and
 # leave a well-formed JSON artifact.
 SERVE_STORE="$BUILD_DIR/serve-store"
-rm -rf "$SERVE_STORE"
+BATCH_STORE="$BUILD_DIR/serve-batch-store"
+rm -rf "$SERVE_STORE" "$BATCH_STORE"
 "$BUILD_DIR"/tools/speclens serve --port 0 --store "$SERVE_STORE" \
     --instructions 5000 --warmup 1500 \
     >"$BUILD_DIR/serve.out" 2>"$BUILD_DIR/serve.err" &
@@ -229,23 +232,33 @@ done
 SERVE_PORT="$(sed -n 's/.*port=\([0-9]*\).*/\1/p' "$BUILD_DIR/serve.out")"
 [[ -n "$SERVE_PORT" ]]
 "$BUILD_DIR"/tools/speclens query --port "$SERVE_PORT" \
-    characterize 500.perlbench_r 505.mcf_r \
-    >"$BUILD_DIR/serve-query.out"
-"$BUILD_DIR"/tools/speclens characterize \
-    --instructions 5000 --warmup 1500 500.perlbench_r 505.mcf_r \
-    >"$BUILD_DIR/serve-batch.out"
-cmp "$BUILD_DIR/serve-query.out" "$BUILD_DIR/serve-batch.out"
-"$BUILD_DIR"/tools/speclens query --port "$SERVE_PORT" \
     memory 519.lbm_r \
     >"$BUILD_DIR/serve-memory.out"
 "$BUILD_DIR"/tools/speclens memory \
     --instructions 5000 --warmup 1500 519.lbm_r \
     >"$BUILD_DIR/memory-batch.out"
 cmp "$BUILD_DIR/serve-memory.out" "$BUILD_DIR/memory-batch.out"
+"$BUILD_DIR"/tools/speclens query --port "$SERVE_PORT" \
+    characterize 500.perlbench_r 505.mcf_r \
+    >"$BUILD_DIR/serve-query.out"
+"$BUILD_DIR"/tools/speclens characterize --store "$BATCH_STORE" \
+    --instructions 5000 --warmup 1500 500.perlbench_r 505.mcf_r \
+    >"$BUILD_DIR/serve-batch.out" 2>/dev/null
+cmp "$BUILD_DIR/serve-query.out" "$BUILD_DIR/serve-batch.out"
 "$BUILD_DIR"/tools/speclens query --port "$SERVE_PORT" shutdown \
     >/dev/null
 wait "$SERVE_PID"
 grep -q drained "$BUILD_DIR/serve.err"
+manifest_fingerprint() {
+    sed -n 's/.*"config_fingerprint": *"\([0-9a-f]*\)".*/\1/p' \
+        "$1/run-manifest.json"
+}
+SERVE_FP="$(manifest_fingerprint "$SERVE_STORE")"
+BATCH_FP="$(manifest_fingerprint "$BATCH_STORE")"
+[[ -n "$SERVE_FP" && "$SERVE_FP" == "$BATCH_FP" ]] ||
+    { echo "daemon manifest fingerprint '$SERVE_FP' differs from" \
+           "batch '$BATCH_FP'" >&2; exit 1; }
+rm -rf "$BATCH_STORE"
 "$BUILD_DIR"/bench/bench_serve_loadtest --clients 4 --requests 6 \
     --instructions 5000 --warmup 1500 --store "$SERVE_STORE" \
     --out "$BUILD_DIR/serve_loadtest.json" \
@@ -256,6 +269,7 @@ grep -q '"p99_ns"' "$BUILD_DIR/serve_loadtest.json"
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$SERVE_STORE" \
     >/dev/null
 rm -rf "$SERVE_STORE" "$BUILD_DIR/serve_loadtest.json"
-echo "serve: daemon answers byte-identical to batch, drain + parity ok"
+echo "serve: daemon answers byte-identical to batch, manifest" \
+     "fingerprint matches batch, drain + parity ok"
 
 step "all checks passed"

@@ -44,7 +44,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/analysis_session.h"
 #include "core/characterization.h"
 #include "core/csv_export.h"
 #include "core/option_parse.h"
@@ -316,26 +315,23 @@ lookup(const std::string &name)
     return nullptr;
 }
 
-/** Session over an explicit machine set (store attached per --store). */
-core::AnalysisSession
-makeSession(const CliOptions &opts,
-            std::vector<uarch::MachineConfig> machines)
+/**
+ * Service configuration from the window and store options; @p machines
+ * is the set the command's manifest describes.
+ */
+core::ServiceConfig
+serviceConfig(const CliOptions &opts,
+              std::vector<uarch::MachineConfig> machines =
+                  suites::profilingMachines())
 {
-    core::SessionConfig config;
+    core::ServiceConfig config;
     config.machines = std::move(machines);
     config.characterization.instructions = opts.instructions;
     config.characterization.warmup = opts.warmup;
     config.characterization.seed_salt = opts.seed_salt;
     config.characterization.jobs = opts.jobs;
     config.store_dir = opts.store_dir;
-    return core::AnalysisSession(std::move(config));
-}
-
-/** Session over the seven Table IV machines. */
-core::AnalysisSession
-makeSession(const CliOptions &opts)
-{
-    return makeSession(opts, suites::profilingMachines());
+    return config;
 }
 
 int
@@ -392,9 +388,9 @@ cmdCharacterize(const CliOptions &opts)
 {
     if (opts.args.empty())
         usage(1);
-    core::AnalysisSession session = makeSession(opts);
+    core::ServiceContext context(serviceConfig(opts));
     core::QueryOutcome outcome =
-        core::runCharacterizeQuery(session.context(), opts.args);
+        core::runCharacterizeQuery(context, opts.args);
     if (!outcome.ok) {
         std::fprintf(stderr, "%s\n", outcome.error.c_str());
         return 1;
@@ -408,10 +404,9 @@ cmdMemory(const CliOptions &opts)
 {
     if (opts.args.empty())
         usage(1);
-    core::AnalysisSession session =
-        makeSession(opts, suites::memoryCentricMachines());
-    core::QueryOutcome outcome =
-        core::runMemoryQuery(session.context(), opts.args);
+    core::ServiceContext context(
+        serviceConfig(opts, suites::memoryCentricMachines()));
+    core::QueryOutcome outcome = core::runMemoryQuery(context, opts.args);
     if (!outcome.ok) {
         std::fprintf(stderr, "%s\n", outcome.error.c_str());
         return 1;
@@ -429,9 +424,9 @@ cmdSubset(const CliOptions &opts)
     if (opts.args.size() > 1 && !parsePositional("k", opts.args[1], k))
         return 1;
 
-    core::AnalysisSession session = makeSession(opts);
+    core::ServiceContext context(serviceConfig(opts));
     core::QueryOutcome outcome =
-        core::runSubsetQuery(session.context(), opts.args[0], k);
+        core::runSubsetQuery(context, opts.args[0], k);
     if (!outcome.ok) {
         std::fprintf(stderr, "%s\n", outcome.error.c_str());
         return 1;
@@ -445,8 +440,9 @@ cmdInputs(const CliOptions &opts)
 {
     if (opts.args.empty())
         usage(1);
-    core::AnalysisSession session = makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
     auto groups = opts.args[0] == "fp" ? suites::inputSetGroupsFp()
                                        : suites::inputSetGroupsInt();
     core::InputSetAnalysis analysis =
@@ -478,8 +474,9 @@ cmdCoverage(const CliOptions &opts)
         }
         candidates.push_back(*benchmark);
     }
-    core::AnalysisSession session = makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
     auto verdicts = core::coverageAnalysis(
         characterizer, suites::spec2017(), candidates);
     core::TextTable table({"Workload", "Nearest CPU2017", "Distance",
@@ -497,10 +494,10 @@ cmdSensitivity(const CliOptions &opts)
 {
     if (opts.args.empty() || !core::isSensitivityMetric(opts.args[0]))
         usage(1);
-    core::AnalysisSession session =
-        makeSession(opts, suites::sensitivityMachines());
+    core::ServiceContext context(
+        serviceConfig(opts, suites::sensitivityMachines()));
     core::QueryOutcome outcome =
-        core::runSensitivityQuery(session.context(), opts.args[0]);
+        core::runSensitivityQuery(context, opts.args[0]);
     if (!outcome.ok) {
         std::fprintf(stderr, "%s\n", outcome.error.c_str());
         return 1;
@@ -524,8 +521,9 @@ cmdExport(const CliOptions &opts)
     else
         usage(1);
 
-    core::AnalysisSession session = makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
     stats::Matrix features = characterizer.featureMatrix(list);
 
     if (opts.args.size() > 1) {
@@ -572,8 +570,9 @@ cmdReport(const CliOptions &opts)
     }
     report.title = "SpecLens report: SPEC CPU2017 " + which;
 
-    core::AnalysisSession session = makeSession(opts);
-    core::Characterizer &characterizer = session.characterizer();
+    core::ServiceContext context(serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
     if (opts.args.size() > 1) {
         std::ofstream file(opts.args[1]);
         if (!file) {
@@ -621,10 +620,10 @@ cmdSimpoints(const CliOptions &opts)
     config.clusters = clusters;
     config.instructions = opts.instructions;
     config.warmup = opts.warmup;
-    core::AnalysisSession session =
-        makeSession(opts, {suites::skylakeMachine()});
+    core::ServiceContext context(
+        serviceConfig(opts, {suites::skylakeMachine()}));
     core::SimPointResult result = core::simpointEstimate(
-        workload, suites::skylakeMachine(), config, session.store());
+        workload, suites::skylakeMachine(), config, context.store());
 
     std::printf("%s as %zu phases, %zu representative(s):\n",
                 benchmark->name.c_str(), phases,
@@ -646,7 +645,7 @@ cmdSimpoints(const CliOptions &opts)
  * `campaign run [suite]`: populate the store with a full
  * characterization of the named suite(s) over the seven Table IV
  * machines.  Stdout reports only the deterministic campaign shape;
- * the cold/warm reuse numbers go to stderr with the session summary,
+ * the cold/warm reuse numbers go to stderr with the store summary,
  * so repeat runs stay byte-identical on stdout.
  */
 int
@@ -664,11 +663,13 @@ cmdCampaignRun(const CliOptions &opts)
     if (suite_sets.empty())
         usage(1);
 
-    core::AnalysisSession session = makeSession(opts);
+    core::ServiceContext context(serviceConfig(opts));
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.profilingMachines());
     std::size_t pairs = 0;
     for (const auto &suite : suite_sets) {
-        session.characterizer().prepare(suite);
-        pairs += suite.size() * session.characterizer().machines().size();
+        characterizer.prepare(suite);
+        pairs += suite.size() * characterizer.machines().size();
     }
     std::printf("campaign %s: %zu (benchmark, machine) pairs ready\n",
                 which.c_str(), pairs);
@@ -700,15 +701,13 @@ cmdCampaignInfo(const CliOptions &opts)
     std::fputs(table.render().c_str(), stdout);
     std::printf("%zu entries, %zu healthy, %zu inconsistent\n",
                 entries.size(), healthy, entries.size() - healthy);
-    std::printf("layout: %zu shards, result-lru capacity %zu\n",
-                core::CampaignStore::shardCount(),
-                store.lruCapacity());
+    std::printf("layout: %zu shards\n", core::CampaignStore::shardCount());
     return healthy == entries.size() ? 0 : 1;
 }
 
 /**
  * `campaign manifest`: read, validate and summarise the run manifest a
- * session left next to the store.  Exit 1 when the manifest is
+ * run left next to the store.  Exit 1 when the manifest is
  * missing, is not well-formed JSON, or lacks a schema-v1 key — the CI
  * metrics smoke stage is built on this being a real check.
  */
@@ -808,11 +807,7 @@ cmdServe(const CliOptions &opts)
     serve::ServerConfig config;
     config.host = opts.host;
     config.port = opts.port;
-    config.service.characterization.instructions = opts.instructions;
-    config.service.characterization.warmup = opts.warmup;
-    config.service.characterization.seed_salt = opts.seed_salt;
-    config.service.characterization.jobs = opts.jobs;
-    config.service.store_dir = opts.store_dir;
+    config.service = serviceConfig(opts);
 
     serve::Server server(config);
     std::string error;
