@@ -30,9 +30,10 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
 #include "core/artifact_store.h"
+#include "core/option_parse.h"
 #include "core/service_context.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -97,9 +98,10 @@ main(int argc, char **argv)
     std::size_t clients = 8;
     std::size_t requests = 40;
     std::string out_path = "serve_loadtest.json";
-    bench::BenchOptions opts;
-    opts.instructions = 15'000;
-    opts.warmup = 5'000;
+    serve::ServerConfig config;
+    core::CharacterizationConfig &window = config.service.characterization;
+    window.instructions = 15'000;
+    window.warmup = 5'000;
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--help") == 0) {
@@ -112,28 +114,27 @@ main(int argc, char **argv)
         }
         if (std::strcmp(argv[i], "--clients") == 0)
             clients = static_cast<std::size_t>(
-                bench::numericFlagValue("--clients", argc, argv, i));
+                core::numericFlagValue("--clients", argc, argv, i));
         else if (std::strcmp(argv[i], "--requests") == 0)
             requests = static_cast<std::size_t>(
-                bench::numericFlagValue("--requests", argc, argv, i));
+                core::numericFlagValue("--requests", argc, argv, i));
         else if (std::strcmp(argv[i], "--out") == 0)
-            out_path =
-                bench::stringFlagValue("--out", argc, argv, i);
+            out_path = core::stringFlagValue("--out", argc, argv, i);
         else if (std::strcmp(argv[i], "--instructions") == 0)
-            opts.instructions = bench::numericFlagValue(
-                "--instructions", argc, argv, i);
+            window.instructions =
+                core::numericFlagValue("--instructions", argc, argv, i);
         else if (std::strcmp(argv[i], "--warmup") == 0)
-            opts.warmup =
-                bench::numericFlagValue("--warmup", argc, argv, i);
+            window.warmup =
+                core::numericFlagValue("--warmup", argc, argv, i);
         else if (std::strcmp(argv[i], "--jobs") == 0)
-            opts.jobs = static_cast<std::size_t>(
-                bench::numericFlagValue("--jobs", argc, argv, i));
+            window.jobs = static_cast<std::size_t>(
+                core::numericFlagValue("--jobs", argc, argv, i));
         else if (std::strcmp(argv[i], "--seed-salt") == 0)
-            opts.seed_salt =
-                bench::numericFlagValue("--seed-salt", argc, argv, i);
+            window.seed_salt =
+                core::numericFlagValue("--seed-salt", argc, argv, i);
         else if (std::strcmp(argv[i], "--store") == 0)
-            opts.store_dir =
-                bench::stringFlagValue("--store", argc, argv, i);
+            config.service.store_dir =
+                core::stringFlagValue("--store", argc, argv, i);
         else {
             std::fprintf(stderr,
                          "unknown option: %s (try --help)\n", argv[i]);
@@ -145,9 +146,6 @@ main(int argc, char **argv)
                      "error: --clients and --requests must be > 0\n");
         return 1;
     }
-
-    serve::ServerConfig config;
-    config.service = bench::serviceConfig(opts);
 
     serve::Server server(config);
     std::string error;

@@ -7,8 +7,9 @@
  * counter data feeds many downstream analyses, long after collection.
  * SpecLens mirrors that: a (benchmark, machine) measurement is
  * deterministic, so once computed it can be persisted and reused by
- * every bench binary, CLI command and test — the in-process memo cache
- * of the Characterizer extended across process boundaries.
+ * every CLI command (`repro` entries included) and test — the
+ * in-process memo cache of the Characterizer extended across process
+ * boundaries.
  *
  * Entries are *content addressed*: the file name is the hex of a
  * fingerprint over everything that determines the result — the engine

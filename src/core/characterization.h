@@ -108,7 +108,7 @@ class Characterizer
     /**
      * Attach a persistent artifact store.  From then on every cache
      * miss first consults the store, and every fresh simulation is
-     * persisted, so a later process (any bench binary, CLI command or
+     * persisted, so a later process (any CLI command, loadtest or
      * test sharing the directory) replays the campaign without
      * simulating.  Corrupt or stale entries are recomputed and
      * overwritten.  A null store detaches.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Strict numeric option parsing shared by the CLI and the bench
- * harness.
+ * Strict numeric option parsing shared by the CLI and the serve
+ * loadtest.
  *
  * Command-line numbers used to go through strtoull/atoi, both of which
  * fail silently: "8x" parses as 8, "-1" wraps to a huge unsigned
@@ -10,6 +10,8 @@
  * the one asked for.  parseUnsigned() is built on std::from_chars and
  * rejects all of that explicitly, so every caller can exit 1 with a
  * message naming the defect instead of computing on garbage.
+ * numericFlagValue()/stringFlagValue() are the one argv reader both
+ * command lines use for a flag's value.
  */
 
 #ifndef SPECLENS_CORE_OPTION_PARSE_H
@@ -17,6 +19,8 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 
@@ -74,6 +78,45 @@ parseStatusDetail(ParseStatus status)
       case ParseStatus::Overflow: return "value out of range";
     }
     return "unknown";
+}
+
+/**
+ * Value of a numeric flag: @p argv[i + 1], advanced past.  Exits 1
+ * with a diagnostic when the value is missing, non-numeric, signed,
+ * has trailing garbage, or overflows.
+ */
+inline std::uint64_t
+numericFlagValue(const char *flag, int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %s requires a value\n", flag);
+        std::exit(1);
+    }
+    const char *text = argv[++i];
+    std::uint64_t value = 0;
+    ParseStatus status = parseUnsigned(text, value);
+    if (status != ParseStatus::Ok) {
+        std::fprintf(stderr,
+                     "error: %s expects a non-negative integer, got "
+                     "'%s': %s\n",
+                     flag, text, parseStatusDetail(status).c_str());
+        std::exit(1);
+    }
+    return value;
+}
+
+/**
+ * Value of a string flag: @p argv[i + 1], advanced past.  Exits 1
+ * with a diagnostic when the value is missing.
+ */
+inline const char *
+stringFlagValue(const char *flag, int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %s requires a value\n", flag);
+        std::exit(1);
+    }
+    return argv[++i];
 }
 
 } // namespace core

@@ -9,7 +9,6 @@
 
 #include "query_ops.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "core/metrics.h"
@@ -25,16 +24,6 @@ namespace speclens {
 namespace core {
 
 namespace {
-
-/** snprintf into a std::string (formats match the old printf calls). */
-template <typename... Args>
-std::string
-format(const char *fmt, Args... args)
-{
-    char buffer[256];
-    std::snprintf(buffer, sizeof(buffer), fmt, args...);
-    return std::string(buffer);
-}
 
 /** The sub-suite and Category enum for a `subset` category name. */
 bool
@@ -205,8 +194,8 @@ runSubsetQuery(ServiceContext &context, const std::string &category_name,
     if (!resolveCategory(category_name, suite, category))
         return queryError("unknown category: " + category_name);
     if (k < 1 || k > suite.size())
-        return queryError(
-            format("k must be in [1, %zu]", suite.size()));
+        return queryError("k must be in [1, " +
+                          std::to_string(suite.size()) + "]");
 
     Characterizer &characterizer =
         context.characterizerFor(context.profilingMachines());
@@ -219,20 +208,20 @@ runSubsetQuery(ServiceContext &context, const std::string &category_name,
 
     SubsetResult subset = selectSubset(
         sim, k, RepresentativeRule::ShortestLinkage, suite);
-    outcome.output +=
-        format("\n%zu-benchmark subset (%.1fx less simulation):\n", k,
-               subset.simulation_time_reduction);
+    appendf(outcome.output,
+            "\n%zu-benchmark subset (%.1fx less simulation):\n", k,
+            subset.simulation_time_reduction);
     for (const std::string &name : subset.representatives)
         outcome.output += "  " + name + "\n";
 
     suites::ScoreDatabase db;
     ValidationResult validation =
         validateSubset(suite, subset.representatives, category, db);
-    outcome.output += format(
-        "score-prediction accuracy: %.1f%% (avg error %.1f%%, "
-        "max %.1f%%)\n",
-        100.0 - validation.avg_error_pct, validation.avg_error_pct,
-        validation.max_error_pct);
+    appendf(outcome.output,
+            "score-prediction accuracy: %.1f%% (avg error %.1f%%, "
+            "max %.1f%%)\n",
+            100.0 - validation.avg_error_pct, validation.avg_error_pct,
+            validation.max_error_pct);
     return outcome;
 }
 

@@ -7,11 +7,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 namespace speclens {
 namespace core {
+
+void
+appendf(std::string &out, const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::va_list sizing;
+    va_copy(sizing, args);
+    int length = std::vsnprintf(nullptr, 0, fmt, sizing);
+    va_end(sizing);
+    if (length > 0) {
+        std::size_t old_size = out.size();
+        out.resize(old_size + static_cast<std::size_t>(length) + 1);
+        std::vsnprintf(out.data() + old_size,
+                       static_cast<std::size_t>(length) + 1, fmt, args);
+        out.resize(old_size + static_cast<std::size_t>(length));
+    }
+    va_end(args);
+}
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))

@@ -2,8 +2,9 @@
  * @file
  * Plain-text rendering of tables, scatter plots and stacked bars.
  *
- * The bench harness regenerates every table and figure of the paper as
- * text; these helpers give them a consistent look: fixed-width tables
+ * The reproductions (reproductions.h) regenerate every table and figure
+ * of the paper as text; these helpers give them a consistent look:
+ * printf-style appends, fixed-width tables
  * with separators, ASCII scatter plots with point labels (for the PC
  * workload-space figures) and horizontal stacked bars (for the CPI
  * stacks of Fig. 1).
@@ -17,6 +18,10 @@
 
 namespace speclens {
 namespace core {
+
+/** printf-style append of any length to @p out. */
+[[gnu::format(printf, 2, 3)]] void appendf(std::string &out,
+                                           const char *fmt, ...);
 
 /** Fixed-width text table builder. */
 class TextTable

@@ -3,8 +3,9 @@
  * Process-lifetime analysis service state: immutable model registry,
  * shared artifact store, shared worker pool, Characterizer pool.
  *
- * One ServiceContext serves a whole process — a batch CLI command or
- * bench binary, or every request of the `speclens serve` daemon.  It
+ * One ServiceContext serves a whole process — a batch CLI command
+ * (every entry of one `speclens repro` run shares it), or every
+ * request of the `speclens serve` daemon.  It
  * snapshots the shipped benchmark suites and machine sets into an
  * immutable registry, opens the CampaignStore once, owns one bounded
  * ThreadPool, and pools Characterizers keyed by machine set so every

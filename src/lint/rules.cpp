@@ -838,6 +838,33 @@ class PaperBoundsRule final : public RuleBase
     }
 };
 
+/**
+ * Every machine a store entry may name, by full name: the context's
+ * profiling machines plus the memory-centric and sensitivity variants
+ * (memory-centric entries usually come from the variant suites).
+ */
+std::map<std::string, uarch::MachineConfig>
+knownMachines(const LintContext &context)
+{
+    std::map<std::string, uarch::MachineConfig> machines;
+    for (const uarch::MachineConfig &m : context.machines)
+        machines.emplace(m.name, m);
+    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
+        machines.emplace(m.name, std::move(m));
+    for (uarch::MachineConfig &m : suites::sensitivityMachines())
+        machines.emplace(m.name, std::move(m));
+    return machines;
+}
+
+/** The machine @p info names, or null when no known model matches. */
+const uarch::MachineConfig *
+entryMachine(const std::map<std::string, uarch::MachineConfig> &machines,
+             const core::StoreEntryInfo &info)
+{
+    auto found = machines.find(info.machine);
+    return found == machines.end() ? nullptr : &found->second;
+}
+
 // ====================================================================
 // Store-integrity rule (SL016).
 // ====================================================================
@@ -874,9 +901,7 @@ class StoreIntegrityRule final : public RuleBase
             for (const suites::BenchmarkInfo &v : g.inputs)
                 profiles.emplace(v.profile.name, &v.profile);
 
-        std::map<std::string, const uarch::MachineConfig *> machines;
-        for (const uarch::MachineConfig &m : context.machines)
-            machines.emplace(m.name, &m);
+        const auto machines = knownMachines(context);
 
         core::CampaignStore store(context.store_dir);
         std::size_t healthy = 0;
@@ -915,15 +940,14 @@ class StoreIntegrityRule final : public RuleBase
             if (at != std::string::npos)
                 base = base.substr(0, at);
 
-            auto machine = machines.find(info.machine);
+            const uarch::MachineConfig *machine =
+                entryMachine(machines, info);
             auto profile = profiles.find(base);
-            if (machine == machines.end() ||
-                profile == profiles.end()) {
+            if (!machine || profile == profiles.end()) {
                 emit(out, Severity::Warning, loc,
                      "orphaned entry: " +
-                         (machine == machines.end()
-                              ? "machine '" + info.machine + "'"
-                              : "benchmark '" + base + "'") +
+                         (!machine ? "machine '" + info.machine + "'"
+                                   : "benchmark '" + base + "'") +
                          " is not a shipped model",
                      "written by an ad-hoc configuration; invalidate "
                      "if unwanted");
@@ -938,7 +962,7 @@ class StoreIntegrityRule final : public RuleBase
                     info.apply_machine_transform;
                 window.prewarm = info.prewarm;
                 core::StoreKey expect = core::makeStoreKey(
-                    *profile->second, *machine->second, window);
+                    *profile->second, *machine, window);
                 if (expect.fingerprint != info.fingerprint) {
                     emit(out, Severity::Warning, loc,
                          "stale entry: the shipped model of '" +
@@ -1115,33 +1139,6 @@ constexpr CounterField kCounterFields[] = {
     {"branch_mispredictions",
      &uarch::PerfCounters::branch_mispredictions},
 };
-
-/**
- * Every machine a store entry may name, by full name: the context's
- * profiling machines plus the memory-centric and sensitivity variants
- * (memory-centric entries usually come from the variant suites).
- */
-std::map<std::string, uarch::MachineConfig>
-knownMachines(const LintContext &context)
-{
-    std::map<std::string, uarch::MachineConfig> machines;
-    for (const uarch::MachineConfig &m : context.machines)
-        machines.emplace(m.name, m);
-    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
-        machines.emplace(m.name, std::move(m));
-    for (uarch::MachineConfig &m : suites::sensitivityMachines())
-        machines.emplace(m.name, std::move(m));
-    return machines;
-}
-
-/** The machine @p info names, or null when no known model matches. */
-const uarch::MachineConfig *
-entryMachine(const std::map<std::string, uarch::MachineConfig> &machines,
-             const core::StoreEntryInfo &info)
-{
-    auto found = machines.find(info.machine);
-    return found == machines.end() ? nullptr : &found->second;
-}
 
 /**
  * Call @p visit(info, result) for every pair entry of the store at

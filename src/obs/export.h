@@ -60,8 +60,8 @@ bool writeMetricsFile(const std::string &path, ExportFormat format,
 
 /**
  * Arrange for writeMetricsFile(@p path, @p format) to run at process
- * exit — the single hook behind `--metrics FILE`, shared by the CLI
- * and all bench binaries regardless of how their main() is shaped.
+ * exit — the single hook behind the CLI's `--metrics FILE`, whatever
+ * the command.
  * Calling it again replaces the destination; the snapshot is taken at
  * exit time.
  */

@@ -786,6 +786,41 @@ TEST(Rules, SL026_MemoryMetricRange)
     expectFires("SL026", context);
 }
 
+// SL016 resolves machines like SL018/SL019/SL026: an entry measured on
+// a memory-centric variant is a shipped model, not an orphan, while a
+// machine no shipped set names still warns.
+TEST(Rules, SL016_ResolvesMemoryCentricMachines)
+{
+    TempDir dir("speclens_sl016_variant_test");
+    core::CampaignStore store(dir.path.string());
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    uarch::SimulationConfig window;
+    window.instructions = 2'000;
+    window.warmup = 500;
+    const trace::WorkloadProfile &profile = context.cpu2017[0].profile;
+
+    uarch::MachineConfig variant = suites::memoryCentricMachines().back();
+    store.save(core::makeStoreKey(profile, variant, window),
+               uarch::simulate(profile, variant, window));
+    std::vector<Diagnostic> found = runRule("SL016", context);
+    EXPECT_EQ(errorCount(found), 0u);
+    EXPECT_EQ(countSeverity(found, Severity::Warning), 0u);
+
+    uarch::MachineConfig unknown = variant;
+    unknown.name = "Nonesuch 9000";
+    store.save(core::makeStoreKey(profile, unknown, window),
+               uarch::simulate(profile, unknown, window));
+    found = runRule("SL016", context);
+    EXPECT_EQ(errorCount(found), 0u);
+    ASSERT_EQ(countSeverity(found, Severity::Warning), 1u);
+    bool named = false;
+    for (const Diagnostic &d : found)
+        named = named || d.message.find("Nonesuch 9000") !=
+                             std::string::npos;
+    EXPECT_TRUE(named);
+}
+
 TEST(Rules, SL016_BrokenCounterIdentityIsCorrupt)
 {
     TempDir dir("speclens_sl016_identity_test");

@@ -132,11 +132,11 @@ step "artifact-store reuse"
 # verifies the reuse contract, not the Table I numbers.
 STORE_DIR="$BUILD_DIR/check-store"
 rm -rf "$STORE_DIR"
-"$BUILD_DIR"/bench/table1_characterization --store "$STORE_DIR" \
-    --instructions 20000 --warmup 5000 \
+"$BUILD_DIR"/tools/speclens repro table1_characterization \
+    --store "$STORE_DIR" --instructions 20000 --warmup 5000 \
     >"$BUILD_DIR/store-cold.out" 2>"$BUILD_DIR/store-cold.err"
-"$BUILD_DIR"/bench/table1_characterization --store "$STORE_DIR" \
-    --instructions 20000 --warmup 5000 \
+"$BUILD_DIR"/tools/speclens repro table1_characterization \
+    --store "$STORE_DIR" --instructions 20000 --warmup 5000 \
     >"$BUILD_DIR/store-warm.out" 2>"$BUILD_DIR/store-warm.err"
 cmp "$BUILD_DIR/store-cold.out" "$BUILD_DIR/store-warm.out"
 grep -q 'simulations=0 ' "$BUILD_DIR/store-warm.err"
@@ -155,11 +155,11 @@ step "memory-centric model reuse"
 # repeat executes zero simulations and prints byte-identical stdout.
 MEM_STORE="$BUILD_DIR/memory-store"
 rm -rf "$MEM_STORE"
-"$BUILD_DIR"/bench/table_memory_centric --store "$MEM_STORE" \
-    --instructions 20000 --warmup 5000 \
+"$BUILD_DIR"/tools/speclens repro table_memory_centric \
+    --store "$MEM_STORE" --instructions 20000 --warmup 5000 \
     >"$BUILD_DIR/memory-cold.out" 2>"$BUILD_DIR/memory-cold.err"
-"$BUILD_DIR"/bench/table_memory_centric --store "$MEM_STORE" \
-    --instructions 20000 --warmup 5000 \
+"$BUILD_DIR"/tools/speclens repro table_memory_centric \
+    --store "$MEM_STORE" --instructions 20000 --warmup 5000 \
     >"$BUILD_DIR/memory-warm.out" 2>"$BUILD_DIR/memory-warm.err"
 cmp "$BUILD_DIR/memory-cold.out" "$BUILD_DIR/memory-warm.out"
 grep -q 'simulations=0 ' "$BUILD_DIR/memory-warm.err"
@@ -171,6 +171,28 @@ grep -q 'rejected=0$' "$BUILD_DIR/memory-warm.err" ||
     >/dev/null
 rm -rf "$MEM_STORE"
 echo "memory-centric: warm zero simulations, stdout byte-identical"
+
+step "every reproduction over one store"
+# `repro --all` renders all 26 reproduced tables and figures over one
+# shared context; a warm rerun over its store executes zero
+# simulations, rejects nothing and prints byte-identical stdout.
+REPRO_STORE="$BUILD_DIR/repro-store"
+rm -rf "$REPRO_STORE"
+"$BUILD_DIR"/tools/speclens repro --all --store "$REPRO_STORE" \
+    --instructions 5000 --warmup 1500 \
+    >"$BUILD_DIR/repro-cold.out" 2>"$BUILD_DIR/repro-cold.err"
+"$BUILD_DIR"/tools/speclens repro --all --store "$REPRO_STORE" \
+    --instructions 5000 --warmup 1500 \
+    >"$BUILD_DIR/repro-warm.out" 2>"$BUILD_DIR/repro-warm.err"
+cmp "$BUILD_DIR/repro-cold.out" "$BUILD_DIR/repro-warm.out"
+grep -q 'simulations=0 ' "$BUILD_DIR/repro-warm.err"
+grep -q 'rejected=0$' "$BUILD_DIR/repro-warm.err" ||
+    { echo "repro warm run rejected store entries:" >&2
+      grep 'rejected=' "$BUILD_DIR/repro-warm.err" >&2; exit 1; }
+grep '\[speclens-repro\] total' "$BUILD_DIR/repro-cold.err" \
+    "$BUILD_DIR/repro-warm.err"
+rm -rf "$REPRO_STORE"
+echo "repro --all: warm zero simulations, stdout byte-identical"
 
 step "bench trajectory (small window)"
 # The perf-trajectory runner re-proves warm-store reuse itself (nonzero
@@ -199,8 +221,8 @@ step "observability"
 # `--metrics` must leave stdout untouched (byte-identical to the runs
 # above), export a parseable metrics file, and the campaign must leave
 # a well-formed run manifest next to the store.
-"$BUILD_DIR"/bench/table1_characterization --store "$STORE_DIR" \
-    --instructions 20000 --warmup 5000 \
+"$BUILD_DIR"/tools/speclens repro table1_characterization \
+    --store "$STORE_DIR" --instructions 20000 --warmup 5000 \
     --metrics "$BUILD_DIR/check-metrics.json" --metrics-format json \
     >"$BUILD_DIR/store-metrics.out" 2>/dev/null
 cmp "$BUILD_DIR/store-cold.out" "$BUILD_DIR/store-metrics.out"

@@ -14,6 +14,8 @@
  *                             (branch | l1d | dtlb)
  *   campaign <run|info|invalidate|manifest>
  *                             manage the persistent artifact store
+ *   repro --list | --all | <name>...
+ *                             render reproduced paper tables/figures
  *   lint                      statically verify every workload model,
  *                             machine config and calibration table
  *   audit                     prove structural invariants over a
@@ -31,6 +33,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +52,7 @@
 #include "core/option_parse.h"
 #include "core/perf_trajectory.h"
 #include "core/query_ops.h"
+#include "core/reproductions.h"
 #include "core/service_context.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -77,6 +81,9 @@ using namespace speclens;
 
 namespace {
 
+using core::numericFlagValue;
+using core::stringFlagValue;
+
 struct CliOptions
 {
     std::string command;
@@ -85,8 +92,9 @@ struct CliOptions
     std::uint64_t warmup = 30'000;
 
     // True when the user passed the flag explicitly.  `bench
-    // trajectory` pins its own window (150k+40k) and must not inherit
-    // the CLI defaults above, but an explicit flag still wins.
+    // trajectory` and `repro` pin their own window (150k+40k) and must
+    // not inherit the CLI defaults above, but an explicit flag still
+    // wins.
     bool instructions_set = false;
     bool warmup_set = false;
     std::size_t jobs = 0; //!< 0 = one worker per hardware thread.
@@ -155,6 +163,10 @@ usage(int code)
         "        [args] --port N [--host A]  ask a running daemon; output\n"
         "                                    is byte-identical to the\n"
         "                                    batch command\n"
+        "  repro --list | --all | <name>...  render reproduced paper\n"
+        "                                    tables and figures over one\n"
+        "                                    shared campaign (default\n"
+        "                                    window 150000+40000)\n"
         "  bench trajectory [--pr N] [--out FILE]\n"
         "                                    pinned perf campaign; facts\n"
         "                                    to stdout, BENCH_<pr>.json\n"
@@ -172,28 +184,6 @@ usage(int code)
         "                                    diffing result fingerprints\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
-}
-
-/** Numeric value of @p flag at argv[i + 1]; exits on bad input. */
-std::uint64_t
-numericFlagValue(const char *flag, int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", flag);
-        std::exit(1);
-    }
-    const char *text = argv[++i];
-    std::uint64_t value = 0;
-    core::ParseStatus status = core::parseUnsigned(text, value);
-    if (status != core::ParseStatus::Ok) {
-        std::fprintf(stderr,
-                     "error: %s expects a non-negative integer, got "
-                     "'%s': %s\n",
-                     flag, text,
-                     core::parseStatusDetail(status).c_str());
-        std::exit(1);
-    }
-    return value;
 }
 
 /**
@@ -217,17 +207,6 @@ parsePositional(const char *what, const std::string &text,
     }
     out = static_cast<std::size_t>(value);
     return true;
-}
-
-/** String value of @p flag at argv[i + 1]; exits on missing value. */
-const char *
-stringFlagValue(const char *flag, int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", flag);
-        std::exit(1);
-    }
-    return argv[++i];
 }
 
 CliOptions
@@ -1064,6 +1043,81 @@ cmdBench(const CliOptions &opts)
     return cmdBenchTrajectory(opts);
 }
 
+/**
+ * repro: render reproduced tables and figures (core/reproductions.h)
+ * over one ServiceContext, so entries share every measurement.
+ * Artifacts go to stdout, byte-stable between cold and warm stores;
+ * per-entry and total wall times go to stderr.
+ */
+int
+cmdRepro(const CliOptions &opts)
+{
+    const std::vector<core::Reproduction> &all = core::reproductions();
+    if (opts.args.size() == 1 && opts.args[0] == "--list") {
+        for (const core::Reproduction &entry : all)
+            std::printf("%-30s %s\n", entry.name, entry.artifact);
+        return 0;
+    }
+
+    std::vector<const core::Reproduction *> selected;
+    if (opts.args.size() == 1 && opts.args[0] == "--all") {
+        for (const core::Reproduction &entry : all)
+            selected.push_back(&entry);
+    } else {
+        for (const std::string &name : opts.args) {
+            const core::Reproduction *entry = core::findReproduction(name);
+            if (!entry) {
+                std::fprintf(stderr,
+                             "error: repro: unknown reproduction '%s' "
+                             "(see `speclens repro --list`)\n",
+                             name.c_str());
+                return 1;
+            }
+            selected.push_back(entry);
+        }
+    }
+    if (selected.empty()) {
+        std::fprintf(stderr,
+                     "error: repro needs --list, --all or reproduction "
+                     "names\n");
+        return 1;
+    }
+
+    // The reproduction window, not the CLI defaults; explicit flags win.
+    CliOptions window = opts;
+    if (!opts.instructions_set)
+        window.instructions = core::kReproductionInstructions;
+    if (!opts.warmup_set)
+        window.warmup = core::kReproductionWarmup;
+    core::ServiceContext context(serviceConfig(window));
+
+    using Clock = std::chrono::steady_clock;
+    auto elapsed_ms = [](Clock::time_point since) {
+        return std::chrono::duration<double, std::milli>(Clock::now() -
+                                                         since)
+            .count();
+    };
+    const Clock::time_point start = Clock::now();
+    for (const core::Reproduction *entry : selected) {
+        const Clock::time_point entry_start = Clock::now();
+        std::string text;
+        try {
+            text = entry->render(context);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "error: repro %s: %s\n", entry->name,
+                         e.what());
+            return 1;
+        }
+        std::fputs(text.c_str(), stdout);
+        std::fflush(stdout);
+        std::fprintf(stderr, "[speclens-repro] %s %.1f ms\n", entry->name,
+                     elapsed_ms(entry_start));
+    }
+    std::fprintf(stderr, "[speclens-repro] total %.1f ms\n",
+                 elapsed_ms(start));
+    return 0;
+}
+
 // ====================================================================
 // audit: run the structural invariant prover over a pinned
 // mini-campaign, then prove scheduling determinism by replaying the
@@ -1318,6 +1372,8 @@ main(int argc, char **argv)
         return cmdServe(opts);
     if (opts.command == "query")
         return cmdQuery(opts);
+    if (opts.command == "repro")
+        return cmdRepro(opts);
     if (opts.command == "bench")
         return cmdBench(opts);
     if (opts.command == "audit")
