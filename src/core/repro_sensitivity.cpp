@@ -121,16 +121,8 @@ ablationPrefetcher(ServiceContext &context)
     banner(out, "Ablation: L2 stream prefetcher (degree 0 vs 4) on the "
                 "Skylake model");
 
-    uarch::MachineConfig base = suites::skylakeMachine();
-    uarch::MachineConfig prefetching = base;
-    prefetching.caches.l2_prefetch_degree = 4;
-    // Same machine name on purpose: the ISA/compiler jitter stream is
-    // seeded from the name, so both variants see the identical
-    // transformed workload and the comparison isolates the prefetcher.
-    // Store entries still never collide: the prefetch degree is part
-    // of the machine fingerprint.
-    Characterizer &characterizer =
-        context.characterizerFor({base, prefetching});
+    Characterizer &characterizer = context.characterizerFor(
+        {suites::skylakeMachine(), suites::prefetchAblationMachine()});
 
     TextTable table({"Benchmark", "Class", "L2D MPKI (off)",
                      "L2D MPKI (deg 4)", "Reduction (%)", "CPI (off)",

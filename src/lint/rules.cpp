@@ -39,13 +39,7 @@ namespace lint {
 
 namespace {
 
-std::string
-num(double v)
-{
-    std::ostringstream out;
-    out << v;
-    return out.str();
-}
+const auto num = verify::renderValue;
 
 bool
 inUnit(double v)
@@ -90,290 +84,92 @@ class RuleBase : public Rule
     }
 };
 
+/**
+ * A rule whose code, name and description are data: one instance per
+ * family of an invariant checker, the family being the rule's name.
+ */
+class FamilyRule : public RuleBase
+{
+  public:
+    FamilyRule(std::string code, std::string name, std::string description)
+        : code_(std::move(code)), name_(std::move(name)),
+          description_(std::move(description))
+    {
+    }
+
+    std::string code() const override { return code_; }
+    std::string name() const override { return name_; }
+    std::string description() const override { return description_; }
+
+  protected:
+    std::string code_;
+    std::string name_;
+    std::string description_;
+};
+
 // ====================================================================
 // Workload-model rules (SL001-SL006): run over every benchmark of
-// every database, including input-set variants where applicable.
+// every database.
 // ====================================================================
 
-class MixRangeRule final : public RuleBase
+/**
+ * The two calibration conventions of the shipped databases, stated
+ * here and nowhere else: working-set weights sum to 1 within 2%
+ * (mix-sum) and set sizes grow hot -> vast (working-set-shape).  They
+ * are lint-only, not model invariants: the address generator
+ * normalises the weights itself and derived phases drift them freely.
+ * The tlb_stress knob inflates the vast-set weight by up to
+ * (1 + stress); vast weights are <= 0.013, so 2% accepts every preset.
+ * @p found holds the profile's checkWorkloadProfile() violations.
+ */
+void
+appendCalibrationConventions(const trace::WorkloadProfile &profile,
+                             std::vector<verify::Violation> &found)
+{
+    constexpr double kTolerance = 0.02;
+    const auto &data = profile.memory.data;
+    double total = 0.0;
+    for (const trace::WorkingSet &ws : data)
+        total += ws.weight;
+    // A weight the model already rejects makes the sum meaningless.
+    bool weights_ok =
+        std::none_of(found.begin(), found.end(),
+                     [](const verify::Violation &v) {
+                         return v.structure == "mix-sum";
+                     });
+    if (weights_ok && std::fabs(total - 1.0) > kTolerance)
+        found.push_back({"mix-sum", "weight-sum", "memory.data",
+                         "working-set weights sum to " + num(total) +
+                             ", expected 1 within " + num(kTolerance)});
+    for (std::size_t i = 1; i < data.size(); ++i)
+        if (data[i].bytes <= data[i - 1].bytes)
+            found.push_back(
+                {"working-set-shape", "size-order",
+                 "memory.data[" + std::to_string(i) + "].bytes",
+                 "set sizes must increase hot -> vast, but " +
+                     num(data[i].bytes) + " <= " +
+                     num(data[i - 1].bytes)});
+}
+
+/**
+ * One workload-rule family: reports the trace::checkWorkloadProfile()
+ * violations, plus the calibration conventions, whose structure is
+ * the rule's name.
+ */
+class WorkloadFamilyRule final : public FamilyRule
 {
   public:
-    std::string code() const override { return "SL001"; }
-    std::string name() const override { return "mix-range"; }
-    std::string
-    description() const override
-    {
-        return "instruction-mix fractions lie in [0,1] and leave a "
-               "non-negative integer-ALU remainder";
-    }
+    using FamilyRule::FamilyRule;
 
     void
     run(const LintContext &context,
         std::vector<Diagnostic> &out) const override
     {
         for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
-            const trace::InstructionMix &mix = b->profile.mix;
-            const struct
-            {
-                const char *field;
-                double value;
-            } fields[] = {
-                {"mix.load", mix.load},     {"mix.store", mix.store},
-                {"mix.branch", mix.branch}, {"mix.fp", mix.fp},
-                {"mix.simd", mix.simd},
-            };
-            for (const auto &f : fields) {
-                if (!inUnit(f.value)) {
-                    error(out, b->name + "/" + f.field,
-                          "mix fraction is " + num(f.value) +
-                              ", outside [0, 1]",
-                          "Table I percentages divided by 100 must be "
-                          "probabilities");
-                }
-            }
-            if (std::isfinite(mix.remainder()) &&
-                mix.remainder() < 0.0) {
-                error(out, b->name + "/mix",
-                      "mix fractions sum to " +
-                          num(1.0 - mix.remainder()) +
-                          " > 1: no room for integer-ALU ops",
-                      "load+store+branch+fp+simd must stay <= 1");
-            }
-        }
-    }
-};
-
-class MixSumRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL002"; }
-    std::string name() const override { return "mix-sum"; }
-    std::string
-    description() const override
-    {
-        return "working-set mixture weights are positive and sum to 1 "
-               "within tolerance";
-    }
-
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        // The tlb_stress knob deliberately inflates the vast-set
-        // weight by up to (1 + stress); vast weights are <= 0.013, so
-        // a 2% tolerance accepts every legitimate preset while
-        // catching genuinely broken mixtures.
-        constexpr double kTolerance = 0.02;
-        for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
-            double total = 0.0;
-            bool weights_ok = true;
-            for (std::size_t i = 0; i < b->profile.memory.data.size();
-                 ++i) {
-                double w = b->profile.memory.data[i].weight;
-                if (!std::isfinite(w) || w <= 0.0) {
-                    error(out,
-                          b->name + "/memory.data[" +
-                              std::to_string(i) + "].weight",
-                          "working-set weight is " + num(w),
-                          "every mixture component needs a positive "
-                          "weight");
-                    weights_ok = false;
-                }
-                total += w;
-            }
-            if (weights_ok &&
-                std::fabs(total - 1.0) > kTolerance) {
-                error(out, b->name + "/memory.data",
-                      "working-set weights sum to " + num(total) +
-                          ", expected 1 within " + num(kTolerance),
-                      "renormalise the dataPreset() mixture row");
-            }
-        }
-    }
-};
-
-class CpiComponentsRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL003"; }
-    std::string name() const override { return "cpi-components"; }
-    std::string
-    description() const override
-    {
-        return "CPI components are non-negative, MLP >= 1 and the "
-               "instruction count is positive";
-    }
-
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
-            const trace::ExecutionModel &e = b->profile.exec;
-            if (!std::isfinite(e.base_cpi) || e.base_cpi <= 0.0)
-                error(out, b->name + "/exec.base_cpi",
-                      "base CPI is " + num(e.base_cpi) +
-                          ", must be positive",
-                      "every instruction costs at least issue "
-                      "bandwidth");
-            if (!std::isfinite(e.dependency_cpi) ||
-                e.dependency_cpi < 0.0)
-                error(out, b->name + "/exec.dependency_cpi",
-                      "dependency CPI is " + num(e.dependency_cpi) +
-                          ", must be >= 0");
-            if (!std::isfinite(e.mlp) || e.mlp < 1.0)
-                error(out, b->name + "/exec.mlp",
-                      "MLP divisor is " + num(e.mlp) +
-                          ", must be >= 1",
-                      "1 means fully serialised misses; below 1 would "
-                      "amplify penalties");
-            if (!inUnit(e.kernel_fraction))
-                error(out, b->name + "/exec.kernel_fraction",
-                      "kernel fraction is " + num(e.kernel_fraction) +
-                          ", outside [0, 1]");
-            double icount = b->profile.dynamic_instructions_billions;
-            if (!std::isfinite(icount) || icount <= 0.0)
-                error(out, b->name + "/dynamic_instructions_billions",
-                      "instruction count is " + num(icount) +
-                          " billion, must be positive");
-        }
-    }
-};
-
-class WorkingSetShapeRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL004"; }
-    std::string name() const override { return "working-set-shape"; }
-    std::string
-    description() const override
-    {
-        return "working-set sizes increase hot->vast and strides are "
-               "line-granular";
-    }
-
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
-            const auto &data = b->profile.memory.data;
-            for (std::size_t i = 0; i < data.size(); ++i) {
-                std::string loc = b->name + "/memory.data[" +
-                                  std::to_string(i) + "]";
-                if (!std::isfinite(data[i].bytes) ||
-                    data[i].bytes < 64.0)
-                    error(out, loc + ".bytes",
-                          "footprint is " + num(data[i].bytes) +
-                              " bytes, below one cache line");
-                if (!std::isfinite(data[i].stride_bytes) ||
-                    data[i].stride_bytes < 64.0)
-                    error(out, loc + ".stride_bytes",
-                          "stride is " + num(data[i].stride_bytes) +
-                              " bytes, below one cache line");
-                else if (data[i].bytes < data[i].stride_bytes)
-                    error(out, loc,
-                          "footprint " + num(data[i].bytes) +
-                              " is smaller than its stride " +
-                              num(data[i].stride_bytes),
-                          "a set must contain at least one element");
-                if (!inUnit(data[i].sequential))
-                    error(out, loc + ".sequential",
-                          "sequential fraction is " +
-                              num(data[i].sequential) +
-                              ", outside [0, 1]");
-                if (i > 0 && data[i].bytes <= data[i - 1].bytes)
-                    error(out, loc + ".bytes",
-                          "set sizes must increase hot -> vast, but " +
-                              num(data[i].bytes) + " <= " +
-                              num(data[i - 1].bytes),
-                          "the mixture is ordered by the cache level "
-                          "that captures each set");
-            }
-        }
-    }
-};
-
-class CodeModelRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL005"; }
-    std::string name() const override { return "code-model"; }
-    std::string
-    description() const override
-    {
-        return "hot code fits inside the code footprint and code "
-               "locality is a probability";
-    }
-
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
-            const trace::MemoryModel &m = b->profile.memory;
-            if (!std::isfinite(m.code_bytes) || m.code_bytes < 64.0)
-                error(out, b->name + "/memory.code_bytes",
-                      "code footprint is " + num(m.code_bytes) +
-                          " bytes, below one cache line");
-            if (!std::isfinite(m.hot_code_bytes) ||
-                m.hot_code_bytes < 64.0)
-                error(out, b->name + "/memory.hot_code_bytes",
-                      "hot code region is " + num(m.hot_code_bytes) +
-                          " bytes, below one cache line");
-            else if (m.hot_code_bytes > m.code_bytes)
-                error(out, b->name + "/memory.hot_code_bytes",
-                      "hot code region (" + num(m.hot_code_bytes) +
-                          " bytes) exceeds the code footprint (" +
-                          num(m.code_bytes) + " bytes)",
-                      "the hot loop nest is a subset of the static "
-                      "code");
-            if (!inUnit(m.code_locality))
-                error(out, b->name + "/memory.code_locality",
-                      "code locality is " + num(m.code_locality) +
-                          ", outside [0, 1]");
-        }
-    }
-};
-
-class BranchModelRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL006"; }
-    std::string name() const override { return "branch-model"; }
-    std::string
-    description() const override
-    {
-        return "branch-population fractions are probabilities and the "
-               "static population is sane";
-    }
-
-    void
-    run(const LintContext &context,
-        std::vector<Diagnostic> &out) const override
-    {
-        for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
-            const trace::BranchModel &br = b->profile.branch;
-            if (br.static_branches == 0 ||
-                br.static_branches > (1u << 20))
-                error(out, b->name + "/branch.static_branches",
-                      "static branch population is " +
-                          std::to_string(br.static_branches),
-                      "expected between 1 and 2^20 static branches");
-            const struct
-            {
-                const char *field;
-                double value;
-            } fields[] = {
-                {"branch.taken_fraction", br.taken_fraction},
-                {"branch.biased_fraction", br.biased_fraction},
-                {"branch.patterned_fraction", br.patterned_fraction},
-            };
-            for (const auto &f : fields)
-                if (!inUnit(f.value))
-                    error(out, b->name + "/" + f.field,
-                          std::string(f.field) + " is " + num(f.value) +
-                              ", outside [0, 1]");
+            std::vector<verify::Violation> found =
+                trace::checkWorkloadProfile(b->profile);
+            appendCalibrationConventions(b->profile, found);
+            violationErrors(out, b->name, found, name_);
         }
     }
 };
@@ -387,19 +183,10 @@ class BranchModelRule final : public RuleBase
  * violations whose structure is the rule's name.  SL010 additionally
  * owns the one cross-machine check, distinct short names.
  */
-class MachineFamilyRule final : public RuleBase
+class MachineFamilyRule final : public FamilyRule
 {
   public:
-    MachineFamilyRule(std::string code, std::string name,
-                      std::string description)
-        : code_(std::move(code)), name_(std::move(name)),
-          description_(std::move(description))
-    {
-    }
-
-    std::string code() const override { return code_; }
-    std::string name() const override { return name_; }
-    std::string description() const override { return description_; }
+    using FamilyRule::FamilyRule;
 
     void
     run(const LintContext &context,
@@ -417,11 +204,6 @@ class MachineFamilyRule final : public RuleBase
                       "short names key the per-machine feature columns");
         }
     }
-
-  private:
-    std::string code_;
-    std::string name_;
-    std::string description_;
 };
 
 class TransformRule final : public RuleBase
@@ -433,7 +215,7 @@ class TransformRule final : public RuleBase
     description() const override
     {
         return "ISA/compiler transforms stay in range and keep every "
-               "CPU2017 mix valid";
+               "CPU2017 model valid";
     }
 
     void
@@ -471,18 +253,17 @@ class TransformRule final : public RuleBase
                       "jitter models submitter-to-submitter compiler "
                       "noise of a few percent");
 
-            // The transform must keep every calibrated mix a valid
-            // probability mix, or the trace generator downstream
-            // samples from garbage.
-            for (const suites::BenchmarkInfo &b : context.cpu2017) {
-                trace::WorkloadProfile transformed =
-                    uarch::transformForMachine(b.profile, m);
-                if (!transformed.mix.valid())
-                    error(out, b.name + "@" + m.short_name,
-                          "machine transform turns the mix invalid "
-                          "(sum > 1 or negative fraction)",
+            // The transform must keep every calibrated model valid,
+            // or the trace generator downstream samples from garbage.
+            for (const suites::BenchmarkInfo &b : context.cpu2017)
+                for (const verify::Violation &v :
+                     trace::checkWorkloadProfile(
+                         uarch::transformForMachine(b.profile, m)))
+                    error(out, b.name + "@" + m.short_name + "/" +
+                                   v.location,
+                          "machine transform breaks the model: " +
+                              v.detail,
                           "shrink the transform scales");
-            }
         }
     }
 };
@@ -642,13 +423,11 @@ class InputSetRule final : public RuleBase
                           "variant name does not follow the '" +
                               base + "#k' convention (expected " +
                               expected + ")");
-                try {
-                    v.profile.validate();
-                } catch (const std::invalid_argument &ex) {
-                    error(out, v.name,
-                          std::string("variant model is invalid: ") +
-                              ex.what());
-                }
+                for (const verify::Violation &violation :
+                     trace::checkWorkloadProfile(v.profile))
+                    error(out, v.name + "/" + violation.location,
+                          "variant model is invalid: " +
+                              violation.detail);
             }
         }
     }
@@ -838,32 +617,98 @@ class PaperBoundsRule final : public RuleBase
     }
 };
 
-/**
- * Every machine a store entry may name, by full name: the context's
- * profiling machines plus the memory-centric and sensitivity variants
- * (memory-centric entries usually come from the variant suites).
- */
-std::map<std::string, uarch::MachineConfig>
-knownMachines(const LintContext &context)
+/** Simulation window reconstructed from a scanned entry's metadata. */
+uarch::SimulationConfig
+windowOf(const core::StoreEntryInfo &info)
 {
-    std::map<std::string, uarch::MachineConfig> machines;
-    for (const uarch::MachineConfig &m : context.machines)
-        machines.emplace(m.name, m);
-    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
-        machines.emplace(m.name, std::move(m));
-    for (uarch::MachineConfig &m : suites::sensitivityMachines())
-        machines.emplace(m.name, std::move(m));
-    return machines;
+    uarch::SimulationConfig window;
+    window.instructions = info.instructions;
+    window.warmup = info.warmup;
+    window.seed_salt = info.seed_salt;
+    window.apply_machine_transform = info.apply_machine_transform;
+    window.prewarm = info.prewarm;
+    return window;
 }
 
-/** The machine @p info names, or null when no known model matches. */
-const uarch::MachineConfig *
-entryMachine(const std::map<std::string, uarch::MachineConfig> &machines,
-             const core::StoreEntryInfo &info)
+/**
+ * Every model a store entry may describe: the three databases plus the
+ * Fig. 7/8 input-set variants, and the context's profiling machines
+ * plus the memory-centric, sensitivity and prefetcher-ablation
+ * variants.  Machine names are not unique (the ablation variant keeps
+ * Skylake's), so an entry resolves by name *and* fingerprint.
+ */
+class StoreModels
 {
-    auto found = machines.find(info.machine);
-    return found == machines.end() ? nullptr : &found->second;
-}
+  public:
+    explicit StoreModels(const LintContext &context)
+        : machines_(context.machines)
+    {
+        for (const suites::BenchmarkInfo *b : context.allBenchmarks())
+            profiles_.emplace(b->profile.name, &b->profile);
+        for (const suites::InputSetGroup &g : context.input_groups)
+            for (const suites::BenchmarkInfo &v : g.inputs)
+                profiles_.emplace(v.profile.name, &v.profile);
+        for (auto family : {suites::memoryCentricMachines(),
+                            suites::sensitivityMachines()})
+            machines_.insert(machines_.end(), family.begin(),
+                             family.end());
+        machines_.push_back(suites::prefetchAblationMachine());
+    }
+
+    /** Base benchmark of @p info: its name before any "@k" suffix. */
+    static std::string
+    baseName(const core::StoreEntryInfo &info)
+    {
+        return info.benchmark.substr(0, info.benchmark.find('@'));
+    }
+
+    /**
+     * Derived workloads (phased ground truths and "@k" phase probes)
+     * cannot be re-derived without their derivation parameters.
+     */
+    static bool
+    derived(const core::StoreEntryInfo &info)
+    {
+        return info.phases > 0 ||
+               info.benchmark.find('@') != std::string::npos;
+    }
+
+    /** The shipped profile of @p info's base benchmark, or null. */
+    const trace::WorkloadProfile *
+    profile(const core::StoreEntryInfo &info) const
+    {
+        auto found = profiles_.find(baseName(info));
+        return found == profiles_.end() ? nullptr : found->second;
+    }
+
+    /**
+     * The machine that wrote @p info: among the known machines with
+     * its name, the one whose store key reproduces the entry
+     * fingerprint; failing that (a derived or stale entry) the first
+     * with its name; null when no known machine carries the name.
+     */
+    const uarch::MachineConfig *
+    machine(const core::StoreEntryInfo &info) const
+    {
+        const trace::WorkloadProfile *shipped =
+            derived(info) ? nullptr : profile(info);
+        const uarch::MachineConfig *first = nullptr;
+        for (const uarch::MachineConfig &m : machines_) {
+            if (m.name != info.machine)
+                continue;
+            if (!first)
+                first = &m;
+            if (shipped && core::makeStoreKey(*shipped, m, windowOf(info))
+                                   .fingerprint == info.fingerprint)
+                return &m;
+        }
+        return first;
+    }
+
+  private:
+    std::map<std::string, const trace::WorkloadProfile *> profiles_;
+    std::vector<uarch::MachineConfig> machines_;
+};
 
 // ====================================================================
 // Store-integrity rule (SL016).
@@ -892,17 +737,7 @@ class StoreIntegrityRule final : public RuleBase
             return;
         }
 
-        // Every profile an entry could legitimately describe: the
-        // three databases plus the Fig. 7/8 input-set variants.
-        std::map<std::string, const trace::WorkloadProfile *> profiles;
-        for (const suites::BenchmarkInfo *b : context.allBenchmarks())
-            profiles.emplace(b->profile.name, &b->profile);
-        for (const suites::InputSetGroup &g : context.input_groups)
-            for (const suites::BenchmarkInfo &v : g.inputs)
-                profiles.emplace(v.profile.name, &v.profile);
-
-        const auto machines = knownMachines(context);
-
+        const StoreModels models(context);
         core::CampaignStore store(context.store_dir);
         std::size_t healthy = 0;
         for (const core::StoreEntryInfo &info : store.scan()) {
@@ -930,48 +765,31 @@ class StoreIntegrityRule final : public RuleBase
             }
 
             // Consistent on disk; now hold it against the shipped
-            // models.  Derived workloads (phased ground truths and
-            // "@k" phase probes) cannot be re-derived without their
-            // derivation parameters, so only their base name is
-            // checked.
-            std::string base = info.benchmark;
-            std::string::size_type at = base.find('@');
-            bool derived = info.phases > 0 || at != std::string::npos;
-            if (at != std::string::npos)
-                base = base.substr(0, at);
-
-            const uarch::MachineConfig *machine =
-                entryMachine(machines, info);
-            auto profile = profiles.find(base);
-            if (!machine || profile == profiles.end()) {
+            // models.  A derived entry checks only its base name.
+            const uarch::MachineConfig *machine = models.machine(info);
+            const trace::WorkloadProfile *profile = models.profile(info);
+            if (!machine || !profile) {
                 emit(out, Severity::Warning, loc,
                      "orphaned entry: " +
                          (!machine ? "machine '" + info.machine + "'"
-                                   : "benchmark '" + base + "'") +
+                                   : "benchmark '" +
+                                         StoreModels::baseName(info) +
+                                         "'") +
                          " is not a shipped model",
                      "written by an ad-hoc configuration; invalidate "
                      "if unwanted");
                 continue;
             }
-            if (!derived) {
-                uarch::SimulationConfig window;
-                window.instructions = info.instructions;
-                window.warmup = info.warmup;
-                window.seed_salt = info.seed_salt;
-                window.apply_machine_transform =
-                    info.apply_machine_transform;
-                window.prewarm = info.prewarm;
-                core::StoreKey expect = core::makeStoreKey(
-                    *profile->second, *machine, window);
-                if (expect.fingerprint != info.fingerprint) {
-                    emit(out, Severity::Warning, loc,
-                         "stale entry: the shipped model of '" +
-                             info.benchmark + "' on '" + info.machine +
-                             "' no longer produces this fingerprint",
-                         "the model changed since the entry was "
-                         "written; invalidate and re-run");
-                    continue;
-                }
+            if (!StoreModels::derived(info) &&
+                core::makeStoreKey(*profile, *machine, windowOf(info))
+                        .fingerprint != info.fingerprint) {
+                emit(out, Severity::Warning, loc,
+                     "stale entry: the shipped model of '" +
+                         info.benchmark + "' on '" + info.machine +
+                         "' no longer produces this fingerprint",
+                     "the model changed since the entry was "
+                     "written; invalidate and re-run");
+                continue;
             }
             ++healthy;
         }
@@ -1184,15 +1002,14 @@ class StoreResultAuditRule final : public RuleBase
                  "given)");
             return;
         }
-        const auto machines = knownMachines(context);
+        const StoreModels models(context);
         core::CampaignStore store(context.store_dir);
         std::size_t audited = 0;
         for (const core::StoreEntryInfo &info : store.scan()) {
             if (info.status != core::StoreStatus::Hit)
                 continue; // SL016 reports defective entries.
             const std::string loc = "store/" + info.filename;
-            const uarch::MachineConfig *machine =
-                entryMachine(machines, info);
+            const uarch::MachineConfig *machine = models.machine(info);
             core::StoreKey key = keyFromInfo(info);
             if (info.phases == 0) {
                 uarch::SimulationResult result;
@@ -1299,7 +1116,7 @@ class StoreMetricRangeRule final : public RuleBase
                  "directory given)");
             return;
         }
-        const auto machines = knownMachines(context);
+        const StoreModels models(context);
         auto check = [&](const core::StoreEntryInfo &info,
                          const uarch::SimulationResult &result) {
             const std::string loc = "store/" + info.filename;
@@ -1336,7 +1153,7 @@ class StoreMetricRangeRule final : public RuleBase
                               "event per instruction)");
             violationErrors(out, loc,
                             uarch::checkCounterIdentities(
-                                c, entryMachine(machines, info)),
+                                c, models.machine(info)),
                             "topology");
         };
         std::size_t checked = forEachPairEntry(context.store_dir, check);
@@ -1370,7 +1187,7 @@ class MemoryMetricRangeRule final : public RuleBase
                  "directory given)");
             return;
         }
-        const auto machines = knownMachines(context);
+        const StoreModels models(context);
         auto check = [&](const core::StoreEntryInfo &info,
                          const uarch::SimulationResult &result) {
             const std::string loc = "store/" + info.filename;
@@ -1398,7 +1215,7 @@ class MemoryMetricRangeRule final : public RuleBase
                           ", not a finite non-negative ratio");
             violationErrors(out, loc,
                             uarch::checkCounterIdentities(
-                                c, entryMachine(machines, info)),
+                                c, models.machine(info)),
                             "memory");
         };
         std::size_t checked = forEachPairEntry(context.store_dir, check);
@@ -2034,12 +1851,31 @@ std::vector<std::unique_ptr<Rule>>
 defaultRules()
 {
     std::vector<std::unique_ptr<Rule>> rules;
-    rules.push_back(std::make_unique<MixRangeRule>());
-    rules.push_back(std::make_unique<MixSumRule>());
-    rules.push_back(std::make_unique<CpiComponentsRule>());
-    rules.push_back(std::make_unique<WorkingSetShapeRule>());
-    rules.push_back(std::make_unique<CodeModelRule>());
-    rules.push_back(std::make_unique<BranchModelRule>());
+    rules.push_back(std::make_unique<WorkloadFamilyRule>(
+        "SL001", "mix-range",
+        "instruction-mix fractions lie in [0,1] and leave a "
+        "non-negative integer-ALU remainder"));
+    rules.push_back(std::make_unique<WorkloadFamilyRule>(
+        "SL002", "mix-sum",
+        "working-set mixture weights are finite, positive and sum to 1 "
+        "within tolerance"));
+    rules.push_back(std::make_unique<WorkloadFamilyRule>(
+        "SL003", "cpi-components",
+        "the profile is named, the instruction count is finite and "
+        "positive, CPI components are finite and non-negative and "
+        "MLP >= 1"));
+    rules.push_back(std::make_unique<WorkloadFamilyRule>(
+        "SL004", "working-set-shape",
+        "working-set sizes are finite, increase hot->vast and strides "
+        "are line-granular"));
+    rules.push_back(std::make_unique<WorkloadFamilyRule>(
+        "SL005", "code-model",
+        "hot code fits inside the finite code footprint and code "
+        "locality is a probability"));
+    rules.push_back(std::make_unique<WorkloadFamilyRule>(
+        "SL006", "branch-model",
+        "branch-population fractions are probabilities and the "
+        "static population is within [1, 2^20]"));
     rules.push_back(std::make_unique<MachineFamilyRule>(
         "SL007", "cache-monotonic",
         "cache capacity and visible latency grow with the hierarchy "

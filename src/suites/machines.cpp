@@ -323,6 +323,14 @@ memoryCentricMachines()
     };
 }
 
+uarch::MachineConfig
+prefetchAblationMachine()
+{
+    MachineConfig m = skylakeMachine();
+    m.caches.l2_prefetch_degree = 4;
+    return m;
+}
+
 const uarch::MachineConfig &
 machineByShortName(const std::string &name)
 {

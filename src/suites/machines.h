@@ -54,6 +54,16 @@ std::vector<uarch::MachineConfig> sensitivityMachines();
  */
 std::vector<uarch::MachineConfig> memoryCentricMachines();
 
+/**
+ * The prefetcher ablation's Skylake with a degree-4 L2 stream
+ * prefetcher.  It keeps Skylake's name on purpose: the ISA/compiler
+ * jitter stream is seeded from the name, so both ablation arms see
+ * the identical transformed workload and the comparison isolates the
+ * prefetcher.  Store entries still never collide: the prefetch degree
+ * is part of the machine fingerprint.
+ */
+uarch::MachineConfig prefetchAblationMachine();
+
 /** Look up a machine by short name ("skylake", "sparc-t4", ...). */
 const uarch::MachineConfig &machineByShortName(const std::string &name);
 

@@ -5,10 +5,12 @@
  *
  * Every qualitative knob of the ProfileSpec vocabulary (data-locality
  * class, code pressure, branch quality) expands through one row of
- * these tables.  Keeping the rows constexpr lets static_asserts prove
- * the invariants the lint rules check at runtime — mixture weights
- * summing to one, working sets growing hot to vast, probabilities in
- * range — for every preset at compile time: a typo in a calibration
+ * these tables.  Keeping the rows constexpr lets static_asserts prove,
+ * for every preset at compile time, the model invariants
+ * trace::checkWorkloadProfile() checks at runtime (probabilities in
+ * range, line-granular footprints, hot code inside the code footprint)
+ * and the calibration conventions lint adds (mixture weights summing
+ * to one, working sets growing hot to vast): a typo in a calibration
  * row fails the build rather than skewing an analysis.
  */
 

@@ -114,6 +114,19 @@ derivePhases(const WorkloadProfile &base, std::size_t num_phases,
         p.mix.store = std::clamp(drifted(p.mix.store, 0.3), 0.0, 0.4);
         p.mix.branch =
             std::clamp(drifted(p.mix.branch, 0.25), 0.005, 0.4);
+        // Independent drifts can overfill an FP-heavy mix: shrink the
+        // drifted ops back to the base's share, keeping their ratio.
+        // Only an overfull mix is touched, so every derivation that
+        // never overfilled stays bit-identical.
+        if (p.mix.remainder() < 0.0) {
+            double drifted_share = p.mix.load + p.mix.store + p.mix.branch;
+            double scale =
+                (base.mix.load + base.mix.store + base.mix.branch) /
+                drifted_share;
+            p.mix.load *= scale;
+            p.mix.store *= scale;
+            p.mix.branch *= scale;
+        }
         p.branch.biased_fraction = std::clamp(
             drifted(p.branch.biased_fraction, 0.08), 0.3, 0.995);
         p.memory.code_locality = std::clamp(

@@ -1,10 +1,11 @@
 /**
  * @file
- * Workload profile validation.
+ * Workload profile invariants and fingerprints.
  */
 
 #include "workload_profile.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "stats/rng.h"
@@ -14,66 +15,150 @@ namespace trace {
 
 namespace {
 
+using verify::Reporter;
+
+const auto num = verify::renderValue;
+
+/** A finite probability; NaN and infinities fail. */
 bool
 inUnit(double v)
 {
     return v >= 0.0 && v <= 1.0;
 }
 
+/** A finite value of at least @p lo; NaN and infinities fail. */
+bool
+finiteAtLeast(double v, double lo)
+{
+    return std::isfinite(v) && v >= lo;
+}
+
+void
+checkProbability(const Reporter &fail, const char *field, double value)
+{
+    if (!inUnit(value))
+        fail(field, "probability",
+             std::string(field) + " is " + num(value) +
+                 ", outside [0, 1]");
+}
+
+void
+checkMemory(std::vector<verify::Violation> &out, const MemoryModel &m)
+{
+    const Reporter sum{out, "mix-sum"};
+    const Reporter shape{out, "working-set-shape"};
+    for (std::size_t i = 0; i < m.data.size(); ++i) {
+        const WorkingSet &ws = m.data[i];
+        auto field = [i](const char *suffix) {
+            return "memory.data[" + std::to_string(i) + "]" + suffix;
+        };
+        if (!(std::isfinite(ws.weight) && ws.weight > 0.0))
+            sum(field(".weight"), "weight",
+                "working-set weight is " + num(ws.weight) +
+                    ", must be finite and positive");
+        if (!finiteAtLeast(ws.bytes, 64.0))
+            shape(field(".bytes"), "footprint",
+                  "footprint is " + num(ws.bytes) +
+                      " bytes, below one cache line or not finite");
+        if (!finiteAtLeast(ws.stride_bytes, 64.0))
+            shape(field(".stride_bytes"), "stride",
+                  "stride is " + num(ws.stride_bytes) +
+                      " bytes, below one cache line or not finite");
+        else if (ws.bytes < ws.stride_bytes)
+            shape(field(""), "stride",
+                  "footprint " + num(ws.bytes) +
+                      " is smaller than its stride " +
+                      num(ws.stride_bytes));
+        if (!inUnit(ws.sequential))
+            shape(field(".sequential"), "probability",
+                  "sequential fraction is " + num(ws.sequential) +
+                      ", outside [0, 1]");
+    }
+
+    const Reporter code{out, "code-model"};
+    if (!finiteAtLeast(m.code_bytes, 64.0))
+        code("memory.code_bytes", "footprint",
+             "code footprint is " + num(m.code_bytes) +
+                 " bytes, below one cache line or not finite");
+    if (!finiteAtLeast(m.hot_code_bytes, 64.0))
+        code("memory.hot_code_bytes", "footprint",
+             "hot code region is " + num(m.hot_code_bytes) +
+                 " bytes, below one cache line or not finite");
+    else if (m.hot_code_bytes > m.code_bytes)
+        code("memory.hot_code_bytes", "hot-within-code",
+             "hot code region (" + num(m.hot_code_bytes) +
+                 " bytes) exceeds the code footprint (" +
+                 num(m.code_bytes) + " bytes)");
+    checkProbability(code, "memory.code_locality", m.code_locality);
+}
+
 } // namespace
 
-bool
-InstructionMix::valid() const
+std::vector<verify::Violation>
+checkWorkloadProfile(const WorkloadProfile &profile)
 {
-    return inUnit(load) && inUnit(store) && inUnit(branch) && inUnit(fp) &&
-           inUnit(simd) && remainder() >= 0.0;
-}
+    std::vector<verify::Violation> out;
 
-bool
-MemoryModel::valid() const
-{
-    double total_weight = 0.0;
-    for (const WorkingSet &ws : data) {
-        if (ws.bytes < 64.0 || ws.weight < 0.0 || !inUnit(ws.sequential) ||
-            ws.stride_bytes < 64.0 || ws.bytes < ws.stride_bytes) {
-            return false;
-        }
-        total_weight += ws.weight;
-    }
-    return total_weight > 0.0 && code_bytes >= 64.0 &&
-           hot_code_bytes >= 64.0 && hot_code_bytes <= code_bytes &&
-           inUnit(code_locality);
-}
+    const Reporter cpi{out, "cpi-components"};
+    if (profile.name.empty())
+        cpi("name", "name", "profile has an empty name");
+    if (!(std::isfinite(profile.dynamic_instructions_billions) &&
+          profile.dynamic_instructions_billions > 0.0))
+        cpi("dynamic_instructions_billions", "instruction-count",
+            "instruction count is " +
+                num(profile.dynamic_instructions_billions) +
+                " billion, must be finite and positive");
 
-bool
-BranchModel::valid() const
-{
-    return static_branches > 0 && inUnit(taken_fraction) &&
-           inUnit(biased_fraction) && inUnit(patterned_fraction);
-}
+    const Reporter mix{out, "mix-range"};
+    const InstructionMix &m = profile.mix;
+    checkProbability(mix, "mix.load", m.load);
+    checkProbability(mix, "mix.store", m.store);
+    checkProbability(mix, "mix.branch", m.branch);
+    checkProbability(mix, "mix.fp", m.fp);
+    checkProbability(mix, "mix.simd", m.simd);
+    if (m.remainder() < 0.0)
+        mix("mix", "sum",
+            "mix fractions sum to " + num(1.0 - m.remainder()) +
+                " > 1: no room for integer-ALU ops");
 
-bool
-ExecutionModel::valid() const
-{
-    return base_cpi > 0.0 && dependency_cpi >= 0.0 && mlp >= 1.0 &&
-           inUnit(kernel_fraction);
+    checkMemory(out, profile.memory);
+
+    const Reporter branch{out, "branch-model"};
+    const BranchModel &b = profile.branch;
+    if (b.static_branches == 0 || b.static_branches > (1u << 20))
+        branch("branch.static_branches", "population",
+               "static branch population is " +
+                   std::to_string(b.static_branches) +
+                   ", outside [1, 2^20]");
+    checkProbability(branch, "branch.taken_fraction", b.taken_fraction);
+    checkProbability(branch, "branch.biased_fraction", b.biased_fraction);
+    checkProbability(branch, "branch.patterned_fraction",
+                     b.patterned_fraction);
+
+    const ExecutionModel &e = profile.exec;
+    if (!(std::isfinite(e.base_cpi) && e.base_cpi > 0.0))
+        cpi("exec.base_cpi", "cpi",
+            "base CPI is " + num(e.base_cpi) +
+                ", must be finite and positive");
+    if (!finiteAtLeast(e.dependency_cpi, 0.0))
+        cpi("exec.dependency_cpi", "cpi",
+            "dependency CPI is " + num(e.dependency_cpi) +
+                ", must be finite and >= 0");
+    if (!finiteAtLeast(e.mlp, 1.0))
+        cpi("exec.mlp", "mlp",
+            "MLP divisor is " + num(e.mlp) + ", must be finite and >= 1");
+    checkProbability(cpi, "exec.kernel_fraction", e.kernel_fraction);
+    return out;
 }
 
 void
 WorkloadProfile::validate() const
 {
-    if (name.empty())
-        throw std::invalid_argument("WorkloadProfile: empty name");
-    if (dynamic_instructions_billions <= 0.0)
-        throw std::invalid_argument(name + ": non-positive instruction count");
-    if (!mix.valid())
-        throw std::invalid_argument(name + ": invalid instruction mix");
-    if (!memory.valid())
-        throw std::invalid_argument(name + ": invalid memory model");
-    if (!branch.valid())
-        throw std::invalid_argument(name + ": invalid branch model");
-    if (!exec.valid())
-        throw std::invalid_argument(name + ": invalid execution model");
+    std::vector<verify::Violation> found = checkWorkloadProfile(*this);
+    if (!found.empty())
+        throw std::invalid_argument(
+            (name.empty() ? "workload" : name) + ": " +
+            verify::renderViolation(found.front()));
 }
 
 std::uint64_t

@@ -30,8 +30,10 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "stats/fingerprint.h"
+#include "verify/violation.h"
 
 namespace speclens {
 namespace trace {
@@ -51,9 +53,6 @@ struct InstructionMix
 
     /** Fraction of integer-ALU + other operations (the remainder). */
     double remainder() const { return 1.0 - load - store - branch - fp - simd; }
-
-    /** True when all fractions are in range and sum to <= 1. */
-    bool valid() const;
 
     /** Feed every field, in declaration order, to @p fp. */
     void hashInto(stats::Fingerprinter &fp) const;
@@ -120,9 +119,6 @@ struct MemoryModel
     /** Hot code region size in bytes (subset of code_bytes). */
     double hot_code_bytes = 4 * 1024;
 
-    /** True when all parameters are physically meaningful. */
-    bool valid() const;
-
     /** Feed every field, in declaration order, to @p fp. */
     void hashInto(stats::Fingerprinter &fp) const;
 };
@@ -150,8 +146,6 @@ struct BranchModel
      * separates machines with simple vs. sophisticated predictors.
      */
     double patterned_fraction = 0.5;
-
-    bool valid() const;
 
     /** Feed every field, in declaration order, to @p fp. */
     void hashInto(stats::Fingerprinter &fp) const;
@@ -182,8 +176,6 @@ struct ExecutionModel
     /** Fraction of instructions executed in kernel mode. */
     double kernel_fraction = 0.02;
 
-    bool valid() const;
-
     /** Feed every field, in declaration order, to @p fp. */
     void hashInto(stats::Fingerprinter &fp) const;
 };
@@ -203,8 +195,8 @@ struct WorkloadProfile
     ExecutionModel exec;
 
     /**
-     * Validate all sub-models.
-     * @throws std::invalid_argument naming the offending field.
+     * checkWorkloadProfile() as a precondition.
+     * @throws std::invalid_argument naming the first violation's field.
      */
     void validate() const;
 
@@ -223,6 +215,23 @@ struct WorkloadProfile
      */
     std::uint64_t fingerprint() const;
 };
+
+/**
+ * Every workload-model invariant, stated once: a non-empty name, a
+ * finite positive instruction count, mix fractions in [0, 1] summing
+ * to <= 1, finite line-granular working sets with finite positive
+ * weights, a code footprint that holds its hot region, probabilities
+ * in [0, 1], 1..2^20 static branches (the branch stream allocates per
+ * static branch), finite positive base CPI, finite non-negative
+ * dependency CPI and a finite MLP >= 1.  Violation::structure names
+ * the lint family that reports it — "mix-range" (SL001), "mix-sum"
+ * (SL002), "cpi-components" (SL003), "working-set-shape" (SL004),
+ * "code-model" (SL005) or "branch-model" (SL006) — and
+ * Violation::location the field path ("memory.data[2].bytes").
+ * Allocates nothing on a clean profile.
+ */
+std::vector<verify::Violation>
+checkWorkloadProfile(const WorkloadProfile &profile);
 
 } // namespace trace
 } // namespace speclens

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "stats/rng.h"
@@ -18,28 +17,9 @@ namespace uarch {
 
 namespace {
 
-std::string
-num(double v)
-{
-    std::ostringstream out;
-    out << v;
-    return out.str();
-}
+using verify::Reporter;
 
-/** Appends violations of one lint family at one machine location. */
-struct Reporter
-{
-    std::vector<verify::Violation> &out;
-    const char *family;
-
-    void
-    operator()(std::string location, const char *invariant,
-               std::string detail) const
-    {
-        out.push_back({family, invariant, std::move(location),
-                       std::move(detail)});
-    }
-};
+const auto num = verify::renderValue;
 
 void
 checkTlb(const Reporter &fail, const TlbConfig &tlb)

@@ -96,17 +96,6 @@ auditCounterTable(Emitter &em, const char *table,
 
 } // namespace
 
-std::string
-renderViolation(const Violation &v)
-{
-    std::string line = v.structure + ": " + v.invariant;
-    if (!v.location.empty())
-        line += " @ " + v.location;
-    if (!v.detail.empty())
-        line += ": " + v.detail;
-    return line;
-}
-
 void
 StateAuditor::auditCache(const uarch::Cache &cache,
                          std::vector<Violation> &out)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Structured invariant-violation records produced by the state auditor,
- * uarch::checkMachineConfig and uarch::checkCounterIdentities.
+ * uarch::checkMachineConfig, uarch::checkCounterIdentities and
+ * trace::checkWorkloadProfile.
  *
  * A Violation names the structure it was found in (cache/TLB/predictor
  * instance, or the lint family / counter group that owns a config or
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace speclens {
@@ -35,6 +37,24 @@ struct Violation {
 
 /** Render a violation as a single diagnostic line. */
 std::string renderViolation(const Violation &violation);
+
+/** Shortest stream rendering of @p value, for violation details. */
+std::string renderValue(double value);
+
+/** Appends violations of one family (Violation::structure) to @p out. */
+struct Reporter
+{
+    std::vector<Violation> &out;
+    const char *family;
+
+    void
+    operator()(std::string location, const char *invariant,
+               std::string detail) const
+    {
+        out.push_back({family, invariant, std::move(location),
+                       std::move(detail)});
+    }
+};
 
 /**
  * Accumulated audit evidence for one simulation.  `audits` counts the

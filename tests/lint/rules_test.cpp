@@ -821,6 +821,45 @@ TEST(Rules, SL016_ResolvesMemoryCentricMachines)
     EXPECT_TRUE(named);
 }
 
+// The prefetcher ablation's degree-4 Skylake keeps Skylake's name: its
+// entries resolve by fingerprint to the variant (neither stale nor a
+// prefetch-counter error), while a same-named machine no shipped model
+// describes still warns as stale.
+TEST(Rules, SL016_ResolvesSameNamedMachinesByFingerprint)
+{
+    TempDir dir("speclens_sl016_same_name_test");
+    core::CampaignStore store(dir.path.string());
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    uarch::SimulationConfig window;
+    window.instructions = 2'000;
+    window.warmup = 500;
+    const trace::WorkloadProfile &profile = context.cpu2017[0].profile;
+
+    uarch::MachineConfig ablation = suites::prefetchAblationMachine();
+    ASSERT_EQ(ablation.name, context.machines[0].name);
+    store.save(core::makeStoreKey(profile, ablation, window),
+               uarch::simulate(profile, ablation, window));
+    std::vector<Diagnostic> found = runRule("SL016", context);
+    EXPECT_EQ(errorCount(found), 0u);
+    EXPECT_EQ(countSeverity(found, Severity::Warning), 0u);
+    EXPECT_EQ(errorCount(runRule("SL026", context)), 0u);
+
+    uarch::MachineConfig unknown = ablation;
+    unknown.caches.l2_prefetch_degree = 2;
+    store.save(core::makeStoreKey(profile, unknown, window),
+               uarch::simulate(profile, unknown, window));
+    found = runRule("SL016", context);
+    EXPECT_EQ(errorCount(found), 0u);
+    ASSERT_EQ(countSeverity(found, Severity::Warning), 1u);
+    for (const Diagnostic &d : found) {
+        if (d.severity == Severity::Warning) {
+            EXPECT_NE(d.message.find("stale entry"), std::string::npos)
+                << d.message;
+        }
+    }
+}
+
 TEST(Rules, SL016_BrokenCounterIdentityIsCorrupt)
 {
     TempDir dir("speclens_sl016_identity_test");
@@ -925,6 +964,134 @@ TEST(MachineConfigAgreement, EveryBuiltMachinePasses)
         for (const verify::Violation &v : uarch::checkMachineConfig(machine))
             ADD_FAILURE() << machine.name << ": "
                           << verify::renderViolation(v);
+}
+
+// ---------------------------------------------------------------------
+// Workload model: one statement behind validate() and lint.  Each case
+// is an input the two layers used to disagree on; both must now reject
+// it, validate() naming the field and lint reporting it under the
+// family's code.
+
+void
+expectBothReject(const char *code, const std::string &field,
+                 void (*apply)(trace::WorkloadProfile &))
+{
+    LintContext context = cleanContext();
+    suites::BenchmarkInfo &b = context.cpu2017[0];
+    apply(b.profile);
+    try {
+        b.profile.validate();
+        ADD_FAILURE() << "validate() accepted a corrupt " << field;
+    } catch (const std::invalid_argument &ex) {
+        EXPECT_NE(std::string(ex.what()).find(field), std::string::npos)
+            << ex.what();
+    }
+    std::vector<Diagnostic> found = runRule(code, context);
+    bool located = false;
+    for (const Diagnostic &d : found)
+        located = located || (d.severity == Severity::Error &&
+                              d.location == b.name + "/" + field);
+    EXPECT_TRUE(located) << code << " missed " << field;
+    expectFires(code, context);
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(WorkloadModelAgreement, NanInstructionCount)
+{
+    expectBothReject("SL003", "dynamic_instructions_billions",
+                     [](trace::WorkloadProfile &p) {
+                         p.dynamic_instructions_billions = kNan;
+                     });
+}
+
+TEST(WorkloadModelAgreement, NonFiniteWorkingSetBytes)
+{
+    expectBothReject("SL004", "memory.data[2].bytes",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.data[2].bytes = kNan;
+                     });
+    expectBothReject("SL004", "memory.data[2].bytes",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.data[2].bytes = kInf;
+                     });
+    expectBothReject("SL004", "memory.data[2].bytes",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.data[2].bytes = -kInf;
+                     });
+}
+
+TEST(WorkloadModelAgreement, NanStride)
+{
+    expectBothReject("SL004", "memory.data[1].stride_bytes",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.data[1].stride_bytes = kNan;
+                     });
+}
+
+TEST(WorkloadModelAgreement, ZeroOrInfiniteWeight)
+{
+    expectBothReject("SL002", "memory.data[1].weight",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.data[1].weight = 0.0;
+                     });
+    expectBothReject("SL002", "memory.data[1].weight",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.data[1].weight = kInf;
+                     });
+}
+
+TEST(WorkloadModelAgreement, InfiniteCodeFootprint)
+{
+    expectBothReject("SL005", "memory.code_bytes",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.code_bytes = kInf;
+                     });
+}
+
+TEST(WorkloadModelAgreement, InfiniteCpiOrMlp)
+{
+    expectBothReject("SL003", "exec.base_cpi",
+                     [](trace::WorkloadProfile &p) {
+                         p.exec.base_cpi = kInf;
+                     });
+    expectBothReject("SL003", "exec.dependency_cpi",
+                     [](trace::WorkloadProfile &p) {
+                         p.exec.dependency_cpi = kInf;
+                     });
+    expectBothReject("SL003", "exec.mlp", [](trace::WorkloadProfile &p) {
+        p.exec.mlp = kInf;
+    });
+}
+
+TEST(WorkloadModelAgreement, OversizedBranchPopulation)
+{
+    expectBothReject("SL006", "branch.static_branches",
+                     [](trace::WorkloadProfile &p) {
+                         p.branch.static_branches = (1u << 20) + 1;
+                     });
+}
+
+TEST(WorkloadModelAgreement, EmptyName)
+{
+    expectBothReject("SL003", "name", [](trace::WorkloadProfile &p) {
+        p.name.clear();
+    });
+}
+
+// The two calibration conventions stay lint-only: a profile whose
+// weights do not sum to 1 or whose sets are not ordered hot -> vast is
+// still a valid model (derived phases produce both).
+TEST(WorkloadModelAgreement, CalibrationConventionsAreLintOnly)
+{
+    LintContext context = cleanContext();
+    trace::WorkloadProfile &p = context.cpu2017[0].profile;
+    p.memory.data[1].weight = 0.5;
+    p.memory.data[2].bytes = p.memory.data[1].bytes / 2;
+    EXPECT_NO_THROW(p.validate());
+    expectFires("SL002", context);
+    expectFires("SL004", context);
 }
 
 } // namespace

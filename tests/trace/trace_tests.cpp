@@ -11,8 +11,12 @@
 #include <map>
 #include <set>
 
+#include "suites/emerging.h"
+#include "suites/spec2006.h"
+#include "suites/spec2017.h"
 #include "trace/address_stream.h"
 #include "trace/branch_stream.h"
+#include "trace/phased_workload.h"
 #include "trace/trace_generator.h"
 #include "trace/workload_profile.h"
 
@@ -35,6 +39,9 @@ testProfile()
 TEST(WorkloadProfileTest, DefaultProfileIsValid)
 {
     EXPECT_NO_THROW(testProfile().validate());
+    // The trace generator checks once per simulation: a clean profile
+    // must not allocate.
+    EXPECT_EQ(checkWorkloadProfile(testProfile()).capacity(), 0u);
 }
 
 TEST(WorkloadProfileTest, RejectsEmptyName)
@@ -49,7 +56,10 @@ TEST(WorkloadProfileTest, RejectsOverfullMix)
     WorkloadProfile p = testProfile();
     p.mix.load = 0.6;
     p.mix.store = 0.5;
-    EXPECT_FALSE(p.mix.valid());
+    std::vector<verify::Violation> found = checkWorkloadProfile(p);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].structure, "mix-range");
+    EXPECT_EQ(found[0].location, "mix");
     EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
@@ -93,6 +103,21 @@ TEST(WorkloadProfileTest, RejectsBadExecModel)
     EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+TEST(WorkloadProfileTest, ValidateNamesTheFirstViolation)
+{
+    WorkloadProfile p = testProfile();
+    p.memory.data[2].bytes = 10.0;
+    try {
+        p.validate();
+        FAIL() << "validate() accepted a sub-line working set";
+    } catch (const std::invalid_argument &ex) {
+        EXPECT_STREQ(ex.what(),
+                     "test.workload: working-set-shape: footprint @ "
+                     "memory.data[2].bytes: footprint is 10 bytes, "
+                     "below one cache line or not finite");
+    }
+}
+
 TEST(WorkloadProfileTest, SeedDerivedFromName)
 {
     WorkloadProfile a = testProfile();
@@ -100,6 +125,24 @@ TEST(WorkloadProfileTest, SeedDerivedFromName)
     EXPECT_EQ(a.seed(), b.seed());
     b.name = "other";
     EXPECT_NE(a.seed(), b.seed());
+}
+
+// Drift can push an FP-heavy mix (fotonik3d, leslie3d, povray) past a
+// unit sum; derivation must shrink it back instead of throwing.
+TEST(PhaseDerivationTest, EveryShippedProfileDerivesDriftedPhases)
+{
+    std::vector<suites::BenchmarkInfo> all = suites::spec2017();
+    for (const auto &database :
+         {suites::spec2006(), suites::emergingBenchmarks()})
+        all.insert(all.end(), database.begin(), database.end());
+    ASSERT_EQ(all.size(), 80u);
+    for (const suites::BenchmarkInfo &b : all) {
+        PhasedWorkload phased;
+        ASSERT_NO_THROW(phased = derivePhases(b.profile, 8, 0.35))
+            << b.name;
+        for (const Phase &phase : phased.phases)
+            EXPECT_GE(phase.profile.mix.remainder(), 0.0) << b.name;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -175,7 +175,8 @@ echo "memory-centric: warm zero simulations, stdout byte-identical"
 step "every reproduction over one store"
 # `repro --all` renders all 26 reproduced tables and figures over one
 # shared context; a warm rerun over its store executes zero
-# simulations, rejects nothing and prints byte-identical stdout.
+# simulations, rejects nothing and prints byte-identical stdout, and
+# the store lints clean (no stale, orphaned or out-of-range entries).
 REPRO_STORE="$BUILD_DIR/repro-store"
 rm -rf "$REPRO_STORE"
 "$BUILD_DIR"/tools/speclens repro --all --store "$REPRO_STORE" \
@@ -191,8 +192,10 @@ grep -q 'rejected=0$' "$BUILD_DIR/repro-warm.err" ||
       grep 'rejected=' "$BUILD_DIR/repro-warm.err" >&2; exit 1; }
 grep '\[speclens-repro\] total' "$BUILD_DIR/repro-cold.err" \
     "$BUILD_DIR/repro-warm.err"
+"$BUILD_DIR"/tools/speclens lint --no-deep --store "$REPRO_STORE" \
+    >/dev/null
 rm -rf "$REPRO_STORE"
-echo "repro --all: warm zero simulations, stdout byte-identical"
+echo "repro --all: warm zero simulations, stdout byte-identical, lint clean"
 
 step "bench trajectory (small window)"
 # The perf-trajectory runner re-proves warm-store reuse itself (nonzero

@@ -1308,15 +1308,9 @@ cmdLint(const CliOptions &opts)
         return 1;
     }
 
-    lint::ReportFormat format;
-    lint::Severity min_severity;
-    try {
-        format = lint::reportFormatFromName(opts.format);
-        min_severity = lint::severityFromName(opts.severity);
-    } catch (const std::invalid_argument &ex) {
-        std::fprintf(stderr, "error: %s\n", ex.what());
-        return 1;
-    }
+    const lint::ReportFormat format = lint::reportFormatFromName(opts.format);
+    const lint::Severity min_severity =
+        lint::severityFromName(opts.severity);
 
     lint::LintContext context = lint::shippedContext();
     context.deep = opts.deep;
@@ -1343,45 +1337,52 @@ cmdLint(const CliOptions &opts)
 int
 main(int argc, char **argv)
 {
-    CliOptions opts = parse(argc, argv);
-    if (opts.command == "list")
-        return cmdList(opts);
-    if (opts.command == "machines")
-        return cmdMachines();
-    if (opts.command == "characterize")
-        return cmdCharacterize(opts);
-    if (opts.command == "memory")
-        return cmdMemory(opts);
-    if (opts.command == "subset")
-        return cmdSubset(opts);
-    if (opts.command == "inputs")
-        return cmdInputs(opts);
-    if (opts.command == "coverage")
-        return cmdCoverage(opts);
-    if (opts.command == "sensitivity")
-        return cmdSensitivity(opts);
-    if (opts.command == "export")
-        return cmdExport(opts);
-    if (opts.command == "report")
-        return cmdReport(opts);
-    if (opts.command == "simpoints")
-        return cmdSimpoints(opts);
-    if (opts.command == "campaign")
-        return cmdCampaign(opts);
-    if (opts.command == "serve")
-        return cmdServe(opts);
-    if (opts.command == "query")
-        return cmdQuery(opts);
-    if (opts.command == "repro")
-        return cmdRepro(opts);
-    if (opts.command == "bench")
-        return cmdBench(opts);
-    if (opts.command == "audit")
-        return cmdAudit(opts);
-    if (opts.command == "lint")
-        return cmdLint(opts);
-    if (opts.command == "help" || opts.command == "--help")
-        usage(0);
-    std::fprintf(stderr, "unknown command: %s\n", opts.command.c_str());
-    usage(1);
+    // One boundary for every command: a model or I/O error a command
+    // does not handle itself is a diagnostic and exit 1, never an abort.
+    try {
+        CliOptions opts = parse(argc, argv);
+        if (opts.command == "list")
+            return cmdList(opts);
+        if (opts.command == "machines")
+            return cmdMachines();
+        if (opts.command == "characterize")
+            return cmdCharacterize(opts);
+        if (opts.command == "memory")
+            return cmdMemory(opts);
+        if (opts.command == "subset")
+            return cmdSubset(opts);
+        if (opts.command == "inputs")
+            return cmdInputs(opts);
+        if (opts.command == "coverage")
+            return cmdCoverage(opts);
+        if (opts.command == "sensitivity")
+            return cmdSensitivity(opts);
+        if (opts.command == "export")
+            return cmdExport(opts);
+        if (opts.command == "report")
+            return cmdReport(opts);
+        if (opts.command == "simpoints")
+            return cmdSimpoints(opts);
+        if (opts.command == "campaign")
+            return cmdCampaign(opts);
+        if (opts.command == "serve")
+            return cmdServe(opts);
+        if (opts.command == "query")
+            return cmdQuery(opts);
+        if (opts.command == "repro")
+            return cmdRepro(opts);
+        if (opts.command == "bench")
+            return cmdBench(opts);
+        if (opts.command == "audit")
+            return cmdAudit(opts);
+        if (opts.command == "lint")
+            return cmdLint(opts);
+        if (opts.command == "help" || opts.command == "--help")
+            usage(0);
+        std::fprintf(stderr, "unknown command: %s\n", opts.command.c_str());
+        usage(1);
+    } catch (const std::exception &ex) {
+        std::fprintf(stderr, "speclens: %s\n", ex.what());
+        return 1;
+    }
 }
