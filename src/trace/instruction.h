@@ -15,6 +15,7 @@
 #ifndef SPECLENS_TRACE_INSTRUCTION_H
 #define SPECLENS_TRACE_INSTRUCTION_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -31,6 +32,10 @@ enum class OpClass : std::uint8_t {
     Branch,  //!< Conditional branch.
     Other,   //!< Everything else (moves, system, ...).
 };
+
+/** Number of OpClass values (Other is the last). */
+inline constexpr std::size_t kOpClassCount =
+    static_cast<std::size_t>(OpClass::Other) + 1;
 
 /** Human-readable op-class name, for reports and test diagnostics. */
 std::string opClassName(OpClass op);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "stats/rng.h"
 
@@ -22,9 +23,15 @@ PhasedWorkload::validate() const
     if (phases.empty())
         throw std::invalid_argument(name + ": no phases");
     double total = 0.0;
-    for (const Phase &phase : phases) {
-        if (phase.weight <= 0.0)
-            throw std::invalid_argument(name + ": non-positive weight");
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+        const Phase &phase = phases[i];
+        // Negated so NaN fails too; simulatePhased casts weight * window
+        // to an integer, which is undefined for NaN and infinity.
+        if (!(std::isfinite(phase.weight) && phase.weight > 0.0))
+            throw std::invalid_argument(name + ": phases[" +
+                                        std::to_string(i) +
+                                        "].weight must be finite and "
+                                        "positive");
         total += phase.weight;
         phase.profile.validate();
     }

@@ -2,13 +2,12 @@
  * @file
  * Structure-of-arrays batch of dynamic instruction records.
  *
- * The fused simulation pipeline streams records from the trace
- * generator into the micro-architecture models in fixed-capacity
- * batches instead of materializing whole simulation windows as
- * std::vector<Instruction>.  A batch keeps the in-flight working set
- * small (a few tens of KiB, L1/L2 resident) and stores each field in
- * its own contiguous array, so the retirement-counting passes over a
- * batch are plain strided loops the compiler can vectorize.
+ * The batch form of the trace stream: TraceGenerator::fill() writes a
+ * chunk of records into one, for tests and for tools that time
+ * generation on its own.  The simulation driver stores no records —
+ * it plays each one straight from TraceGenerator::step() — but it
+ * still works in chunks of kRecordBatchCapacity records (one predictor
+ * batch and one audit sample per chunk).
  *
  * Field semantics are identical to trace::Instruction.
  */
@@ -26,10 +25,10 @@ namespace speclens {
 namespace trace {
 
 /**
- * Records per batch.  Large enough that per-batch overhead (loop
- * prologue, counter flush) is noise against thousands of records,
- * small enough that the whole SoA working set (~90 KiB) plus the
- * simulated structures stay cache-resident.
+ * Records per batch, and per simulation chunk.  Large enough that
+ * per-chunk overhead (predictor batch call, audit test) is noise
+ * against thousands of records, small enough that a batch (~90 KiB)
+ * or a chunk's branch lanes stay cache-resident.
  */
 inline constexpr std::size_t kRecordBatchCapacity = 4096;
 

@@ -38,42 +38,6 @@ TraceGenerator::TraceGenerator(const WorkloadProfile &profile,
     p_other_ = p_simd_ + mix.remainder() * kOtherShareOfRemainder;
 }
 
-void
-TraceGenerator::step(std::uint64_t &pc, OpClass &op,
-                     std::uint64_t &address, std::uint32_t &branch_id,
-                     bool &taken, bool &kernel)
-{
-    pc = code_.nextPc();
-    kernel = rng_.bernoulli(profile_.exec.kernel_fraction);
-    address = 0;
-    branch_id = 0;
-    taken = false;
-
-    double u = rng_.uniform();
-    if (u < p_load_) {
-        op = OpClass::Load;
-        address = data_.next(rng_);
-    } else if (u < p_store_) {
-        op = OpClass::Store;
-        address = data_.next(rng_);
-    } else if (u < p_branch_) {
-        op = OpClass::Branch;
-        BranchStream::Outcome outcome = branches_.next(rng_);
-        branch_id = outcome.id;
-        taken = outcome.taken;
-        if (outcome.taken)
-            code_.takeBranch(rng_);
-    } else if (u < p_fp_) {
-        op = OpClass::FpAlu;
-    } else if (u < p_simd_) {
-        op = OpClass::Simd;
-    } else if (u < p_other_) {
-        op = OpClass::Other;
-    } else {
-        op = OpClass::IntAlu;
-    }
-}
-
 Instruction
 TraceGenerator::next()
 {

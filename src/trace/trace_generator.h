@@ -37,17 +37,23 @@ class TraceGenerator
     explicit TraceGenerator(const WorkloadProfile &profile,
                             std::uint64_t seed_salt = 0);
 
+    /**
+     * Emit the next record into the out-parameters (fields as in
+     * Instruction).  This is the one record primitive: next() and
+     * fill() wrap it, and the simulation driver calls it directly,
+     * once per record.
+     */
+    void step(std::uint64_t &pc, OpClass &op, std::uint64_t &address,
+              std::uint32_t &branch_id, bool &taken, bool &kernel);
+
     /** Generate the next dynamic instruction. */
     Instruction next();
 
     /**
      * Generate up to min(@p count, capacity) records into @p batch,
      * overwriting its previous contents, and return the number
-     * produced.  This is the hot-path form: the fused simulation
-     * pipeline pulls one batch at a time so records never accumulate
-     * into a window-sized buffer.  The record stream is bit-identical
-     * to repeated next() calls — both are emitted by the same
-     * primitive.
+     * produced.  The record stream is bit-identical to repeated next()
+     * calls — both are emitted by step().
      */
     std::size_t fill(RecordBatch &batch, std::uint64_t count);
 
@@ -55,10 +61,6 @@ class TraceGenerator
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
-    /** Emit one record; the single primitive behind next() and fill(). */
-    void step(std::uint64_t &pc, OpClass &op, std::uint64_t &address,
-              std::uint32_t &branch_id, bool &taken, bool &kernel);
-
     WorkloadProfile profile_;
     stats::Rng rng_;
     DataAddressStream data_;
@@ -73,6 +75,43 @@ class TraceGenerator
     double p_simd_;
     double p_other_;
 };
+
+// Hot-path definition, in the header so it inlines into the
+// simulation driver's per-record loop.
+inline void
+TraceGenerator::step(std::uint64_t &pc, OpClass &op, std::uint64_t &address,
+                     std::uint32_t &branch_id, bool &taken, bool &kernel)
+{
+    pc = code_.nextPc();
+    kernel = rng_.bernoulli(profile_.exec.kernel_fraction);
+    address = 0;
+    branch_id = 0;
+    taken = false;
+
+    double u = rng_.uniform();
+    if (u < p_load_) {
+        op = OpClass::Load;
+        address = data_.next(rng_);
+    } else if (u < p_store_) {
+        op = OpClass::Store;
+        address = data_.next(rng_);
+    } else if (u < p_branch_) {
+        op = OpClass::Branch;
+        BranchStream::Outcome outcome = branches_.next(rng_);
+        branch_id = outcome.id;
+        taken = outcome.taken;
+        if (outcome.taken)
+            code_.takeBranch(rng_);
+    } else if (u < p_fp_) {
+        op = OpClass::FpAlu;
+    } else if (u < p_simd_) {
+        op = OpClass::Simd;
+    } else if (u < p_other_) {
+        op = OpClass::Other;
+    } else {
+        op = OpClass::IntAlu;
+    }
+}
 
 } // namespace trace
 } // namespace speclens

@@ -155,10 +155,10 @@ class Playback
 
     /**
      * Attach an audit trail: subsequent auditPoint() calls (and the
-     * sampled batch-boundary audits inside playLoop) prove the
+     * sampled chunk-boundary audits inside playLoop) prove the
      * structural invariants and append violations there.  With no
      * trail attached the hooks reduce to one well-predicted null test
-     * per 4096-record batch.
+     * per 4096-record chunk.
      */
     void attachAudit(verify::AuditTrail *trail) { trail_ = trail; }
 
@@ -212,18 +212,17 @@ class Playback
      * deltas of the window are added at the end.
      *
      * This is the hottest code in SpecLens (hundreds of millions of
-     * iterations per campaign).  Records stream from the generator in
-     * structure-of-arrays batches (trace::RecordBatch) instead of a
-     * materialized window, so the in-flight buffer stays L1/L2
-     * resident.  Each batch is consumed in two passes: an ordered pass
-     * drives the stateful structures (caches, TLBs, predictor) in
-     * exact stream order — preserving bit-identical results — and a
-     * branchless counting pass reduces the SoA arrays into retirement
-     * counters with loops the compiler can vectorize.  std::visit
-     * resolves the predictor's concrete type once per window so
-     * predict()/update() are direct, inlinable calls, and the
-     * record/no-record decision is a template parameter so the warm-up
-     * loop carries no retirement bookkeeping.
+     * iterations per campaign).  One loop does all per-record work: it
+     * draws each record with TraceGenerator::step (inlined), drives the
+     * caches and TLBs in exact stream order — preserving bit-identical
+     * results — and counts the record's retirement in the same
+     * iteration, so no record is ever stored or re-read.  The loop runs
+     * in chunks of trace::kRecordBatchCapacity records; per chunk it
+     * takes the sampled audit and hands the chunk's branches to the
+     * predictor's batch kernel.  std::visit resolves the predictor's
+     * concrete type once per window so its calls are direct and
+     * inlinable, and the record/no-record decision is a template
+     * parameter so the warm-up loop carries no retirement bookkeeping.
      */
     void
     play(trace::TraceGenerator &generator, std::uint64_t count,
@@ -248,19 +247,19 @@ class Playback
     {
         Snapshot start = capture(caches_, tlbs_);
 
-        // Retirement counts batch in locals (registers) and flush to
-        // the PerfCounters struct once after the loop.
-        std::uint64_t kernel = 0, loads = 0, stores = 0, fp_ops = 0;
-        std::uint64_t simd_ops = 0, branches = 0, taken_branches = 0;
-        std::uint64_t mispredictions = 0;
+        // Retirement counts accumulate in locals and flush to the
+        // PerfCounters struct once after the loop: one count per op
+        // class, and taken/mispredicted totals per chunk from the
+        // compacted branch lanes.
+        std::array<std::uint64_t, trace::kOpClassCount> retired{};
+        std::uint64_t kernel = 0, taken_branches = 0, mispredictions = 0;
 
-        trace::RecordBatch batch;
-        // Branch records compacted out of the ordered pass, resolved
-        // per batch by the predictor's batch kernel (see updateBatch
-        // in branch_predictor.h).  The predictor shares no state with
-        // the caches or TLBs and branch outcomes are trace data, so
-        // deferring all of a batch's predictor work behind the
-        // structure pass is bit-exact.
+        // Branch records compacted out of each chunk, resolved per
+        // chunk by the predictor's batch kernel (see updateBatch in
+        // branch_predictor.h).  The predictor shares no state with the
+        // caches or TLBs and branch outcomes are trace data, so
+        // deferring a chunk's predictor work behind its structure
+        // accesses is bit-exact.
         std::array<std::uint64_t, trace::kRecordBatchCapacity> branch_pc;
         std::array<std::uint32_t, trace::kRecordBatchCapacity> branch_id;
         std::array<std::uint8_t, trace::kRecordBatchCapacity> branch_taken;
@@ -291,23 +290,27 @@ class Playback
         std::uint64_t last_dline = kNoRun, last_dpage = kNoRun;
         std::uint64_t irun = 0, iprun = 0, drun = 0, dprun = 0;
 
-        // Sampled batch-boundary audits: every kAuditBatchInterval-th
-        // batch when a trail is attached (the mid-run invariants hold
+        // Sampled chunk-boundary audits: every kAuditChunkInterval-th
+        // chunk when a trail is attached (the mid-run invariants hold
         // with runs still open — pending repeats only add counts).
-        constexpr std::uint64_t kAuditBatchInterval = 16;
+        constexpr std::uint64_t kAuditChunkInterval = 16;
 
         std::uint64_t remaining = count;
         while (remaining > 0) {
-            std::size_t n = generator.fill(batch, remaining);
+            std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(remaining,
+                                        trace::kRecordBatchCapacity));
             remaining -= n;
-            if (trail_ && ++audit_batches_ % kAuditBatchInterval == 0)
+            if (trail_ && ++audit_chunks_ % kAuditChunkInterval == 0)
                 auditPoint(/*post_prewarm=*/false);
 
-            // Pass 1 (ordered): drive the stateful structures in
-            // exact stream order, with run collapsing.
-            std::size_t branches_in_batch = 0;
+            std::size_t branches_in_chunk = 0;
             for (std::size_t i = 0; i < n; ++i) {
-                std::uint64_t pc = batch.pc[i];
+                std::uint64_t pc = 0, address = 0;
+                trace::OpClass op = trace::OpClass::IntAlu;
+                std::uint32_t id = 0;
+                bool taken = false, in_kernel = false;
+                generator.step(pc, op, address, id, taken, in_kernel);
 
                 std::uint64_t iline = pc >> i_line_shift;
                 if (iline == last_iline) {
@@ -332,16 +335,17 @@ class Playback
                     last_ipage = ipage;
                 }
 
-                trace::OpClass op = batch.op[i];
+                if constexpr (Record) {
+                    kernel += in_kernel ? 1 : 0;
+                    ++retired[static_cast<std::size_t>(op)];
+                }
                 if (op == trace::OpClass::Branch) {
-                    branch_pc[branches_in_batch] = pc;
-                    branch_id[branches_in_batch] = batch.branch_id[i];
-                    branch_taken[branches_in_batch] =
-                        batch.taken(i) ? 1 : 0;
-                    ++branches_in_batch;
+                    branch_pc[branches_in_chunk] = pc;
+                    branch_id[branches_in_chunk] = id;
+                    branch_taken[branches_in_chunk] = taken ? 1 : 0;
+                    ++branches_in_chunk;
                 } else if (op == trace::OpClass::Load ||
                            op == trace::OpClass::Store) {
-                    std::uint64_t address = batch.address[i];
                     std::uint64_t dline = address >> d_line_shift;
                     if (dline == last_dline) {
                         ++drun;
@@ -367,47 +371,18 @@ class Playback
                 }
             }
 
-            // Resolve the batch's branches through the predictor's
+            // Resolve the chunk's branches through the predictor's
             // batch kernel (also needed when not recording: predictor
             // state must advance through warm-up windows).
             predictor.updateBatch(branch_pc.data(), branch_id.data(),
                                   branch_taken.data(),
                                   branch_mispred.data(),
-                                  branches_in_batch);
-
-            // Pass 2 (counting): branchless SoA reductions.  32-bit
-            // lane accumulators are safe (n <= 4096) and give the
-            // vectorizer narrower, denser lanes.
+                                  branches_in_chunk);
             if constexpr (Record) {
-                const trace::OpClass *op = batch.op.data();
-                const std::uint8_t *flags = batch.flags.data();
-                std::uint32_t b_kernel = 0, b_loads = 0, b_stores = 0;
-                std::uint32_t b_fp = 0, b_simd = 0, b_branches = 0;
-                std::uint32_t b_taken = 0, b_mispred = 0;
-                for (std::size_t i = 0; i < n; ++i) {
-                    bool is_branch = op[i] == trace::OpClass::Branch;
-                    b_kernel +=
-                        (flags[i] & trace::RecordBatch::kKernelBit) >> 1;
-                    b_loads += op[i] == trace::OpClass::Load ? 1 : 0;
-                    b_stores += op[i] == trace::OpClass::Store ? 1 : 0;
-                    b_fp += op[i] == trace::OpClass::FpAlu ? 1 : 0;
-                    b_simd += op[i] == trace::OpClass::Simd ? 1 : 0;
-                    b_branches += is_branch ? 1 : 0;
-                    b_taken +=
-                        is_branch
-                            ? (flags[i] & trace::RecordBatch::kTakenBit)
-                            : 0;
+                for (std::size_t k = 0; k < branches_in_chunk; ++k) {
+                    taken_branches += branch_taken[k];
+                    mispredictions += branch_mispred[k];
                 }
-                for (std::size_t k = 0; k < branches_in_batch; ++k)
-                    b_mispred += branch_mispred[k];
-                kernel += b_kernel;
-                loads += b_loads;
-                stores += b_stores;
-                fp_ops += b_fp;
-                simd_ops += b_simd;
-                branches += b_branches;
-                taken_branches += b_taken;
-                mispredictions += b_mispred;
             }
         }
 
@@ -426,11 +401,14 @@ class Playback
             PerfCounters &c = *record;
             c.instructions += count;
             c.kernel_instructions += kernel;
-            c.loads += loads;
-            c.stores += stores;
-            c.fp_ops += fp_ops;
-            c.simd_ops += simd_ops;
-            c.branches += branches;
+            auto of = [&retired](trace::OpClass op) {
+                return retired[static_cast<std::size_t>(op)];
+            };
+            c.loads += of(trace::OpClass::Load);
+            c.stores += of(trace::OpClass::Store);
+            c.fp_ops += of(trace::OpClass::FpAlu);
+            c.simd_ops += of(trace::OpClass::Simd);
+            c.branches += of(trace::OpClass::Branch);
             c.taken_branches += taken_branches;
             c.branch_mispredictions += mispredictions;
             addDelta(c, start, capture(caches_, tlbs_));
@@ -454,7 +432,7 @@ class Playback
     TlbHierarchy tlbs_;
     PredictorVariant predictor_;
     verify::AuditTrail *trail_ = nullptr;
-    std::uint64_t audit_batches_ = 0;
+    std::uint64_t audit_chunks_ = 0;
 };
 
 /** One phase of a run: an effective profile plus exact window counts. */

@@ -13,8 +13,10 @@
  * simulate() and simulatePhased() share one internal driver that plays
  * an ordered list of phases (an effective profile plus exact warm-up
  * and measured record counts) over one set of structures: simulate()
- * is the one-phase case.  The per-record reference model the parity
- * tests hold it to lives under tests/uarch/.
+ * is the one-phase case.  The driver stores no records: one loop
+ * draws each record from the trace generator and plays it through the
+ * structures in the same iteration.  The per-record reference model
+ * the parity tests hold it to lives under tests/uarch/.
  */
 
 #ifndef SPECLENS_UARCH_SIMULATION_H

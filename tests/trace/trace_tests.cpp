@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -142,6 +143,25 @@ TEST(PhaseDerivationTest, EveryShippedProfileDerivesDriftedPhases)
             << b.name;
         for (const Phase &phase : phased.phases)
             EXPECT_GE(phase.profile.mix.remainder(), 0.0) << b.name;
+    }
+}
+
+// A NaN weight used to pass both the positivity and the unit-sum test
+// and reach simulatePhased's float-to-integer window split.
+TEST(PhasedWorkloadTest, RejectsWeightsThatAreNotFiniteAndPositive)
+{
+    for (double bad : {std::nan(""), HUGE_VAL, 0.0, -1.0}) {
+        PhasedWorkload phased;
+        phased.name = "phased.test";
+        phased.phases = {Phase{testProfile(), 1.0}, Phase{testProfile(), bad}};
+        try {
+            phased.validate();
+            ADD_FAILURE() << "validate() accepted weight " << bad;
+        } catch (const std::invalid_argument &ex) {
+            EXPECT_STREQ(ex.what(), "phased.test: phases[1].weight must be "
+                                    "finite and positive")
+                << "weight " << bad;
+        }
     }
 }
 

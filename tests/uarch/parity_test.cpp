@@ -26,6 +26,7 @@
 #include "suites/spec2006.h"
 #include "suites/spec2017.h"
 #include "trace/phased_workload.h"
+#include "trace/record_batch.h"
 #include "uarch/simulation.h"
 
 using namespace speclens;
@@ -121,6 +122,43 @@ TEST(StreamingParity, FullWindowSpotChecks)
         suites::spec2017Benchmark("605.mcf_s");
     for (const uarch::MachineConfig &machine : machines)
         expectParity(mcf, machine, config);
+}
+
+// The driver plays records in chunks of trace::kRecordBatchCapacity;
+// run-collapse state and predictor flushes must carry exactly across
+// chunk ends and across the warm-up/measured seam.  Windows just
+// below, at and above one chunk, and two chunks plus a tail, on a
+// TreePLRU machine, the L3-less machine and a prefetching one.
+// 538.imagick_r has pending same-line data runs at some of these
+// chunk ends (most workloads have only pending fetch runs there).
+TEST(StreamingParity, ChunkBoundaryWindows)
+{
+    constexpr std::uint64_t kChunk = trace::kRecordBatchCapacity;
+    std::vector<uarch::MachineConfig> machines = {
+        suites::machineByShortName("skylake"),
+        suites::machineByShortName("harpertown")};
+    for (const uarch::MachineConfig &m : suites::memoryCentricMachines())
+        if (m.short_name == "skylake-nl")
+            machines.push_back(m);
+    ASSERT_EQ(machines.size(), 3u);
+    ASSERT_EQ(machines[0].caches.l1d.policy,
+              uarch::ReplacementPolicy::TreePlru);
+    ASSERT_FALSE(machines[1].caches.l3.has_value());
+
+    const suites::BenchmarkInfo &imagick =
+        suites::spec2017Benchmark("538.imagick_r");
+    for (const uarch::MachineConfig &machine : machines) {
+        for (std::uint64_t warmup :
+             {kChunk - 1, kChunk, kChunk + 1, 2 * kChunk + 7}) {
+            for (std::uint64_t measured :
+                 {kChunk - 1, kChunk, kChunk + 1, 2 * kChunk + 7}) {
+                uarch::SimulationConfig config;
+                config.warmup = warmup;
+                config.instructions = measured;
+                expectParity(imagick, machine, config);
+            }
+        }
+    }
 }
 
 // The memory-centric machine variants light up every prefetcher

@@ -17,6 +17,7 @@
 
 #include "suites/machines.h"
 #include "suites/spec2017.h"
+#include "trace/record_batch.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
 #include "uarch/cache_hierarchy.h"
@@ -490,9 +491,17 @@ TEST(StateAudit, DramBusyIdentityTrips)
 
 TEST(StateAudit, SimulateAuditedRunsCleanOnShippedModels)
 {
+    // Chunks are counted per play and carry across the warm-up and
+    // measured plays: 2 warm-up chunks (4096 + 1) and 30 measured ones
+    // (29 full + 1) make 32, so the every-16th-chunk sample fires
+    // twice.  Counting records instead (30 chunks' worth) would fire
+    // once.
+    constexpr std::uint64_t kChunk = trace::kRecordBatchCapacity;
     uarch::SimulationConfig config;
-    config.instructions = 20'000;
-    config.warmup = 5'000;
+    config.warmup = kChunk + 1;
+    config.instructions = 29 * kChunk + 1;
+    // Post-prewarm, two sampled, the window audit and the final one.
+    constexpr std::uint64_t kExpectedAudits = 1 + 2 + 1 + 1;
     const auto &benchmark = suites::spec2017()[0];
     for (const uarch::MachineConfig &machine :
          suites::profilingMachines()) {
@@ -500,7 +509,7 @@ TEST(StateAudit, SimulateAuditedRunsCleanOnShippedModels)
         uarch::SimulationResult result =
             uarch::simulate(benchmark.profile, machine, config, &trail);
         EXPECT_GT(result.counters.instructions, 0u);
-        EXPECT_GE(trail.audits, 2u) << machine.name;
+        EXPECT_EQ(trail.audits, kExpectedAudits) << machine.name;
         for (const Violation &v : trail.violations)
             ADD_FAILURE() << machine.name << ": "
                           << renderViolation(v);

@@ -193,7 +193,11 @@ grep -q 'rejected=0$' "$BUILD_DIR/repro-warm.err" ||
 grep '\[speclens-repro\] total' "$BUILD_DIR/repro-cold.err" \
     "$BUILD_DIR/repro-warm.err"
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$REPRO_STORE" \
-    >/dev/null
+    >"$BUILD_DIR/repro-lint.out"
+# Warnings (an SL016 stale or orphan entry) fail too, not only errors.
+grep -q ' 0 errors, 0 warnings$' "$BUILD_DIR/repro-lint.out" ||
+    { echo "repro store lint is not clean:" >&2
+      cat "$BUILD_DIR/repro-lint.out" >&2; exit 1; }
 rm -rf "$REPRO_STORE"
 echo "repro --all: warm zero simulations, stdout byte-identical, lint clean"
 
