@@ -151,7 +151,10 @@ class CacheHierarchy
      * has been accessed yet (so every level is empty and every probe
      * of a distinct-line walk must miss) and the prefetcher is off (a
      * prefetch fill would break the guaranteed-miss argument by
-     * planting successor lines in L2/L3 ahead of the walk).
+     * planting successor lines in L2/L3 ahead of the walk).  A cold
+     * hierarchy with the prefetcher on walks the general path, which
+     * keeps no cold-fill counters and opens DRAM rows; the closed-form
+     * solver reproduces that state too (DESIGN §5e-r4).
      */
     bool
     coldFillEligible() const
@@ -163,10 +166,10 @@ class CacheHierarchy
     /**
      * Fill one distinct line of the cold data walk — exactly what
      * accessData() does when every level misses, minus the futile hit
-     * scans.  Only valid under coldFillEligible() at walk start.  The
-     * DRAM model is deliberately not touched: analytic prewarm leaves
-     * every row closed, so the cold walk must too for the two paths to
-     * produce identical state (see DESIGN §5h).
+     * scans.  Only valid under coldFillEligible() at walk start.
+     * Unlike accessData() it does not touch the DRAM model: a
+     * prefetch-free prewarm is defined to leave every row closed, and
+     * the analytic path does the same (see DESIGN §5h).
      */
     void
     prewarmFillData(std::uint64_t address)

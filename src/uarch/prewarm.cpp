@@ -9,6 +9,7 @@
 #include <array>
 #include <bit>
 #include <numeric>
+#include <type_traits>
 
 #include "trace/address_stream.h"
 
@@ -215,15 +216,17 @@ struct SetCursor
     }
 };
 
-} // namespace
-
-bool
-PrewarmSolver::fitsWithoutEviction(const Cache &cache,
-                                   const std::vector<Segment> &segments)
+/**
+ * Add the per-set fill counts of @p segments to @p count: every group
+ * entry of a segment is its own progression, whose set sequence is
+ * cyclic with period P = S / gcd(step, S); every reachable set takes
+ * floor(fills / P) fills and the first (fills mod P) cycle positions
+ * one more — O(min(fills, S)) per progression, no per-fill work.
+ */
+void
+countFills(std::uint64_t S, const std::vector<Segment> &segments,
+           std::vector<std::uint32_t> &count)
 {
-    const std::uint64_t S = cache.num_sets_;
-    const std::uint32_t assoc = cache.config_.associativity;
-    std::vector<std::uint32_t> count(S, 0);
     for (const Segment &seg : segments) {
         if (seg.fills == 0)
             continue;
@@ -232,48 +235,651 @@ PrewarmSolver::fitsWithoutEviction(const Cache &cache,
         std::uint64_t q = seg.fills / period;
         std::uint64_t rem = seg.fills % period;
         std::uint64_t n = std::min(seg.fills, period);
-        std::uint64_t s = seg.u0 % S;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            count[s] += static_cast<std::uint32_t>(q + (i < rem ? 1 : 0));
-            if (count[s] > assoc)
-                return false;
-            s += a;
-            if (s >= S)
-                s -= S;
+        for (std::uint64_t k = 0; k < seg.width(); ++k) {
+            std::uint64_t s =
+                (seg.u0 + (seg.group.empty() ? 0 : seg.group[k])) % S;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                count[s] += static_cast<std::uint32_t>(q + (i < rem ? 1 : 0));
+                s += a;
+                if (s >= S)
+                    s -= S;
+            }
         }
     }
+}
+
+/** A line the prefetching walk fills into L2. */
+struct L2Fill
+{
+    std::uint64_t unit;
+    std::uint64_t tick; //!< L2 tick of the fill.
+    bool prefetch;      //!< Filled by the prefetcher (bit set).
+};
+
+/**
+ * Consecutive demands of one walked region, played @c reps times:
+ * repetition r shifts every unit by r*du and every L2 tick by r*dt.
+ * The vectors hold repetition 0 in walk order.
+ */
+struct Piece
+{
+    std::uint64_t j0 = 0;      //!< Demand index of the first demand.
+    std::uint64_t demands = 0; //!< Demands per repetition.
+    std::uint64_t reps = 1;
+    std::uint64_t du = 0;
+    std::uint64_t dt = 0;
+    std::vector<std::uint64_t> demand_tick; //!< L2 tick of each demand.
+    std::vector<L2Fill> fills;              //!< L2 fill order.
+    std::vector<std::uint64_t> l3;          //!< L3 (= DRAM) order.
+};
+
+} // namespace
+
+/**
+ * One walked region of a prefetching prewarm: the demand lattice
+ * x0 + j*d (j < demands) and its replay as pieces.  The code walk is a
+ * region whose lines are never demanded again (demands == 0).
+ */
+struct RegionPlan
+{
+    std::uint64_t x0 = 0;
+    std::uint64_t d = 1;
+    std::uint64_t demands = 0;
+    std::uint64_t lo = 0, hi = 0; //!< Every unit the region fills.
+    std::vector<Piece> pieces;
+
+    /** True when unit @p u is one of the region's demands; @p tick
+     *  then receives that demand's L2 tick, its final LRU stamp. */
+    bool
+    demanded(std::uint64_t u, std::uint64_t &tick) const
+    {
+        if (u < x0 || (u - x0) % d != 0)
+            return false;
+        std::uint64_t j = (u - x0) / d;
+        if (j >= demands)
+            return false;
+        for (const Piece &piece : pieces) {
+            std::uint64_t span = piece.demands * piece.reps;
+            if (j < piece.j0 || j - piece.j0 >= span)
+                continue;
+            std::uint64_t i = j - piece.j0;
+            tick = piece.demand_tick[i % piece.demands] +
+                   i / piece.demands * piece.dt;
+            return true;
+        }
+        return false;
+    }
+};
+
+namespace {
+
+/**
+ * Symbolic replay of the prewarm walk below L1 with the L2 prefetcher
+ * on.  It mirrors CacheHierarchy's demand path and engines
+ * (accessCommon, onL2DemandHit/Miss, issuePrefetch and the three
+ * engines) line for line, but keeps no cache arrays: L2 residency is
+ * the list of lines filled ahead of the current demand, which is exact
+ * while the replay's proof holds —
+ *
+ *  - fills ascend within a region (a demand or prefetch target behind
+ *    the fill frontier must still be resident);
+ *  - the frontier never runs more than S_L2 lines ahead of the
+ *    demand, so no line is evicted, and no LRU stamp is overtaken,
+ *    before its last demand (round-robin victims survive the demand
+ *    hits);
+ *  - prefetch targets stay ahead of the demand inside the region, or
+ *    land outside every region exactly once (a stride trained on the
+ *    jump between one-line regions).
+ *
+ * Under those conditions every L3 probe is a first touch, so L3 is a
+ * pure fill stream in the replay's L3 order.  Once the state relative
+ * to the demand line (lines ahead with their bits, fill frontier,
+ * stride slot, stream windows) repeats after p demands, the next
+ * floor(left / p) periods are identical shifted copies and become one
+ * repeated piece; the replay resumes for the tail.
+ */
+class PrefetchReplay
+{
+  public:
+    struct Params
+    {
+        PrefetcherKind kind;
+        unsigned degree;
+        std::uint64_t l2_sets;
+        std::uint64_t line;        //!< Line bytes.
+        std::size_t windows;       //!< Stream windows.
+        std::uint64_t confirm;     //!< Stream confirm distance.
+        std::uint64_t hit_window;  //!< Stream prefetched-hit window.
+    };
+
+    explicit PrefetchReplay(const Params &params)
+        : w_last(params.windows, 0), w_valid(params.windows, 0), p_(params)
+    {
+    }
+
+    /** Replay the demands x0 + j*d, j < demands; false when the walk
+     *  leaves the proof. */
+    bool region(std::uint64_t x0, std::uint64_t d, std::uint64_t demands);
+
+    /** The code walk: @p lines instruction misses from @p u0 (no
+     *  prefetch, never demanded again). */
+    void code(std::uint64_t u0, std::uint64_t lines);
+
+    std::vector<RegionPlan> plans;
+    std::uint64_t tick = 0;        //!< L2 accesses.
+    std::uint64_t misses = 0;      //!< Data demand misses in L2.
+    std::uint64_t hits = 0;        //!< Data demand hits in L2.
+    std::uint64_t pf_fills = 0;
+    std::uint64_t useful = 0;
+    std::uint64_t l3_fills = 0;    //!< L3 probes, every one a miss.
+    std::uint64_t last_unit = 0;   //!< Unit of the last L2 access.
+    std::vector<std::uint64_t> far; //!< Prefetches outside any region.
+
+    // Engine state: stride slot 0 (the walk passes no pc) and the
+    // stream windows.
+    std::uint64_t s_last = 0;
+    std::int64_t s_delta = 0;
+    std::uint8_t s_conf = 0, s_valid = 0;
+    std::vector<std::uint64_t> w_last;
+    std::vector<std::uint8_t> w_valid;
+    std::size_t w_next = 0;
+
+  private:
+    /** A line filled at or ahead of the current demand. */
+    struct Ahead
+    {
+        std::uint64_t unit;
+        std::uint8_t bit;
+    };
+
+    /** Counters and buffer sizes before one demand, plus its state
+     *  signature relative to the demand line. */
+    struct Mark
+    {
+        std::vector<std::uint64_t> sig;
+        std::uint64_t j, tick, misses, hits, pf_fills, useful, l3_fills;
+        std::size_t fills_at, l3_at, far_at;
+    };
+
+    /** Offsets from the demand line below this count as the region's
+     *  own (relative) state; anything further belongs to another
+     *  region and stays absolute. */
+    static constexpr std::uint64_t kNear = 1ull << 24;
+    static constexpr std::size_t kMaxPeriod = 16;
+    static constexpr std::uint64_t kSearchDemands = 512;
+
+    bool
+    near(std::uint64_t v) const
+    {
+        return v - x_ + kNear < 2 * kNear;
+    }
+
+    void
+    relative(std::vector<std::uint64_t> &sig, std::uint64_t v) const
+    {
+        sig.push_back(near(v) ? 0 : 1);
+        sig.push_back(near(v) ? v - x_ : v);
+    }
+
+    Mark mark(std::uint64_t j, const Piece &cur);
+    std::uint64_t repeat(const Mark &from, std::uint64_t j,
+                         std::uint64_t demands, RegionPlan &plan,
+                         Piece &cur);
+    void demand(Piece &cur);
+    void issue(std::uint64_t target, Piece &cur);
+    void fill(std::uint64_t unit, bool prefetch, Piece &cur);
+    Ahead *find(std::uint64_t unit);
+    void strideTrain(Piece &cur);
+    void streamMiss(Piece &cur);
+    void streamHit(Piece &cur);
+
+    Params p_;
+    std::vector<Ahead> ahead_;
+    std::size_t head_ = 0;
+    std::uint64_t x_ = 0;
+    std::uint64_t frontier_ = 0;
+    bool filled_ = false;
+    bool ok_ = true;
+};
+
+PrefetchReplay::Mark
+PrefetchReplay::mark(std::uint64_t j, const Piece &cur)
+{
+    Mark m{{}, j, tick, misses, hits, pf_fills, useful, l3_fills,
+           cur.fills.size(), cur.l3.size(), far.size()};
+    m.sig.push_back(filled_ ? frontier_ - x_ : ~0ull);
+    for (std::size_t i = head_; i < ahead_.size(); ++i) {
+        m.sig.push_back(ahead_[i].unit - x_);
+        m.sig.push_back(ahead_[i].bit);
+    }
+    m.sig.push_back(s_valid);
+    m.sig.push_back(static_cast<std::uint64_t>(s_delta));
+    m.sig.push_back(s_conf);
+    relative(m.sig, s_last);
+    for (std::size_t w = 0; w < w_last.size(); ++w) {
+        m.sig.push_back(w_valid[w]);
+        relative(m.sig, w_last[w]);
+    }
+    m.sig.push_back(w_next);
+    return m;
+}
+
+/**
+ * The state before demand @p j equals @p from's, p = j - from.j demands
+ * earlier, relative to the demand line.  The engines only compare and
+ * add line numbers, so each of the next floor((demands - j) / p)
+ * periods replays the last one shifted by p*d lines and its tick
+ * count: close the head piece, append them as one repeated piece and
+ * move the state past them.  Returns the demand index to resume at.
+ */
+std::uint64_t
+PrefetchReplay::repeat(const Mark &from, std::uint64_t j,
+                       std::uint64_t demands, RegionPlan &plan, Piece &cur)
+{
+    const std::uint64_t p = j - from.j;
+    Piece body;
+    body.j0 = j;
+    body.demands = p;
+    body.reps = (demands - j) / p;
+    body.du = p * plan.d;
+    body.dt = tick - from.tick;
+    for (std::size_t i = cur.demand_tick.size() - p;
+         i < cur.demand_tick.size(); ++i)
+        body.demand_tick.push_back(cur.demand_tick[i] + body.dt);
+    for (std::size_t i = from.fills_at; i < cur.fills.size(); ++i)
+        body.fills.push_back({cur.fills[i].unit + body.du,
+                              cur.fills[i].tick + body.dt,
+                              cur.fills[i].prefetch});
+    for (std::size_t i = from.l3_at; i < cur.l3.size(); ++i)
+        body.l3.push_back(cur.l3[i] + body.du);
+
+    const std::uint64_t reps = body.reps;
+    tick += reps * body.dt;
+    misses += reps * (misses - from.misses);
+    hits += reps * (hits - from.hits);
+    pf_fills += reps * (pf_fills - from.pf_fills);
+    useful += reps * (useful - from.useful);
+    l3_fills += reps * (l3_fills - from.l3_fills);
+    const std::uint64_t by = reps * body.du;
+    for (std::size_t i = head_; i < ahead_.size(); ++i)
+        ahead_[i].unit += by;
+    frontier_ += by;
+    if (near(s_last))
+        s_last += by;
+    for (std::uint64_t &last : w_last)
+        if (near(last))
+            last += by;
+    // The period ends with its last demand or that demand's fills.
+    const std::uint64_t resume = j + reps * p;
+    last_unit = !body.fills.empty() &&
+                        body.fills.back().tick > body.demand_tick.back()
+                    ? body.fills.back().unit + (reps - 1) * body.du
+                    : plan.x0 + (resume - 1) * plan.d;
+
+    plan.pieces.push_back(std::move(cur));
+    plan.pieces.push_back(std::move(body));
+    cur = Piece{};
+    cur.j0 = resume;
+    return resume;
+}
+
+PrefetchReplay::Ahead *
+PrefetchReplay::find(std::uint64_t unit)
+{
+    auto it = std::lower_bound(
+        ahead_.begin() + static_cast<std::ptrdiff_t>(head_), ahead_.end(),
+        unit, [](const Ahead &a, std::uint64_t u) { return a.unit < u; });
+    return it != ahead_.end() && it->unit == unit ? &*it : nullptr;
+}
+
+void
+PrefetchReplay::fill(std::uint64_t unit, bool prefetch, Piece &cur)
+{
+    cur.fills.push_back({unit, tick, prefetch});
+    last_unit = unit;
+    if (near(unit)) {
+        ahead_.push_back({unit, prefetch});
+        frontier_ = unit;
+        filled_ = true;
+    }
+    if (prefetch) {
+        ++pf_fills;
+        cur.l3.push_back(unit);
+        ++l3_fills;
+    }
+}
+
+void
+PrefetchReplay::issue(std::uint64_t target, Piece &cur)
+{
+    // CacheHierarchy::issuePrefetch: a resident target costs nothing;
+    // anything else is a first touch at L3 and an L2 fill with its
+    // bit set.
+    if (!near(target)) {
+        // A stride trained on an inter-region jump reaches outside
+        // every region: a one-off first touch, unless it repeats.
+        if (std::find(far.begin(), far.end(), target) != far.end()) {
+            ok_ = false;
+            return;
+        }
+        far.push_back(target);
+    } else if (target <= x_) {
+        ok_ = false; // behind the demand
+        return;
+    } else if (filled_ && target <= frontier_) {
+        if (find(target) == nullptr)
+            ok_ = false; // a hole behind the frontier
+        return;
+    }
+    ++tick;
+    fill(target, true, cur);
+}
+
+void
+PrefetchReplay::strideTrain(Piece &cur)
+{
+    // CacheHierarchy::trainStrideAndIssue on slot 0.
+    if (!s_valid) {
+        s_valid = 1;
+        s_last = x_;
+        s_delta = 0;
+        s_conf = 0;
+        return;
+    }
+    auto delta = static_cast<std::int64_t>(x_ - s_last);
+    if (delta == s_delta) {
+        if (s_conf < 3)
+            ++s_conf;
+    } else {
+        s_delta = delta;
+        s_conf = 0;
+    }
+    s_last = x_;
+    // The engine issues target_line * line_bytes, so a target that
+    // wraps the address space lands on that product's line.
+    if (s_conf >= 2 && s_delta != 0)
+        for (unsigned k = 1; k <= p_.degree; ++k)
+            issue((x_ + static_cast<std::uint64_t>(
+                            static_cast<std::int64_t>(k) * s_delta)) *
+                      p_.line / p_.line,
+                  cur);
+}
+
+void
+PrefetchReplay::streamMiss(Piece &cur)
+{
+    for (std::size_t w = 0; w < w_last.size(); ++w) {
+        if (w_valid[w] && x_ > w_last[w] && x_ - w_last[w] <= p_.confirm) {
+            for (unsigned k = 1; k <= p_.degree; ++k)
+                issue(x_ + k, cur);
+            w_last[w] = x_ + p_.degree;
+            return;
+        }
+    }
+    w_last[w_next] = x_;
+    w_valid[w_next] = 1;
+    w_next = (w_next + 1) % w_last.size();
+}
+
+void
+PrefetchReplay::streamHit(Piece &cur)
+{
+    for (std::size_t w = 0; w < w_last.size(); ++w) {
+        if (w_valid[w] && w_last[w] >= x_ &&
+            w_last[w] - x_ < p_.hit_window) {
+            for (unsigned k = 1; k <= p_.degree; ++k)
+                issue(w_last[w] + k, cur);
+            w_last[w] += p_.degree;
+            return;
+        }
+    }
+}
+
+void
+PrefetchReplay::demand(Piece &cur)
+{
+    // CacheHierarchy::accessCommon below L1 for one data line.
+    ++cur.demands;
+    cur.demand_tick.push_back(++tick);
+    last_unit = x_;
+    Ahead *line = find(x_);
+    bool was_prefetched = false;
+    if (line != nullptr) {
+        ++hits;
+        was_prefetched = line->bit != 0;
+        if (was_prefetched) {
+            line->bit = 0;
+            ++useful;
+        }
+    } else {
+        if (filled_ && x_ <= frontier_) {
+            ok_ = false; // a hole behind the frontier
+            return;
+        }
+        ++misses;
+        fill(x_, false, cur);
+    }
+    switch (p_.kind) {
+      case PrefetcherKind::NextLine:
+        if (line == nullptr || was_prefetched)
+            for (unsigned i = 1; i <= p_.degree; ++i)
+                issue(x_ + i, cur);
+        break;
+      case PrefetcherKind::Stride:
+        strideTrain(cur);
+        break;
+      case PrefetcherKind::Stream:
+        if (line == nullptr)
+            streamMiss(cur);
+        else if (was_prefetched)
+            streamHit(cur);
+        break;
+    }
+    if (line == nullptr) {
+        // The demand probes L3 after its prefetches did.
+        cur.l3.push_back(x_);
+        ++l3_fills;
+    }
+    // A fill S_L2 lines ahead shares the set of the line just touched
+    // and no other line ahead; any further and a line could be
+    // evicted, or overtaken in LRU order, before its demand.
+    if (frontier_ - x_ > p_.l2_sets)
+        ok_ = false;
+}
+
+bool
+PrefetchReplay::region(std::uint64_t x0, std::uint64_t d,
+                       std::uint64_t demands)
+{
+    RegionPlan &plan = plans.emplace_back();
+    plan.x0 = x0;
+    plan.d = d;
+    plan.demands = demands;
+    ahead_.clear();
+    head_ = 0;
+    filled_ = false;
+
+    std::vector<Mark> history; // the last kMaxPeriod marks, oldest first
+    bool searching = true;
+    Piece cur;
+    for (std::uint64_t j = 0; j < demands && ok_;) {
+        x_ = x0 + j * d;
+        // Lines behind the demand are never queried again.
+        while (head_ < ahead_.size() && ahead_[head_].unit < x_)
+            ++head_;
+        if (head_ > 64 && head_ * 2 > ahead_.size()) {
+            ahead_.erase(ahead_.begin(),
+                         ahead_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+        if (searching) {
+            Mark now = mark(j, cur);
+            auto same = std::find_if(
+                history.rbegin(), history.rend(),
+                [&now](const Mark &m) { return m.sig == now.sig; });
+            if (same != history.rend()) {
+                searching = false;
+                // A period with far prefetches would not shift with
+                // the demand line: keep replaying.
+                if (same->far_at == far.size() &&
+                    demands - j >= j - same->j) {
+                    j = repeat(*same, j, demands, plan, cur);
+                    continue;
+                }
+            } else {
+                history.push_back(std::move(now));
+                if (history.size() > kMaxPeriod)
+                    history.erase(history.begin());
+                searching = j < kSearchDemands;
+            }
+        }
+        demand(cur);
+        ++j;
+    }
+    if (!ok_)
+        return false;
+    if (cur.demands != 0)
+        plan.pieces.push_back(std::move(cur));
+    plan.lo = x0;
+    plan.hi = frontier_;
     return true;
 }
 
 void
+PrefetchReplay::code(std::uint64_t u0, std::uint64_t lines)
+{
+    if (lines == 0)
+        return;
+    RegionPlan &plan = plans.emplace_back();
+    plan.x0 = u0;
+    plan.lo = u0;
+    plan.hi = u0 + lines - 1;
+    Piece piece;
+    piece.demands = 1;
+    piece.reps = lines;
+    piece.du = 1;
+    piece.dt = 1;
+    piece.demand_tick = {tick + 1};
+    piece.fills = {{u0, tick + 1, false}};
+    piece.l3 = {u0};
+    plan.pieces.push_back(std::move(piece));
+    tick += lines;
+    l3_fills += lines;
+    last_unit = plan.hi;
+}
+
+/**
+ * The replay's L2 and L3 streams as grouped segments: one per piece,
+ * element r = repetition r, group = the piece's fills (L2, with their
+ * ticks, prefetch flags and region for the stamps) or its L3 order.
+ */
+void
+replaySegments(const std::vector<RegionPlan> &plans,
+               std::vector<Segment> &l2, std::vector<Segment> &l3)
+{
+    std::uint64_t l2_fills = 0, l3_fills = 0;
+    for (const RegionPlan &plan : plans) {
+        for (const Piece &piece : plan.pieces) {
+            if (!piece.fills.empty()) {
+                Segment seg;
+                seg.u0 = piece.fills.front().unit;
+                for (const L2Fill &f : piece.fills)
+                    seg.u0 = std::min(seg.u0, f.unit);
+                for (const L2Fill &f : piece.fills) {
+                    seg.group.push_back(f.unit - seg.u0);
+                    seg.fill_tick.push_back(f.tick);
+                    seg.prefetched.push_back(f.prefetch);
+                }
+                seg.step = piece.du;
+                seg.fills = piece.reps;
+                seg.tick_step = piece.dt;
+                seg.elems = piece.reps * piece.fills.size();
+                seg.fills0 = l2_fills;
+                seg.region = plan.demands != 0 ? &plan : nullptr;
+                l2_fills += seg.elems;
+                l2.push_back(std::move(seg));
+            }
+            if (!piece.l3.empty()) {
+                Segment seg;
+                seg.u0 = *std::min_element(piece.l3.begin(), piece.l3.end());
+                for (std::uint64_t u : piece.l3)
+                    seg.group.push_back(u - seg.u0);
+                seg.step = piece.du;
+                seg.fills = piece.reps;
+                seg.elems = piece.reps * piece.l3.size();
+                seg.tick0 = seg.fills0 = l3_fills;
+                l3_fills += seg.elems;
+                l3.push_back(std::move(seg));
+            }
+        }
+    }
+}
+
+} // namespace
+
+const char *
+PrewarmSolver::refusalName(Refusal reason)
+{
+    switch (reason) {
+      case Refusal::None: return "none";
+      case Refusal::Touched: return "touched";
+      case Refusal::LineSize: return "line_size";
+      case Refusal::PageSize: return "page_size";
+      case Refusal::StrideShape: return "stride_shape";
+      case Refusal::PlruPeriod: return "plru_period";
+      case Refusal::RandomOverflow: return "random_overflow";
+      case Refusal::PrefetchPolicy: return "prefetch_policy";
+      case Refusal::PrefetchShape: return "prefetch_shape";
+    }
+    return "unknown";
+}
+
+bool
+PrewarmSolver::fitsWithoutEviction(const Cache &cache,
+                                   const std::vector<Segment> &segments)
+{
+    std::vector<std::uint32_t> count(cache.num_sets_, 0);
+    countFills(cache.num_sets_, segments, count);
+    return std::all_of(count.begin(), count.end(),
+                       [&cache](std::uint32_t k) {
+                           return k <= cache.config_.associativity;
+                       });
+}
+
+std::uint64_t
 PrewarmSolver::solveCache(Cache &cache,
                           const std::vector<Segment> &segments,
-                          std::uint64_t accesses, std::uint64_t hits)
+                          std::uint64_t accesses, std::uint64_t hits,
+                          bool cold_counters, std::uint8_t *prefetch_bits)
 {
     cache.accesses_ += accesses;
     cache.hits_ += hits;
+    // The walk's only L1 hits repeat the line just filled, which the
+    // predictor entry already names (Cache::repeatLastHit).
+    const std::uint32_t parts = cache.way_pred_parts_;
+    if (parts != 0)
+        cache.way_pred_hits_ += hits;
 
     const std::uint64_t S = cache.num_sets_;
     const std::uint32_t assoc = cache.config_.associativity;
     const ReplacementPolicy policy = cache.config_.policy;
 
-    std::uint64_t total_fills = 0, total_elems = 0;
-    for (const Segment &seg : segments) {
-        total_fills += seg.fills;
-        total_elems += seg.elems;
-    }
+    std::uint64_t total_fills = 0;
+    for (const Segment &seg : segments)
+        total_fills += seg.fills * seg.width();
     if (total_fills == 0)
-        return; // the walk would not have touched the arrays either
+        return 0; // the walk would not have touched the arrays either
 
-    // The walk ticks LRU structures once per element (fills plus
-    // collapsed repeat hits) and FIFO structures once per fill; tree-
-    // PLRU and Random never touch the tick or the stamps.
+    // The walk ticks LRU structures once per access (fills, collapsed
+    // repeat hits and demand hits) and FIFO structures once per fill;
+    // tree-PLRU and Random never touch the tick or the stamps.
     if (policy == ReplacementPolicy::Lru)
-        cache.tick_ = total_elems;
+        cache.tick_ = accesses;
     else if (policy == ReplacementPolicy::Fifo)
         cache.tick_ = total_fills;
 
-    cache.cold_fills_.assign(S, 0);
+    if (cold_counters)
+        cache.cold_fills_.assign(S, 0);
 
     PlruSchedule sched;
     if (policy == ReplacementPolicy::TreePlru)
@@ -281,49 +887,34 @@ PrewarmSolver::solveCache(Cache &cache,
 
     // A way's occupant is a pure function of its set's fill count, so
     // only the tail of the stream ever has to be visited.  Step 1:
-    // closed-form per-set fill counts.  A segment's set sequence is
-    // cyclic with period P = S / gcd(step, S); every reachable set
-    // takes floor(fills / P) fills and the first (fills mod P) cycle
-    // positions one more — O(min(fills, S)) per segment, no per-fill
-    // work.
+    // closed-form per-set fill counts.
     std::vector<std::uint32_t> count(S, 0);
-    for (const Segment &seg : segments) {
-        if (seg.fills == 0)
-            continue;
-        std::uint64_t a = seg.step % S;
-        std::uint64_t period = S / std::gcd(a, S); // gcd(0, S) == S
-        std::uint64_t q = seg.fills / period;
-        std::uint64_t rem = seg.fills % period;
-        std::uint64_t n = std::min(seg.fills, period);
-        std::uint64_t s = seg.u0 % S;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            count[s] += static_cast<std::uint32_t>(q + (i < rem ? 1 : 0));
-            s += a;
-            if (s >= S)
-                s -= S;
-        }
-    }
+    countFills(S, segments, count);
 
     // Step 2: per-set summary state, plus the number of way writes the
     // reverse scan still owes.  Each touched set ends with
     // min(k, assoc) occupied ways for every policy (round-robin and
     // the verified PLRU period both cycle through all ways; Random
-    // stays in the invalid suffix).
+    // stays in the invalid suffix).  A way-predicting cache also owes
+    // one entry per (set, partition) that saw a fill.
     std::uint64_t remaining = 0;
+    std::uint64_t open = 0;
     for (std::uint64_t set = 0; set < S; ++set) {
         std::uint64_t k = count[set];
         if (k == 0)
             continue;
-        cache.cold_fills_[set] = static_cast<std::uint32_t>(
-            policy == ReplacementPolicy::Lru ||
-                    policy == ReplacementPolicy::Fifo
-                ? k % assoc
-                : std::min<std::uint64_t>(k, assoc));
+        if (cold_counters)
+            cache.cold_fills_[set] = static_cast<std::uint32_t>(
+                policy == ReplacementPolicy::Lru ||
+                        policy == ReplacementPolicy::Fifo
+                    ? k % assoc
+                    : std::min<std::uint64_t>(k, assoc));
         if (policy == ReplacementPolicy::TreePlru)
-            cache.plru_[set] = k <= assoc
-                                   ? sched.state[k - 1]
-                                   : sched.state[assoc + (k - assoc - 1) % assoc];
+            cache.plru_[set] =
+                k <= assoc ? sched.state[k - 1]
+                           : sched.state[assoc + (k - assoc - 1) % assoc];
         remaining += std::min<std::uint64_t>(k, assoc);
+        open += parts != 0;
     }
 
     // Step 3: scan fills newest-first, writing each way once.  The
@@ -334,97 +925,190 @@ PrewarmSolver::solveCache(Cache &cache,
     // a per-set write counter identifies survivors; tree-PLRU can
     // revisit a way within the last assoc fills (initial-to-periodic
     // crossover), so it keeps a per-set way bitmask (its assoc is
-    // bounded at 32).  The scan stops the moment every surviving way
-    // is written — for dense streams that is the last capacity's worth
-    // of fills, not the stream.  The first fill visited is the walk's
+    // bounded at 32).  The first visit of a (set, partition) writes
+    // its way-prediction entry: the newest fill of a set always
+    // survives, so an MRU table is complete with the survivors, and
+    // only a multi-MRU partition whose last fill was evicted keeps the
+    // scan going (a set is settled once both partitions are written or
+    // its fills are exhausted).  The scan stops the moment nothing is
+    // owed — for dense streams that is the last capacity's worth of
+    // fills, not the stream.  The first fill visited is the walk's
     // globally last, which pins last_index_ (repeatLastHit never moves
     // it).
     const bool plru = policy == ReplacementPolicy::TreePlru;
+    const bool lru = policy == ReplacementPolicy::Lru;
+    const bool fifo = policy == ReplacementPolicy::Fifo;
+    const bool random = policy == ReplacementPolicy::Random;
+    const std::uint8_t settled_mask = parts == 2 ? 3 : 1;
+    constexpr std::uint8_t kSettled = 4;
     std::vector<std::uint32_t> written(S, 0);
+    std::vector<std::uint8_t> predicted(parts != 0 ? S : 0, 0);
+    std::uint64_t bits_set = 0;
     bool last_fill = true;
-    for (std::size_t si = segments.size(); si-- > 0 && remaining != 0;) {
+
+    // One fill, newest first: element j, group entry e of @p seg, unit
+    // q*S + r.  Returns true once nothing more is owed.  The plain
+    // instantiation (ungrouped segment, no way prediction, no prefetch
+    // bits) is the fill stream every prefetch-free level sees; it
+    // compiles without the general case's branches.
+    auto visit = [&](auto general, const Segment &seg, std::uint64_t j,
+                     std::uint64_t e, std::uint64_t q, std::uint64_t r) {
+        constexpr bool kGeneral = decltype(general)::value;
+        std::uint32_t k = --count[r];
+        std::uint32_t w;
+        bool survives;
+        if (plru) {
+            w = sched.wayOf(k, assoc);
+            std::uint32_t bit = 1u << w;
+            survives = (written[r] & bit) == 0;
+            written[r] |= bit;
+        } else {
+            survives = written[r] < assoc;
+            ++written[r];
+            // Random: proven < assoc by the plan phase.  Round-robin
+            // ways skip the divide while a set has not wrapped (every
+            // set of an LLC larger than the walk).
+            w = random || k < assoc ? k : k % assoc;
+        }
+        if (survives) {
+            std::size_t idx = static_cast<std::size_t>(r) * assoc + w;
+            cache.tags_[idx] = q;
+            std::uint64_t demand_tick = 0;
+            bool demanded = kGeneral && seg.region != nullptr &&
+                            seg.region->demanded(q * S + r, demand_tick);
+            const std::uint64_t g = kGeneral ? seg.width() : 1;
+            if (lru) {
+                if (kGeneral && !seg.fill_tick.empty()) {
+                    // Prefetching L2: the last touch is the line's
+                    // demand (hit or missing fill), else its prefetch
+                    // fill.
+                    cache.stamps_[idx] =
+                        demanded ? demand_tick
+                                 : seg.fill_tick[e] + j * seg.tick_step;
+                } else if (g != 1) {
+                    cache.stamps_[idx] = seg.tick0 + j * g + e + 1;
+                } else {
+                    // The tick of the unit's last element (the
+                    // collapsed repeat run re-stamps the just-filled
+                    // way).
+                    cache.stamps_[idx] =
+                        seg.tick0 + std::min((j + 1) * seg.rep, seg.elems);
+                }
+            } else if (fifo) {
+                cache.stamps_[idx] = seg.fills0 + j * g + e + 1;
+            }
+            if (kGeneral && prefetch_bits != nullptr && seg.prefetched[e] &&
+                !demanded) {
+                prefetch_bits[idx] = 1; // never consumed
+                ++bits_set;
+            }
+            if (last_fill) {
+                cache.last_index_ = idx;
+                last_fill = false;
+            }
+            --remaining;
+        }
+        if (kGeneral && parts != 0 && (predicted[r] & kSettled) == 0) {
+            std::uint8_t part = parts == 2 ? (q & 1) : 0;
+            if ((predicted[r] & (1u << part)) == 0) {
+                predicted[r] |= static_cast<std::uint8_t>(1u << part);
+                cache.way_pred_[r * parts + part] = w;
+            }
+            if ((predicted[r] & settled_mask) == settled_mask ||
+                count[r] == 0) {
+                predicted[r] |= kSettled;
+                --open;
+            }
+        }
+        return remaining == 0 && open == 0;
+    };
+
+    for (std::size_t si = segments.size();
+         si-- > 0 && (remaining != 0 || open != 0);) {
         const Segment &seg = segments[si];
         if (seg.fills == 0)
             continue;
         SetCursor cur(seg, S);
         cur.seek(seg, seg.fills - 1);
-        for (std::uint64_t j = seg.fills; j-- > 0;) {
-            std::uint32_t k = --count[cur.r];
-            std::uint32_t w;
-            bool survives;
-            if (plru) {
-                w = sched.wayOf(k, assoc);
-                std::uint32_t bit = 1u << w;
-                survives = (written[cur.r] & bit) == 0;
-                written[cur.r] |= bit;
-            } else {
-                survives = written[cur.r] < assoc;
-                ++written[cur.r];
-                w = policy == ReplacementPolicy::Random
-                        ? k // proven < assoc by the plan phase
-                        : k % assoc;
-            }
-            if (survives) {
-                std::size_t idx =
-                    static_cast<std::size_t>(cur.r) * assoc + w;
-                cache.tags_[idx] = cur.q;
-                if (policy == ReplacementPolicy::Lru) {
-                    // Final stamp: the tick of the unit's last element
-                    // (the collapsed repeat run re-stamps the just-
-                    // filled way).
-                    cache.stamps_[idx] =
-                        seg.tick0 +
-                        std::min((j + 1) * seg.rep, seg.elems);
-                } else if (policy == ReplacementPolicy::Fifo) {
-                    cache.stamps_[idx] = seg.fills0 + j + 1;
+        if (seg.group.empty() && parts == 0 && prefetch_bits == nullptr) {
+            for (std::uint64_t j = seg.fills; j-- > 0; cur.retreat())
+                if (visit(std::false_type{}, seg, j, 0, cur.q, cur.r))
+                    return bits_set;
+            continue;
+        }
+        if (seg.group.empty()) {
+            for (std::uint64_t j = seg.fills; j-- > 0; cur.retreat())
+                if (visit(std::true_type{}, seg, j, 0, cur.q, cur.r))
+                    return bits_set;
+            continue;
+        }
+        for (std::uint64_t j = seg.fills; j-- > 0; cur.retreat()) {
+            for (std::uint64_t e = seg.group.size(); e-- > 0;) {
+                std::uint64_t off = seg.group[e];
+                std::uint64_t q = cur.q + off / S;
+                std::uint64_t r = cur.r + off % S;
+                if (r >= S) {
+                    r -= S;
+                    ++q;
                 }
-                if (last_fill) {
-                    cache.last_index_ = idx;
-                    last_fill = false;
-                }
-                if (--remaining == 0)
-                    break;
+                if (visit(std::true_type{}, seg, j, e, q, r))
+                    return bits_set;
             }
-            cur.retreat();
         }
     }
+    return bits_set;
 }
 
 bool
 PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
                      const trace::WorkloadProfile &profile,
-                     std::uint64_t llc_lines)
+                     std::uint64_t llc_lines, Refusal *why)
 {
-    // The closed forms describe a cold-fill walk; a touched hierarchy
-    // (phased simulation) or an active prefetcher takes the walking
-    // path, exactly as the walk's own cold fast path does.
-    if (!caches.coldFillEligible() || !tlbs.untouched())
+    auto refuse = [why](Refusal reason) {
+        if (why != nullptr)
+            *why = reason;
         return false;
+    };
+    if (why != nullptr)
+        *why = Refusal::None;
+
+    // The closed forms describe a walk over a cold hierarchy; a touched
+    // one (phased simulation from phase 2 on) takes the walking path.
+    if (caches.l1i_stats_.accesses != 0 || caches.l1d_stats_.accesses != 0 ||
+        !tlbs.untouched())
+        return refuse(Refusal::Touched);
 
     // The walk streams one address through every level, keyed on the
     // L1 line (page): uniform unit sizes are what make each lower
     // level's fill stream equal the upper level's — a 128-byte L2 line
     // would see duplicate fills the segment model cannot express.
     const std::uint64_t line = trace::kLineBytes;
+    const bool prefetching = caches.prefetch_degree_ != 0;
     const Cache *levels[] = {&caches.l1i_cache_, &caches.l1d_cache_,
                              &caches.l2_cache_, caches.l3_cache_.get()};
-    for (const Cache *level : levels) {
-        if (level == nullptr)
-            continue;
-        if (level->config_.line_bytes != line)
-            return false;
-        // The solver writes tags and stamps analytically but does not
-        // model the way-prediction table that every fill trains
-        // (Cache::coldFill does); a predicting cache takes the walk.
-        if (level->config_.way_prediction != WayPredictionKind::None)
-            return false;
-    }
+    for (const Cache *level : levels)
+        if (level != nullptr && level->config_.line_bytes != line)
+            return refuse(Refusal::LineSize);
+    // A prefetching walk opens DRAM rows, replayed below per line.
+    if (prefetching && caches.dram_ && caches.dram_->config().row_bytes < line)
+        return refuse(Refusal::LineSize);
 
     const std::uint64_t dpage = tlbs.dtlb_.config_.line_bytes;
     const std::uint64_t ipage = tlbs.itlb_.config_.line_bytes;
     if (tlbs.l2tlb_ != nullptr &&
         (tlbs.l2tlb_->config_.line_bytes != dpage || ipage != dpage))
-        return false;
+        return refuse(Refusal::PageSize);
+
+    // With the prefetcher on, L2 sees demand hits: its stamps follow
+    // the replay only under LRU (restamped by the hit) or FIFO (not
+    // restamped), and a predicting L2 or L3 would score those hits.
+    if (prefetching &&
+        ((caches.l2_cache_.config_.policy != ReplacementPolicy::Lru &&
+          caches.l2_cache_.config_.policy != ReplacementPolicy::Fifo) ||
+         caches.l2_cache_.config_.way_prediction != WayPredictionKind::None ||
+         (caches.l3_cache_ && caches.l3_cache_->config_.way_prediction !=
+                                  WayPredictionKind::None)))
+        return refuse(Refusal::PrefetchPolicy);
 
     // Summarise the walk's reference streams as segments, bailing out
     // on any pattern outside the provable regime.  Region order,
@@ -434,7 +1118,7 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
     for (std::size_t i = sets.size(); i-- > 0;) {
         auto stride = static_cast<std::uint64_t>(sets[i].stride_bytes);
         if (stride == 0)
-            return false;
+            return refuse(Refusal::StrideShape);
         std::uint64_t elements = std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(sets[i].bytes) / stride);
         if (elements > llc_lines)
@@ -443,7 +1127,7 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
             trace::kDataBase + i * trace::kDataRegionStride;
         if (!appendRegion(d_lines, base, stride, elements, line) ||
             !appendRegion(d_pages, base, stride, elements, dpage))
-            return false;
+            return refuse(Refusal::StrideShape);
     }
     auto code_bytes =
         static_cast<std::uint64_t>(profile.memory.code_bytes);
@@ -455,16 +1139,47 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
                           line) ||
             !appendRegion(i_pages, trace::kCodeBase, line, code_lines,
                           ipage))
-            return false;
+            return refuse(Refusal::StrideShape);
     }
-
-    const std::vector<Segment> l2_stream = fillStream(d_lines, i_lines);
-    const std::vector<Segment> l2tlb_stream = fillStream(d_pages, i_pages);
 
     const std::uint64_t data_elems = d_lines.elems;
     const std::uint64_t d_fills = d_lines.fills;
     const std::uint64_t dp_fills = d_pages.fills;
     const std::uint64_t i_fills = i_pages.fills;
+
+    // Below L1: without a prefetcher every level sees the L1 fill
+    // stream.  With one, the replay proves the L2 and L3 orders and
+    // the demand schedule that fixes L2 stamps and prefetch bits.
+    PrefetchReplay replay({caches.prefetcher_kind_, caches.prefetch_degree_,
+                           caches.l2_cache_.num_sets_, line,
+                           CacheHierarchy::kStreamWindows,
+                           CacheHierarchy::kStreamConfirmDistance,
+                           CacheHierarchy::kStreamHitWindow});
+    std::vector<Segment> l2_stream, l3_stream;
+    if (prefetching) {
+        for (const Segment &seg : d_lines.segments)
+            if (!replay.region(seg.u0, seg.step, seg.fills))
+                return refuse(Refusal::PrefetchShape);
+        replay.code(trace::kCodeBase / line, code_lines);
+        // Every region must fill its own address range only, so no
+        // line of one region is a hit (or a prefetch skip) in another.
+        for (std::size_t a = 0; a < replay.plans.size(); ++a) {
+            const RegionPlan &pa = replay.plans[a];
+            for (std::size_t b = a + 1; b < replay.plans.size(); ++b)
+                if (pa.lo <= replay.plans[b].hi && replay.plans[b].lo <= pa.hi)
+                    return refuse(Refusal::PrefetchShape);
+            for (std::uint64_t u : replay.far)
+                if (pa.lo <= u && u <= pa.hi)
+                    return refuse(Refusal::PrefetchShape);
+        }
+        replaySegments(replay.plans, l2_stream, l3_stream);
+    } else {
+        l2_stream = fillStream(d_lines, i_lines);
+    }
+    const std::vector<Segment> l2tlb_stream = fillStream(d_pages, i_pages);
+    const std::uint64_t l2_misses = prefetching ? replay.misses : d_fills;
+    const std::uint64_t l3_probes =
+        prefetching ? replay.l3_fills : d_fills + code_lines;
 
     struct Target
     {
@@ -477,8 +1192,10 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
         {&caches.l1d_cache_, &d_lines.segments, data_elems,
          data_elems - d_fills},
         {&caches.l1i_cache_, &i_lines.segments, code_lines, 0},
-        {&caches.l2_cache_, &l2_stream, d_fills + code_lines, 0},
-        {caches.l3_cache_.get(), &l2_stream, d_fills + code_lines, 0},
+        {&caches.l2_cache_, &l2_stream,
+         prefetching ? replay.tick : d_fills + code_lines, replay.hits},
+        {caches.l3_cache_.get(), prefetching ? &l3_stream : &l2_stream,
+         l3_probes, 0},
         {&tlbs.dtlb_, &d_pages.segments, data_elems,
          data_elems - dp_fills},
         {&tlbs.itlb_, &i_pages.segments, code_lines,
@@ -496,35 +1213,77 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
             PlruSchedule sched;
             sched.build(target.cache->config_.associativity);
             if (!sched.verified(target.cache->config_.associativity))
-                return false;
+                return refuse(Refusal::PlruPeriod);
             break;
           }
           case ReplacementPolicy::Random:
             if (!fitsWithoutEviction(*target.cache, *target.segments))
-                return false;
+                return refuse(Refusal::RandomOverflow);
             break;
           default:
             break;
         }
     }
 
-    for (const Target &target : targets)
-        if (target.cache != nullptr)
-            solveCache(*target.cache, *target.segments, target.accesses,
-                       target.hits);
+    // The walk takes its cold fast path (per-set fill counters) only
+    // with the prefetcher off.
+    std::uint64_t bits_set = 0;
+    for (const Target &target : targets) {
+        if (target.cache == nullptr)
+            continue;
+        bool l2 = target.cache == &caches.l2_cache_;
+        std::uint64_t set = solveCache(
+            *target.cache, *target.segments, target.accesses, target.hits,
+            !prefetching,
+            prefetching && l2 ? caches.l2_prefetch_bits_.data() : nullptr);
+        if (l2)
+            bits_set = set;
+    }
 
-    // Hierarchy side counters and walk totals, exactly as the cold
-    // fill helpers would have accumulated them.
+    if (prefetching) {
+        // The last L2 access may be a demand hit rather than a fill.
+        Cache &l2 = caches.l2_cache_;
+        std::uint64_t set = replay.last_unit % l2.num_sets_;
+        std::uint64_t tag = replay.last_unit / l2.num_sets_;
+        for (std::uint32_t w = 0; w < l2.config_.associativity; ++w)
+            if (l2.tags_[set * l2.config_.associativity + w] == tag)
+                l2.last_index_ = set * l2.config_.associativity + w;
+
+        // Every prefetch is consumed, still pending in L2, or was
+        // evicted unused.
+        caches.prefetch_fills_ = replay.pf_fills;
+        caches.prefetch_useful_ = replay.useful;
+        caches.prefetch_evicted_unused_ =
+            replay.pf_fills - replay.useful - bits_set;
+        if (!caches.stride_table_.empty())
+            caches.stride_table_[0] = {replay.s_last, replay.s_delta,
+                                       replay.s_conf, replay.s_valid};
+        for (std::size_t w = 0; w < caches.stream_windows_.size(); ++w)
+            caches.stream_windows_[w] = {replay.w_last[w],
+                                         replay.w_valid[w]};
+        caches.stream_next_ = replay.w_next;
+
+        // DRAM serves the L3 misses — every L3 probe — in L3 order.
+        if (caches.dram_)
+            for (const RegionPlan &plan : replay.plans)
+                for (const Piece &piece : plan.pieces)
+                    for (std::uint64_t r = 0; r < piece.reps; ++r)
+                        for (std::uint64_t u : piece.l3)
+                            caches.dram_->access((u + r * piece.du) * line);
+    }
+
+    // Hierarchy side counters and walk totals, exactly as the walk's
+    // access helpers would have accumulated them.
     caches.l1d_stats_.accesses += data_elems;
     caches.l1d_stats_.misses += d_fills;
     caches.l2d_stats_.accesses += d_fills;
-    caches.l2d_stats_.misses += d_fills;
+    caches.l2d_stats_.misses += l2_misses;
     caches.l1i_stats_.accesses += code_lines;
     caches.l1i_stats_.misses += code_lines;
     caches.l2i_stats_.accesses += code_lines;
     caches.l2i_stats_.misses += code_lines;
-    caches.l3_stats_.accesses += d_fills + code_lines;
-    caches.l3_stats_.misses += d_fills + code_lines;
+    caches.l3_stats_.accesses += l2_misses + code_lines;
+    caches.l3_stats_.misses += l2_misses + code_lines;
     tlbs.l2tlb_misses_ += dp_fills + i_fills;
     tlbs.page_walks_ += dp_fills + i_fills;
     return true;

@@ -12,7 +12,7 @@
  * with which replacement metadata and stamp values — has a closed
  * form, derived here set by set without visiting the stream.
  *
- * The proof obligations (DESIGN.md §5e "round 2"):
+ * The proof obligations (DESIGN.md §5e-r2 and §5e-r4):
  *
  *  - LRU/FIFO: in a pure fill stream the per-set stamps are strictly
  *    increasing in fill order (repeats only re-stamp the most recent
@@ -34,6 +34,22 @@
  *  - Random: provable only when no set overflows its ways (then fills
  *    occupy the invalid suffix in order and the RNG is never drawn);
  *    any overflow falls back, preserving the global draw order.
+ *  - Way prediction: the walk never hits in L1 except by repeating the
+ *    line it just filled, so every predictor entry holds the way of
+ *    the last fill into its (set, partition).  The newest-first scan
+ *    writes it at the first visit; it carries on past the survivors
+ *    only while a multi-MRU partition's last fill was itself evicted.
+ *  - Active L2 prefetcher: L1D, L1I and the TLBs never see a prefetch,
+ *    so their segments are unchanged.  Below L1 each walked region is
+ *    replayed symbolically — engine state plus the lines filled ahead
+ *    of the demand, with no cache arrays — until its state relative
+ *    to the demand line repeats; the repeating period then stands for
+ *    every later one (grouped segments), so the replay costs the ramp,
+ *    one period and the tail.  The replay proves that L2 fills ascend,
+ *    that no line is queried after its eviction and that every L3
+ *    probe misses; L2 stamps are demand-hit ticks, unconsumed
+ *    prefetches surviving in L2 keep their bit, evictions of the rest
+ *    follow by conservation, and DRAM replays the L3-miss order.
  *
  * Fallback contract: apply() either computes the exact walk-equivalent
  * state for the WHOLE hierarchy or mutates nothing and returns false,
@@ -55,17 +71,52 @@
 namespace speclens {
 namespace uarch {
 
+struct RegionPlan;
+
 /** Closed-form prewarm entry point (stateless; see file comment). */
 class PrewarmSolver
 {
   public:
     /**
+     * Why apply() handed a prewarm back to the walk.  One counter per
+     * reason, uarch.prewarm.refused.<refusalName(reason)>, sits next
+     * to uarch.prewarm.analytic/walked.
+     */
+    enum class Refusal : std::uint8_t {
+        None,           //!< Solved; nothing refused.
+        Touched,        //!< The hierarchy was used before (phase 2+).
+        LineSize,       //!< A cache line differs from the trace line.
+        PageSize,       //!< The TLB levels disagree on the page size.
+        StrideShape,    //!< A region's stride does not tile the unit.
+        PlruPeriod,     //!< A tree-PLRU schedule failed verification.
+        RandomOverflow, //!< A Random-policy set would evict.
+        PrefetchPolicy, //!< Prefetching L2 is not LRU/FIFO, or a level
+                        //!< below L1 predicts ways.
+        PrefetchShape,  //!< The prefetching replay left its proof
+                        //!< (non-ascending fill, line queried after
+                        //!< its eviction, overlapping regions).
+    };
+
+    /** Stable snake_case name of @p reason ("touched", ...). */
+    static const char *refusalName(Refusal reason);
+
+    /**
      * One run of fills in stream order: an arithmetic progression of
-     * @p fills distinct units starting at @p u0 with step @p step,
-     * where unit j absorbs @p rep consecutive stream elements (the
-     * last unit clamps to the segment's @p elems total).  tick0 /
-     * fills0 are the structure's cumulative element and fill counts
-     * before the segment, fixing absolute stamp values.
+     * @p fills elements starting at @p u0 with step @p step.  Element
+     * j fills unit u0 + j*step, or — when @p group is non-empty — the
+     * units u0 + j*step + group[k] in group order (a demand line plus
+     * the lines its prefetch brings in, or one repeating period of a
+     * prefetching walk).  Ungrouped element j absorbs @p rep
+     * consecutive stream elements (the last unit clamps to the
+     * segment's @p elems total).  tick0 / fills0 are the structure's
+     * cumulative element and fill counts before the segment, fixing
+     * absolute stamp values.
+     *
+     * The L2 of a prefetching walk also sees demand hits, so its
+     * segments carry per-group-entry L2 ticks (@p fill_tick, for
+     * element 0, advancing @p tick_step per element), whether a
+     * prefetch made each fill, and the walked region (@p region) whose
+     * demand schedule gives a demanded line its hit tick.
      */
     struct Segment
     {
@@ -76,18 +127,31 @@ class PrewarmSolver
         std::uint64_t elems = 0;
         std::uint64_t tick0 = 0;
         std::uint64_t fills0 = 0;
+        std::vector<std::uint64_t> group;
+        std::vector<std::uint64_t> fill_tick;
+        std::vector<std::uint8_t> prefetched;
+        std::uint64_t tick_step = 0;
+        const RegionPlan *region = nullptr;
+
+        /** Units filled per element. */
+        std::uint64_t
+        width() const
+        {
+            return group.empty() ? 1 : group.size();
+        }
     };
 
     /**
      * Compute the exact final prewarm state of @p caches and @p tlbs
      * for @p profile, or mutate nothing and return false when any
      * structure's reference pattern leaves the provable regime (the
-     * caller then walks).  @p llc_lines is the working-set residency
-     * bound the walk applies (last-level capacity in lines).
+     * caller then walks; @p why, when given, receives the reason).
+     * @p llc_lines is the working-set residency bound the walk applies
+     * (last-level capacity in lines).
      */
     static bool apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
                       const trace::WorkloadProfile &profile,
-                      std::uint64_t llc_lines);
+                      std::uint64_t llc_lines, Refusal *why = nullptr);
 
     /**
      * The walking path: stream every LLC-resident line/page through
@@ -105,7 +169,8 @@ class PrewarmSolver
      * and @p tlbs — per-level tags, defined replacement stamps
      * (LRU/FIFO valid ways only; tree-PLRU/Random stamps are never
      * written), PLRU words, cold-fill counters, ticks, last-access
-     * indices and all access/miss statistics — into one word vector,
+     * indices, way-prediction tables, prefetch bits and engine state,
+     * DRAM rows and all access/miss statistics — into one word vector,
      * so the analytic and walking paths can be compared for exact
      * state equality, not just equal measurement results.
      */
@@ -117,10 +182,19 @@ class PrewarmSolver
     static void appendCacheState(const Cache &cache,
                                  std::vector<std::uint64_t> &out);
 
-    /** Write one structure's final state from its segment list. */
-    static void solveCache(Cache &cache,
-                           const std::vector<Segment> &segments,
-                           std::uint64_t accesses, std::uint64_t hits);
+    /**
+     * Write one structure's final state from its segment list.  The
+     * walk's cold fast path keeps per-set fill counters, its general
+     * path (taken whenever the prefetcher is on) does not:
+     * @p cold_counters selects which.  For a prefetching L2,
+     * @p prefetch_bits receives the surviving unconsumed prefetches;
+     * the return value is how many there are.
+     */
+    static std::uint64_t solveCache(Cache &cache,
+                                    const std::vector<Segment> &segments,
+                                    std::uint64_t accesses,
+                                    std::uint64_t hits, bool cold_counters,
+                                    std::uint8_t *prefetch_bits);
 
     /** True when every set of @p cache keeps fills <= associativity
      *  (the Random-policy provability condition). */

@@ -141,7 +141,8 @@ class Playback
         // provable regime — or a touched hierarchy, as in phase 2+ of
         // a phased run — falls back to the walk below, which remains
         // the semantic definition.
-        if (PrewarmSolver::apply(caches_, tlbs_, profile, llc_lines)) {
+        PrewarmSolver::Refusal why = PrewarmSolver::Refusal::None;
+        if (PrewarmSolver::apply(caches_, tlbs_, profile, llc_lines, &why)) {
             static obs::Counter &analytic =
                 obs::Registry::global().counter("uarch.prewarm.analytic");
             analytic.add();
@@ -150,6 +151,10 @@ class Playback
         static obs::Counter &walked =
             obs::Registry::global().counter("uarch.prewarm.walked");
         walked.add();
+        obs::Registry::global()
+            .counter(std::string("uarch.prewarm.refused.") +
+                     PrewarmSolver::refusalName(why))
+            .add();
         PrewarmSolver::walk(caches_, tlbs_, profile, llc_lines);
     }
 

@@ -146,8 +146,12 @@ grep -q 'rejected=0$' "$BUILD_DIR/store-warm.err" ||
     { echo "warm run rejected store entries:" >&2
       grep 'rejected=' "$BUILD_DIR/store-warm.err" >&2; exit 1; }
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$STORE_DIR" \
-    >/dev/null
-echo "warm run: zero simulations, stdout byte-identical"
+    >"$BUILD_DIR/store-lint.out"
+# Warnings fail too, not only errors.
+grep -q ' 0 errors, 0 warnings$' "$BUILD_DIR/store-lint.out" ||
+    { echo "store lint is not clean:" >&2
+      cat "$BUILD_DIR/store-lint.out" >&2; exit 1; }
+echo "warm run: zero simulations, stdout byte-identical, lint clean"
 
 step "memory-centric model reuse"
 # The memory-centric family (prefetch engines, way prediction, DRAM
@@ -168,9 +172,12 @@ grep -q 'rejected=0$' "$BUILD_DIR/memory-warm.err" ||
       grep 'rejected=' "$BUILD_DIR/memory-warm.err" >&2; exit 1; }
 # SL026 range-checks the stored memory-centric metrics.
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$MEM_STORE" \
-    >/dev/null
+    >"$BUILD_DIR/memory-lint.out"
+grep -q ' 0 errors, 0 warnings$' "$BUILD_DIR/memory-lint.out" ||
+    { echo "memory-centric store lint is not clean:" >&2
+      cat "$BUILD_DIR/memory-lint.out" >&2; exit 1; }
 rm -rf "$MEM_STORE"
-echo "memory-centric: warm zero simulations, stdout byte-identical"
+echo "memory-centric: warm zero simulations, stdout byte-identical, lint clean"
 
 step "every reproduction over one store"
 # `repro --all` renders all 26 reproduced tables and figures over one
@@ -296,7 +303,10 @@ grep -q 'parity: identical responses across clients: yes' \
     "$BUILD_DIR/serve-loadtest.out"
 grep -q '"p99_ns"' "$BUILD_DIR/serve_loadtest.json"
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$SERVE_STORE" \
-    >/dev/null
+    >"$BUILD_DIR/serve-lint.out"
+grep -q ' 0 errors, 0 warnings$' "$BUILD_DIR/serve-lint.out" ||
+    { echo "serve store lint is not clean:" >&2
+      cat "$BUILD_DIR/serve-lint.out" >&2; exit 1; }
 rm -rf "$SERVE_STORE" "$BUILD_DIR/serve_loadtest.json"
 echo "serve: daemon answers byte-identical to batch, manifest" \
      "fingerprint matches batch, drain + parity ok"
