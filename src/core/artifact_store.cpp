@@ -6,8 +6,7 @@
 #include "artifact_store.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +18,7 @@
 
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "stats/fingerprint.h"
 #include "uarch/perf_counters.h"
 #include "verify/violation.h"
 
@@ -170,132 +170,6 @@ class ByteReader
     bool failed_ = false;
 };
 
-/**
- * Serialize one PerfCounters block.  Field order is part of the
- * on-disk format: extending PerfCounters / CpiStack / PowerBreakdown
- * requires appending here, in readCounters()/readResult(), and
- * bumping the magic.
- */
-void
-writeCounters(ByteWriter &out, const uarch::PerfCounters &c)
-{
-    out.u64(c.instructions);
-    out.u64(c.loads);
-    out.u64(c.stores);
-    out.u64(c.branches);
-    out.u64(c.taken_branches);
-    out.u64(c.fp_ops);
-    out.u64(c.simd_ops);
-    out.u64(c.kernel_instructions);
-    out.u64(c.l1d_accesses);
-    out.u64(c.l1d_misses);
-    out.u64(c.l1i_accesses);
-    out.u64(c.l1i_misses);
-    out.u64(c.l2d_accesses);
-    out.u64(c.l2d_misses);
-    out.u64(c.l2i_accesses);
-    out.u64(c.l2i_misses);
-    out.u64(c.l3_accesses);
-    out.u64(c.l3_misses);
-    out.u64(c.dtlb_accesses);
-    out.u64(c.dtlb_misses);
-    out.u64(c.itlb_accesses);
-    out.u64(c.itlb_misses);
-    out.u64(c.l2tlb_misses);
-    out.u64(c.page_walks);
-    out.u64(c.branch_mispredictions);
-    out.u64(c.prefetch_fills);
-    out.u64(c.prefetch_useful);
-    out.u64(c.prefetch_evicted_unused);
-    out.u64(c.way_pred_hits);
-    out.u64(c.way_pred_mispredicts);
-    out.u64(c.dram_accesses);
-    out.u64(c.dram_row_hits);
-    out.u64(c.dram_busy_cycles);
-    out.u64(c.dram_budget_cycles);
-}
-
-void
-writeResult(ByteWriter &out, const uarch::SimulationResult &result)
-{
-    writeCounters(out, result.counters);
-
-    const uarch::CpiStack &s = result.cpi_stack;
-    out.f64(s.base);
-    out.f64(s.dependency);
-    out.f64(s.frontend_icache);
-    out.f64(s.frontend_branch);
-    out.f64(s.backend_l2);
-    out.f64(s.backend_l3);
-    out.f64(s.backend_memory);
-    out.f64(s.backend_tlb);
-
-    const uarch::PowerBreakdown &p = result.power;
-    out.f64(p.core_watts);
-    out.f64(p.llc_watts);
-    out.f64(p.dram_watts);
-}
-
-void
-readCounters(ByteReader &in, uarch::PerfCounters &c)
-{
-    c.instructions = in.u64();
-    c.loads = in.u64();
-    c.stores = in.u64();
-    c.branches = in.u64();
-    c.taken_branches = in.u64();
-    c.fp_ops = in.u64();
-    c.simd_ops = in.u64();
-    c.kernel_instructions = in.u64();
-    c.l1d_accesses = in.u64();
-    c.l1d_misses = in.u64();
-    c.l1i_accesses = in.u64();
-    c.l1i_misses = in.u64();
-    c.l2d_accesses = in.u64();
-    c.l2d_misses = in.u64();
-    c.l2i_accesses = in.u64();
-    c.l2i_misses = in.u64();
-    c.l3_accesses = in.u64();
-    c.l3_misses = in.u64();
-    c.dtlb_accesses = in.u64();
-    c.dtlb_misses = in.u64();
-    c.itlb_accesses = in.u64();
-    c.itlb_misses = in.u64();
-    c.l2tlb_misses = in.u64();
-    c.page_walks = in.u64();
-    c.branch_mispredictions = in.u64();
-    c.prefetch_fills = in.u64();
-    c.prefetch_useful = in.u64();
-    c.prefetch_evicted_unused = in.u64();
-    c.way_pred_hits = in.u64();
-    c.way_pred_mispredicts = in.u64();
-    c.dram_accesses = in.u64();
-    c.dram_row_hits = in.u64();
-    c.dram_busy_cycles = in.u64();
-    c.dram_budget_cycles = in.u64();
-}
-
-void
-readResult(ByteReader &in, uarch::SimulationResult &result)
-{
-    readCounters(in, result.counters);
-
-    uarch::CpiStack &s = result.cpi_stack;
-    s.base = in.f64();
-    s.dependency = in.f64();
-    s.frontend_icache = in.f64();
-    s.frontend_branch = in.f64();
-    s.backend_l2 = in.f64();
-    s.backend_l3 = in.f64();
-    s.backend_memory = in.f64();
-    s.backend_tlb = in.f64();
-
-    uarch::PowerBreakdown &p = result.power;
-    p.core_watts = in.f64();
-    p.llc_watts = in.f64();
-    p.dram_watts = in.f64();
-}
-
 void
 writeMetadata(ByteWriter &payload, const StoreKey &key)
 {
@@ -323,16 +197,27 @@ finishEntry(const StoreKey &key, const ByteWriter &payload)
     return bytes;
 }
 
+/**
+ * A pair entry: metadata, kind, then SimulationResult::words().  The
+ * field tables next to PerfCounters, CpiStack and PowerBreakdown fix
+ * the word order, so a new field joins the format by being added to
+ * its struct and table, together with a kStoreEngineVersion bump.
+ */
 std::string
 serializeEntry(const StoreKey &key, const uarch::SimulationResult &result)
 {
     ByteWriter payload;
     writeMetadata(payload, key);
     payload.u64(kKindPair);
-    writeResult(payload, result);
+    for (std::uint64_t word : result.words())
+        payload.u64(word);
     return finishEntry(key, payload);
 }
 
+/**
+ * A phased entry: metadata, kind, phase count, each phase's words, the
+ * combined counters in kPerfCounterFields order and the combined CPI.
+ */
 std::string
 serializePhasedEntry(const StoreKey &key,
                      const uarch::PhasedSimulationResult &result)
@@ -342,19 +227,12 @@ serializePhasedEntry(const StoreKey &key,
     payload.u64(kKindPhased);
     payload.u64(result.per_phase.size());
     for (const uarch::SimulationResult &phase : result.per_phase)
-        writeResult(payload, phase);
-    writeCounters(payload, result.combined_counters);
+        for (std::uint64_t word : phase.words())
+            payload.u64(word);
+    for (const auto &field : uarch::kPerfCounterFields)
+        payload.u64(result.combined_counters.*field.member);
     payload.f64(result.combined_cpi);
     return finishEntry(key, payload);
-}
-
-std::string
-fingerprintHex(std::uint64_t fingerprint)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    return std::string(buffer);
 }
 
 /** Read a whole file; false on any I/O failure. */
@@ -449,9 +327,9 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
                         " != " + std::to_string(kStoreEngineVersion));
     if (fingerprint != expect_fingerprint)
         return fail(StoreStatus::FingerprintMismatch,
-                    "header fingerprint " + fingerprintHex(fingerprint) +
+                    "header fingerprint " + stats::hex16(fingerprint) +
                         " != expected " +
-                        fingerprintHex(expect_fingerprint));
+                        stats::hex16(expect_fingerprint));
 
     // Kind agreement: a checksum-valid entry of the wrong kind under
     // the requested address can only be manual tampering (the kind is
@@ -473,9 +351,14 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
                                    ": " +
                                    verify::renderViolation(found.front());
     };
+    auto readResult = [&reader] {
+        uarch::SimulationResult::Words words;
+        for (std::uint64_t &word : words)
+            word = reader.u64();
+        return uarch::SimulationResult::fromWords(words);
+    };
     if (kind == kKindPair) {
-        uarch::SimulationResult result;
-        readResult(reader, result);
+        uarch::SimulationResult result = readResult();
         if (reader.failed() || !reader.exhausted())
             return fail(StoreStatus::Corrupt, "malformed payload");
         std::string defect = identityDefect(result.counters, "result");
@@ -486,12 +369,10 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
     } else {
         uarch::PhasedSimulationResult result;
         std::uint64_t phases = reader.u64();
-        for (std::uint64_t k = 0; k < phases && !reader.failed(); ++k) {
-            uarch::SimulationResult phase;
-            readResult(reader, phase);
-            result.per_phase.push_back(phase);
-        }
-        readCounters(reader, result.combined_counters);
+        for (std::uint64_t k = 0; k < phases && !reader.failed(); ++k)
+            result.per_phase.push_back(readResult());
+        for (const auto &field : uarch::kPerfCounterFields)
+            result.combined_counters.*field.member = reader.u64();
         result.combined_cpi = reader.f64();
         if (reader.failed() || !reader.exhausted())
             return fail(StoreStatus::Corrupt, "malformed payload");
@@ -523,6 +404,19 @@ storeShardDirName(std::size_t shard)
     static const char digits[] = "0123456789abcdef";
     return std::string(kStoreShardPrefix) +
            digits[shard & (kStoreShardCount - 1)];
+}
+
+bool
+parseStoreEntryName(const std::string &filename, std::uint64_t &fingerprint)
+{
+    std::uint64_t value = 0;
+    const char *digits = filename.data();
+    if (filename.size() < 16 ||
+        std::from_chars(digits, digits + 16, value, 16).ec != std::errc() ||
+        filename != stats::hex16(value) + kStoreEntrySuffix)
+        return false;
+    fingerprint = value;
+    return true;
 }
 
 StoreKey
@@ -685,7 +579,7 @@ std::string
 CampaignStore::entryPath(const StoreKey &key) const
 {
     return shardPath(storeShardIndex(key.fingerprint)) + "/" +
-           fingerprintHex(key.fingerprint) + kStoreEntrySuffix;
+           stats::hex16(key.fingerprint) + kStoreEntrySuffix;
 }
 
 StoreStatus
@@ -843,14 +737,9 @@ CampaignStore::scan() const
 
             // The entry's address is its file name; a rename is a
             // fingerprint mismatch even when the content is intact.
-            std::string stem = file.path().stem().string();
             std::uint64_t addressed = 0;
-            bool valid_name = stem.size() == 16;
-            if (valid_name) {
-                char *end = nullptr;
-                addressed = std::strtoull(stem.c_str(), &end, 16);
-                valid_name = end && *end == '\0';
-            }
+            bool valid_name = parseStoreEntryName(
+                file.path().filename().string(), addressed);
 
             std::string bytes;
             if (!readFile(file.path().string(), bytes)) {
@@ -858,8 +747,8 @@ CampaignStore::scan() const
                 info.detail = "unreadable";
             } else if (!valid_name) {
                 info.status = StoreStatus::Corrupt;
-                info.detail =
-                    "file name is not a 16-digit hex fingerprint";
+                info.detail = "file name is not a 16-digit lower-case "
+                              "hex fingerprint";
             } else {
                 verifyEntry(bytes, addressed, nullptr, nullptr, &info);
             }

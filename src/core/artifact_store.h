@@ -40,10 +40,11 @@
  *       40     -  payload: benchmark name, machine name, window
  *                 (instructions, warmup, seed salt, transform and
  *                 prewarm flags), an entry-kind marker, then the
- *                 result — one SimulationResult (counters as u64s,
- *                 CPI stack and power as IEEE-754 bit patterns) for a
- *                 pair entry, or phase count + per-phase results +
- *                 combined counters + combined CPI for a phased entry
+ *                 result — one SimulationResult::words() (counters as
+ *                 u64s, CPI stack and power as IEEE-754 bit patterns,
+ *                 in field-table order) for a pair entry, or phase
+ *                 count + per-phase words + combined counters + combined
+ *                 CPI for a phased entry
  *
  * Directory layout: entries live in kStoreShardCount shard
  * subdirectories keyed by the top nibble(s) of the fingerprint —
@@ -112,6 +113,16 @@ storeShardIndex(std::uint64_t fingerprint)
 
 /** Shard subdirectory name ("shard-0" ... "shard-f"). */
 std::string storeShardDirName(std::size_t shard);
+
+/**
+ * Parse a store entry's file name.  True, with @p fingerprint set, only
+ * for exactly the name CampaignStore::entryPath() writes:
+ * `stats::hex16(fingerprint) + kStoreEntrySuffix`.  Upper-case digits,
+ * a `0x` or sign prefix and any other spelling are rejected: no load
+ * ever opens such a file.
+ */
+bool parseStoreEntryName(const std::string &filename,
+                         std::uint64_t &fingerprint);
 
 /**
  * Address and descriptive metadata of one store entry.

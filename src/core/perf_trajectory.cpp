@@ -33,66 +33,6 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/**
- * Feed every field of one simulation result — all event counts plus
- * every derived double by IEEE-754 bit pattern — so the campaign
- * fingerprint changes if any result changes in any bit.
- */
-void
-hashResult(stats::Fingerprinter &fp, const uarch::SimulationResult &r)
-{
-    const uarch::PerfCounters &c = r.counters;
-    fp.u64(c.instructions);
-    fp.u64(c.loads);
-    fp.u64(c.stores);
-    fp.u64(c.branches);
-    fp.u64(c.taken_branches);
-    fp.u64(c.fp_ops);
-    fp.u64(c.simd_ops);
-    fp.u64(c.kernel_instructions);
-    fp.u64(c.l1d_accesses);
-    fp.u64(c.l1d_misses);
-    fp.u64(c.l1i_accesses);
-    fp.u64(c.l1i_misses);
-    fp.u64(c.l2d_accesses);
-    fp.u64(c.l2d_misses);
-    fp.u64(c.l2i_accesses);
-    fp.u64(c.l2i_misses);
-    fp.u64(c.l3_accesses);
-    fp.u64(c.l3_misses);
-    fp.u64(c.dtlb_accesses);
-    fp.u64(c.dtlb_misses);
-    fp.u64(c.itlb_accesses);
-    fp.u64(c.itlb_misses);
-    fp.u64(c.l2tlb_misses);
-    fp.u64(c.page_walks);
-    fp.u64(c.branch_mispredictions);
-    fp.u64(c.prefetch_fills);
-    fp.u64(c.prefetch_useful);
-    fp.u64(c.prefetch_evicted_unused);
-    fp.u64(c.way_pred_hits);
-    fp.u64(c.way_pred_mispredicts);
-    fp.u64(c.dram_accesses);
-    fp.u64(c.dram_row_hits);
-    fp.u64(c.dram_busy_cycles);
-    fp.u64(c.dram_budget_cycles);
-    for (double v : r.cpi_stack.components())
-        fp.f64(v);
-    fp.f64(r.power.core_watts);
-    fp.f64(r.power.llc_watts);
-    fp.f64(r.power.dram_watts);
-}
-
-/** 16-hex-digit rendering shared with the artifact store's file names. */
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
-}
-
 /** Finite double as a JSON number ("%.9g"; non-finite clamps to 0). */
 std::string
 jsonNumber(double value)
@@ -156,7 +96,7 @@ runTrajectory(const TrajectoryConfig &config)
     campaign_fp.tag("speclens-campaign-results-v1");
     for (const suites::BenchmarkInfo &b : benchmarks)
         for (std::size_t m = 0; m < machines.size(); ++m)
-            hashResult(campaign_fp, fused.simulation(b, m));
+            fused.simulation(b, m).hashInto(campaign_fp);
     out.campaign_fingerprint = campaign_fp.value();
 
     // -- Stage 2: stats pipeline over the campaign's feature matrix. --
@@ -234,10 +174,10 @@ renderTrajectoryFacts(const TrajectoryResult &r)
        << " seed_salt=" << r.config.seed_salt << " jobs=1\n";
     os << "campaign: simulations=" << r.simulations
        << " records=" << r.records_total
-       << " fingerprint=" << hex16(r.campaign_fingerprint) << "\n";
+       << " fingerprint=" << stats::hex16(r.campaign_fingerprint) << "\n";
     os << "stats: rows=" << r.feature_rows << " cols=" << r.feature_cols
        << " pca_retained=" << r.pca_retained
-       << " fingerprint=" << hex16(r.stats_fingerprint) << "\n";
+       << " fingerprint=" << stats::hex16(r.stats_fingerprint) << "\n";
     if (r.store_checked)
         os << "store: warm rerun simulations=" << r.warm_simulations_run
            << " bit-identical: " << yesNo(r.warm_bit_identical) << "\n";
@@ -273,8 +213,8 @@ renderTrajectoryJson(const TrajectoryResult &r)
     os << "    \"records_per_simulation\": " << r.records_per_simulation
        << ",\n";
     os << "    \"records_total\": " << r.records_total << ",\n";
-    os << "    \"fingerprint\": \"" << hex16(r.campaign_fingerprint)
-       << "\",\n";
+    os << "    \"fingerprint\": \""
+       << stats::hex16(r.campaign_fingerprint) << "\",\n";
     os << "    \"fused_seconds\": " << jsonNumber(r.fused_seconds) << ",\n";
     os << "    \"speedup_vs_seed\": " << jsonNumber(r.speedup_vs_seed)
        << ",\n";
@@ -290,7 +230,8 @@ renderTrajectoryJson(const TrajectoryResult &r)
     os << "    \"pca_retained\": " << r.pca_retained << ",\n";
     os << "    \"pca_variance_covered\": "
        << jsonNumber(r.pca_variance_covered) << ",\n";
-    os << "    \"fingerprint\": \"" << hex16(r.stats_fingerprint) << "\"\n";
+    os << "    \"fingerprint\": \"" << stats::hex16(r.stats_fingerprint)
+       << "\"\n";
     os << "  },\n";
     os << "  \"store\": {\n";
     os << "    \"checked\": " << (r.store_checked ? "true" : "false");

@@ -19,19 +19,6 @@
 namespace speclens {
 namespace core {
 
-namespace {
-
-std::string
-hex16(std::uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return std::string(buffer);
-}
-
-} // namespace
-
 ServiceContext::ServiceContext(ServiceConfig config)
     : config_(std::move(config)),
       cpu2017_(suites::spec2017()),
@@ -62,7 +49,7 @@ ServiceContext::ServiceContext(ServiceConfig config)
     fp.u64(config_.machines.size());
     for (const uarch::MachineConfig &machine : config_.machines)
         machine.hashInto(fp);
-    config_fingerprint_ = hex16(fp.value());
+    config_fingerprint_ = stats::hex16(fp.value());
 
     if (!config_.store_dir.empty())
         store_ = std::make_shared<CampaignStore>(config_.store_dir);

@@ -922,62 +922,57 @@ keyFromInfo(const core::StoreEntryInfo &info)
     return key;
 }
 
-/** Named access to every PerfCounters event field. */
-struct CounterField
-{
-    const char *name;
-    std::uint64_t uarch::PerfCounters::*field;
-};
-
-constexpr CounterField kCounterFields[] = {
-    {"instructions", &uarch::PerfCounters::instructions},
-    {"loads", &uarch::PerfCounters::loads},
-    {"stores", &uarch::PerfCounters::stores},
-    {"branches", &uarch::PerfCounters::branches},
-    {"taken_branches", &uarch::PerfCounters::taken_branches},
-    {"fp_ops", &uarch::PerfCounters::fp_ops},
-    {"simd_ops", &uarch::PerfCounters::simd_ops},
-    {"kernel_instructions", &uarch::PerfCounters::kernel_instructions},
-    {"l1d_accesses", &uarch::PerfCounters::l1d_accesses},
-    {"l1d_misses", &uarch::PerfCounters::l1d_misses},
-    {"l1i_accesses", &uarch::PerfCounters::l1i_accesses},
-    {"l1i_misses", &uarch::PerfCounters::l1i_misses},
-    {"l2d_accesses", &uarch::PerfCounters::l2d_accesses},
-    {"l2d_misses", &uarch::PerfCounters::l2d_misses},
-    {"l2i_accesses", &uarch::PerfCounters::l2i_accesses},
-    {"l2i_misses", &uarch::PerfCounters::l2i_misses},
-    {"l3_accesses", &uarch::PerfCounters::l3_accesses},
-    {"l3_misses", &uarch::PerfCounters::l3_misses},
-    {"dtlb_accesses", &uarch::PerfCounters::dtlb_accesses},
-    {"dtlb_misses", &uarch::PerfCounters::dtlb_misses},
-    {"itlb_accesses", &uarch::PerfCounters::itlb_accesses},
-    {"itlb_misses", &uarch::PerfCounters::itlb_misses},
-    {"l2tlb_misses", &uarch::PerfCounters::l2tlb_misses},
-    {"page_walks", &uarch::PerfCounters::page_walks},
-    {"branch_mispredictions",
-     &uarch::PerfCounters::branch_mispredictions},
-};
-
 /**
- * Call @p visit(info, result) for every pair entry of the store at
- * @p dir that loads clean; returns how many were visited.  Defective
- * entries are SL016's to report, load failures SL018's.
+ * Call @p visit(info, loc, counters, result) for every measured window
+ * of every store entry at @p dir that scans and loads clean: a pair
+ * entry's result, and a phased entry's combined counters (@p result
+ * null, loc ".../combined") and each phase's result (".../phaseK").
+ * An entry that scans clean but fails to load goes to @p unloadable
+ * instead.  Returns the number of entries visited.  Defective entries
+ * are SL016's to report.
  */
-template <typename Visit>
+template <typename Visit, typename Unloadable>
 std::size_t
-forEachPairEntry(const std::string &dir, Visit visit)
+forEachStoredWindow(const std::string &dir, Visit visit,
+                    Unloadable unloadable)
 {
     core::CampaignStore store(dir);
     std::size_t visited = 0;
     for (const core::StoreEntryInfo &info : store.scan()) {
-        uarch::SimulationResult result;
-        if (info.status != core::StoreStatus::Hit || info.phases != 0 ||
-            store.load(keyFromInfo(info), result) != core::StoreStatus::Hit)
+        if (info.status != core::StoreStatus::Hit)
             continue;
-        visit(info, result);
+        const std::string loc = "store/" + info.filename;
+        const core::StoreKey key = keyFromInfo(info);
+        if (info.phases == 0) {
+            uarch::SimulationResult result;
+            if (store.load(key, result) != core::StoreStatus::Hit) {
+                unloadable(loc);
+                continue;
+            }
+            visit(info, loc, result.counters, &result);
+        } else {
+            uarch::PhasedSimulationResult result;
+            if (store.loadPhased(key, result) != core::StoreStatus::Hit) {
+                unloadable(loc);
+                continue;
+            }
+            visit(info, loc + "/combined", result.combined_counters,
+                  nullptr);
+            for (std::size_t k = 0; k < result.per_phase.size(); ++k)
+                visit(info, loc + "/phase" + std::to_string(k),
+                      result.per_phase[k].counters, &result.per_phase[k]);
+        }
         ++visited;
     }
     return visited;
+}
+
+/** forEachStoredWindow() for rules that leave load failures to SL018. */
+template <typename Visit>
+std::size_t
+forEachStoredWindow(const std::string &dir, Visit visit)
+{
+    return forEachStoredWindow(dir, visit, [](const std::string &) {});
 }
 
 class StoreResultAuditRule final : public RuleBase
@@ -1003,44 +998,21 @@ class StoreResultAuditRule final : public RuleBase
             return;
         }
         const StoreModels models(context);
-        core::CampaignStore store(context.store_dir);
-        std::size_t audited = 0;
-        for (const core::StoreEntryInfo &info : store.scan()) {
-            if (info.status != core::StoreStatus::Hit)
-                continue; // SL016 reports defective entries.
-            const std::string loc = "store/" + info.filename;
-            const uarch::MachineConfig *machine = models.machine(info);
-            core::StoreKey key = keyFromInfo(info);
-            if (info.phases == 0) {
-                uarch::SimulationResult result;
-                if (store.load(key, result) != core::StoreStatus::Hit) {
-                    error(out, loc,
-                          "entry scanned clean but failed to load",
-                          "invalidate the entry and re-run the "
-                          "campaign");
-                    continue;
-                }
-                auditResult(loc, result, machine, out);
-            } else {
-                uarch::PhasedSimulationResult result;
-                if (store.loadPhased(key, result) !=
-                    core::StoreStatus::Hit) {
-                    error(out, loc,
-                          "phased entry scanned clean but failed to "
-                          "load",
-                          "invalidate the entry and re-run the "
-                          "campaign");
-                    continue;
-                }
-                auditCounters(loc + "/combined",
-                              result.combined_counters, machine, out);
-                for (std::size_t i = 0; i < result.per_phase.size();
-                     ++i)
-                    auditResult(loc + "/phase" + std::to_string(i),
-                                result.per_phase[i], machine, out);
-            }
-            ++audited;
-        }
+        std::size_t audited = forEachStoredWindow(
+            context.store_dir,
+            [&](const core::StoreEntryInfo &info, const std::string &loc,
+                const uarch::PerfCounters &counters,
+                const uarch::SimulationResult *result) {
+                if (result)
+                    auditResult(loc, *result, models.machine(info), out);
+                else
+                    auditCounters(loc, counters, models.machine(info),
+                                  out);
+            },
+            [&](const std::string &loc) {
+                error(out, loc, "entry scanned clean but failed to load",
+                      "invalidate the entry and re-run the campaign");
+            });
         emit(out, Severity::Info, "store",
              std::to_string(audited) + " entries re-audited in " +
                  context.store_dir);
@@ -1118,20 +1090,22 @@ class StoreMetricRangeRule final : public RuleBase
         }
         const StoreModels models(context);
         auto check = [&](const core::StoreEntryInfo &info,
-                         const uarch::SimulationResult &result) {
-            const std::string loc = "store/" + info.filename;
-            const uarch::PerfCounters &c = result.counters;
+                         const std::string &loc,
+                         const uarch::PerfCounters &c,
+                         const uarch::SimulationResult *result) {
             if (c.instructions == 0)
                 return; // SL018 reports the empty window.
-            double ipc = result.ipc();
-            if (!(ipc > 0.0 && ipc <= 8.0))
-                error(out, loc,
-                      "IPC is " + num(ipc) +
-                          ", outside the plausible (0, 8] range");
-            if (result.cpi() > 100.0)
-                error(out, loc,
-                      "CPI is " + num(result.cpi()) +
-                          ", beyond any modelled stall mix");
+            if (result) {
+                double ipc = result->ipc();
+                if (!(ipc > 0.0 && ipc <= 8.0))
+                    error(out, loc,
+                          "IPC is " + num(ipc) +
+                              ", outside the plausible (0, 8] range");
+                if (result->cpi() > 100.0)
+                    error(out, loc,
+                          "CPI is " + num(result->cpi()) +
+                              ", beyond any modelled stall mix");
+            }
             const struct
             {
                 const char *metric;
@@ -1156,10 +1130,9 @@ class StoreMetricRangeRule final : public RuleBase
                                 c, models.machine(info)),
                             "topology");
         };
-        std::size_t checked = forEachPairEntry(context.store_dir, check);
+        std::size_t checked = forEachStoredWindow(context.store_dir, check);
         emit(out, Severity::Info, "store",
-             std::to_string(checked) +
-                 " pair entries range-checked in " +
+             std::to_string(checked) + " entries range-checked in " +
                  context.store_dir);
     }
 };
@@ -1189,9 +1162,9 @@ class MemoryMetricRangeRule final : public RuleBase
         }
         const StoreModels models(context);
         auto check = [&](const core::StoreEntryInfo &info,
-                         const uarch::SimulationResult &result) {
-            const std::string loc = "store/" + info.filename;
-            const uarch::PerfCounters &c = result.counters;
+                         const std::string &loc,
+                         const uarch::PerfCounters &c,
+                         const uarch::SimulationResult *) {
             const struct
             {
                 const char *metric;
@@ -1218,7 +1191,7 @@ class MemoryMetricRangeRule final : public RuleBase
                                 c, models.machine(info)),
                             "memory");
         };
-        std::size_t checked = forEachPairEntry(context.store_dir, check);
+        std::size_t checked = forEachStoredWindow(context.store_dir, check);
         emit(out, Severity::Info, "store",
              std::to_string(checked) +
                  " entries memory-metric-checked in " +
@@ -1685,9 +1658,8 @@ class StorePhasedConsistencyRule final : public RuleBase
             for (const uarch::SimulationResult &phase :
                  result.per_phase)
                 sum += phase.counters;
-            for (const CounterField &f : kCounterFields) {
-                if (result.combined_counters.*(f.field) !=
-                    sum.*(f.field)) {
+            for (const auto &f : uarch::kPerfCounterFields) {
+                if (result.combined_counters.*f.member != sum.*f.member) {
                     error(out, loc,
                           std::string("combined counter '") + f.name +
                               "' is not the sum of its phases",
@@ -1757,16 +1729,15 @@ class StoreShardLayoutRule final : public RuleBase
                 std::string filename =
                     file.path().filename().string();
                 if (!file.is_regular_file() ||
-                    !isEntryName(filename))
+                    file.path().extension() != core::kStoreEntrySuffix)
                     continue;
                 const std::string loc =
                     "store/" + name + "/" + filename;
                 std::uint64_t fingerprint = 0;
-                if (!parseHex16(filename.substr(0, 16),
-                                fingerprint)) {
+                if (!core::parseStoreEntryName(filename, fingerprint)) {
                     error(out, loc,
-                          "entry filename is not a 16-hex "
-                          "fingerprint");
+                          "entry filename is not a 16-digit lower-case "
+                          "hex fingerprint");
                     continue;
                 }
                 std::string expected = core::storeShardDirName(
@@ -1790,33 +1761,6 @@ class StoreShardLayoutRule final : public RuleBase
              std::to_string(well_placed) +
                  " entries correctly sharded, " +
                  std::to_string(misfiled) + " misfiled");
-    }
-
-  private:
-    static bool
-    isEntryName(const std::string &name)
-    {
-        return name.size() == 22 &&
-               name.compare(16, 6, ".slart") == 0;
-    }
-
-    static bool
-    parseHex16(const std::string &text, std::uint64_t &value)
-    {
-        if (text.size() != 16)
-            return false;
-        value = 0;
-        for (char c : text) {
-            std::uint64_t digit;
-            if (c >= '0' && c <= '9')
-                digit = static_cast<std::uint64_t>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                digit = static_cast<std::uint64_t>(c - 'a') + 10;
-            else
-                return false;
-            value = (value << 4) | digit;
-        }
-        return true;
     }
 };
 

@@ -27,6 +27,7 @@
 #define SPECLENS_STATS_FINGERPRINT_H
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -88,6 +89,20 @@ class Fingerprinter
   private:
     std::uint64_t hash_ = 14695981039346656037ull; // FNV offset basis.
 };
+
+/**
+ * @p value as 16 lower-case hex digits: the one rendering of a 64-bit
+ * fingerprint, used for store entry names, manifests, BENCH files and
+ * the audit report.
+ */
+inline std::string
+hex16(std::uint64_t value)
+{
+    char buffer[17];
+    std::snprintf(buffer, sizeof(buffer), "%016llx",
+                  static_cast<unsigned long long>(value));
+    return buffer;
+}
 
 } // namespace stats
 } // namespace speclens

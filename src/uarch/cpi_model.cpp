@@ -47,15 +47,19 @@ CpiStack::backendFraction() const
 std::vector<std::string>
 CpiStack::componentNames()
 {
-    return {"base",    "dependency", "icache", "branch",
-            "l2",      "l3",         "memory", "tlb"};
+    std::vector<std::string> names;
+    for (const auto &field : kCpiStackFields)
+        names.emplace_back(field.name);
+    return names;
 }
 
 std::vector<double>
 CpiStack::components() const
 {
-    return {base,       dependency, frontend_icache, frontend_branch,
-            backend_l2, backend_l3, backend_memory,  backend_tlb};
+    std::vector<double> values;
+    for (const auto &field : kCpiStackFields)
+        values.push_back(this->*field.member);
+    return values;
 }
 
 CpiStack

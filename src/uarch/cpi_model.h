@@ -74,6 +74,24 @@ struct CpiStack
 };
 
 /**
+ * Every CpiStack component in display and store order, named as the
+ * figures label it.  components(), componentNames(), the store codec
+ * and result fingerprints all derive from this table.
+ */
+inline constexpr FieldRef<CpiStack, double> kCpiStackFields[] = {
+    {"base", &CpiStack::base},
+    {"dependency", &CpiStack::dependency},
+    {"icache", &CpiStack::frontend_icache},
+    {"branch", &CpiStack::frontend_branch},
+    {"l2", &CpiStack::backend_l2},
+    {"l3", &CpiStack::backend_l3},
+    {"memory", &CpiStack::backend_memory},
+    {"tlb", &CpiStack::backend_tlb},
+};
+static_assert(coversStruct(kCpiStackFields),
+              "kCpiStackFields must list every CpiStack field once");
+
+/**
  * Build the CPI stack from simulation counters.
  *
  * @param counters Event counts for the measured window.

@@ -15,40 +15,8 @@ namespace uarch {
 PerfCounters &
 PerfCounters::operator+=(const PerfCounters &rhs)
 {
-    instructions += rhs.instructions;
-    loads += rhs.loads;
-    stores += rhs.stores;
-    branches += rhs.branches;
-    taken_branches += rhs.taken_branches;
-    fp_ops += rhs.fp_ops;
-    simd_ops += rhs.simd_ops;
-    kernel_instructions += rhs.kernel_instructions;
-    l1d_accesses += rhs.l1d_accesses;
-    l1d_misses += rhs.l1d_misses;
-    l1i_accesses += rhs.l1i_accesses;
-    l1i_misses += rhs.l1i_misses;
-    l2d_accesses += rhs.l2d_accesses;
-    l2d_misses += rhs.l2d_misses;
-    l2i_accesses += rhs.l2i_accesses;
-    l2i_misses += rhs.l2i_misses;
-    l3_accesses += rhs.l3_accesses;
-    l3_misses += rhs.l3_misses;
-    dtlb_accesses += rhs.dtlb_accesses;
-    dtlb_misses += rhs.dtlb_misses;
-    itlb_accesses += rhs.itlb_accesses;
-    itlb_misses += rhs.itlb_misses;
-    l2tlb_misses += rhs.l2tlb_misses;
-    page_walks += rhs.page_walks;
-    branch_mispredictions += rhs.branch_mispredictions;
-    prefetch_fills += rhs.prefetch_fills;
-    prefetch_useful += rhs.prefetch_useful;
-    prefetch_evicted_unused += rhs.prefetch_evicted_unused;
-    way_pred_hits += rhs.way_pred_hits;
-    way_pred_mispredicts += rhs.way_pred_mispredicts;
-    dram_accesses += rhs.dram_accesses;
-    dram_row_hits += rhs.dram_row_hits;
-    dram_busy_cycles += rhs.dram_busy_cycles;
-    dram_budget_cycles += rhs.dram_budget_cycles;
+    for (const auto &field : kPerfCounterFields)
+        this->*field.member += rhs.*field.member;
     return *this;
 }
 

@@ -13,6 +13,7 @@
 #ifndef SPECLENS_UARCH_PERF_COUNTERS_H
 #define SPECLENS_UARCH_PERF_COUNTERS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -184,6 +185,78 @@ struct PerfCounters
     /** Elementwise accumulate (merging simulation windows). */
     PerfCounters &operator+=(const PerfCounters &rhs);
 };
+
+/** One named field of a result struct: the unit of a field table. */
+template <typename Struct, typename Value>
+struct FieldRef
+{
+    const char *name;
+    Value Struct::*member;
+};
+
+/**
+ * True when @p fields names every member of @p Struct exactly once: no
+ * member listed twice, and together they fill sizeof(Struct).  Each
+ * field table static_asserts this, so a member added to the struct
+ * but not to its table fails the build.
+ */
+template <typename Struct, typename Value, std::size_t N>
+constexpr bool
+coversStruct(const FieldRef<Struct, Value> (&fields)[N])
+{
+    for (std::size_t i = 0; i < N; ++i)
+        for (std::size_t j = i + 1; j < N; ++j)
+            if (fields[i].member == fields[j].member)
+                return false;
+    return N * sizeof(Value) == sizeof(Struct);
+}
+
+/**
+ * Every PerfCounters field, in store order.  The one enumeration of
+ * the counter vector: accumulation, the store codec, bit identity,
+ * result fingerprints and lint's phased-sum check all loop over it,
+ * so the order is part of the on-disk format and of every result
+ * fingerprint.  Add new counters at the end (and bump
+ * core::kStoreEngineVersion).
+ */
+inline constexpr FieldRef<PerfCounters, std::uint64_t> kPerfCounterFields[] = {
+    {"instructions", &PerfCounters::instructions},
+    {"loads", &PerfCounters::loads},
+    {"stores", &PerfCounters::stores},
+    {"branches", &PerfCounters::branches},
+    {"taken_branches", &PerfCounters::taken_branches},
+    {"fp_ops", &PerfCounters::fp_ops},
+    {"simd_ops", &PerfCounters::simd_ops},
+    {"kernel_instructions", &PerfCounters::kernel_instructions},
+    {"l1d_accesses", &PerfCounters::l1d_accesses},
+    {"l1d_misses", &PerfCounters::l1d_misses},
+    {"l1i_accesses", &PerfCounters::l1i_accesses},
+    {"l1i_misses", &PerfCounters::l1i_misses},
+    {"l2d_accesses", &PerfCounters::l2d_accesses},
+    {"l2d_misses", &PerfCounters::l2d_misses},
+    {"l2i_accesses", &PerfCounters::l2i_accesses},
+    {"l2i_misses", &PerfCounters::l2i_misses},
+    {"l3_accesses", &PerfCounters::l3_accesses},
+    {"l3_misses", &PerfCounters::l3_misses},
+    {"dtlb_accesses", &PerfCounters::dtlb_accesses},
+    {"dtlb_misses", &PerfCounters::dtlb_misses},
+    {"itlb_accesses", &PerfCounters::itlb_accesses},
+    {"itlb_misses", &PerfCounters::itlb_misses},
+    {"l2tlb_misses", &PerfCounters::l2tlb_misses},
+    {"page_walks", &PerfCounters::page_walks},
+    {"branch_mispredictions", &PerfCounters::branch_mispredictions},
+    {"prefetch_fills", &PerfCounters::prefetch_fills},
+    {"prefetch_useful", &PerfCounters::prefetch_useful},
+    {"prefetch_evicted_unused", &PerfCounters::prefetch_evicted_unused},
+    {"way_pred_hits", &PerfCounters::way_pred_hits},
+    {"way_pred_mispredicts", &PerfCounters::way_pred_mispredicts},
+    {"dram_accesses", &PerfCounters::dram_accesses},
+    {"dram_row_hits", &PerfCounters::dram_row_hits},
+    {"dram_busy_cycles", &PerfCounters::dram_busy_cycles},
+    {"dram_budget_cycles", &PerfCounters::dram_budget_cycles},
+};
+static_assert(coversStruct(kPerfCounterFields),
+              "kPerfCounterFields must list every PerfCounters field once");
 
 /**
  * The accounting identities every simulated window satisfies, stated

@@ -54,6 +54,15 @@ struct PowerBreakdown
     double total() const { return core_watts + llc_watts + dram_watts; }
 };
 
+/** Every PowerBreakdown rail, in store order. */
+inline constexpr FieldRef<PowerBreakdown, double> kPowerFields[] = {
+    {"core_watts", &PowerBreakdown::core_watts},
+    {"llc_watts", &PowerBreakdown::llc_watts},
+    {"dram_watts", &PowerBreakdown::dram_watts},
+};
+static_assert(coversStruct(kPowerFields),
+              "kPowerFields must list every PowerBreakdown field once");
+
 /**
  * Estimate average power over a simulation window.
  *

@@ -38,6 +38,41 @@ SimulationResult::ipc() const
     return c > 0.0 ? 1.0 / c : 0.0;
 }
 
+SimulationResult::Words
+SimulationResult::words() const
+{
+    Words out{};
+    std::size_t i = 0;
+    for (const auto &field : kPerfCounterFields)
+        out[i++] = counters.*field.member;
+    for (const auto &field : kCpiStackFields)
+        out[i++] = std::bit_cast<std::uint64_t>(cpi_stack.*field.member);
+    for (const auto &field : kPowerFields)
+        out[i++] = std::bit_cast<std::uint64_t>(power.*field.member);
+    return out;
+}
+
+SimulationResult
+SimulationResult::fromWords(const Words &words)
+{
+    SimulationResult result;
+    std::size_t i = 0;
+    for (const auto &field : kPerfCounterFields)
+        result.counters.*field.member = words[i++];
+    for (const auto &field : kCpiStackFields)
+        result.cpi_stack.*field.member = std::bit_cast<double>(words[i++]);
+    for (const auto &field : kPowerFields)
+        result.power.*field.member = std::bit_cast<double>(words[i++]);
+    return result;
+}
+
+void
+SimulationResult::hashInto(stats::Fingerprinter &fp) const
+{
+    for (std::uint64_t word : words())
+        fp.u64(word);
+}
+
 namespace {
 
 /** Structure counters snapshot used to subtract warm-up windows. */
@@ -538,52 +573,7 @@ simulate(const trace::WorkloadProfile &profile, const MachineConfig &machine,
 bool
 bitIdentical(const SimulationResult &a, const SimulationResult &b)
 {
-    const PerfCounters &x = a.counters;
-    const PerfCounters &y = b.counters;
-    bool counters_equal =
-        x.instructions == y.instructions && x.loads == y.loads &&
-        x.stores == y.stores && x.branches == y.branches &&
-        x.taken_branches == y.taken_branches && x.fp_ops == y.fp_ops &&
-        x.simd_ops == y.simd_ops &&
-        x.kernel_instructions == y.kernel_instructions &&
-        x.l1d_accesses == y.l1d_accesses && x.l1d_misses == y.l1d_misses &&
-        x.l1i_accesses == y.l1i_accesses && x.l1i_misses == y.l1i_misses &&
-        x.l2d_accesses == y.l2d_accesses && x.l2d_misses == y.l2d_misses &&
-        x.l2i_accesses == y.l2i_accesses && x.l2i_misses == y.l2i_misses &&
-        x.l3_accesses == y.l3_accesses && x.l3_misses == y.l3_misses &&
-        x.dtlb_accesses == y.dtlb_accesses &&
-        x.dtlb_misses == y.dtlb_misses &&
-        x.itlb_accesses == y.itlb_accesses &&
-        x.itlb_misses == y.itlb_misses &&
-        x.l2tlb_misses == y.l2tlb_misses && x.page_walks == y.page_walks &&
-        x.branch_mispredictions == y.branch_mispredictions &&
-        x.prefetch_fills == y.prefetch_fills &&
-        x.prefetch_useful == y.prefetch_useful &&
-        x.prefetch_evicted_unused == y.prefetch_evicted_unused &&
-        x.way_pred_hits == y.way_pred_hits &&
-        x.way_pred_mispredicts == y.way_pred_mispredicts &&
-        x.dram_accesses == y.dram_accesses &&
-        x.dram_row_hits == y.dram_row_hits &&
-        x.dram_busy_cycles == y.dram_busy_cycles &&
-        x.dram_budget_cycles == y.dram_budget_cycles;
-    if (!counters_equal)
-        return false;
-
-    const CpiStack &s = a.cpi_stack;
-    const CpiStack &t = b.cpi_stack;
-    bool stack_equal =
-        s.base == t.base && s.dependency == t.dependency &&
-        s.frontend_icache == t.frontend_icache &&
-        s.frontend_branch == t.frontend_branch &&
-        s.backend_l2 == t.backend_l2 && s.backend_l3 == t.backend_l3 &&
-        s.backend_memory == t.backend_memory &&
-        s.backend_tlb == t.backend_tlb;
-    if (!stack_equal)
-        return false;
-
-    return a.power.core_watts == b.power.core_watts &&
-           a.power.llc_watts == b.power.llc_watts &&
-           a.power.dram_watts == b.power.dram_watts;
+    return a.words() == b.words();
 }
 
 PhasedSimulationResult

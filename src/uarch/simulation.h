@@ -22,7 +22,9 @@
 #ifndef SPECLENS_UARCH_SIMULATION_H
 #define SPECLENS_UARCH_SIMULATION_H
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "stats/fingerprint.h"
@@ -83,6 +85,30 @@ struct SimulationResult
 
     /** Instructions per cycle. */
     double ipc() const;
+
+    /** Number of 64-bit words in the result's canonical encoding. */
+    static constexpr std::size_t kWords = std::size(kPerfCounterFields) +
+                                          std::size(kCpiStackFields) +
+                                          std::size(kPowerFields);
+    using Words = std::array<std::uint64_t, kWords>;
+
+    /**
+     * The canonical encoding: every field as one 64-bit word, in the
+     * order of kPerfCounterFields, kCpiStackFields and kPowerFields,
+     * doubles by IEEE-754 bit pattern.  The store writes these words,
+     * hashInto() hashes them and bitIdentical() compares them.
+     */
+    Words words() const;
+
+    /** Inverse of words(). */
+    static SimulationResult fromWords(const Words &words);
+
+    /**
+     * Feed words() to @p fp.  No type tag: the campaign and audit
+     * fingerprints pinned before this hook existed hash exactly these
+     * words per result.
+     */
+    void hashInto(stats::Fingerprinter &fp) const;
 };
 
 /**
@@ -109,11 +135,13 @@ SimulationResult simulate(const trace::WorkloadProfile &profile,
                           verify::AuditTrail *trail = nullptr);
 
 /**
- * True when two results agree bit-for-bit: every event count equal and
- * every derived double (CPI-stack components, power rails) identical
- * under exact floating-point comparison.  This is the contract the
- * fused pipeline must honour against the reference model and a warm
- * artifact-store rerun against a cold one.
+ * True when two results agree bit-for-bit: equal words(), so every
+ * event count is equal and every derived double (CPI-stack components,
+ * power rails) has the same IEEE-754 bit pattern (-0.0 differs from
+ * 0.0; a NaN equals its own copy).  Agrees with hashInto() and the
+ * store codec.  This is the contract the fused pipeline must honour
+ * against the reference model and a warm artifact-store rerun against
+ * a cold one.
  */
 bool bitIdentical(const SimulationResult &a, const SimulationResult &b);
 

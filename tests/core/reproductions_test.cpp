@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,15 +32,6 @@ goldenConfig()
     config.characterization.warmup = 1'500;
     config.characterization.seed_salt = 0;
     return config;
-}
-
-std::string
-hex16(std::uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
 }
 
 TEST(Reproductions, RegistryNamesAreUniqueAndFindable)
@@ -72,7 +62,7 @@ TEST(Reproductions, GoldenDigestAndSharedContextParity)
     }
     stats::Fingerprinter fp;
     fp.str(concatenated);
-    EXPECT_EQ(hex16(fp.value()), "2fbab90bf9a86318")
+    EXPECT_EQ(stats::hex16(fp.value()), "2fbab90bf9a86318")
         << "the bytes of a reproduced table or figure changed; if that "
            "is intended, re-pin this digest and say which artifacts "
            "moved and why";

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "core/service_context.h"
 #include "obs/export.h"
 #include "obs/manifest.h"
+#include "stats/fingerprint.h"
 #include "suites/emerging.h"
 #include "suites/machines.h"
 #include "suites/spec2006.h"
@@ -60,47 +62,13 @@ void
 expectBitIdentical(const uarch::SimulationResult &a,
                    const uarch::SimulationResult &b)
 {
-    const uarch::PerfCounters &x = a.counters;
-    const uarch::PerfCounters &y = b.counters;
-    EXPECT_EQ(x.instructions, y.instructions);
-    EXPECT_EQ(x.loads, y.loads);
-    EXPECT_EQ(x.stores, y.stores);
-    EXPECT_EQ(x.branches, y.branches);
-    EXPECT_EQ(x.taken_branches, y.taken_branches);
-    EXPECT_EQ(x.fp_ops, y.fp_ops);
-    EXPECT_EQ(x.simd_ops, y.simd_ops);
-    EXPECT_EQ(x.kernel_instructions, y.kernel_instructions);
-    EXPECT_EQ(x.l1d_accesses, y.l1d_accesses);
-    EXPECT_EQ(x.l1d_misses, y.l1d_misses);
-    EXPECT_EQ(x.l1i_accesses, y.l1i_accesses);
-    EXPECT_EQ(x.l1i_misses, y.l1i_misses);
-    EXPECT_EQ(x.l2d_accesses, y.l2d_accesses);
-    EXPECT_EQ(x.l2d_misses, y.l2d_misses);
-    EXPECT_EQ(x.l2i_accesses, y.l2i_accesses);
-    EXPECT_EQ(x.l2i_misses, y.l2i_misses);
-    EXPECT_EQ(x.l3_accesses, y.l3_accesses);
-    EXPECT_EQ(x.l3_misses, y.l3_misses);
-    EXPECT_EQ(x.dtlb_accesses, y.dtlb_accesses);
-    EXPECT_EQ(x.dtlb_misses, y.dtlb_misses);
-    EXPECT_EQ(x.itlb_accesses, y.itlb_accesses);
-    EXPECT_EQ(x.itlb_misses, y.itlb_misses);
-    EXPECT_EQ(x.l2tlb_misses, y.l2tlb_misses);
-    EXPECT_EQ(x.page_walks, y.page_walks);
-    EXPECT_EQ(x.branch_mispredictions, y.branch_mispredictions);
+    for (const auto &field : uarch::kPerfCounterFields)
+        EXPECT_EQ(a.counters.*field.member, b.counters.*field.member)
+            << field.name;
 
-    // Doubles are persisted as IEEE-754 bit patterns, so exact
-    // equality is the contract, not a tolerance.
-    EXPECT_EQ(a.cpi_stack.base, b.cpi_stack.base);
-    EXPECT_EQ(a.cpi_stack.dependency, b.cpi_stack.dependency);
-    EXPECT_EQ(a.cpi_stack.frontend_icache, b.cpi_stack.frontend_icache);
-    EXPECT_EQ(a.cpi_stack.frontend_branch, b.cpi_stack.frontend_branch);
-    EXPECT_EQ(a.cpi_stack.backend_l2, b.cpi_stack.backend_l2);
-    EXPECT_EQ(a.cpi_stack.backend_l3, b.cpi_stack.backend_l3);
-    EXPECT_EQ(a.cpi_stack.backend_memory, b.cpi_stack.backend_memory);
-    EXPECT_EQ(a.cpi_stack.backend_tlb, b.cpi_stack.backend_tlb);
-    EXPECT_EQ(a.power.core_watts, b.power.core_watts);
-    EXPECT_EQ(a.power.llc_watts, b.power.llc_watts);
-    EXPECT_EQ(a.power.dram_watts, b.power.dram_watts);
+    // Doubles are persisted as IEEE-754 bit patterns, so identical
+    // words are the contract, not a tolerance.
+    EXPECT_EQ(a.words(), b.words());
 }
 
 std::string
@@ -117,6 +85,75 @@ writeFile(const std::string &path, const std::string &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/** FNV-1a-64 of @p bytes as 16 lower-case hex digits. */
+std::string
+fnvHex(const std::string &bytes)
+{
+    stats::Fingerprinter fp;
+    for (char c : bytes)
+        fp.byte(static_cast<unsigned char>(c));
+    return stats::hex16(fp.value());
+}
+
+/**
+ * A hand-filled result, every field distinct and nonzero, scaled by
+ * @p k.  The counters satisfy the machine-free identities, so the
+ * entry also loads back.
+ */
+uarch::SimulationResult
+fixedResult(std::uint64_t k)
+{
+    uarch::SimulationResult r;
+    uarch::PerfCounters &c = r.counters;
+    c.instructions = 100'000 * k;
+    c.loads = 25'000 * k;
+    c.stores = 10'000 * k;
+    c.branches = 15'000 * k;
+    c.taken_branches = 9'000 * k;
+    c.fp_ops = 5'000 * k;
+    c.simd_ops = 2'000 * k;
+    c.kernel_instructions = 300 * k;
+    c.l1d_accesses = 35'000 * k;
+    c.l1d_misses = 1'200 * k;
+    c.l1i_accesses = 20'000 * k;
+    c.l1i_misses = 400 * k;
+    c.l2d_accesses = 1'200 * k;
+    c.l2d_misses = 300 * k;
+    c.l2i_accesses = 400 * k;
+    c.l2i_misses = 50 * k;
+    c.l3_accesses = 350 * k;
+    c.l3_misses = 90 * k;
+    c.dtlb_accesses = 35'001 * k;
+    c.dtlb_misses = 80 * k;
+    c.itlb_accesses = 20'001 * k;
+    c.itlb_misses = 20 * k;
+    c.l2tlb_misses = 30 * k;
+    c.page_walks = 30 * k;
+    c.branch_mispredictions = 700 * k;
+    c.prefetch_fills = 60 * k;
+    c.prefetch_useful = 40 * k;
+    c.prefetch_evicted_unused = 10 * k;
+    c.way_pred_hits = 30'000 * k;
+    c.way_pred_mispredicts = 900 * k;
+    c.dram_accesses = 91 * k;
+    c.dram_row_hits = 45 * k;
+    c.dram_busy_cycles = 1'234 * k;
+    c.dram_budget_cycles = 5'678 * k;
+    const double s = static_cast<double>(k);
+    r.cpi_stack.base = 0.25 * s;
+    r.cpi_stack.dependency = 0.1 * s;
+    r.cpi_stack.frontend_icache = 0.03125 * s;
+    r.cpi_stack.frontend_branch = 0.2 * s;
+    r.cpi_stack.backend_l2 = 0.07 * s;
+    r.cpi_stack.backend_l3 = 0.011 * s;
+    r.cpi_stack.backend_memory = 0.9 * s;
+    r.cpi_stack.backend_tlb = 0.0003 * s;
+    r.power.core_watts = 12.5 * s;
+    r.power.llc_watts = 1.7 * s;
+    r.power.dram_watts = 3.3 * s;
+    return r;
 }
 
 } // namespace
@@ -457,6 +494,50 @@ TEST(CampaignStore, PhasedRoundTripAndKindMismatch)
     std::filesystem::remove_all(dir);
 }
 
+// The exact bytes of one pair and one phased entry, pinned.  The
+// round-trip tests only prove the codec agrees with itself; this one
+// proves it still writes the format existing stores hold.  Only a
+// deliberate format change (a new counter, a kStoreEngineVersion bump)
+// may move these digests.
+TEST(CampaignStore, EntryBytesArePinned)
+{
+    const std::string dir = storeDir("pinned_bytes");
+    core::CampaignStore store(dir);
+
+    core::StoreKey key;
+    key.fingerprint = 0x0123456789abcdefull;
+    key.benchmark = "500.perlbench_r";
+    key.machine = "Pinned Machine";
+    key.instructions = 100'000;
+    key.warmup = 20'000;
+    key.seed_salt = 3;
+    const uarch::SimulationResult pair = fixedResult(1);
+    ASSERT_TRUE(store.save(key, pair));
+    EXPECT_EQ(fnvHex(readFile(store.entryPath(key))), "7655217828a6bf04");
+    uarch::SimulationResult pair_loaded;
+    ASSERT_EQ(store.load(key, pair_loaded), core::StoreStatus::Hit);
+    expectBitIdentical(pair, pair_loaded);
+
+    core::StoreKey phased_key = key;
+    phased_key.fingerprint = 0xfedcba9876543210ull;
+    uarch::PhasedSimulationResult phased;
+    phased.per_phase = {fixedResult(1), fixedResult(3)};
+    for (const uarch::SimulationResult &phase : phased.per_phase)
+        phased.combined_counters += phase.counters;
+    phased.combined_cpi = 2.5625;
+    ASSERT_TRUE(store.savePhased(phased_key, phased));
+    EXPECT_EQ(fnvHex(readFile(store.entryPath(phased_key))),
+              "7d533d4fdfe8722b");
+    uarch::PhasedSimulationResult phased_loaded;
+    ASSERT_EQ(store.loadPhased(phased_key, phased_loaded),
+              core::StoreStatus::Hit);
+    ASSERT_EQ(phased_loaded.per_phase.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k)
+        expectBitIdentical(phased.per_phase[k], phased_loaded.per_phase[k]);
+    EXPECT_EQ(phased_loaded.combined_cpi, phased.combined_cpi);
+    std::filesystem::remove_all(dir);
+}
+
 // The acceptance criterion behind `--store`: a second campaign over a
 // populated directory executes zero simulations.
 TEST(CampaignStore, WarmCampaignRunsZeroSimulations)
@@ -552,6 +633,37 @@ TEST(CampaignStore, ScanAndInvalidateStale)
 
     EXPECT_EQ(store.invalidate(), 1u);
     EXPECT_EQ(store.entryCount(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
+// scan() accepts exactly the names entryPath() writes.  An upper-case
+// copy of a healthy entry parses as the same fingerprint, but no load
+// ever opens it, so it is a corrupt entry, not a healthy one.
+TEST(CampaignStore, ScanRejectsNonCanonicalEntryNames)
+{
+    const std::string dir = storeDir("entry_names");
+    core::CampaignStore store(dir);
+    const auto &benchmark = suites::spec2017Benchmark("505.mcf_r");
+    core::storedSimulate(&store, benchmark.profile,
+                         suites::skylakeMachine(), tinyWindow());
+    std::filesystem::path path = store.entryPath(core::makeStoreKey(
+        benchmark.profile, suites::skylakeMachine(), tinyWindow()));
+    std::string upper = path.stem().string();
+    for (char &c : upper)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    ASSERT_NE(upper, path.stem().string());
+    std::filesystem::copy_file(
+        path, path.parent_path() / (upper + core::kStoreEntrySuffix));
+
+    std::size_t healthy = 0, corrupt = 0;
+    for (const core::StoreEntryInfo &entry : store.scan()) {
+        healthy += entry.status == core::StoreStatus::Hit;
+        corrupt += entry.status == core::StoreStatus::Corrupt;
+    }
+    EXPECT_EQ(healthy, 1u);
+    EXPECT_EQ(corrupt, 1u);
+    EXPECT_EQ(store.invalidateStale(), 1u);
+    EXPECT_TRUE(std::filesystem::exists(path));
     std::filesystem::remove_all(dir);
 }
 

@@ -20,6 +20,7 @@
 #include "core/perf_trajectory.h"
 #include "lint/rules.h"
 #include "obs/manifest.h"
+#include "stats/fingerprint.h"
 #include "suites/machines.h"
 #include "trace/phased_workload.h"
 #include "uarch/simulation.h"
@@ -709,16 +710,82 @@ TEST(Rules, SL024_StorePhasedConsistency)
         core::makeStoreKey(workload, context.machines[0], window),
         bad);
     expectFires("SL024", context);
+
+    // Every counter is summed, the memory-centric ones included.  No
+    // machine-free identity involves dram_busy_cycles, so the entry
+    // passes load-time verification and only SL024 can see it.
+    TempDir dram_dir("speclens_sl024_dram_test");
+    core::CampaignStore dram_store(dram_dir.path.string());
+    context.store_dir = dram_dir.path.string();
+    uarch::PhasedSimulationResult off = result;
+    off.combined_counters.dram_busy_cycles += 1;
+    core::StoreKey off_key =
+        core::makeStoreKey(workload, context.machines[0], window);
+    dram_store.savePhased(off_key, off);
+    uarch::PhasedSimulationResult loaded;
+    ASSERT_EQ(dram_store.loadPhased(off_key, loaded),
+              core::StoreStatus::Hit);
+    expectFires("SL024", context);
+}
+
+// The machine-bound identities of a phased entry are checked too: its
+// combined counters and every phase's counters, by the rule that owns
+// each identity (SL019 topology, SL026 memory).
+TEST(Rules, SL019_SL026_CheckPhasedEntries)
+{
+    uarch::SimulationConfig window;
+    window.instructions = 4'000;
+    window.warmup = 1'000;
+    LintContext context = cleanContext();
+    const uarch::MachineConfig &no_l2tlb = context.machines[3];
+    ASSERT_FALSE(no_l2tlb.tlbs.l2tlb.has_value());
+    ASSERT_EQ(context.machines[0].caches.l2_prefetch_degree, 0u);
+    trace::PhasedWorkload workload = trace::derivePhases(
+        context.cpu2017[0].profile, 2, 0.35);
+
+    // A clean phased entry checks clean under both rules.
+    TempDir dir("speclens_phased_identity_test");
+    core::CampaignStore store(dir.path.string());
+    context.store_dir = dir.path.string();
+    store.savePhased(
+        core::makeStoreKey(workload, no_l2tlb, window),
+        uarch::simulatePhased(workload, no_l2tlb, window));
+    EXPECT_EQ(errorCount(runRule("SL019", context)), 0u);
+    EXPECT_EQ(errorCount(runRule("SL026", context)), 0u);
+
+    // One more L1 DTLB miss in phase 1 that no walk follows: fine in
+    // isolation, wrong for a machine without an L2 TLB.
+    window.seed_salt = 7;
+    uarch::PhasedSimulationResult walkless =
+        uarch::simulatePhased(workload, no_l2tlb, window);
+    for (uarch::PerfCounters *c : {&walkless.per_phase[1].counters,
+                                   &walkless.combined_counters}) {
+        c->dtlb_accesses += 1;
+        c->dtlb_misses += 1;
+    }
+    store.savePhased(core::makeStoreKey(workload, no_l2tlb, window),
+                     walkless);
+    expectFires("SL019", context);
+
+    // Prefetch fills in phase 0 on a machine without a prefetcher.
+    TempDir memory_dir("speclens_phased_memory_test");
+    core::CampaignStore memory_store(memory_dir.path.string());
+    context.store_dir = memory_dir.path.string();
+    uarch::PhasedSimulationResult fills =
+        uarch::simulatePhased(workload, context.machines[0], window);
+    fills.per_phase[0].counters.prefetch_fills += 5;
+    fills.combined_counters.prefetch_fills += 5;
+    memory_store.savePhased(
+        core::makeStoreKey(workload, context.machines[0], window),
+        fills);
+    expectFires("SL026", context);
 }
 
 /** The `<16-hex>.slart` basename the store files @p key under. */
 std::string
 entryBaseName(const core::StoreKey &key)
 {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(key.fingerprint));
-    return std::string(hex) + ".slart";
+    return stats::hex16(key.fingerprint) + core::kStoreEntrySuffix;
 }
 
 TEST(Rules, SL025_SkipNoteWithoutStore)

@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -32,6 +31,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "stats/fingerprint.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
 #include "uarch/simulation.h"
@@ -83,13 +83,10 @@ readFile(const std::string &path)
 std::string
 shardedPath(const std::string &dir, const core::StoreKey &key)
 {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(key.fingerprint));
     return dir + "/" +
            core::storeShardDirName(
                core::storeShardIndex(key.fingerprint)) +
-           "/" + hex + ".slart";
+           "/" + stats::hex16(key.fingerprint) + core::kStoreEntrySuffix;
 }
 
 /** Start @p server's accept loop on a background thread. */

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "obs/metrics.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
@@ -104,6 +106,59 @@ TEST(SimulationTest, CountersConsistent)
     EXPECT_GT(r.cpi(), 0.0);
     EXPECT_GT(r.ipc(), 0.0);
     EXPECT_GT(r.power.total(), 0.0);
+}
+
+// Bit identity means IEEE-754 bit patterns, not floating-point ==:
+// -0.0 and 0.0 differ in the store and in every fingerprint, and a
+// NaN field must not make a result unequal to itself.
+TEST(SimulationTest, BitIdenticalComparesDoubleBitPatterns)
+{
+    SimulationConfig config;
+    config.instructions = 4'000;
+    config.warmup = 1'000;
+    SimulationResult a = simulate(
+        suites::spec2017Benchmark("505.mcf_r").profile,
+        suites::skylakeMachine(), config);
+    EXPECT_TRUE(bitIdentical(a, a));
+
+    a.cpi_stack.backend_tlb = 0.0;
+    SimulationResult negative_zero = a;
+    negative_zero.cpi_stack.backend_tlb = -0.0;
+    EXPECT_FALSE(bitIdentical(a, negative_zero));
+
+    a.power.dram_watts = std::numeric_limits<double>::quiet_NaN();
+    SimulationResult copy = a;
+    EXPECT_TRUE(bitIdentical(a, copy));
+    copy.counters.dram_budget_cycles += 1;
+    EXPECT_FALSE(bitIdentical(a, copy));
+}
+
+// hashInto() and the store codec read the same words bitIdentical()
+// compares, so all three agree on every result.
+TEST(SimulationTest, WordsRoundTripAndHashAgreesWithBitIdentical)
+{
+    SimulationConfig config;
+    config.instructions = 4'000;
+    config.warmup = 1'000;
+    SimulationResult a = simulate(
+        suites::spec2017Benchmark("502.gcc_r").profile,
+        suites::skylakeMachine(), config);
+    EXPECT_TRUE(bitIdentical(SimulationResult::fromWords(a.words()), a));
+
+    auto hash = [](const SimulationResult &r) {
+        stats::Fingerprinter fp;
+        r.hashInto(fp);
+        return fp.value();
+    };
+    a.cpi_stack.backend_tlb = 0.0;
+    SimulationResult b = a;
+    b.cpi_stack.backend_tlb = -0.0;
+    EXPECT_NE(hash(a), hash(b));
+    b = a;
+    b.counters.dram_budget_cycles += 1;
+    EXPECT_NE(hash(a), hash(b));
+    a.power.dram_watts = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(hash(a), hash(SimulationResult(a)));
 }
 
 TEST(SimulationTest, PrewarmRemovesCompulsoryL3Misses)

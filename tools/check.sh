@@ -199,6 +199,11 @@ grep -q 'rejected=0$' "$BUILD_DIR/repro-warm.err" ||
       grep 'rejected=' "$BUILD_DIR/repro-warm.err" >&2; exit 1; }
 grep '\[speclens-repro\] total' "$BUILD_DIR/repro-cold.err" \
     "$BUILD_DIR/repro-warm.err"
+# scan() over pair and phased entries: every entry must be healthy.
+"$BUILD_DIR"/tools/speclens campaign info --store "$REPRO_STORE" \
+    >"$BUILD_DIR/repro-info.out" ||
+    { echo "repro store has inconsistent entries:" >&2
+      tail -n 3 "$BUILD_DIR/repro-info.out" >&2; exit 1; }
 "$BUILD_DIR"/tools/speclens lint --no-deep --store "$REPRO_STORE" \
     >"$BUILD_DIR/repro-lint.out"
 # Warnings (an SL016 stale or orphan entry) fail too, not only errors.
@@ -206,7 +211,7 @@ grep -q ' 0 errors, 0 warnings$' "$BUILD_DIR/repro-lint.out" ||
     { echo "repro store lint is not clean:" >&2
       cat "$BUILD_DIR/repro-lint.out" >&2; exit 1; }
 rm -rf "$REPRO_STORE"
-echo "repro --all: warm zero simulations, stdout byte-identical, lint clean"
+echo "repro --all: warm zero simulations, byte-identical stdout, entries healthy, lint clean"
 
 step "bench trajectory (small window)"
 # The perf-trajectory runner re-proves warm-store reuse itself (nonzero

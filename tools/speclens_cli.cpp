@@ -70,6 +70,7 @@
 #include "lint/rules.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "stats/fingerprint.h"
 #include "suites/emerging.h"
 #include "suites/input_sets.h"
 #include "suites/machines.h"
@@ -1124,41 +1125,6 @@ cmdRepro(const CliOptions &opts)
 // campaign across worker counts and seed salts.
 // ====================================================================
 
-std::string
-auditHex16(std::uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof buffer, "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
-
-/** Every counter and derived double of @p r, bit-exact. */
-void
-hashResultForAudit(stats::Fingerprinter &fp,
-                   const uarch::SimulationResult &r)
-{
-    const uarch::PerfCounters &c = r.counters;
-    for (std::uint64_t v :
-         {c.instructions, c.loads, c.stores, c.branches,
-          c.taken_branches, c.fp_ops, c.simd_ops,
-          c.kernel_instructions, c.l1d_accesses, c.l1d_misses,
-          c.l1i_accesses, c.l1i_misses, c.l2d_accesses, c.l2d_misses,
-          c.l2i_accesses, c.l2i_misses, c.l3_accesses, c.l3_misses,
-          c.dtlb_accesses, c.dtlb_misses, c.itlb_accesses,
-          c.itlb_misses, c.l2tlb_misses, c.page_walks,
-          c.branch_mispredictions, c.prefetch_fills, c.prefetch_useful,
-          c.prefetch_evicted_unused, c.way_pred_hits,
-          c.way_pred_mispredicts, c.dram_accesses, c.dram_row_hits,
-          c.dram_busy_cycles, c.dram_budget_cycles})
-        fp.u64(v);
-    for (double v : r.cpi_stack.components())
-        fp.f64(v);
-    fp.f64(r.power.core_watts);
-    fp.f64(r.power.llc_watts);
-    fp.f64(r.power.dram_watts);
-}
-
 /** The audit campaign: a pinned benchmark subset on every machine. */
 std::vector<suites::BenchmarkInfo>
 auditBenchmarks()
@@ -1192,7 +1158,7 @@ campaignFingerprint(const std::vector<suites::BenchmarkInfo> &benchmarks,
     fp.tag("speclens-audit-campaign-v1");
     for (const suites::BenchmarkInfo &b : benchmarks)
         for (std::size_t m = 0; m < machines.size(); ++m)
-            hashResultForAudit(fp, characterizer.simulation(b, m));
+            characterizer.simulation(b, m).hashInto(fp);
     return fp.value();
 }
 
@@ -1271,15 +1237,15 @@ cmdAudit(const CliOptions &opts)
                              "%s != %s\n",
                              static_cast<unsigned long long>(
                                  config.seed_salt),
-                             jobs, auditHex16(fp).c_str(),
-                             auditHex16(first).c_str());
+                             jobs, stats::hex16(fp).c_str(),
+                             stats::hex16(first).c_str());
             }
         }
         std::printf("determinism: salt %llu: jobs {1, 2, auto} %s "
                     "(fingerprint %s)\n",
                     static_cast<unsigned long long>(config.seed_salt),
                     agree ? "agree" : "DIVERGED",
-                    auditHex16(first).c_str());
+                    stats::hex16(first).c_str());
         deterministic = deterministic && agree;
         salt_fingerprints.push_back(first);
     }
