@@ -251,6 +251,31 @@ readFile(const std::string &path, std::string &out)
 }
 
 /**
+ * Call @p visit(path) for each file a store treats as an entry: every
+ * `*.slart` in a `shard-*` subdirectory of @p directory, in directory
+ * order.  Counting, scanning and invalidation all list entries through
+ * this one walk.  It allocates no list: the daemon's stats reply counts
+ * entries on every request.
+ */
+template <typename Visit>
+void
+forEachEntryFile(const std::string &directory, Visit visit)
+{
+    std::error_code ec;
+    for (const auto &shard : fs::directory_iterator(directory, ec)) {
+        std::error_code shard_ec;
+        if (!shard.is_directory(shard_ec) ||
+            shard.path().filename().string().rfind(kStoreShardPrefix, 0) !=
+                0)
+            continue;
+        for (const auto &file :
+             fs::directory_iterator(shard.path(), shard_ec))
+            if (file.path().extension() == kStoreEntrySuffix)
+                visit(file.path());
+    }
+}
+
+/**
  * Parse and verify one serialized entry.
  *
  * @param expect_fingerprint The fingerprint the caller addressed
@@ -260,7 +285,7 @@ readFile(const std::string &path, std::string &out)
  * @param out_phased Same for a phased entry.  Null together with
  *        @p out means verification only: either kind is accepted.
  * @param info Receives header/metadata fields as far as they could be
- *        read (may be null).
+ *        read, and the decoded result on success (may be null).
  */
 StoreStatus
 verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
@@ -366,6 +391,8 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
             return fail(StoreStatus::Corrupt, defect);
         if (out)
             *out = result;
+        if (info)
+            info->result = result;
     } else {
         uarch::PhasedSimulationResult result;
         std::uint64_t phases = reader.u64();
@@ -387,6 +414,8 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
             info->phases = phases;
         if (out_phased)
             *out_phased = std::move(result);
+        else if (info)
+            info->phased = std::move(result);
     }
 
     if (info) {
@@ -516,6 +545,7 @@ storeStatusName(StoreStatus status)
       case StoreStatus::StaleVersion: return "stale-version";
       case StoreStatus::FingerprintMismatch:
           return "fingerprint-mismatch";
+      case StoreStatus::Misfiled: return "misfiled";
     }
     return "unknown";
 }
@@ -549,9 +579,11 @@ CampaignStore::sweepOrphanedTempFiles()
     // A temp file is `<entry>.slart.tmp<thread-hash>` (or a
     // half-written `run-manifest.json.tmp<hash>`); anything matching
     // is a leftover from a writer that died between the temp write and
-    // the atomic rename.  No live writer can race this: temp names are
-    // keyed to running threads and the sweep happens before this
-    // handle serves any save.
+    // the atomic rename.  Within one process no live writer can race
+    // this (the sweep happens before this handle serves any save), but
+    // a writer in another process can: opening a store mid-save of
+    // another process removes that save's temp file.  Readers therefore
+    // never open a CampaignStore; scanStore() sweeps nothing.
     const std::string entry_marker =
         std::string(kStoreEntrySuffix) + ".tmp";
     const std::string manifest_marker =
@@ -627,6 +659,7 @@ CampaignStore::loadEntry(const StoreKey &key,
           instruments.rejected.add();
           break;
       case StoreStatus::FingerprintMismatch:
+      case StoreStatus::Misfiled: // never: a load opens the home shard
           fingerprint_mismatch_.fetch_add(1, std::memory_order_relaxed);
           instruments.rejected.add();
           break;
@@ -709,72 +742,63 @@ std::size_t
 CampaignStore::entryCount() const
 {
     std::size_t count = 0;
-    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
-        std::error_code ec;
-        for (const auto &file : fs::directory_iterator(shardPath(shard), ec))
-            if (file.path().extension() == kStoreEntrySuffix)
-                ++count;
-    }
+    forEachEntryFile(directory_, [&count](const fs::path &) { ++count; });
     return count;
 }
 
-std::vector<StoreEntryInfo>
-CampaignStore::scan() const
+StoreScan
+scanStore(const std::string &directory)
 {
-    std::vector<StoreEntryInfo> entries;
-    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
-        std::error_code ec;
-        for (const auto &file : fs::directory_iterator(shardPath(shard), ec)) {
-            if (file.path().extension() != kStoreEntrySuffix)
-                continue;
+    StoreScan scan;
+    std::error_code ec;
+    scan.found = fs::is_directory(directory, ec);
+    forEachEntryFile(directory, [&scan](const fs::path &file) {
+        const std::string shard_name = file.parent_path().filename().string();
+        StoreEntryInfo info;
+        info.filename = shard_name + "/" + file.filename().string();
 
-            StoreEntryInfo info;
-            info.filename = storeShardDirName(shard) + "/" +
-                            file.path().filename().string();
-            std::error_code size_ec;
-            auto size = fs::file_size(file.path(), size_ec);
-            info.file_bytes = size_ec ? 0 : size;
+        // The entry's address is its file name; a rename is a
+        // fingerprint mismatch even when the content is intact.
+        std::uint64_t addressed = 0;
+        bool valid_name =
+            parseStoreEntryName(file.filename().string(), addressed);
 
-            // The entry's address is its file name; a rename is a
-            // fingerprint mismatch even when the content is intact.
-            std::uint64_t addressed = 0;
-            bool valid_name = parseStoreEntryName(
-                file.path().filename().string(), addressed);
-
-            std::string bytes;
-            if (!readFile(file.path().string(), bytes)) {
-                info.status = StoreStatus::Corrupt;
-                info.detail = "unreadable";
-            } else if (!valid_name) {
-                info.status = StoreStatus::Corrupt;
-                info.detail = "file name is not a 16-digit lower-case "
-                              "hex fingerprint";
-            } else {
-                verifyEntry(bytes, addressed, nullptr, nullptr, &info);
-            }
-            entries.push_back(std::move(info));
+        std::string bytes;
+        if (!readFile(file.string(), bytes)) {
+            info.status = StoreStatus::Corrupt;
+            info.detail = "unreadable";
+        } else if (!valid_name) {
+            info.status = StoreStatus::Corrupt;
+            info.detail = "file name is not a 16-digit lower-case hex "
+                          "fingerprint";
+        } else {
+            verifyEntry(bytes, addressed, nullptr, nullptr, &info);
         }
-    }
-    std::sort(entries.begin(), entries.end(),
+        // A load opens only the fingerprint's own shard, so an entry
+        // anywhere else is unreachable, whatever it holds.
+        std::string home = storeShardDirName(storeShardIndex(addressed));
+        if (valid_name && shard_name != home) {
+            info.status = StoreStatus::Misfiled;
+            info.detail = "filed in " + shard_name +
+                          " but its fingerprint belongs in " + home;
+        }
+        scan.entries.push_back(std::move(info));
+    });
+    std::sort(scan.entries.begin(), scan.entries.end(),
               [](const StoreEntryInfo &a, const StoreEntryInfo &b) {
                   return a.filename < b.filename;
               });
-    return entries;
+    return scan;
 }
 
 std::size_t
 CampaignStore::invalidate()
 {
     std::size_t removed = 0;
-    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
+    forEachEntryFile(directory_, [&removed](const fs::path &file) {
         std::error_code ec;
-        for (const auto &file : fs::directory_iterator(shardPath(shard), ec)) {
-            std::error_code remove_ec;
-            if (file.path().extension() == kStoreEntrySuffix &&
-                fs::remove(file.path(), remove_ec))
-                ++removed;
-        }
-    }
+        removed += fs::remove(file, ec) ? 1 : 0;
+    });
     return removed;
 }
 
@@ -782,7 +806,7 @@ std::size_t
 CampaignStore::invalidateStale()
 {
     std::size_t removed = 0;
-    for (const StoreEntryInfo &info : scan()) {
+    for (const StoreEntryInfo &info : scanStore(directory_).entries) {
         if (info.status == StoreStatus::Hit)
             continue;
         std::error_code ec;

@@ -52,8 +52,9 @@
  * only (they keep any one directory small); no lock or cache hangs off
  * them.  Only shards are read: a root-level `*.slart` left by a store
  * written before sharding is not an entry, and its pair recomputes
- * into its shard.  The SL025 lint rule audits the layout (a misfiled
- * entry is an error).
+ * into its shard.  An entry filed outside its fingerprint's shard is
+ * unreachable by load(); scanStore() classifies it Misfiled and the
+ * SL025 lint rule reports it.
  *
  * The store holds no results in memory: every load() reads and
  * verifies the entry's bytes, so a rewritten or truncated file is
@@ -174,6 +175,7 @@ enum class StoreStatus {
     Corrupt,             //!< Truncated / bad magic / checksum mismatch.
     StaleVersion,        //!< Written by a different engine version.
     FingerprintMismatch, //!< Header disagrees with the requested key.
+    Misfiled, //!< (scan only) Filed outside its fingerprint's shard.
 };
 
 /** Human-readable status name ("hit", "corrupt", ...). */
@@ -215,17 +217,16 @@ struct StoreCounters
     std::size_t lru_hits = 0;
 };
 
-/** Verified description of one on-disk entry (see CampaignStore::scan). */
+/** Verified description of one on-disk entry (see scanStore). */
 struct StoreEntryInfo
 {
     /** Entry path relative to the store root: `shard-<x>/<hex>.slart`. */
     std::string filename;
-    std::uint64_t file_bytes = 0;
 
     /**
      * Entry condition: Hit when fully consistent, otherwise the
      * defect class (Corrupt / StaleVersion / FingerprintMismatch —
-     * the latter meaning the header disagrees with the file name).
+     * the header disagrees with the file name — / Misfiled).
      */
     StoreStatus status = StoreStatus::Hit;
 
@@ -247,7 +248,29 @@ struct StoreEntryInfo
 
     /** Phase count of a phased entry; 0 for a plain pair entry. */
     std::uint64_t phases = 0;
+
+    // The decoded payload when status is Hit: a pair entry's result,
+    // or a phased entry's full result.
+    uarch::SimulationResult result;
+    uarch::PhasedSimulationResult phased;
 };
+
+/** Everything scanStore() found in one store directory. */
+struct StoreScan
+{
+    bool found = false; //!< The directory exists.
+    /** Every `*.slart` file in a `shard-*` subdirectory, by path. */
+    std::vector<StoreEntryInfo> entries;
+};
+
+/**
+ * Read and verify every entry of the store at @p directory, once
+ * each: magic, engine version, checksum, payload shape, counter
+ * identities, file-name/header fingerprint agreement and shard
+ * placement.  Read-only: it creates, sweeps and removes nothing, so it
+ * may run beside a live writer, and a missing directory stays missing.
+ */
+StoreScan scanStore(const std::string &directory);
 
 /**
  * A directory of persisted simulation results.
@@ -255,7 +278,8 @@ struct StoreEntryInfo
  * Opening a store creates the directory (and its shard
  * subdirectories) if needed and sweeps any orphaned temp files an
  * interrupted writer left behind (counted in
- * counters().orphaned_temp).  All I/O failures
+ * counters().orphaned_temp), so only writers open one; readers use
+ * scanStore().  All I/O failures
  * degrade soft: load() reports Miss/Corrupt and save() returns false,
  * so a read-only or vanished directory never takes an analysis down —
  * it only costs recomputation.
@@ -270,9 +294,6 @@ class CampaignStore
     CampaignStore &operator=(const CampaignStore &) = delete;
 
     const std::string &directory() const { return directory_; }
-
-    /** Number of shard subdirectories (fixed layout constant). */
-    static constexpr std::size_t shardCount() { return kStoreShardCount; }
 
     /** Absolute path of shard @p shard's subdirectory. */
     std::string shardPath(std::size_t shard) const;
@@ -312,20 +333,12 @@ class CampaignStore
     /** Number of entry files currently in the shards. */
     std::size_t entryCount() const;
 
-    /**
-     * Read and verify every entry in the store: magic, engine version,
-     * checksum, payload shape, counter identities and file-name/header
-     * fingerprint agreement.  Walks every shard subdirectory; results
-     * are sorted by relative path for stable output.
-     */
-    std::vector<StoreEntryInfo> scan() const;
-
     /** Delete every entry; returns the number removed. */
     std::size_t invalidate();
 
     /**
-     * Delete only inconsistent entries (scan status != Hit); returns
-     * the number removed.  Healthy entries survive.
+     * Delete only inconsistent entries (scanStore() status != Hit);
+     * returns the number removed.  Healthy entries survive.
      */
     std::size_t invalidateStale();
 

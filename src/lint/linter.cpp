@@ -67,8 +67,9 @@ LintReport
 Linter::run(const LintContext &context) const
 {
     LintReport report;
+    const StoreSnapshot store(context);
     for (const std::unique_ptr<Rule> &rule : rules_) {
-        rule->run(context, report.diagnostics);
+        rule->run(context, store, report.diagnostics);
         ++report.rules_run;
     }
     return report;

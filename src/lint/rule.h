@@ -6,7 +6,8 @@
  * benchmark databases, the Table IV machine models, the input-set
  * groups and the synthetic score database.  Holding the data by value
  * lets tests corrupt a single field of a copy and assert that exactly
- * one rule fires with exactly its diagnostic code.
+ * one rule fires with exactly its diagnostic code.  A StoreSnapshot
+ * holds the context's artifact store, read once per lint run.
  */
 
 #ifndef SPECLENS_LINT_RULE_H
@@ -16,11 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "core/artifact_store.h"
 #include "lint/diagnostics.h"
+#include "obs/json.h"
 #include "suites/benchmark_info.h"
 #include "suites/input_sets.h"
 #include "suites/score_database.h"
 #include "uarch/machine.h"
+#include "verify/violation.h"
 
 namespace speclens {
 namespace lint {
@@ -56,9 +60,9 @@ struct LintContext
     std::size_t jobs = 0;
 
     /**
-     * Artifact-store directory for the SL016 store-integrity checks
-     * and the SL018/SL019/SL022-SL024 artifact re-audit rules; empty
-     * (the default) skips them with an info note.
+     * Artifact-store directory for the store rules (SL016, SL018,
+     * SL019, SL022-SL026), which read it through one StoreSnapshot;
+     * empty (the default) skips them with an info note.
      */
     std::string store_dir;
 
@@ -75,6 +79,57 @@ struct LintContext
 /** Context loaded with the shipped suites, machines and databases. */
 LintContext shippedContext();
 
+/** One measured window of an entry that scanned clean. */
+struct StoredWindow
+{
+    std::string location; //!< "store/<entry>[/combined|/phaseK]".
+    const uarch::PerfCounters *counters = nullptr;
+    const uarch::SimulationResult *result = nullptr; //!< Null if combined.
+    /** checkCounterIdentities(*counters, entry machine), every owner. */
+    std::vector<verify::Violation> identities;
+};
+
+/** One scanned store entry and what lint resolved for it. */
+struct StoredEntry
+{
+    core::StoreEntryInfo info;
+
+    // Set only for an entry that scanned clean (status Hit): the
+    // shipped profile of its base benchmark; the machine that wrote it
+    // (of the known machines with its name, the one whose store key
+    // reproduces the fingerprint, else the first); whether a shipped,
+    // non-derived profile no longer reproduces the fingerprint; and its
+    // windows (a pair's result, or a phased entry's combined counters,
+    // then each phase).
+    const trace::WorkloadProfile *profile = nullptr;
+    const uarch::MachineConfig *machine = nullptr;
+    bool stale_model = false;
+    std::vector<StoredWindow> windows;
+};
+
+/**
+ * The context's artifact store, read once: every entry read, verified
+ * and decoded by core::scanStore(), resolved against the shipped
+ * models, each stored window's counter identities checked, and the
+ * run manifest parsed.  Linter::run builds one per run and every store
+ * rule reads it; no rule opens the directory.  Empty without a store.
+ */
+struct StoreSnapshot
+{
+    explicit StoreSnapshot(const LintContext &context);
+    // Entries point into this object, so it is neither copied nor moved.
+    StoreSnapshot(const StoreSnapshot &) = delete;
+    StoreSnapshot &operator=(const StoreSnapshot &) = delete;
+
+    bool found = false;               //!< The store directory exists.
+    std::vector<StoredEntry> entries; //!< By path.
+    obs::JsonFile manifest;           //!< The run manifest.
+
+    /** Every machine an entry may name (StoredEntry::machine points
+     *  here): the context's, memory-centric, sensitivity and ablation. */
+    std::vector<uarch::MachineConfig> machines;
+};
+
 /** One verification rule. */
 class Rule
 {
@@ -90,8 +145,8 @@ class Rule
     /** One-line description of what the rule verifies. */
     virtual std::string description() const = 0;
 
-    /** Append findings for @p context to @p out. */
-    virtual void run(const LintContext &context,
+    /** Append findings for @p context (its store: @p store) to @p out. */
+    virtual void run(const LintContext &context, const StoreSnapshot &store,
                      std::vector<Diagnostic> &out) const = 0;
 };
 

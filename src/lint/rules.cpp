@@ -15,11 +15,9 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/artifact_store.h"
@@ -67,6 +65,19 @@ class RuleBase : public Rule
     {
         emit(out, Severity::Error, std::move(location),
              std::move(message), std::move(fix_hint));
+    }
+
+    /** Without --store: an info note that @p what is skipped, and true. */
+    bool
+    skippedWithoutStore(const LintContext &context,
+                        std::vector<Diagnostic> &out, const char *location,
+                        const std::string &what) const
+    {
+        if (!context.store_dir.empty())
+            return false;
+        emit(out, Severity::Info, location,
+             what + " skipped (no --store directory given)");
+        return true;
     }
 
     /** An error at @p loc (plus the violation's own location) for
@@ -162,7 +173,7 @@ class WorkloadFamilyRule final : public FamilyRule
     using FamilyRule::FamilyRule;
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
@@ -189,7 +200,7 @@ class MachineFamilyRule final : public FamilyRule
     using FamilyRule::FamilyRule;
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         std::set<std::string> short_names;
@@ -219,7 +230,7 @@ class TransformRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         for (const uarch::MachineConfig &m : context.machines) {
@@ -285,7 +296,7 @@ class CrossReferenceRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         // Name uniqueness across all databases: analyses key caches
@@ -388,7 +399,7 @@ class InputSetRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         for (const suites::InputSetGroup &group :
@@ -446,7 +457,7 @@ class ScoreDatabaseRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         const suites::Category categories[] = {
@@ -502,7 +513,7 @@ class PaperBoundsRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         for (const suites::BenchmarkInfo &b : context.cpu2017) {
@@ -630,85 +641,12 @@ windowOf(const core::StoreEntryInfo &info)
     return window;
 }
 
-/**
- * Every model a store entry may describe: the three databases plus the
- * Fig. 7/8 input-set variants, and the context's profiling machines
- * plus the memory-centric, sensitivity and prefetcher-ablation
- * variants.  Machine names are not unique (the ablation variant keeps
- * Skylake's), so an entry resolves by name *and* fingerprint.
- */
-class StoreModels
+/** Base benchmark of @p info: its name before any "@k" suffix. */
+std::string
+baseName(const core::StoreEntryInfo &info)
 {
-  public:
-    explicit StoreModels(const LintContext &context)
-        : machines_(context.machines)
-    {
-        for (const suites::BenchmarkInfo *b : context.allBenchmarks())
-            profiles_.emplace(b->profile.name, &b->profile);
-        for (const suites::InputSetGroup &g : context.input_groups)
-            for (const suites::BenchmarkInfo &v : g.inputs)
-                profiles_.emplace(v.profile.name, &v.profile);
-        for (auto family : {suites::memoryCentricMachines(),
-                            suites::sensitivityMachines()})
-            machines_.insert(machines_.end(), family.begin(),
-                             family.end());
-        machines_.push_back(suites::prefetchAblationMachine());
-    }
-
-    /** Base benchmark of @p info: its name before any "@k" suffix. */
-    static std::string
-    baseName(const core::StoreEntryInfo &info)
-    {
-        return info.benchmark.substr(0, info.benchmark.find('@'));
-    }
-
-    /**
-     * Derived workloads (phased ground truths and "@k" phase probes)
-     * cannot be re-derived without their derivation parameters.
-     */
-    static bool
-    derived(const core::StoreEntryInfo &info)
-    {
-        return info.phases > 0 ||
-               info.benchmark.find('@') != std::string::npos;
-    }
-
-    /** The shipped profile of @p info's base benchmark, or null. */
-    const trace::WorkloadProfile *
-    profile(const core::StoreEntryInfo &info) const
-    {
-        auto found = profiles_.find(baseName(info));
-        return found == profiles_.end() ? nullptr : found->second;
-    }
-
-    /**
-     * The machine that wrote @p info: among the known machines with
-     * its name, the one whose store key reproduces the entry
-     * fingerprint; failing that (a derived or stale entry) the first
-     * with its name; null when no known machine carries the name.
-     */
-    const uarch::MachineConfig *
-    machine(const core::StoreEntryInfo &info) const
-    {
-        const trace::WorkloadProfile *shipped =
-            derived(info) ? nullptr : profile(info);
-        const uarch::MachineConfig *first = nullptr;
-        for (const uarch::MachineConfig &m : machines_) {
-            if (m.name != info.machine)
-                continue;
-            if (!first)
-                first = &m;
-            if (shipped && core::makeStoreKey(*shipped, m, windowOf(info))
-                                   .fingerprint == info.fingerprint)
-                return &m;
-        }
-        return first;
-    }
-
-  private:
-    std::map<std::string, const trace::WorkloadProfile *> profiles_;
-    std::vector<uarch::MachineConfig> machines_;
-};
+    return info.benchmark.substr(0, info.benchmark.find('@'));
+}
 
 // ====================================================================
 // Store-integrity rule (SL016).
@@ -727,20 +665,20 @@ class StoreIntegrityRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "store",
-                 "store integrity skipped (no --store directory "
-                 "given)");
+        if (skippedWithoutStore(context, out, "store", "store integrity"))
+            return;
+        if (!store.found) {
+            error(out, "store", "no store directory at " + context.store_dir,
+                  "check the --store path; lint reads a store and never "
+                  "creates one");
             return;
         }
-
-        const StoreModels models(context);
-        core::CampaignStore store(context.store_dir);
         std::size_t healthy = 0;
-        for (const core::StoreEntryInfo &info : store.scan()) {
+        for (const StoredEntry &entry : store.entries) {
+            const core::StoreEntryInfo &info = entry.info;
             const std::string loc = "store/" + info.filename;
             switch (info.status) {
               case core::StoreStatus::Corrupt:
@@ -760,29 +698,26 @@ class StoreIntegrityRule final : public RuleBase
                      "stale entry: " + info.detail,
                      "re-run the campaign to refresh it");
                 continue;
+              case core::StoreStatus::Misfiled:
+                continue; // SL025 reports the shard layout.
               default:
                 break;
             }
 
             // Consistent on disk; now hold it against the shipped
             // models.  A derived entry checks only its base name.
-            const uarch::MachineConfig *machine = models.machine(info);
-            const trace::WorkloadProfile *profile = models.profile(info);
-            if (!machine || !profile) {
+            if (!entry.machine || !entry.profile) {
                 emit(out, Severity::Warning, loc,
                      "orphaned entry: " +
-                         (!machine ? "machine '" + info.machine + "'"
-                                   : "benchmark '" +
-                                         StoreModels::baseName(info) +
-                                         "'") +
+                         (!entry.machine
+                              ? "machine '" + info.machine + "'"
+                              : "benchmark '" + baseName(info) + "'") +
                          " is not a shipped model",
                      "written by an ad-hoc configuration; invalidate "
                      "if unwanted");
                 continue;
             }
-            if (!StoreModels::derived(info) &&
-                core::makeStoreKey(*profile, *machine, windowOf(info))
-                        .fingerprint != info.fingerprint) {
+            if (entry.stale_model) {
                 emit(out, Severity::Warning, loc,
                      "stale entry: the shipped model of '" +
                          info.benchmark + "' on '" + info.machine +
@@ -816,7 +751,7 @@ class DegenerateFeaturesRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         if (!context.deep) {
@@ -865,38 +800,14 @@ class DegenerateFeaturesRule final : public RuleBase
 };
 
 // ====================================================================
-// Artifact-lint family (SL018-SL024): structural re-audit of on-disk
+// Artifact-lint family (SL018-SL026): structural re-audit of on-disk
 // artifacts — store entries, BENCH_<pr>.json trajectory files and the
-// run manifest.  These rules re-open what past runs persisted and
-// hold it against the same invariants the live simulator satisfies,
-// so silent corruption (bad serialization, hand edits, drifted
-// constants) cannot survive a lint pass.
+// run manifest.  These rules read what past runs persisted (the store
+// through the run's StoreSnapshot) and hold it against the same
+// invariants the live simulator satisfies, so silent corruption (bad
+// serialization, hand edits, drifted constants) cannot survive a lint
+// pass.
 // ====================================================================
-
-/** Slurp a whole text file; false when unreadable. */
-bool
-readTextFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    out = buffer.str();
-    return true;
-}
-
-bool
-isHex16(const std::string &s)
-{
-    if (s.size() != 16)
-        return false;
-    for (char c : s)
-        if (!std::isxdigit(static_cast<unsigned char>(c)) ||
-            std::isupper(static_cast<unsigned char>(c)))
-            return false;
-    return true;
-}
 
 bool
 nearRel(double a, double b, double rel)
@@ -906,73 +817,23 @@ nearRel(double a, double b, double rel)
            std::abs(a - b) <= rel * std::max(scale, 1.0);
 }
 
-/** Store address reconstructed from a scanned entry's metadata. */
-core::StoreKey
-keyFromInfo(const core::StoreEntryInfo &info)
-{
-    core::StoreKey key;
-    key.fingerprint = info.fingerprint;
-    key.benchmark = info.benchmark;
-    key.machine = info.machine;
-    key.instructions = info.instructions;
-    key.warmup = info.warmup;
-    key.seed_salt = info.seed_salt;
-    key.apply_machine_transform = info.apply_machine_transform;
-    key.prewarm = info.prewarm;
-    return key;
-}
-
 /**
- * Call @p visit(info, loc, counters, result) for every measured window
- * of every store entry at @p dir that scans and loads clean: a pair
- * entry's result, and a phased entry's combined counters (@p result
- * null, loc ".../combined") and each phase's result (".../phaseK").
- * An entry that scans clean but fails to load goes to @p unloadable
- * instead.  Returns the number of entries visited.  Defective entries
- * are SL016's to report.
+ * Call @p visit(window) for every stored window of @p store: a pair
+ * entry's result, and a phased entry's combined counters and each
+ * phase's result.  Returns the number of entries visited, those that
+ * scanned clean; SL016 and SL025 report the rest.
  */
-template <typename Visit, typename Unloadable>
-std::size_t
-forEachStoredWindow(const std::string &dir, Visit visit,
-                    Unloadable unloadable)
-{
-    core::CampaignStore store(dir);
-    std::size_t visited = 0;
-    for (const core::StoreEntryInfo &info : store.scan()) {
-        if (info.status != core::StoreStatus::Hit)
-            continue;
-        const std::string loc = "store/" + info.filename;
-        const core::StoreKey key = keyFromInfo(info);
-        if (info.phases == 0) {
-            uarch::SimulationResult result;
-            if (store.load(key, result) != core::StoreStatus::Hit) {
-                unloadable(loc);
-                continue;
-            }
-            visit(info, loc, result.counters, &result);
-        } else {
-            uarch::PhasedSimulationResult result;
-            if (store.loadPhased(key, result) != core::StoreStatus::Hit) {
-                unloadable(loc);
-                continue;
-            }
-            visit(info, loc + "/combined", result.combined_counters,
-                  nullptr);
-            for (std::size_t k = 0; k < result.per_phase.size(); ++k)
-                visit(info, loc + "/phase" + std::to_string(k),
-                      result.per_phase[k].counters, &result.per_phase[k]);
-        }
-        ++visited;
-    }
-    return visited;
-}
-
-/** forEachStoredWindow() for rules that leave load failures to SL018. */
 template <typename Visit>
 std::size_t
-forEachStoredWindow(const std::string &dir, Visit visit)
+forEachStoredWindow(const StoreSnapshot &store, Visit visit)
 {
-    return forEachStoredWindow(dir, visit, [](const std::string &) {});
+    std::size_t visited = 0;
+    for (const StoredEntry &entry : store.entries) {
+        for (const StoredWindow &window : entry.windows)
+            visit(window);
+        visited += entry.windows.empty() ? 0 : 1;
+    }
+    return visited;
 }
 
 class StoreResultAuditRule final : public RuleBase
@@ -988,30 +849,23 @@ class StoreResultAuditRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "store",
-                 "store result audit skipped (no --store directory "
-                 "given)");
+        if (skippedWithoutStore(context, out, "store", "store result audit"))
             return;
-        }
-        const StoreModels models(context);
-        std::size_t audited = forEachStoredWindow(
-            context.store_dir,
-            [&](const core::StoreEntryInfo &info, const std::string &loc,
-                const uarch::PerfCounters &counters,
-                const uarch::SimulationResult *result) {
-                if (result)
-                    auditResult(loc, *result, models.machine(info), out);
+        std::size_t audited =
+            forEachStoredWindow(store, [&](const StoredWindow &w) {
+                if (w.counters->instructions == 0)
+                    error(out, w.location,
+                          "stored window retired zero instructions",
+                          "an empty measurement window cannot produce "
+                          "the paper's rates; invalidate and re-run");
                 else
-                    auditCounters(loc, counters, models.machine(info),
-                                  out);
-            },
-            [&](const std::string &loc) {
-                error(out, loc, "entry scanned clean but failed to load",
-                      "invalidate the entry and re-run the campaign");
+                    violationErrors(out, w.location, w.identities,
+                                    "counters");
+                if (w.result)
+                    auditResult(w.location, *w.result, out);
             });
         emit(out, Severity::Info, "store",
              std::to_string(audited) + " entries re-audited in " +
@@ -1019,29 +873,12 @@ class StoreResultAuditRule final : public RuleBase
     }
 
   private:
-    void
-    auditCounters(const std::string &loc, const uarch::PerfCounters &c,
-                  const uarch::MachineConfig *machine,
-                  std::vector<Diagnostic> &out) const
-    {
-        if (c.instructions == 0) {
-            error(out, loc, "stored window retired zero instructions",
-                  "an empty measurement window cannot produce the "
-                  "paper's rates; invalidate and re-run");
-            return;
-        }
-        violationErrors(out, loc,
-                        uarch::checkCounterIdentities(c, machine),
-                        "counters");
-    }
-
+    /** The per-result checks: CPI, CPI-stack components, power rails. */
     void
     auditResult(const std::string &loc,
                 const uarch::SimulationResult &result,
-                const uarch::MachineConfig *machine,
                 std::vector<Diagnostic> &out) const
     {
-        auditCounters(loc, result.counters, machine, out);
         if (!(std::isfinite(result.cpi()) && result.cpi() > 0.0))
             error(out, loc,
                   "stored CPI is " + num(result.cpi()) +
@@ -1079,20 +916,16 @@ class StoreMetricRangeRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "store",
-                 "store metric-range check skipped (no --store "
-                 "directory given)");
+        if (skippedWithoutStore(context, out, "store",
+                                "store metric-range check"))
             return;
-        }
-        const StoreModels models(context);
-        auto check = [&](const core::StoreEntryInfo &info,
-                         const std::string &loc,
-                         const uarch::PerfCounters &c,
-                         const uarch::SimulationResult *result) {
+        auto check = [&](const StoredWindow &w) {
+            const uarch::PerfCounters &c = *w.counters;
+            const uarch::SimulationResult *result = w.result;
+            const std::string &loc = w.location;
             if (c.instructions == 0)
                 return; // SL018 reports the empty window.
             if (result) {
@@ -1125,12 +958,9 @@ class StoreMetricRangeRule final : public RuleBase
                               num(m.value) +
                               ", outside [0, 1000] (at most one "
                               "event per instruction)");
-            violationErrors(out, loc,
-                            uarch::checkCounterIdentities(
-                                c, models.machine(info)),
-                            "topology");
+            violationErrors(out, loc, w.identities, "topology");
         };
-        std::size_t checked = forEachStoredWindow(context.store_dir, check);
+        std::size_t checked = forEachStoredWindow(store, check);
         emit(out, Severity::Info, "store",
              std::to_string(checked) + " entries range-checked in " +
                  context.store_dir);
@@ -1151,20 +981,15 @@ class MemoryMetricRangeRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "store",
-                 "memory metric-range check skipped (no --store "
-                 "directory given)");
+        if (skippedWithoutStore(context, out, "store",
+                                "memory metric-range check"))
             return;
-        }
-        const StoreModels models(context);
-        auto check = [&](const core::StoreEntryInfo &info,
-                         const std::string &loc,
-                         const uarch::PerfCounters &c,
-                         const uarch::SimulationResult *) {
+        auto check = [&](const StoredWindow &w) {
+            const uarch::PerfCounters &c = *w.counters;
+            const std::string &loc = w.location;
             const struct
             {
                 const char *metric;
@@ -1186,12 +1011,9 @@ class MemoryMetricRangeRule final : public RuleBase
                 error(out, loc,
                       "dram_bw_utilization is " + num(bw) +
                           ", not a finite non-negative ratio");
-            violationErrors(out, loc,
-                            uarch::checkCounterIdentities(
-                                c, models.machine(info)),
-                            "memory");
+            violationErrors(out, loc, w.identities, "memory");
         };
-        std::size_t checked = forEachStoredWindow(context.store_dir, check);
+        std::size_t checked = forEachStoredWindow(store, check);
         emit(out, Severity::Info, "store",
              std::to_string(checked) +
                  " entries memory-metric-checked in " +
@@ -1229,10 +1051,9 @@ collectBenchArtifacts(const std::string &dir)
         BenchArtifact artifact;
         artifact.filename = name;
         artifact.pr = std::stoull(digits);
-        std::string text;
-        artifact.readable =
-            readTextFile(entry.path().string(), text) && !text.empty();
-        artifact.doc = obs::parseJson(text);
+        obs::JsonFile file = obs::readJsonFile(entry.path().string());
+        artifact.readable = file.bytes > 0;
+        artifact.doc = std::move(file.doc);
         std::string schema;
         if (artifact.doc && artifact.doc->string("schema", schema)) {
             if (schema == "speclens-bench-trajectory-v1")
@@ -1264,7 +1085,7 @@ class BenchSchemaRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         if (context.bench_dir.empty()) {
@@ -1335,9 +1156,7 @@ class BenchSchemaRule final : public RuleBase
         } else {
             error(out, loc, "campaign volume fields missing");
         }
-        std::string fingerprint;
-        if (!doc.string("campaign.fingerprint", fingerprint) ||
-            !isHex16(fingerprint))
+        if (!doc.hex16("campaign.fingerprint"))
             error(out, loc,
                   "campaign fingerprint is not a 16-hex digest");
         double fused = 0.0;
@@ -1402,7 +1221,7 @@ class BenchTrajectoryRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &,
         std::vector<Diagnostic> &out) const override
     {
         if (context.bench_dir.empty()) {
@@ -1453,25 +1272,6 @@ class BenchTrajectoryRule final : public RuleBase
     }
 };
 
-/** The store's run manifest, parsed; null when absent or not JSON. */
-struct ManifestFile
-{
-    bool present = false;
-    std::optional<obs::JsonValue> doc;
-};
-
-ManifestFile
-readManifest(const std::string &store_dir)
-{
-    ManifestFile manifest;
-    std::string text;
-    manifest.present =
-        readTextFile(store_dir + "/" + obs::kManifestFileName, text);
-    if (manifest.present)
-        manifest.doc = obs::parseJson(text);
-    return manifest;
-}
-
 class ManifestSchemaRule final : public RuleBase
 {
   public:
@@ -1485,16 +1285,12 @@ class ManifestSchemaRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "manifest",
-                 "manifest checks skipped (no --store directory "
-                 "given)");
+        if (skippedWithoutStore(context, out, "manifest", "manifest checks"))
             return;
-        }
-        ManifestFile manifest = readManifest(context.store_dir);
+        const obs::JsonFile &manifest = store.manifest;
         if (!manifest.present) {
             emit(out, Severity::Info, "manifest",
                  "store has no run manifest (written by campaign "
@@ -1507,51 +1303,10 @@ class ManifestSchemaRule final : public RuleBase
                   "delete it and re-run a campaign with --store");
             return;
         }
-        const obs::JsonValue &doc = *manifest.doc;
-        std::uint64_t version = 0;
-        if (!doc.u64("manifest_version", version) || version != 1)
-            error(out, loc,
-                  "manifest_version is not 1",
-                  "this checker understands schema version 1 only");
-        std::uint64_t engine = 0;
-        if (doc.u64("engine_version", engine) &&
-            engine != core::kStoreEngineVersion)
-            emit(out, Severity::Warning, loc,
-                 "manifest was written by engine version " +
-                     std::to_string(engine) + ", current is " +
-                     std::to_string(core::kStoreEngineVersion),
-                 "re-run the campaign to refresh it");
-        std::string fingerprint;
-        if (!doc.string("config_fingerprint", fingerprint) ||
-            !isHex16(fingerprint))
-            error(out, loc,
-                  "config_fingerprint is not a 16-hex digest");
-        for (const char *block : {"run", "totals", "rejected", "metrics"})
-            if (!doc.find(block))
-                error(out, loc,
-                      std::string("missing manifest block \"") + block +
-                          "\"");
-        const struct
-        {
-            const char *block;
-            std::vector<const char *> keys;
-        } required[] = {
-            {"totals", {"entries", "hits", "misses", "simulations", "saves"}},
-            {"rejected",
-             {"corrupt", "stale_version", "fingerprint_mismatch",
-              "orphaned_temp"}},
-        };
-        for (const auto &r : required) {
-            if (!doc.find(r.block))
-                continue;
-            for (const char *key : r.keys) {
-                double value = 0.0;
-                if (!doc.number(std::string(r.block) + "." + key, value))
-                    error(out, loc,
-                          std::string(r.block) + " block lacks '" + key +
-                              "'");
-            }
-        }
+        for (const obs::ManifestDefect &defect :
+             obs::checkManifest(*manifest.doc, core::kStoreEngineVersion))
+            emit(out, defect.warning ? Severity::Warning : Severity::Error,
+                 loc, defect.message, defect.fix_hint);
     }
 };
 
@@ -1568,16 +1323,13 @@ class ManifestStoreRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "manifest",
-                 "manifest cross-check skipped (no --store directory "
-                 "given)");
+        if (skippedWithoutStore(context, out, "manifest",
+                                "manifest cross-check"))
             return;
-        }
-        ManifestFile manifest = readManifest(context.store_dir);
+        const obs::JsonFile &manifest = store.manifest;
         if (!manifest.present) {
             emit(out, Severity::Info, "manifest",
                  "store has no run manifest to cross-check");
@@ -1593,8 +1345,7 @@ class ManifestStoreRule final : public RuleBase
             !manifest.doc->u64("totals.saves", saves))
             return; // SL022 reports the schema defect.
 
-        core::CampaignStore store(context.store_dir);
-        const std::size_t on_disk = store.entryCount();
+        const std::size_t on_disk = store.entries.size();
         if (entries != on_disk)
             error(out, loc,
                   "manifest records " + std::to_string(entries) +
@@ -1627,33 +1378,19 @@ class StorePhasedConsistencyRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "store",
-                 "phased-consistency check skipped (no --store "
-                 "directory given)");
+        if (skippedWithoutStore(context, out, "store",
+                                "phased-consistency check"))
             return;
-        }
-        core::CampaignStore store(context.store_dir);
         std::size_t checked = 0;
-        for (const core::StoreEntryInfo &info : store.scan()) {
-            if (info.status != core::StoreStatus::Hit ||
-                info.phases == 0)
+        for (const StoredEntry &entry : store.entries) {
+            const core::StoreEntryInfo &info = entry.info;
+            if (info.status != core::StoreStatus::Hit || info.phases == 0)
                 continue;
             const std::string loc = "store/" + info.filename;
-            uarch::PhasedSimulationResult result;
-            if (store.loadPhased(keyFromInfo(info), result) !=
-                core::StoreStatus::Hit)
-                continue; // SL018 reports the load failure.
-            if (result.per_phase.size() != info.phases) {
-                error(out, loc,
-                      "header claims " + std::to_string(info.phases) +
-                          " phases but the payload holds " +
-                          std::to_string(result.per_phase.size()));
-                continue;
-            }
+            const uarch::PhasedSimulationResult &result = info.phased;
             uarch::PerfCounters sum;
             for (const uarch::SimulationResult &phase :
                  result.per_phase)
@@ -1706,55 +1443,30 @@ class StoreShardLayoutRule final : public RuleBase
     }
 
     void
-    run(const LintContext &context,
+    run(const LintContext &context, const StoreSnapshot &store,
         std::vector<Diagnostic> &out) const override
     {
-        if (context.store_dir.empty()) {
-            emit(out, Severity::Info, "store",
-                 "shard-layout check skipped (no --store directory "
-                 "given)");
+        if (skippedWithoutStore(context, out, "store", "shard-layout check"))
             return;
-        }
-        namespace fs = std::filesystem;
-        std::error_code ec;
         std::size_t well_placed = 0, misfiled = 0;
-        for (const fs::directory_entry &entry :
-             fs::directory_iterator(context.store_dir, ec)) {
-            std::string name = entry.path().filename().string();
-            if (!entry.is_directory() ||
-                name.rfind(core::kStoreShardPrefix, 0) != 0)
-                continue;
-            for (const fs::directory_entry &file :
-                 fs::directory_iterator(entry.path(), ec)) {
-                std::string filename =
-                    file.path().filename().string();
-                if (!file.is_regular_file() ||
-                    file.path().extension() != core::kStoreEntrySuffix)
-                    continue;
-                const std::string loc =
-                    "store/" + name + "/" + filename;
-                std::uint64_t fingerprint = 0;
-                if (!core::parseStoreEntryName(filename, fingerprint)) {
-                    error(out, loc,
-                          "entry filename is not a 16-digit lower-case "
-                          "hex fingerprint");
-                    continue;
-                }
-                std::string expected = core::storeShardDirName(
-                    core::storeShardIndex(fingerprint));
-                if (name != expected) {
-                    ++misfiled;
-                    error(out, loc,
-                          "entry is filed in " + name +
-                              " but its fingerprint belongs in " +
-                              expected,
-                          "loads resolve entries by fingerprint "
-                          "shard, so a misfiled entry is unreachable "
-                          "and silently recomputed; move or delete "
-                          "it");
-                } else {
-                    ++well_placed;
-                }
+        for (const StoredEntry &entry : store.entries) {
+            const core::StoreEntryInfo &info = entry.info;
+            const std::string loc = "store/" + info.filename;
+            std::uint64_t fingerprint = 0;
+            if (!core::parseStoreEntryName(
+                    info.filename.substr(info.filename.find('/') + 1),
+                    fingerprint)) {
+                error(out, loc,
+                      "entry filename is not a 16-digit lower-case hex "
+                      "fingerprint");
+            } else if (info.status == core::StoreStatus::Misfiled) {
+                ++misfiled;
+                error(out, loc, "entry is " + info.detail,
+                      "loads resolve entries by fingerprint shard, so a "
+                      "misfiled entry is unreachable and silently "
+                      "recomputed; move or delete it");
+            } else {
+                ++well_placed;
             }
         }
         emit(out, Severity::Info, "store",
@@ -1765,6 +1477,82 @@ class StoreShardLayoutRule final : public RuleBase
 };
 
 } // namespace
+
+StoreSnapshot::StoreSnapshot(const LintContext &context)
+{
+    if (context.store_dir.empty())
+        return;
+    // Every model an entry may describe: the three databases plus the
+    // Fig. 7/8 input-set variants, and the machines below.  Machine
+    // names are not unique (the ablation variant keeps Skylake's), so
+    // an entry resolves by name *and* fingerprint.
+    std::map<std::string, const trace::WorkloadProfile *> profiles;
+    for (const suites::BenchmarkInfo *b : context.allBenchmarks())
+        profiles.emplace(b->profile.name, &b->profile);
+    for (const suites::InputSetGroup &g : context.input_groups)
+        for (const suites::BenchmarkInfo &v : g.inputs)
+            profiles.emplace(v.profile.name, &v.profile);
+    machines = context.machines;
+    for (auto family :
+         {suites::memoryCentricMachines(), suites::sensitivityMachines()})
+        machines.insert(machines.end(), family.begin(), family.end());
+    machines.push_back(suites::prefetchAblationMachine());
+
+    core::StoreScan scan = core::scanStore(context.store_dir);
+    found = scan.found;
+    manifest = obs::readJsonFile(context.store_dir + "/" +
+                                 obs::kManifestFileName);
+    // Windows point into their entry: the vector must never reallocate.
+    entries.reserve(scan.entries.size());
+    for (core::StoreEntryInfo &scanned : scan.entries) {
+        StoredEntry &entry = entries.emplace_back();
+        entry.info = std::move(scanned);
+        const core::StoreEntryInfo &info = entry.info;
+        if (info.status != core::StoreStatus::Hit)
+            continue;
+
+        auto known = profiles.find(baseName(info));
+        entry.profile = known == profiles.end() ? nullptr : known->second;
+        // Derived workloads (phased ground truths and "@k" phase probes)
+        // cannot be re-derived without their derivation parameters.
+        const trace::WorkloadProfile *shipped =
+            info.phases > 0 || info.benchmark.find('@') != std::string::npos
+                ? nullptr
+                : entry.profile;
+        entry.stale_model = shipped != nullptr;
+        for (const uarch::MachineConfig &m : machines) {
+            if (m.name != info.machine)
+                continue;
+            if (!entry.machine)
+                entry.machine = &m;
+            if (shipped && core::makeStoreKey(*shipped, m, windowOf(info))
+                                   .fingerprint == info.fingerprint) {
+                entry.machine = &m;
+                entry.stale_model = false;
+                break;
+            }
+        }
+
+        auto window = [&](std::string location,
+                          const uarch::PerfCounters &counters,
+                          const uarch::SimulationResult *result) {
+            entry.windows.push_back(
+                {std::move(location), &counters, result,
+                 uarch::checkCounterIdentities(counters, entry.machine)});
+        };
+        const std::string loc = "store/" + info.filename;
+        if (info.phases == 0) {
+            window(loc, info.result.counters, &info.result);
+        } else {
+            window(loc + "/combined", info.phased.combined_counters,
+                   nullptr);
+            for (std::size_t k = 0; k < info.phased.per_phase.size(); ++k)
+                window(loc + "/phase" + std::to_string(k),
+                       info.phased.per_phase[k].counters,
+                       &info.phased.per_phase[k]);
+        }
+    }
+}
 
 std::vector<const suites::BenchmarkInfo *>
 LintContext::allBenchmarks() const

@@ -10,7 +10,7 @@
  * byte-identical-stdout contracts hold with metrics enabled.
  *
  * validateJson() is a dependency-free JSON *syntax* checker used by
- * the exporter tests and by `speclens campaign manifest` to prove the
+ * the exporter tests and by `speclens bench trajectory` to prove the
  * emitted documents parse — it validates well-formedness, not schema.
  */
 

@@ -7,6 +7,8 @@
 
 #include <charconv>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 namespace speclens {
 namespace obs {
@@ -289,6 +291,31 @@ JsonValue::boolean(std::string_view path, bool &out) const
         return false;
     out = v->flag;
     return true;
+}
+
+bool
+JsonValue::hex16(std::string_view path) const
+{
+    const JsonValue *v = find(path);
+    return v && v->kind == Kind::String && v->text.size() == 16 &&
+           v->text.find_first_not_of("0123456789abcdef") ==
+               std::string::npos;
+}
+
+JsonFile
+readJsonFile(const std::string &path)
+{
+    JsonFile file;
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return file;
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    file.present = !in.bad();
+    file.bytes = text.size();
+    if (file.present)
+        file.doc = parseJson(text);
+    return file;
 }
 
 std::optional<JsonValue>

@@ -57,10 +57,24 @@ struct JsonValue
 
     /** Bool at @p path; false when absent or not a bool. */
     bool boolean(std::string_view path, bool &out) const;
+
+    /** True when @p path holds a 16-digit lower-case hex string. */
+    bool hex16(std::string_view path) const;
 };
 
 /** @p text as one complete JSON document; nullopt when malformed. */
 std::optional<JsonValue> parseJson(std::string_view text);
+
+/** A JSON file as read back from disk. */
+struct JsonFile
+{
+    bool present = false;         //!< The file exists and was read.
+    std::size_t bytes = 0;        //!< Its size.
+    std::optional<JsonValue> doc; //!< Null when absent or malformed.
+};
+
+/** Read and parse the file at @p path. */
+JsonFile readJsonFile(const std::string &path);
 
 /**
  * @p text as a JSON string literal: `"` and `\` backslash-escaped,

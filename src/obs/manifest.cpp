@@ -93,6 +93,53 @@ renderManifest(const Manifest &manifest)
     return out;
 }
 
+std::vector<ManifestDefect>
+checkManifest(const JsonValue &doc, std::uint64_t engine_version)
+{
+    std::vector<ManifestDefect> defects;
+    auto error = [&](std::string message, std::string fix_hint = "") {
+        defects.push_back({false, std::move(message), std::move(fix_hint)});
+    };
+    std::uint64_t version = 0;
+    if (!doc.u64("manifest_version", version) || version != 1)
+        error("manifest_version is not 1",
+              "this checker understands schema version 1 only");
+    std::uint64_t engine = 0;
+    if (!doc.u64("engine_version", engine))
+        error("engine_version is not an unsigned integer");
+    else if (engine != engine_version)
+        defects.push_back({true,
+                           "manifest was written by engine version " +
+                               std::to_string(engine) + ", current is " +
+                               std::to_string(engine_version),
+                           "re-run the campaign to refresh it"});
+    if (!doc.hex16("config_fingerprint"))
+        error("config_fingerprint is not a 16-hex digest");
+    for (const char *block : {"run", "totals", "rejected", "metrics"})
+        if (!doc.find(block))
+            error(std::string("missing manifest block \"") + block + "\"");
+    const struct
+    {
+        const char *block;
+        std::vector<const char *> keys;
+    } counts[] = {
+        {"totals", {"entries", "hits", "misses", "simulations", "saves"}},
+        {"rejected",
+         {"corrupt", "stale_version", "fingerprint_mismatch",
+          "orphaned_temp"}},
+    };
+    for (const auto &c : counts) {
+        if (!doc.find(c.block))
+            continue;
+        for (const char *key : c.keys) {
+            std::uint64_t value = 0;
+            if (!doc.u64(std::string(c.block) + "." + key, value))
+                error(std::string(c.block) + " block lacks '" + key + "'");
+        }
+    }
+    return defects;
+}
+
 bool
 writeManifest(const std::string &path, const Manifest &manifest)
 {

@@ -25,7 +25,9 @@
  *
  * The writer lives in obs so it stays dependency-free; the core
  * layer (core/service_context.cpp) fills the fields and writes the
- * file next to the store as kManifestFileName.
+ * file next to the store as kManifestFileName.  checkManifest() states
+ * the schema once for every reader: lint rule SL022 and `speclens
+ * campaign manifest`.
  */
 
 #ifndef SPECLENS_OBS_MANIFEST_H
@@ -36,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace speclens {
@@ -77,6 +80,22 @@ std::string renderManifest(const Manifest &manifest);
  * down).
  */
 bool writeManifest(const std::string &path, const Manifest &manifest);
+
+/** One departure of a manifest document from the schema. */
+struct ManifestDefect
+{
+    bool warning = false; //!< Only a stale engine version is a warning.
+    std::string message;
+    std::string fix_hint;
+};
+
+/**
+ * Every departure of @p doc from the version-1 schema above; empty for
+ * a conforming manifest.  An engine version other than the current
+ * @p engine_version is the one warning.
+ */
+std::vector<ManifestDefect> checkManifest(const JsonValue &doc,
+                                          std::uint64_t engine_version);
 
 } // namespace obs
 } // namespace speclens

@@ -318,7 +318,8 @@ TEST(CampaignStore, PhasedEntryWithBrokenPhaseRejectedOnLoad)
     uarch::PhasedSimulationResult out;
     EXPECT_EQ(store.loadPhased(key, out), core::StoreStatus::Corrupt);
     EXPECT_EQ(store.counters().corrupt, 1u);
-    std::vector<core::StoreEntryInfo> entries = store.scan();
+    std::vector<core::StoreEntryInfo> entries =
+        core::scanStore(dir).entries;
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].status, core::StoreStatus::Corrupt);
     EXPECT_NE(entries[0].detail.find("phase 1"), std::string::npos)
@@ -607,7 +608,8 @@ TEST(CampaignStore, ScanAndInvalidateStale)
     std::filesystem::rename(store.entryPath(k2),
                             store.entryPath(misplaced));
 
-    std::vector<core::StoreEntryInfo> entries = store.scan();
+    std::vector<core::StoreEntryInfo> entries =
+        core::scanStore(dir).entries;
     ASSERT_EQ(entries.size(), 4u);
     std::size_t healthy = 0, corrupt = 0, stale = 0, mismatched = 0;
     for (const auto &entry : entries) {
@@ -628,7 +630,7 @@ TEST(CampaignStore, ScanAndInvalidateStale)
 
     EXPECT_EQ(store.invalidateStale(), 3u);
     EXPECT_EQ(store.entryCount(), 1u);
-    for (const auto &entry : store.scan())
+    for (const auto &entry : core::scanStore(dir).entries)
         EXPECT_EQ(entry.status, core::StoreStatus::Hit);
 
     EXPECT_EQ(store.invalidate(), 1u);
@@ -656,7 +658,8 @@ TEST(CampaignStore, ScanRejectsNonCanonicalEntryNames)
         path, path.parent_path() / (upper + core::kStoreEntrySuffix));
 
     std::size_t healthy = 0, corrupt = 0;
-    for (const core::StoreEntryInfo &entry : store.scan()) {
+    for (const core::StoreEntryInfo &entry :
+         core::scanStore(dir).entries) {
         healthy += entry.status == core::StoreStatus::Hit;
         corrupt += entry.status == core::StoreStatus::Corrupt;
     }
@@ -664,6 +667,67 @@ TEST(CampaignStore, ScanRejectsNonCanonicalEntryNames)
     EXPECT_EQ(corrupt, 1u);
     EXPECT_EQ(store.invalidateStale(), 1u);
     EXPECT_TRUE(std::filesystem::exists(path));
+    std::filesystem::remove_all(dir);
+}
+
+// load() opens only the fingerprint's own shard, so an entry filed in
+// another one is unreachable: the scan must not call it healthy, and
+// invalidateStale() removes it.
+TEST(CampaignStore, ScanClassifiesMisfiledEntries)
+{
+    const std::string dir = storeDir("misfiled");
+    core::CampaignStore store(dir);
+    const auto &benchmark = suites::spec2017Benchmark("505.mcf_r");
+    core::StoreKey key = core::makeStoreKey(
+        benchmark.profile, suites::skylakeMachine(), tinyWindow());
+    core::storedSimulate(&store, benchmark.profile,
+                         suites::skylakeMachine(), tinyWindow());
+    std::filesystem::path home = store.entryPath(key);
+    std::filesystem::path away =
+        std::filesystem::path(store.shardPath(
+            (core::storeShardIndex(key.fingerprint) + 1) %
+            core::kStoreShardCount)) /
+        home.filename();
+    std::filesystem::rename(home, away);
+
+    std::vector<core::StoreEntryInfo> entries =
+        core::scanStore(dir).entries;
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].status, core::StoreStatus::Misfiled);
+    EXPECT_NE(entries[0].detail.find("belongs in"), std::string::npos)
+        << entries[0].detail;
+    EXPECT_EQ(store.invalidateStale(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(away));
+    std::filesystem::remove_all(dir);
+}
+
+// scanStore() only reads: a missing directory is reported and stays
+// missing, a writer's temp file survives, and each healthy entry comes
+// back with its decoded result.
+TEST(CampaignStore, ScanStoreReadsOnlyAndKeepsResults)
+{
+    const std::string dir = storeDir("read_only_scan");
+    core::StoreScan missing = core::scanStore(dir);
+    EXPECT_FALSE(missing.found);
+    EXPECT_TRUE(missing.entries.empty());
+    EXPECT_FALSE(std::filesystem::exists(dir));
+
+    const auto &benchmark = suites::spec2017Benchmark("505.mcf_r");
+    uarch::SimulationResult simulated;
+    {
+        core::CampaignStore store(dir);
+        simulated = core::storedSimulate(&store, benchmark.profile,
+                                         suites::skylakeMachine(),
+                                         tinyWindow());
+    }
+    const std::string temp = dir + "/shard-0/deadbeef00000001.slart.tmp42";
+    writeFile(temp, "in flight");
+    core::StoreScan scan = core::scanStore(dir);
+    EXPECT_TRUE(scan.found);
+    ASSERT_EQ(scan.entries.size(), 1u);
+    EXPECT_EQ(scan.entries[0].status, core::StoreStatus::Hit);
+    expectBitIdentical(scan.entries[0].result, simulated);
+    EXPECT_TRUE(std::filesystem::exists(temp));
     std::filesystem::remove_all(dir);
 }
 

@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
 #include "core/artifact_store.h"
 #include "core/perf_trajectory.h"
+#include "lint/linter.h"
 #include "lint/rules.h"
 #include "obs/manifest.h"
 #include "stats/fingerprint.h"
@@ -44,7 +46,8 @@ std::vector<Diagnostic>
 runRule(const std::string &code, const LintContext &context)
 {
     std::vector<Diagnostic> out;
-    ruleByCode(code)->run(context, out);
+    const StoreSnapshot store(context);
+    ruleByCode(code)->run(context, store, out);
     return out;
 }
 
@@ -813,7 +816,7 @@ TEST(Rules, SL025_MisfiledEntryIsAnError)
 
     // File the entry under the next shard over: unreachable by lookup.
     std::size_t home = core::storeShardIndex(key.fingerprint);
-    std::size_t wrong = (home + 1) % core::CampaignStore::shardCount();
+    std::size_t wrong = (home + 1) % core::kStoreShardCount;
     std::filesystem::path name = entryBaseName(key);
     std::filesystem::create_directories(dir.path /
                                         core::storeShardDirName(wrong));
@@ -952,6 +955,187 @@ TEST(Rules, SL016_BrokenCounterIdentityIsCorrupt)
                 << d.message;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The store rules' output from a whole lint run, pinned byte for byte.
+
+/** Rendered SL016-SL026 findings of a full lint run, store path elided. */
+std::string
+storeLintText(const LintContext &context)
+{
+    LintReport full = Linter().run(context);
+    LintReport store_rules;
+    store_rules.rules_run = full.rules_run;
+    for (const Diagnostic &d : full.diagnostics)
+        if (d.code >= "SL016")
+            store_rules.diagnostics.push_back(d);
+    std::string text = renderText(store_rules);
+    for (std::size_t pos = text.find(context.store_dir);
+         pos != std::string::npos; pos = text.find(context.store_dir))
+        text.replace(pos, context.store_dir.size(), "<store>");
+    return text;
+}
+
+// A pair entry, a phased entry, a stale-version entry, an entry on a
+// machine no shipped model names, and a manifest whose entry count has
+// drifted from the store's.
+TEST(StoreLint, OutputOverAHandBuiltStoreIsPinned)
+{
+    TempDir dir("speclens_store_lint_pin_test");
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    uarch::SimulationConfig window;
+    window.instructions = 2'000;
+    window.warmup = 500;
+    const trace::WorkloadProfile &profile = context.cpu2017[0].profile;
+    const uarch::MachineConfig &machine = context.machines[0];
+    {
+        core::CampaignStore store(context.store_dir);
+        store.save(core::makeStoreKey(profile, machine, window),
+                   uarch::simulate(profile, machine, window));
+
+        trace::PhasedWorkload workload =
+            trace::derivePhases(profile, 2, 0.35);
+        store.savePhased(
+            core::makeStoreKey(workload, machine, window),
+            uarch::simulatePhased(workload, machine, window));
+
+        const trace::WorkloadProfile &other = context.cpu2017[1].profile;
+        core::StoreKey stale = core::makeStoreKey(other, machine, window);
+        store.save(stale, uarch::simulate(other, machine, window));
+        std::ifstream in(store.entryPath(stale), std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+        in.close();
+        bytes[8] = static_cast<char>(bytes[8] ^ 0xff); // engine version
+        writeFile(store.entryPath(stale), bytes);
+
+        uarch::MachineConfig unknown = machine;
+        unknown.name = "Nonesuch 9000";
+        store.save(core::makeStoreKey(profile, unknown, window),
+                   uarch::simulate(profile, unknown, window));
+    }
+    writeFile(dir.path / obs::kManifestFileName, manifestText(5));
+
+    EXPECT_EQ(storeLintText(context),
+              "SL016 [warning] store/shard-0/085acc58a1398940.slart\n"
+              "    stale entry: engine version 253 != 2\n"
+              "    hint: re-run the campaign to refresh it\n"
+              "SL016 [warning] store/shard-6/6b73b1b0cd16a06e.slart\n"
+              "    orphaned entry: machine 'Nonesuch 9000' is not a "
+              "shipped model\n"
+              "    hint: written by an ad-hoc configuration; invalidate "
+              "if unwanted\n"
+              "SL016 [info] store\n"
+              "    2 healthy entries in <store>\n"
+              "SL017 [info] features\n"
+              "    degenerate-feature check skipped (deep checks "
+              "disabled)\n"
+              "SL018 [info] store\n"
+              "    3 entries re-audited in <store>\n"
+              "SL019 [info] store\n"
+              "    3 entries range-checked in <store>\n"
+              "SL020 [info] bench\n"
+              "    trajectory-artifact checks skipped (no --bench "
+              "directory given)\n"
+              "SL021 [info] bench\n"
+              "    trajectory-series checks skipped (no --bench "
+              "directory given)\n"
+              "SL023 [error] store/run-manifest.json\n"
+              "    manifest records 5 entries but the store holds 4\n"
+              "    hint: the store changed since the manifest was "
+              "written; re-run the campaign with --store to refresh "
+              "it\n"
+              "SL024 [info] store\n"
+              "    1 phased entries combine consistently\n"
+              "SL025 [info] store\n"
+              "    4 entries correctly sharded, 0 misfiled\n"
+              "SL026 [info] store\n"
+              "    3 entries memory-metric-checked in <store>\n"
+              "lint: 26 rules, 1 errors, 2 warnings\n");
+}
+
+// Lint only reads the store: a missing directory is an SL016 error and
+// stays missing.
+TEST(StoreLint, MissingStoreIsAnErrorAndStaysMissing)
+{
+    std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                "speclens_store_lint_missing_test";
+    std::filesystem::remove_all(dir);
+    LintContext context = cleanContext();
+    context.store_dir = dir.string();
+
+    LintReport report = Linter().run(context);
+    EXPECT_EQ(report.errors(), 1u);
+    for (const Diagnostic &d : report.diagnostics) {
+        if (d.severity == Severity::Error) {
+            EXPECT_EQ(d.code, "SL016");
+        }
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+/** Save one pair entry into a store at @p dir; returns its key. */
+core::StoreKey
+saveOnePair(const LintContext &context, const std::string &dir)
+{
+    uarch::SimulationConfig window;
+    window.instructions = 2'000;
+    window.warmup = 500;
+    const trace::WorkloadProfile &profile = context.cpu2017[0].profile;
+    core::CampaignStore store(dir);
+    core::StoreKey key =
+        core::makeStoreKey(profile, context.machines[0], window);
+    store.save(key, uarch::simulate(profile, context.machines[0], window));
+    return key;
+}
+
+// A daemon or campaign saving into the same store keeps its in-flight
+// temp files: lint never sweeps.
+TEST(StoreLint, LeavesWriterTempFilesAlone)
+{
+    TempDir dir("speclens_store_lint_temp_test");
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    core::StoreKey key = saveOnePair(context, context.store_dir);
+    const std::filesystem::path entry_temp =
+        dir.path / core::storeShardDirName(
+                       core::storeShardIndex(key.fingerprint)) /
+        (entryBaseName(key) + ".tmp1234");
+    const std::filesystem::path manifest_temp =
+        dir.path / (std::string(obs::kManifestFileName) + ".tmp5678");
+    writeFile(entry_temp, "half-written");
+    writeFile(manifest_temp, "{");
+
+    EXPECT_TRUE(Linter().run(context).clean());
+    EXPECT_TRUE(std::filesystem::exists(entry_temp));
+    EXPECT_TRUE(std::filesystem::exists(manifest_temp));
+}
+
+// One misfiled entry is one finding: SL025's, with no SL016 corruption
+// or SL018 load failure besides.
+TEST(StoreLint, MisfiledEntryIsReportedOnceUnderSL025)
+{
+    TempDir dir("speclens_store_lint_misfiled_test");
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    core::StoreKey key = saveOnePair(context, context.store_dir);
+    std::size_t home = core::storeShardIndex(key.fingerprint);
+    std::filesystem::rename(
+        dir.path / core::storeShardDirName(home) / entryBaseName(key),
+        dir.path / core::storeShardDirName((home + 1) %
+                                           core::kStoreShardCount) /
+            entryBaseName(key));
+
+    LintReport report = Linter().run(context);
+    std::vector<Diagnostic> findings;
+    for (const Diagnostic &d : report.diagnostics)
+        if (d.severity != Severity::Info)
+            findings.push_back(d);
+    ASSERT_EQ(findings.size(), 1u) << renderText(report);
+    EXPECT_EQ(findings[0].code, "SL025");
+    EXPECT_EQ(findings[0].severity, Severity::Error);
 }
 
 // ---------------------------------------------------------------------

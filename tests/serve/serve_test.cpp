@@ -198,7 +198,7 @@ TEST(ShardedStore, EntriesLandInFingerprintShardAndRootEntriesRecompute)
     uarch::SimulationResult result;
     EXPECT_EQ(reopened.load(key, result), core::StoreStatus::Miss);
     EXPECT_EQ(reopened.entryCount(), 0u);
-    EXPECT_TRUE(reopened.scan().empty());
+    EXPECT_TRUE(core::scanStore(reopened.directory()).entries.empty());
 
     core::storedSimulate(&reopened, benchmark.profile, machine, window);
     EXPECT_EQ(reopened.counters().computed, 1u);

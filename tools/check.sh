@@ -199,7 +199,7 @@ grep -q 'rejected=0$' "$BUILD_DIR/repro-warm.err" ||
       grep 'rejected=' "$BUILD_DIR/repro-warm.err" >&2; exit 1; }
 grep '\[speclens-repro\] total' "$BUILD_DIR/repro-cold.err" \
     "$BUILD_DIR/repro-warm.err"
-# scan() over pair and phased entries: every entry must be healthy.
+# scanStore() over pair and phased entries: every entry must be healthy.
 "$BUILD_DIR"/tools/speclens campaign info --store "$REPRO_STORE" \
     >"$BUILD_DIR/repro-info.out" ||
     { echo "repro store has inconsistent entries:" >&2
@@ -211,6 +211,13 @@ grep -q ' 0 errors, 0 warnings$' "$BUILD_DIR/repro-lint.out" ||
     { echo "repro store lint is not clean:" >&2
       cat "$BUILD_DIR/repro-lint.out" >&2; exit 1; }
 rm -rf "$REPRO_STORE"
+# Store readers never write: a missing store is a lint error and stays
+# missing.
+rm -rf "$BUILD_DIR/no-such-store"
+"$BUILD_DIR"/tools/speclens lint --no-deep --store "$BUILD_DIR/no-such-store" \
+    >/dev/null && { echo "lint over a missing store exited 0" >&2; exit 1; }
+test ! -e "$BUILD_DIR/no-such-store" ||
+    { echo "lint created the missing store directory" >&2; exit 1; }
 echo "repro --all: warm zero simulations, byte-identical stdout, entries healthy, lint clean"
 
 step "bench trajectory (small window)"

@@ -656,17 +656,21 @@ cmdCampaignRun(const CliOptions &opts)
     return 0;
 }
 
-/** `campaign info`: describe and verify every store entry. */
+/** `campaign info`: describe and verify every store entry (reads only). */
 int
 cmdCampaignInfo(const CliOptions &opts)
 {
-    core::CampaignStore store(opts.store_dir);
-    std::vector<core::StoreEntryInfo> entries = store.scan();
+    core::StoreScan scan = core::scanStore(opts.store_dir);
+    if (!scan.found) {
+        std::fprintf(stderr, "error: no store at %s\n",
+                     opts.store_dir.c_str());
+        return 1;
+    }
 
     core::TextTable table({"Entry", "Benchmark", "Machine", "Window",
                            "Salt", "Phases", "Status"});
     std::size_t healthy = 0;
-    for (const core::StoreEntryInfo &info : entries) {
+    for (const core::StoreEntryInfo &info : scan.entries) {
         bool ok = info.status == core::StoreStatus::Hit;
         healthy += ok ? 1 : 0;
         table.addRow(
@@ -680,52 +684,50 @@ cmdCampaignInfo(const CliOptions &opts)
     }
     std::fputs(table.render().c_str(), stdout);
     std::printf("%zu entries, %zu healthy, %zu inconsistent\n",
-                entries.size(), healthy, entries.size() - healthy);
-    std::printf("layout: %zu shards\n", core::CampaignStore::shardCount());
-    return healthy == entries.size() ? 0 : 1;
+                scan.entries.size(), healthy, scan.entries.size() - healthy);
+    std::printf("layout: %zu shards\n", core::kStoreShardCount);
+    return healthy == scan.entries.size() ? 0 : 1;
 }
 
 /**
- * `campaign manifest`: read, validate and summarise the run manifest a
- * run left next to the store.  Exit 1 when the manifest is
- * missing, is not well-formed JSON, or lacks a schema-v1 key — the CI
- * metrics smoke stage is built on this being a real check.
+ * `campaign manifest`: read, validate (obs::checkManifest, the schema
+ * lint rule SL022 checks) and summarise the run manifest a run left
+ * next to the store.  Exit 1 when the manifest is missing, is not
+ * well-formed JSON or breaks the schema — the CI metrics smoke stage
+ * is built on this being a real check.
  */
 int
 cmdCampaignManifest(const CliOptions &opts)
 {
     std::string path =
         opts.store_dir + "/" + obs::kManifestFileName;
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
+    obs::JsonFile manifest = obs::readJsonFile(path);
+    if (!manifest.present) {
         std::fprintf(stderr,
                      "error: no manifest at %s (run a campaign with "
                      "--store first)\n",
                      path.c_str());
         return 1;
     }
-    std::string text((std::istreambuf_iterator<char>(file)),
-                     std::istreambuf_iterator<char>());
-    std::optional<obs::JsonValue> doc = obs::parseJson(text);
-    if (!doc) {
+    if (!manifest.doc) {
         std::fprintf(stderr,
                      "error: %s is not well-formed JSON\n",
                      path.c_str());
         return 1;
     }
-    for (const char *key :
-         {"manifest_version", "engine_version", "config_fingerprint",
-          "run", "totals", "rejected", "metrics"}) {
-        if (!doc->find(key)) {
-            std::fprintf(stderr,
-                         "error: manifest %s lacks required key \"%s\"\n",
-                         path.c_str(), key);
-            return 1;
-        }
+    bool conforms = true;
+    for (const obs::ManifestDefect &defect :
+         obs::checkManifest(*manifest.doc, core::kStoreEngineVersion)) {
+        std::fprintf(stderr, "%s: manifest %s: %s\n",
+                     defect.warning ? "warning" : "error", path.c_str(),
+                     defect.message.c_str());
+        conforms = conforms && defect.warning;
     }
+    if (!conforms)
+        return 1;
     std::printf("manifest %s: well-formed JSON, schema v1 keys "
                 "present (%zu bytes)\n",
-                path.c_str(), text.size());
+                path.c_str(), manifest.bytes);
     return 0;
 }
 
@@ -904,12 +906,10 @@ void
 printTrajectoryDelta(const std::string &prev_path,
                      const core::TrajectoryResult &r)
 {
-    std::ifstream in(prev_path);
-    if (!in)
+    obs::JsonFile prev = obs::readJsonFile(prev_path);
+    if (!prev.present)
         return;
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    std::optional<obs::JsonValue> doc = obs::parseJson(text);
+    const std::optional<obs::JsonValue> &doc = prev.doc;
     double prev_sims = 0.0, prev_records = 0.0;
     if (!doc ||
         !doc->number("campaign.simulations_per_second", prev_sims) ||
