@@ -6,15 +6,16 @@
 #include "artifact_store.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <iterator>
 #include <system_error>
-#include <thread>
 #include <utility>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "obs/manifest.h"
 #include "obs/metrics.h"
@@ -235,16 +236,31 @@ serializePhasedEntry(const StoreKey &key,
     return finishEntry(key, payload);
 }
 
-/** Read a whole file; false on any I/O failure. */
+/**
+ * Read a whole file; false on any I/O failure.  One open(), then read()
+ * through a stack buffer until end of file (an entry is a few hundred
+ * bytes: one read and the end-of-file read), retrying on EINTR.  This
+ * is the read path behind load(), loadPhased() and scanStore().
+ */
 bool
 readFile(const std::string &path, std::string &out)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
+    int fd;
+    do
+        fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    while (fd < 0 && errno == EINTR);
+    if (fd < 0)
         return false;
-    std::string bytes((std::istreambuf_iterator<char>(file)),
-                      std::istreambuf_iterator<char>());
-    if (file.bad())
+    std::string bytes;
+    char chunk[4096];
+    ssize_t n;
+    do {
+        n = ::read(fd, chunk, sizeof(chunk));
+        if (n > 0)
+            bytes.append(chunk, static_cast<std::size_t>(n));
+    } while (n > 0 || (n < 0 && errno == EINTR));
+    ::close(fd);
+    if (n < 0)
         return false;
     out = std::move(bytes);
     return true;
@@ -576,18 +592,19 @@ CampaignStore::shardPath(std::size_t shard) const
 std::size_t
 CampaignStore::sweepOrphanedTempFiles()
 {
-    // A temp file is `<entry>.slart.tmp<thread-hash>` (or a
-    // half-written `run-manifest.json.tmp<hash>`); anything matching
-    // is a leftover from a writer that died between the temp write and
-    // the atomic rename.  Within one process no live writer can race
-    // this (the sweep happens before this handle serves any save), but
-    // a writer in another process can: opening a store mid-save of
-    // another process removes that save's temp file.  Readers therefore
-    // never open a CampaignStore; scanStore() sweeps nothing.
+    // A temp file is `<entry>.slart.tmp<pid>.<thread-hash>` (or a
+    // half-written `run-manifest.json.tmp...`); one matching is a
+    // leftover from a writer that died between the temp write and the
+    // atomic rename -- or the file of a live writer, in this or
+    // another process, between those two steps.  A save takes
+    // milliseconds, so only a temp file unchanged for
+    // kOrphanedTempAge is swept: a live writer's file is younger.
+    // Readers never open a CampaignStore; scanStore() sweeps nothing.
     const std::string entry_marker =
         std::string(kStoreEntrySuffix) + ".tmp";
     const std::string manifest_marker =
         std::string(obs::kManifestFileName) + ".tmp";
+    const auto now = fs::file_time_type::clock::now();
     std::size_t removed = 0;
     auto sweepDir = [&](const std::string &dir) {
         std::error_code ec;
@@ -595,6 +612,10 @@ CampaignStore::sweepOrphanedTempFiles()
             std::string name = file.path().filename().string();
             if (name.find(entry_marker) == std::string::npos &&
                 name.rfind(manifest_marker, 0) != 0)
+                continue;
+            std::error_code time_ec;
+            const auto written = fs::last_write_time(file.path(), time_ec);
+            if (time_ec || now - written < kOrphanedTempAge)
                 continue;
             std::error_code remove_ec;
             if (fs::remove(file.path(), remove_ec))
@@ -693,13 +714,10 @@ CampaignStore::writeEntry(const std::string &bytes,
 {
     obs::Span span(StoreInstruments::get().save_time);
 
-    // Unique temp name per thread: two threads racing on the same key
-    // write identical bytes to distinct temp files; both renames
-    // install a complete entry.
-    std::string temp =
-        path + ".tmp" +
-        std::to_string(
-            std::hash<std::thread::id>{}(std::this_thread::get_id()));
+    // Unique temp name per process and thread: two writers racing on
+    // the same key write identical bytes to distinct temp files; both
+    // renames install a complete entry.
+    std::string temp = obs::tempPathFor(path);
     {
         std::ofstream file(temp, std::ios::binary | std::ios::trunc);
         if (!file)

@@ -73,6 +73,7 @@
 #define SPECLENS_CORE_ARTIFACT_STORE_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -100,6 +101,15 @@ constexpr const char *kStoreEntrySuffix = ".slart";
  * SL025 lints.
  */
 constexpr std::size_t kStoreShardCount = 16;
+
+/**
+ * Age past which CampaignStore's sweep treats a temp file as orphaned.
+ * A save's temp file lives for milliseconds between its write and its
+ * rename, so one unchanged for this long belongs to a writer that died;
+ * a younger one may belong to a live writer in another process and is
+ * left alone.
+ */
+constexpr std::chrono::minutes kOrphanedTempAge{10};
 
 /** Shard subdirectory prefix: `shard-<hex digit>`. */
 constexpr const char *kStoreShardPrefix = "shard-";
@@ -200,12 +210,12 @@ struct StoreCounters
 
     /**
      * Orphaned temp files (`*.slart.tmp*` and half-written
-     * `run-manifest.json.tmp*`) removed when the store was opened.  A
-     * writer that died between the temp write and the atomic rename
-     * leaves one behind; it never shadows an entry (the suffix
-     * excludes it from lookup and scan) but would otherwise
-     * accumulate silently.  Counted into the `rejected=` figure of the
-     * session summary so interrupted runs are visible.
+     * `run-manifest.json.tmp*` older than kOrphanedTempAge) removed
+     * when the store was opened.  A writer that died between the temp
+     * write and the atomic rename leaves one behind; it never shadows
+     * an entry (the suffix excludes it from lookup and scan) but would
+     * otherwise accumulate silently.  Counted into the `rejected=`
+     * figure of the session summary so interrupted runs are visible.
      */
     std::size_t orphaned_temp = 0;
 
@@ -276,9 +286,10 @@ StoreScan scanStore(const std::string &directory);
  * A directory of persisted simulation results.
  *
  * Opening a store creates the directory (and its shard
- * subdirectories) if needed and sweeps any orphaned temp files an
- * interrupted writer left behind (counted in
- * counters().orphaned_temp), so only writers open one; readers use
+ * subdirectories) if needed and sweeps the orphaned temp files an
+ * interrupted writer left behind: those older than kOrphanedTempAge,
+ * so a live writer's temp file in another process survives (counted
+ * in counters().orphaned_temp).  Only writers open one; readers use
  * scanStore().  All I/O failures
  * degrade soft: load() reports Miss/Corrupt and save() returns false,
  * so a read-only or vanished directory never takes an analysis down —
@@ -347,8 +358,8 @@ class CampaignStore
 
   private:
     /**
-     * Remove temp files a crashed writer left behind (constructor).
-     * Returns the number removed.
+     * Remove temp files a crashed writer left behind, those older than
+     * kOrphanedTempAge (constructor).  Returns the number removed.
      */
     std::size_t sweepOrphanedTempFiles();
 

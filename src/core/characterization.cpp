@@ -5,7 +5,7 @@
 
 #include "characterization.h"
 
-#include <set>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -90,6 +90,12 @@ Characterizer::obtainResult(const suites::BenchmarkInfo &benchmark,
 {
     static obs::Counter &simulations =
         obs::Registry::global().counter("core.characterize.simulations");
+#ifdef SPECLENS_VALIDATE
+    // Configured with -DSPECLENS_VALIDATE=ON: a broken model fails its
+    // pair (and so its caller) with a field name instead of producing a
+    // plausible-looking feature matrix.
+    benchmark.profile.validate();
+#endif
     StoreKey key;
     if (store_) {
         key = storeKey(benchmark, machine_index);
@@ -109,82 +115,100 @@ Characterizer::obtainResult(const suites::BenchmarkInfo &benchmark,
     return result;
 }
 
-const uarch::SimulationResult &
-Characterizer::ensureResult(const suites::BenchmarkInfo &benchmark,
-                            std::size_t machine_index)
+void
+Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
 {
-    static obs::Counter &memo_hits =
-        obs::Registry::global().counter("core.characterize.memo_hits");
     static obs::Counter &dedup_shared =
         obs::Registry::global().counter("core.characterize.dedup_shared");
 
-    CacheKey key{benchmark.profile.name, machine_index};
+    // A pair this call runs, and its slot in memo_.
+    struct Job
     {
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            memo_hits.add();
-            return it->second;
+        const suites::BenchmarkInfo *benchmark;
+        std::size_t machine_index;
+        std::map<CacheKey, Slot>::iterator slot;
+    };
+    // A pair another call has in flight: that call's batch and index.
+    struct Awaited
+    {
+        std::shared_ptr<const Batch> batch;
+        std::size_t index;
+    };
+    std::vector<Job> claimed;
+    std::vector<Awaited> awaited;
+    auto batch = std::make_shared<Batch>();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &[benchmark, mi] : pairs) {
+            auto [slot, fresh] =
+                memo_.try_emplace(CacheKey{benchmark->profile.name, mi});
+            Slot &entry = slot->second;
+            if (fresh) {
+                entry.batch = batch;
+                entry.index = claimed.size();
+                claimed.push_back({benchmark, mi, slot});
+            } else if (entry.batch && entry.batch != batch) {
+                dedup_shared.add();
+                awaited.push_back({entry.batch, entry.index});
+            } // else cached, or listed twice in this call
         }
+        batch->outcomes.resize(claimed.size());
     }
 
-    // Claim leadership of the pair, or join an in-flight measurement.
-    std::promise<const uarch::SimulationResult *> promise;
-    std::shared_future<const uarch::SimulationResult *> shared;
-    bool leader = false;
-    {
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            shared = it->second;
-        } else {
-            // The previous leader may have finished (cache insert,
-            // then inflight erase) between our two lookups.
-            {
-                std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-                auto hit = cache_.find(key);
-                if (hit != cache_.end()) {
-                    memo_hits.add();
-                    return hit->second;
-                }
+    // Workers never throw: each claimed pair publishes its result or
+    // its error under one lock, which also releases the claim.
+    std::exception_ptr first_error;
+    auto run = [&](std::size_t i) {
+        const Job &job = claimed[i];
+        uarch::SimulationResult result;
+        std::exception_ptr error;
+        try {
+            result = obtainResult(*job.benchmark, job.machine_index);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            Batch::Outcome &outcome = batch->outcomes[i];
+            if (error) {
+                outcome.error = error;
+                if (!first_error)
+                    first_error = error;
+                memo_.erase(job.slot);
+            } else {
+                job.slot->second.result = std::move(result);
+                job.slot->second.batch.reset();
             }
-            shared = promise.get_future().share();
-            inflight_.emplace(key, shared);
-            leader = true;
+            outcome.done = true;
         }
+        published_.notify_all();
+    };
+    if (pool_ && claimed.size() > 1) {
+        // One task per worker, each pulling pairs off one counter.
+        std::atomic<std::size_t> next{0};
+        auto worker = [&] {
+            for (std::size_t i = next++; i < claimed.size(); i = next++)
+                run(i);
+        };
+        const std::size_t tasks = std::min(pool_->size(), claimed.size());
+        for (std::size_t t = 0; t < tasks; ++t)
+            pool_->submit(worker);
+        pool_->wait();
+    } else if (!claimed.empty()) {
+        parallelFor(claimed.size(), jobs == 0 ? config_.jobs : jobs, run);
     }
 
-    if (!leader) {
-        dedup_shared.add();
-        return *shared.get(); // rethrows the leader's exception
+    if (!awaited.empty()) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (const Awaited &a : awaited) {
+            const Batch::Outcome &outcome = a.batch->outcomes[a.index];
+            published_.wait(lock, [&outcome] { return outcome.done; });
+            if (outcome.error && !first_error)
+                first_error = outcome.error;
+        }
     }
-
-    try {
-        uarch::SimulationResult result =
-            obtainResult(benchmark, machine_index);
-        const uarch::SimulationResult *stable = nullptr;
-        {
-            std::lock_guard<std::mutex> lock(cache_mutex_);
-            stable =
-                &cache_.emplace(std::move(key), std::move(result))
-                     .first->second;
-        }
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex_);
-            inflight_.erase(
-                CacheKey{benchmark.profile.name, machine_index});
-        }
-        promise.set_value(stable);
-        return *stable;
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex_);
-            inflight_.erase(
-                CacheKey{benchmark.profile.name, machine_index});
-        }
-        promise.set_exception(std::current_exception());
-        throw;
-    }
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 void
@@ -192,57 +216,16 @@ Characterizer::prepare(
     const std::vector<suites::BenchmarkInfo> &benchmarks,
     const std::vector<std::size_t> &machine_indices, std::size_t jobs)
 {
-    // Collect the distinct pairs not yet memoised.  Holding the lock
-    // here is cheap: only map lookups, no simulation.
-    std::vector<std::pair<const suites::BenchmarkInfo *, std::size_t>>
-        missing;
-    {
-        std::set<CacheKey> scheduled;
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        for (const suites::BenchmarkInfo &benchmark : benchmarks) {
-            for (std::size_t mi : machine_indices) {
-                if (mi >= machines_.size())
-                    throw std::out_of_range(
-                        "Characterizer::prepare: machine index");
-                CacheKey key{benchmark.profile.name, mi};
-                if (cache_.find(key) != cache_.end())
-                    continue;
-                if (!scheduled.insert(std::move(key)).second)
-                    continue;
-                missing.emplace_back(&benchmark, mi);
-            }
-        }
-    }
-    if (missing.empty())
-        return;
-
-#ifdef SPECLENS_VALIDATE
-    // Validate each profile once before fanning the campaign out, so a
-    // broken model aborts with a field name instead of producing a
-    // plausible-looking feature matrix.
-    for (const auto &[benchmark, mi] : missing) {
-        (void)mi;
-        benchmark->profile.validate();
-    }
-#endif
-
-    // ensureResult() memoises and dedups against concurrent callers,
-    // so the fan-out body is a bare call whether it runs on the shared
-    // pool (ServiceContext) or on prepare()'s own transient threads.
-    if (pool_) {
-        for (const auto &pair : missing) {
-            pool_->submit([this, pair] {
-                ensureResult(*pair.first, pair.second);
-            });
-        }
-        pool_->wait();
-        return;
-    }
-    parallelFor(missing.size(), jobs == 0 ? config_.jobs : jobs,
-                [&](std::size_t i) {
-                    const auto &[benchmark, mi] = missing[i];
-                    ensureResult(*benchmark, mi);
-                });
+    std::vector<Pair> pairs;
+    pairs.reserve(benchmarks.size() * machine_indices.size());
+    for (std::size_t mi : machine_indices)
+        if (mi >= machines_.size())
+            throw std::out_of_range(
+                "Characterizer::prepare: machine index");
+    for (const suites::BenchmarkInfo &benchmark : benchmarks)
+        for (std::size_t mi : machine_indices)
+            pairs.emplace_back(&benchmark, mi);
+    fill(pairs, jobs);
 }
 
 void
@@ -259,13 +242,31 @@ const uarch::SimulationResult &
 Characterizer::simulation(const suites::BenchmarkInfo &benchmark,
                           std::size_t machine_index)
 {
+    static obs::Counter &memo_hits =
+        obs::Registry::global().counter("core.characterize.memo_hits");
     if (machine_index >= machines_.size())
         throw std::out_of_range("Characterizer: machine index");
-    // ensureResult() runs the measurement outside any lock (concurrent
-    // misses on different pairs proceed in parallel) and dedups racers
-    // on the same pair through the in-flight future map, so the work
-    // happens exactly once.
-    return ensureResult(benchmark, machine_index);
+    const CacheKey key{benchmark.profile.name, machine_index};
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = memo_.find(key);
+        if (it != memo_.end() && !it->second.batch) {
+            memo_hits.add();
+            return it->second.result;
+        }
+    }
+    fill({{&benchmark, machine_index}}, 1);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return memo_.at(key).result;
+}
+
+std::size_t
+Characterizer::cachedMeasurements() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<std::size_t>(std::count_if(
+        memo_.begin(), memo_.end(),
+        [](const auto &slot) { return !slot.second.batch; }));
 }
 
 MetricVector

@@ -20,8 +20,9 @@
 #define SPECLENS_CORE_CHARACTERIZATION_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <future>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -120,7 +121,8 @@ class Characterizer
 
     /**
      * Attach a shared worker pool.  prepare() then fans missing pairs
-     * out as pool tasks instead of spawning its own threads, so
+     * out as pool tasks (one per worker, each pulling pairs from a
+     * shared counter) instead of spawning its own threads, so
      * concurrent campaigns against one ServiceContext share a single
      * bounded set of workers.  The pool must outlive this instance
      * (the ServiceContext owns both).  Null detaches.
@@ -157,6 +159,14 @@ class Characterizer
      * generator, so the cached results are bit-identical to what the
      * serial on-demand path produces, for any thread count.
      *
+     * Concurrent callers with overlapping pairs run each pair once: a
+     * pair another caller has in flight is awaited, not re-run
+     * (counted as core.characterize.dedup_shared).  If a pair throws,
+     * its claim is released (a later call retries it) and the error
+     * is rethrown here and in every caller that awaited it.  Cached
+     * pairs are skipped without counting a memo hit; the lookups that
+     * follow through simulation() count them.
+     *
      * @param jobs Worker threads; 0 falls back to the config's jobs
      *        value (whose own 0 means one per hardware thread).
      */
@@ -168,7 +178,10 @@ class Characterizer
     void prepare(const std::vector<suites::BenchmarkInfo> &benchmarks,
                  std::size_t jobs = 0);
 
-    /** Full simulation result for one pair (memoised). */
+    /**
+     * Full simulation result for one pair: a cache hit (counted as
+     * core.characterize.memo_hits), else a one-pair prepare().
+     */
     const uarch::SimulationResult &
     simulation(const suites::BenchmarkInfo &benchmark,
                std::size_t machine_index);
@@ -207,14 +220,41 @@ class Characterizer
                  const std::vector<std::size_t> &machine_indices) const;
 
     /** Number of memoised (benchmark, machine) measurements. */
-    std::size_t cachedMeasurements() const
-    {
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        return cache_.size();
-    }
+    std::size_t cachedMeasurements() const;
 
   private:
     using CacheKey = std::pair<std::string, std::size_t>;
+
+    /** One requested (benchmark, machine index) pair. */
+    using Pair = std::pair<const suites::BenchmarkInfo *, std::size_t>;
+
+    /**
+     * The claims of one fill() call: per claimed pair, whether it is
+     * published yet and the error it threw, if any.  Callers that find
+     * one of these pairs in flight share ownership and wait for its
+     * `done`, so the outcome outlives the memo slot of a failed pair.
+     */
+    struct Batch
+    {
+        struct Outcome
+        {
+            bool done = false;
+            std::exception_ptr error;
+        };
+        std::vector<Outcome> outcomes;
+    };
+
+    /**
+     * One memo slot.  In flight while `batch` is set (this is pair
+     * `index` of that batch); a cached result once published.  A pair
+     * that throws loses its slot, so a later call claims it afresh.
+     */
+    struct Slot
+    {
+        uarch::SimulationResult result;
+        std::shared_ptr<Batch> batch;
+        std::size_t index = 0;
+    };
 
     /** Run one uncached simulation (no lock held). */
     uarch::SimulationResult
@@ -231,15 +271,15 @@ class Characterizer
                  std::size_t machine_index);
 
     /**
-     * Memoised result for one pair, computed at most once across all
-     * concurrent callers: the first thread to claim a missing pair
-     * becomes its leader (store lookup / simulation / persist); racers
-     * block on a shared future and reuse the leader's result.  The
-     * returned reference is stable (std::map node).
+     * The one memo-fill path, behind both prepare() and simulation():
+     * under one lock, claim a slot for every pair of @p pairs that is
+     * neither cached nor in flight; run the claimed pairs on @p jobs
+     * workers pulling indices from one counter; publish each result
+     * (or error) under one lock; then wait for the pairs other calls
+     * had in flight.  Rethrows the first error of a claimed or awaited
+     * pair once every claim of this call is released.
      */
-    const uarch::SimulationResult &
-    ensureResult(const suites::BenchmarkInfo &benchmark,
-                 std::size_t machine_index);
+    void fill(const std::vector<Pair> &pairs, std::size_t jobs);
 
     std::vector<uarch::MachineConfig> machines_;
     CharacterizationConfig config_;
@@ -248,25 +288,21 @@ class Characterizer
     std::atomic<std::size_t> simulations_run_{0};
 
     /**
-     * Memo cache of finished measurements, shared across worker
-     * threads.  A std::map keeps references stable across concurrent
-     * inserts, so simulation() can hand out long-lived references
-     * while other threads keep filling the cache.  The mutex guards
-     * only lookups and inserts — simulations themselves run unlocked.
+     * Guards memo_ and every Batch; held only for lookups, claims and
+     * publishes, never while a pair is measured.  published_ is
+     * signalled after each publish.
      */
-    mutable std::mutex cache_mutex_;
-    std::map<CacheKey, uarch::SimulationResult> cache_;
+    mutable std::mutex mutex_;
+    std::condition_variable published_;
 
     /**
-     * In-flight dedup map: one shared future per pair currently being
-     * measured.  Entries point into cache_ once fulfilled and are
-     * erased by the leader, so the map only ever holds the (few)
-     * pairs actively simulating.  Never held together with
-     * cache_mutex_.
+     * The memo: a slot per (profile name, machine index) pair that is
+     * cached or in flight.  A std::map keeps references stable across
+     * concurrent inserts, so simulation() can hand out long-lived
+     * references while other threads keep filling the memo, and a
+     * claimed slot becomes the cached entry in place.
      */
-    std::mutex inflight_mutex_;
-    std::map<CacheKey, std::shared_future<const uarch::SimulationResult *>>
-        inflight_;
+    std::map<CacheKey, Slot> memo_;
 };
 
 } // namespace core

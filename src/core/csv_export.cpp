@@ -5,10 +5,31 @@
 
 #include "csv_export.h"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace speclens {
 namespace core {
+
+namespace {
+
+/**
+ * Append "," and @p value as `out << value` writes it on a
+ * default-formatted stream: printf's %.6g, which std::to_chars with
+ * chars_format::general and precision 6 reproduces exactly.
+ */
+void
+appendField(std::string &row, double value)
+{
+    char digits[32]; // "-1.23457e+308" at most
+    auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), value,
+                                   std::chars_format::general, 6);
+    (void)ec; // cannot overflow: %.6g is at most 13 characters
+    row += ',';
+    row.append(digits, end);
+}
+
+} // namespace
 
 std::string
 csvQuote(const std::string &field)
@@ -42,11 +63,13 @@ writeCsv(std::ostream &out, const std::vector<std::string> &labels,
         out << "," << csvQuote(name);
     out << "\n";
 
+    std::string row;
     for (std::size_t r = 0; r < features.rows(); ++r) {
-        out << csvQuote(labels[r]);
+        row = csvQuote(labels[r]);
         for (std::size_t c = 0; c < features.cols(); ++c)
-            out << "," << features(r, c);
-        out << "\n";
+            appendField(row, features(r, c));
+        row += '\n';
+        out << row;
     }
 }
 
@@ -58,11 +81,14 @@ writeSimilarityCsv(std::ostream &out, const SimilarityResult &analysis)
         out << ",pc" << (pc + 1);
     out << ",join_height\n";
 
+    std::string row;
     for (std::size_t r = 0; r < analysis.labels.size(); ++r) {
-        out << csvQuote(analysis.labels[r]);
+        row = csvQuote(analysis.labels[r]);
         for (std::size_t pc = 0; pc < analysis.scores.cols(); ++pc)
-            out << "," << analysis.scores(r, pc);
-        out << "," << analysis.dendrogram.leafJoinHeight(r) << "\n";
+            appendField(row, analysis.scores(r, pc));
+        appendField(row, analysis.dendrogram.leafJoinHeight(r));
+        row += '\n';
+        out << row;
     }
 }
 

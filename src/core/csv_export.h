@@ -6,6 +6,12 @@
  * in R / Python / JMP (the original authors used commercial statistics
  * tooling); these helpers write the measurement campaign in a form
  * those tools ingest directly.
+ *
+ * Number format: every value is written as `out << value` writes it on
+ * a default-formatted stream, i.e. printf's `%.6g` ("0.125", "1e+21",
+ * "inf", "-nan"), whatever format flags the stream carries.  The writers
+ * produce it with std::to_chars (chars_format::general, precision 6),
+ * which the standard defines to match printf exactly.
  */
 
 #ifndef SPECLENS_CORE_CSV_EXPORT_H

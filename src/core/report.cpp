@@ -6,9 +6,11 @@
 #include "report.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,10 +54,20 @@ TextTable::addRow(std::vector<std::string> cells)
 std::string
 TextTable::num(double value, int precision)
 {
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << value;
-    return os.str();
+    char digits[64];
+    auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), value,
+                                   std::chars_format::fixed, precision);
+    if (ec == std::errc())
+        return std::string(digits, end);
+    // Beyond ~1e50: up to 309 integer digits, sign, point, decimals.
+    const int width = std::numeric_limits<double>::max_exponent10 + 3 +
+                      std::max(precision, 6);
+    std::string wide(static_cast<std::size_t>(width), '\0');
+    end = std::to_chars(wide.data(), wide.data() + wide.size(), value,
+                        std::chars_format::fixed, precision)
+              .ptr;
+    wide.resize(static_cast<std::size_t>(end - wide.data()));
+    return wide;
 }
 
 std::string

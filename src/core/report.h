@@ -33,7 +33,13 @@ class TextTable
     /** Append a row; must match the column count. */
     void addRow(std::vector<std::string> cells);
 
-    /** Convenience: format a double with @p precision decimals. */
+    /**
+     * Format a double with @p precision decimals, byte for byte as
+     * `os << std::fixed << std::setprecision(precision) << value` (and
+     * printf's `%.*f`) writes it, "-0.00", "inf" and "-nan" included.
+     * It uses std::to_chars (chars_format::fixed), which the standard
+     * defines to match printf exactly.
+     */
     static std::string num(double value, int precision = 2);
 
     /** Render with column separators and a header rule. */

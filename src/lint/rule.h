@@ -94,6 +94,13 @@ struct StoredEntry
 {
     core::StoreEntryInfo info;
 
+    /**
+     * The file name is exactly the one a save writes (16 lower-case
+     * hex digits + `.slart`).  No load opens any other name, so SL025
+     * alone reports such an entry, whatever it holds.
+     */
+    bool canonical_name = false;
+
     // Set only for an entry that scanned clean (status Hit): the
     // shipped profile of its base benchmark; the machine that wrote it
     // (of the known machines with its name, the one whose store key

@@ -680,6 +680,8 @@ class StoreIntegrityRule final : public RuleBase
         for (const StoredEntry &entry : store.entries) {
             const core::StoreEntryInfo &info = entry.info;
             const std::string loc = "store/" + info.filename;
+            if (!entry.canonical_name)
+                continue; // SL025 reports the file name.
             switch (info.status) {
               case core::StoreStatus::Corrupt:
                 error(out, loc, "corrupt entry: " + info.detail,
@@ -1452,10 +1454,7 @@ class StoreShardLayoutRule final : public RuleBase
         for (const StoredEntry &entry : store.entries) {
             const core::StoreEntryInfo &info = entry.info;
             const std::string loc = "store/" + info.filename;
-            std::uint64_t fingerprint = 0;
-            if (!core::parseStoreEntryName(
-                    info.filename.substr(info.filename.find('/') + 1),
-                    fingerprint)) {
+            if (!entry.canonical_name) {
                 error(out, loc,
                       "entry filename is not a 16-digit lower-case hex "
                       "fingerprint");
@@ -1508,6 +1507,9 @@ StoreSnapshot::StoreSnapshot(const LintContext &context)
         StoredEntry &entry = entries.emplace_back();
         entry.info = std::move(scanned);
         const core::StoreEntryInfo &info = entry.info;
+        std::uint64_t named = 0;
+        entry.canonical_name = core::parseStoreEntryName(
+            info.filename.substr(info.filename.find('/') + 1), named);
         if (info.status != core::StoreStatus::Hit)
             continue;
 

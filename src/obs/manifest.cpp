@@ -12,6 +12,8 @@
 #include <system_error>
 #include <thread>
 
+#include <unistd.h>
+
 #include "export.h"
 #include "json.h"
 
@@ -140,6 +142,14 @@ checkManifest(const JsonValue &doc, std::uint64_t engine_version)
     return defects;
 }
 
+std::string
+tempPathFor(const std::string &path)
+{
+    return path + ".tmp" + std::to_string(::getpid()) + "." +
+           std::to_string(
+               std::hash<std::thread::id>{}(std::this_thread::get_id()));
+}
+
 bool
 writeManifest(const std::string &path, const Manifest &manifest)
 {
@@ -147,12 +157,10 @@ writeManifest(const std::string &path, const Manifest &manifest)
     // (or a SIGINT arriving mid-write) never observes a half-written
     // manifest — either the previous one survives or the new one is
     // complete.  Orphaned `run-manifest.json.tmp*` files a killed
-    // process leaves behind are swept when the store is next opened.
+    // process leaves behind are swept when a writer next opens the
+    // store, once older than core::kOrphanedTempAge.
     std::string rendered = renderManifest(manifest);
-    std::string temp =
-        path + ".tmp" +
-        std::to_string(
-            std::hash<std::thread::id>{}(std::this_thread::get_id()));
+    std::string temp = tempPathFor(path);
     {
         std::ofstream file(temp, std::ios::binary | std::ios::trunc);
         if (file)

@@ -71,6 +71,15 @@ struct Manifest
     Snapshot metrics;
 };
 
+/**
+ * Temp path for an atomic-rename write of @p path:
+ * `<path>.tmp<pid>.<thread-hash>`.  The pid keeps writers in different
+ * processes apart and the thread hash writers in one, so no two live
+ * writers share a temp file.  The manifest and store-entry writers use
+ * it; core::CampaignStore sweeps the ones a dead writer left behind.
+ */
+std::string tempPathFor(const std::string &path);
+
 /** Render @p manifest as its canonical JSON document. */
 std::string renderManifest(const Manifest &manifest);
 

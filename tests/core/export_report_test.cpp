@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "core/csv_export.h"
+#include "core/report.h"
 #include "core/suite_report.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
@@ -96,6 +101,90 @@ TEST(CsvExportTest, SimilarityCsv)
     EXPECT_NE(csv.find("benchmark,pc1"), std::string::npos);
     EXPECT_NE(csv.find("join_height"), std::string::npos);
     EXPECT_NE(csv.find("641.leela_s"), std::string::npos);
+}
+
+// The number formatters promise iostream's bytes without iostreams:
+// num() is `std::fixed << setprecision(p)`, the CSV writers a plain
+// `out << value`.  The oracle is that stream, over signed zeros,
+// rounding ties, huge and tiny magnitudes, a denormal, infinities and
+// NaNs.
+const std::vector<double> kFormatOracleValues = {
+    0.0,
+    -0.0,
+    1e-7,
+    0.125,
+    2.5,
+    -2.5,
+    1e21,
+    -123456.789,
+    1e300,
+    std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN(),
+    -std::numeric_limits<double>::quiet_NaN(),
+};
+
+TEST(NumberFormatTest, NumMatchesFixedStreamAtEveryPrecision)
+{
+    for (double value : kFormatOracleValues) {
+        for (int precision = 0; precision <= 6; ++precision) {
+            std::ostringstream oracle;
+            oracle << std::fixed << std::setprecision(precision) << value;
+            EXPECT_EQ(TextTable::num(value, precision), oracle.str())
+                << "precision " << precision;
+        }
+    }
+}
+
+TEST(NumberFormatTest, CsvWritersMatchDefaultStream)
+{
+    const std::size_t n = kFormatOracleValues.size();
+    stats::Matrix m(1, n);
+    std::vector<std::string> names;
+    std::ostringstream oracle;
+    oracle << "benchmark";
+    for (std::size_t c = 0; c < n; ++c) {
+        names.push_back("f" + std::to_string(c));
+        oracle << "," << names.back();
+    }
+    oracle << "\nrow";
+    for (std::size_t c = 0; c < n; ++c) {
+        m(0, c) = kFormatOracleValues[c];
+        oracle << "," << kFormatOracleValues[c];
+    }
+    oracle << "\n";
+    // Format flags left on the stream do not leak into the numbers.
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(2);
+    writeCsv(out, {"row"}, names, m);
+    EXPECT_EQ(out.str(), oracle.str());
+
+    // The similarity writer: real join heights, oracle scores.
+    stats::Matrix features{{1.0, 2.0, 0.5},
+                           {2.0, 1.0, 0.25},
+                           {4.0, 3.0, 1.0},
+                           {0.5, 0.5, 2.0}};
+    SimilarityResult sim =
+        analyzeSimilarity(features, {"a", "b", "c", "d"});
+    for (std::size_t r = 0; r < sim.scores.rows(); ++r)
+        for (std::size_t pc = 0; pc < sim.scores.cols(); ++pc)
+            sim.scores(r, pc) =
+                kFormatOracleValues[(r * sim.scores.cols() + pc) % n];
+    std::ostringstream sim_oracle;
+    sim_oracle << "benchmark";
+    for (std::size_t pc = 0; pc < sim.pca.retained; ++pc)
+        sim_oracle << ",pc" << (pc + 1);
+    sim_oracle << ",join_height\n";
+    for (std::size_t r = 0; r < sim.labels.size(); ++r) {
+        sim_oracle << sim.labels[r];
+        for (std::size_t pc = 0; pc < sim.scores.cols(); ++pc)
+            sim_oracle << "," << sim.scores(r, pc);
+        sim_oracle << "," << sim.dendrogram.leafJoinHeight(r) << "\n";
+    }
+    std::ostringstream sim_out;
+    writeSimilarityCsv(sim_out, sim);
+    EXPECT_EQ(sim_out.str(), sim_oracle.str());
 }
 
 TEST(SuiteReportTest, ContainsAllSections)

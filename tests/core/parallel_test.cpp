@@ -14,10 +14,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/artifact_store.h"
 #include "core/characterization.h"
 #include "core/parallel.h"
 #include "suites/machines.h"
@@ -239,6 +241,108 @@ TEST(CharacterizerParallelTest, ConcurrentMetricsCallsAreSafe)
         thread.join();
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(shared.cachedMeasurements(), n_pairs);
+}
+
+/** Run @p a and @p b on two threads released together. */
+template <typename A, typename B>
+void
+runTogether(A a, B b)
+{
+    std::atomic<int> ready{0};
+    auto start = [&ready]() {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        } // spin: maximise overlap
+    };
+    std::thread first([&]() {
+        start();
+        a();
+    });
+    std::thread second([&]() {
+        start();
+        b();
+    });
+    first.join();
+    second.join();
+}
+
+// Two callers preparing overlapping pair sets at once run each distinct
+// pair exactly once, on prepare()'s own threads and on a shared pool.
+TEST(MemoProtocolTest, OverlappingPreparesRunEachPairOnce)
+{
+    std::vector<suites::BenchmarkInfo> suite = smallSuite(4);
+    const std::vector<suites::BenchmarkInfo> front(suite.begin(),
+                                                   suite.begin() + 3);
+    const std::vector<suites::BenchmarkInfo> back(suite.begin() + 1,
+                                                  suite.end());
+    ThreadPool pool(3);
+    for (ThreadPool *shared :
+         {static_cast<ThreadPool *>(nullptr), &pool}) {
+        Characterizer characterizer(suites::profilingMachines(),
+                                    smallConfig(3));
+        characterizer.setWorkerPool(shared);
+        runTogether([&]() { characterizer.prepare(front); },
+                    [&]() { characterizer.prepare(back); });
+        const std::size_t pairs =
+            suite.size() * characterizer.machines().size();
+        EXPECT_EQ(characterizer.simulationsRun(), pairs)
+            << (shared ? "pool" : "own threads");
+        EXPECT_EQ(characterizer.cachedMeasurements(), pairs);
+
+        // Everything is memoised now: another overlapping round runs
+        // nothing.
+        runTogether([&]() { characterizer.prepare(back); },
+                    [&]() { characterizer.prepare(front); });
+        EXPECT_EQ(characterizer.simulationsRun(), pairs);
+    }
+}
+
+// A pair whose measurement throws fails every caller that asked for it,
+// the one that ran it and the one that awaited it, releases its claim
+// (the other pairs of the batch still land), and is measured afresh by
+// a later call.
+TEST(MemoProtocolTest, ThrowingPairRethrowsInEveryCallerAndIsRetried)
+{
+    const uarch::MachineConfig good = suites::profilingMachines().front();
+    uarch::MachineConfig broken = good;
+    broken.short_name = "broken";
+    // No predictor has this kind: simulate() throws building it.
+    broken.predictor = static_cast<uarch::PredictorKind>(99);
+    Characterizer characterizer({good, broken}, smallConfig(2));
+    const std::vector<suites::BenchmarkInfo> suite = smallSuite(1);
+
+    std::atomic<int> failures{0};
+    auto attempt = [&]() {
+        try {
+            characterizer.prepare(suite);
+        } catch (const std::invalid_argument &) {
+            failures.fetch_add(1);
+        }
+    };
+    runTogether(attempt, attempt);
+    EXPECT_EQ(failures.load(), 2);
+    EXPECT_EQ(characterizer.cachedMeasurements(), 1u);
+    EXPECT_EQ(characterizer.simulationsRun(), 1u);
+    EXPECT_THROW(characterizer.simulation(suite[0], 1),
+                 std::invalid_argument);
+
+    // Give the retry something to find: a store entry under the broken
+    // pair's key.  A later call claims the pair again and loads it.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        "speclens_memo_protocol_retry_test";
+    std::filesystem::remove_all(dir);
+    auto store = std::make_shared<CampaignStore>(dir.string());
+    const uarch::SimulationResult stored = uarch::simulate(
+        suite[0].profile, good, smallConfig(1).simulationConfig());
+    ASSERT_TRUE(store->save(characterizer.storeKey(suite[0], 1), stored));
+    characterizer.attachStore(store);
+    EXPECT_TRUE(uarch::bitIdentical(characterizer.simulation(suite[0], 1),
+                                    stored));
+    EXPECT_EQ(characterizer.cachedMeasurements(), 2u);
+    EXPECT_EQ(characterizer.simulationsRun(), 1u);
+    characterizer.attachStore(nullptr);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

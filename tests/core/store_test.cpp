@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +33,8 @@
 #include "suites/spec2017.h"
 #include "trace/phased_workload.h"
 #include "uarch/simulation.h"
+
+#include <unistd.h>
 
 using namespace speclens;
 
@@ -85,6 +88,19 @@ writeFile(const std::string &path, const std::string &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Plant a temp file a writer that died long ago left behind: written,
+ * then back-dated past the sweep's age threshold.
+ */
+void
+writeOrphan(const std::string &path, const std::string &bytes)
+{
+    writeFile(path, bytes);
+    std::filesystem::last_write_time(
+        path, std::filesystem::file_time_type::clock::now() -
+                  core::kOrphanedTempAge - std::chrono::minutes(1));
 }
 
 /** FNV-1a-64 of @p bytes as 16 lower-case hex digits. */
@@ -750,8 +766,8 @@ TEST(CampaignStore, OrphanedTempFilesSweptOnOpen)
     }
 
     // Seed two interrupted writes next to the healthy entry.
-    writeFile(dir + "/deadbeef00000001.slart.tmp", "half-written");
-    writeFile(dir + "/deadbeef00000002.slart.tmp.1234", "torn");
+    writeOrphan(dir + "/deadbeef00000001.slart.tmp", "half-written");
+    writeOrphan(dir + "/deadbeef00000002.slart.tmp.1234", "torn");
 
     core::CampaignStore reopened(dir);
     EXPECT_EQ(reopened.counters().orphaned_temp, 2u);
@@ -769,13 +785,49 @@ TEST(CampaignStore, OrphanedTempFilesSweptOnOpen)
     std::filesystem::remove_all(dir);
 }
 
+// Opening a store must not take the temp file of a live writer in
+// another process: a fresh temp file (entry or manifest) survives a
+// writer's open, and only the back-dated one is swept and counted.
+TEST(CampaignStore, SweepLeavesALiveWritersTempFileAlone)
+{
+    const std::string dir = storeDir("live_temp");
+    const std::string shard = dir + "/" + core::storeShardDirName(3);
+    std::filesystem::create_directories(shard);
+    const std::string live = shard + "/3000000000000001.slart.tmp777.1";
+    const std::string live_manifest =
+        obs::tempPathFor(dir + "/" + obs::kManifestFileName);
+    const std::string dead = shard + "/3000000000000002.slart.tmp778.1";
+    writeFile(live, "being written");
+    writeFile(live_manifest, "{");
+    writeOrphan(dead, "torn");
+
+    core::CampaignStore store(dir);
+    EXPECT_EQ(store.counters().orphaned_temp, 1u);
+    EXPECT_TRUE(std::filesystem::exists(live));
+    EXPECT_TRUE(std::filesystem::exists(live_manifest));
+    EXPECT_FALSE(std::filesystem::exists(dead));
+    std::filesystem::remove_all(dir);
+}
+
+// Temp names carry the writer's pid, so writers in two processes never
+// write through one temp file.
+TEST(CampaignStore, TempPathsCarryThePid)
+{
+    const std::string temp = obs::tempPathFor("/store/entry.slart");
+    EXPECT_EQ(temp.rfind("/store/entry.slart.tmp" +
+                             std::to_string(::getpid()) + ".",
+                         0),
+              0u)
+        << temp;
+}
+
 // Swept orphans surface in the context's `rejected=` summary rather
 // than disappearing silently.
 TEST(CampaignStore, OrphanSweepCountsIntoSessionSummary)
 {
     const std::string dir = storeDir("orphan_summary");
     std::filesystem::create_directories(dir);
-    writeFile(dir + "/feedface00000001.slart.tmp", "torn write");
+    writeOrphan(dir + "/feedface00000001.slart.tmp", "torn write");
 
     core::ServiceConfig config;
     config.machines = {suites::skylakeMachine()};

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -1136,6 +1137,36 @@ TEST(StoreLint, MisfiledEntryIsReportedOnceUnderSL025)
     ASSERT_EQ(findings.size(), 1u) << renderText(report);
     EXPECT_EQ(findings[0].code, "SL025");
     EXPECT_EQ(findings[0].severity, Severity::Error);
+}
+
+// An upper-case copy of an entry is one finding too: SL025 owns a
+// non-canonical file name, and SL016 does not also call it corrupt.
+TEST(StoreLint, NonCanonicalEntryNameIsReportedOnceUnderSL025)
+{
+    TempDir dir("speclens_store_lint_entry_name_test");
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    core::StoreKey key = saveOnePair(context, context.store_dir);
+    const std::filesystem::path shard =
+        dir.path /
+        core::storeShardDirName(core::storeShardIndex(key.fingerprint));
+    std::string upper = stats::hex16(key.fingerprint);
+    for (char &c : upper)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    ASSERT_NE(upper, stats::hex16(key.fingerprint));
+    std::filesystem::copy_file(shard / entryBaseName(key),
+                               shard / (upper + core::kStoreEntrySuffix));
+
+    LintReport report = Linter().run(context);
+    std::vector<Diagnostic> findings;
+    for (const Diagnostic &d : report.diagnostics)
+        if (d.severity != Severity::Info)
+            findings.push_back(d);
+    ASSERT_EQ(findings.size(), 1u) << renderText(report);
+    EXPECT_EQ(findings[0].code, "SL025");
+    EXPECT_EQ(findings[0].severity, Severity::Error);
+    EXPECT_NE(findings[0].location.find(upper), std::string::npos)
+        << findings[0].location;
 }
 
 // ---------------------------------------------------------------------

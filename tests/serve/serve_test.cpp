@@ -230,7 +230,7 @@ TEST(ShardedStore, TruncatedEntryAfterGoodLoadReadsCorrupt)
 
 // Two concurrent identical queries against one shared Characterizer
 // must run exactly one simulation: one thread simulates, the other
-// blocks on the in-flight future and shares the result.
+// waits for the in-flight claim and shares the result.
 TEST(ServiceContext, ConcurrentIdenticalQueriesShareOneSimulation)
 {
     core::ServiceContext context(tinyServiceConfig());
