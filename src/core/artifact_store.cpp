@@ -464,16 +464,32 @@ parseStoreEntryName(const std::string &filename, std::uint64_t &fingerprint)
     return true;
 }
 
-StoreKey
-makeStoreKey(const trace::WorkloadProfile &profile,
-             const uarch::MachineConfig &machine,
-             const uarch::SimulationConfig &config)
+stats::Fingerprinter
+pairKeyPrefix(const trace::WorkloadProfile &profile,
+              const uarch::SimulationConfig &config)
 {
     stats::Fingerprinter fp;
     fp.tag("speclens.pair");
     fp.u64(kStoreEngineVersion);
     config.hashInto(fp);
     profile.hashInto(fp);
+    return fp;
+}
+
+StoreKey
+makeStoreKey(const trace::WorkloadProfile &profile,
+             const uarch::MachineConfig &machine,
+             const uarch::SimulationConfig &config)
+{
+    return pairStoreKey(pairKeyPrefix(profile, config), profile, machine,
+                        config);
+}
+
+StoreKey
+pairStoreKey(stats::Fingerprinter fp, const trace::WorkloadProfile &profile,
+             const uarch::MachineConfig &machine,
+             const uarch::SimulationConfig &config)
+{
     machine.hashInto(fp);
 
     StoreKey key;

@@ -170,6 +170,22 @@ StoreKey makeStoreKey(const trace::WorkloadProfile &profile,
                       const uarch::SimulationConfig &config);
 
 /**
+ * The pair fingerprint's hash state after its machine-independent
+ * prefix (tag, engine version, window, profile).  A campaign hashes
+ * it once per benchmark and continues a copy per machine with
+ * pairStoreKey(); the key is the one makeStoreKey() returns.
+ */
+stats::Fingerprinter pairKeyPrefix(const trace::WorkloadProfile &profile,
+                                   const uarch::SimulationConfig &config);
+
+/** makeStoreKey(@p profile, @p machine, @p config), continuing
+ *  @p prefix = pairKeyPrefix(@p profile, @p config). */
+StoreKey pairStoreKey(stats::Fingerprinter prefix,
+                      const trace::WorkloadProfile &profile,
+                      const uarch::MachineConfig &machine,
+                      const uarch::SimulationConfig &config);
+
+/**
  * Store address of one simulatePhased() measurement.  Domain-separated
  * from pair entries (different top-level tag), so a phased workload
  * never collides with a plain profile of the same name.

@@ -86,7 +86,8 @@ Characterizer::storeKey(const suites::BenchmarkInfo &benchmark,
 
 uarch::SimulationResult
 Characterizer::obtainResult(const suites::BenchmarkInfo &benchmark,
-                            std::size_t machine_index)
+                            std::size_t machine_index,
+                            const stats::Fingerprinter &key_prefix)
 {
     static obs::Counter &simulations =
         obs::Registry::global().counter("core.characterize.simulations");
@@ -98,7 +99,9 @@ Characterizer::obtainResult(const suites::BenchmarkInfo &benchmark,
 #endif
     StoreKey key;
     if (store_) {
-        key = storeKey(benchmark, machine_index);
+        key = pairStoreKey(key_prefix, benchmark.profile,
+                           machines_[machine_index],
+                           config_.simulationConfig());
         uarch::SimulationResult loaded;
         if (store_->load(key, loaded) == StoreStatus::Hit)
             return loaded;
@@ -121,12 +124,14 @@ Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
     static obs::Counter &dedup_shared =
         obs::Registry::global().counter("core.characterize.dedup_shared");
 
-    // A pair this call runs, and its slot in memo_.
+    // A pair this call runs, its slot in memo_ and its benchmark's
+    // store-key prefix.
     struct Job
     {
         const suites::BenchmarkInfo *benchmark;
         std::size_t machine_index;
         std::map<CacheKey, Slot>::iterator slot;
+        stats::Fingerprinter key_prefix;
     };
     // A pair another call has in flight: that call's batch and index.
     struct Awaited
@@ -138,15 +143,24 @@ Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
     std::vector<Awaited> awaited;
     auto batch = std::make_shared<Batch>();
     {
+        // The store-key prefix is hashed once per run of same-benchmark
+        // claims (prepare() lists pairs benchmark by benchmark).
+        const suites::BenchmarkInfo *hashed = nullptr;
+        stats::Fingerprinter key_prefix;
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &[benchmark, mi] : pairs) {
             auto [slot, fresh] =
                 memo_.try_emplace(CacheKey{benchmark->profile.name, mi});
             Slot &entry = slot->second;
             if (fresh) {
+                if (store_ && benchmark != hashed) {
+                    key_prefix = pairKeyPrefix(benchmark->profile,
+                                               config_.simulationConfig());
+                    hashed = benchmark;
+                }
                 entry.batch = batch;
                 entry.index = claimed.size();
-                claimed.push_back({benchmark, mi, slot});
+                claimed.push_back({benchmark, mi, slot, key_prefix});
             } else if (entry.batch && entry.batch != batch) {
                 dedup_shared.add();
                 awaited.push_back({entry.batch, entry.index});
@@ -163,7 +177,8 @@ Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
         uarch::SimulationResult result;
         std::exception_ptr error;
         try {
-            result = obtainResult(*job.benchmark, job.machine_index);
+            result = obtainResult(*job.benchmark, job.machine_index,
+                                  job.key_prefix);
         } catch (...) {
             error = std::current_exception();
         }

@@ -264,11 +264,14 @@ class Characterizer
     /**
      * Produce the result for one pair not in the memo cache: consult
      * the store (when attached), fall back to simulation, persist
-     * fresh results.  No lock held; safe from worker threads.
+     * fresh results.  @p key_prefix is pairKeyPrefix() of the
+     * benchmark at this campaign's window (unused without a store).
+     * No lock held; safe from worker threads.
      */
     uarch::SimulationResult
     obtainResult(const suites::BenchmarkInfo &benchmark,
-                 std::size_t machine_index);
+                 std::size_t machine_index,
+                 const stats::Fingerprinter &key_prefix);
 
     /**
      * The one memo-fill path, behind both prepare() and simulation():

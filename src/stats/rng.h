@@ -31,24 +31,64 @@ class Rng
 {
   public:
     /** Construct a generator from a 64-bit seed. */
-    explicit Rng(std::uint64_t seed) : state_(seed) {}
+    explicit Rng(std::uint64_t seed)
+        : state_(seed + kGamma), ahead_(mix(state_))
+    {
+    }
 
-    /** Next raw 64-bit value. */
+    /**
+     * Next raw 64-bit value.  The output is computed one draw ahead:
+     * the value returned now was mixed during the previous call, so a
+     * caller's compare on it does not wait on the multiply chain (the
+     * mix of the following state overlaps with the caller's work).
+     * The output sequence is exactly SplitMix64's.
+     */
     std::uint64_t
     next()
     {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
+        std::uint64_t out = ahead_;
+        state_ += kGamma;
+        ahead_ = mix(state_);
+        return out;
     }
+
+    /**
+     * The 53-bit integer k behind the next uniform() = k * 2^-53.
+     * Compare it with cut() values to classify one draw against
+     * several probabilities.
+     */
+    std::uint64_t draw() { return next() >> 11; }
+
+    /**
+     * Integer cut of probability @p p: the number of draws k with
+     * k * 2^-53 < p, i.e. ceil(p * 2^53) clamped to [0, 2^53] (0 for
+     * NaN).  Scaling by 2^53 is exact and uniform() is exactly
+     * k * 2^-53, so draw() < cut(p) answers exactly what uniform() < p
+     * answers for the same draw — without the int-to-double
+     * conversion and double compare on the branch's dependency chain.
+     */
+    static constexpr std::uint64_t
+    cut(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return kUnit;
+        double scaled = p * 0x1.0p53; // exact: a power-of-two scale
+        auto k = static_cast<std::uint64_t>(scaled); // floor, < 2^53
+        return static_cast<double>(k) < scaled ? k + 1 : k;
+    }
+
+    /** Bernoulli trial: draw() < @p cut, true with probability p for
+     *  @p cut = cut(p), and the same answer as uniform() < p. */
+    bool drawBelow(std::uint64_t cut) { return draw() < cut; }
 
     /** Uniform double in [0, 1). */
     double
     uniform()
     {
         // 53 high-quality mantissa bits.
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(draw()) * 0x1.0p-53;
     }
 
     /** Uniform double in [lo, hi). */
@@ -65,13 +105,6 @@ class Rng
         // Lemire-style rejection-free mapping is overkill here; the modulo
         // bias for n << 2^64 is far below the noise floor of any analysis.
         return next() % n;
-    }
-
-    /** Bernoulli trial with probability p of returning true. */
-    bool
-    bernoulli(double p)
-    {
-        return uniform() < p;
     }
 
     /**
@@ -113,7 +146,20 @@ class Rng
     }
 
   private:
-    std::uint64_t state_;
+    static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+    static constexpr std::uint64_t kUnit = 1ull << 53; //!< cut(1.0).
+
+    /** SplitMix64 output function. */
+    static std::uint64_t
+    mix(std::uint64_t z)
+    {
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+
+    std::uint64_t state_; //!< State of the draw in ahead_.
+    std::uint64_t ahead_; //!< The output the next next() returns.
 };
 
 /**

@@ -35,17 +35,18 @@ DataAddressStream::DataAddressStream(const MemoryModel &model)
         regions_[i] = Region{kDataBase + i * kDataRegionStride,
                              elementCount(ws.bytes, ws.stride_bytes),
                              static_cast<std::uint64_t>(ws.stride_bytes),
-                             cumulative, ws.sequential, 0};
+                             stats::Rng::cut(cumulative),
+                             stats::Rng::cut(ws.sequential), 0};
     }
     // Guard against floating-point shortfall in the last band.
-    regions_.back().cumulative_weight = 1.0;
+    regions_.back().band_cut = stats::Rng::cut(1.0);
 }
 
 CodeAddressStream::CodeAddressStream(const MemoryModel &model)
     : base_(kCodeBase),
       size_(static_cast<std::uint64_t>(model.code_bytes)),
       hot_size_(static_cast<std::uint64_t>(model.hot_code_bytes)),
-      locality_(model.code_locality),
+      locality_cut_(stats::Rng::cut(model.code_locality)),
       pc_(kCodeBase)
 {
 }

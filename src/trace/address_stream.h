@@ -62,8 +62,8 @@ class DataAddressStream
         std::uint64_t base;        //!< First byte of the region.
         std::uint64_t elements;    //!< Addressable elements in the set.
         std::uint64_t stride;      //!< Bytes between elements.
-        double cumulative_weight;  //!< Upper edge of the sampling band.
-        double sequential;         //!< Streaming-access probability.
+        std::uint64_t band_cut;    //!< Rng::cut of the band's upper edge.
+        std::uint64_t sequential_cut; //!< Rng::cut of P(streaming access).
         std::uint64_t cursor = 0;  //!< Sequential element cursor.
     };
 
@@ -95,7 +95,7 @@ class CodeAddressStream
     std::uint64_t base_;        //!< Code region start.
     std::uint64_t size_;        //!< Code footprint (bytes).
     std::uint64_t hot_size_;    //!< Hot region (bytes).
-    double locality_;           //!< P(target within hot region).
+    std::uint64_t locality_cut_; //!< Rng::cut of P(target in hot region).
     std::uint64_t pc_;          //!< Current fetch address.
 };
 
@@ -104,21 +104,23 @@ class CodeAddressStream
 // address per instruction, so these must inline into the generator's
 // batch fill loop.  Every change here must preserve the RNG draw
 // sequence and the produced addresses exactly — the streams are part
-// of the bit-identical reproducibility contract.
+// of the bit-identical reproducibility contract; probabilities are
+// compared as integer cuts (stats::Rng::cut), which give the same
+// answer as the double compares for every draw.
 
 inline std::uint64_t
 DataAddressStream::next(stats::Rng &rng)
 {
-    double u = rng.uniform();
+    std::uint64_t u = rng.draw();
     Region *region = &regions_.back();
     for (Region &r : regions_) {
-        if (u < r.cumulative_weight) {
+        if (u < r.band_cut) {
             region = &r;
             break;
         }
     }
 
-    if (rng.bernoulli(region->sequential)) {
+    if (rng.drawBelow(region->sequential_cut)) {
         // Stream through the set in word-sized steps so consecutive
         // accesses share cache lines (spatial locality): 8 accesses per
         // line before the stream pays a miss on a large set.
@@ -152,7 +154,7 @@ CodeAddressStream::nextPc()
 inline void
 CodeAddressStream::takeBranch(stats::Rng &rng)
 {
-    std::uint64_t span = rng.bernoulli(locality_) ? hot_size_ : size_;
+    std::uint64_t span = rng.drawBelow(locality_cut_) ? hot_size_ : size_;
     // Branch targets are 4-byte aligned within the selected span.
     std::uint64_t slots = span / 4;
     pc_ = base_ + rng.below(slots ? slots : 1) * 4;

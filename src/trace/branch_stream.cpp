@@ -65,7 +65,7 @@ BranchStream::BranchStream(const BranchModel &model, stats::Rng &rng)
                 cum_taken + 0.5 * p_i < model.taken_fraction * cum_all;
             if (taken_dir)
                 cum_taken += p_i;
-            b.taken_prob = taken_dir ? 0.995 : 0.005;
+            b.taken_cut = stats::Rng::cut(taken_dir ? 0.995 : 0.005);
             b.patterned = false;
         } else {
             cum_hard += p_i;
@@ -99,10 +99,11 @@ BranchStream::BranchStream(const BranchModel &model, stats::Rng &rng)
                 // fraction.
                 double centre = std::clamp(model.taken_fraction, 0.35,
                                            0.65);
-                b.taken_prob = std::clamp(
+                double taken_prob = std::clamp(
                     centre + rng.uniform(-0.2, 0.2), 0.3, 0.7);
+                b.taken_cut = stats::Rng::cut(taken_prob);
                 b.patterned = false;
-                cum_taken += p_i * b.taken_prob;
+                cum_taken += p_i * taken_prob;
             }
         }
         branches_.push_back(b);

@@ -72,7 +72,7 @@ class BranchStream
   private:
     struct StaticBranch
     {
-        double taken_prob;        //!< Bernoulli bias when not patterned.
+        std::uint64_t taken_cut;  //!< Rng::cut of the bias when not patterned.
         bool patterned;           //!< Follows a deterministic pattern.
         std::uint8_t period;      //!< Pattern period (2..8).
         std::uint16_t pattern;    //!< Pattern bits (bit i = outcome i).
@@ -104,7 +104,8 @@ BranchStream::next(stats::Rng &rng)
     // a pointer), which perturbs global history realistically.  Kept
     // rare: every jump invalidates ~one history-window of context for
     // all history-based predictors.
-    if (rng.bernoulli(0.005))
+    constexpr std::uint64_t kJumpCut = stats::Rng::cut(0.005);
+    if (rng.drawBelow(kJumpCut))
         position_ = static_cast<std::size_t>(rng.below(sequence_.size()));
     std::uint32_t id = sequence_[position_];
     // position_ + 1 <= size, so the cyclic wrap is a compare, not the
@@ -124,7 +125,7 @@ BranchStream::next(stats::Rng &rng)
         taken = (b.pattern >>
                  ((step_ + b.position) % b.period)) & 1u;
     } else {
-        taken = rng.bernoulli(b.taken_prob);
+        taken = rng.drawBelow(b.taken_cut);
     }
     ++step_;
     return {id, taken};

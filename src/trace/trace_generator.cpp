@@ -29,13 +29,22 @@ TraceGenerator::TraceGenerator(const WorkloadProfile &profile,
       branches_(profile.branch, rng_)
 {
     profile_.validate();
+    // The thresholds accumulate in double, exactly as the double
+    // compares they replace did, then each becomes its cut.
     const InstructionMix &mix = profile_.mix;
-    p_load_ = mix.load;
-    p_store_ = p_load_ + mix.store;
-    p_branch_ = p_store_ + mix.branch;
-    p_fp_ = p_branch_ + mix.fp;
-    p_simd_ = p_fp_ + mix.simd;
-    p_other_ = p_simd_ + mix.remainder() * kOtherShareOfRemainder;
+    double p_load = mix.load;
+    double p_store = p_load + mix.store;
+    double p_branch = p_store + mix.branch;
+    double p_fp = p_branch + mix.fp;
+    double p_simd = p_fp + mix.simd;
+    double p_other = p_simd + mix.remainder() * kOtherShareOfRemainder;
+    kernel_cut_ = stats::Rng::cut(profile_.exec.kernel_fraction);
+    load_cut_ = stats::Rng::cut(p_load);
+    store_cut_ = stats::Rng::cut(p_store);
+    branch_cut_ = stats::Rng::cut(p_branch);
+    fp_cut_ = stats::Rng::cut(p_fp);
+    simd_cut_ = stats::Rng::cut(p_simd);
+    other_cut_ = stats::Rng::cut(p_other);
 }
 
 Instruction

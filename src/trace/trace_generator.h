@@ -67,46 +67,51 @@ class TraceGenerator
     CodeAddressStream code_;
     BranchStream branches_;
 
-    // Cumulative op-class thresholds, precomputed from the mix.
-    double p_load_;
-    double p_store_;
-    double p_branch_;
-    double p_fp_;
-    double p_simd_;
-    double p_other_;
+    // Integer cuts (stats::Rng::cut) of the kernel fraction and of the
+    // cumulative op-class thresholds, precomputed from the profile.
+    std::uint64_t kernel_cut_;
+    std::uint64_t load_cut_;
+    std::uint64_t store_cut_;
+    std::uint64_t branch_cut_;
+    std::uint64_t fp_cut_;
+    std::uint64_t simd_cut_;
+    std::uint64_t other_cut_;
 };
 
 // Hot-path definition, in the header so it inlines into the
-// simulation driver's per-record loop.
+// simulation driver's per-record loop.  Every probability compare is
+// an integer compare of one draw against a precomputed cut: the same
+// answer as the double compare uniform() < p (see stats::Rng::cut),
+// so the record stream is unchanged.
 inline void
 TraceGenerator::step(std::uint64_t &pc, OpClass &op, std::uint64_t &address,
                      std::uint32_t &branch_id, bool &taken, bool &kernel)
 {
     pc = code_.nextPc();
-    kernel = rng_.bernoulli(profile_.exec.kernel_fraction);
+    kernel = rng_.drawBelow(kernel_cut_);
     address = 0;
     branch_id = 0;
     taken = false;
 
-    double u = rng_.uniform();
-    if (u < p_load_) {
+    std::uint64_t u = rng_.draw();
+    if (u < load_cut_) {
         op = OpClass::Load;
         address = data_.next(rng_);
-    } else if (u < p_store_) {
+    } else if (u < store_cut_) {
         op = OpClass::Store;
         address = data_.next(rng_);
-    } else if (u < p_branch_) {
+    } else if (u < branch_cut_) {
         op = OpClass::Branch;
         BranchStream::Outcome outcome = branches_.next(rng_);
         branch_id = outcome.id;
         taken = outcome.taken;
         if (outcome.taken)
             code_.takeBranch(rng_);
-    } else if (u < p_fp_) {
+    } else if (u < fp_cut_) {
         op = OpClass::FpAlu;
-    } else if (u < p_simd_) {
+    } else if (u < simd_cut_) {
         op = OpClass::Simd;
-    } else if (u < p_other_) {
+    } else if (u < other_cut_) {
         op = OpClass::Other;
     } else {
         op = OpClass::IntAlu;

@@ -5,12 +5,165 @@
 
 #include "cache.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/metrics.h"
 
 namespace speclens {
 namespace uarch {
+
+namespace {
+
+/** Bytes reserved over every thread's line-storage region, and their
+ *  high-water (the uarch.line_storage.bytes gauge). */
+std::atomic<std::uint64_t> reserved_bytes{0};
+std::atomic<std::uint64_t> reserved_high{0};
+
+} // namespace
+
+/**
+ * One thread's line-storage region: an anonymous mapping handed out
+ * as 64-byte-aligned slices, bump style, to the caches the thread
+ * builds, and rewound once every slice is back.  Reusing it across
+ * simulations is what keeps the multi-MB LLC tag and stamp arrays
+ * from being faulted in, zeroed and unmapped on every simulation.
+ */
+class LineRegion
+{
+  public:
+    LineRegion() = default;
+    LineRegion(const LineRegion &) = delete;
+    LineRegion &operator=(const LineRegion &) = delete;
+
+    /** The calling thread's region. */
+    static LineRegion &
+    local()
+    {
+        static thread_local LineRegion region;
+        return region;
+    }
+
+    ~LineRegion()
+    {
+        // A slice still held at thread exit stays mapped rather than
+        // dangle.
+        if (base_ && holders_ == 0)
+            ::munmap(base_, capacity_ * sizeof(std::uint64_t));
+        reserved_bytes.fetch_sub(capacity_ * sizeof(std::uint64_t),
+                                 std::memory_order_relaxed);
+    }
+
+    /** Grow to at least @p words, unless a slice is held. */
+    void
+    reserve(std::size_t words)
+    {
+        if (holders_ != 0 || words <= capacity_)
+            return;
+        constexpr std::size_t kPageWords = 4096 / sizeof(std::uint64_t);
+        std::size_t grown = (words + kPageWords - 1) / kPageWords * kPageWords;
+        void *mapped = ::mmap(nullptr, grown * sizeof(std::uint64_t),
+                              PROT_READ | PROT_WRITE,
+                              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (mapped == MAP_FAILED)
+            return; // caches fall back to the heap
+        if (base_)
+            ::munmap(base_, capacity_ * sizeof(std::uint64_t));
+        const std::uint64_t added = (grown - capacity_) * sizeof(std::uint64_t);
+        base_ = static_cast<std::uint64_t *>(mapped);
+        capacity_ = grown;
+
+        static obs::Counter &grows =
+            obs::Registry::global().counter("uarch.line_storage.grows");
+        static obs::Gauge &bytes =
+            obs::Registry::global().gauge("uarch.line_storage.bytes");
+        grows.add();
+        std::uint64_t now =
+            reserved_bytes.fetch_add(added, std::memory_order_relaxed) + added;
+        std::uint64_t high = reserved_high.load(std::memory_order_relaxed);
+        while (now > high && !reserved_high.compare_exchange_weak(
+                                 high, now, std::memory_order_relaxed)) {
+        }
+        if (now > high)
+            bytes.set(static_cast<double>(now));
+    }
+
+    /** A slice of @p words (rounded up to 64 bytes), or null when the
+     *  region lacks room. */
+    std::uint64_t *
+    take(std::size_t words)
+    {
+        std::size_t rounded = (words + 7) / 8 * 8;
+        if (capacity_ - used_ < rounded)
+            return nullptr;
+        std::uint64_t *slice = base_ + used_;
+        used_ += rounded;
+        ++holders_;
+        return slice;
+    }
+
+    /** Return one slice; the last one back rewinds the region. */
+    void
+    give()
+    {
+        if (--holders_ == 0)
+            used_ = 0;
+    }
+
+  private:
+    std::uint64_t *base_ = nullptr;
+    std::size_t capacity_ = 0; //!< Mapped words.
+    std::size_t used_ = 0;     //!< Words handed out since the rewind.
+    std::size_t holders_ = 0;  //!< Slices not yet given back.
+};
+
+LineLease::LineLease(std::size_t words)
+{
+    LineRegion &region = LineRegion::local();
+    data_ = region.take(words);
+    if (data_) {
+        region_ = &region;
+    } else {
+        heap_ = std::make_unique_for_overwrite<std::uint64_t[]>(words);
+        data_ = heap_.get();
+    }
+}
+
+LineLease::LineLease(LineLease &&other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      region_(std::exchange(other.region_, nullptr)),
+      heap_(std::move(other.heap_))
+{
+}
+
+LineLease &
+LineLease::operator=(LineLease &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        data_ = std::exchange(other.data_, nullptr);
+        region_ = std::exchange(other.region_, nullptr);
+        heap_ = std::move(other.heap_);
+    }
+    return *this;
+}
+
+LineLease::~LineLease() { release(); }
+
+void
+LineLease::release()
+{
+    if (region_)
+        region_->give();
+    region_ = nullptr;
+    data_ = nullptr;
+    heap_.reset();
+}
 
 std::string
 replacementPolicyName(ReplacementPolicy policy)
@@ -38,8 +191,11 @@ wayPredictionKindName(WayPredictionKind kind)
 std::uint64_t
 CacheConfig::sets() const
 {
-    std::uint64_t line_capacity = size_bytes / line_bytes;
-    return associativity == 0 ? 0 : line_capacity / associativity;
+    // 0 for a zero line size or way count, so a Cache built from such
+    // a config reaches validate() and throws instead of dividing by 0.
+    if (line_bytes == 0 || associativity == 0)
+        return 0;
+    return size_bytes / line_bytes / associativity;
 }
 
 std::vector<verify::Violation>
@@ -111,11 +267,13 @@ Cache::Cache(const CacheConfig &config)
         set_mask_ = num_sets_ - 1;
         set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
     }
-    tags_.assign(num_sets_ * config_.associativity, kInvalidTag);
     // Stamps are written before any read (see the member comment), so
-    // the allocation skips the zero pass.
-    stamps_ = std::make_unique_for_overwrite<std::uint64_t[]>(
-        num_sets_ * config_.associativity);
+    // only the tags are initialized.
+    const std::size_t lines = num_sets_ * config_.associativity;
+    lines_ = LineLease(storageWords(config_));
+    tags_ = lines_.data();
+    stamps_ = tags_ + lines;
+    std::fill(tags_, tags_ + lines, kInvalidTag);
     plru_.assign(config_.policy == ReplacementPolicy::TreePlru ? num_sets_
                                                                : 0,
                  0);
@@ -125,6 +283,18 @@ Cache::Cache(const CacheConfig &config)
       case WayPredictionKind::MultiMru: way_pred_parts_ = 2; break;
     }
     way_pred_.assign(num_sets_ * way_pred_parts_, 0);
+}
+
+std::size_t
+Cache::storageWords(const CacheConfig &config)
+{
+    return (2 * config.sets() * config.associativity + 7) / 8 * 8;
+}
+
+void
+Cache::reserveStorage(std::size_t words)
+{
+    LineRegion::local().reserve(words);
 }
 
 bool
@@ -137,22 +307,6 @@ Cache::contains(std::uint64_t address) const
         if (tags[w] == tag)
             return true;
     return false;
-}
-
-void
-Cache::reset()
-{
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    for (std::uint32_t &state : plru_)
-        state = 0;
-    tick_ = 0;
-    accesses_ = 0;
-    hits_ = 0;
-    cold_fills_.clear();
-    last_index_ = 0;
-    std::fill(way_pred_.begin(), way_pred_.end(), 0u);
-    way_pred_hits_ = 0;
-    way_pred_mispredicts_ = 0;
 }
 
 double

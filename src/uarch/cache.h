@@ -70,7 +70,8 @@ struct CacheConfig
     ReplacementPolicy policy = ReplacementPolicy::Lru;
     WayPredictionKind way_prediction = WayPredictionKind::None;
 
-    /** Number of sets implied by the geometry. */
+    /** Number of sets implied by the geometry (0 when the line size or
+     *  way count is 0). */
     std::uint64_t sets() const;
 
     /**
@@ -91,6 +92,37 @@ struct CacheConfig
     void hashInto(stats::Fingerprinter &fp) const;
 };
 
+class LineRegion;
+
+/**
+ * The tag and stamp words of one Cache: a slice of the building
+ * thread's line-storage region when the region has room (see
+ * Cache::reserveStorage), else a heap block.  Move-only; a region
+ * slice must be released on the thread that took it, before that
+ * thread exits.
+ */
+class LineLease
+{
+  public:
+    LineLease() = default;
+
+    /** Take @p words, uninitialized. */
+    explicit LineLease(std::size_t words);
+
+    LineLease(LineLease &&other) noexcept;
+    LineLease &operator=(LineLease &&other) noexcept;
+    ~LineLease();
+
+    std::uint64_t *data() const { return data_; }
+
+  private:
+    void release();
+
+    std::uint64_t *data_ = nullptr;
+    LineRegion *region_ = nullptr; //!< Non-null: data_ is a region slice.
+    std::unique_ptr<std::uint64_t[]> heap_;
+};
+
 /**
  * Functional set-associative cache.
  *
@@ -102,7 +134,28 @@ struct CacheConfig
 class Cache
 {
   public:
+    /** Move-only: the tag and stamp words are a LineLease. */
     explicit Cache(const CacheConfig &config);
+
+    /**
+     * Words of tag and stamp storage a cache of @p config takes:
+     * 2 x sets x ways, rounded up to a 64-byte line.
+     */
+    static std::size_t storageWords(const CacheConfig &config);
+
+    /**
+     * Make the calling thread's line-storage region at least @p words
+     * long.  Caches built afterwards on this thread take their tag and
+     * stamp arrays from the region while it has room, and hand them
+     * back when destroyed; the region is reused, not unmapped, so a
+     * thread that simulates many times faults its pages in once.  The
+     * region only grows while no cache holds storage from it (a
+     * reservation made while one does is a no-op), and it is an
+     * anonymous mapping outside the heap, unmapped at thread exit.
+     * Moves uarch.line_storage.grows and .bytes (the high-water of
+     * bytes reserved over all threads).
+     */
+    static void reserveStorage(std::size_t words);
 
     /**
      * Probe (and on miss, fill) the line containing @p address.
@@ -154,9 +207,6 @@ class Cache
 
     /** True when the line containing @p address is present (no fill). */
     bool contains(std::uint64_t address) const;
-
-    /** Invalidate all lines and zero statistics. */
-    void reset();
 
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t hits() const { return hits_; }
@@ -219,19 +269,24 @@ class Cache
     std::uint64_t set_mask_ = 0;
     std::uint32_t set_shift_ = 0;
 
+    /** Backing words of tags_ and stamps_ (see storageWords()). */
+    LineLease lines_;
+
     // Structure-of-arrays line metadata, num_sets * associativity
     // each, indexed set * associativity + way.
-    std::vector<std::uint64_t> tags_; //!< kInvalidTag when invalid.
+    std::uint64_t *tags_ = nullptr; //!< kInvalidTag when invalid.
 
     /**
      * LRU/FIFO ordering stamps.  Deliberately left uninitialized at
-     * construction (make_unique_for_overwrite): a stamp is only ever
-     * read by the LRU/FIFO victim scan, which runs when the set is
-     * full — and filling a way always writes its stamp first.  The
-     * big LLC arrays (4 MB for a 30 MB L3) are built fresh for every
-     * simulation, so skipping the zero pass is a measurable win.
+     * construction: a stamp is only ever read for a valid way — by the
+     * LRU/FIFO victim scan, which runs when the set is full, and by
+     * the auditor and the prewarm state digest — and filling a way
+     * always writes its stamp first.  The words usually come from the
+     * thread's reused line-storage region, so they hold whatever an
+     * earlier cache of any geometry left there; only the tags are
+     * filled on construction.
      */
-    std::unique_ptr<std::uint64_t[]> stamps_;
+    std::uint64_t *stamps_ = nullptr;
 
     std::vector<std::uint32_t> plru_; //!< Tree-PLRU state per set.
 

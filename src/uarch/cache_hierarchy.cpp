@@ -221,30 +221,5 @@ CacheHierarchy::retireUnusedPrefetches()
     }
 }
 
-void
-CacheHierarchy::reset()
-{
-    l1i_cache_.reset();
-    l1d_cache_.reset();
-    l2_cache_.reset();
-    if (l3_cache_)
-        l3_cache_->reset();
-    l1i_stats_ = SideCounters{};
-    l1d_stats_ = SideCounters{};
-    l2i_stats_ = SideCounters{};
-    l2d_stats_ = SideCounters{};
-    l3_stats_ = SideCounters{};
-    prefetch_fills_ = 0;
-    prefetch_useful_ = 0;
-    prefetch_evicted_unused_ = 0;
-    std::fill(l2_prefetch_bits_.begin(), l2_prefetch_bits_.end(),
-              static_cast<std::uint8_t>(0));
-    std::fill(stride_table_.begin(), stride_table_.end(), StrideEntry{});
-    stream_windows_.fill(StreamWindow{});
-    stream_next_ = 0;
-    if (dram_)
-        dram_->reset();
-}
-
 } // namespace uarch
 } // namespace speclens

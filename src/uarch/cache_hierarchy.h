@@ -288,9 +288,6 @@ class CacheHierarchy
         return dram_ ? dram_->budgetCycles() : 0;
     }
 
-    /** Invalidate everything and zero statistics. */
-    void reset();
-
   private:
     /** One slot of the stride prefetcher's PC-indexed table. */
     struct StrideEntry
@@ -369,7 +366,7 @@ class CacheHierarchy
      * set when a prefetch fills the slot, cleared when a demand access
      * consumes it (-> prefetch_useful_) or a later fill overwrites it
      * (-> prefetch_evicted_unused_).  Sized with the L2 and never
-     * reset mid-run, so the fills/useful/evicted identity in the file
+     * cleared mid-run, so the fills/useful/evicted identity in the file
      * comment is exact for any window.  Empty when the prefetcher is
      * off.
      */

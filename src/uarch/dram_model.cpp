@@ -5,7 +5,6 @@
 
 #include "dram_model.h"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -59,18 +58,6 @@ DramModel::DramModel(const DramConfig &config)
     config_.validate();
     open_row_.assign(config_.banks, 0);
     row_open_.assign(config_.banks, 0);
-}
-
-void
-DramModel::reset()
-{
-    std::fill(open_row_.begin(), open_row_.end(), 0ull);
-    std::fill(row_open_.begin(), row_open_.end(),
-              static_cast<std::uint8_t>(0));
-    accesses_ = 0;
-    row_hits_ = 0;
-    busy_cycles_ = 0;
-    budget_cycles_ = 0;
 }
 
 } // namespace uarch

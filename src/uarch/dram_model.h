@@ -105,9 +105,6 @@ class DramModel
         }
     }
 
-    /** Close every row and zero statistics. */
-    void reset();
-
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t rowHits() const { return row_hits_; }
     std::uint64_t busyCycles() const { return busy_cycles_; }

@@ -142,12 +142,33 @@ addDelta(PerfCounters &c, const Snapshot &start, const Snapshot &end)
     c.dram_budget_cycles += end.dram_budget - start.dram_budget;
 }
 
+/**
+ * Reserve the calling thread's line storage for every cache and TLB
+ * level of @p machine (see Cache::reserveStorage) and return
+ * @p machine, so Playback can do it before building its structures.
+ */
+const MachineConfig &
+reserveLineStorage(const MachineConfig &machine)
+{
+    std::size_t words = Cache::storageWords(machine.caches.l1i) +
+                        Cache::storageWords(machine.caches.l1d) +
+                        Cache::storageWords(machine.caches.l2) +
+                        Cache::storageWords(machine.tlbs.itlb.asCacheConfig()) +
+                        Cache::storageWords(machine.tlbs.dtlb.asCacheConfig());
+    if (machine.caches.l3)
+        words += Cache::storageWords(*machine.caches.l3);
+    if (machine.tlbs.l2tlb)
+        words += Cache::storageWords(machine.tlbs.l2tlb->asCacheConfig());
+    Cache::reserveStorage(words);
+    return machine;
+}
+
 /** One machine's structures plus the per-instruction playback loop. */
 class Playback
 {
   public:
     explicit Playback(const MachineConfig &machine)
-        : caches_(machine.caches),
+        : caches_(reserveLineStorage(machine).caches),
           tlbs_(machine.tlbs),
           predictor_(makePredictorVariant(machine.predictor,
                                           machine.predictor_size_log2))

@@ -49,16 +49,5 @@ TlbHierarchy::TlbHierarchy(const TlbHierarchyConfig &config)
         l2tlb_ = std::make_unique<Cache>(config.l2tlb->asCacheConfig());
 }
 
-void
-TlbHierarchy::reset()
-{
-    itlb_.reset();
-    dtlb_.reset();
-    if (l2tlb_)
-        l2tlb_->reset();
-    l2tlb_misses_ = 0;
-    page_walks_ = 0;
-}
-
 } // namespace uarch
 } // namespace speclens

@@ -147,9 +147,6 @@ class TlbHierarchy
     std::uint64_t l2tlbMisses() const { return l2tlb_misses_; }
     std::uint64_t pageWalks() const { return page_walks_; }
 
-    /** Invalidate all levels and zero statistics. */
-    void reset();
-
   private:
     /** Defined inline below; called once or twice per instruction. */
     TlbAccessResult accessCommon(Cache &l1, std::uint64_t address);

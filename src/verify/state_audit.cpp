@@ -457,7 +457,7 @@ StateAuditor::auditTlbs(const uarch::TlbHierarchy &tlbs,
 
     // Every path that counts a page walk counts a last-level TLB miss
     // in the same statement (accessCommon, prewarmFill*, the solver)
-    // and reset() zeroes both, so the counters move in lockstep.
+    // and both start at zero, so the counters move in lockstep.
     if (tlbs.page_walks_ != tlbs.l2tlb_misses_) {
         em.emit("walk-consistency", "",
                 std::to_string(tlbs.page_walks_) + " walks != " +

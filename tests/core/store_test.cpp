@@ -469,6 +469,73 @@ TEST(CampaignStore, CampaignAndRawKeysShareAddresses)
               a.fingerprint);
 }
 
+// A campaign hashes each benchmark's key prefix (tag, engine version,
+// window, profile) once and continues a copy per machine.  Over every
+// campaign pair that must give the fingerprint of hashing the whole
+// key afresh, and a store-backed campaign must save every pair under
+// the key storeKey() names.
+TEST(CampaignStore, PrefixKeysMatchFullKeysForEveryCampaignPair)
+{
+    const std::string dir = storeDir("prefix-keys");
+    core::ServiceConfig config;
+    config.characterization.instructions = 1'000;
+    config.characterization.warmup = 200;
+    config.store_dir = dir;
+    core::ServiceContext context(config);
+    const uarch::SimulationConfig window =
+        config.characterization.simulationConfig();
+
+    const std::vector<const std::vector<uarch::MachineConfig> *> sets = {
+        &context.profilingMachines(), &context.sensitivityMachines(),
+        &context.memoryMachines()};
+    std::size_t pairs = 0;
+    for (const auto *suite :
+         {&context.cpu2017(), &context.cpu2006(), &context.emerging()}) {
+        for (const suites::BenchmarkInfo &benchmark : *suite) {
+            const stats::Fingerprinter prefix =
+                core::pairKeyPrefix(benchmark.profile, window);
+            for (const auto *machines : sets) {
+                for (const uarch::MachineConfig &machine : *machines) {
+                    stats::Fingerprinter full;
+                    full.tag("speclens.pair");
+                    full.u64(core::kStoreEngineVersion);
+                    window.hashInto(full);
+                    benchmark.profile.hashInto(full);
+                    machine.hashInto(full);
+                    const core::StoreKey key = core::pairStoreKey(
+                        prefix, benchmark.profile, machine, window);
+                    EXPECT_EQ(key.fingerprint, full.value())
+                        << benchmark.profile.name << " on " << machine.name;
+                    EXPECT_EQ(key.fingerprint,
+                              core::makeStoreKey(benchmark.profile, machine,
+                                                 window)
+                                  .fingerprint);
+                    ++pairs;
+                }
+            }
+        }
+    }
+    EXPECT_GT(pairs, 1000u);
+
+    // The fill path's keys: every pair it saved loads by storeKey().
+    std::vector<suites::BenchmarkInfo> benchmarks(
+        context.cpu2017().begin(), context.cpu2017().begin() + 2);
+    core::Characterizer &characterizer =
+        context.characterizerFor(context.memoryMachines());
+    characterizer.prepare(benchmarks);
+    for (const suites::BenchmarkInfo &benchmark : benchmarks) {
+        for (std::size_t m = 0; m < characterizer.machines().size(); ++m) {
+            uarch::SimulationResult loaded;
+            ASSERT_EQ(context.store()->load(
+                          characterizer.storeKey(benchmark, m), loaded),
+                      core::StoreStatus::Hit);
+            EXPECT_TRUE(uarch::bitIdentical(
+                loaded, characterizer.simulation(benchmark, m)));
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
 // Phased results round-trip through their own entry kind, and a pair
 // load against a phased entry is rejected rather than misparsed.
 TEST(CampaignStore, PhasedRoundTripAndKindMismatch)

@@ -12,7 +12,9 @@
 #include <map>
 #include <set>
 
+#include "reference_generator.h"
 #include "suites/emerging.h"
+#include "suites/input_sets.h"
 #include "suites/spec2006.h"
 #include "suites/spec2017.h"
 #include "trace/address_stream.h"
@@ -499,6 +501,42 @@ TEST(TraceGeneratorTest, FillMatchesNextAcrossBatchBoundaries)
         produced += n;
     }
     EXPECT_EQ(produced, total);
+}
+
+TEST(TraceGeneratorTest, MatchesDoubleCompareReferenceOnEveryShippedProfile)
+{
+    // Integer-cut draws, resolved one draw ahead, must emit exactly
+    // the stream of the double-compare generator: every shipped model
+    // (CPU2017, CPU2006, emerging, both input-set groups), salts 0-3,
+    // over the pinned window's 150k + 40k records.
+    std::vector<suites::BenchmarkInfo> shipped = suites::spec2017();
+    for (const auto &b : suites::spec2006())
+        shipped.push_back(b);
+    for (const auto &b : suites::emergingBenchmarks())
+        shipped.push_back(b);
+    for (const auto &groups :
+         {suites::inputSetGroupsInt(), suites::inputSetGroupsFp()})
+        for (const auto &b : suites::flattenGroups(groups))
+            shipped.push_back(b);
+
+    constexpr int kRecords = 190'000;
+    for (const suites::BenchmarkInfo &benchmark : shipped) {
+        for (std::uint64_t salt = 0; salt < 4; ++salt) {
+            TraceGenerator generator(benchmark.profile, salt);
+            reference::ReferenceGenerator oracle(benchmark.profile, salt);
+            for (int i = 0; i < kRecords; ++i) {
+                const Instruction got = generator.next();
+                const Instruction want = oracle.next();
+                if (got.pc != want.pc || got.op != want.op ||
+                    got.address != want.address ||
+                    got.branch_id != want.branch_id ||
+                    got.taken != want.taken || got.kernel != want.kernel) {
+                    FAIL() << benchmark.profile.name << " salt " << salt
+                           << ": record " << i << " differs";
+                }
+            }
+        }
+    }
 }
 
 TEST(TraceGeneratorTest, InvalidProfileRejectedAtConstruction)

@@ -18,6 +18,9 @@ namespace speclens {
 namespace uarch {
 namespace {
 
+/** Integer cut of a fair coin (see stats::Rng::cut). */
+constexpr std::uint64_t kCoin = stats::Rng::cut(0.5);
+
 /** Misprediction rate of @p predictor on a generated stream. */
 template <typename NextOutcome>
 double
@@ -76,7 +79,7 @@ TEST_P(PredictorKindTest, RandomStreamIsHalfWrong)
     double rate = mispredictionRate(
         *predictor_,
         [&rng](int) {
-            return std::pair<std::uint32_t, bool>{3, rng.bernoulli(0.5)};
+            return std::pair<std::uint32_t, bool>{3, rng.drawBelow(kCoin)};
         },
         40000);
     EXPECT_NEAR(rate, 0.5, 0.05) << predictorKindName(GetParam());
@@ -171,7 +174,7 @@ TEST(PredictorDispatchTest, VariantMatchesVirtualInterfaceStepByStep)
                     // branches keeps every component table exercised.
                     bool taken = id % 3 == 0   ? true
                                  : id % 3 == 1 ? i % 2 == 0
-                                               : rng.bernoulli(0.5);
+                                               : rng.drawBelow(kCoin);
                     bool virtual_prediction = virt->predict(pc, id);
                     bool direct_prediction = concrete.predict(pc, id);
                     ASSERT_EQ(virtual_prediction, direct_prediction)
@@ -213,7 +216,7 @@ TEST(PredictorDispatchTest, BatchKernelMatchesScalarPairsBitExactly)
                         static_cast<std::uint32_t>(step) % 97;
                     bool taken = id % 3 == 0   ? true
                                  : id % 3 == 1 ? step % 2 == 0
-                                               : rng.bernoulli(0.5);
+                                               : rng.drawBelow(kCoin);
                     ++step;
                     return std::tuple{pc, id, taken};
                 };

@@ -44,6 +44,14 @@ TEST(CacheConfigTest, ValidationRejectsBadGeometry)
     c.associativity = 0;
     EXPECT_THROW(c.validate(), std::invalid_argument);
 
+    // A zero line size throws from the Cache constructor too, rather
+    // than dividing by zero while sizing the cache.
+    c = smallCache();
+    c.line_bytes = 0;
+    EXPECT_EQ(c.sets(), 0u);
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+    EXPECT_THROW(Cache{c}, std::invalid_argument);
+
     c = smallCache();
     c.size_bytes = 1000; // not divisible by way size
     EXPECT_THROW(c.validate(), std::invalid_argument);
@@ -127,13 +135,9 @@ TEST(CacheTest, WorkingSetBelowCapacityAlwaysHitsAfterWarmup)
 {
     CacheConfig config = smallCache(4); // 2 KiB
     Cache cache(config);
-    for (std::uint64_t addr = 0; addr < 2048; addr += 64)
-        cache.access(addr);
-    cache.reset();
-    // reset() cleared everything including stats.
     EXPECT_EQ(cache.accesses(), 0u);
     for (std::uint64_t addr = 0; addr < 2048; addr += 64)
-        cache.access(addr); // cold again
+        EXPECT_FALSE(cache.access(addr)); // cold
     for (int round = 0; round < 3; ++round)
         for (std::uint64_t addr = 0; addr < 2048; addr += 64)
             EXPECT_TRUE(cache.access(addr));
@@ -267,14 +271,21 @@ TEST(CacheHierarchyTest, TwoLevelMachineMirrorsL2MissesToL3Counters)
     EXPECT_EQ(hierarchy.l3().misses, 1u);
 }
 
-TEST(CacheHierarchyTest, ResetClearsEverything)
+TEST(CacheHierarchyTest, FreshHierarchyStartsEmpty)
 {
+    // A fresh hierarchy is empty whether its storage is new, reused
+    // after another hierarchy released it, or taken while another one
+    // still holds storage on this thread.
+    {
+        CacheHierarchy used{CacheHierarchyConfig{}};
+        used.accessData(0x1000);
+    }
+    CacheHierarchy held{CacheHierarchyConfig{}};
+    held.accessData(0x1000);
     CacheHierarchy hierarchy{CacheHierarchyConfig{}};
-    hierarchy.accessData(0x1000);
-    hierarchy.reset();
     EXPECT_EQ(hierarchy.l1d().accesses, 0u);
     EXPECT_EQ(hierarchy.l3().accesses, 0u);
-    // Previously cached line is gone.
+    // The line the other hierarchies cached is not present here.
     EXPECT_EQ(hierarchy.accessData(0x1000), ServiceLevel::Memory);
 }
 

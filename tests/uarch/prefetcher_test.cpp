@@ -159,13 +159,15 @@ TEST(PrefetcherTest, InstructionSideUnaffected)
     EXPECT_EQ(hierarchy.prefetchFills(), 0u);
 }
 
-TEST(PrefetcherTest, ResetClearsFillCount)
+TEST(PrefetcherTest, FreshHierarchyHasNoFills)
 {
-    CacheHierarchy hierarchy(smallHierarchy(2));
-    hierarchy.accessData(0x100000);
-    EXPECT_GT(hierarchy.prefetchFills(), 0u);
-    hierarchy.reset();
-    EXPECT_EQ(hierarchy.prefetchFills(), 0u);
+    CacheHierarchy used(smallHierarchy(2));
+    used.accessData(0x100000);
+    EXPECT_GT(used.prefetchFills(), 0u);
+    CacheHierarchy fresh(smallHierarchy(2));
+    EXPECT_EQ(fresh.prefetchFills(), 0u);
+    EXPECT_EQ(fresh.prefetchUseful(), 0u);
+    EXPECT_EQ(fresh.prefetchEvictedUnused(), 0u);
 }
 
 TEST(PrefetcherTest, HelpsStreamingBenchmarkEndToEnd)

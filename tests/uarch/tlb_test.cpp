@@ -111,11 +111,13 @@ TEST(TlbHierarchyTest, LargerPagesCoverMoreAddressSpace)
     EXPECT_LT(tlb8k.dtlbMisses(), tlb4k.dtlbMisses());
 }
 
-TEST(TlbHierarchyTest, ResetClearsState)
+TEST(TlbHierarchyTest, FreshHierarchyStartsEmpty)
 {
+    {
+        TlbHierarchy used{TlbHierarchyConfig{}};
+        used.accessData(0x1000);
+    }
     TlbHierarchy tlbs{TlbHierarchyConfig{}};
-    tlbs.accessData(0x1000);
-    tlbs.reset();
     EXPECT_EQ(tlbs.dtlbAccesses(), 0u);
     EXPECT_EQ(tlbs.pageWalks(), 0u);
     EXPECT_TRUE(tlbs.accessData(0x1000).page_walk);
