@@ -198,20 +198,7 @@ Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
         }
         published_.notify_all();
     };
-    if (pool_ && claimed.size() > 1) {
-        // One task per worker, each pulling pairs off one counter.
-        std::atomic<std::size_t> next{0};
-        auto worker = [&] {
-            for (std::size_t i = next++; i < claimed.size(); i = next++)
-                run(i);
-        };
-        const std::size_t tasks = std::min(pool_->size(), claimed.size());
-        for (std::size_t t = 0; t < tasks; ++t)
-            pool_->submit(worker);
-        pool_->wait();
-    } else if (!claimed.empty()) {
-        parallelFor(claimed.size(), jobs == 0 ? config_.jobs : jobs, run);
-    }
+    parallelFor(claimed.size(), jobs == 0 ? config_.jobs : jobs, run);
 
     if (!awaited.empty()) {
         std::unique_lock<std::mutex> lock(mutex_);

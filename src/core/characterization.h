@@ -11,9 +11,11 @@
  *
  * The pairs are mutually independent and independently seeded, so the
  * campaign is embarrassingly parallel: prepare() (used internally by
- * featureMatrix()) fans uncached pairs out across worker threads, and
- * the memo cache is safe to query from multiple threads concurrently.
- * Results are bit-identical for any job count.
+ * featureMatrix()) fans the pairs it claims out through parallelFor(),
+ * the calling thread running as worker zero beside at most jobs - 1
+ * helpers that are joined before it returns, and the memo cache is
+ * safe to query from multiple threads concurrently.  Results are
+ * bit-identical for any job count.
  */
 
 #ifndef SPECLENS_CORE_CHARACTERIZATION_H
@@ -39,8 +41,6 @@
 
 namespace speclens {
 namespace core {
-
-class ThreadPool;
 
 /** Measurement-campaign parameters. */
 struct CharacterizationConfig
@@ -118,21 +118,6 @@ class Characterizer
 
     /** The attached store; null when none. */
     CampaignStore *store() const { return store_.get(); }
-
-    /**
-     * Attach a shared worker pool.  prepare() then fans missing pairs
-     * out as pool tasks (one per worker, each pulling pairs from a
-     * shared counter) instead of spawning its own threads, so
-     * concurrent campaigns against one ServiceContext share a single
-     * bounded set of workers.  The pool must outlive this instance
-     * (the ServiceContext owns both).  Null detaches.
-     *
-     * Caveat: ThreadPool::wait() drains the whole queue, so a
-     * prepare() may also wait out tasks a concurrent prepare()
-     * submitted — a latency (never correctness) cost.  Must not be
-     * called from a task running on the same pool.
-     */
-    void setWorkerPool(ThreadPool *pool) { pool_ = pool; }
 
     /**
      * Number of actual simulations this instance ran (store hits and
@@ -287,7 +272,6 @@ class Characterizer
     std::vector<uarch::MachineConfig> machines_;
     CharacterizationConfig config_;
     std::shared_ptr<CampaignStore> store_;
-    ThreadPool *pool_ = nullptr;
     std::atomic<std::size_t> simulations_run_{0};
 
     /**

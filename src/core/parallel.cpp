@@ -7,6 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -60,6 +65,8 @@ void
 parallelFor(std::size_t count, std::size_t jobs,
             const std::function<void(std::size_t)> &body)
 {
+    if (count == 0)
+        return; // Nothing to fan out: no batch to record.
     std::size_t threads = std::min(resolveJobCount(jobs), count);
     const ParallelInstruments &instruments = ParallelInstruments::get();
     instruments.batches.add();
@@ -133,98 +140,6 @@ parallelFor(std::size_t count, std::size_t jobs,
 
     if (first_error)
         std::rethrow_exception(first_error);
-}
-
-ThreadPool::ThreadPool(std::size_t workers)
-{
-    std::size_t n = resolveJobCount(workers);
-    workers_.reserve(n);
-    for (std::size_t t = 0; t < n; ++t)
-        workers_.emplace_back([this]() { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        idle_.wait(lock, [this]() {
-            return queue_.empty() && running_ == 0;
-        });
-        stopping_ = true;
-    }
-    task_ready_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    QueuedTask item;
-    item.fn = std::move(task);
-    if constexpr (obs::kMetricsEnabled)
-        item.enqueued_ns = obs::nowNs();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(item));
-    }
-    task_ready_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        idle_.wait(lock, [this]() {
-            return queue_.empty() && running_ == 0;
-        });
-        error = first_error_;
-        first_error_ = nullptr;
-    }
-    if (error)
-        std::rethrow_exception(error);
-}
-
-void
-ThreadPool::workerLoop()
-{
-    static obs::Timing &queue_wait =
-        obs::Registry::global().timing("core.parallel.queue_wait");
-    static obs::Counter &pool_tasks =
-        obs::Registry::global().counter("core.parallel.pool_tasks");
-    for (;;) {
-        QueuedTask task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            task_ready_.wait(lock, [this]() {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // stopping_ and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++running_;
-        }
-        if constexpr (obs::kMetricsEnabled) {
-            queue_wait.record(obs::nowNs() - task.enqueued_ns);
-            pool_tasks.add();
-        }
-        try {
-            task.fn();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!first_error_)
-                first_error_ = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --running_;
-            if (queue_.empty() && running_ == 0)
-                idle_.notify_all();
-        }
-    }
 }
 
 } // namespace core

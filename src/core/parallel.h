@@ -5,19 +5,14 @@
  * The measurement campaigns this toolkit runs are embarrassingly
  * parallel: every (benchmark, machine) simulation is independent and
  * independently seeded, so work can be fanned out across threads with
- * no effect on results.  This header provides the two shapes the rest
- * of the code needs:
+ * no effect on results.  parallelFor() is the one fan-out engine: it
+ * runs a loop body over [0, count) on up to N threads, the calling
+ * thread participating as worker zero and its helpers joined before it
+ * returns, so concurrent fan-outs never wait on each other's work.
+ * Exceptions thrown by the body are captured and the first one is
+ * rethrown on the caller once all workers have drained.
  *
- *  - parallelFor(): run a loop body over [0, count) on up to N worker
- *    threads, with the calling thread participating.  Exceptions thrown
- *    by the body are captured and the first one is rethrown on the
- *    caller once all workers have drained.
- *
- *  - ThreadPool: a reusable fixed-size pool with submit()/wait()
- *    semantics for callers that issue many irregular task batches and
- *    want to amortise thread start-up.
- *
- * Determinism contract: neither utility imposes any ordering on task
+ * Determinism contract: parallelFor() imposes no ordering on task
  * execution, so callers must make each task independent (no shared
  * mutable state without synchronisation, no order-dependent RNG use).
  * All campaign code in SpecLens keys results by task identity rather
@@ -28,15 +23,8 @@
 #ifndef SPECLENS_CORE_PARALLEL_H
 #define SPECLENS_CORE_PARALLEL_H
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace speclens {
 namespace core {
@@ -67,59 +55,6 @@ std::size_t resolveJobCount(std::size_t jobs);
  */
 void parallelFor(std::size_t count, std::size_t jobs,
                  const std::function<void(std::size_t)> &body);
-
-/**
- * Fixed-size reusable worker pool.
- *
- * submit() enqueues a task; wait() blocks until every submitted task
- * has finished and rethrows the first exception any task raised (the
- * others are dropped).  The destructor drains the queue before
- * joining, so letting a pool die is equivalent to wait() minus the
- * rethrow.
- */
-class ThreadPool
-{
-  public:
-    /** @param workers Worker threads; 0 means defaultJobCount(). */
-    explicit ThreadPool(std::size_t workers = 0);
-
-    /** Drains outstanding tasks, then joins all workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Number of worker threads. */
-    std::size_t size() const { return workers_.size(); }
-
-    /** Enqueue @p task for execution on some worker. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until the queue is empty and no task is running, then
-     * rethrow the first exception captured since the last wait().
-     */
-    void wait();
-
-  private:
-    /** A submitted task plus when it entered the queue (metrics). */
-    struct QueuedTask
-    {
-        std::function<void()> fn;
-        std::uint64_t enqueued_ns = 0;
-    };
-
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<QueuedTask> queue_;
-    std::mutex mutex_;
-    std::condition_variable task_ready_;
-    std::condition_variable idle_;
-    std::size_t running_ = 0;
-    bool stopping_ = false;
-    std::exception_ptr first_error_;
-};
 
 } // namespace core
 } // namespace speclens

@@ -134,6 +134,8 @@ runTrajectory(const TrajectoryConfig &config)
         {
             ServiceContext cold(scfg);
             t0 = Clock::now();
+            // prepare()'s jobs holds on a context's characterizer as
+            // on any other: the store stages stay single-threaded too.
             cold.characterizerFor(machines).prepare(benchmarks,
                                                     /*jobs=*/1);
             out.store_cold_seconds = secondsSince(t0);

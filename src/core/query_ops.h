@@ -50,7 +50,7 @@ bool isSensitivityMetric(const std::string &name);
 /**
  * Characterize @p benchmarks (registry names) on the context's
  * profiling machines: one per-benchmark metric table, after fanning
- * all (benchmark, machine) simulations out through the shared pool.
+ * all (benchmark, machine) simulations out through parallelFor.
  * Rejects on the first unknown benchmark name.
  */
 QueryOutcome runCharacterizeQuery(ServiceContext &context,

@@ -127,11 +127,6 @@ ServiceContext::characterizerFor(
                                         config_.characterization);
     if (store_)
         characterizer->attachStore(store_);
-    if (!pool_) {
-        pool_ = std::make_unique<ThreadPool>(
-            resolveJobCount(config_.characterization.jobs));
-    }
-    characterizer->setWorkerPool(pool_.get());
     return *characterizers_.emplace(key, std::move(characterizer))
                 .first->second;
 }

@@ -1,16 +1,20 @@
 /**
  * @file
  * Process-lifetime analysis service state: immutable model registry,
- * shared artifact store, shared worker pool, Characterizer pool.
+ * shared artifact store, Characterizer pool.
  *
  * One ServiceContext serves a whole process — a batch CLI command
  * (every entry of one `speclens repro` run shares it), or every
  * request of the `speclens serve` daemon.  It
  * snapshots the shipped benchmark suites and machine sets into an
- * immutable registry, opens the CampaignStore once, owns one bounded
- * ThreadPool, and pools Characterizers keyed by machine set so every
- * request against the same machines shares one memo cache and one
- * in-flight dedup map.
+ * immutable registry, opens the CampaignStore once, and pools
+ * Characterizers keyed by machine set so every request against the
+ * same machines shares one memo cache and one in-flight dedup map.
+ * The context owns no threads: each campaign fans its own claimed
+ * pairs out through parallelFor() on the calling thread plus at most
+ * jobs - 1 helpers, joined before the campaign returns, so concurrent
+ * campaigns never wait on each other's pairs (only on a pair both
+ * asked for, which runs once).
  *
  * The Characterizer memo is the process's one in-memory result cache
  * (the store keeps none).  For the daemon its key space is closed:
@@ -48,7 +52,6 @@
 
 #include "core/artifact_store.h"
 #include "core/characterization.h"
-#include "core/parallel.h"
 #include "suites/benchmark_info.h"
 #include "suites/machines.h"
 #include "uarch/machine.h"
@@ -144,7 +147,7 @@ class ServiceContext
 
     /**
      * The pooled Characterizer for @p machines, created (with the
-     * store attached and the shared worker pool wired) on first use
+     * store attached) on first use
      * and keyed by the machine-set fingerprint, so concurrent requests
      * over the same machines share one memo cache and one in-flight
      * dedup map.  The reference stays valid for the context lifetime.
@@ -206,7 +209,6 @@ class ServiceContext
     std::shared_ptr<CampaignStore> store_;
 
     mutable std::mutex mutex_;
-    std::unique_ptr<ThreadPool> pool_;
     std::map<std::uint64_t, std::unique_ptr<Characterizer>>
         characterizers_;
     std::string config_fingerprint_;

@@ -68,8 +68,9 @@ Linter::run(const LintContext &context) const
 {
     LintReport report;
     const StoreSnapshot store(context);
+    const DeepCampaign deep(context);
     for (const std::unique_ptr<Rule> &rule : rules_) {
-        rule->run(context, store, report.diagnostics);
+        rule->run(context, store, deep, report.diagnostics);
         ++report.rules_run;
     }
     return report;

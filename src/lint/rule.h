@@ -7,17 +7,21 @@
  * groups and the synthetic score database.  Holding the data by value
  * lets tests corrupt a single field of a copy and assert that exactly
  * one rule fires with exactly its diagnostic code.  A StoreSnapshot
- * holds the context's artifact store, read once per lint run.
+ * holds the context's artifact store, read once per lint run, and a
+ * DeepCampaign its simulation-backed measurement, run once per lint
+ * run.
  */
 
 #ifndef SPECLENS_LINT_RULE_H
 #define SPECLENS_LINT_RULE_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/artifact_store.h"
+#include "core/characterization.h"
 #include "lint/diagnostics.h"
 #include "obs/json.h"
 #include "suites/benchmark_info.h"
@@ -47,8 +51,9 @@ struct LintContext
      * When true, simulation-backed checks run too: each CPU2017
      * benchmark is measured on the simulated Skylake and its derived
      * metrics are checked against the Table I/II envelopes.  Slower
-     * (43 short simulations) but catches calibration drift that no
-     * purely structural check can see.
+     * (43 short simulations, one DeepCampaign shared by SL015 and
+     * SL017) but catches calibration drift that no purely structural
+     * check can see.
      */
     bool deep = false;
 
@@ -137,6 +142,20 @@ struct StoreSnapshot
     std::vector<uarch::MachineConfig> machines;
 };
 
+/**
+ * The deep checks' measurement: every CPU2017 benchmark of the context
+ * on the simulated Skylake at the context's window, simulated once per
+ * lint run.  Linter::run builds one and both deep rules (SL015, SL017)
+ * read it.  Without LintContext::deep nothing is measured.
+ */
+struct DeepCampaign
+{
+    explicit DeepCampaign(const LintContext &context);
+
+    /** Null unless deep; else every CPU2017 pair is cached. */
+    std::unique_ptr<core::Characterizer> skylake;
+};
+
 /** One verification rule. */
 class Rule
 {
@@ -152,8 +171,12 @@ class Rule
     /** One-line description of what the rule verifies. */
     virtual std::string description() const = 0;
 
-    /** Append findings for @p context (its store: @p store) to @p out. */
+    /**
+     * Append findings for @p context (its store: @p store; its deep
+     * measurement: @p deep) to @p out.
+     */
     virtual void run(const LintContext &context, const StoreSnapshot &store,
+                     const DeepCampaign &deep,
                      std::vector<Diagnostic> &out) const = 0;
 };
 

@@ -174,7 +174,7 @@ class WorkloadFamilyRule final : public FamilyRule
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         for (const suites::BenchmarkInfo *b : context.allBenchmarks()) {
             std::vector<verify::Violation> found =
@@ -201,7 +201,7 @@ class MachineFamilyRule final : public FamilyRule
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         std::set<std::string> short_names;
         for (const uarch::MachineConfig &m : context.machines) {
@@ -231,7 +231,7 @@ class TransformRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         for (const uarch::MachineConfig &m : context.machines) {
             const std::string loc =
@@ -297,7 +297,7 @@ class CrossReferenceRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         // Name uniqueness across all databases: analyses key caches
         // and feature rows by name.
@@ -400,7 +400,7 @@ class InputSetRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         for (const suites::InputSetGroup &group :
              context.input_groups) {
@@ -458,7 +458,7 @@ class ScoreDatabaseRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         const suites::Category categories[] = {
             suites::Category::SpeedInt, suites::Category::RateInt,
@@ -514,6 +514,7 @@ class PaperBoundsRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
+        const DeepCampaign &deep,
         std::vector<Diagnostic> &out) const override
     {
         for (const suites::BenchmarkInfo &b : context.cpu2017) {
@@ -555,30 +556,22 @@ class PaperBoundsRule final : public RuleBase
                  "(deep checks disabled)");
             return;
         }
-        deepChecks(context, out);
+        deepChecks(context, *deep.skylake, out);
     }
 
   private:
     void
     deepChecks(const LintContext &context,
+               core::Characterizer &skylake,
                std::vector<Diagnostic> &out) const
     {
-        // Measure every CPU2017 benchmark on the simulated Skylake
-        // and hold the derived metrics against the Table II envelope,
-        // widened for short-window noise.  A benchmark escaping these
-        // bounds means its preset drifted out of calibration even
-        // though every structural check passes.
-        core::CharacterizationConfig config;
-        config.instructions = context.instructions;
-        config.warmup = context.warmup;
-        config.jobs = context.jobs;
-        core::Characterizer characterizer(
-            {suites::skylakeMachine()}, config);
-        characterizer.prepare(context.cpu2017);
-
+        // Hold every CPU2017 benchmark's derived metrics on the
+        // simulated Skylake against the Table II envelope, widened for
+        // short-window noise.  A benchmark escaping these bounds means
+        // its preset drifted out of calibration even though every
+        // structural check passes.
         for (const suites::BenchmarkInfo &b : context.cpu2017) {
-            const uarch::SimulationResult &sim =
-                characterizer.simulation(b, 0);
+            const uarch::SimulationResult &sim = skylake.simulation(b, 0);
             core::MetricVector mv = core::extractMetrics(sim);
             const std::string loc = b.name + "@skylake";
 
@@ -666,7 +659,7 @@ class StoreIntegrityRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "store", "store integrity"))
             return;
@@ -754,6 +747,7 @@ class DegenerateFeaturesRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
+        const DeepCampaign &deep,
         std::vector<Diagnostic> &out) const override
     {
         if (!context.deep) {
@@ -769,15 +763,9 @@ class DegenerateFeaturesRule final : public RuleBase
         // but a feature that never varies across 20 benchmarks means
         // the underlying counter model is dead, so it must be
         // surfaced, never silent (that silence was a real bug).
-        core::CharacterizationConfig config;
-        config.instructions = context.instructions;
-        config.warmup = context.warmup;
-        config.jobs = context.jobs;
-        core::Characterizer characterizer({suites::skylakeMachine()},
-                                          config);
         stats::Matrix features =
-            characterizer.featureMatrix(context.cpu2017);
-        std::vector<std::string> names = characterizer.featureNames();
+            deep.skylake->featureMatrix(context.cpu2017);
+        std::vector<std::string> names = deep.skylake->featureNames();
 
         stats::NormalizeReport report;
         // Label the columns up front so a degenerate one is reported
@@ -852,7 +840,7 @@ class StoreResultAuditRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "store", "store result audit"))
             return;
@@ -919,7 +907,7 @@ class StoreMetricRangeRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "store",
                                 "store metric-range check"))
@@ -984,7 +972,7 @@ class MemoryMetricRangeRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "store",
                                 "memory metric-range check"))
@@ -1088,7 +1076,7 @@ class BenchSchemaRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (context.bench_dir.empty()) {
             emit(out, Severity::Info, "bench",
@@ -1224,7 +1212,7 @@ class BenchTrajectoryRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (context.bench_dir.empty()) {
             emit(out, Severity::Info, "bench",
@@ -1288,7 +1276,7 @@ class ManifestSchemaRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "manifest", "manifest checks"))
             return;
@@ -1326,7 +1314,7 @@ class ManifestStoreRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "manifest",
                                 "manifest cross-check"))
@@ -1381,7 +1369,7 @@ class StorePhasedConsistencyRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "store",
                                 "phased-consistency check"))
@@ -1446,7 +1434,7 @@ class StoreShardLayoutRule final : public RuleBase
 
     void
     run(const LintContext &context, const StoreSnapshot &store,
-        std::vector<Diagnostic> &out) const override
+        const DeepCampaign &, std::vector<Diagnostic> &out) const override
     {
         if (skippedWithoutStore(context, out, "store", "shard-layout check"))
             return;
@@ -1476,6 +1464,19 @@ class StoreShardLayoutRule final : public RuleBase
 };
 
 } // namespace
+
+DeepCampaign::DeepCampaign(const LintContext &context)
+{
+    if (!context.deep)
+        return;
+    core::CharacterizationConfig config;
+    config.instructions = context.instructions;
+    config.warmup = context.warmup;
+    config.jobs = context.jobs;
+    skylake = std::make_unique<core::Characterizer>(
+        std::vector<uarch::MachineConfig>{suites::skylakeMachine()}, config);
+    skylake->prepare(context.cpu2017);
+}
 
 StoreSnapshot::StoreSnapshot(const LintContext &context)
 {

@@ -4,7 +4,7 @@
  *
  * A measurement campaign should be able to explain itself: where
  * wall-time went (simulate vs. store I/O vs. PCA/clustering), how well
- * the thread pool was utilized, and why the artifact store rejected
+ * the fan-out threads were utilized, and why the artifact store rejected
  * entries.  This header is the single instrumentation substrate the
  * rest of SpecLens records into — the same measurement-first
  * discipline the paper applies to hardware, turned on the toolkit

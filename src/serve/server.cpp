@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -116,6 +117,7 @@ Server::serveForever()
             // EINVAL/EBADF after requestDrain() shut the socket down.
             break;
         }
+        reapFinishedHandlers();
         std::lock_guard<std::mutex> lock(mutex_);
         open_fds_[fd] = true;
         handlers_.emplace_back(
@@ -134,6 +136,28 @@ Server::serveForever()
         handlers.swap(handlers_);
     }
     for (std::thread &handler : handlers)
+        handler.join();
+}
+
+void
+Server::reapFinishedHandlers()
+{
+    // A finished handler has only its fd to close left to do, so the
+    // joins below are short; joining keeps each one's stack from
+    // outliving its connection.
+    std::vector<std::thread> finished;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (std::thread::id id : finished_) {
+            auto it = std::find_if(
+                handlers_.begin(), handlers_.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            finished.push_back(std::move(*it));
+            handlers_.erase(it);
+        }
+        finished_.clear();
+    }
+    for (std::thread &handler : finished)
         handler.join();
 }
 
@@ -239,6 +263,7 @@ Server::handleConnection(int fd)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         open_fds_.erase(fd);
+        finished_.push_back(std::this_thread::get_id());
     }
     closeFd(fd);
 }

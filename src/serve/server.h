@@ -3,11 +3,15 @@
  * The speclens serve daemon: a loopback TCP server answering analysis
  * queries over the length-prefixed JSON protocol (protocol.h).
  *
- * Architecture: one blocking accept loop, one detached-by-join thread
- * per connection, all requests dispatched against a single shared
+ * Architecture: one blocking accept loop, one handler thread per
+ * connection, all requests dispatched against a single shared
  * ServiceContext — so every query shares the immutable model registry,
- * the artifact store, the worker pool and the per-machine-set
- * Characterizers, whose memo is the one in-memory result cache.  Two
+ * the artifact store and the per-machine-set Characterizers, whose
+ * memo is the one in-memory result cache.  A handler that finishes is
+ * joined on the next accept (the rest at drain), so a long-lived
+ * daemon holds threads only for its open connections.  A request's
+ * simulations fan out on its handler thread plus at most jobs - 1
+ * helpers, joined before the request answers.  Two
  * concurrent requests that need the same (benchmark, machine) cell
  * share one simulation through the Characterizer's in-flight dedup
  * map; a warm store makes a query run zero simulations.
@@ -119,6 +123,9 @@ class Server
   private:
     void handleConnection(int fd);
 
+    /** Join (and forget) every handler that has finished serving. */
+    void reapFinishedHandlers();
+
     ServerConfig config_;
     std::shared_ptr<core::ServiceContext> context_;
 
@@ -126,8 +133,9 @@ class Server
     std::uint16_t port_ = 0;
     std::atomic<bool> draining_{false};
 
-    std::mutex mutex_; //!< Guards handlers_ and open_fds_.
+    std::mutex mutex_; //!< Guards handlers_, finished_ and open_fds_.
     std::vector<std::thread> handlers_;
+    std::vector<std::thread::id> finished_; //!< Handlers done, unjoined.
     std::map<int, bool> open_fds_; //!< fd -> still serving.
 
     std::atomic<std::size_t> requests_{0};

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the parallel simulation engine: the parallelFor/ThreadPool
- * utilities, bit-identical campaign results for any job count, and
- * thread safety of the Characterizer memo cache.
+ * Tests for the parallel simulation engine: parallelFor, bit-identical
+ * campaign results for any job count, thread safety of the
+ * Characterizer memo cache, and independence of concurrent campaigns.
  *
  * These tests carry the ctest label `parallel` so tier-1 verification
  * can run them under ThreadSanitizer:
@@ -22,6 +22,7 @@
 #include "core/artifact_store.h"
 #include "core/characterization.h"
 #include "core/parallel.h"
+#include "core/service_context.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
 
@@ -67,33 +68,6 @@ TEST(ParallelForTest, PropagatesBodyException)
                             throw std::runtime_error("body failed");
                     }),
         std::runtime_error);
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasksAndIsReusable)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    std::atomic<int> done{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&done]() {
-                done.fetch_add(1, std::memory_order_relaxed);
-            });
-        pool.wait();
-        EXPECT_EQ(done.load(), (batch + 1) * 50);
-    }
-}
-
-TEST(ThreadPoolTest, WaitRethrowsFirstTaskException)
-{
-    ThreadPool pool(2);
-    pool.submit([]() { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is consumed; the pool keeps working.
-    std::atomic<int> done{0};
-    pool.submit([&done]() { ++done; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 1);
 }
 
 /** Small campaign: first benchmarks of CPU2017 on all 7 machines. */
@@ -267,7 +241,7 @@ runTogether(A a, B b)
 }
 
 // Two callers preparing overlapping pair sets at once run each distinct
-// pair exactly once, on prepare()'s own threads and on a shared pool.
+// pair exactly once.
 TEST(MemoProtocolTest, OverlappingPreparesRunEachPairOnce)
 {
     std::vector<suites::BenchmarkInfo> suite = smallSuite(4);
@@ -275,26 +249,47 @@ TEST(MemoProtocolTest, OverlappingPreparesRunEachPairOnce)
                                                    suite.begin() + 3);
     const std::vector<suites::BenchmarkInfo> back(suite.begin() + 1,
                                                   suite.end());
-    ThreadPool pool(3);
-    for (ThreadPool *shared :
-         {static_cast<ThreadPool *>(nullptr), &pool}) {
-        Characterizer characterizer(suites::profilingMachines(),
-                                    smallConfig(3));
-        characterizer.setWorkerPool(shared);
-        runTogether([&]() { characterizer.prepare(front); },
-                    [&]() { characterizer.prepare(back); });
-        const std::size_t pairs =
-            suite.size() * characterizer.machines().size();
-        EXPECT_EQ(characterizer.simulationsRun(), pairs)
-            << (shared ? "pool" : "own threads");
-        EXPECT_EQ(characterizer.cachedMeasurements(), pairs);
+    Characterizer characterizer(suites::profilingMachines(),
+                                smallConfig(3));
+    runTogether([&]() { characterizer.prepare(front); },
+                [&]() { characterizer.prepare(back); });
+    const std::size_t pairs =
+        suite.size() * characterizer.machines().size();
+    EXPECT_EQ(characterizer.simulationsRun(), pairs);
+    EXPECT_EQ(characterizer.cachedMeasurements(), pairs);
 
-        // Everything is memoised now: another overlapping round runs
-        // nothing.
-        runTogether([&]() { characterizer.prepare(back); },
-                    [&]() { characterizer.prepare(front); });
-        EXPECT_EQ(characterizer.simulationsRun(), pairs);
-    }
+    // Everything is memoised now: another overlapping round runs
+    // nothing.
+    runTogether([&]() { characterizer.prepare(back); },
+                [&]() { characterizer.prepare(front); });
+    EXPECT_EQ(characterizer.simulationsRun(), pairs);
+}
+
+// Campaigns on one context share no work queue: a small campaign
+// started while a large one is running returns once its own pairs are
+// done, long before the large one finishes.
+TEST(MemoProtocolTest, ConcurrentCampaignsOnOneContextDoNotWaitOnEachOther)
+{
+    ServiceConfig config;
+    config.characterization.instructions = 20'000;
+    config.characterization.warmup = 5'000;
+    config.characterization.jobs = 2;
+    ServiceContext context(config);
+    Characterizer &big = context.characterizerFor(context.profilingMachines());
+    Characterizer &small = context.characterizerFor(context.memoryMachines());
+    const std::size_t big_pairs =
+        context.cpu2017().size() * big.machines().size();
+
+    std::thread campaign([&]() { big.prepare(context.cpu2017()); });
+    while (big.simulationsRun() == 0)
+        std::this_thread::yield();
+    small.prepare({context.cpu2017().front()});
+    const std::size_t big_done = big.simulationsRun();
+    campaign.join();
+
+    EXPECT_EQ(small.simulationsRun(), small.machines().size());
+    EXPECT_LT(big_done, big_pairs);
+    EXPECT_EQ(big.simulationsRun(), big_pairs);
 }
 
 // A pair whose measurement throws fails every caller that asked for it,

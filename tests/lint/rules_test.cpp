@@ -23,6 +23,7 @@
 #include "lint/linter.h"
 #include "lint/rules.h"
 #include "obs/manifest.h"
+#include "obs/metrics.h"
 #include "stats/fingerprint.h"
 #include "suites/machines.h"
 #include "trace/phased_workload.h"
@@ -48,7 +49,8 @@ runRule(const std::string &code, const LintContext &context)
 {
     std::vector<Diagnostic> out;
     const StoreSnapshot store(context);
-    ruleByCode(code)->run(context, store, out);
+    const DeepCampaign deep(context);
+    ruleByCode(code)->run(context, store, deep, out);
     return out;
 }
 
@@ -361,6 +363,23 @@ TEST(Rules, SL017_IdenticalWorkloadsDegenerateEveryColumn)
     EXPECT_TRUE(summary_seen);
     // Every column warned: warnings == N in "0 of N".
     EXPECT_EQ(warnings, found.size() - 1);
+}
+
+// SL015 and SL017 read one DeepCampaign: a deep lint run simulates each
+// CPU2017 benchmark on Skylake once, not once per deep rule.
+TEST(Rules, DeepRunSimulatesEachCpu2017BenchmarkOnce)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "metrics compiled out";
+    obs::Counter &simulations = obs::Registry::global().counter(
+        "core.characterize.simulations");
+    LintContext context = cleanContext();
+    context.deep = true;
+    context.instructions = 3'000;
+    context.warmup = 800;
+    const std::uint64_t before = simulations.value();
+    (void)Linter().run(context);
+    EXPECT_EQ(simulations.value() - before, context.cpu2017.size());
 }
 
 // ---------------------------------------------------------------------

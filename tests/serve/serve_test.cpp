@@ -10,7 +10,8 @@
  * fingerprint does not depend on the first query, the wire protocol
  * round-trips hostile strings, daemon responses are byte-identical to
  * direct query-op rendering, a warm store answers queries with zero
- * simulations, and a graceful drain drops nothing.
+ * simulations, a graceful drain drops nothing, and finished
+ * connections release their handler threads.
  */
 
 #include <gtest/gtest.h>
@@ -87,6 +88,18 @@ shardedPath(const std::string &dir, const core::StoreKey &key)
            core::storeShardDirName(
                core::storeShardIndex(key.fingerprint)) +
            "/" + stats::hex16(key.fingerprint) + core::kStoreEntrySuffix;
+}
+
+/** This process's virtual size in kB (/proc/self/status); 0 if unknown. */
+std::size_t
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoul(line.substr(7));
+    return 0;
 }
 
 /** Start @p server's accept loop on a background thread. */
@@ -564,4 +577,50 @@ TEST(Serve, ShutdownOpDrainsGracefullyWithIdleConnections)
     // The drained server no longer accepts.
     serve::Client late;
     EXPECT_FALSE(late.connect("127.0.0.1", server.port(), &error));
+}
+
+// A finished connection's handler thread is joined while the daemon
+// keeps serving, so its stack (~8 MiB of address space) does not
+// outlive the connection: 200 short connections leave the virtual size
+// flat.
+TEST(Serve, FinishedConnectionsReleaseTheirHandlerThreads)
+{
+    serve::ServerConfig config;
+    config.service = tinyServiceConfig();
+    serve::Server server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::thread accept_thread = serveOnThread(server);
+
+    auto ask = [&](serve::Client &client) {
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
+            << error;
+        serve::Request request;
+        request.op = serve::Op::Stats;
+        serve::Response response;
+        ASSERT_TRUE(client.call(request, &response, &error)) << error;
+        EXPECT_TRUE(response.ok);
+    };
+    // Warm-up: eight handlers alive at once give the allocator its
+    // per-thread arenas (64 MB of address space each) up front, so the
+    // measured phase, which overlaps at most a few handlers, adds none.
+    {
+        std::vector<serve::Client> concurrent(8);
+        for (serve::Client &client : concurrent)
+            ask(client);
+    }
+    const std::size_t before_kb = vmSizeKb();
+    ASSERT_GT(before_kb, 0u);
+    for (int i = 0; i < 200; ++i) {
+        serve::Client client;
+        ask(client);
+    }
+    const std::size_t after_kb = vmSizeKb();
+
+    server.requestDrain();
+    accept_thread.join();
+    EXPECT_EQ(server.stats().requests, 208u);
+    EXPECT_LT(after_kb, before_kb + 64 * 1024)
+        << "VmSize grew from " << before_kb << " kB to " << after_kb
+        << " kB over 200 connections";
 }

@@ -1142,7 +1142,8 @@ auditBenchmarks()
 /**
  * Fingerprint of the full audit campaign run at @p jobs workers.
  * Results are memoised per Characterizer, so each call simulates the
- * whole campaign afresh under its own thread pool.
+ * whole campaign afresh on a fresh Characterizer, through the same
+ * parallelFor fan-out a ServiceContext's characterizers use.
  */
 std::uint64_t
 campaignFingerprint(const std::vector<suites::BenchmarkInfo> &benchmarks,
