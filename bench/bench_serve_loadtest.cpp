@@ -10,9 +10,8 @@
  *    counts and the cross-client parity verdict.  Byte-identical
  *    across runs with the same flags.
  *  - stderr: timing — p50/p99 latency, throughput, hit rates.
- *  - --out FILE: the timing numbers as a small JSON artifact.  The
- *    file must NOT be named like a BENCH_<pr>.json trajectory (that
- *    schema is linted); the default name is serve_loadtest.json.
+ *  - --out FILE: the timing numbers as a small JSON artifact; the
+ *    default name is serve_loadtest.json.
  *
  * Exit status is non-zero when any response fails or when two clients
  * receive different bytes for the same query — the daemon must be a

@@ -71,12 +71,6 @@ struct LintContext
      */
     std::string store_dir;
 
-    /**
-     * Directory holding committed BENCH_<pr>.json trajectory artifacts
-     * for the SL020/SL021 trajectory rules; empty skips them.
-     */
-    std::string bench_dir;
-
     /** All benchmarks of all databases, 2017 first. */
     std::vector<const suites::BenchmarkInfo *> allBenchmarks() const;
 };

@@ -14,15 +14,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <map>
-#include <optional>
 #include <set>
 #include <stdexcept>
 
 #include "core/artifact_store.h"
 #include "core/characterization.h"
-#include "core/perf_trajectory.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "stats/normalize.h"
@@ -791,21 +788,12 @@ class DegenerateFeaturesRule final : public RuleBase
 
 // ====================================================================
 // Artifact-lint family (SL018-SL026): structural re-audit of on-disk
-// artifacts — store entries, BENCH_<pr>.json trajectory files and the
-// run manifest.  These rules read what past runs persisted (the store
-// through the run's StoreSnapshot) and hold it against the same
-// invariants the live simulator satisfies, so silent corruption (bad
-// serialization, hand edits, drifted constants) cannot survive a lint
-// pass.
+// artifacts — store entries and the run manifest.  These rules read
+// what past runs persisted (through the run's StoreSnapshot) and hold
+// it against the same invariants the live simulator satisfies, so
+// silent corruption (bad serialization, hand edits, drifted constants)
+// cannot survive a lint pass.  SL020 and SL021 are retired codes.
 // ====================================================================
-
-bool
-nearRel(double a, double b, double rel)
-{
-    double scale = std::max(std::abs(a), std::abs(b));
-    return std::isfinite(a) && std::isfinite(b) &&
-           std::abs(a - b) <= rel * std::max(scale, 1.0);
-}
 
 /**
  * Call @p visit(window) for every stored window of @p store: a pair
@@ -1008,257 +996,6 @@ class MemoryMetricRangeRule final : public RuleBase
              std::to_string(checked) +
                  " entries memory-metric-checked in " +
                  context.store_dir);
-    }
-};
-
-/** One BENCH_<pr>.json artifact, parsed. */
-struct BenchArtifact
-{
-    std::string filename;
-    bool readable = false;
-    std::optional<obs::JsonValue> doc; //!< Null when not valid JSON.
-    std::uint64_t pr = 0; //!< From the file name.
-    int version = 0;      //!< 1, 2 or 3; 0 when the schema is foreign.
-};
-
-/** Collect BENCH_<pr>.json artifacts under @p dir, name-sorted. */
-std::vector<BenchArtifact>
-collectBenchArtifacts(const std::string &dir)
-{
-    std::vector<BenchArtifact> artifacts;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.size() <= 11 || name.compare(0, 6, "BENCH_") != 0 ||
-            name.compare(name.size() - 5, 5, ".json") != 0)
-            continue;
-        const std::string digits = name.substr(6, name.size() - 11);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") !=
-                std::string::npos)
-            continue;
-        BenchArtifact artifact;
-        artifact.filename = name;
-        artifact.pr = std::stoull(digits);
-        obs::JsonFile file = obs::readJsonFile(entry.path().string());
-        artifact.readable = file.bytes > 0;
-        artifact.doc = std::move(file.doc);
-        std::string schema;
-        if (artifact.doc && artifact.doc->string("schema", schema)) {
-            if (schema == "speclens-bench-trajectory-v1")
-                artifact.version = 1;
-            else if (schema == "speclens-bench-trajectory-v2")
-                artifact.version = 2;
-            else if (schema == "speclens-bench-trajectory-v3")
-                artifact.version = 3;
-        }
-        artifacts.push_back(std::move(artifact));
-    }
-    std::sort(artifacts.begin(), artifacts.end(),
-              [](const BenchArtifact &a, const BenchArtifact &b) {
-                  return a.pr < b.pr;
-              });
-    return artifacts;
-}
-
-class BenchSchemaRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL020"; }
-    std::string name() const override { return "bench-schema"; }
-    std::string
-    description() const override
-    {
-        return "each BENCH_<pr>.json trajectory artifact is "
-               "well-formed and internally consistent";
-    }
-
-    void
-    run(const LintContext &context, const StoreSnapshot &,
-        const DeepCampaign &, std::vector<Diagnostic> &out) const override
-    {
-        if (context.bench_dir.empty()) {
-            emit(out, Severity::Info, "bench",
-                 "trajectory-artifact checks skipped (no --bench "
-                 "directory given)");
-            return;
-        }
-        std::vector<BenchArtifact> artifacts =
-            collectBenchArtifacts(context.bench_dir);
-        if (artifacts.empty()) {
-            emit(out, Severity::Info, "bench",
-                 "no BENCH_<pr>.json artifacts under " +
-                     context.bench_dir);
-            return;
-        }
-        for (const BenchArtifact &a : artifacts)
-            checkArtifact(a, out);
-        emit(out, Severity::Info, "bench",
-             std::to_string(artifacts.size()) +
-                 " trajectory artifacts checked in " +
-                 context.bench_dir);
-    }
-
-  private:
-    void
-    checkArtifact(const BenchArtifact &a,
-                  std::vector<Diagnostic> &out) const
-    {
-        const std::string loc = "bench/" + a.filename;
-        if (!a.readable) {
-            error(out, loc, "artifact is unreadable or empty");
-            return;
-        }
-        if (!a.doc) {
-            error(out, loc, "artifact is not well-formed JSON",
-                  "regenerate it with `speclens bench trajectory "
-                  "--pr N`");
-            return;
-        }
-        const obs::JsonValue &doc = *a.doc;
-        if (a.version == 0) {
-            std::string schema;
-            doc.string("schema", schema);
-            error(out, loc,
-                  "unknown trajectory schema '" + schema + "'",
-                  "expected speclens-bench-trajectory-v1, -v2 or -v3");
-            return;
-        }
-        std::uint64_t pr = 0;
-        if (!doc.u64("pr", pr) || pr != a.pr)
-            error(out, loc,
-                  "embedded pr number does not match the file name",
-                  "trajectory files must be named BENCH_<pr>.json");
-
-        if (!doc.find("campaign")) {
-            error(out, loc, "missing campaign section");
-            return;
-        }
-        double simulations = 0.0, per_sim = 0.0, total = 0.0;
-        if (doc.number("campaign.simulations", simulations) &&
-            doc.number("campaign.records_per_simulation", per_sim) &&
-            doc.number("campaign.records_total", total)) {
-            if (total != simulations * per_sim)
-                error(out, loc,
-                      "records_total != simulations * "
-                      "records_per_simulation");
-        } else {
-            error(out, loc, "campaign volume fields missing");
-        }
-        if (!doc.hex16("campaign.fingerprint"))
-            error(out, loc,
-                  "campaign fingerprint is not a 16-hex digest");
-        double fused = 0.0;
-        if (!doc.number("campaign.fused_seconds", fused) || !(fused > 0.0))
-            error(out, loc, "campaign timing missing or non-positive");
-        // A checked store stage must be a zero-simulation exact replay.
-        bool checked = false, identical = false;
-        double warm_runs = -1.0;
-        if (doc.boolean("store.checked", checked) && checked &&
-            !(doc.boolean("store.warm_bit_identical", identical) &&
-              identical &&
-              doc.number("store.warm_simulations_run", warm_runs) &&
-              warm_runs == 0.0))
-            error(out, loc,
-                  "warm-store rerun is not a bit-identical "
-                  "zero-simulation replay",
-                  "never commit such a run");
-        if (a.version >= 2)
-            checkSeedBaseline(doc, loc, out);
-    }
-
-    void
-    checkSeedBaseline(const obs::JsonValue &doc, const std::string &loc,
-                      std::vector<Diagnostic> &out) const
-    {
-        if (!doc.find("seed_baseline")) {
-            error(out, loc, "v2 artifact lacks a seed_baseline block");
-            return;
-        }
-        double seed_rps = 0.0, seed_sps = 0.0;
-        if (!doc.number("seed_baseline.records_per_second", seed_rps) ||
-            !doc.number("seed_baseline.simulations_per_second",
-                        seed_sps) ||
-            !nearRel(seed_rps, core::kSeedRecordsPerSecond, 1e-6) ||
-            !nearRel(seed_sps, core::kSeedSimulationsPerSecond, 1e-6))
-            error(out, loc,
-                  "seed_baseline does not match the pinned PR-5 "
-                  "constants",
-                  "kSeedRecordsPerSecond / kSeedSimulationsPerSecond "
-                  "in core/perf_trajectory.h are the trajectory's "
-                  "fixed origin");
-        double rps = 0.0, vs_seed = 0.0;
-        if (doc.number("campaign.records_per_second", rps) &&
-            doc.number("campaign.speedup_vs_seed", vs_seed) &&
-            !nearRel(vs_seed, rps / core::kSeedRecordsPerSecond, 1e-6))
-            error(out, loc,
-                  "speedup_vs_seed does not equal records_per_second "
-                  "/ seed records_per_second");
-    }
-};
-
-class BenchTrajectoryRule final : public RuleBase
-{
-  public:
-    std::string code() const override { return "SL021"; }
-    std::string name() const override { return "bench-trajectory"; }
-    std::string
-    description() const override
-    {
-        return "the BENCH_<pr>.json series is mutually comparable: "
-               "distinct PRs, one pinned configuration";
-    }
-
-    void
-    run(const LintContext &context, const StoreSnapshot &,
-        const DeepCampaign &, std::vector<Diagnostic> &out) const override
-    {
-        if (context.bench_dir.empty()) {
-            emit(out, Severity::Info, "bench",
-                 "trajectory-series checks skipped (no --bench "
-                 "directory given)");
-            return;
-        }
-        std::vector<BenchArtifact> artifacts =
-            collectBenchArtifacts(context.bench_dir);
-        if (artifacts.empty()) {
-            emit(out, Severity::Info, "bench",
-                 "no BENCH_<pr>.json artifacts under " +
-                     context.bench_dir);
-            return;
-        }
-        std::set<std::uint64_t> prs;
-        for (const BenchArtifact &a : artifacts) {
-            const std::string loc = "bench/" + a.filename;
-            if (!prs.insert(a.pr).second)
-                error(out, loc,
-                      "duplicate trajectory point for PR " +
-                          std::to_string(a.pr),
-                      "each PR contributes exactly one BENCH file");
-            if (a.version == 0)
-                continue; // SL020 reports the schema defect.
-            std::uint64_t instructions = 0, warmup = 0, salt = 0,
-                          jobs = 0;
-            bool have = a.doc->u64("config.instructions", instructions) &&
-                        a.doc->u64("config.warmup", warmup) &&
-                        a.doc->u64("config.seed_salt", salt) &&
-                        a.doc->u64("config.jobs", jobs);
-            if (!have || instructions != core::kTrajectoryInstructions ||
-                warmup != core::kTrajectoryWarmup || salt != 0 ||
-                jobs != 1)
-                error(out, loc,
-                      "measurement configuration is not the pinned "
-                      "trajectory window",
-                      "points are only comparable when every PR "
-                      "measures the same pinned configuration "
-                      "(core/perf_trajectory.h)");
-        }
-        emit(out, Severity::Info, "bench",
-             std::to_string(prs.size()) +
-                 " trajectory points span PRs " +
-                 std::to_string(artifacts.front().pr) + ".." +
-                 std::to_string(artifacts.back().pr));
     }
 };
 
@@ -1636,8 +1373,6 @@ defaultRules()
     rules.push_back(std::make_unique<DegenerateFeaturesRule>());
     rules.push_back(std::make_unique<StoreResultAuditRule>());
     rules.push_back(std::make_unique<StoreMetricRangeRule>());
-    rules.push_back(std::make_unique<BenchSchemaRule>());
-    rules.push_back(std::make_unique<BenchTrajectoryRule>());
     rules.push_back(std::make_unique<ManifestSchemaRule>());
     rules.push_back(std::make_unique<ManifestStoreRule>());
     rules.push_back(std::make_unique<StorePhasedConsistencyRule>());

@@ -25,8 +25,8 @@
  * | SL017 | degenerate-features| feature columns vary (deep: simulated)  |
  * | SL018 | store-result-audit | stored counters obey accounting identities|
  * | SL019 | store-metric-range | stored metrics in physical envelopes    |
- * | SL020 | bench-schema       | each BENCH_<pr>.json is self-consistent |
- * | SL021 | bench-trajectory   | BENCH series comparable, pinned config  |
+ * | SL020 | (retired)          | code not reused                         |
+ * | SL021 | (retired)          | code not reused                         |
  * | SL022 | manifest-schema    | run-manifest.json carries the v1 schema |
  * | SL023 | manifest-store     | manifest totals match the store on disk |
  * | SL024 | store-phased       | phased entries combine exactly          |

@@ -188,11 +188,5 @@ exportAtExit(std::string path, ExportFormat format)
     (void)registered;
 }
 
-bool
-validateJson(const std::string &text)
-{
-    return parseJson(text).has_value();
-}
-
 } // namespace obs
 } // namespace speclens

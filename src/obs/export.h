@@ -8,10 +8,6 @@
  * them to the `--metrics FILE` option of the CLI and every bench
  * binary; all output goes to the named file (never stdout), so the
  * byte-identical-stdout contracts hold with metrics enabled.
- *
- * validateJson() is a dependency-free JSON *syntax* checker used by
- * the exporter tests and by `speclens bench trajectory` to prove the
- * emitted documents parse — it validates well-formedness, not schema.
  */
 
 #ifndef SPECLENS_OBS_EXPORT_H
@@ -66,12 +62,6 @@ bool writeMetricsFile(const std::string &path, ExportFormat format,
  * exit time.
  */
 void exportAtExit(std::string path, ExportFormat format);
-
-/**
- * True when @p text is one complete, well-formed JSON value: it
- * parses with parseJson() (obs/json.h; no schema checks).
- */
-bool validateJson(const std::string &text);
 
 } // namespace obs
 } // namespace speclens

@@ -4,10 +4,10 @@
  * string quoter every JSON writer shares.
  *
  * Every JSON input SpecLens reads goes through parseJson(): daemon
- * request/response frames, BENCH_<pr>.json trajectory artifacts and
- * the store's run manifest.  Numbers keep their lexeme, so a caller
- * can demand an exact unsigned 64-bit integer (no sign, fraction,
- * exponent or overflow) instead of a rounded double.  A `\u00XX`
+ * request/response frames and the store's run manifest.  Numbers keep
+ * their lexeme, so a caller can demand an exact unsigned 64-bit
+ * integer (no sign, fraction, exponent or overflow) instead of a
+ * rounded double.  A `\u00XX`
  * escape decodes to that single byte, which is the contract of
  * jsonQuote() (it escapes raw control bytes that way), so every byte
  * string round-trips; higher code points decode to UTF-8.  Nesting

@@ -9,34 +9,60 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "stats/rng.h"
 
 namespace speclens {
 namespace trace {
 
+std::vector<verify::Violation>
+checkPhasedWorkload(const PhasedWorkload &workload)
+{
+    std::vector<verify::Violation> out;
+    const verify::Reporter phased{out, "phased-workload"};
+    if (workload.name.empty())
+        phased("name", "name", "phased workload has an empty name");
+    if (workload.phases.empty())
+        phased("phases", "phase-count", "workload has no phases");
+    auto field = [](std::size_t i, const std::string &path) {
+        return "phases[" + std::to_string(i) + "]." + path;
+    };
+    double total = 0.0;
+    bool weights_valid = true;
+    for (std::size_t i = 0; i < workload.phases.size(); ++i) {
+        const Phase &phase = workload.phases[i];
+        // Negated so NaN fails too; simulatePhased casts weight * window
+        // to an integer, which is undefined for NaN and infinity.
+        if (!(std::isfinite(phase.weight) && phase.weight > 0.0)) {
+            phased(field(i, "weight"), "weight",
+                   "weight is " + verify::renderValue(phase.weight) +
+                       ", must be finite and positive");
+            weights_valid = false;
+        }
+        total += phase.weight;
+        for (verify::Violation &v : checkWorkloadProfile(phase.profile)) {
+            v.location = field(i, v.location);
+            out.push_back(std::move(v));
+        }
+    }
+    // A bad weight already makes the sum meaningless; report it once.
+    if (weights_valid && !workload.phases.empty() &&
+        std::fabs(total - 1.0) > 1e-6)
+        phased("phases", "weight-sum",
+               "weights sum to " + verify::renderValue(total) +
+                   ", must sum to 1");
+    return out;
+}
+
 void
 PhasedWorkload::validate() const
 {
-    if (name.empty())
-        throw std::invalid_argument("PhasedWorkload: empty name");
-    if (phases.empty())
-        throw std::invalid_argument(name + ": no phases");
-    double total = 0.0;
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const Phase &phase = phases[i];
-        // Negated so NaN fails too; simulatePhased casts weight * window
-        // to an integer, which is undefined for NaN and infinity.
-        if (!(std::isfinite(phase.weight) && phase.weight > 0.0))
-            throw std::invalid_argument(name + ": phases[" +
-                                        std::to_string(i) +
-                                        "].weight must be finite and "
-                                        "positive");
-        total += phase.weight;
-        phase.profile.validate();
-    }
-    if (std::fabs(total - 1.0) > 1e-6)
-        throw std::invalid_argument(name + ": weights must sum to 1");
+    std::vector<verify::Violation> found = checkPhasedWorkload(*this);
+    if (!found.empty())
+        throw std::invalid_argument(
+            (name.empty() ? "phased workload" : name) + ": " +
+            verify::renderViolation(found.front()));
 }
 
 double

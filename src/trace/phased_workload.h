@@ -50,9 +50,8 @@ struct PhasedWorkload
     std::vector<Phase> phases;
 
     /**
-     * Validate: at least one phase, weights positive and summing to 1
-     * within tolerance, every profile valid.
-     * @throws std::invalid_argument otherwise.
+     * checkPhasedWorkload() as a precondition.
+     * @throws std::invalid_argument naming the first violation's field.
      */
     void validate() const;
 
@@ -68,6 +67,19 @@ struct PhasedWorkload
      */
     std::uint64_t fingerprint() const;
 };
+
+/**
+ * Every phased-workload invariant, stated once: a non-empty name, at
+ * least one phase, every weight finite and positive, weights summing
+ * to 1 within 1e-6 (checked only when every weight is valid), and
+ * every phase profile clean under checkWorkloadProfile().  The
+ * workload's own violations carry Violation::structure
+ * "phased-workload" and a location such as "phases[2].weight"; a
+ * phase profile's violations keep their family and gain a
+ * "phases[i]." location prefix.
+ */
+std::vector<verify::Violation>
+checkPhasedWorkload(const PhasedWorkload &workload);
 
 /**
  * Derive a phased workload from a base profile: each phase is a

@@ -24,7 +24,7 @@
 #include "core/artifact_store.h"
 #include "core/characterization.h"
 #include "core/service_context.h"
-#include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "stats/fingerprint.h"
 #include "suites/emerging.h"
@@ -932,7 +932,7 @@ TEST(ServiceContext, WritesRunManifestOnDestruction)
         dir + "/" + obs::kManifestFileName;
     ASSERT_TRUE(std::filesystem::exists(path));
     std::string body = readFile(path);
-    EXPECT_TRUE(obs::validateJson(body));
+    EXPECT_TRUE(obs::parseJson(body).has_value());
     for (const char *key :
          {"\"manifest_version\": 1", "\"engine_version\"",
           "\"config_fingerprint\"", "\"run\"", "\"totals\"",
@@ -954,7 +954,7 @@ TEST(ServiceContext, WritesRunManifestOnDestruction)
         EXPECT_EQ(warm.configFingerprint(), fingerprint);
     }
     std::string warm_body = readFile(path);
-    EXPECT_TRUE(obs::validateJson(warm_body));
+    EXPECT_TRUE(obs::parseJson(warm_body).has_value());
     EXPECT_NE(warm_body.find(fingerprint), std::string::npos);
     std::filesystem::remove_all(dir);
 }

@@ -43,20 +43,24 @@ TEST(Severity, CountSeverity)
     EXPECT_EQ(countSeverity(diagnostics, Severity::Info), 0u);
 }
 
-TEST(RuleBattery, TwentySixRulesWithUniqueOrderedCodes)
+// Codes SL001-SL026 in order; SL020 and SL021 are retired and never
+// reused.
+TEST(RuleBattery, ShippedRulesHaveUniqueOrderedCodes)
 {
     auto rules = defaultRules();
-    ASSERT_EQ(rules.size(), 26u);
+    ASSERT_EQ(rules.size(), 24u);
     std::set<std::string> codes;
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-        const Rule &rule = *rules[i];
-        EXPECT_TRUE(codes.insert(rule.code()).second)
-            << "duplicate code " << rule.code();
-        EXPECT_EQ(rule.code(),
-                  "SL" + std::string(i + 1 < 10 ? "00" : "0") +
-                      std::to_string(i + 1));
-        EXPECT_FALSE(rule.name().empty());
-        EXPECT_FALSE(rule.description().empty());
+    std::size_t number = 0;
+    for (const auto &rule : rules) {
+        if (++number == 20)
+            number = 22;
+        EXPECT_TRUE(codes.insert(rule->code()).second)
+            << "duplicate code " << rule->code();
+        EXPECT_EQ(rule->code(),
+                  "SL" + std::string(number < 10 ? "00" : "0") +
+                      std::to_string(number));
+        EXPECT_FALSE(rule->name().empty());
+        EXPECT_FALSE(rule->description().empty());
     }
 }
 
@@ -165,7 +169,7 @@ TEST(CleanSuite, ShippedDataHasZeroFindings)
     LintContext context = shippedContext();
     context.deep = false;
     LintReport report = Linter().run(context);
-    ASSERT_EQ(report.rules_run, 26u);
+    ASSERT_EQ(report.rules_run, 24u);
     for (const Diagnostic &d : report.diagnostics)
         EXPECT_EQ(d.severity, Severity::Info)
             << d.code << " " << d.location << ": " << d.message;

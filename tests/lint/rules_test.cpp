@@ -19,7 +19,6 @@
 #include <sstream>
 
 #include "core/artifact_store.h"
-#include "core/perf_trajectory.h"
 #include "lint/linter.h"
 #include "lint/rules.h"
 #include "obs/manifest.h"
@@ -416,62 +415,6 @@ replaced(std::string text, const std::string &from, const std::string &to)
     return text;
 }
 
-/** A fully consistent v3 trajectory artifact for PR @p pr. */
-std::string
-benchArtifactText(std::uint64_t pr)
-{
-    const double fused = 2.0;
-    const double records_per_second = 12'880'000.0 / fused;
-    std::ostringstream os;
-    os.precision(17);
-    os << "{\n";
-    os << "  \"schema\": \"speclens-bench-trajectory-v3\",\n";
-    os << "  \"pr\": " << pr << ",\n";
-    os << "  \"seed_baseline\": {\n";
-    os << "    \"records_per_second\": " << core::kSeedRecordsPerSecond
-       << ",\n";
-    os << "    \"simulations_per_second\": "
-       << core::kSeedSimulationsPerSecond << "\n";
-    os << "  },\n";
-    os << "  \"config\": {\n";
-    os << "    \"suite\": \"cpu2017\",\n";
-    os << "    \"benchmarks\": 23,\n";
-    os << "    \"machines\": 7,\n";
-    os << "    \"instructions\": " << core::kTrajectoryInstructions
-       << ",\n";
-    os << "    \"warmup\": " << core::kTrajectoryWarmup << ",\n";
-    os << "    \"seed_salt\": 0,\n";
-    os << "    \"jobs\": 1\n";
-    os << "  },\n";
-    os << "  \"campaign\": {\n";
-    os << "    \"simulations\": 161,\n";
-    os << "    \"records_per_simulation\": 80000,\n";
-    os << "    \"records_total\": 12880000,\n";
-    os << "    \"fingerprint\": \"00112233aabbccdd\",\n";
-    os << "    \"fused_seconds\": " << fused << ",\n";
-    os << "    \"speedup_vs_seed\": "
-       << records_per_second / core::kSeedRecordsPerSecond << ",\n";
-    os << "    \"simulations_per_second\": " << 161.0 / fused << ",\n";
-    os << "    \"records_per_second\": " << records_per_second << "\n";
-    os << "  },\n";
-    os << "  \"stats\": {\n";
-    os << "    \"seconds\": 0.5,\n";
-    os << "    \"feature_rows\": 23,\n";
-    os << "    \"feature_cols\": 30,\n";
-    os << "    \"fingerprint\": \"ffeeddccbbaa9988\"\n";
-    os << "  },\n";
-    os << "  \"store\": {\n";
-    os << "    \"checked\": true,\n";
-    os << "    \"cold_seconds\": 2.5,\n";
-    os << "    \"warm_seconds\": 0.1,\n";
-    os << "    \"warm_simulations_run\": 0,\n";
-    os << "    \"warm_hit_rate\": 1,\n";
-    os << "    \"warm_bit_identical\": true\n";
-    os << "  }\n";
-    os << "}\n";
-    return os.str();
-}
-
 /** A well-formed version-1 run manifest claiming @p entries entries. */
 std::string
 manifestText(std::uint64_t entries)
@@ -570,103 +513,6 @@ TEST(Rules, SL019_StoreMetricRange)
                                   context.machines[0], window),
                bad);
     expectFires("SL019", context);
-}
-
-TEST(Rules, SL020_SkipNoteWithoutBenchDir)
-{
-    std::vector<Diagnostic> found = runRule("SL020", cleanContext());
-    ASSERT_EQ(found.size(), 1u);
-    EXPECT_EQ(found[0].severity, Severity::Info);
-}
-
-TEST(Rules, SL020_BenchSchemaVolumeMismatch)
-{
-    TempDir dir("speclens_sl020_test");
-    LintContext context = cleanContext();
-    context.bench_dir = dir.path.string();
-
-    writeFile(dir.path / "BENCH_3.json", benchArtifactText(3));
-    EXPECT_EQ(errorCount(runRule("SL020", context)), 0u);
-
-    writeFile(dir.path / "BENCH_3.json",
-              replaced(benchArtifactText(3),
-                       "\"records_total\": 12880000",
-                       "\"records_total\": 12880001"));
-    expectFires("SL020", context);
-}
-
-TEST(Rules, SL020_MissingCampaignFingerprintIsAnError)
-{
-    // The stats section also has a "fingerprint": the campaign one
-    // must be read from the campaign section, not the next match.
-    TempDir dir("speclens_sl020_fingerprint_test");
-    LintContext context = cleanContext();
-    context.bench_dir = dir.path.string();
-    writeFile(dir.path / "BENCH_3.json",
-              replaced(benchArtifactText(3),
-                       "    \"fingerprint\": \"00112233aabbccdd\",\n",
-                       ""));
-    expectFires("SL020", context);
-}
-
-TEST(Rules, SL020_ParityRegressionIsAnError)
-{
-    // Cold/warm parity: a warm-store rerun that disagrees with the cold
-    // campaign, or that had to simulate, must never be committed.
-    TempDir dir("speclens_sl020_parity_test");
-    LintContext context = cleanContext();
-    context.bench_dir = dir.path.string();
-    writeFile(dir.path / "BENCH_4.json",
-              replaced(benchArtifactText(4),
-                       "\"warm_bit_identical\": true",
-                       "\"warm_bit_identical\": false"));
-    expectFires("SL020", context);
-
-    writeFile(dir.path / "BENCH_4.json",
-              replaced(benchArtifactText(4),
-                       "\"warm_simulations_run\": 0",
-                       "\"warm_simulations_run\": 3"));
-    expectFires("SL020", context);
-}
-
-TEST(Rules, SL020_SeedBaselineDrift)
-{
-    TempDir dir("speclens_sl020_seed_test");
-    LintContext context = cleanContext();
-    context.bench_dir = dir.path.string();
-    // A rewritten baseline silently re-bases every later speedup.
-    std::string text = benchArtifactText(5);
-    std::size_t baseline = text.find("\"seed_baseline\"");
-    std::size_t pos = text.find("\"records_per_second\": ", baseline);
-    ASSERT_NE(pos, std::string::npos);
-    text.replace(pos, std::string("\"records_per_second\": ").size(),
-                 "\"records_per_second\": 1");
-    writeFile(dir.path / "BENCH_5.json", text);
-    expectFires("SL020", context);
-}
-
-TEST(Rules, SL021_SkipNoteWithoutBenchDir)
-{
-    std::vector<Diagnostic> found = runRule("SL021", cleanContext());
-    ASSERT_EQ(found.size(), 1u);
-    EXPECT_EQ(found[0].severity, Severity::Info);
-}
-
-TEST(Rules, SL021_UnpinnedConfigBreaksTheSeries)
-{
-    TempDir dir("speclens_sl021_test");
-    LintContext context = cleanContext();
-    context.bench_dir = dir.path.string();
-
-    writeFile(dir.path / "BENCH_3.json", benchArtifactText(3));
-    writeFile(dir.path / "BENCH_4.json", benchArtifactText(4));
-    EXPECT_EQ(errorCount(runRule("SL021", context)), 0u);
-
-    // A salted point measures a different workload: not comparable.
-    writeFile(dir.path / "BENCH_4.json",
-              replaced(benchArtifactText(4), "\"seed_salt\": 0",
-                       "\"seed_salt\": 1"));
-    expectFires("SL021", context);
 }
 
 TEST(Rules, SL022_ManifestSchema)
@@ -1056,12 +902,6 @@ TEST(StoreLint, OutputOverAHandBuiltStoreIsPinned)
               "    3 entries re-audited in <store>\n"
               "SL019 [info] store\n"
               "    3 entries range-checked in <store>\n"
-              "SL020 [info] bench\n"
-              "    trajectory-artifact checks skipped (no --bench "
-              "directory given)\n"
-              "SL021 [info] bench\n"
-              "    trajectory-series checks skipped (no --bench "
-              "directory given)\n"
               "SL023 [error] store/run-manifest.json\n"
               "    manifest records 5 entries but the store holds 4\n"
               "    hint: the store changed since the manifest was "
@@ -1073,7 +913,7 @@ TEST(StoreLint, OutputOverAHandBuiltStoreIsPinned)
               "    4 entries correctly sharded, 0 misfiled\n"
               "SL026 [info] store\n"
               "    3 entries memory-metric-checked in <store>\n"
-              "lint: 26 rules, 1 errors, 2 warnings\n");
+              "lint: 24 rules, 1 errors, 2 warnings\n");
 }
 
 // Lint only reads the store: a missing directory is an SL016 error and

@@ -244,14 +244,14 @@ TEST(ExportJson, GoldenRendering)
                                  "}\n";
     std::string json = renderJson(goldenRegistry().snapshot());
     EXPECT_EQ(json, expected);
-    EXPECT_TRUE(validateJson(json));
+    EXPECT_TRUE(parseJson(json).has_value());
 }
 
 TEST(ExportJson, EmptySnapshotIsValidJson)
 {
     Snapshot empty;
     std::string json = renderJson(empty);
-    EXPECT_TRUE(validateJson(json));
+    EXPECT_TRUE(parseJson(json).has_value());
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"timings\""), std::string::npos);
@@ -278,7 +278,7 @@ TEST(WriteMetricsFile, WritesRenderedSnapshot)
 
     ASSERT_TRUE(
         writeMetricsFile(path, ExportFormat::Json, goldenRegistry()));
-    EXPECT_TRUE(validateJson(readFile(path)));
+    EXPECT_TRUE(parseJson(readFile(path)).has_value());
     std::filesystem::remove(path);
 }
 
@@ -290,41 +290,45 @@ TEST(WriteMetricsFile, UnwritablePathReportsFailureSoftly)
 }
 
 // ====================================================================
-// JSON well-formedness checker
+// JSON well-formedness (parseJson accepts exactly the valid documents)
 // ====================================================================
 
 TEST(ValidateJson, AcceptsWellFormedDocuments)
 {
-    EXPECT_TRUE(validateJson("{}"));
-    EXPECT_TRUE(validateJson("[]"));
-    EXPECT_TRUE(validateJson("  { \"a\": [1, 2.5, -3e2] }  "));
-    EXPECT_TRUE(validateJson("{\"nested\": {\"b\": [true, false, null]}}"));
-    EXPECT_TRUE(validateJson("\"esc \\\" \\\\ \\n \\u00e9\""));
-    EXPECT_TRUE(validateJson("42"));
+    EXPECT_TRUE(parseJson("{}").has_value());
+    EXPECT_TRUE(parseJson("[]").has_value());
+    EXPECT_TRUE(
+        parseJson("  { \"a\": [1, 2.5, -3e2] }  ").has_value());
+    EXPECT_TRUE(
+        parseJson("{\"nested\": {\"b\": [true, false, null]}}")
+            .has_value());
+    EXPECT_TRUE(
+        parseJson("\"esc \\\" \\\\ \\n \\u00e9\"").has_value());
+    EXPECT_TRUE(parseJson("42").has_value());
     std::string shallow(10, '[');
     shallow += std::string(10, ']');
-    EXPECT_TRUE(validateJson(shallow));
+    EXPECT_TRUE(parseJson(shallow).has_value());
 }
 
 TEST(ValidateJson, RejectsMalformedDocuments)
 {
-    EXPECT_FALSE(validateJson(""));
-    EXPECT_FALSE(validateJson("{"));
-    EXPECT_FALSE(validateJson("{\"a\":}"));
-    EXPECT_FALSE(validateJson("[1,]"));
-    EXPECT_FALSE(validateJson("{} trailing"));
-    EXPECT_FALSE(validateJson("\"unterminated"));
-    EXPECT_FALSE(validateJson("\"bad \\q escape\""));
-    EXPECT_FALSE(validateJson("\"raw \n newline\""));
-    EXPECT_FALSE(validateJson("{'single': 1}"));
-    EXPECT_FALSE(validateJson("nul"));
+    EXPECT_FALSE(parseJson("").has_value());
+    EXPECT_FALSE(parseJson("{").has_value());
+    EXPECT_FALSE(parseJson("{\"a\":}").has_value());
+    EXPECT_FALSE(parseJson("[1,]").has_value());
+    EXPECT_FALSE(parseJson("{} trailing").has_value());
+    EXPECT_FALSE(parseJson("\"unterminated").has_value());
+    EXPECT_FALSE(parseJson("\"bad \\q escape\"").has_value());
+    EXPECT_FALSE(parseJson("\"raw \n newline\"").has_value());
+    EXPECT_FALSE(parseJson("{'single': 1}").has_value());
+    EXPECT_FALSE(parseJson("nul").has_value());
 }
 
 TEST(ValidateJson, DepthLimitStopsPathologicalNesting)
 {
     std::string deep(200, '[');
     deep += std::string(200, ']');
-    EXPECT_FALSE(validateJson(deep));
+    EXPECT_FALSE(parseJson(deep).has_value());
 }
 
 // ====================================================================
@@ -404,7 +408,7 @@ sampleManifest()
 TEST(ManifestRender, SchemaV1KeysAndValidJson)
 {
     std::string json = renderManifest(sampleManifest());
-    EXPECT_TRUE(validateJson(json));
+    EXPECT_TRUE(parseJson(json).has_value());
     for (const char *key :
          {"\"manifest_version\"", "\"engine_version\"",
           "\"config_fingerprint\"", "\"run\"", "\"totals\"",
@@ -422,7 +426,7 @@ TEST(ManifestRender, EscapesStringFields)
     Manifest manifest = sampleManifest();
     manifest.run = {{"store_dir", "dir with \"quote\"\nnewline"}};
     std::string json = renderManifest(manifest);
-    EXPECT_TRUE(validateJson(json));
+    EXPECT_TRUE(parseJson(json).has_value());
     EXPECT_NE(json.find("\\\"quote\\\""), std::string::npos);
     EXPECT_EQ(json.find("\nnewline"), std::string::npos);
 }
@@ -434,7 +438,7 @@ TEST(ManifestWrite, RoundTripsThroughDisk)
     ASSERT_TRUE(writeManifest(path, sampleManifest()));
     std::string body = readFile(path);
     EXPECT_EQ(body, renderManifest(sampleManifest()));
-    EXPECT_TRUE(validateJson(body));
+    EXPECT_TRUE(parseJson(body).has_value());
     std::filesystem::remove(path);
 }
 

@@ -160,10 +160,59 @@ TEST(PhasedWorkloadTest, RejectsWeightsThatAreNotFiniteAndPositive)
             phased.validate();
             ADD_FAILURE() << "validate() accepted weight " << bad;
         } catch (const std::invalid_argument &ex) {
-            EXPECT_STREQ(ex.what(), "phased.test: phases[1].weight must be "
-                                    "finite and positive")
+            EXPECT_EQ(std::string(ex.what()),
+                      "phased.test: phased-workload: weight @ "
+                      "phases[1].weight: weight is " +
+                          verify::renderValue(bad) +
+                          ", must be finite and positive")
                 << "weight " << bad;
         }
+    }
+}
+
+// Each defect is exactly one violation, located at the field it names.
+TEST(PhasedWorkloadTest, CheckerReportsOneViolationPerDefect)
+{
+    auto twoPhases = [](double a, double b) {
+        PhasedWorkload phased;
+        phased.name = "phased.test";
+        phased.phases = {Phase{testProfile(), a}, Phase{testProfile(), b}};
+        return phased;
+    };
+    struct Case
+    {
+        const char *what;
+        PhasedWorkload workload;
+        const char *structure;
+        const char *location;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"empty name", twoPhases(0.5, 0.5), "phased-workload",
+                     "name"});
+    cases.back().workload.name.clear();
+    cases.push_back({"no phases", twoPhases(0.5, 0.5), "phased-workload",
+                     "phases"});
+    cases.back().workload.phases.clear();
+    cases.push_back({"NaN weight", twoPhases(1.0, std::nan("")),
+                     "phased-workload", "phases[1].weight"});
+    cases.push_back({"zero weight", twoPhases(0.0, 1.0), "phased-workload",
+                     "phases[0].weight"});
+    cases.push_back({"negative weight", twoPhases(1.5, -0.5),
+                     "phased-workload", "phases[1].weight"});
+    cases.push_back({"weights sum to 0.9", twoPhases(0.5, 0.4),
+                     "phased-workload", "phases"});
+    cases.push_back({"bad phase profile", twoPhases(0.5, 0.5),
+                     "cpi-components", "phases[1].exec.mlp"});
+    cases.back().workload.phases[1].profile.exec.mlp = 0.5;
+
+    for (const Case &c : cases) {
+        std::vector<verify::Violation> found =
+            checkPhasedWorkload(c.workload);
+        ASSERT_EQ(found.size(), 1u) << c.what;
+        EXPECT_EQ(found[0].structure, c.structure) << c.what;
+        EXPECT_EQ(found[0].location, c.location) << c.what;
+        EXPECT_THROW(c.workload.validate(), std::invalid_argument)
+            << c.what;
     }
 }
 

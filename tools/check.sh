@@ -114,9 +114,8 @@ if [[ "$RUN_TIDY" -eq 1 ]]; then
     fi
 fi
 
-step "model lint (+ committed BENCH trajectory artifacts)"
-"$BUILD_DIR"/tools/speclens lint --instructions 30000 --warmup 8000 \
-    --bench .
+step "model lint"
+"$BUILD_DIR"/tools/speclens lint --instructions 30000 --warmup 8000
 
 step "invariant audit"
 # The structural prover over live simulator state plus the jobs/salt
@@ -219,29 +218,6 @@ rm -rf "$BUILD_DIR/no-such-store"
 test ! -e "$BUILD_DIR/no-such-store" ||
     { echo "lint created the missing store directory" >&2; exit 1; }
 echo "repro --all: warm zero simulations, byte-identical stdout, entries healthy, lint clean"
-
-step "bench trajectory (small window)"
-# The perf-trajectory runner re-proves warm-store reuse itself (nonzero
-# exit when it fails) and writes schema v3; the stdout facts block, with
-# both result fingerprints, must be byte-identical between a cold and a
-# warm rerun.
-TRAJ_STORE="$BUILD_DIR/traj-store"
-rm -rf "$TRAJ_STORE"
-"$BUILD_DIR"/tools/speclens bench trajectory --pr 0 \
-    --out "$BUILD_DIR/BENCH_check.json" --store "$TRAJ_STORE" \
-    --instructions 5000 --warmup 1500 \
-    >"$BUILD_DIR/traj-cold.out" 2>/dev/null
-"$BUILD_DIR"/tools/speclens bench trajectory --pr 0 \
-    --out "$BUILD_DIR/BENCH_check_warm.json" --store "$TRAJ_STORE" \
-    --instructions 5000 --warmup 1500 \
-    >"$BUILD_DIR/traj-warm.out" 2>/dev/null
-cmp "$BUILD_DIR/traj-cold.out" "$BUILD_DIR/traj-warm.out"
-grep -q '"schema": "speclens-bench-trajectory-v3"' \
-    "$BUILD_DIR/BENCH_check.json"
-grep -q 'store: warm rerun simulations=0 bit-identical: yes' \
-    "$BUILD_DIR/traj-warm.out"
-rm -rf "$TRAJ_STORE"
-echo "trajectory: v3 schema, warm reuse proven, stdout byte-identical"
 
 step "observability"
 # `--metrics` must leave stdout untouched (byte-identical to the runs

@@ -38,8 +38,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -50,7 +48,6 @@
 #include "core/characterization.h"
 #include "core/csv_export.h"
 #include "core/option_parse.h"
-#include "core/perf_trajectory.h"
 #include "core/query_ops.h"
 #include "core/reproductions.h"
 #include "core/service_context.h"
@@ -92,16 +89,14 @@ struct CliOptions
     std::uint64_t instructions = 120'000;
     std::uint64_t warmup = 30'000;
 
-    // True when the user passed the flag explicitly.  `bench
-    // trajectory` and `repro` pin their own window (150k+40k) and must
-    // not inherit the CLI defaults above, but an explicit flag still
-    // wins.
+    // True when the user passed the flag explicitly.  `repro` pins its
+    // own window (150k+40k) and must not inherit the CLI defaults
+    // above, but an explicit flag still wins.
     bool instructions_set = false;
     bool warmup_set = false;
     std::size_t jobs = 0; //!< 0 = one worker per hardware thread.
     std::uint64_t seed_salt = 0;
     std::string store_dir; //!< Empty = no persistent artifact store.
-    std::string bench_dir; //!< BENCH_<pr>.json directory for lint.
 
     // Serve/query options.
     std::string host = "127.0.0.1"; //!< Daemon listen/connect address.
@@ -168,16 +163,10 @@ usage(int code)
         "                                    tables and figures over one\n"
         "                                    shared campaign (default\n"
         "                                    window 150000+40000)\n"
-        "  bench trajectory [--pr N] [--out FILE]\n"
-        "                                    pinned perf campaign; facts\n"
-        "                                    to stdout, BENCH_<pr>.json\n"
-        "                                    with timings to FILE; no\n"
-        "                                    --pr: highest BENCH_* + 1,\n"
-        "                                    delta table on stderr\n"
         "  lint [--format text|json] [--severity info|warning|error]\n"
         "       [--no-deep] [--store DIR]    verify models and tables\n"
-        "       [--bench DIR]                (and store integrity plus\n"
-        "                                    BENCH/manifest artifacts)\n"
+        "                                    (and store integrity plus\n"
+        "                                    the run manifest)\n"
         "  audit                             prove structural invariants\n"
         "                                    over a pinned mini-campaign\n"
         "                                    and replay it across job\n"
@@ -234,8 +223,6 @@ parse(int argc, char **argv)
                 numericFlagValue("--seed-salt", argc, argv, i);
         else if (std::strcmp(argv[i], "--store") == 0)
             opts.store_dir = stringFlagValue("--store", argc, argv, i);
-        else if (std::strcmp(argv[i], "--bench") == 0)
-            opts.bench_dir = stringFlagValue("--bench", argc, argv, i);
         else if (std::strcmp(argv[i], "--host") == 0)
             opts.host = stringFlagValue("--host", argc, argv, i);
         else if (std::strcmp(argv[i], "--port") == 0) {
@@ -873,178 +860,6 @@ cmdQuery(const CliOptions &opts)
 }
 
 /**
- * Highest N among BENCH_<N>.json files in @p dir, or -1 when none
- * exist.  Drives both --pr auto-detection (next PR = highest + 1) and
- * the previous-artifact lookup for the delta table.
- */
-int
-highestBenchPr(const std::filesystem::path &dir)
-{
-    int highest = -1;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        std::string name = entry.path().filename().string();
-        if (name.size() <= 11 || name.rfind("BENCH_", 0) != 0 ||
-            name.substr(name.size() - 5) != ".json")
-            continue;
-        std::string digits = name.substr(6, name.size() - 11);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        highest = std::max(highest, std::atoi(digits.c_str()));
-    }
-    return highest;
-}
-
-/**
- * Print a previous-vs-current delta table to stderr (never stdout:
- * rates are timing-dependent, and stdout stays byte-deterministic).
- * Reads schema v1 (no speedup_vs_seed) through v3 artifacts.
- */
-void
-printTrajectoryDelta(const std::string &prev_path,
-                     const core::TrajectoryResult &r)
-{
-    obs::JsonFile prev = obs::readJsonFile(prev_path);
-    if (!prev.present)
-        return;
-    const std::optional<obs::JsonValue> &doc = prev.doc;
-    double prev_sims = 0.0, prev_records = 0.0;
-    if (!doc ||
-        !doc->number("campaign.simulations_per_second", prev_sims) ||
-        !doc->number("campaign.records_per_second", prev_records) ||
-        prev_sims <= 0.0 || prev_records <= 0.0) {
-        std::fprintf(stderr,
-                     "[speclens-bench] no rates in %s; delta skipped\n",
-                     prev_path.c_str());
-        return;
-    }
-    std::fprintf(stderr, "[speclens-bench] delta vs %s:\n",
-                 prev_path.c_str());
-    std::fprintf(stderr,
-                 "  sims/s:    %10.3f -> %10.3f  (%+.1f%%)\n",
-                 prev_sims, r.simulations_per_second,
-                 (r.simulations_per_second / prev_sims - 1.0) * 100.0);
-    std::fprintf(stderr,
-                 "  records/s: %10.0f -> %10.0f  (%+.1f%%)\n",
-                 prev_records, r.records_per_second,
-                 (r.records_per_second / prev_records - 1.0) * 100.0);
-    double prev_seed = 0.0;
-    if (doc->number("campaign.speedup_vs_seed", prev_seed) &&
-        prev_seed > 0.0)
-        std::fprintf(stderr,
-                     "  speedup_vs_seed: %.3fx -> %.3fx\n", prev_seed,
-                     r.speedup_vs_seed);
-    else
-        std::fprintf(stderr,
-                     "  speedup_vs_seed: n/a (v1 artifact) -> %.3fx\n",
-                     r.speedup_vs_seed);
-}
-
-int
-cmdBenchTrajectory(const CliOptions &opts)
-{
-    core::TrajectoryConfig config;
-    // The pinned window, not the CLI defaults — explicit flags win.
-    config.instructions = opts.instructions_set
-                              ? opts.instructions
-                              : core::kTrajectoryInstructions;
-    config.warmup =
-        opts.warmup_set ? opts.warmup : core::kTrajectoryWarmup;
-    config.seed_salt = opts.seed_salt;
-    config.store_dir = opts.store_dir;
-
-    std::string out_path;
-    bool pr_given = false;
-    for (std::size_t i = 1; i < opts.args.size(); ++i) {
-        const std::string &arg = opts.args[i];
-        if (arg == "--pr" || arg == "--out") {
-            if (i + 1 >= opts.args.size()) {
-                std::fprintf(stderr, "error: %s requires a value\n",
-                             arg.c_str());
-                return 1;
-            }
-            if (arg == "--out") {
-                out_path = opts.args[++i];
-            } else {
-                std::size_t pr = 0;
-                if (!parsePositional("--pr", opts.args[++i], pr))
-                    return 1;
-                config.pr = static_cast<int>(pr);
-                pr_given = true;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "error: bench trajectory: unknown argument "
-                         "'%s'\n",
-                         arg.c_str());
-            return 1;
-        }
-    }
-    if (!pr_given) {
-        // No --pr: continue the committed trajectory — one past the
-        // highest BENCH_<n>.json in the working directory.
-        config.pr = highestBenchPr(".") + 1;
-        std::fprintf(stderr,
-                     "[speclens-bench] --pr not given; auto-detected "
-                     "--pr %d\n",
-                     config.pr);
-    }
-    if (out_path.empty())
-        out_path = core::trajectoryArtifactName(config.pr);
-
-    core::TrajectoryResult result = core::runTrajectory(config);
-
-    // Deterministic facts only on stdout: a warm-store rerun must be
-    // byte-identical to the cold run there.  Timings go to the JSON
-    // artifact and stderr.
-    std::fputs(core::renderTrajectoryFacts(result).c_str(), stdout);
-
-    std::string json = core::renderTrajectoryJson(result);
-    if (!obs::validateJson(json)) {
-        std::fprintf(stderr,
-                     "error: rendered trajectory JSON is malformed\n");
-        return 1;
-    }
-    std::ofstream file(out_path);
-    file << json;
-    if (!file) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     out_path.c_str());
-        return 1;
-    }
-    file.close();
-    std::fprintf(stderr,
-                 "[speclens-bench] wrote %s: fused=%.3fs stats=%.3fs\n",
-                 out_path.c_str(), result.fused_seconds,
-                 result.stats_seconds);
-
-    // Delta table against the most recent earlier artifact (any schema).
-    for (int prev = config.pr - 1; prev >= 0; --prev) {
-        std::string prev_path = core::trajectoryArtifactName(prev);
-        if (std::filesystem::exists(prev_path)) {
-            printTrajectoryDelta(prev_path, result);
-            break;
-        }
-    }
-
-    // Exit code doubles as the contract check: when a store was given,
-    // the warm rerun must simulate nothing and match bit for bit.
-    bool ok = !result.store_checked ||
-              (result.warm_bit_identical && result.warm_simulations_run == 0);
-    return ok ? 0 : 1;
-}
-
-int
-cmdBench(const CliOptions &opts)
-{
-    if (opts.args.empty() || opts.args[0] != "trajectory")
-        usage(1);
-    return cmdBenchTrajectory(opts);
-}
-
-/**
  * repro: render reproduced tables and figures (core/reproductions.h)
  * over one ServiceContext, so entries share every measurement.
  * Artifacts go to stdout, byte-stable between cold and warm stores;
@@ -1285,7 +1100,6 @@ cmdLint(const CliOptions &opts)
     context.warmup = opts.warmup;
     context.jobs = opts.jobs;
     context.store_dir = opts.store_dir;
-    context.bench_dir = opts.bench_dir;
 
     lint::LintReport report = lint::Linter().run(context);
     std::string rendered =
@@ -1338,8 +1152,6 @@ main(int argc, char **argv)
             return cmdQuery(opts);
         if (opts.command == "repro")
             return cmdRepro(opts);
-        if (opts.command == "bench")
-            return cmdBench(opts);
         if (opts.command == "audit")
             return cmdAudit(opts);
         if (opts.command == "lint")
