@@ -73,24 +73,5 @@ writeCsv(std::ostream &out, const std::vector<std::string> &labels,
     }
 }
 
-void
-writeSimilarityCsv(std::ostream &out, const SimilarityResult &analysis)
-{
-    out << "benchmark";
-    for (std::size_t pc = 0; pc < analysis.pca.retained; ++pc)
-        out << ",pc" << (pc + 1);
-    out << ",join_height\n";
-
-    std::string row;
-    for (std::size_t r = 0; r < analysis.labels.size(); ++r) {
-        row = csvQuote(analysis.labels[r]);
-        for (std::size_t pc = 0; pc < analysis.scores.cols(); ++pc)
-            appendField(row, analysis.scores(r, pc));
-        appendField(row, analysis.dendrogram.leafJoinHeight(r));
-        row += '\n';
-        out << row;
-    }
-}
-
 } // namespace core
 } // namespace speclens

@@ -1,6 +1,6 @@
 /**
  * @file
- * CSV serialisation of feature matrices and analysis results.
+ * CSV serialisation of labelled feature matrices.
  *
  * Characterization studies like the paper's are usually post-processed
  * in R / Python / JMP (the original authors used commercial statistics
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/similarity.h"
 #include "stats/matrix.h"
 
 namespace speclens {
@@ -46,13 +45,6 @@ std::string csvQuote(const std::string &field);
 void writeCsv(std::ostream &out, const std::vector<std::string> &labels,
               const std::vector<std::string> &feature_names,
               const stats::Matrix &features);
-
-/**
- * Write a similarity analysis as CSV: benchmark, PC scores and the
- * dendrogram join height of each observation.
- */
-void writeSimilarityCsv(std::ostream &out,
-                        const SimilarityResult &analysis);
 
 } // namespace core
 } // namespace speclens

@@ -78,25 +78,25 @@ class UnionFind
     std::vector<std::size_t> parent_;
 };
 
+} // namespace
+
 std::vector<std::vector<std::size_t>>
-groupsFromMergePrefix(std::size_t num_leaves,
-                      const std::vector<MergeStep> &merges,
-                      const std::function<bool(const MergeStep &)> &take)
+Dendrogram::cutIntoClusters(std::size_t k) const
 {
-    UnionFind uf(num_leaves + merges.size());
-    for (std::size_t k = 0; k < merges.size(); ++k) {
-        const MergeStep &m = merges[k];
-        if (!take(m))
-            continue;
-        std::size_t node = num_leaves + k;
-        uf.unite(m.left, node);
-        uf.unite(m.right, node);
+    if (k < 1 || k > num_leaves_)
+        throw std::invalid_argument("cutIntoClusters: k out of range");
+    // Keep the earliest num_leaves - k merges.
+    UnionFind uf(num_leaves_ + merges_.size());
+    for (std::size_t m = 0; m < num_leaves_ - k; ++m) {
+        std::size_t node = num_leaves_ + m;
+        uf.unite(merges_[m].left, node);
+        uf.unite(merges_[m].right, node);
     }
 
     // Gather leaves by representative.
     std::vector<std::vector<std::size_t>> groups;
-    std::vector<long> group_of(num_leaves + merges.size(), -1);
-    for (std::size_t leaf = 0; leaf < num_leaves; ++leaf) {
+    std::vector<long> group_of(num_leaves_ + merges_.size(), -1);
+    for (std::size_t leaf = 0; leaf < num_leaves_; ++leaf) {
         std::size_t rep = uf.find(leaf);
         if (group_of[rep] < 0) {
             group_of[rep] = static_cast<long>(groups.size());
@@ -107,30 +107,6 @@ groupsFromMergePrefix(std::size_t num_leaves,
     // Members are discovered in ascending leaf order, so each group is
     // already sorted and groups are ordered by their smallest member.
     return groups;
-}
-
-} // namespace
-
-std::vector<std::vector<std::size_t>>
-Dendrogram::cutAtHeight(double height) const
-{
-    return groupsFromMergePrefix(num_leaves_, merges_,
-                                 [height](const MergeStep &m) {
-                                     return m.height <= height;
-                                 });
-}
-
-std::vector<std::vector<std::size_t>>
-Dendrogram::cutIntoClusters(std::size_t k) const
-{
-    if (k < 1 || k > num_leaves_)
-        throw std::invalid_argument("cutIntoClusters: k out of range");
-    std::size_t keep = num_leaves_ - k; // number of earliest merges kept
-    std::size_t index = 0;
-    return groupsFromMergePrefix(num_leaves_, merges_,
-                                 [&index, keep](const MergeStep &) {
-                                     return index++ < keep;
-                                 });
 }
 
 double

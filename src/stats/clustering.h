@@ -70,17 +70,11 @@ class Dendrogram
     const std::vector<MergeStep> &merges() const { return merges_; }
 
     /**
-     * Clusters obtained by keeping only merges with height <= @p height
+     * Exactly @p k clusters obtained by undoing the last k - 1 merges
      * ("drawing a vertical line" through the dendrogram, as the paper
-     * does at linkage distance 17.5 in Fig. 2).  Each cluster is a
-     * sorted list of leaf indices; clusters are ordered by smallest
-     * member.
-     */
-    std::vector<std::vector<std::size_t>> cutAtHeight(double height) const;
-
-    /**
-     * Exactly @p k clusters obtained by undoing the last k - 1 merges.
-     * k must be in [1, numLeaves()].
+     * does in Fig. 2).  k must be in [1, numLeaves()].  Each cluster
+     * is a sorted list of leaf indices; clusters are ordered by
+     * smallest member.
      */
     std::vector<std::vector<std::size_t>>
     cutIntoClusters(std::size_t k) const;

@@ -129,12 +129,6 @@ pearson(const std::vector<double> &a, const std::vector<double> &b)
 }
 
 double
-spearman(const std::vector<double> &a, const std::vector<double> &b)
-{
-    return pearson(ranks(a), ranks(b));
-}
-
-double
 relativeError(double estimate, double reference)
 {
     if (reference == 0.0)

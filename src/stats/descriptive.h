@@ -58,9 +58,6 @@ std::vector<double> ranks(const std::vector<double> &values);
 /** Pearson correlation coefficient.  Vectors must have equal length. */
 double pearson(const std::vector<double> &a, const std::vector<double> &b);
 
-/** Spearman rank correlation (Pearson on fractional ranks). */
-double spearman(const std::vector<double> &a, const std::vector<double> &b);
-
 /**
  * Relative error |estimate - reference| / |reference| expressed as a
  * fraction (multiply by 100 for percent).  reference must be non-zero.

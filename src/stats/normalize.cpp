@@ -95,11 +95,7 @@ zscoreWith(const Matrix &m, const ColumnStats &stats,
     obs::Span span(zscore_time);
 
     Matrix out(m.rows(), m.cols());
-    std::vector<std::size_t> degenerate;
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-        if (!(stats.stddevs[c] > 0.0))
-            degenerate.push_back(c);
-    }
+    std::vector<std::size_t> degenerate = degenerateColumns(stats);
     // Elementwise transform, so iteration order does not affect the
     // values; walk row-major over contiguous storage instead of the
     // strided column-major order the first version used.

@@ -82,13 +82,6 @@ languageName(Language language)
 }
 
 bool
-isCpu2017Category(Category category)
-{
-    return category == Category::SpeedInt || category == Category::RateInt ||
-           category == Category::SpeedFp || category == Category::RateFp;
-}
-
-bool
 isSpeedCategory(Category category)
 {
     return category == Category::SpeedInt || category == Category::SpeedFp;

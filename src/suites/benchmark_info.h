@@ -74,9 +74,6 @@ std::string categoryName(Category category);
 std::string domainName(Domain domain);
 std::string languageName(Language language);
 
-/** True for the four CPU2017 categories. */
-bool isCpu2017Category(Category category);
-
 /** True for the two speed categories. */
 bool isSpeedCategory(Category category);
 

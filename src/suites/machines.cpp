@@ -273,13 +273,6 @@ skylakeMachine()
 }
 
 std::vector<uarch::MachineConfig>
-powerMachines()
-{
-    const auto &all = profilingMachines();
-    return {all[0], all[1], all[2]}; // Skylake, Broadwell, Ivy Bridge
-}
-
-std::vector<uarch::MachineConfig>
 sensitivityMachines()
 {
     const auto &all = profilingMachines();

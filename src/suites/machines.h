@@ -35,12 +35,6 @@ const std::vector<uarch::MachineConfig> &profilingMachines();
 /** The Skylake i7-6700 used for the Section II characterization. */
 const uarch::MachineConfig &skylakeMachine();
 
-/**
- * The three Intel machines (Skylake, Broadwell, Ivy Bridge) whose
- * RAPL-equivalent power model feeds the Fig. 12 analysis.
- */
-std::vector<uarch::MachineConfig> powerMachines();
-
 /** The four machines of the Table IX sensitivity classification. */
 std::vector<uarch::MachineConfig> sensitivityMachines();
 

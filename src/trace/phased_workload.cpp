@@ -65,16 +65,6 @@ PhasedWorkload::validate() const
             verify::renderViolation(found.front()));
 }
 
-double
-PhasedWorkload::dynamicInstructionsBillions() const
-{
-    double total = 0.0;
-    for (const Phase &phase : phases)
-        total += phase.weight *
-                 phase.profile.dynamic_instructions_billions;
-    return total;
-}
-
 void
 Phase::hashInto(stats::Fingerprinter &fp) const
 {

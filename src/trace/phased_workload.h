@@ -55,9 +55,6 @@ struct PhasedWorkload
      */
     void validate() const;
 
-    /** Weighted mean dynamic instruction count (billions). */
-    double dynamicInstructionsBillions() const;
-
     /** Feed the whole phased model to @p fp. */
     void hashInto(stats::Fingerprinter &fp) const;
 

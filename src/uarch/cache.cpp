@@ -166,18 +166,6 @@ LineLease::release()
 }
 
 std::string
-replacementPolicyName(ReplacementPolicy policy)
-{
-    switch (policy) {
-      case ReplacementPolicy::Lru: return "lru";
-      case ReplacementPolicy::TreePlru: return "tree-plru";
-      case ReplacementPolicy::Fifo: return "fifo";
-      case ReplacementPolicy::Random: return "random";
-    }
-    return "unknown";
-}
-
-std::string
 wayPredictionKindName(WayPredictionKind kind)
 {
     switch (kind) {

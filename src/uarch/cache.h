@@ -39,9 +39,6 @@ enum class ReplacementPolicy {
     Random,   //!< Uniformly random victim.
 };
 
-/** Human-readable policy name. */
-std::string replacementPolicyName(ReplacementPolicy policy);
-
 /**
  * Way-prediction policy of one cache level.
  *
@@ -280,10 +277,10 @@ class Cache
      * LRU/FIFO ordering stamps.  Deliberately left uninitialized at
      * construction: a stamp is only ever read for a valid way — by the
      * LRU/FIFO victim scan, which runs when the set is full, and by
-     * the auditor and the prewarm state digest — and filling a way
-     * always writes its stamp first.  The words usually come from the
-     * thread's reused line-storage region, so they hold whatever an
-     * earlier cache of any geometry left there; only the tags are
+     * the auditor and the tests' prewarm state digest — and filling a
+     * way always writes its stamp first.  The words usually come from
+     * the thread's reused line-storage region, so they hold whatever
+     * an earlier cache of any geometry left there; only the tags are
      * filled on construction.
      */
     std::uint64_t *stamps_ = nullptr;
@@ -339,7 +336,8 @@ class Cache
     friend class PrewarmSolver;
 
     /** The invariant prover (src/verify/state_audit.h) reads — never
-     *  writes — the private arrays to prove structural invariants. */
+     *  writes — the private arrays to prove structural invariants; its
+     *  test-only StateAuditor::TestAccess pokes them in tests/. */
     friend class verify::StateAuditor;
 };
 

@@ -223,12 +223,6 @@ class CacheHierarchy
     /** True when the hierarchy has a third level. */
     bool hasL3() const { return l3_cache_ != nullptr; }
 
-    /** True when a DRAM row-buffer model sits behind the last level. */
-    bool hasDram() const { return dram_ != nullptr; }
-
-    PrefetcherKind prefetcherKind() const { return prefetcher_kind_; }
-    unsigned prefetchDegree() const { return prefetch_degree_; }
-
     /** Lines brought in by the L2 prefetcher (not demand misses). */
     std::uint64_t prefetchFills() const { return prefetch_fills_; }
 

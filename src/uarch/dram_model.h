@@ -128,9 +128,6 @@ class DramModel
 
     /** The invariant prover reads the bank state (src/verify). */
     friend class verify::StateAuditor;
-
-    /** The prewarm equivalence digest includes the bank state. */
-    friend class PrewarmSolver;
 };
 
 } // namespace uarch

@@ -1395,87 +1395,5 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
         tlbs.repeatInstrHits(iprun);
 }
 
-void
-PrewarmSolver::appendCacheState(const Cache &cache,
-                                std::vector<std::uint64_t> &out)
-{
-    const CacheConfig &config = cache.config_;
-    const std::uint64_t sets = cache.num_sets_;
-    const std::uint64_t assoc = config.associativity;
-    const bool stamped = config.policy == ReplacementPolicy::Lru ||
-                         config.policy == ReplacementPolicy::Fifo;
-    out.push_back(cache.accesses_);
-    out.push_back(cache.hits_);
-    out.push_back(cache.tick_);
-    out.push_back(cache.last_index_);
-    out.push_back(cache.cold_fills_.size());
-    out.insert(out.end(), cache.cold_fills_.begin(),
-               cache.cold_fills_.end());
-    out.insert(out.end(), cache.plru_.begin(), cache.plru_.end());
-    out.push_back(cache.way_pred_hits_);
-    out.push_back(cache.way_pred_mispredicts_);
-    out.insert(out.end(), cache.way_pred_.begin(), cache.way_pred_.end());
-    for (std::uint64_t i = 0; i < sets * assoc; ++i) {
-        std::uint64_t tag = cache.tags_[i];
-        out.push_back(tag);
-        // Stamps are deliberately uninitialized until written: only
-        // LRU/FIFO write them, and only for filled ways.
-        if (stamped && tag != Cache::kInvalidTag)
-            out.push_back(cache.stamps_[i]);
-    }
-}
-
-std::vector<std::uint64_t>
-PrewarmSolver::stateDigest(const CacheHierarchy &caches,
-                           const TlbHierarchy &tlbs)
-{
-    std::vector<std::uint64_t> out;
-    appendCacheState(caches.l1i_cache_, out);
-    appendCacheState(caches.l1d_cache_, out);
-    appendCacheState(caches.l2_cache_, out);
-    if (caches.l3_cache_)
-        appendCacheState(*caches.l3_cache_, out);
-    for (const SideCounters *side :
-         {&caches.l1i_stats_, &caches.l1d_stats_, &caches.l2i_stats_,
-          &caches.l2d_stats_, &caches.l3_stats_}) {
-        out.push_back(side->accesses);
-        out.push_back(side->misses);
-    }
-    out.push_back(caches.prefetch_fills_);
-    out.push_back(caches.prefetch_useful_);
-    out.push_back(caches.prefetch_evicted_unused_);
-    out.insert(out.end(), caches.l2_prefetch_bits_.begin(),
-               caches.l2_prefetch_bits_.end());
-    for (const auto &entry : caches.stride_table_) {
-        out.push_back(entry.last_line);
-        out.push_back(static_cast<std::uint64_t>(entry.delta));
-        out.push_back(entry.confidence);
-        out.push_back(entry.valid);
-    }
-    for (const auto &window : caches.stream_windows_) {
-        out.push_back(window.last_line);
-        out.push_back(window.valid);
-    }
-    out.push_back(caches.stream_next_);
-    if (caches.dram_) {
-        const DramModel &dram = *caches.dram_;
-        out.push_back(dram.accesses());
-        out.push_back(dram.rowHits());
-        out.push_back(dram.busyCycles());
-        out.push_back(dram.budgetCycles());
-        out.insert(out.end(), dram.open_row_.begin(),
-                   dram.open_row_.end());
-        out.insert(out.end(), dram.row_open_.begin(),
-                   dram.row_open_.end());
-    }
-    appendCacheState(tlbs.itlb_, out);
-    appendCacheState(tlbs.dtlb_, out);
-    if (tlbs.l2tlb_)
-        appendCacheState(*tlbs.l2tlb_, out);
-    out.push_back(tlbs.l2tlb_misses_);
-    out.push_back(tlbs.page_walks_);
-    return out;
-}
-
 } // namespace uarch
 } // namespace speclens

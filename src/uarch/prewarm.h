@@ -164,24 +164,7 @@ class PrewarmSolver
                      const trace::WorkloadProfile &profile,
                      std::uint64_t llc_lines);
 
-    /**
-     * Test support: flatten every prewarm-written field of @p caches
-     * and @p tlbs — per-level tags, defined replacement stamps
-     * (LRU/FIFO valid ways only; tree-PLRU/Random stamps are never
-     * written), PLRU words, cold-fill counters, ticks, last-access
-     * indices, way-prediction tables, prefetch bits and engine state,
-     * DRAM rows and all access/miss statistics — into one word vector,
-     * so the analytic and walking paths can be compared for exact
-     * state equality, not just equal measurement results.
-     */
-    static std::vector<std::uint64_t>
-    stateDigest(const CacheHierarchy &caches, const TlbHierarchy &tlbs);
-
   private:
-    /** Append one structure's prewarm-visible state to @p out. */
-    static void appendCacheState(const Cache &cache,
-                                 std::vector<std::uint64_t> &out);
-
     /**
      * Write one structure's final state from its segment list.  The
      * walk's cold fast path keeps per-set fill counters, its general

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <iostream>
 #include <span>
 #include <vector>
 
@@ -520,20 +519,13 @@ effectiveProfile(const trace::WorkloadProfile &profile,
  * boundaries, as on hardware) and return one result per phase.  Each
  * phase prewarms (when enabled), plays its warm-up window, closes out
  * prefetch attribution and plays its measured window from a fresh
- * generator.  A non-null @p trail collects audit evidence in every
- * build.
+ * generator.  A non-null @p trail collects audit evidence; a null one
+ * audits nothing.
  */
 std::vector<SimulationResult>
 runPhases(std::span<const PhaseWindow> phases, const MachineConfig &machine,
           const SimulationConfig &config, verify::AuditTrail *trail)
 {
-    // Builds with SPECLENS_AUDIT on audit every run; without a caller
-    // trail the evidence goes to a local one, printed below.
-    verify::AuditTrail implicit;
-#ifndef SPECLENS_AUDIT_OFF
-    if (!trail)
-        trail = &implicit;
-#endif
     Playback playback(machine);
     playback.attachAudit(trail);
 
@@ -571,12 +563,6 @@ runPhases(std::span<const PhaseWindow> phases, const MachineConfig &machine,
         }
     }
     playback.auditPoint(/*post_prewarm=*/false);
-
-    // Nothing holds the implicit trail after this returns, so print
-    // each violation; the verify.violations counter has already moved.
-    for (const verify::Violation &v : implicit.violations)
-        std::cerr << "speclens: audit violation: "
-                  << verify::renderViolation(v) << "\n";
     return results;
 }
 
@@ -599,8 +585,8 @@ bitIdentical(const SimulationResult &a, const SimulationResult &b)
 
 PhasedSimulationResult
 simulatePhased(const trace::PhasedWorkload &workload,
-               const MachineConfig &machine,
-               const SimulationConfig &config)
+               const MachineConfig &machine, const SimulationConfig &config,
+               verify::AuditTrail *trail)
 {
     workload.validate();
 
@@ -619,7 +605,7 @@ simulatePhased(const trace::PhasedWorkload &workload,
     }
 
     PhasedSimulationResult result;
-    result.per_phase = runPhases(phases, machine, config, nullptr);
+    result.per_phase = runPhases(phases, machine, config, trail);
     for (std::size_t i = 0; i < phases.size(); ++i) {
         result.combined_counters += result.per_phase[i].counters;
         result.combined_cpi +=

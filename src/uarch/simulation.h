@@ -119,15 +119,15 @@ struct SimulationResult
  * from the generator in small structure-of-arrays batches, never as a
  * window-sized buffer.
  *
- * With @p trail non-null the structural invariant prover runs
- * regardless of the SPECLENS_AUDIT build switch: the live structures
- * are audited after prewarm, at sampled batch boundaries and at end of
- * run, each measured window's counters are held against
- * checkCounterIdentities() with @p machine, and the evidence
- * accumulates in @p trail (verify.audits /
- * verify.violations obs counters move in step).  Auditing never
- * mutates structure state, so the result is bit-identical to an
- * unaudited run.  This is the entry point behind `speclens audit`.
+ * With @p trail non-null the structural invariant prover runs: the
+ * live structures are audited after prewarm, at sampled batch
+ * boundaries and at end of run, each measured window's counters are
+ * held against checkCounterIdentities() with @p machine, and the
+ * evidence accumulates in @p trail (verify.audits / verify.violations
+ * obs counters move in step).  A null @p trail audits nothing.
+ * Auditing never mutates structure state, so the result is
+ * bit-identical to an unaudited run.  This is the entry point behind
+ * `speclens audit`.
  */
 SimulationResult simulate(const trace::WorkloadProfile &profile,
                           const MachineConfig &machine,
@@ -168,11 +168,15 @@ struct PhasedSimulationResult
  * @param workload Validated phased workload.
  * @param machine Machine model.
  * @param config Window sizes apply to the whole run.
+ * @param trail When non-null, audit the run as simulate() does: the
+ *        post-prewarm fill invariants at the first phase's boundary
+ *        only, the counter identities on every phase's window.
  */
 PhasedSimulationResult
 simulatePhased(const trace::PhasedWorkload &workload,
                const MachineConfig &machine,
-               const SimulationConfig &config = {});
+               const SimulationConfig &config = {},
+               verify::AuditTrail *trail = nullptr);
 
 } // namespace uarch
 } // namespace speclens

@@ -6,14 +6,14 @@
  * (run collapsing, cold fill, the closed-form prewarm solver, batched
  * predictor kernels) rely on but never re-verify at run time.  The
  * checks read private structure state through friendship and never
- * mutate it; the only writers are the *ForTest corruption helpers used
- * by the seeded-violation tests.
+ * mutate it.
  */
 
 #include "verify/state_audit.h"
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <variant>
@@ -742,198 +742,6 @@ StateAuditor::auditAll(const uarch::CacheHierarchy &caches,
     auditCaches(caches, out);
     auditTlbs(tlbs, out);
     auditPredictor(predictor, out);
-}
-
-// ---------------------------------------------------------------------
-// Seeded-corruption helpers (tests only).
-
-void
-StateAuditor::pokeTagForTest(uarch::Cache &cache, std::size_t set,
-                             std::size_t way, std::uint64_t tag)
-{
-    cache.tags_[set * cache.config_.associativity + way] = tag;
-}
-
-void
-StateAuditor::pokeStampForTest(uarch::Cache &cache, std::size_t set,
-                               std::size_t way, std::uint64_t stamp)
-{
-    cache.stamps_[set * cache.config_.associativity + way] = stamp;
-}
-
-void
-StateAuditor::pokePlruForTest(uarch::Cache &cache, std::size_t set,
-                              std::uint32_t state)
-{
-    cache.plru_[set] = state;
-}
-
-void
-StateAuditor::pokeColdFillForTest(uarch::Cache &cache, std::size_t set,
-                                  std::uint32_t fills)
-{
-    if (cache.cold_fills_.empty())
-        cache.cold_fills_.assign(cache.num_sets_, 0);
-    cache.cold_fills_[set] = fills;
-}
-
-void
-StateAuditor::pokeHitsForTest(uarch::Cache &cache, std::uint64_t hits)
-{
-    cache.hits_ = hits;
-}
-
-void
-StateAuditor::pokeLineBytesForTest(uarch::Cache &cache,
-                                   std::uint32_t line_bytes)
-{
-    cache.config_.line_bytes = line_bytes;
-}
-
-void
-StateAuditor::pokePageWalksForTest(uarch::TlbHierarchy &tlbs,
-                                   std::uint64_t walks)
-{
-    tlbs.page_walks_ = walks;
-}
-
-uarch::Cache &
-StateAuditor::l1dForTest(uarch::CacheHierarchy &caches)
-{
-    return caches.l1d_cache_;
-}
-
-uarch::Cache &
-StateAuditor::dtlbForTest(uarch::TlbHierarchy &tlbs)
-{
-    return tlbs.dtlb_;
-}
-
-void
-StateAuditor::pokePrefetchBitForTest(uarch::CacheHierarchy &caches,
-                                     std::size_t slot,
-                                     std::uint8_t value)
-{
-    caches.l2_prefetch_bits_[slot] = value;
-}
-
-void
-StateAuditor::pokePrefetchFillsForTest(uarch::CacheHierarchy &caches,
-                                       std::uint64_t fills)
-{
-    caches.prefetch_fills_ = fills;
-}
-
-void
-StateAuditor::pokeStrideConfidenceForTest(uarch::CacheHierarchy &caches,
-                                          std::size_t entry,
-                                          std::uint8_t confidence)
-{
-    caches.stride_table_[entry].confidence = confidence;
-}
-
-void
-StateAuditor::pokeStreamNextForTest(uarch::CacheHierarchy &caches,
-                                    std::size_t next)
-{
-    caches.stream_next_ = next;
-}
-
-void
-StateAuditor::pokeWayPredEntryForTest(uarch::Cache &cache,
-                                      std::size_t index,
-                                      std::uint32_t way)
-{
-    cache.way_pred_[index] = way;
-}
-
-void
-StateAuditor::pokeWayPredHitsForTest(uarch::Cache &cache,
-                                     std::uint64_t hits)
-{
-    cache.way_pred_hits_ = hits;
-}
-
-void
-StateAuditor::pokeDramOpenRowForTest(uarch::CacheHierarchy &caches,
-                                     std::size_t bank,
-                                     std::uint64_t row)
-{
-    caches.dram_->open_row_[bank] = row;
-    caches.dram_->row_open_[bank] = 1;
-}
-
-void
-StateAuditor::pokeDramBusyForTest(uarch::CacheHierarchy &caches,
-                                  std::uint64_t busy_cycles)
-{
-    caches.dram_->busy_cycles_ = busy_cycles;
-}
-
-void
-StateAuditor::pokeBimodalCounterForTest(uarch::BimodalPredictor &predictor,
-                                        std::size_t index,
-                                        std::uint8_t value)
-{
-    predictor.counters_[index] = value;
-}
-
-void
-StateAuditor::pokeGshareHistoryForTest(uarch::GsharePredictor &predictor,
-                                       std::uint64_t history)
-{
-    predictor.history_ = history;
-}
-
-void
-StateAuditor::pokeChooserCounterForTest(uarch::TournamentPredictor &predictor,
-                                        std::size_t index,
-                                        std::uint8_t value)
-{
-    predictor.chooser_[index] = value;
-}
-
-void
-StateAuditor::pokePerceptronWeightForTest(
-    uarch::PerceptronPredictor &predictor, std::size_t row,
-    std::size_t column, int weight)
-{
-    predictor.weights_[row][column] = weight;
-}
-
-void
-StateAuditor::pokeTageEntryForTest(uarch::TageLitePredictor &predictor,
-                                   std::size_t table, std::size_t index,
-                                   std::uint16_t tag, std::int8_t counter,
-                                   std::uint8_t useful)
-{
-    auto &e = predictor.tables_[table][index];
-    e.tag = tag;
-    e.counter = counter;
-    e.useful = useful;
-}
-
-void
-StateAuditor::shrinkTableForTest(uarch::PredictorVariant &predictor)
-{
-    std::visit(
-        [](auto &p) {
-            using P = std::decay_t<decltype(p)>;
-            if constexpr (std::is_same_v<P, uarch::BimodalPredictor>)
-                p.counters_.pop_back();
-            else if constexpr (std::is_same_v<P, uarch::GsharePredictor>)
-                p.counters_.pop_back();
-            else if constexpr (std::is_same_v<P,
-                                              uarch::TournamentPredictor>)
-                p.chooser_.pop_back();
-            else if constexpr (std::is_same_v<P,
-                                              uarch::PerceptronPredictor>)
-                p.weights_.pop_back();
-            else if constexpr (std::is_same_v<P,
-                                              uarch::TageLitePredictor>)
-                p.tables_.back().pop_back();
-        },
-        predictor);
 }
 
 } // namespace verify

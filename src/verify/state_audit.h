@@ -32,15 +32,15 @@
  *              are cyclically increasing from the oldest way
  *
  * Every audit entry point appends Violation records; a clean structure
- * appends nothing.  The *ForTest helpers let the corruption tests poke
- * private state without widening the production API.
+ * appends nothing.  The auditor only reads; the seeded-corruption tests
+ * write private state through StateAuditor::TestAccess, which only
+ * tests/ defines.
  */
 
 #ifndef SPECLENS_VERIFY_STATE_AUDIT_H
 #define SPECLENS_VERIFY_STATE_AUDIT_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "uarch/branch_predictor.h"
@@ -108,63 +108,14 @@ class StateAuditor {
                          const uarch::PredictorVariant &predictor,
                          std::vector<Violation> &out);
 
-    // ---- corruption helpers for the seeded-violation tests ----
-    // Each pokes exactly one private field; see tests/verify.
-
-    static void pokeTagForTest(uarch::Cache &cache, std::size_t set,
-                               std::size_t way, std::uint64_t tag);
-    static void pokeStampForTest(uarch::Cache &cache, std::size_t set,
-                                 std::size_t way, std::uint64_t stamp);
-    static void pokePlruForTest(uarch::Cache &cache, std::size_t set,
-                                std::uint32_t state);
-    static void pokeColdFillForTest(uarch::Cache &cache, std::size_t set,
-                                    std::uint32_t fills);
-    static void pokeHitsForTest(uarch::Cache &cache, std::uint64_t hits);
-    static void pokeLineBytesForTest(uarch::Cache &cache,
-                                     std::uint32_t line_bytes);
-    static void pokePageWalksForTest(uarch::TlbHierarchy &tlbs,
-                                     std::uint64_t walks);
-    static uarch::Cache &l1dForTest(uarch::CacheHierarchy &caches);
-    static uarch::Cache &dtlbForTest(uarch::TlbHierarchy &tlbs);
-
-    static void pokePrefetchBitForTest(uarch::CacheHierarchy &caches,
-                                       std::size_t slot,
-                                       std::uint8_t value);
-    static void pokePrefetchFillsForTest(uarch::CacheHierarchy &caches,
-                                         std::uint64_t fills);
-    static void pokeStrideConfidenceForTest(uarch::CacheHierarchy &caches,
-                                            std::size_t entry,
-                                            std::uint8_t confidence);
-    static void pokeStreamNextForTest(uarch::CacheHierarchy &caches,
-                                      std::size_t next);
-    static void pokeWayPredEntryForTest(uarch::Cache &cache,
-                                        std::size_t index,
-                                        std::uint32_t way);
-    static void pokeWayPredHitsForTest(uarch::Cache &cache,
-                                       std::uint64_t hits);
-    static void pokeDramOpenRowForTest(uarch::CacheHierarchy &caches,
-                                       std::size_t bank,
-                                       std::uint64_t row);
-    static void pokeDramBusyForTest(uarch::CacheHierarchy &caches,
-                                    std::uint64_t busy_cycles);
-
-    static void pokeBimodalCounterForTest(uarch::BimodalPredictor &predictor,
-                                          std::size_t index,
-                                          std::uint8_t value);
-    static void pokeGshareHistoryForTest(uarch::GsharePredictor &predictor,
-                                         std::uint64_t history);
-    static void pokeChooserCounterForTest(uarch::TournamentPredictor &predictor,
-                                          std::size_t index,
-                                          std::uint8_t value);
-    static void pokePerceptronWeightForTest(uarch::PerceptronPredictor &predictor,
-                                            std::size_t row, std::size_t column,
-                                            int weight);
-    static void pokeTageEntryForTest(uarch::TageLitePredictor &predictor,
-                                     std::size_t table, std::size_t index,
-                                     std::uint16_t tag, std::int8_t counter,
-                                     std::uint8_t useful);
-    /** Shrink the predictor's primary table by one entry (any kind). */
-    static void shrinkTableForTest(uarch::PredictorVariant &predictor);
+    /**
+     * The test-side window into private simulator state.  Left
+     * incomplete here and defined only under tests/ (see
+     * tests/verify/test_access.h): as a member of the auditor it
+     * shares the auditor's friend grants, so the corruption and
+     * prewarm-equivalence tests need no hook in production code.
+     */
+    struct TestAccess;
 
   private:
     // Out-of-line helpers that read private structure state; member

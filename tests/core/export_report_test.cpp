@@ -84,25 +84,6 @@ TEST(CsvExportTest, FullCampaignExports)
     EXPECT_NE(csv.find("opteron.dram_power"), std::string::npos);
 }
 
-TEST(CsvExportTest, SimilarityCsv)
-{
-    core::CharacterizationConfig config;
-    config.instructions = 20'000;
-    config.warmup = 5'000;
-    Characterizer characterizer(suites::profilingMachines(), config);
-    auto suite = suites::spec2017SpeedInt();
-    SimilarityResult sim = analyzeSimilarity(
-        characterizer.featureMatrix(suite),
-        suites::benchmarkNames(suite));
-
-    std::ostringstream out;
-    writeSimilarityCsv(out, sim);
-    std::string csv = out.str();
-    EXPECT_NE(csv.find("benchmark,pc1"), std::string::npos);
-    EXPECT_NE(csv.find("join_height"), std::string::npos);
-    EXPECT_NE(csv.find("641.leela_s"), std::string::npos);
-}
-
 // The number formatters promise iostream's bytes without iostreams:
 // num() is `std::fixed << setprecision(p)`, the CSV writers a plain
 // `out << value`.  The oracle is that stream, over signed zeros,
@@ -159,32 +140,6 @@ TEST(NumberFormatTest, CsvWritersMatchDefaultStream)
     out << std::fixed << std::setprecision(2);
     writeCsv(out, {"row"}, names, m);
     EXPECT_EQ(out.str(), oracle.str());
-
-    // The similarity writer: real join heights, oracle scores.
-    stats::Matrix features{{1.0, 2.0, 0.5},
-                           {2.0, 1.0, 0.25},
-                           {4.0, 3.0, 1.0},
-                           {0.5, 0.5, 2.0}};
-    SimilarityResult sim =
-        analyzeSimilarity(features, {"a", "b", "c", "d"});
-    for (std::size_t r = 0; r < sim.scores.rows(); ++r)
-        for (std::size_t pc = 0; pc < sim.scores.cols(); ++pc)
-            sim.scores(r, pc) =
-                kFormatOracleValues[(r * sim.scores.cols() + pc) % n];
-    std::ostringstream sim_oracle;
-    sim_oracle << "benchmark";
-    for (std::size_t pc = 0; pc < sim.pca.retained; ++pc)
-        sim_oracle << ",pc" << (pc + 1);
-    sim_oracle << ",join_height\n";
-    for (std::size_t r = 0; r < sim.labels.size(); ++r) {
-        sim_oracle << sim.labels[r];
-        for (std::size_t pc = 0; pc < sim.scores.cols(); ++pc)
-            sim_oracle << "," << sim.scores(r, pc);
-        sim_oracle << "," << sim.dendrogram.leafJoinHeight(r) << "\n";
-    }
-    std::ostringstream sim_out;
-    writeSimilarityCsv(sim_out, sim);
-    EXPECT_EQ(sim_out.str(), sim_oracle.str());
 }
 
 TEST(SuiteReportTest, ContainsAllSections)

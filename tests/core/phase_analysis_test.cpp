@@ -43,7 +43,6 @@ TEST(PhasedWorkloadTest, DerivedPhasesAreValidAndWeighted)
         EXPECT_TRUE(names.insert(phase.profile.name).second);
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
-    EXPECT_GT(workload.dynamicInstructionsBillions(), 0.0);
 }
 
 TEST(PhasedWorkloadTest, DerivationIsDeterministic)

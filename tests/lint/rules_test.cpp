@@ -1098,8 +1098,7 @@ TEST(MachineConfigAgreement, EveryBuiltMachinePasses)
     std::vector<uarch::MachineConfig> machines =
         suites::profilingMachines();
     for (auto family : {suites::sensitivityMachines(),
-                        suites::memoryCentricMachines(),
-                        suites::powerMachines()})
+                        suites::memoryCentricMachines()})
         machines.insert(machines.end(), family.begin(), family.end());
     for (const uarch::MachineConfig &machine : machines)
         for (const verify::Violation &v : uarch::checkMachineConfig(machine))

@@ -72,22 +72,20 @@ TEST(DendrogramTest, ThreeBlobsRecoveredByAllLinkages)
     }
 }
 
-TEST(DendrogramTest, CutAtHeightMatchesCutIntoClusters)
+TEST(DendrogramTest, HeightForClusterCountKeepsExactlyTheCutsMerges)
 {
+    // Drawing the line at heightForClusterCount(k) keeps exactly the
+    // num_leaves - k merges cutIntoClusters(k) keeps (the blob merge
+    // heights are distinct).
     Matrix points = threeBlobs(4);
     Dendrogram tree = clusterPoints(points, Linkage::Ward);
-    double h = tree.heightForClusterCount(3);
-    auto by_height = tree.cutAtHeight(h);
-    auto by_count = tree.cutIntoClusters(3);
-    EXPECT_EQ(by_height, by_count);
-}
-
-TEST(DendrogramTest, CutAtZeroHeightIsAllSingletons)
-{
-    Matrix points = threeBlobs(3);
-    Dendrogram tree = clusterPoints(points);
-    auto clusters = tree.cutAtHeight(-1.0);
-    EXPECT_EQ(clusters.size(), 9u);
+    for (std::size_t k = 1; k <= tree.numLeaves(); ++k) {
+        double h = tree.heightForClusterCount(k);
+        std::size_t kept = 0;
+        for (const MergeStep &m : tree.merges())
+            kept += m.height <= h;
+        EXPECT_EQ(kept, tree.numLeaves() - k) << "k = " << k;
+    }
 }
 
 TEST(DendrogramTest, CopheneticDistanceProperties)

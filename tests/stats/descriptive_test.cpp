@@ -91,14 +91,6 @@ TEST(DescriptiveTest, PearsonDegenerate)
     EXPECT_THROW(pearson({1, 2}, {1, 2, 3}), std::invalid_argument);
 }
 
-TEST(DescriptiveTest, SpearmanIsRankInvariant)
-{
-    // Monotone transformations do not change rank correlation.
-    std::vector<double> x{1, 2, 3, 4};
-    std::vector<double> y{1, 8, 27, 1000};
-    EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-}
-
 TEST(DescriptiveTest, RelativeError)
 {
     EXPECT_DOUBLE_EQ(relativeError(11.0, 10.0), 0.1);

@@ -26,9 +26,14 @@
 #include "uarch/simulation.h"
 #include "uarch/tlb.h"
 
+#include "../verify/test_access.h"
+
 namespace speclens {
 namespace uarch {
 namespace {
+
+/** Every prewarm-written field of a hierarchy pair, flattened. */
+constexpr auto stateDigest = &verify::StateAuditor::TestAccess::stateDigest;
 
 /** Every shipped machine: 7 profiling, then 4 memory-centric. */
 std::vector<MachineConfig>
@@ -182,8 +187,8 @@ TEST(LineStorage, TwoHierarchiesAliveAtOnce)
                 << machine.name;
             PrewarmSolver::walk(walked_caches, walked_tlbs, profile,
                                 llc_lines);
-            EXPECT_EQ(PrewarmSolver::stateDigest(solved_caches, solved_tlbs),
-                      PrewarmSolver::stateDigest(walked_caches, walked_tlbs))
+            EXPECT_EQ(stateDigest(solved_caches, solved_tlbs),
+                      stateDigest(walked_caches, walked_tlbs))
                 << machine.name;
             EXPECT_TRUE(
                 bitIdentical(simulate(mcf(), machine, window()), fresh))

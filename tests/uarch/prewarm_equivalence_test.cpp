@@ -31,11 +31,16 @@
 #include "uarch/prewarm.h"
 #include "uarch/simulation.h"
 
+#include "../verify/test_access.h"
+
 using namespace speclens;
 using uarch::CacheConfig;
 using uarch::ReplacementPolicy;
 
 namespace {
+
+/** Every prewarm-written field of a hierarchy pair, flattened. */
+constexpr auto stateDigest = &verify::StateAuditor::TestAccess::stateDigest;
 
 /** Small all-@p policy hierarchy so sweeps stay fast. */
 uarch::CacheHierarchyConfig
@@ -117,10 +122,8 @@ expectStateEquivalence(const uarch::CacheHierarchyConfig &caches,
     uarch::PrewarmSolver::walk(walked_caches, walked_tlbs, profile,
                                llc_lines);
 
-    EXPECT_EQ(uarch::PrewarmSolver::stateDigest(analytic_caches,
-                                                analytic_tlbs),
-              uarch::PrewarmSolver::stateDigest(walked_caches,
-                                                walked_tlbs))
+    EXPECT_EQ(stateDigest(analytic_caches, analytic_tlbs),
+              stateDigest(walked_caches, walked_tlbs))
         << label << ": analytic state differs from the walk";
 }
 
@@ -217,12 +220,10 @@ TEST(PrewarmEquivalence, UnprovableStrideFallsBackUntouched)
 
     uarch::CacheHierarchy hierarchy(caches);
     uarch::TlbHierarchy tlb_hierarchy(tlbs);
-    std::vector<std::uint64_t> fresh =
-        uarch::PrewarmSolver::stateDigest(hierarchy, tlb_hierarchy);
+    std::vector<std::uint64_t> fresh = stateDigest(hierarchy, tlb_hierarchy);
     EXPECT_FALSE(uarch::PrewarmSolver::apply(hierarchy, tlb_hierarchy,
                                              profile, 4096));
-    EXPECT_EQ(uarch::PrewarmSolver::stateDigest(hierarchy, tlb_hierarchy),
-              fresh);
+    EXPECT_EQ(stateDigest(hierarchy, tlb_hierarchy), fresh);
 }
 
 TEST(PrewarmEquivalence, RandomOverflowFallsBackUntouched)
@@ -236,12 +237,10 @@ TEST(PrewarmEquivalence, RandomOverflowFallsBackUntouched)
 
     uarch::CacheHierarchy hierarchy(caches);
     uarch::TlbHierarchy tlb_hierarchy(tlbs);
-    std::vector<std::uint64_t> fresh =
-        uarch::PrewarmSolver::stateDigest(hierarchy, tlb_hierarchy);
+    std::vector<std::uint64_t> fresh = stateDigest(hierarchy, tlb_hierarchy);
     EXPECT_FALSE(uarch::PrewarmSolver::apply(hierarchy, tlb_hierarchy,
                                              profile, 1 << 20));
-    EXPECT_EQ(uarch::PrewarmSolver::stateDigest(hierarchy, tlb_hierarchy),
-              fresh);
+    EXPECT_EQ(stateDigest(hierarchy, tlb_hierarchy), fresh);
 }
 
 /** Every shipped machine: profiling, memory-centric, prefetch ablation. */
@@ -354,14 +353,12 @@ expectRefusedUntouched(const uarch::CacheHierarchyConfig &caches,
 {
     uarch::CacheHierarchy hierarchy(caches);
     uarch::TlbHierarchy tlb_hierarchy(tlbConfigFor(0));
-    std::vector<std::uint64_t> fresh =
-        uarch::PrewarmSolver::stateDigest(hierarchy, tlb_hierarchy);
+    std::vector<std::uint64_t> fresh = stateDigest(hierarchy, tlb_hierarchy);
     uarch::PrewarmSolver::Refusal why{};
     EXPECT_FALSE(uarch::PrewarmSolver::apply(hierarchy, tlb_hierarchy,
                                              profile, 1 << 14, &why));
     EXPECT_EQ(why, reason);
-    EXPECT_EQ(uarch::PrewarmSolver::stateDigest(hierarchy, tlb_hierarchy),
-              fresh);
+    EXPECT_EQ(stateDigest(hierarchy, tlb_hierarchy), fresh);
 }
 
 TEST(PrewarmEquivalence, PrefetchEngineEdgeCases)

@@ -4,8 +4,9 @@
  *
  * Mirrors the lint-rule test discipline: every invariant is exercised
  * both ways — clean structures audit silent, and a single poked field
- * must trip exactly its invariant.  The pokes go through the
- * StateAuditor *ForTest helpers, so production state stays private.
+ * must trip exactly its invariant.  The pokes write private fields
+ * through StateAuditor::TestAccess (test_access.h), so production
+ * state stays private.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "suites/machines.h"
 #include "suites/spec2017.h"
+#include "trace/phased_workload.h"
 #include "trace/record_batch.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
@@ -25,9 +27,13 @@
 #include "uarch/tlb.h"
 #include "verify/state_audit.h"
 
+#include "test_access.h"
+
 namespace speclens {
 namespace verify {
 namespace {
+
+using Access = StateAuditor::TestAccess;
 
 std::size_t
 countInvariant(const std::vector<Violation> &violations,
@@ -75,13 +81,10 @@ TEST(StateAudit, DuplicateLineTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
     std::vector<Violation> before = audit(cache);
-    // Copy way 0's tag into way 1 of set 0.
-    StateAuditor::pokeTagForTest(
-        cache, 0, 1,
-        /* same tag as the line at way 0: reconstructable from the
-           last lines accessed, but simplest to just force both */
-        42);
-    StateAuditor::pokeTagForTest(cache, 0, 0, 42);
+    // The same tag in ways 0 and 1 of set 0 (simplest to force both
+    // rather than reconstruct way 0's tag from the lines accessed).
+    Access::tag(cache, 0, 1) = 42;
+    Access::tag(cache, 0, 0) = 42;
     std::vector<Violation> after = audit(cache);
     EXPECT_EQ(countInvariant(after, "duplicate-line"), 1u);
 }
@@ -90,29 +93,29 @@ TEST(StateAudit, InvalidSuffixTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
     // Invalidate way 0 while ways 1..3 stay valid.
-    StateAuditor::pokeTagForTest(cache, 0, 0, ~0ull);
+    Access::tag(cache, 0, 0) = ~0ull;
     EXPECT_EQ(countInvariant(audit(cache), "invalid-suffix"), 3u);
 }
 
 TEST(StateAudit, TagDomainTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
-    StateAuditor::pokeTagForTest(cache, 0, 0, ~0ull - 1);
+    Access::tag(cache, 0, 0) = ~0ull - 1;
     EXPECT_EQ(countInvariant(audit(cache), "tag-domain"), 1u);
 }
 
 TEST(StateAudit, StampBoundTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
-    StateAuditor::pokeStampForTest(cache, 0, 0, 0);
+    Access::stamp(cache, 0, 0) = 0;
     EXPECT_EQ(countInvariant(audit(cache), "stamp-bound"), 1u);
 }
 
 TEST(StateAudit, StampUniqueTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Fifo);
-    StateAuditor::pokeStampForTest(cache, 1, 0, 7);
-    StateAuditor::pokeStampForTest(cache, 1, 1, 7);
+    Access::stamp(cache, 1, 0) = 7;
+    Access::stamp(cache, 1, 1) = 7;
     EXPECT_EQ(countInvariant(audit(cache), "stamp-unique"), 1u);
 }
 
@@ -120,28 +123,29 @@ TEST(StateAudit, PlruDomainTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::TreePlru);
     // A 4-way tree has 3 node bits; bit 3 must never be set.
-    StateAuditor::pokePlruForTest(cache, 0, 1u << 3);
+    Access::plru(cache)[0] = 1u << 3;
     EXPECT_EQ(countInvariant(audit(cache), "plru-domain"), 1u);
 }
 
 TEST(StateAudit, HitsBoundTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
-    StateAuditor::pokeHitsForTest(cache, cache.accesses() + 1);
+    Access::hits(cache) = cache.accesses() + 1;
     EXPECT_EQ(countInvariant(audit(cache), "hits-bound"), 1u);
 }
 
 TEST(StateAudit, PageAlignmentTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
-    StateAuditor::pokeLineBytesForTest(cache, 48);
+    Access::config(cache).line_bytes = 48;
     EXPECT_EQ(countInvariant(audit(cache), "page-alignment"), 1u);
 }
 
 TEST(StateAudit, FillCounterTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Random);
-    StateAuditor::pokeColdFillForTest(cache, 0, 5); // assoc is 4
+    Access::coldFills(cache).assign(4, 0); // one counter per set
+    Access::coldFills(cache)[0] = 5;       // assoc is 4
     EXPECT_EQ(countInvariant(audit(cache), "fill-counter"), 1u);
 }
 
@@ -164,7 +168,7 @@ TEST(StateAudit, WalkConsistencyTrips)
     for (std::uint64_t page = 0; page < 2000; ++page)
         tlbs.accessData(page * 4096);
     ASSERT_GT(tlbs.l2tlbMisses(), 0u);
-    StateAuditor::pokePageWalksForTest(tlbs, 0);
+    Access::pageWalks(tlbs) = 0;
     std::vector<Violation> out;
     StateAuditor::auditTlbs(tlbs, out);
     EXPECT_EQ(countInvariant(out, "walk-consistency"), 1u);
@@ -176,8 +180,7 @@ TEST(StateAudit, WalkBoundTrips)
     uarch::TlbHierarchy tlbs(uarch::TlbHierarchyConfig{});
     for (std::uint64_t page = 0; page < 100; ++page)
         tlbs.accessData(page * 4096);
-    StateAuditor::pokePageWalksForTest(
-        tlbs, tlbs.itlbMisses() + tlbs.dtlbMisses() + 1);
+    Access::pageWalks(tlbs) = tlbs.itlbMisses() + tlbs.dtlbMisses() + 1;
     std::vector<Violation> out;
     StateAuditor::auditTlbs(tlbs, out);
     EXPECT_EQ(countInvariant(out, "walk-bound"), 1u);
@@ -205,8 +208,7 @@ TEST(StateAudit, CleanPredictorsAuditSilent)
 TEST(StateAudit, BimodalCounterRangeTrips)
 {
     uarch::PredictorVariant predictor = uarch::BimodalPredictor(4);
-    StateAuditor::pokeBimodalCounterForTest(
-        std::get<uarch::BimodalPredictor>(predictor), 3, 7);
+    Access::counters(std::get<uarch::BimodalPredictor>(predictor))[3] = 7;
     std::vector<Violation> out;
     StateAuditor::auditPredictor(predictor, out);
     EXPECT_EQ(countInvariant(out, "counter-range"), 1u);
@@ -215,8 +217,7 @@ TEST(StateAudit, BimodalCounterRangeTrips)
 TEST(StateAudit, GshareHistoryWidthTrips)
 {
     uarch::PredictorVariant predictor = uarch::GsharePredictor(4, 8);
-    StateAuditor::pokeGshareHistoryForTest(
-        std::get<uarch::GsharePredictor>(predictor), ~0ull);
+    Access::history(std::get<uarch::GsharePredictor>(predictor)) = ~0ull;
     std::vector<Violation> out;
     StateAuditor::auditPredictor(predictor, out);
     EXPECT_EQ(countInvariant(out, "history-width"), 1u);
@@ -225,8 +226,7 @@ TEST(StateAudit, GshareHistoryWidthTrips)
 TEST(StateAudit, TournamentChooserRangeTrips)
 {
     uarch::PredictorVariant predictor = uarch::TournamentPredictor(4);
-    StateAuditor::pokeChooserCounterForTest(
-        std::get<uarch::TournamentPredictor>(predictor), 0, 9);
+    Access::chooser(std::get<uarch::TournamentPredictor>(predictor))[0] = 9;
     std::vector<Violation> out;
     StateAuditor::auditPredictor(predictor, out);
     EXPECT_EQ(countInvariant(out, "counter-range"), 1u);
@@ -237,8 +237,8 @@ TEST(StateAudit, TournamentChooserRangeTrips)
 TEST(StateAudit, PerceptronWeightRangeTrips)
 {
     uarch::PredictorVariant predictor = uarch::PerceptronPredictor(4, 8);
-    StateAuditor::pokePerceptronWeightForTest(
-        std::get<uarch::PerceptronPredictor>(predictor), 0, 0, 300);
+    Access::weights(std::get<uarch::PerceptronPredictor>(predictor))[0][0] =
+        300;
     std::vector<Violation> out;
     StateAuditor::auditPredictor(predictor, out);
     EXPECT_EQ(countInvariant(out, "weight-range"), 1u);
@@ -247,9 +247,8 @@ TEST(StateAudit, PerceptronWeightRangeTrips)
 TEST(StateAudit, TageTagWidthTrips)
 {
     uarch::PredictorVariant predictor = uarch::TageLitePredictor(4);
-    StateAuditor::pokeTageEntryForTest(
-        std::get<uarch::TageLitePredictor>(predictor), 0, 0, 0x7ff, 0,
-        0);
+    Access::tables(std::get<uarch::TageLitePredictor>(predictor))[0][0]
+        .tag = 0x7ff;
     std::vector<Violation> out;
     StateAuditor::auditPredictor(predictor, out);
     EXPECT_EQ(countInvariant(out, "tag-width"), 1u);
@@ -258,8 +257,10 @@ TEST(StateAudit, TageTagWidthTrips)
 TEST(StateAudit, TageCounterAndUsefulRangesTrip)
 {
     uarch::PredictorVariant predictor = uarch::TageLitePredictor(4);
-    StateAuditor::pokeTageEntryForTest(
-        std::get<uarch::TageLitePredictor>(predictor), 1, 2, 0, -5, 9);
+    auto &entry =
+        Access::tables(std::get<uarch::TageLitePredictor>(predictor))[1][2];
+    entry.counter = -5;
+    entry.useful = 9;
     std::vector<Violation> out;
     StateAuditor::auditPredictor(predictor, out);
     EXPECT_EQ(countInvariant(out, "counter-range"), 1u);
@@ -270,7 +271,8 @@ TEST(StateAudit, ShrunkTableTrips)
 {
     uarch::PredictorVariant predictor =
         uarch::makePredictorVariant(uarch::PredictorKind::Bimodal, 5);
-    StateAuditor::shrinkTableForTest(predictor);
+    Access::counters(std::get<uarch::BimodalPredictor>(predictor))
+        .pop_back();
     std::vector<Violation> out;
     StateAuditor::auditPredictor(predictor, out);
     EXPECT_EQ(countInvariant(out, "table-size"), 1u);
@@ -300,8 +302,7 @@ TEST(StateAudit, FillConsistencyTrips)
     // count exactly.
     for (std::uint64_t i = 0; i < 3; ++i)
         caches.prewarmFillData(i * 64 * 64);
-    StateAuditor::pokeColdFillForTest(
-        StateAuditor::l1dForTest(caches), 0, 2);
+    Access::coldFills(Access::l1d(caches))[0] = 2;
     std::vector<Violation> out;
     StateAuditor::auditPrewarm(caches, tlbs, out);
     EXPECT_EQ(countInvariant(out, "fill-consistency"), 1u);
@@ -315,9 +316,9 @@ TEST(StateAudit, FillOrderTrips)
     // survivor set is no longer reachable by a pure fill stream.
     for (std::uint64_t i = 0; i < 8; ++i)
         caches.prewarmFillData(i * 64 * 64);
-    uarch::Cache &l1d = StateAuditor::l1dForTest(caches);
-    StateAuditor::pokeStampForTest(l1d, 0, 0, 2);
-    StateAuditor::pokeStampForTest(l1d, 0, 1, 1);
+    uarch::Cache &l1d = Access::l1d(caches);
+    Access::stamp(l1d, 0, 0) = 2;
+    Access::stamp(l1d, 0, 1) = 1;
     std::vector<Violation> out;
     StateAuditor::auditPrewarm(caches, tlbs, out);
     EXPECT_EQ(countInvariant(out, "fill-order"), 1u);
@@ -379,7 +380,7 @@ TEST(StateAudit, PrefetchBitDomainTrips)
 {
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::NextLine);
-    StateAuditor::pokePrefetchBitForTest(caches, 0, 2);
+    Access::prefetchBits(caches)[0] = 2;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "bit-domain"), 1u);
 }
 
@@ -389,7 +390,7 @@ TEST(StateAudit, PrefetchBitOnInvalidWayTrips)
     // mark a resident prefetched line.
     uarch::CacheHierarchy caches(
         memoryHierarchyConfig(uarch::PrefetcherKind::NextLine, 2));
-    StateAuditor::pokePrefetchBitForTest(caches, 0, 1);
+    Access::prefetchBits(caches)[0] = 1;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "bit-on-invalid"),
               1u);
 }
@@ -399,8 +400,7 @@ TEST(StateAudit, PrefetchFillIdentityTrips)
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::NextLine);
     ASSERT_TRUE(auditHierarchy(caches).empty());
-    StateAuditor::pokePrefetchFillsForTest(caches,
-                                           caches.prefetchFills() + 1);
+    Access::prefetchFills(caches) = caches.prefetchFills() + 1;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "fill-identity"),
               1u);
 }
@@ -409,7 +409,7 @@ TEST(StateAudit, PrefetchCountersOffTrips)
 {
     uarch::CacheHierarchy caches(
         memoryHierarchyConfig(uarch::PrefetcherKind::NextLine, 0));
-    StateAuditor::pokePrefetchFillsForTest(caches, 1);
+    Access::prefetchFills(caches) = 1;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "counters-off"),
               1u);
 }
@@ -418,7 +418,7 @@ TEST(StateAudit, StrideConfidenceRangeTrips)
 {
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::Stride);
-    StateAuditor::pokeStrideConfidenceForTest(caches, 0, 5);
+    Access::strideTable(caches)[0].confidence = 5;
     EXPECT_EQ(
         countInvariant(auditHierarchy(caches), "stride-confidence"),
         1u);
@@ -428,7 +428,7 @@ TEST(StateAudit, StreamRingCursorTrips)
 {
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::Stream);
-    StateAuditor::pokeStreamNextForTest(caches, 8);
+    Access::streamNext(caches) = 8;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "stream-ring"),
               1u);
 }
@@ -438,8 +438,7 @@ TEST(StateAudit, WayPredDomainTrips)
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::NextLine);
     // L1D is 2-way; a predicted way of 7 is unreachable.
-    StateAuditor::pokeWayPredEntryForTest(
-        StateAuditor::l1dForTest(caches), 0, 7);
+    Access::wayPred(Access::l1d(caches))[0] = 7;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "waypred-domain"),
               1u);
 }
@@ -448,8 +447,8 @@ TEST(StateAudit, WayPredBoundTrips)
 {
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::NextLine);
-    uarch::Cache &l1d = StateAuditor::l1dForTest(caches);
-    StateAuditor::pokeWayPredHitsForTest(l1d, l1d.hits() + 1);
+    uarch::Cache &l1d = Access::l1d(caches);
+    Access::wayPredHits(l1d) = l1d.hits() + 1;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "waypred-bound"),
               1u);
 }
@@ -461,7 +460,7 @@ TEST(StateAudit, WayPredCountersOffTrips)
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
     cache.access(0);
     cache.access(0); // one hit so the bound check stays quiet
-    StateAuditor::pokeWayPredHitsForTest(cache, 1);
+    Access::wayPredHits(cache) = 1;
     std::vector<Violation> out = audit(cache);
     EXPECT_EQ(countInvariant(out, "waypred-counters"), 1u);
     EXPECT_EQ(countInvariant(out, "waypred-bound"), 0u);
@@ -471,7 +470,9 @@ TEST(StateAudit, DramRowDomainTrips)
 {
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::NextLine);
-    StateAuditor::pokeDramOpenRowForTest(caches, 0, ~0ull);
+    uarch::DramModel &dram = Access::dram(caches);
+    Access::openRow(dram)[0] = ~0ull;
+    Access::rowOpen(dram)[0] = 1;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "row-domain"), 1u);
 }
 
@@ -480,8 +481,7 @@ TEST(StateAudit, DramBusyIdentityTrips)
     uarch::CacheHierarchy caches =
         warmedMemoryHierarchy(uarch::PrefetcherKind::NextLine);
     ASSERT_GT(caches.dramAccesses(), 0u);
-    StateAuditor::pokeDramBusyForTest(caches,
-                                      caches.dramBusyCycles() + 1);
+    Access::busyCycles(Access::dram(caches)) = caches.dramBusyCycles() + 1;
     EXPECT_EQ(countInvariant(auditHierarchy(caches), "busy-identity"),
               1u);
 }
@@ -535,6 +535,39 @@ TEST(StateAudit, SimulateTrailHoldsCounterIdentitiesOnEveryMachine)
         for (const Violation &v : trail.violations)
             ADD_FAILURE() << machine.name << ": " << renderViolation(v);
     }
+}
+
+// Phased runs carry cache, TLB and predictor state across phase
+// boundaries, so only an audit trail proves the structures stay legal
+// there.  Every 7th CPU2017 model (the `speclens audit` sample), split
+// into 8 phases at drift 0.35, on every profiling and memory-centric
+// machine: each run is audited and none may break an invariant.
+TEST(StateAudit, PhasedRunsAuditCleanOnShippedMachines)
+{
+    uarch::SimulationConfig config;
+    config.instructions = 20'000;
+    config.warmup = 5'000;
+    std::vector<uarch::MachineConfig> machines =
+        suites::profilingMachines();
+    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
+        machines.push_back(std::move(m));
+    const std::vector<suites::BenchmarkInfo> &all = suites::spec2017();
+    std::uint64_t audits = 0;
+    for (std::size_t i = 0; i < all.size(); i += 7) {
+        const trace::PhasedWorkload workload =
+            trace::derivePhases(all[i].profile, 8, 0.35);
+        for (const uarch::MachineConfig &machine : machines) {
+            AuditTrail trail;
+            uarch::simulatePhased(workload, machine, config, &trail);
+            EXPECT_GT(trail.audits, 0u) << all[i].name << " on "
+                                        << machine.name;
+            audits += trail.audits;
+            for (const Violation &v : trail.violations)
+                ADD_FAILURE() << all[i].name << " on " << machine.name
+                              << ": " << renderViolation(v);
+        }
+    }
+    EXPECT_GT(audits, 0u);
 }
 
 /** Invariant names checkCounterIdentities() reports for @p c. */

@@ -49,6 +49,17 @@ done
 
 step() { printf '\n== %s ==\n' "$*"; }
 
+step "no test hooks in production code"
+# Test-only access to private simulator state lives in
+# tests/verify/test_access.h (StateAuditor::TestAccess), so src/ and
+# tools/ carry no test pokes and no prewarm state digests.  The
+# bracketed letters keep this script from matching itself.
+if grep -rnE 'For[T]est|state[D]igest' src tools; then
+    echo "test hooks found in src/ or tools/ (see above)" >&2
+    exit 1
+fi
+echo "none"
+
 step "configure (${BUILD_DIR}, sanitize='${SANITIZE:-none}', WERROR=ON, METRICS=${METRICS})"
 cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=Release \

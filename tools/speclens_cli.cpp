@@ -944,7 +944,7 @@ cmdRepro(const CliOptions &opts)
 std::vector<suites::BenchmarkInfo>
 auditBenchmarks()
 {
-    // Every 7th CPU2017 entry: six benchmarks spanning INT and FP,
+    // Every 7th CPU2017 entry: seven benchmarks spanning INT and FP,
     // small enough that the audited replay matrix (3 job counts x 2
     // salts) stays interactive.
     std::vector<suites::BenchmarkInfo> picked;
