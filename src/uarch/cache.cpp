@@ -95,13 +95,13 @@ class LineRegion
 
     /** A slice of @p words (rounded up to 64 bytes), or null when the
      *  region lacks room. */
-    std::uint64_t *
+    std::byte *
     take(std::size_t words)
     {
         std::size_t rounded = (words + 7) / 8 * 8;
         if (capacity_ - used_ < rounded)
             return nullptr;
-        std::uint64_t *slice = base_ + used_;
+        std::byte *slice = reinterpret_cast<std::byte *>(base_ + used_);
         used_ += rounded;
         ++holders_;
         return slice;
@@ -129,7 +129,8 @@ LineLease::LineLease(std::size_t words)
     if (data_) {
         region_ = &region;
     } else {
-        heap_ = std::make_unique_for_overwrite<std::uint64_t[]>(words);
+        heap_ = std::make_unique_for_overwrite<std::byte[]>(
+            words * sizeof(std::uint64_t));
         data_ = heap_.get();
     }
 }
@@ -259,8 +260,8 @@ Cache::Cache(const CacheConfig &config)
     // only the tags are initialized.
     const std::size_t lines = num_sets_ * config_.associativity;
     lines_ = LineLease(storageWords(config_));
-    tags_ = lines_.data();
-    stamps_ = tags_ + lines;
+    tags_ = reinterpret_cast<std::uint64_t *>(lines_.data());
+    stamps_ = reinterpret_cast<std::uint32_t *>(tags_ + lines);
     std::fill(tags_, tags_ + lines, kInvalidTag);
     plru_.assign(config_.policy == ReplacementPolicy::TreePlru ? num_sets_
                                                                : 0,
@@ -276,7 +277,36 @@ Cache::Cache(const CacheConfig &config)
 std::size_t
 Cache::storageWords(const CacheConfig &config)
 {
-    return (2 * config.sets() * config.associativity + 7) / 8 * 8;
+    const std::size_t bytes =
+        config.sets() * config.associativity *
+        (sizeof(std::uint64_t) + sizeof(std::uint32_t));
+    return (bytes + 63) / 64 * (64 / sizeof(std::uint64_t));
+}
+
+void
+Cache::rebaseStamps()
+{
+    // Rank each set's valid stamps (unique per set, see the auditor's
+    // stamp-unique invariant); invalid ways keep their unread words.
+    const std::uint32_t assoc = config_.associativity;
+    std::vector<std::uint32_t> ways(assoc);
+    std::uint64_t top = 0;
+    for (std::uint64_t set = 0; set < num_sets_; ++set) {
+        const std::uint64_t *tags = &tags_[set * assoc];
+        std::uint32_t *stamps = &stamps_[set * assoc];
+        std::uint32_t valid = 0;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            if (tags[w] != kInvalidTag)
+                ways[valid++] = w;
+        std::sort(ways.begin(), ways.begin() + valid,
+                  [stamps](std::uint32_t a, std::uint32_t b) {
+                      return stamps[a] < stamps[b];
+                  });
+        for (std::uint32_t rank = 0; rank < valid; ++rank)
+            stamps[ways[rank]] = rank + 1;
+        top = std::max<std::uint64_t>(top, valid);
+    }
+    tick_ = top;
 }
 
 void

@@ -13,8 +13,11 @@
 #ifndef SPECLENS_UARCH_CACHE_H
 #define SPECLENS_UARCH_CACHE_H
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,21 +106,22 @@ class LineLease
   public:
     LineLease() = default;
 
-    /** Take @p words, uninitialized. */
+    /** Take @p words 8-byte words, uninitialized. */
     explicit LineLease(std::size_t words);
 
     LineLease(LineLease &&other) noexcept;
     LineLease &operator=(LineLease &&other) noexcept;
     ~LineLease();
 
-    std::uint64_t *data() const { return data_; }
+    /** The leased bytes, 64-byte aligned in a region slice. */
+    std::byte *data() const { return data_; }
 
   private:
     void release();
 
-    std::uint64_t *data_ = nullptr;
+    std::byte *data_ = nullptr;
     LineRegion *region_ = nullptr; //!< Non-null: data_ is a region slice.
-    std::unique_ptr<std::uint64_t[]> heap_;
+    std::unique_ptr<std::byte[]> heap_;
 };
 
 /**
@@ -135,10 +139,33 @@ class Cache
     explicit Cache(const CacheConfig &config);
 
     /**
-     * Words of tag and stamp storage a cache of @p config takes:
-     * 2 x sets x ways, rounded up to a 64-byte line.
+     * 8-byte words of tag and stamp storage a cache of @p config
+     * takes: a 64-bit tag and a 32-bit stamp per line, so 12 x sets x
+     * ways bytes, rounded up to a 64-byte line.
      */
     static std::size_t storageWords(const CacheConfig &config);
+
+    /** Largest value a replacement stamp holds. */
+    static constexpr std::uint64_t kMaxStamp =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /**
+     * Make room for @p ticks more stamp ticks: when they could carry
+     * the tick past kMaxStamp, rebase the stamps first — each set's
+     * valid stamps become their ranks 1..k in the same order, and the
+     * tick becomes the largest rank.  LRU and FIFO read stamps only to
+     * find the minimum of a full set, so every later victim, and so
+     * every result, is the same as without the rebase.  Callers bound
+     * @p ticks over a chunk of records or walk steps (see
+     * CacheHierarchy::reserveTicks), never per access; a bound of
+     * kMaxStamp or more cannot be honoured.
+     */
+    void
+    reserveTicks(std::uint64_t ticks)
+    {
+        if (tick_ > kMaxStamp - std::min(ticks, kMaxStamp))
+            rebaseStamps();
+    }
 
     /**
      * Make the calling thread's line-storage region at least @p words
@@ -185,7 +212,7 @@ class Cache
         hits_ += count;
         if (config_.policy == ReplacementPolicy::Lru) {
             tick_ += count;
-            stamps_[last_index_] = tick_;
+            stamps_[last_index_] = static_cast<std::uint32_t>(tick_);
         }
         // The preceding access left the predictor entry pointing at
         // the way it touched, so every repeat predicts correctly.
@@ -251,6 +278,9 @@ class Cache
     /** Policy metadata update on hit or fill. */
     void touch(std::uint64_t set, std::uint32_t way, bool is_fill);
 
+    /** The rank rewrite of reserveTicks(). */
+    void rebaseStamps();
+
     CacheConfig config_;
     std::uint64_t num_sets_;
     std::uint32_t line_shift_;
@@ -274,7 +304,9 @@ class Cache
     std::uint64_t *tags_ = nullptr; //!< kInvalidTag when invalid.
 
     /**
-     * LRU/FIFO ordering stamps.  Deliberately left uninitialized at
+     * LRU/FIFO ordering stamps, 32 bits each, in [1, tick_] for every
+     * valid way (reserveTicks() keeps tick_ <= kMaxStamp).
+     * Deliberately left uninitialized at
      * construction: a stamp is only ever read for a valid way — by the
      * LRU/FIFO victim scan, which runs when the set is full, and by
      * the auditor and the tests' prewarm state digest — and filling a
@@ -283,7 +315,7 @@ class Cache
      * an earlier cache of any geometry left there; only the tags are
      * filled on construction.
      */
-    std::uint64_t *stamps_ = nullptr;
+    std::uint32_t *stamps_ = nullptr;
 
     std::vector<std::uint32_t> plru_; //!< Tree-PLRU state per set.
 
@@ -295,7 +327,7 @@ class Cache
      * counter replaces both way scans.
      */
     std::vector<std::uint32_t> cold_fills_;
-    std::uint64_t tick_ = 0;            //!< Monotonic stamp source.
+    std::uint64_t tick_ = 0; //!< Stamp source; rebased, never wraps.
     stats::Rng rng_;                    //!< For Random replacement.
 
     std::uint64_t accesses_ = 0;
@@ -413,13 +445,13 @@ Cache::splitAddress(std::uint64_t address, std::uint64_t &set,
 inline std::uint32_t
 Cache::victimWay(std::uint64_t set)
 {
-    const std::uint64_t *stamps = &stamps_[set * config_.associativity];
+    const std::uint32_t *stamps = &stamps_[set * config_.associativity];
     switch (config_.policy) {
       case ReplacementPolicy::Lru:
       case ReplacementPolicy::Fifo: {
         // Smallest stamp is the least-recently used / first inserted.
         std::uint32_t victim = 0;
-        std::uint64_t oldest = stamps[0];
+        std::uint32_t oldest = stamps[0];
         for (std::uint32_t w = 1; w < config_.associativity; ++w) {
             if (stamps[w] < oldest) {
                 oldest = stamps[w];
@@ -442,12 +474,14 @@ Cache::touch(std::uint64_t set, std::uint32_t way, bool is_fill)
 {
     switch (config_.policy) {
       case ReplacementPolicy::Lru:
-        stamps_[set * config_.associativity + way] = ++tick_;
+        stamps_[set * config_.associativity + way] =
+            static_cast<std::uint32_t>(++tick_);
         break;
       case ReplacementPolicy::Fifo:
         // Only insertion order matters; hits do not refresh the stamp.
         if (is_fill)
-            stamps_[set * config_.associativity + way] = ++tick_;
+            stamps_[set * config_.associativity + way] =
+                static_cast<std::uint32_t>(++tick_);
         break;
       case ReplacementPolicy::TreePlru:
         plru_[set] =
@@ -535,7 +569,8 @@ Cache::coldFill(std::uint64_t address)
         // so the fill count mod assoc IS the way — no scans.
         way = fills;
         fills = fills + 1 == assoc ? 0 : fills + 1;
-        stamps_[set * assoc + way] = ++tick_; // touch(), fill case
+        // touch(), fill case
+        stamps_[set * assoc + way] = static_cast<std::uint32_t>(++tick_);
         break;
       default:
         // Tree-PLRU / Random: the counter still covers the invalid

@@ -147,6 +147,26 @@ class CacheHierarchy
     }
 
     /**
+     * Keep every level's stamps within 32 bits for the next @p steps
+     * steps (see Cache::reserveTicks).  A step is one record of the
+     * playback loop or one element of the prewarm walk: at most one
+     * instruction fetch and one data access, with every repeat run
+     * flushed before the call.  It ticks L1I and L1D at most once
+     * each, and L2 and L3 at most 2 + degree times (a demand probe per
+     * side, plus one per prefetch the data access issues).
+     */
+    void
+    reserveTicks(std::uint64_t steps)
+    {
+        l1i_cache_.reserveTicks(steps);
+        l1d_cache_.reserveTicks(steps);
+        const std::uint64_t shared = steps * (2 + prefetch_degree_);
+        l2_cache_.reserveTicks(shared);
+        if (l3_cache_)
+            l3_cache_->reserveTicks(shared);
+    }
+
+    /**
      * True when the prewarm walk may use the cold fast path: nothing
      * has been accessed yet (so every level is empty and every probe
      * of a distinct-line walk must miss) and the prefetcher is off (a

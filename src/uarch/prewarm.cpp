@@ -830,6 +830,7 @@ PrewarmSolver::refusalName(Refusal reason)
       case Refusal::RandomOverflow: return "random_overflow";
       case Refusal::PrefetchPolicy: return "prefetch_policy";
       case Refusal::PrefetchShape: return "prefetch_shape";
+      case Refusal::TickRange: return "tick_range";
     }
     return "unknown";
 }
@@ -982,20 +983,22 @@ PrewarmSolver::solveCache(Cache &cache,
                     // Prefetching L2: the last touch is the line's
                     // demand (hit or missing fill), else its prefetch
                     // fill.
-                    cache.stamps_[idx] =
+                    cache.stamps_[idx] = static_cast<std::uint32_t>(
                         demanded ? demand_tick
-                                 : seg.fill_tick[e] + j * seg.tick_step;
+                                 : seg.fill_tick[e] + j * seg.tick_step);
                 } else if (g != 1) {
-                    cache.stamps_[idx] = seg.tick0 + j * g + e + 1;
+                    cache.stamps_[idx] =
+                        static_cast<std::uint32_t>(seg.tick0 + j * g + e + 1);
                 } else {
                     // The tick of the unit's last element (the
                     // collapsed repeat run re-stamps the just-filled
                     // way).
-                    cache.stamps_[idx] =
-                        seg.tick0 + std::min((j + 1) * seg.rep, seg.elems);
+                    cache.stamps_[idx] = static_cast<std::uint32_t>(
+                        seg.tick0 + std::min((j + 1) * seg.rep, seg.elems));
                 }
             } else if (fifo) {
-                cache.stamps_[idx] = seg.fills0 + j * g + e + 1;
+                cache.stamps_[idx] =
+                    static_cast<std::uint32_t>(seg.fills0 + j * g + e + 1);
             }
             if (kGeneral && prefetch_bits != nullptr && seg.prefetched[e] &&
                 !demanded) {
@@ -1220,7 +1223,13 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
             if (!fitsWithoutEviction(*target.cache, *target.segments))
                 return refuse(Refusal::RandomOverflow);
             break;
-          default:
+          case ReplacementPolicy::Lru:
+          case ReplacementPolicy::Fifo:
+            // The closed forms write the walk's raw ticks, at most one
+            // per access; past a 32-bit stamp only the walk, which
+            // rebases, is exact.
+            if (target.accesses > Cache::kMaxStamp)
+                return refuse(Refusal::TickRange);
             break;
         }
     }
@@ -1301,7 +1310,35 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
     const unsigned i_page_shift =
         static_cast<unsigned>(std::countr_zero(tlbs.instrPageBytes()));
     std::uint64_t last_dline = ~0ull, last_dpage = ~0ull;
-    std::uint64_t drun = 0, dprun = 0;
+    std::uint64_t last_ipage = ~0ull;
+    std::uint64_t drun = 0, dprun = 0, iprun = 0;
+
+    auto flushRuns = [&] {
+        if (drun) {
+            caches.repeatDataHits(drun);
+            drun = 0;
+        }
+        if (dprun) {
+            tlbs.repeatDataHits(dprun);
+            dprun = 0;
+        }
+        if (iprun) {
+            tlbs.repeatInstrHits(iprun);
+            iprun = 0;
+        }
+    };
+    // Every kTickSpan steps (data elements, then code lines), flush the
+    // open runs and keep the 32-bit stamps in range for the next span,
+    // as the playback loop does per chunk.
+    constexpr std::uint64_t kTickSpan = 4096;
+    std::uint64_t steps = 0;
+    auto reserveTicks = [&] {
+        if (steps++ % kTickSpan != 0)
+            return;
+        flushRuns();
+        caches.reserveTicks(kTickSpan);
+        tlbs.reserveTicks(kTickSpan);
+    };
 
     // On a never-touched hierarchy with the prefetcher off, every
     // distinct line/page of the walk is a guaranteed compulsory miss
@@ -1327,6 +1364,7 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
         // times in a row; collapse those guaranteed hits exactly, as
         // in the playback loop (see Cache::repeatLastHit).
         for (std::uint64_t e = 0; e < elements; ++e) {
+            reserveTicks();
             std::uint64_t address = base + e * stride;
             std::uint64_t dline = address >> d_line_shift;
             if (dline == last_dline) {
@@ -1358,19 +1396,16 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
             }
         }
     }
-    if (drun)
-        caches.repeatDataHits(drun);
-    if (dprun)
-        tlbs.repeatDataHits(dprun);
+    flushRuns();
 
     // Code last so the hot region ends up most recently used.  The
     // line walk still touches a fresh I-line every step, but the ITLB
     // sees each page line_count-per-page times in a row.
     auto code_bytes =
         static_cast<std::uint64_t>(profile.memory.code_bytes);
-    std::uint64_t last_ipage = ~0ull, iprun = 0;
     for (std::uint64_t offset = 0; offset < code_bytes;
          offset += trace::kLineBytes) {
+        reserveTicks();
         std::uint64_t pc = trace::kCodeBase + offset;
         if (cold)
             caches.prewarmFillInstr(pc);
@@ -1391,8 +1426,7 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
             last_ipage = ipage;
         }
     }
-    if (iprun)
-        tlbs.repeatInstrHits(iprun);
+    flushRuns();
 }
 
 } // namespace uarch

@@ -95,6 +95,8 @@ class PrewarmSolver
         PrefetchShape,  //!< The prefetching replay left its proof
                         //!< (non-ascending fill, line queried after
                         //!< its eviction, overlapping regions).
+        TickRange,      //!< An LRU/FIFO level would tick past a 32-bit
+                        //!< stamp (Cache::kMaxStamp).
     };
 
     /** Stable snake_case name of @p reason ("touched", ...). */

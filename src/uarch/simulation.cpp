@@ -349,6 +349,24 @@ class Playback
         std::uint64_t last_iline = kNoRun, last_ipage = kNoRun;
         std::uint64_t last_dline = kNoRun, last_dpage = kNoRun;
         std::uint64_t irun = 0, iprun = 0, drun = 0, dprun = 0;
+        auto flushRuns = [&] {
+            if (irun) {
+                caches_.repeatInstrHits(irun);
+                irun = 0;
+            }
+            if (iprun) {
+                tlbs_.repeatInstrHits(iprun);
+                iprun = 0;
+            }
+            if (drun) {
+                caches_.repeatDataHits(drun);
+                drun = 0;
+            }
+            if (dprun) {
+                tlbs_.repeatDataHits(dprun);
+                dprun = 0;
+            }
+        };
 
         // Sampled chunk-boundary audits: every kAuditChunkInterval-th
         // chunk when a trail is attached (the mid-run invariants hold
@@ -361,6 +379,13 @@ class Playback
                 std::min<std::uint64_t>(remaining,
                                         trace::kRecordBatchCapacity));
             remaining -= n;
+            // Keep the 32-bit stamps in range for this chunk.  Open
+            // runs are flushed first (splitting a run is exact, see
+            // Cache::repeatLastHit) so no earlier record's ticks are
+            // still pending; the check is per chunk, not per access.
+            flushRuns();
+            caches_.reserveTicks(n);
+            tlbs_.reserveTicks(n);
             if (trail_ && ++audit_chunks_ % kAuditChunkInterval == 0)
                 auditPoint(/*post_prewarm=*/false);
 
@@ -448,14 +473,7 @@ class Playback
 
         // Flush the trailing runs so the window's counters are
         // complete before the closing snapshot.
-        if (irun)
-            caches_.repeatInstrHits(irun);
-        if (iprun)
-            tlbs_.repeatInstrHits(iprun);
-        if (drun)
-            caches_.repeatDataHits(drun);
-        if (dprun)
-            tlbs_.repeatDataHits(dprun);
+        flushRuns();
 
         if constexpr (Record) {
             PerfCounters &c = *record;

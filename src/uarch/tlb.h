@@ -95,6 +95,20 @@ class TlbHierarchy
         dtlb_.repeatLastHit(count);
     }
 
+    /**
+     * TLB counterpart of CacheHierarchy::reserveTicks(): a step
+     * translates at most one instruction and one data address, so it
+     * ticks each L1 TLB at most once and the L2 TLB at most twice.
+     */
+    void
+    reserveTicks(std::uint64_t steps)
+    {
+        itlb_.reserveTicks(steps);
+        dtlb_.reserveTicks(steps);
+        if (l2tlb_)
+            l2tlb_->reserveTicks(2 * steps);
+    }
+
     /** True when no translation has happened yet (all levels empty). */
     bool
     untouched() const

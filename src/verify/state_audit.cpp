@@ -112,6 +112,16 @@ StateAuditor::auditCache(const uarch::Cache &cache,
                     std::to_string(cache.accesses_) + " accesses");
     }
 
+    // Cache::reserveTicks rebases before the tick passes what a 32-bit
+    // stamp holds; a larger tick means a rebase was missed and the
+    // stamps written since were truncated.
+    if (cache.tick_ > uarch::Cache::kMaxStamp) {
+        em.emit("stamp-width", "tick",
+                "tick " + std::to_string(cache.tick_) + " exceeds " +
+                    std::to_string(uarch::Cache::kMaxStamp) +
+                    ": missed stamp rebase");
+    }
+
     // Way-predictor invariants.  The table exists exactly when the
     // config enables prediction (one partition for MRU, two for
     // multi-MRU), every trained entry is a legal way, and each
@@ -175,7 +185,7 @@ StateAuditor::auditCache(const uarch::Cache &cache,
     for (std::uint64_t set = 0; set < cache.num_sets_ && !em.saturated();
          ++set) {
         const std::uint64_t *tags = &cache.tags_[set * assoc];
-        const std::uint64_t *stamps = &cache.stamps_[set * assoc];
+        const std::uint32_t *stamps = &cache.stamps_[set * assoc];
 
         bool saw_invalid = false;
         for (std::uint32_t w = 0; w < assoc; ++w) {
@@ -207,7 +217,7 @@ StateAuditor::auditCache(const uarch::Cache &cache,
                 // Every valid way was filled, and filling writes the
                 // stamp first, so the stamp is defined and bounded by
                 // the monotonic tick.
-                std::uint64_t stamp = stamps[w];
+                std::uint32_t stamp = stamps[w];
                 if (stamp == 0 || stamp > cache.tick_) {
                     em.emit("stamp-bound", setWay(set, w),
                             "stamp " + std::to_string(stamp) +
@@ -667,7 +677,7 @@ StateAuditor::auditCacheFillState(const uarch::Cache &cache,
     for (std::uint64_t set = 0; set < cache.num_sets_ && !em.saturated();
          ++set) {
         const std::uint64_t *tags = &cache.tags_[set * assoc];
-        const std::uint64_t *stamps = &cache.stamps_[set * assoc];
+        const std::uint32_t *stamps = &cache.stamps_[set * assoc];
         std::uint32_t valid = 0;
         while (valid < assoc &&
                tags[valid] != uarch::Cache::kInvalidTag)

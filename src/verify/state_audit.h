@@ -8,7 +8,8 @@
  *
  *   cache      tag-domain bounds, no duplicate lines per set, invalid
  *              ways form a suffix, LRU/FIFO stamps in [1, tick] and
- *              unique per set, tree-PLRU node word in domain,
+ *              unique per set, tick within a 32-bit stamp (no missed
+ *              rebase), tree-PLRU node word in domain,
  *              fill-counter bounds, hits <= accesses
  *   way pred   table shape matches the configured kind (one partition
  *              for MRU, two for multi-MRU, none when off), every

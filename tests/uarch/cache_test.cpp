@@ -5,8 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "stats/rng.h"
+#include "suites/machines.h"
 #include "uarch/cache.h"
 #include "uarch/cache_hierarchy.h"
+#include "verify/state_audit.h"
+
+#include "../verify/test_access.h"
 
 namespace speclens {
 namespace uarch {
@@ -287,6 +296,146 @@ TEST(CacheHierarchyTest, FreshHierarchyStartsEmpty)
     EXPECT_EQ(hierarchy.l3().accesses, 0u);
     // The line the other hierarchies cached is not present here.
     EXPECT_EQ(hierarchy.accessData(0x1000), ServiceLevel::Memory);
+}
+
+// ---------------------------------------------------------------------
+// 32-bit stamps: the rebase before the tick passes Cache::kMaxStamp.
+
+using Access = verify::StateAuditor::TestAccess;
+
+/**
+ * A seeded stream over 1.5x the lines of @p config: three quarters of
+ * the accesses go to a hot half of the capacity, so the stream mixes
+ * hits, cold fills and evictions.
+ */
+std::vector<std::uint64_t>
+mixedStream(const CacheConfig &config, std::size_t length)
+{
+    const std::uint64_t lines = config.size_bytes / config.line_bytes;
+    stats::Rng rng(0x5eed);
+    std::vector<std::uint64_t> out(length);
+    for (std::uint64_t &address : out) {
+        std::uint64_t line =
+            rng.below(4) != 0 ? rng.below(lines / 2) : rng.below(lines * 3 / 2);
+        address = line * config.line_bytes + rng.below(config.line_bytes);
+    }
+    return out;
+}
+
+std::vector<verify::Violation>
+auditOf(const Cache &cache)
+{
+    std::vector<verify::Violation> out;
+    verify::StateAuditor::auditCache(cache, out);
+    return out;
+}
+
+/**
+ * Play a mixed stream of 4x the lines of @p config through a cache of
+ * that config and a twin: the first half from tick 0 in both, then the
+ * cache's valid stamps and tick are shifted so the tick sits 3 below
+ * Cache::kMaxStamp (order kept), and the second half runs with
+ * reserveTicks(1) before every access, so the cache writes the largest
+ * stamp and rebases at the last legal moment.  Both must agree on
+ * every hit, every lastIndex() and every counter.
+ */
+void
+expectRebaseExact(const CacheConfig &config)
+{
+    const std::uint64_t lines = config.size_bytes / config.line_bytes;
+    const std::vector<std::uint64_t> stream =
+        mixedStream(config, static_cast<std::size_t>(4 * lines));
+    const std::size_t half = stream.size() / 2;
+    Cache cache(config), twin(config);
+    for (std::size_t i = 0; i < half; ++i) {
+        cache.access(stream[i]);
+        twin.access(stream[i]);
+    }
+
+    const std::uint64_t shift = Cache::kMaxStamp - 3 - Access::tick(cache);
+    const std::uint64_t sets = config.sets();
+    for (std::uint64_t set = 0; set < sets; ++set)
+        for (std::uint32_t way = 0; way < config.associativity; ++way)
+            if (Access::tag(cache, set, way) != ~0ull)
+                Access::stamp(cache, set, way) = static_cast<std::uint32_t>(
+                    Access::stamp(cache, set, way) + shift);
+    Access::tick(cache) += shift;
+    ASSERT_TRUE(auditOf(cache).empty()) << config.name;
+
+    for (std::size_t i = half; i < stream.size(); ++i) {
+        cache.reserveTicks(1);
+        twin.reserveTicks(1);
+        ASSERT_EQ(cache.access(stream[i]), twin.access(stream[i]))
+            << config.name << " access " << i;
+        ASSERT_EQ(cache.lastIndex(), twin.lastIndex())
+            << config.name << " access " << i;
+    }
+    // The cache rebased (its tick restarted from a rank), the twin,
+    // far from the limit, did not.
+    EXPECT_LT(Access::tick(cache), Access::tick(twin)) << config.name;
+    EXPECT_EQ(cache.accesses(), twin.accesses()) << config.name;
+    EXPECT_EQ(cache.hits(), twin.hits()) << config.name;
+    EXPECT_GT(cache.hits(), 0u) << config.name;
+    // Every miss beyond the lines still resident evicted one.
+    std::uint64_t resident = 0;
+    for (std::uint64_t set = 0; set < sets; ++set)
+        for (std::uint32_t way = 0; way < config.associativity; ++way)
+            resident += Access::tag(cache, set, way) != ~0ull;
+    EXPECT_GT(cache.misses(), resident) << config.name;
+    EXPECT_TRUE(auditOf(cache).empty()) << config.name;
+    EXPECT_TRUE(auditOf(twin).empty()) << config.name;
+}
+
+CacheConfig
+broadwellL3()
+{
+    for (const MachineConfig &m : suites::profilingMachines())
+        if (m.short_name == "broadwell")
+            return *m.caches.l3;
+    ADD_FAILURE() << "no broadwell machine";
+    return {};
+}
+
+TEST(CacheStampRebase, ExactAcrossTheBoundaryLruAndFifo)
+{
+    const CacheConfig l3 = broadwellL3();
+    ASSERT_EQ(l3.associativity, 20u);
+    ASSERT_NE(l3.sets() & (l3.sets() - 1), 0u); // non-power-of-two sets
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo}) {
+        CacheConfig pow2{"L1D-8way", 32 * 1024, 8, 64, policy};
+        expectRebaseExact(pow2);
+        CacheConfig llc = l3;
+        llc.policy = policy;
+        llc.name += policy == ReplacementPolicy::Lru ? "-lru" : "-fifo";
+        expectRebaseExact(llc);
+    }
+}
+
+TEST(CacheStampRebase, RanksKeepEachSetsOrder)
+{
+    // Two sets of four ways, stamps given out of way order: each set's
+    // valid stamps become 1..k in the same order, and the tick the
+    // largest rank.
+    Cache cache(smallCache(4));
+    for (std::uint64_t line : {0, 8, 16, 24, 1, 9})
+        cache.access(line * 64);
+    const std::uint32_t stamps[2][4] = {{900, 70, 4000, 12}, {55, 54, 0, 0}};
+    for (std::size_t set = 0; set < 2; ++set)
+        for (std::size_t way = 0; way < (set == 0 ? 4u : 2u); ++way)
+            Access::stamp(cache, set, way) = stamps[set][way];
+    Access::tick(cache) = Cache::kMaxStamp;
+    cache.reserveTicks(1);
+    EXPECT_EQ(Access::tick(cache), 4u);
+    const std::uint32_t ranks[2][4] = {{3, 2, 4, 1}, {2, 1, 0, 0}};
+    for (std::size_t set = 0; set < 2; ++set)
+        for (std::size_t way = 0; way < (set == 0 ? 4u : 2u); ++way)
+            EXPECT_EQ(Access::stamp(cache, set, way), ranks[set][way])
+                << "set " << set << " way " << way;
+    // Well inside the range nothing moves.
+    cache.reserveTicks(Cache::kMaxStamp - 5);
+    EXPECT_EQ(Access::tick(cache), 4u);
+    EXPECT_TRUE(auditOf(cache).empty());
 }
 
 } // namespace

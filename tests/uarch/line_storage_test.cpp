@@ -221,6 +221,63 @@ TEST(LineStorage, GrowsOncePerThreadAndSize)
     EXPECT_GT(bytes.value(), 0.0);
 }
 
+/** Every cache and TLB level of @p machine, as cache configs. */
+std::vector<CacheConfig>
+levelsOf(const MachineConfig &machine)
+{
+    std::vector<CacheConfig> levels = {machine.caches.l1i,
+                                       machine.caches.l1d, machine.caches.l2,
+                                       machine.tlbs.itlb.asCacheConfig(),
+                                       machine.tlbs.dtlb.asCacheConfig()};
+    if (machine.caches.l3)
+        levels.push_back(*machine.caches.l3);
+    if (machine.tlbs.l2tlb)
+        levels.push_back(machine.tlbs.l2tlb->asCacheConfig());
+    return levels;
+}
+
+TEST(LineStorage, TwelveBytesPerLine)
+{
+    // A 64-bit tag and a 32-bit stamp per line, rounded up to 64 bytes.
+    std::vector<MachineConfig> machines = shippedMachines();
+    for (const MachineConfig &m : suites::sensitivityMachines())
+        machines.push_back(m);
+    for (const MachineConfig &machine : machines) {
+        for (const CacheConfig &level : levelsOf(machine)) {
+            const std::uint64_t bytes =
+                12 * level.sets() * level.associativity;
+            EXPECT_EQ(Cache::storageWords(level) * 8, (bytes + 63) / 64 * 64)
+                << machine.name << " " << level.name;
+        }
+    }
+
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "metrics compiled out";
+    // A fresh thread maps the machine's summed words once, rounded up
+    // to a 4 KiB page.  The gauge is a process-wide high-water, so the
+    // exact growth shows only while nothing has reserved before.
+    obs::Gauge &bytes =
+        obs::Registry::global().gauge("uarch.line_storage.bytes");
+    obs::Counter &grows =
+        obs::Registry::global().counter("uarch.line_storage.grows");
+    const MachineConfig *sparc = nullptr;
+    for (const MachineConfig &machine : machines)
+        if (machine.short_name == "sparc-iv")
+            sparc = &machine;
+    ASSERT_NE(sparc, nullptr);
+    std::uint64_t words = 0;
+    for (const CacheConfig &level : levelsOf(*sparc))
+        words += Cache::storageWords(level);
+    const double before = bytes.value();
+    const std::uint64_t grows_before = grows.value();
+    std::thread([&] { simulate(mcf(), *sparc, window()); }).join();
+    EXPECT_EQ(grows.value() - grows_before, 1u);
+    if (before == 0.0) {
+        EXPECT_EQ(bytes.value(),
+                  static_cast<double>((words * 8 + 4095) / 4096 * 4096));
+    }
+}
+
 } // namespace
 } // namespace uarch
 } // namespace speclens

@@ -459,7 +459,7 @@ refusalCounters()
     using Refusal = uarch::PrewarmSolver::Refusal;
     std::vector<obs::Counter *> counters;
     for (auto reason = static_cast<int>(Refusal::Touched);
-         reason <= static_cast<int>(Refusal::PrefetchShape); ++reason)
+         reason <= static_cast<int>(Refusal::TickRange); ++reason)
         counters.push_back(&obs::Registry::global().counter(
             std::string("uarch.prewarm.refused.") +
             uarch::PrewarmSolver::refusalName(

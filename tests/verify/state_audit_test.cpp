@@ -119,6 +119,19 @@ TEST(StateAudit, StampUniqueTrips)
     EXPECT_EQ(countInvariant(audit(cache), "stamp-unique"), 1u);
 }
 
+TEST(StateAudit, StampWidthTrips)
+{
+    uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
+    Access::tick(cache) = uarch::Cache::kMaxStamp;
+    EXPECT_TRUE(audit(cache).empty()); // the largest legal tick
+    Access::tick(cache) = uarch::Cache::kMaxStamp + 1; // missed rebase
+    std::vector<Violation> found = audit(cache);
+    ASSERT_EQ(countInvariant(found, "stamp-width"), 1u);
+    EXPECT_EQ(found.size(), 1u);
+    EXPECT_EQ(found.front().structure, "test");
+    EXPECT_EQ(found.front().location, "tick");
+}
+
 TEST(StateAudit, PlruDomainTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::TreePlru);

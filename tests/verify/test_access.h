@@ -47,11 +47,12 @@ struct StateAuditor::TestAccess
     {
         return c.tags_[set * c.config_.associativity + way];
     }
-    static std::uint64_t &stamp(uarch::Cache &c, std::size_t set,
+    static std::uint32_t &stamp(uarch::Cache &c, std::size_t set,
                                 std::size_t way)
     {
         return c.stamps_[set * c.config_.associativity + way];
     }
+    static auto &tick(uarch::Cache &c) { return c.tick_; }
     static auto &config(uarch::Cache &c) { return c.config_; }
     static auto &plru(uarch::Cache &c) { return c.plru_; }
     static auto &coldFills(uarch::Cache &c) { return c.cold_fills_; }
