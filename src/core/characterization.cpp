@@ -48,13 +48,10 @@ Characterizer::Characterizer(std::vector<uarch::MachineConfig> machines,
 {
     if (machines_.empty())
         throw std::invalid_argument("Characterizer: no machines");
-#ifdef SPECLENS_VALIDATE
-    // Startup assertions (configure with -DSPECLENS_VALIDATE=ON): a
-    // malformed machine model corrupts every measurement silently, so
-    // fail fast before any simulation runs.
+    // A malformed machine model corrupts every measurement silently,
+    // so fail fast before any simulation runs.
     for (const uarch::MachineConfig &machine : machines_)
         uarch::validateMachineConfig(machine);
-#endif
 }
 
 uarch::SimulationResult
@@ -91,12 +88,6 @@ Characterizer::obtainResult(const suites::BenchmarkInfo &benchmark,
 {
     static obs::Counter &simulations =
         obs::Registry::global().counter("core.characterize.simulations");
-#ifdef SPECLENS_VALIDATE
-    // Configured with -DSPECLENS_VALIDATE=ON: a broken model fails its
-    // pair (and so its caller) with a field name instead of producing a
-    // plausible-looking feature matrix.
-    benchmark.profile.validate();
-#endif
     StoreKey key;
     if (store_) {
         key = pairStoreKey(key_prefix, benchmark.profile,

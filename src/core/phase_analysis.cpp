@@ -5,6 +5,7 @@
 
 #include "phase_analysis.h"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 

@@ -6,10 +6,7 @@
 #include "branch_predictor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <type_traits>
-#include <utility>
 
 namespace speclens {
 namespace uarch {
@@ -18,11 +15,9 @@ std::string
 predictorKindName(PredictorKind kind)
 {
     switch (kind) {
-      case PredictorKind::StaticTaken: return "static-taken";
       case PredictorKind::Bimodal: return "bimodal";
       case PredictorKind::Gshare: return "gshare";
       case PredictorKind::Tournament: return "tournament";
-      case PredictorKind::Perceptron: return "perceptron";
       case PredictorKind::TageLite: return "tage-lite";
     }
     return "unknown";
@@ -32,33 +27,16 @@ PredictorVariant
 makePredictorVariant(PredictorKind kind, unsigned size_log2)
 {
     switch (kind) {
-      case PredictorKind::StaticTaken:
-        return StaticTakenPredictor();
       case PredictorKind::Bimodal:
         return BimodalPredictor(size_log2);
       case PredictorKind::Gshare:
         return GsharePredictor(size_log2, std::min(size_log2, 16u));
       case PredictorKind::Tournament:
         return TournamentPredictor(size_log2);
-      case PredictorKind::Perceptron:
-        return PerceptronPredictor(size_log2 > 4 ? size_log2 - 4 : 1, 24);
       case PredictorKind::TageLite:
         return TageLitePredictor(size_log2 > 2 ? size_log2 - 2 : 1);
     }
     throw std::invalid_argument("makePredictorVariant: unknown kind");
-}
-
-std::unique_ptr<BranchPredictor>
-makePredictor(PredictorKind kind, unsigned size_log2)
-{
-    // Built from the variant factory so both creation paths share one
-    // source of truth for the per-kind sizing adjustments.
-    return std::visit(
-        [](auto &&predictor) -> std::unique_ptr<BranchPredictor> {
-            using Concrete = std::decay_t<decltype(predictor)>;
-            return std::make_unique<Concrete>(std::move(predictor));
-        },
-        makePredictorVariant(kind, size_log2));
 }
 
 // ---------------------------------------------------------------------
@@ -92,15 +70,6 @@ stepCounter2(std::uint8_t &counter, std::uint8_t taken)
 }
 
 } // namespace
-
-void
-StaticTakenPredictor::updateBatch(const std::uint64_t *, const std::uint32_t *,
-                                  const std::uint8_t *taken,
-                                  std::uint8_t *mispred, std::size_t n)
-{
-    for (std::size_t k = 0; k < n; ++k)
-        mispred[k] = taken[k] ^ 1u; // always predicts taken
-}
 
 // ---------------------------------------------------------------------
 // Bimodal
@@ -242,98 +211,6 @@ TournamentPredictor::updateBatch(const std::uint64_t *pc,
     last_gshare_ = gp != 0;
 }
 
-
-// ---------------------------------------------------------------------
-// Perceptron
-// ---------------------------------------------------------------------
-
-PerceptronPredictor::PerceptronPredictor(unsigned size_log2,
-                                         unsigned history_bits)
-    : history_bits_(history_bits),
-      threshold_(static_cast<int>(1.93 * history_bits + 14)),
-      weights_(std::size_t{1} << size_log2,
-               std::vector<int>(history_bits + 1, 0)),
-      mask_((std::size_t{1} << size_log2) - 1)
-{
-}
-
-
-bool
-PerceptronPredictor::predict(std::uint64_t pc, std::uint32_t id)
-{
-    const std::vector<int> &w = weights_[index(pc, id)];
-    int y = w[0]; // bias
-    for (unsigned b = 0; b < history_bits_; ++b) {
-        int x = ((history_ >> b) & 1u) ? 1 : -1;
-        y += x * w[b + 1];
-    }
-    last_output_ = y;
-    return y >= 0;
-}
-
-void
-PerceptronPredictor::update(std::uint64_t pc, std::uint32_t id, bool taken)
-{
-    std::vector<int> &w = weights_[index(pc, id)];
-    bool predicted = last_output_ >= 0;
-    int t = taken ? 1 : -1;
-    // Train on a misprediction or when the output magnitude is below
-    // the confidence threshold (standard perceptron training rule).
-    if (predicted != taken || std::abs(last_output_) <= threshold_) {
-        constexpr int weight_cap = 127;
-        w[0] = std::clamp(w[0] + t, -weight_cap, weight_cap);
-        for (unsigned b = 0; b < history_bits_; ++b) {
-            int x = ((history_ >> b) & 1u) ? 1 : -1;
-            w[b + 1] = std::clamp(w[b + 1] + t * x, -weight_cap,
-                                  weight_cap);
-        }
-    }
-    history_ = (history_ << 1) | (taken ? 1u : 0u);
-}
-
-void
-PerceptronPredictor::updateBatch(const std::uint64_t *pc,
-                                 const std::uint32_t *id,
-                                 const std::uint8_t *taken,
-                                 std::uint8_t *mispred, std::size_t n)
-{
-    if (n == 0)
-        return; // keep last_output_ untouched
-    const unsigned bits = history_bits_;
-    std::uint64_t h = history_;
-    int y = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-        int *w = weights_[static_cast<std::size_t>(
-                              predictor_detail::mixPcId(pc[k], id[k])) &
-                          mask_]
-                     .data();
-        // Multiply-form dot product over the history window: x is the
-        // bipolar (+1/-1) form of each history bit.  Integer adds are
-        // associative, so the vectorized reduction is exact.
-        y = w[0];
-        for (unsigned b = 0; b < bits; ++b) {
-            int x = 2 * static_cast<int>((h >> b) & 1u) - 1;
-            y += x * w[b + 1];
-        }
-        bool predicted = y >= 0;
-        std::uint8_t t = taken[k];
-        mispred[k] = static_cast<std::uint8_t>(predicted) ^ t;
-        if (mispred[k] || std::abs(y) <= threshold_) {
-            constexpr int weight_cap = 127;
-            int dir = t ? 1 : -1;
-            w[0] = std::clamp(w[0] + dir, -weight_cap, weight_cap);
-            for (unsigned b = 0; b < bits; ++b) {
-                int x = 2 * static_cast<int>((h >> b) & 1u) - 1;
-                w[b + 1] =
-                    std::clamp(w[b + 1] + dir * x, -weight_cap, weight_cap);
-            }
-        }
-        h = (h << 1) | t;
-    }
-    history_ = h;
-    last_output_ = y;
-}
-
 // ---------------------------------------------------------------------
 // TAGE-lite
 // ---------------------------------------------------------------------
@@ -350,9 +227,6 @@ TageLitePredictor::TageLitePredictor(unsigned size_log2, unsigned num_tables)
         length = std::min(length * 2, 63u);
     }
 }
-
-
-
 
 void
 TageLitePredictor::update(std::uint64_t pc, std::uint32_t id, bool taken)

@@ -9,16 +9,16 @@
  * drives both the front-end component of the CPI stacks (Fig. 1) and
  * the branch-sensitivity classification (Table IX).
  *
- * All predictors implement the same predict/update interface over a
- * (pc, static-branch-id) pair; the id is folded into the index hash so
+ * Every predictor predicts and trains on a (pc, static-branch-id)
+ * pair; the id is folded into the index hash so
  * distinct static branches collide realistically but not pathologically.
+ * The shipped machines select bimodal, gshare, tournament or TAGE-lite.
  */
 
 #ifndef SPECLENS_UARCH_BRANCH_PREDICTOR_H
 #define SPECLENS_UARCH_BRANCH_PREDICTOR_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -29,47 +29,23 @@ class StateAuditor;
 }
 namespace uarch {
 
-/** Available predictor designs. */
+/**
+ * Available predictor designs.  The values are explicit because
+ * MachineConfig::hashInto hashes the kind as an integer into every
+ * store address: renumbering one turns every warm store cold.
+ */
 enum class PredictorKind {
-    StaticTaken, //!< Always predicts taken.
-    Bimodal,     //!< Per-branch 2-bit saturating counters.
-    Gshare,      //!< Global-history XOR indexed 2-bit counters.
-    Tournament,  //!< Bimodal + gshare with a meta chooser.
-    Perceptron,  //!< Linear perceptron over global history.
-    TageLite,    //!< Simplified TAGE: tagged tables, geometric histories.
+    Bimodal = 1,    //!< Per-branch 2-bit saturating counters.
+    Gshare = 2,     //!< Global-history XOR indexed 2-bit counters.
+    Tournament = 3, //!< Bimodal + gshare with a meta chooser.
+    TageLite = 5,   //!< Simplified TAGE: tagged tables, geometric histories.
 };
 
 /** Human-readable predictor name. */
 std::string predictorKindName(PredictorKind kind);
 
-/** Abstract direction predictor. */
-class BranchPredictor
-{
-  public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predict the direction of the branch at @p pc with id @p id. */
-    virtual bool predict(std::uint64_t pc, std::uint32_t id) = 0;
-
-    /** Train with the resolved direction. */
-    virtual void update(std::uint64_t pc, std::uint32_t id, bool taken) = 0;
-
-    /** Design name for reports. */
-    virtual std::string name() const = 0;
-};
-
-/**
- * Create a predictor.
- *
- * @param kind Design to instantiate.
- * @param size_log2 log2 of the main table size (counters, perceptrons
- *        or per-table TAGE entries); larger machines pass larger values.
- */
-std::unique_ptr<BranchPredictor> makePredictor(PredictorKind kind,
-                                               unsigned size_log2 = 12);
-
 /*
- * Batched prediction: every concrete predictor also exposes
+ * Batched prediction: every predictor exposes
  *
  *   updateBatch(pc, id, taken, mispred, n)
  *
@@ -85,29 +61,16 @@ std::unique_ptr<BranchPredictor> makePredictor(PredictorKind kind,
  * of tools/check.sh covers them.
  */
 
-/** Always-taken baseline. */
-class StaticTakenPredictor final : public BranchPredictor
-{
-  public:
-    bool predict(std::uint64_t, std::uint32_t) override { return true; }
-    void update(std::uint64_t, std::uint32_t, bool) override {}
-    void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
-                     const std::uint8_t *taken, std::uint8_t *mispred,
-                     std::size_t n);
-    std::string name() const override { return "static-taken"; }
-};
-
 /** Classic 2-bit saturating counter table. */
-class BimodalPredictor final : public BranchPredictor
+class BimodalPredictor
 {
   public:
     explicit BimodalPredictor(unsigned size_log2);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "bimodal"; }
 
   private:
     std::size_t index(std::uint64_t pc, std::uint32_t id) const;
@@ -125,16 +88,15 @@ class BimodalPredictor final : public BranchPredictor
 };
 
 /** Gshare: global history XORed into the table index. */
-class GsharePredictor final : public BranchPredictor
+class GsharePredictor
 {
   public:
     GsharePredictor(unsigned size_log2, unsigned history_bits);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "gshare"; }
 
   private:
     std::size_t index(std::uint64_t pc, std::uint32_t id) const;
@@ -150,16 +112,15 @@ class GsharePredictor final : public BranchPredictor
 };
 
 /** Tournament of bimodal and gshare with a 2-bit meta chooser. */
-class TournamentPredictor final : public BranchPredictor
+class TournamentPredictor
 {
   public:
     explicit TournamentPredictor(unsigned size_log2);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "tournament"; }
 
   private:
     BimodalPredictor bimodal_;
@@ -177,45 +138,20 @@ class TournamentPredictor final : public BranchPredictor
     friend class verify::StateAuditor;
 };
 
-/** Perceptron predictor (Jimenez & Lin, HPCA'01) over global history. */
-class PerceptronPredictor final : public BranchPredictor
-{
-  public:
-    PerceptronPredictor(unsigned size_log2, unsigned history_bits);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
-    void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
-                     const std::uint8_t *taken, std::uint8_t *mispred,
-                     std::size_t n);
-    std::string name() const override { return "perceptron"; }
-
-  private:
-    std::size_t index(std::uint64_t pc, std::uint32_t id) const;
-    unsigned history_bits_;
-    int threshold_;
-    std::vector<std::vector<int>> weights_; //!< [perceptron][bias + hist]
-    std::size_t mask_;
-    std::uint64_t history_ = 0;
-    int last_output_ = 0;
-
-    friend class verify::StateAuditor;
-};
-
 /**
  * Simplified TAGE: a bimodal base table plus tagged components indexed
  * with geometrically increasing history lengths; longest matching
  * component provides the prediction.
  */
-class TageLitePredictor final : public BranchPredictor
+class TageLitePredictor
 {
   public:
     explicit TageLitePredictor(unsigned size_log2, unsigned num_tables = 4);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "tage-lite"; }
 
   private:
     struct Entry
@@ -265,34 +201,28 @@ class TageLitePredictor final : public BranchPredictor
 };
 
 /**
- * Closed set of concrete predictor types for static dispatch.
- *
- * The per-instruction playback loop is dominated by predict()/update()
- * calls; going through the virtual interface costs an indirect call
- * (and blocks inlining) per branch instruction.  Holding the predictor
- * as a variant lets the simulator std::visit once per playback window
- * and run the whole loop against the concrete (final) type, where the
- * calls resolve statically and inline.
+ * Closed set of predictor types.  The simulator std::visits once per
+ * playback window and runs the whole loop against the concrete type,
+ * so each chunk's updateBatch() call resolves statically.
  */
 using PredictorVariant =
-    std::variant<StaticTakenPredictor, BimodalPredictor, GsharePredictor,
-                 TournamentPredictor, PerceptronPredictor,
+    std::variant<BimodalPredictor, GsharePredictor, TournamentPredictor,
                  TageLitePredictor>;
 
 /**
- * Create a predictor as a variant over the concrete types.
+ * Create the predictor of @p kind, with its per-kind sizing.
  *
- * Applies exactly the same per-kind sizing adjustments as
- * makePredictor(), so the two factories produce behaviourally
- * identical predictors for any (kind, size_log2).
+ * @param size_log2 log2 of the main table size (counters or per-table
+ *        TAGE entries); larger machines pass larger values.
  */
 PredictorVariant makePredictorVariant(PredictorKind kind,
                                       unsigned size_log2 = 12);
 
 // ---------------------------------------------------------------------
-// Hot-path definitions.  predict()/update() run once per simulated
-// branch (roughly a fifth of all instructions), so they live in the
-// header where they inline into the playback loop's std::visit body.
+// Scalar definitions.  The playback loop calls only updateBatch();
+// predict()/update() step one branch at a time and are the reference
+// the batch kernels are held to bit for bit (tests/uarch).  The index
+// hash and counter step below are shared with the kernels.
 
 namespace predictor_detail {
 
@@ -391,13 +321,6 @@ TournamentPredictor::update(std::uint64_t pc, std::uint32_t id, bool taken)
         predictor_detail::updateCounter2(chooser_[i], gshare_right);
     bimodal_.update(pc, id, taken);
     gshare_.update(pc, id, taken);
-}
-
-inline std::size_t
-PerceptronPredictor::index(std::uint64_t pc, std::uint32_t id) const
-{
-    return static_cast<std::size_t>(predictor_detail::mixPcId(pc, id)) &
-           mask_;
 }
 
 inline std::size_t

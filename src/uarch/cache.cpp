@@ -247,8 +247,7 @@ Cache::Cache(const CacheConfig &config)
     : config_(config),
       num_sets_(config.sets()),
       line_shift_(static_cast<std::uint32_t>(
-          std::countr_zero(static_cast<std::uint64_t>(config.line_bytes)))),
-      rng_(stats::hashName(config.name))
+          std::countr_zero(static_cast<std::uint64_t>(config.line_bytes))))
 {
     config_.validate();
     sets_pow2_ = num_sets_ > 0 && std::has_single_bit(num_sets_);

@@ -4,10 +4,9 @@
  *
  * A functional (hit/miss) cache simulator: no timing, no coherence,
  * no prefetching — exactly what is needed to produce the MPKI metrics
- * the paper's analysis consumes.  Four replacement policies are
- * provided; the Table IV machines use LRU or tree-PLRU depending on
- * generation, and the remaining policies support the ablation
- * benchmarks.
+ * the paper's analysis consumes.  Two replacement policies are
+ * provided, the two the Table IV machines use: tree-PLRU on the Intel
+ * L1s and true LRU everywhere else (every TLB included).
  */
 
 #ifndef SPECLENS_UARCH_CACHE_H
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "stats/fingerprint.h"
-#include "stats/rng.h"
 #include "verify/violation.h"
 
 namespace speclens {
@@ -34,12 +32,15 @@ namespace uarch {
 
 class PrewarmSolver;
 
-/** Replacement policy for a set-associative cache. */
+/**
+ * Replacement policy for a set-associative cache.  The values are
+ * explicit because CacheConfig::hashInto hashes the policy as an
+ * integer into every store address: renumbering one turns every warm
+ * store cold.
+ */
 enum class ReplacementPolicy {
-    Lru,      //!< True least-recently-used.
-    TreePlru, //!< Tree pseudo-LRU (binary decision tree per set).
-    Fifo,     //!< First-in first-out (round-robin per set).
-    Random,   //!< Uniformly random victim.
+    Lru = 0,      //!< True least-recently-used.
+    TreePlru = 1, //!< Tree pseudo-LRU (binary decision tree per set).
 };
 
 /**
@@ -153,9 +154,9 @@ class Cache
      * Make room for @p ticks more stamp ticks: when they could carry
      * the tick past kMaxStamp, rebase the stamps first — each set's
      * valid stamps become their ranks 1..k in the same order, and the
-     * tick becomes the largest rank.  LRU and FIFO read stamps only to
-     * find the minimum of a full set, so every later victim, and so
-     * every result, is the same as without the rebase.  Callers bound
+     * tick becomes the largest rank.  LRU reads stamps only to find
+     * the minimum of a full set, so every later victim, and so every
+     * result, is the same as without the rebase.  Callers bound
      * @p ticks over a chunk of records or walk steps (see
      * CacheHierarchy::reserveTicks), never per access; a bound of
      * kMaxStamp or more cannot be honoured.
@@ -200,10 +201,10 @@ class Cache
      * guarantees this by tracking consecutive same-line probes): the
      * line is still resident, each probe hits the same way, and the
      * policy effects collapse — k LRU stamp writes equal one write at
-     * the final tick, tree-PLRU hit touches are idempotent, FIFO and
-     * Random ignore hits.  This is what lets the playback loop skip
-     * the probe work for instruction streams that fetch the same line
-     * (or page, for TLBs) many times in a row.
+     * the final tick, and tree-PLRU hit touches are idempotent.  This
+     * is what lets the playback loop skip the probe work for
+     * instruction streams that fetch the same line (or page, for TLBs)
+     * many times in a row.
      */
     void
     repeatLastHit(std::uint64_t count)
@@ -219,15 +220,6 @@ class Cache
         if (way_pred_parts_ != 0)
             way_pred_hits_ += count;
     }
-
-    /**
-     * Fill the line containing @p address, asserting it cannot be a
-     * hit.  Exactly equivalent to access() whenever the line is
-     * guaranteed absent — the cold prewarm walk qualifies (distinct
-     * lines streamed into a never-touched cache) — minus the futile
-     * tag-match scan.  Defined inline below.
-     */
-    void coldFill(std::uint64_t address);
 
     /** True when the line containing @p address is present (no fill). */
     bool contains(std::uint64_t address) const;
@@ -252,7 +244,7 @@ class Cache
 
     /**
      * Flat index (set * associativity + way) of the line touched by
-     * the most recent access()/coldFill().  The hierarchy's prefetch
+     * the most recent access().  The hierarchy's prefetch
      * accounting keys its per-slot bits on this.
      */
     std::size_t lastIndex() const { return last_index_; }
@@ -276,7 +268,7 @@ class Cache
     std::uint32_t victimWay(std::uint64_t set);
 
     /** Policy metadata update on hit or fill. */
-    void touch(std::uint64_t set, std::uint32_t way, bool is_fill);
+    void touch(std::uint64_t set, std::uint32_t way);
 
     /** The rank rewrite of reserveTicks(). */
     void rebaseStamps();
@@ -304,31 +296,20 @@ class Cache
     std::uint64_t *tags_ = nullptr; //!< kInvalidTag when invalid.
 
     /**
-     * LRU/FIFO ordering stamps, 32 bits each, in [1, tick_] for every
-     * valid way (reserveTicks() keeps tick_ <= kMaxStamp).
-     * Deliberately left uninitialized at
-     * construction: a stamp is only ever read for a valid way — by the
-     * LRU/FIFO victim scan, which runs when the set is full, and by
-     * the auditor and the tests' prewarm state digest — and filling a
-     * way always writes its stamp first.  The words usually come from
-     * the thread's reused line-storage region, so they hold whatever
-     * an earlier cache of any geometry left there; only the tags are
-     * filled on construction.
+     * LRU ordering stamps, 32 bits each, in [1, tick_] for every valid
+     * way (reserveTicks() keeps tick_ <= kMaxStamp).  Deliberately left
+     * uninitialized at construction: a stamp is only ever read for a
+     * valid way — by the LRU victim scan, which runs when the set is
+     * full, and by the auditor and the tests' prewarm state digest —
+     * and filling a way always writes its stamp first.  The words
+     * usually come from the thread's reused line-storage region, so
+     * they hold whatever an earlier cache of any geometry left there;
+     * only the tags are filled on construction.
      */
     std::uint32_t *stamps_ = nullptr;
 
     std::vector<std::uint32_t> plru_; //!< Tree-PLRU state per set.
-
-    /**
-     * Per-set fill counts for coldFill(), allocated on first use.  In
-     * a pure fill stream both the first-invalid way and — for LRU and
-     * FIFO, whose per-set stamps are strictly increasing when nothing
-     * hits — the min-stamp victim are provably round-robin, so a
-     * counter replaces both way scans.
-     */
-    std::vector<std::uint32_t> cold_fills_;
     std::uint64_t tick_ = 0; //!< Stamp source; rebased, never wraps.
-    stats::Rng rng_;                    //!< For Random replacement.
 
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;
@@ -360,10 +341,10 @@ class Cache
 
     /**
      * The closed-form prewarm solver (src/uarch/prewarm.{h,cpp})
-     * reconstructs the exact state a cold-fill walk would leave —
-     * tags, stamps, tree-PLRU words, fill counters, tick and the
-     * access statistics — directly from the warmup stream's summary,
-     * so it writes every private array a walk would have written.
+     * reconstructs the exact state a cold prewarm walk would leave —
+     * tags, stamps, tree-PLRU words, tick and the access statistics —
+     * directly from the warmup stream's summary, so it writes every
+     * private array a walk would have written.
      */
     friend class PrewarmSolver;
 
@@ -445,51 +426,29 @@ Cache::splitAddress(std::uint64_t address, std::uint64_t &set,
 inline std::uint32_t
 Cache::victimWay(std::uint64_t set)
 {
-    const std::uint32_t *stamps = &stamps_[set * config_.associativity];
-    switch (config_.policy) {
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        // Smallest stamp is the least-recently used / first inserted.
-        std::uint32_t victim = 0;
-        std::uint32_t oldest = stamps[0];
-        for (std::uint32_t w = 1; w < config_.associativity; ++w) {
-            if (stamps[w] < oldest) {
-                oldest = stamps[w];
-                victim = w;
-            }
-        }
-        return victim;
-      }
-      case ReplacementPolicy::TreePlru:
+    if (config_.policy == ReplacementPolicy::TreePlru)
         return plruVictimWay(plru_[set], config_.associativity);
-      case ReplacementPolicy::Random:
-        return static_cast<std::uint32_t>(
-            rng_.below(config_.associativity));
+    // LRU: the smallest stamp is the least recently used.
+    const std::uint32_t *stamps = &stamps_[set * config_.associativity];
+    std::uint32_t victim = 0;
+    std::uint32_t oldest = stamps[0];
+    for (std::uint32_t w = 1; w < config_.associativity; ++w) {
+        if (stamps[w] < oldest) {
+            oldest = stamps[w];
+            victim = w;
+        }
     }
-    return 0;
+    return victim;
 }
 
 inline void
-Cache::touch(std::uint64_t set, std::uint32_t way, bool is_fill)
+Cache::touch(std::uint64_t set, std::uint32_t way)
 {
-    switch (config_.policy) {
-      case ReplacementPolicy::Lru:
+    if (config_.policy == ReplacementPolicy::TreePlru)
+        plru_[set] = plruTouchState(plru_[set], config_.associativity, way);
+    else
         stamps_[set * config_.associativity + way] =
             static_cast<std::uint32_t>(++tick_);
-        break;
-      case ReplacementPolicy::Fifo:
-        // Only insertion order matters; hits do not refresh the stamp.
-        if (is_fill)
-            stamps_[set * config_.associativity + way] =
-                static_cast<std::uint32_t>(++tick_);
-        break;
-      case ReplacementPolicy::TreePlru:
-        plru_[set] =
-            plruTouchState(plru_[set], config_.associativity, way);
-        break;
-      case ReplacementPolicy::Random:
-        break;
-    }
 }
 
 inline bool
@@ -511,7 +470,7 @@ Cache::access(std::uint64_t address)
         if (tags[w] == tag) {
             ++hits_;
             last_index_ = set * assoc + w;
-            touch(set, w, /*is_fill=*/false);
+            touch(set, w);
             if (way_pred_parts_ != 0) {
                 std::uint32_t &entry = wayPredEntry(set, tag);
                 if (entry == w)
@@ -540,55 +499,12 @@ Cache::access(std::uint64_t address)
 
     tags[way] = tag;
     last_index_ = set * assoc + way;
-    touch(set, way, /*is_fill=*/true);
+    touch(set, way);
     // A miss is resolved by the full tag scan, so it never verifies a
     // way prediction; the fill only trains the entry.
     if (way_pred_parts_ != 0)
         wayPredEntry(set, tag) = way;
     return false;
-}
-
-inline void
-Cache::coldFill(std::uint64_t address)
-{
-    ++accesses_;
-    std::uint64_t set, tag;
-    splitAddress(address, set, tag);
-
-    std::uint32_t assoc = config_.associativity;
-    if (cold_fills_.empty())
-        cold_fills_.assign(num_sets_, 0);
-    std::uint32_t &fills = cold_fills_[set];
-
-    std::uint32_t way;
-    switch (config_.policy) {
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo:
-        // Invalid ways fill in order, and once the set is full the
-        // min-stamp victim of a hit-free stream is round-robin too,
-        // so the fill count mod assoc IS the way — no scans.
-        way = fills;
-        fills = fills + 1 == assoc ? 0 : fills + 1;
-        // touch(), fill case
-        stamps_[set * assoc + way] = static_cast<std::uint32_t>(++tick_);
-        break;
-      default:
-        // Tree-PLRU / Random: the counter still covers the invalid
-        // suffix; after that the policy picks the victim.
-        if (fills < assoc)
-            way = fills++;
-        else
-            way = victimWay(set);
-        touch(set, way, /*is_fill=*/true);
-        break;
-    }
-
-    tags_[set * assoc + way] = tag;
-    last_index_ = set * assoc + way;
-    // Mirror access()'s fill case so the cold walk leaves the exact
-    // predictor state the general path would have.
-    if (way_pred_parts_ != 0)
-        wayPredEntry(set, tag) = way;
 }
 
 } // namespace uarch

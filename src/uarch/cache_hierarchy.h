@@ -167,43 +167,44 @@ class CacheHierarchy
     }
 
     /**
-     * True when the prewarm walk may use the cold fast path: nothing
+     * True when the prewarm walk may use the cold fill path: nothing
      * has been accessed yet (so every level is empty and every probe
      * of a distinct-line walk must miss) and the prefetcher is off (a
      * prefetch fill would break the guaranteed-miss argument by
      * planting successor lines in L2/L3 ahead of the walk).  A cold
      * hierarchy with the prefetcher on walks the general path, which
-     * keeps no cold-fill counters and opens DRAM rows; the closed-form
-     * solver reproduces that state too (DESIGN §5e-r4).
+     * opens DRAM rows; the closed-form solver reproduces that state
+     * too (DESIGN §5e-r4).
      */
     bool
-    coldFillEligible() const
+    prewarmFillEligible() const
     {
         return prefetch_degree_ == 0 && l1i_stats_.accesses == 0 &&
                l1d_stats_.accesses == 0;
     }
 
     /**
-     * Fill one distinct line of the cold data walk — exactly what
-     * accessData() does when every level misses, minus the futile hit
-     * scans.  Only valid under coldFillEligible() at walk start.
-     * Unlike accessData() it does not touch the DRAM model: a
-     * prefetch-free prewarm is defined to leave every row closed, and
-     * the analytic path does the same (see DESIGN §5h).
+     * Fill one distinct line of the cold data walk into every level —
+     * what accessData() does when every level misses, which each probe
+     * of the walk is guaranteed to.  Only valid under
+     * prewarmFillEligible() at walk start.  Unlike accessData() it does
+     * not touch the DRAM model: a prefetch-free prewarm is defined to
+     * leave every row closed, and the analytic path does the same (see
+     * DESIGN §5h).
      */
     void
     prewarmFillData(std::uint64_t address)
     {
         ++l1d_stats_.accesses;
         ++l1d_stats_.misses;
-        l1d_cache_.coldFill(address);
+        l1d_cache_.access(address);
         ++l2d_stats_.accesses;
         ++l2d_stats_.misses;
-        l2_cache_.coldFill(address);
+        l2_cache_.access(address);
         ++l3_stats_.accesses;
         ++l3_stats_.misses;
         if (l3_cache_)
-            l3_cache_->coldFill(address);
+            l3_cache_->access(address);
     }
 
     /** Instruction-side counterpart of prewarmFillData(). */
@@ -212,14 +213,14 @@ class CacheHierarchy
     {
         ++l1i_stats_.accesses;
         ++l1i_stats_.misses;
-        l1i_cache_.coldFill(pc);
+        l1i_cache_.access(pc);
         ++l2i_stats_.accesses;
         ++l2i_stats_.misses;
-        l2_cache_.coldFill(pc);
+        l2_cache_.access(pc);
         ++l3_stats_.accesses;
         ++l3_stats_.misses;
         if (l3_cache_)
-            l3_cache_->coldFill(pc);
+            l3_cache_->access(pc);
     }
 
     /** L1I line size, for the playback loop's same-line run tracking. */

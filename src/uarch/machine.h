@@ -112,8 +112,8 @@ std::vector<verify::Violation>
 checkMachineConfig(const MachineConfig &machine);
 
 /**
- * checkMachineConfig() as a precondition: backs the SPECLENS_VALIDATE
- * startup assertions in the characterization runner.
+ * checkMachineConfig() as a precondition: the characterization runner
+ * checks every machine it is given before it simulates.
  *
  * @throws std::invalid_argument naming the first violation.
  */

@@ -53,7 +53,6 @@ appendRegion(Stream &st, std::uint64_t base, std::uint64_t stride,
 {
     Segment seg;
     seg.tick0 = st.elems;
-    seg.fills0 = st.fills;
     seg.elems = elements;
     if (stride % unit == 0) {
         // Every element lands on its own unit.  No alignment needed:
@@ -88,7 +87,7 @@ appendRegion(Stream &st, std::uint64_t base, std::uint64_t stride,
 
 /**
  * The fill-event stream a lower level observes: one event per upper-
- * level fill of @p a then @p b, re-anchored so that the LRU/FIFO stamp
+ * level fill of @p a then @p b, re-anchored so that the LRU stamp
  * formulas count fills (the walk only ticks these structures on fills —
  * repeat hits never reach past the first level).
  */
@@ -102,7 +101,6 @@ fillStream(const Stream &a, const Stream &b)
             seg.rep = 1;
             seg.elems = seg.fills;
             seg.tick0 = fills;
-            seg.fills0 = fills;
             fills += seg.fills;
             out.push_back(seg);
         }
@@ -777,7 +775,7 @@ void
 replaySegments(const std::vector<RegionPlan> &plans,
                std::vector<Segment> &l2, std::vector<Segment> &l3)
 {
-    std::uint64_t l2_fills = 0, l3_fills = 0;
+    std::uint64_t l3_fills = 0;
     for (const RegionPlan &plan : plans) {
         for (const Piece &piece : plan.pieces) {
             if (!piece.fills.empty()) {
@@ -794,9 +792,7 @@ replaySegments(const std::vector<RegionPlan> &plans,
                 seg.fills = piece.reps;
                 seg.tick_step = piece.dt;
                 seg.elems = piece.reps * piece.fills.size();
-                seg.fills0 = l2_fills;
                 seg.region = plan.demands != 0 ? &plan : nullptr;
-                l2_fills += seg.elems;
                 l2.push_back(std::move(seg));
             }
             if (!piece.l3.empty()) {
@@ -807,7 +803,7 @@ replaySegments(const std::vector<RegionPlan> &plans,
                 seg.step = piece.du;
                 seg.fills = piece.reps;
                 seg.elems = piece.reps * piece.l3.size();
-                seg.tick0 = seg.fills0 = l3_fills;
+                seg.tick0 = l3_fills;
                 l3_fills += seg.elems;
                 l3.push_back(std::move(seg));
             }
@@ -827,7 +823,6 @@ PrewarmSolver::refusalName(Refusal reason)
       case Refusal::PageSize: return "page_size";
       case Refusal::StrideShape: return "stride_shape";
       case Refusal::PlruPeriod: return "plru_period";
-      case Refusal::RandomOverflow: return "random_overflow";
       case Refusal::PrefetchPolicy: return "prefetch_policy";
       case Refusal::PrefetchShape: return "prefetch_shape";
       case Refusal::TickRange: return "tick_range";
@@ -835,23 +830,11 @@ PrewarmSolver::refusalName(Refusal reason)
     return "unknown";
 }
 
-bool
-PrewarmSolver::fitsWithoutEviction(const Cache &cache,
-                                   const std::vector<Segment> &segments)
-{
-    std::vector<std::uint32_t> count(cache.num_sets_, 0);
-    countFills(cache.num_sets_, segments, count);
-    return std::all_of(count.begin(), count.end(),
-                       [&cache](std::uint32_t k) {
-                           return k <= cache.config_.associativity;
-                       });
-}
-
 std::uint64_t
 PrewarmSolver::solveCache(Cache &cache,
                           const std::vector<Segment> &segments,
                           std::uint64_t accesses, std::uint64_t hits,
-                          bool cold_counters, std::uint8_t *prefetch_bits)
+                          std::uint8_t *prefetch_bits)
 {
     cache.accesses_ += accesses;
     cache.hits_ += hits;
@@ -872,15 +855,10 @@ PrewarmSolver::solveCache(Cache &cache,
         return 0; // the walk would not have touched the arrays either
 
     // The walk ticks LRU structures once per access (fills, collapsed
-    // repeat hits and demand hits) and FIFO structures once per fill;
-    // tree-PLRU and Random never touch the tick or the stamps.
+    // repeat hits and demand hits); tree-PLRU never touches the tick
+    // or the stamps.
     if (policy == ReplacementPolicy::Lru)
         cache.tick_ = accesses;
-    else if (policy == ReplacementPolicy::Fifo)
-        cache.tick_ = total_fills;
-
-    if (cold_counters)
-        cache.cold_fills_.assign(S, 0);
 
     PlruSchedule sched;
     if (policy == ReplacementPolicy::TreePlru)
@@ -894,22 +872,16 @@ PrewarmSolver::solveCache(Cache &cache,
 
     // Step 2: per-set summary state, plus the number of way writes the
     // reverse scan still owes.  Each touched set ends with
-    // min(k, assoc) occupied ways for every policy (round-robin and
-    // the verified PLRU period both cycle through all ways; Random
-    // stays in the invalid suffix).  A way-predicting cache also owes
-    // one entry per (set, partition) that saw a fill.
+    // min(k, assoc) occupied ways for either policy (round-robin and
+    // the verified PLRU period both cycle through all ways).  A
+    // way-predicting cache also owes one entry per (set, partition)
+    // that saw a fill.
     std::uint64_t remaining = 0;
     std::uint64_t open = 0;
     for (std::uint64_t set = 0; set < S; ++set) {
         std::uint64_t k = count[set];
         if (k == 0)
             continue;
-        if (cold_counters)
-            cache.cold_fills_[set] = static_cast<std::uint32_t>(
-                policy == ReplacementPolicy::Lru ||
-                        policy == ReplacementPolicy::Fifo
-                    ? k % assoc
-                    : std::min<std::uint64_t>(k, assoc));
         if (policy == ReplacementPolicy::TreePlru)
             cache.plru_[set] =
                 k <= assoc ? sched.state[k - 1]
@@ -921,9 +893,9 @@ PrewarmSolver::solveCache(Cache &cache,
     // Step 3: scan fills newest-first, writing each way once.  The
     // current fill's in-set ordinal is one below the set's count of
     // not-yet-visited fills, and its way follows from that ordinal
-    // (round-robin, PLRU schedule, or invalid suffix).  For LRU/FIFO/
-    // Random the last min(k, assoc) ordinals map to distinct ways, so
-    // a per-set write counter identifies survivors; tree-PLRU can
+    // (round-robin or PLRU schedule).  For LRU the last min(k, assoc)
+    // ordinals map to distinct ways, so a per-set write counter
+    // identifies survivors; tree-PLRU can
     // revisit a way within the last assoc fills (initial-to-periodic
     // crossover), so it keeps a per-set way bitmask (its assoc is
     // bounded at 32).  The first visit of a (set, partition) writes
@@ -937,9 +909,6 @@ PrewarmSolver::solveCache(Cache &cache,
     // globally last, which pins last_index_ (repeatLastHit never moves
     // it).
     const bool plru = policy == ReplacementPolicy::TreePlru;
-    const bool lru = policy == ReplacementPolicy::Lru;
-    const bool fifo = policy == ReplacementPolicy::Fifo;
-    const bool random = policy == ReplacementPolicy::Random;
     const std::uint8_t settled_mask = parts == 2 ? 3 : 1;
     constexpr std::uint8_t kSettled = 4;
     std::vector<std::uint32_t> written(S, 0);
@@ -966,10 +935,9 @@ PrewarmSolver::solveCache(Cache &cache,
         } else {
             survives = written[r] < assoc;
             ++written[r];
-            // Random: proven < assoc by the plan phase.  Round-robin
-            // ways skip the divide while a set has not wrapped (every
-            // set of an LLC larger than the walk).
-            w = random || k < assoc ? k : k % assoc;
+            // Round-robin ways skip the divide while a set has not
+            // wrapped (every set of an LLC larger than the walk).
+            w = k < assoc ? k : k % assoc;
         }
         if (survives) {
             std::size_t idx = static_cast<std::size_t>(r) * assoc + w;
@@ -978,7 +946,7 @@ PrewarmSolver::solveCache(Cache &cache,
             bool demanded = kGeneral && seg.region != nullptr &&
                             seg.region->demanded(q * S + r, demand_tick);
             const std::uint64_t g = kGeneral ? seg.width() : 1;
-            if (lru) {
+            if (!plru) {
                 if (kGeneral && !seg.fill_tick.empty()) {
                     // Prefetching L2: the last touch is the line's
                     // demand (hit or missing fill), else its prefetch
@@ -996,9 +964,6 @@ PrewarmSolver::solveCache(Cache &cache,
                     cache.stamps_[idx] = static_cast<std::uint32_t>(
                         seg.tick0 + std::min((j + 1) * seg.rep, seg.elems));
                 }
-            } else if (fifo) {
-                cache.stamps_[idx] =
-                    static_cast<std::uint32_t>(seg.fills0 + j * g + e + 1);
             }
             if (kGeneral && prefetch_bits != nullptr && seg.prefetched[e] &&
                 !demanded) {
@@ -1103,11 +1068,10 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
         return refuse(Refusal::PageSize);
 
     // With the prefetcher on, L2 sees demand hits: its stamps follow
-    // the replay only under LRU (restamped by the hit) or FIFO (not
-    // restamped), and a predicting L2 or L3 would score those hits.
+    // the replay only under LRU (restamped by the hit), and a
+    // predicting L2 or L3 would score those hits.
     if (prefetching &&
-        ((caches.l2_cache_.config_.policy != ReplacementPolicy::Lru &&
-          caches.l2_cache_.config_.policy != ReplacementPolicy::Fifo) ||
+        (caches.l2_cache_.config_.policy != ReplacementPolicy::Lru ||
          caches.l2_cache_.config_.way_prediction != WayPredictionKind::None ||
          (caches.l3_cache_ && caches.l3_cache_->config_.way_prediction !=
                                   WayPredictionKind::None)))
@@ -1211,31 +1175,19 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
     for (const Target &target : targets) {
         if (target.cache == nullptr)
             continue;
-        switch (target.cache->config_.policy) {
-          case ReplacementPolicy::TreePlru: {
+        if (target.cache->config_.policy == ReplacementPolicy::TreePlru) {
             PlruSchedule sched;
             sched.build(target.cache->config_.associativity);
             if (!sched.verified(target.cache->config_.associativity))
                 return refuse(Refusal::PlruPeriod);
-            break;
-          }
-          case ReplacementPolicy::Random:
-            if (!fitsWithoutEviction(*target.cache, *target.segments))
-                return refuse(Refusal::RandomOverflow);
-            break;
-          case ReplacementPolicy::Lru:
-          case ReplacementPolicy::Fifo:
-            // The closed forms write the walk's raw ticks, at most one
-            // per access; past a 32-bit stamp only the walk, which
+        } else if (target.accesses > Cache::kMaxStamp) {
+            // LRU: the closed forms write the walk's raw ticks, at most
+            // one per access; past a 32-bit stamp only the walk, which
             // rebases, is exact.
-            if (target.accesses > Cache::kMaxStamp)
-                return refuse(Refusal::TickRange);
-            break;
+            return refuse(Refusal::TickRange);
         }
     }
 
-    // The walk takes its cold fast path (per-set fill counters) only
-    // with the prefetcher off.
     std::uint64_t bits_set = 0;
     for (const Target &target : targets) {
         if (target.cache == nullptr)
@@ -1243,7 +1195,6 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
         bool l2 = target.cache == &caches.l2_cache_;
         std::uint64_t set = solveCache(
             *target.cache, *target.segments, target.accesses, target.hits,
-            !prefetching,
             prefetching && l2 ? caches.l2_prefetch_bits_.data() : nullptr);
         if (l2)
             bits_set = set;
@@ -1341,12 +1292,13 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
     };
 
     // On a never-touched hierarchy with the prefetcher off, every
-    // distinct line/page of the walk is a guaranteed compulsory miss
-    // at every level, so the dedicated cold-fill path can skip the
-    // futile hit scans.  Both branches produce the exact same state
-    // and counters; prewarming an already-used hierarchy (or one with
-    // a prefetcher) takes the general path.
-    const bool cold = caches.coldFillEligible() && tlbs.untouched();
+    // distinct line of the walk is a guaranteed compulsory miss at
+    // every level, which the cold fill path fills without touching
+    // the DRAM model (a prefetch-free prewarm leaves every row
+    // closed).  Prewarming an already-used hierarchy (or one with a
+    // prefetcher) takes the general path.  The TLBs have no such
+    // distinction: a translation that misses every level is a fill.
+    const bool cold = caches.prewarmFillEligible();
 
     const auto &sets = profile.memory.data;
     for (std::size_t i = sets.size(); i-- > 0;) {
@@ -1388,10 +1340,7 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
                     tlbs.repeatDataHits(dprun);
                     dprun = 0;
                 }
-                if (cold)
-                    tlbs.prewarmFillData(address);
-                else
-                    tlbs.accessData(address);
+                tlbs.accessData(address);
                 last_dpage = dpage;
             }
         }
@@ -1419,10 +1368,7 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
                 tlbs.repeatInstrHits(iprun);
                 iprun = 0;
             }
-            if (cold)
-                tlbs.prewarmFillInstr(pc);
-            else
-                tlbs.accessInstr(pc);
+            tlbs.accessInstr(pc);
             last_ipage = ipage;
         }
     }

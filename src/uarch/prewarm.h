@@ -3,9 +3,9 @@
  * Closed-form (analytic) cache/TLB prewarm.
  *
  * Playback::prewarm() streams every line of the LLC-resident working
- * sets (plus the code footprint) through the cold hierarchy once; PR 6
- * reduced each step to Cache::coldFill()/repeatLastHit(), but the walk
- * still executes one iteration per distinct line and page.  This
+ * sets (plus the code footprint) through the cold hierarchy once,
+ * collapsing same-line repeats with Cache::repeatLastHit(), but the
+ * walk still executes one iteration per distinct line and page.  This
  * solver removes the loop entirely: the warmup stream is a short list
  * of arithmetic progressions of distinct units (lines or pages), so
  * the final state of every set — which tags survive, in which ways,
@@ -14,7 +14,7 @@
  *
  * The proof obligations (DESIGN.md §5e-r2 and §5e-r4):
  *
- *  - LRU/FIFO: in a pure fill stream the per-set stamps are strictly
+ *  - LRU: in a pure fill stream the per-set stamps are strictly
  *    increasing in fill order (repeats only re-stamp the most recent
  *    fill), so victims are round-robin and the p-th in-set fill lands
  *    in way p mod assoc.  The surviving tag of way w is therefore the
@@ -31,9 +31,6 @@
  *    the verified schedule gives every way's last fill and the final
  *    tree state in O(1) per set.  If verification ever fails the
  *    whole prewarm falls back to the walk.
- *  - Random: provable only when no set overflows its ways (then fills
- *    occupy the invalid suffix in order and the RNG is never drawn);
- *    any overflow falls back, preserving the global draw order.
  *  - Way prediction: the walk never hits in L1 except by repeating the
  *    line it just filled, so every predictor entry holds the way of
  *    the last fill into its (set, partition).  The newest-first scan
@@ -89,13 +86,12 @@ class PrewarmSolver
         PageSize,       //!< The TLB levels disagree on the page size.
         StrideShape,    //!< A region's stride does not tile the unit.
         PlruPeriod,     //!< A tree-PLRU schedule failed verification.
-        RandomOverflow, //!< A Random-policy set would evict.
-        PrefetchPolicy, //!< Prefetching L2 is not LRU/FIFO, or a level
-                        //!< below L1 predicts ways.
+        PrefetchPolicy, //!< Prefetching L2 is not LRU, or a level below
+                        //!< L1 predicts ways.
         PrefetchShape,  //!< The prefetching replay left its proof
                         //!< (non-ascending fill, line queried after
                         //!< its eviction, overlapping regions).
-        TickRange,      //!< An LRU/FIFO level would tick past a 32-bit
+        TickRange,      //!< An LRU level would tick past a 32-bit
                         //!< stamp (Cache::kMaxStamp).
     };
 
@@ -110,9 +106,8 @@ class PrewarmSolver
      * the lines its prefetch brings in, or one repeating period of a
      * prefetching walk).  Ungrouped element j absorbs @p rep
      * consecutive stream elements (the last unit clamps to the
-     * segment's @p elems total).  tick0 / fills0 are the structure's
-     * cumulative element and fill counts before the segment, fixing
-     * absolute stamp values.
+     * segment's @p elems total).  tick0 is the structure's cumulative
+     * element count before the segment, fixing absolute stamp values.
      *
      * The L2 of a prefetching walk also sees demand hits, so its
      * segments carry per-group-entry L2 ticks (@p fill_tick, for
@@ -128,7 +123,6 @@ class PrewarmSolver
         std::uint64_t rep = 1;
         std::uint64_t elems = 0;
         std::uint64_t tick0 = 0;
-        std::uint64_t fills0 = 0;
         std::vector<std::uint64_t> group;
         std::vector<std::uint64_t> fill_tick;
         std::vector<std::uint8_t> prefetched;
@@ -168,23 +162,15 @@ class PrewarmSolver
 
   private:
     /**
-     * Write one structure's final state from its segment list.  The
-     * walk's cold fast path keeps per-set fill counters, its general
-     * path (taken whenever the prefetcher is on) does not:
-     * @p cold_counters selects which.  For a prefetching L2,
-     * @p prefetch_bits receives the surviving unconsumed prefetches;
-     * the return value is how many there are.
+     * Write one structure's final state from its segment list.  For a
+     * prefetching L2, @p prefetch_bits receives the surviving
+     * unconsumed prefetches; the return value is how many there are.
      */
     static std::uint64_t solveCache(Cache &cache,
                                     const std::vector<Segment> &segments,
                                     std::uint64_t accesses,
-                                    std::uint64_t hits, bool cold_counters,
+                                    std::uint64_t hits,
                                     std::uint8_t *prefetch_bits);
-
-    /** True when every set of @p cache keeps fills <= associativity
-     *  (the Random-policy provability condition). */
-    static bool fitsWithoutEviction(const Cache &cache,
-                                    const std::vector<Segment> &segments);
 };
 
 } // namespace uarch

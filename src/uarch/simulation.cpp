@@ -232,8 +232,8 @@ class Playback
 
     /**
      * Run one audit point.  @p post_prewarm selects the stricter
-     * prewarm-boundary audit (fill counters and newest-first stamp
-     * order are only defined before demand accesses start).
+     * prewarm-boundary audit (the fill order of the LRU stamps is only
+     * defined before demand accesses start).
      */
     void
     auditPoint(bool post_prewarm)

@@ -116,32 +116,6 @@ class TlbHierarchy
         return itlb_.accesses() == 0 && dtlb_.accesses() == 0;
     }
 
-    /**
-     * Translate one distinct page of the cold prewarm walk — exactly
-     * accessData() when every level misses, minus the futile hit
-     * scans.  Only valid when untouched() held at walk start.
-     */
-    void
-    prewarmFillData(std::uint64_t address)
-    {
-        dtlb_.coldFill(address);
-        if (l2tlb_)
-            l2tlb_->coldFill(address);
-        ++l2tlb_misses_;
-        ++page_walks_;
-    }
-
-    /** Instruction-side counterpart of prewarmFillData(). */
-    void
-    prewarmFillInstr(std::uint64_t pc)
-    {
-        itlb_.coldFill(pc);
-        if (l2tlb_)
-            l2tlb_->coldFill(pc);
-        ++l2tlb_misses_;
-        ++page_walks_;
-    }
-
     /** ITLB page size, for same-page run tracking in playback. */
     std::uint64_t instrPageBytes() const
     {

@@ -3,8 +3,8 @@
  * Structural invariant prover implementation.
  *
  * Every check here proves a property the hot-path equivalence tricks
- * (run collapsing, cold fill, the closed-form prewarm solver, batched
- * predictor kernels) rely on but never re-verify at run time.  The
+ * (run collapsing, the closed-form prewarm solver, batched predictor
+ * kernels) rely on but never re-verify at run time.  The
  * checks read private structure state through friendship and never
  * mutate it.
  */
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <variant>
 
@@ -69,7 +68,7 @@ setOnly(std::uint64_t set)
     return "set " + std::to_string(set);
 }
 
-/** Check the 2-bit saturating counter table shared by four designs. */
+/** Check the 2-bit saturating counter table every design keeps. */
 void
 auditCounterTable(Emitter &em, const char *table,
                   const std::vector<std::uint8_t> &counters,
@@ -103,8 +102,7 @@ StateAuditor::auditCache(const uarch::Cache &cache,
     const uarch::CacheConfig &cfg = cache.config_;
     Emitter em(cfg.name, out);
     const std::uint32_t assoc = cfg.associativity;
-    const bool stamped = cfg.policy == uarch::ReplacementPolicy::Lru ||
-                         cfg.policy == uarch::ReplacementPolicy::Fifo;
+    const bool stamped = cfg.policy == uarch::ReplacementPolicy::Lru;
 
     if (cache.hits_ > cache.accesses_) {
         em.emit("hits-bound", "",
@@ -243,17 +241,6 @@ StateAuditor::auditCache(const uarch::Cache &cache,
                     "state " + std::to_string(cache.plru_[set]) +
                         " uses bits past node " +
                         std::to_string(assoc - 1));
-        }
-
-        if (!cache.cold_fills_.empty()) {
-            std::uint32_t fills = cache.cold_fills_[set];
-            bool bad = stamped ? fills >= assoc : fills > assoc;
-            if (bad) {
-                em.emit("fill-counter", setOnly(set),
-                        "fill counter " + std::to_string(fills) +
-                            " out of range for " + std::to_string(assoc) +
-                            " ways");
-            }
         }
     }
 }
@@ -466,7 +453,7 @@ StateAuditor::auditTlbs(const uarch::TlbHierarchy &tlbs,
     Emitter em("tlb", out);
 
     // Every path that counts a page walk counts a last-level TLB miss
-    // in the same statement (accessCommon, prewarmFill*, the solver)
+    // in the same statement (accessCommon and the solver)
     // and both start at zero, so the counters move in lockstep.
     if (tlbs.page_walks_ != tlbs.l2tlb_misses_) {
         em.emit("walk-consistency", "",
@@ -543,10 +530,7 @@ StateAuditor::auditPredictor(const uarch::PredictorVariant &predictor,
     std::visit(
         [&out](const auto &p) {
             using P = std::decay_t<decltype(p)>;
-            if constexpr (std::is_same_v<P, uarch::StaticTakenPredictor>) {
-                // Stateless; nothing to prove.
-            } else if constexpr (std::is_same_v<P,
-                                                uarch::BimodalPredictor>) {
+            if constexpr (std::is_same_v<P, uarch::BimodalPredictor>) {
                 auditBimodal("predictor/bimodal", p, out);
             } else if constexpr (std::is_same_v<P,
                                                 uarch::GsharePredictor>) {
@@ -558,42 +542,6 @@ StateAuditor::auditPredictor(const uarch::PredictorVariant &predictor,
                 auditGshare("predictor/tournament/gshare", p.gshare_, out);
                 Emitter em("predictor/tournament", out);
                 auditCounterTable(em, "chooser", p.chooser_, p.mask_);
-            } else if constexpr (std::is_same_v<
-                                     P, uarch::PerceptronPredictor>) {
-                Emitter em("predictor/perceptron", out);
-                if (p.weights_.size() != p.mask_ + 1) {
-                    em.emit("table-size", "weights",
-                            "size " + std::to_string(p.weights_.size()) +
-                                " != mask+1 " +
-                                std::to_string(p.mask_ + 1));
-                    return;
-                }
-                for (std::size_t i = 0;
-                     i < p.weights_.size() && !em.saturated(); ++i) {
-                    const std::vector<int> &row = p.weights_[i];
-                    if (row.size() != p.history_bits_ + 1) {
-                        em.emit("table-shape",
-                                "weights[" + std::to_string(i) + "]",
-                                "row size " + std::to_string(row.size()) +
-                                    " != bias + " +
-                                    std::to_string(p.history_bits_) +
-                                    " history bits");
-                        continue;
-                    }
-                    for (std::size_t j = 0; j < row.size(); ++j) {
-                        // update() clamps every weight to +/-127
-                        // (branch_predictor.cpp weight_cap).
-                        if (row[j] > 127 || row[j] < -127) {
-                            em.emit("weight-range",
-                                    "weights[" + std::to_string(i) +
-                                        "][" + std::to_string(j) + "]",
-                                    "weight " + std::to_string(row[j]) +
-                                        " outside +/-127");
-                            if (em.saturated())
-                                return;
-                        }
-                    }
-                }
             } else if constexpr (std::is_same_v<P,
                                                 uarch::TageLitePredictor>) {
                 auditBimodal("predictor/tage-lite/base", p.base_, out);
@@ -653,26 +601,20 @@ StateAuditor::auditPredictor(const uarch::PredictorVariant &predictor,
 }
 
 /**
- * Post-prewarm fill-state audit of one cache: the survivor set must be
- * a legal end-state of a pure fill stream.  Only meaningful right
- * after prewarm — demand accesses fill ways without updating the
- * cold-fill counters (and LRU hits re-stamp arbitrary ways).
+ * Post-prewarm fill-order audit of one LRU cache: the survivor set
+ * must be a legal end-state of a pure fill stream.  Only meaningful
+ * right after a prefetch-free prewarm — demand accesses and prefetch
+ * hits re-stamp arbitrary ways.
  */
 void
 StateAuditor::auditCacheFillState(const uarch::Cache &cache,
                                   std::vector<Violation> &out)
 {
-    // An empty counter array means this cache was warmed through the
-    // general access() path (walk fallback) or not at all; the fill
-    // invariants below are only defined for the cold-fill fast path.
-    if (cache.cold_fills_.empty())
-        return;
-
     const uarch::CacheConfig &cfg = cache.config_;
+    if (cfg.policy != uarch::ReplacementPolicy::Lru)
+        return;
     Emitter em(cfg.name, out);
     const std::uint32_t assoc = cfg.associativity;
-    const bool stamped = cfg.policy == uarch::ReplacementPolicy::Lru ||
-                         cfg.policy == uarch::ReplacementPolicy::Fifo;
 
     for (std::uint64_t set = 0; set < cache.num_sets_ && !em.saturated();
          ++set) {
@@ -683,33 +625,15 @@ StateAuditor::auditCacheFillState(const uarch::Cache &cache,
                tags[valid] != uarch::Cache::kInvalidTag)
             ++valid;
 
-        std::uint32_t fills = cache.cold_fills_[set];
-        if (valid < assoc) {
-            // The set never filled up, so the counter never wrapped
-            // and must equal the per-set survivor count exactly.
-            if (fills != valid) {
-                em.emit("fill-consistency", setOnly(set),
-                        "counter " + std::to_string(fills) + " vs " +
-                            std::to_string(valid) + " survivors");
-            }
-        } else if (!stamped && fills != assoc) {
-            // Tree-PLRU/Random hold the counter at assoc once full.
-            em.emit("fill-consistency", setOnly(set),
-                    "counter " + std::to_string(fills) +
-                        " on a full set of " + std::to_string(assoc));
-        }
-        // (Full LRU/FIFO sets: the wrap residue is checked by the
-        // general fill-counter bound; the order check below pins it.)
-
-        if (!stamped)
-            continue;
-
-        // Newest-first legality: a pure fill stream fills ways round-
-        // robin, so stamps must increase cyclically starting from the
-        // oldest way — way 0 while filling, way `fills` after the
-        // wrap.  A trailing repeat-hit re-stamp only raises the newest
-        // way, which preserves the order.
-        std::uint32_t start = valid < assoc ? 0 : fills % assoc;
+        // A pure fill stream fills ways round-robin, so stamps must
+        // increase cyclically from the oldest way: way 0 while the set
+        // fills, its minimum-stamp way once it is full.  A trailing
+        // repeat-hit re-stamp only raises the newest way, which keeps
+        // the order.
+        std::uint32_t start = 0;
+        if (valid == assoc)
+            start = static_cast<std::uint32_t>(
+                std::min_element(stamps, stamps + assoc) - stamps);
         std::uint64_t prev = 0;
         for (std::uint32_t k = 0; k < valid; ++k) {
             std::uint32_t w = (start + k) % assoc;
@@ -732,6 +656,10 @@ StateAuditor::auditPrewarm(const uarch::CacheHierarchy &caches,
 {
     auditCaches(caches, out);
     auditTlbs(tlbs, out);
+    // A prefetching walk re-stamps L2 on demand hits, so the fill
+    // order is only defined without the prefetcher.
+    if (caches.prefetch_degree_ != 0)
+        return;
     auditCacheFillState(caches.l1i_cache_, out);
     auditCacheFillState(caches.l1d_cache_, out);
     auditCacheFillState(caches.l2_cache_, out);

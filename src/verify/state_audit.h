@@ -7,10 +7,9 @@
  * proves the invariants catalogued in DESIGN.md section 5f:
  *
  *   cache      tag-domain bounds, no duplicate lines per set, invalid
- *              ways form a suffix, LRU/FIFO stamps in [1, tick] and
- *              unique per set, tick within a 32-bit stamp (no missed
- *              rebase), tree-PLRU node word in domain,
- *              fill-counter bounds, hits <= accesses
+ *              ways form a suffix, LRU stamps in [1, tick] and unique
+ *              per set, tick within a 32-bit stamp (no missed rebase),
+ *              tree-PLRU node word in domain, hits <= accesses
  *   way pred   table shape matches the configured kind (one partition
  *              for MRU, two for multi-MRU, none when off), every
  *              predicted way inside the associativity, and the
@@ -19,7 +18,7 @@
  *              page_walks == l2tlb misses <= itlb+dtlb misses,
  *              plus the cache invariants on each level
  *   predictor  saturating-counter range, history-register width,
- *              table-index domain (size == mask+1) for all six kinds
+ *              table-index domain (size == mask+1) for all four kinds
  *   prefetcher per-slot bit domain, bits only on valid L2 ways, the
  *              accounting identity fills == useful + evicted +
  *              resident bits, stride-table shape/confidence range and
@@ -28,9 +27,9 @@
  *              rows inside the address-derived row domain, row hits
  *              bounded by accesses, and the exact busy/budget cycle
  *              identities of the open-page policy
- *   prewarm    the survivor set is a legal end-state: per-set valid
- *              count matches the fill counter and LRU/FIFO stamps
- *              are cyclically increasing from the oldest way
+ *   prewarm    the survivor set is a legal end-state: after a
+ *              prefetch-free prewarm, the stamps of every LRU set
+ *              increase cyclically from its oldest way
  *
  * Every audit entry point appends Violation records; a clean structure
  * appends nothing.  The auditor only reads; the seeded-corruption tests
@@ -93,11 +92,10 @@ class StateAuditor {
 
     /**
      * Post-prewarm audit: on top of the structural invariants, prove
-     * the survivor set is a legal end-state of a pure fill stream
-     * (fill counters match per-set valid counts; LRU/FIFO stamps are
-     * cyclically increasing from the oldest way).  Only valid at the
-     * prewarm -> measurement boundary: demand accesses update stamps
-     * but never the cold-fill counters.
+     * the survivor set of every LRU level is a legal end-state of a
+     * pure fill stream (stamps increase cyclically from the oldest
+     * way) when the prefetcher is off.  Only valid at the prewarm ->
+     * measurement boundary: demand accesses re-stamp arbitrary ways.
      */
     static void auditPrewarm(const uarch::CacheHierarchy &caches,
                              const uarch::TlbHierarchy &tlbs,

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <utility>
 
+#include "stats/fingerprint.h"
 #include "suites/emerging.h"
 #include "suites/input_sets.h"
 #include "suites/machines.h"
@@ -386,8 +389,47 @@ TEST(MachinesTest, AllConfigsConstructSimulatableStructures)
         EXPECT_NO_THROW(uarch::CacheHierarchy{m.caches}) << m.name;
         EXPECT_NO_THROW(uarch::TlbHierarchy{m.tlbs}) << m.name;
         EXPECT_NO_THROW(
-            uarch::makePredictor(m.predictor, m.predictor_size_log2))
+            uarch::makePredictorVariant(m.predictor, m.predictor_size_log2))
             << m.name;
+    }
+}
+
+/**
+ * Store keys hash every machine model, enums included as integers
+ * (MachineConfig::hashInto), so renumbering a PredictorKind or
+ * ReplacementPolicy value would silently turn every warm store cold.
+ * Pin the fingerprint of each of the 12 shipped machines: the seven
+ * Table IV machines, the four memory-centric Skylake variants and the
+ * prefetch ablation's degree-4 Skylake.
+ */
+TEST(MachineFingerprints, ShippedMachinesArePinned)
+{
+    std::vector<uarch::MachineConfig> machines = profilingMachines();
+    for (const uarch::MachineConfig &m : memoryCentricMachines())
+        machines.push_back(m);
+    machines.push_back(prefetchAblationMachine());
+
+    const std::pair<const char *, const char *> expected[] = {
+        {"skylake", "6177a14c002189d2"},
+        {"broadwell", "2de040803ca8bf31"},
+        {"ivybridge", "c3324057a8aa5d63"},
+        {"harpertown", "52a8b0e8ccd88ef4"},
+        {"sparc-iv", "ab123b12c9837489"},
+        {"sparc-t4", "29bf2c5fe1760b89"},
+        {"opteron", "76dcce254e1b070b"},
+        {"skylake-dram", "90b7b0281f0dce5d"},
+        {"skylake-nl", "999104141b502bc1"},
+        {"skylake-stride", "e0462db6e83a3b77"},
+        {"skylake-stream", "0d092bc51529910e"},
+        {"skylake", "6e62a6cd45b17c1e"}, // the prefetch ablation arm
+    };
+    ASSERT_EQ(machines.size(), std::size(expected));
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        stats::Fingerprinter fp;
+        machines[i].hashInto(fp);
+        EXPECT_EQ(machines[i].short_name, expected[i].first);
+        EXPECT_EQ(stats::hex16(fp.value()), expected[i].second)
+            << machines[i].short_name;
     }
 }
 

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <tuple>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "stats/rng.h"
@@ -21,41 +21,46 @@ namespace {
 /** Integer cut of a fair coin (see stats::Rng::cut). */
 constexpr std::uint64_t kCoin = stats::Rng::cut(0.5);
 
-/** Misprediction rate of @p predictor on a generated stream. */
+/**
+ * Misprediction rate of @p predictor on a generated stream, through
+ * the scalar predict()/update() pair.
+ */
 template <typename NextOutcome>
 double
-mispredictionRate(BranchPredictor &predictor, NextOutcome next, int n)
+mispredictionRate(PredictorVariant &predictor, NextOutcome next, int n)
 {
-    int mispredictions = 0;
-    for (int i = 0; i < n; ++i) {
-        auto [id, taken] = next(i);
-        bool predicted = predictor.predict(0, id);
-        if (predicted != taken)
-            ++mispredictions;
-        predictor.update(0, id, taken);
-    }
-    return static_cast<double>(mispredictions) / n;
+    return std::visit(
+        [&](auto &p) {
+            int mispredictions = 0;
+            for (int i = 0; i < n; ++i) {
+                auto [id, taken] = next(i);
+                bool predicted = p.predict(0, id);
+                if (predicted != taken)
+                    ++mispredictions;
+                p.update(0, id, taken);
+            }
+            return static_cast<double>(mispredictions) / n;
+        },
+        predictor);
 }
 
 std::vector<PredictorKind>
 allKinds()
 {
-    return {PredictorKind::StaticTaken, PredictorKind::Bimodal,
-            PredictorKind::Gshare,      PredictorKind::Tournament,
-            PredictorKind::Perceptron,  PredictorKind::TageLite};
+    return {PredictorKind::Bimodal, PredictorKind::Gshare,
+            PredictorKind::Tournament, PredictorKind::TageLite};
 }
 
 class PredictorKindTest : public ::testing::TestWithParam<PredictorKind>
 {
   protected:
-    std::unique_ptr<BranchPredictor> predictor_ =
-        makePredictor(GetParam(), 12);
+    PredictorVariant predictor_ = makePredictorVariant(GetParam(), 12);
 };
 
 TEST_P(PredictorKindTest, LearnsAlwaysTaken)
 {
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [](int) { return std::pair<std::uint32_t, bool>{7, true}; },
         20000);
     EXPECT_LT(rate, 0.01) << predictorKindName(GetParam());
@@ -64,20 +69,17 @@ TEST_P(PredictorKindTest, LearnsAlwaysTaken)
 TEST_P(PredictorKindTest, LearnsAlwaysNotTakenExceptStatic)
 {
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [](int) { return std::pair<std::uint32_t, bool>{9, false}; },
         20000);
-    if (GetParam() == PredictorKind::StaticTaken)
-        EXPECT_DOUBLE_EQ(rate, 1.0);
-    else
-        EXPECT_LT(rate, 0.01) << predictorKindName(GetParam());
+    EXPECT_LT(rate, 0.01) << predictorKindName(GetParam());
 }
 
 TEST_P(PredictorKindTest, RandomStreamIsHalfWrong)
 {
     stats::Rng rng(5);
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [&rng](int) {
             return std::pair<std::uint32_t, bool>{3, rng.drawBelow(kCoin)};
         },
@@ -88,10 +90,8 @@ TEST_P(PredictorKindTest, RandomStreamIsHalfWrong)
 TEST_P(PredictorKindTest, SeparatesManyBiasedBranches)
 {
     // 64 branches, even ids taken, odd ids not taken.
-    if (GetParam() == PredictorKind::StaticTaken)
-        GTEST_SKIP();
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [](int i) {
             std::uint32_t id = static_cast<std::uint32_t>(i) % 64;
             return std::pair<std::uint32_t, bool>{id, id % 2 == 0};
@@ -118,15 +118,16 @@ TEST(PredictorHistoryTest, HistoryPredictorsLearnAlternation)
     auto alternating = [](int i) {
         return std::pair<std::uint32_t, bool>{1, i % 2 == 0};
     };
-    for (PredictorKind kind :
-         {PredictorKind::Gshare, PredictorKind::Tournament,
-          PredictorKind::Perceptron, PredictorKind::TageLite}) {
-        auto predictor = makePredictor(kind, 12);
-        double rate = mispredictionRate(*predictor, alternating, 20000);
+    for (PredictorKind kind : {PredictorKind::Gshare,
+                               PredictorKind::Tournament,
+                               PredictorKind::TageLite}) {
+        PredictorVariant predictor = makePredictorVariant(kind, 12);
+        double rate = mispredictionRate(predictor, alternating, 20000);
         EXPECT_LT(rate, 0.02) << predictorKindName(kind);
     }
-    auto bimodal = makePredictor(PredictorKind::Bimodal, 12);
-    double bimodal_rate = mispredictionRate(*bimodal, alternating, 20000);
+    PredictorVariant bimodal =
+        makePredictorVariant(PredictorKind::Bimodal, 12);
+    double bimodal_rate = mispredictionRate(bimodal, alternating, 20000);
     EXPECT_GT(bimodal_rate, 0.4);
 }
 
@@ -138,53 +139,16 @@ TEST(PredictorHistoryTest, PatternOfPeriodFour)
         static const bool p[4] = {true, true, false, true};
         return std::pair<std::uint32_t, bool>{2, p[i % 4]};
     };
-    auto bimodal = makePredictor(PredictorKind::Bimodal, 12);
-    auto tage = makePredictor(PredictorKind::TageLite, 12);
-    auto gshare = makePredictor(PredictorKind::Gshare, 12);
-    double bimodal_rate = mispredictionRate(*bimodal, pattern, 30000);
-    double tage_rate = mispredictionRate(*tage, pattern, 30000);
-    double gshare_rate = mispredictionRate(*gshare, pattern, 30000);
+    PredictorVariant bimodal =
+        makePredictorVariant(PredictorKind::Bimodal, 12);
+    PredictorVariant tage = makePredictorVariant(PredictorKind::TageLite, 12);
+    PredictorVariant gshare = makePredictorVariant(PredictorKind::Gshare, 12);
+    double bimodal_rate = mispredictionRate(bimodal, pattern, 30000);
+    double tage_rate = mispredictionRate(tage, pattern, 30000);
+    double gshare_rate = mispredictionRate(gshare, pattern, 30000);
     EXPECT_GT(bimodal_rate, 0.15);
     EXPECT_LT(tage_rate, 0.05);
     EXPECT_LT(gshare_rate, 0.05);
-}
-
-/**
- * The playback loop dispatches through PredictorVariant instead of the
- * virtual interface; both factories must build behaviourally identical
- * predictors.  Drive a mixed stream of biased, alternating and random
- * branches through both paths in lock-step and require the prediction
- * to agree at every single step.
- */
-TEST(PredictorDispatchTest, VariantMatchesVirtualInterfaceStepByStep)
-{
-    for (PredictorKind kind : allKinds()) {
-        auto virt = makePredictor(kind, 12);
-        PredictorVariant variant = makePredictorVariant(kind, 12);
-        std::visit(
-            [&](auto &concrete) {
-                stats::Rng rng(17);
-                for (int i = 0; i < 20000; ++i) {
-                    std::uint64_t pc =
-                        0x400000 + (static_cast<std::uint64_t>(i) % 777)
-                        * 4;
-                    std::uint32_t id =
-                        static_cast<std::uint32_t>(i) % 97;
-                    // Mix of strongly biased, alternating and noisy
-                    // branches keeps every component table exercised.
-                    bool taken = id % 3 == 0   ? true
-                                 : id % 3 == 1 ? i % 2 == 0
-                                               : rng.drawBelow(kCoin);
-                    bool virtual_prediction = virt->predict(pc, id);
-                    bool direct_prediction = concrete.predict(pc, id);
-                    ASSERT_EQ(virtual_prediction, direct_prediction)
-                        << predictorKindName(kind) << " step " << i;
-                    virt->update(pc, id, taken);
-                    concrete.update(pc, id, taken);
-                }
-            },
-            variant);
-    }
 }
 
 /**
@@ -270,30 +234,25 @@ TEST(PredictorDispatchTest, BatchKernelMatchesScalarPairsBitExactly)
     }
 }
 
-TEST(PredictorDispatchTest, VariantReportsSameName)
-{
-    for (PredictorKind kind : allKinds()) {
-        PredictorVariant variant = makePredictorVariant(kind, 10);
-        std::string name = std::visit(
-            [](const auto &concrete) { return concrete.name(); },
-            variant);
-        EXPECT_EQ(name, predictorKindName(kind));
-    }
-}
-
 TEST(PredictorFactoryTest, NamesAndCreation)
 {
-    for (PredictorKind kind : allKinds()) {
-        auto predictor = makePredictor(kind, 10);
-        ASSERT_NE(predictor, nullptr);
-        EXPECT_EQ(predictor->name(), predictorKindName(kind));
-    }
+    // Each kind builds its own design.
+    EXPECT_TRUE(std::holds_alternative<BimodalPredictor>(
+        makePredictorVariant(PredictorKind::Bimodal, 10)));
+    EXPECT_TRUE(std::holds_alternative<GsharePredictor>(
+        makePredictorVariant(PredictorKind::Gshare, 10)));
+    EXPECT_TRUE(std::holds_alternative<TournamentPredictor>(
+        makePredictorVariant(PredictorKind::Tournament, 10)));
+    EXPECT_TRUE(std::holds_alternative<TageLitePredictor>(
+        makePredictorVariant(PredictorKind::TageLite, 10)));
 }
 
 TEST(PredictorFactoryTest, KindNames)
 {
     EXPECT_EQ(predictorKindName(PredictorKind::TageLite), "tage-lite");
     EXPECT_EQ(predictorKindName(PredictorKind::Bimodal), "bimodal");
+    EXPECT_EQ(predictorKindName(PredictorKind::Gshare), "gshare");
+    EXPECT_EQ(predictorKindName(PredictorKind::Tournament), "tournament");
 }
 
 } // namespace

@@ -114,20 +114,6 @@ TEST(CacheTest, LruEvictionOrder)
     EXPECT_TRUE(cache.contains(2 * set_stride));
 }
 
-TEST(CacheTest, FifoIgnoresHits)
-{
-    // Same scenario as above, but FIFO evicts the *oldest inserted*
-    // line regardless of the refreshing hit.
-    Cache cache(smallCache(2, ReplacementPolicy::Fifo));
-    std::uint64_t set_stride = 8 * 64;
-    cache.access(0 * set_stride);
-    cache.access(1 * set_stride);
-    cache.access(0 * set_stride); // hit; FIFO unaffected
-    cache.access(2 * set_stride); // evicts line 0
-    EXPECT_FALSE(cache.contains(0 * set_stride));
-    EXPECT_TRUE(cache.contains(1 * set_stride));
-}
-
 TEST(CacheTest, TreePlruProtectsMostRecent)
 {
     Cache cache(smallCache(4, ReplacementPolicy::TreePlru));
@@ -178,17 +164,6 @@ TEST(CacheTest, MissRatioTracksWorkingSetSize)
     for (int i = 0; i < 200000; ++i)
         cache.access(rng.below(lines) * 64);
     EXPECT_NEAR(cache.missRatio(), 0.5, 0.05);
-}
-
-TEST(CacheTest, RandomPolicyStillCachesResidentSet)
-{
-    // Half-capacity working set: even random replacement keeps it
-    // mostly resident.
-    Cache cache(smallCache(4, ReplacementPolicy::Random)); // 32 lines
-    for (int round = 0; round < 8; ++round)
-        for (std::uint64_t addr = 0; addr < 1024; addr += 64) // 16 lines
-            cache.access(addr);
-    EXPECT_LT(cache.missRatio(), 0.25);
 }
 
 class CacheGeometrySweep
@@ -396,20 +371,14 @@ broadwellL3()
     return {};
 }
 
-TEST(CacheStampRebase, ExactAcrossTheBoundaryLruAndFifo)
+TEST(CacheStampRebase, ExactAcrossTheBoundary)
 {
     const CacheConfig l3 = broadwellL3();
     ASSERT_EQ(l3.associativity, 20u);
     ASSERT_NE(l3.sets() & (l3.sets() - 1), 0u); // non-power-of-two sets
-    for (ReplacementPolicy policy :
-         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo}) {
-        CacheConfig pow2{"L1D-8way", 32 * 1024, 8, 64, policy};
-        expectRebaseExact(pow2);
-        CacheConfig llc = l3;
-        llc.policy = policy;
-        llc.name += policy == ReplacementPolicy::Lru ? "-lru" : "-fifo";
-        expectRebaseExact(llc);
-    }
+    ASSERT_EQ(l3.policy, ReplacementPolicy::Lru);
+    expectRebaseExact({"L1D-8way", 32 * 1024, 8, 64, ReplacementPolicy::Lru});
+    expectRebaseExact(l3);
 }
 
 TEST(CacheStampRebase, RanksKeepEachSetsOrder)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stats/rng.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
 #include "uarch/cache_hierarchy.h"

@@ -4,9 +4,9 @@
  *
  * PrewarmSolver::apply() claims to reconstruct the EXACT state the
  * walking prewarm leaves — tags, replacement stamps, tree-PLRU words,
- * cold-fill counters, ticks, last-access indices and every statistic —
- * or to mutate nothing and return false.  These tests compare the two
- * paths' full state digests across every replacement policy, TLB
+ * ticks, last-access indices and every statistic — or to mutate
+ * nothing and return false.  These tests compare the two paths' full
+ * state digests across both replacement policies, TLB
  * geometry and stride regime, every shipped machine and model, way
  * prediction and the three L2 prefetch engines, and pin the
  * all-or-nothing fallback contract for patterns outside the provable
@@ -81,9 +81,7 @@ tlbConfigFor(int variant)
  * @p active_regions data regions plus the code walk.  Inactive
  * regions get footprints beyond any LLC here, so both paths skip
  * them — which is itself part of the contract under test.  The region
- * bases sit 2^38 apart (all alias set 0 of every modelled structure),
- * so Random-policy sweeps need a single small active region to stay
- * below the no-eviction provability bound.
+ * bases sit 2^38 apart (all alias set 0 of every modelled structure).
  */
 trace::WorkloadProfile
 profileFor(double stride, double bytes, double code_bytes,
@@ -127,20 +125,13 @@ expectStateEquivalence(const uarch::CacheHierarchyConfig &caches,
         << label << ": analytic state differs from the walk";
 }
 
-constexpr ReplacementPolicy kPolicies[] = {
-    ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
-    ReplacementPolicy::TreePlru, ReplacementPolicy::Random};
+constexpr ReplacementPolicy kPolicies[] = {ReplacementPolicy::Lru,
+                                           ReplacementPolicy::TreePlru};
 
 const char *
 policyName(ReplacementPolicy policy)
 {
-    switch (policy) {
-      case ReplacementPolicy::Lru: return "lru";
-      case ReplacementPolicy::Fifo: return "fifo";
-      case ReplacementPolicy::TreePlru: return "treeplru";
-      case ReplacementPolicy::Random: return "random";
-    }
-    return "?";
+    return policy == ReplacementPolicy::Lru ? "lru" : "treeplru";
 }
 
 TEST(PrewarmEquivalence, EveryPolicyEveryTlbGeometryEveryStride)
@@ -152,19 +143,11 @@ TEST(PrewarmEquivalence, EveryPolicyEveryTlbGeometryEveryStride)
     for (ReplacementPolicy policy : kPolicies) {
         for (int tlb_variant = 0; tlb_variant < 3; ++tlb_variant) {
             for (double stride : strides) {
-                // Random replacement is only provable without
-                // evictions.  The four region bases all alias set 0 of
-                // every power-of-two structure here, so Random gets a
-                // single tiny active region (1-2 elements) to stay
-                // under each set's associativity; eviction-heavy
-                // footprints for the rest.
-                bool random = policy == ReplacementPolicy::Random;
-                int elements = stride <= 128 ? 2 : 1;
-                double bytes = random ? stride * elements : 48 * 1024;
-                double code = random ? 512 : 24 * 1024;
+                // Eviction-heavy footprints: the four region bases all
+                // alias set 0 of every power-of-two structure here.
                 expectStateEquivalence(
                     cacheConfigFor(policy), tlbConfigFor(tlb_variant),
-                    profileFor(stride, bytes, code, random ? 1 : 4),
+                    profileFor(stride, 48 * 1024, 24 * 1024),
                     std::string(policyName(policy)) + "/tlb" +
                         std::to_string(tlb_variant) + "/stride" +
                         std::to_string(static_cast<int>(stride)));
@@ -183,11 +166,9 @@ TEST(PrewarmEquivalence, NonPowerOfTwoSetCounts)
         uarch::CacheHierarchyConfig caches = cacheConfigFor(policy);
         unsigned ways = policy == ReplacementPolicy::TreePlru ? 16 : 20;
         caches.l3 = CacheConfig{"L3", 15 * 1024 * 1024, ways, 64, policy};
-        bool random = policy == ReplacementPolicy::Random;
-        expectStateEquivalence(
-            caches, tlbConfigFor(0),
-            profileFor(64, random ? 512 : 48 * 1024, random ? 512 : 8192),
-            std::string("np2/") + policyName(policy));
+        expectStateEquivalence(caches, tlbConfigFor(0),
+                               profileFor(64, 48 * 1024, 8192),
+                               std::string("np2/") + policyName(policy));
     }
 }
 
@@ -223,23 +204,6 @@ TEST(PrewarmEquivalence, UnprovableStrideFallsBackUntouched)
     std::vector<std::uint64_t> fresh = stateDigest(hierarchy, tlb_hierarchy);
     EXPECT_FALSE(uarch::PrewarmSolver::apply(hierarchy, tlb_hierarchy,
                                              profile, 4096));
-    EXPECT_EQ(stateDigest(hierarchy, tlb_hierarchy), fresh);
-}
-
-TEST(PrewarmEquivalence, RandomOverflowFallsBackUntouched)
-{
-    // A footprint that overflows a Random set's ways would need RNG
-    // draws the closed form cannot reproduce: refuse, mutate nothing.
-    uarch::CacheHierarchyConfig caches =
-        cacheConfigFor(ReplacementPolicy::Random);
-    uarch::TlbHierarchyConfig tlbs = tlbConfigFor(0);
-    trace::WorkloadProfile profile = profileFor(64, 16 * 1024, 16 * 1024);
-
-    uarch::CacheHierarchy hierarchy(caches);
-    uarch::TlbHierarchy tlb_hierarchy(tlbs);
-    std::vector<std::uint64_t> fresh = stateDigest(hierarchy, tlb_hierarchy);
-    EXPECT_FALSE(uarch::PrewarmSolver::apply(hierarchy, tlb_hierarchy,
-                                             profile, 1 << 20));
     EXPECT_EQ(stateDigest(hierarchy, tlb_hierarchy), fresh);
 }
 
@@ -307,9 +271,7 @@ TEST(PrewarmEquivalence, MultiMruPartitionOutlivesItsLine)
     profile.memory.data[1].stride_bytes = 1024;
     profile.memory.data[0].bytes = 16 * 1024;
     profile.memory.data[0].stride_bytes = 2048;
-    for (ReplacementPolicy policy :
-         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
-          ReplacementPolicy::TreePlru}) {
+    for (ReplacementPolicy policy : kPolicies) {
         for (auto kind : {uarch::WayPredictionKind::Mru,
                           uarch::WayPredictionKind::MultiMru}) {
             uarch::CacheHierarchyConfig caches = cacheConfigFor(policy);
@@ -326,8 +288,7 @@ TEST(PrewarmEquivalence, MultiMruPartitionOutlivesItsLine)
 /** Skylake-shaped prefetching hierarchy with a small L3, so working
  *  sets overflow both L2 and L3. */
 uarch::CacheHierarchyConfig
-prefetchConfigFor(uarch::PrefetcherKind kind, unsigned degree,
-                  ReplacementPolicy l2_policy)
+prefetchConfigFor(uarch::PrefetcherKind kind, unsigned degree)
 {
     uarch::CacheHierarchyConfig config;
     config.l1i = CacheConfig{"L1I", 32 * 1024, 8, 64,
@@ -336,7 +297,7 @@ prefetchConfigFor(uarch::PrefetcherKind kind, unsigned degree,
                              ReplacementPolicy::TreePlru};
     config.l1i.way_prediction = uarch::WayPredictionKind::MultiMru;
     config.l1d.way_prediction = uarch::WayPredictionKind::Mru;
-    config.l2 = CacheConfig{"L2", 256 * 1024, 4, 64, l2_policy};
+    config.l2 = CacheConfig{"L2", 256 * 1024, 4, 64, ReplacementPolicy::Lru};
     config.l3 = CacheConfig{"L3", 1024 * 1024, 16, 64,
                             ReplacementPolicy::Lru};
     config.prefetcher = kind;
@@ -374,27 +335,23 @@ TEST(PrewarmEquivalence, PrefetchEngineEdgeCases)
     const double strides[] = {16, 64, 128, 4096, 8192};
     for (PrefetcherKind kind : kinds) {
         for (unsigned degree : {1u, 4u, 8u}) {
-            for (ReplacementPolicy l2 :
-                 {ReplacementPolicy::Lru, ReplacementPolicy::Fifo}) {
-                for (double stride : strides) {
-                    for (double n : elements) {
-                        // Code walks from one line to past L2, so the
-                        // code fills evict prefetched overshoot lines.
-                        for (double code : {64.0, 300.0 * 1024}) {
-                            expectStateEquivalence(
-                                prefetchConfigFor(kind, degree, l2),
-                                tlbConfigFor(0),
-                                profileFor(stride, stride * n, code),
-                                uarch::prefetcherKindName(kind) + "/d" +
-                                    std::to_string(degree) + "/" +
-                                    policyName(l2) + "/stride" +
-                                    std::to_string(static_cast<int>(stride)) +
-                                    "/n" + std::to_string(static_cast<int>(n)) +
-                                    "/code" +
-                                    std::to_string(static_cast<int>(code)));
-                            if (::testing::Test::HasFailure())
-                                return;
-                        }
+            for (double stride : strides) {
+                for (double n : elements) {
+                    // Code walks from one line to past L2, so the code
+                    // fills evict prefetched overshoot lines.
+                    for (double code : {64.0, 300.0 * 1024}) {
+                        expectStateEquivalence(
+                            prefetchConfigFor(kind, degree),
+                            tlbConfigFor(0),
+                            profileFor(stride, stride * n, code),
+                            uarch::prefetcherKindName(kind) + "/d" +
+                                std::to_string(degree) + "/stride" +
+                                std::to_string(static_cast<int>(stride)) +
+                                "/n" + std::to_string(static_cast<int>(n)) +
+                                "/code" +
+                                std::to_string(static_cast<int>(code)));
+                        if (::testing::Test::HasFailure())
+                            return;
                     }
                 }
             }
@@ -421,7 +378,7 @@ TEST(PrewarmEquivalence, PrefetchRegionsOfMixedStrides)
         }
         profile.memory.code_bytes = 96 * 1024;
         uarch::CacheHierarchyConfig caches =
-            prefetchConfigFor(kind, 4, ReplacementPolicy::Lru);
+            prefetchConfigFor(kind, 4);
         expectStateEquivalence(caches, tlbConfigFor(0), profile,
                                uarch::prefetcherKindName(kind));
         caches.l3.reset();
@@ -437,8 +394,8 @@ TEST(PrewarmEquivalence, PrefetchOutsideTheProofFallsBackUntouched)
     // A 64-set L2 cannot hold the stream engine's run-ahead window:
     // a prefetched line could be evicted before its demand, so apply()
     // must refuse and mutate nothing.
-    uarch::CacheHierarchyConfig caches = prefetchConfigFor(
-        uarch::PrefetcherKind::Stream, 4, ReplacementPolicy::Lru);
+    uarch::CacheHierarchyConfig caches =
+        prefetchConfigFor(uarch::PrefetcherKind::Stream, 4);
     caches.l2 = CacheConfig{"L2", 16 * 1024, 4, 64, ReplacementPolicy::Lru};
     trace::WorkloadProfile profile = profileFor(64, 64 * 1024, 4096);
     expectRefusedUntouched(caches, profile,

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <variant>
 
 #include "trace/address_stream.h"
 #include "trace/trace_generator.h"
@@ -99,8 +99,8 @@ class Machine
         : config_(config),
           caches_(config.caches),
           tlbs_(config.tlbs),
-          predictor_(uarch::makePredictor(config.predictor,
-                                          config.predictor_size_log2))
+          predictor_(uarch::makePredictorVariant(config.predictor,
+                                                 config.predictor_size_log2))
     {
     }
 
@@ -162,9 +162,14 @@ class Machine
         tlbs_.accessInstr(inst.pc);
         bool mispredicted = false;
         if (inst.isBranch()) {
-            mispredicted =
-                predictor_->predict(inst.pc, inst.branch_id) != inst.taken;
-            predictor_->update(inst.pc, inst.branch_id, inst.taken);
+            std::visit(
+                [&](auto &predictor) {
+                    mispredicted =
+                        predictor.predict(inst.pc, inst.branch_id) !=
+                        inst.taken;
+                    predictor.update(inst.pc, inst.branch_id, inst.taken);
+                },
+                predictor_);
         }
         if (inst.isMemory()) {
             caches_.accessData(inst.address, inst.pc);
@@ -176,7 +181,7 @@ class Machine
     const uarch::MachineConfig &config_;
     uarch::CacheHierarchy caches_;
     uarch::TlbHierarchy tlbs_;
-    std::unique_ptr<uarch::BranchPredictor> predictor_;
+    uarch::PredictorVariant predictor_;
 };
 
 trace::WorkloadProfile

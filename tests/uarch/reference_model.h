@@ -11,8 +11,8 @@
  *  - one TraceGenerator::next() record at a time;
  *  - a full accessInstr()/accessData() probe of the cache and TLB
  *    hierarchies for every record, with no run collapsing;
- *  - scalar predict()/update() through the virtual BranchPredictor
- *    interface, never the updateBatch() kernels;
+ *  - scalar predict()/update() per branch, never the updateBatch()
+ *    kernels;
  *  - always the walking prewarm (PrewarmSolver::walk);
  *  - its own structure-counter snapshot delta, and the prefetch
  *    retire at every warm-up/measurement boundary.

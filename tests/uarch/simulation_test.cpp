@@ -208,10 +208,10 @@ TEST(SimulationTest, BetterPredictorMispredictsLess)
     machine.predictor = PredictorKind::TageLite;
     double tage = simulate(b.profile, machine, config)
                       .counters.branchMpki();
-    machine.predictor = PredictorKind::StaticTaken;
-    double static_taken = simulate(b.profile, machine, config)
-                              .counters.branchMpki();
-    EXPECT_LT(tage, static_taken);
+    machine.predictor = PredictorKind::Bimodal;
+    double bimodal = simulate(b.profile, machine, config)
+                         .counters.branchMpki();
+    EXPECT_LT(tage, bimodal);
 }
 
 TEST(SimulationTest, TwoLevelMachineRuns)

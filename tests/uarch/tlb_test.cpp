@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stats/rng.h"
 #include "uarch/tlb.h"
 
 namespace speclens {

@@ -55,7 +55,6 @@ struct StateAuditor::TestAccess
     static auto &tick(uarch::Cache &c) { return c.tick_; }
     static auto &config(uarch::Cache &c) { return c.config_; }
     static auto &plru(uarch::Cache &c) { return c.plru_; }
-    static auto &coldFills(uarch::Cache &c) { return c.cold_fills_; }
     static auto &hits(uarch::Cache &c) { return c.hits_; }
     static auto &wayPred(uarch::Cache &c) { return c.way_pred_; }
     static auto &wayPredHits(uarch::Cache &c) { return c.way_pred_hits_; }
@@ -93,17 +92,13 @@ struct StateAuditor::TestAccess
     {
         return p.chooser_;
     }
-    static auto &weights(uarch::PerceptronPredictor &p)
-    {
-        return p.weights_;
-    }
     static auto &tables(uarch::TageLitePredictor &p) { return p.tables_; }
 
     /**
      * Flatten every prewarm-written field of @p caches and @p tlbs —
-     * per-level tags, defined replacement stamps (LRU/FIFO valid ways
-     * only; tree-PLRU/Random stamps are never written), PLRU words,
-     * cold-fill counters, ticks, last-access indices, way-prediction
+     * per-level tags, defined replacement stamps (LRU valid ways only;
+     * tree-PLRU stamps are never written), PLRU words, ticks,
+     * last-access indices, way-prediction
      * tables, prefetch bits and engine state, DRAM rows and all
      * access/miss statistics — into one word vector, so the analytic
      * and walking prewarm paths can be compared for exact state
@@ -169,15 +164,11 @@ struct StateAuditor::TestAccess
         const std::uint64_t slots =
             cache.num_sets_ * cache.config_.associativity;
         const bool stamped =
-            cache.config_.policy == uarch::ReplacementPolicy::Lru ||
-            cache.config_.policy == uarch::ReplacementPolicy::Fifo;
+            cache.config_.policy == uarch::ReplacementPolicy::Lru;
         out.push_back(cache.accesses_);
         out.push_back(cache.hits_);
         out.push_back(cache.tick_);
         out.push_back(cache.last_index_);
-        out.push_back(cache.cold_fills_.size());
-        out.insert(out.end(), cache.cold_fills_.begin(),
-                   cache.cold_fills_.end());
         out.insert(out.end(), cache.plru_.begin(), cache.plru_.end());
         out.push_back(cache.way_pred_hits_);
         out.push_back(cache.way_pred_mispredicts_);
@@ -187,7 +178,7 @@ struct StateAuditor::TestAccess
             std::uint64_t tag = cache.tags_[i];
             out.push_back(tag);
             // Stamps are deliberately uninitialized until written:
-            // only LRU/FIFO write them, and only for filled ways.
+            // only LRU writes them, and only for filled ways.
             if (stamped && tag != uarch::Cache::kInvalidTag)
                 out.push_back(cache.stamps_[i]);
         }

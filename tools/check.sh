@@ -64,7 +64,6 @@ step "configure (${BUILD_DIR}, sanitize='${SANITIZE:-none}', WERROR=ON, METRICS=
 cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DSPECLENS_WERROR=ON \
-    -DSPECLENS_VALIDATE=ON \
     -DSPECLENS_METRICS="$METRICS" \
     -DSPECLENS_SANITIZE="$SANITIZE" \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
