@@ -42,7 +42,7 @@ analyzeInputSets(Characterizer &characterizer,
         RepresentativeInput rep;
         rep.benchmark = group.benchmark.name;
         std::size_t k = stats::nearestToCentroid(
-            sim.scores, rows, config.metric, &rep.distance_to_aggregate);
+            sim.scores, rows, &rep.distance_to_aggregate);
         rep.input_index = static_cast<int>(k) + 1;
         rep.variant_name = group.inputs[k].name;
 

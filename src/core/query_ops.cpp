@@ -25,30 +25,6 @@ namespace core {
 
 namespace {
 
-/** The sub-suite and Category enum for a `subset` category name. */
-bool
-resolveCategory(const std::string &which,
-                std::vector<suites::BenchmarkInfo> &suite,
-                suites::Category &category)
-{
-    if (which == "speed-int") {
-        suite = suites::spec2017SpeedInt();
-        category = suites::Category::SpeedInt;
-    } else if (which == "rate-int") {
-        suite = suites::spec2017RateInt();
-        category = suites::Category::RateInt;
-    } else if (which == "speed-fp") {
-        suite = suites::spec2017SpeedFp();
-        category = suites::Category::SpeedFp;
-    } else if (which == "rate-fp") {
-        suite = suites::spec2017RateFp();
-        category = suites::Category::RateFp;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 bool
 resolveMetric(const std::string &which, Metric &metric)
 {
@@ -75,11 +51,26 @@ queryError(std::string message)
 }
 
 bool
-isSubsetCategory(const std::string &name)
+resolveCategory(const std::string &name,
+                std::vector<suites::BenchmarkInfo> &suite,
+                suites::Category &category)
 {
-    std::vector<suites::BenchmarkInfo> suite;
-    suites::Category category;
-    return resolveCategory(name, suite, category);
+    if (name == "speed-int") {
+        suite = suites::spec2017SpeedInt();
+        category = suites::Category::SpeedInt;
+    } else if (name == "rate-int") {
+        suite = suites::spec2017RateInt();
+        category = suites::Category::RateInt;
+    } else if (name == "speed-fp") {
+        suite = suites::spec2017SpeedFp();
+        category = suites::Category::SpeedFp;
+    } else if (name == "rate-fp") {
+        suite = suites::spec2017RateFp();
+        category = suites::Category::RateFp;
+    } else {
+        return false;
+    }
+    return true;
 }
 
 bool

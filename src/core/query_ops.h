@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/service_context.h"
+#include "suites/benchmark_info.h"
 
 namespace speclens {
 namespace core {
@@ -39,10 +40,14 @@ struct QueryOutcome
 QueryOutcome queryError(std::string message);
 
 /**
- * True when @p name is a valid `subset` category
- * (speed-int / rate-int / speed-fp / rate-fp).
+ * Resolve a CPU2017 sub-suite name (speed-int / rate-int / speed-fp /
+ * rate-fp), as `subset`, `report` and the daemon's subset op accept
+ * it: set @p suite to its benchmarks and @p category to its score
+ * category, or return false for any other name.
  */
-bool isSubsetCategory(const std::string &name);
+bool resolveCategory(const std::string &name,
+                     std::vector<suites::BenchmarkInfo> &suite,
+                     suites::Category &category);
 
 /** True when @p name is a valid `sensitivity` metric (branch/l1d/dtlb). */
 bool isSensitivityMetric(const std::string &name);

@@ -16,7 +16,7 @@ namespace core {
 double
 SimilarityResult::pcDistance(std::size_t a, std::size_t b) const
 {
-    return stats::distance(scores.row(a), scores.row(b), config.metric);
+    return stats::distance(scores.row(a), scores.row(b));
 }
 
 std::size_t
@@ -70,7 +70,7 @@ analyzeSimilarity(const stats::Matrix &features,
     out.pca = stats::fitPca(features, config.retention);
     out.scores = out.pca.scores;
     out.dendrogram =
-        stats::clusterPoints(out.scores, config.linkage, config.metric);
+        stats::clusterPoints(out.scores, config.linkage);
     return out;
 }
 

@@ -31,9 +31,6 @@ struct SimilarityConfig
 
     /** Cluster-merge rule. */
     stats::Linkage linkage = stats::Linkage::Ward;
-
-    /** Distance metric in PC space (Euclidean in the paper). */
-    stats::DistanceMetric metric = stats::DistanceMetric::Euclidean;
 };
 
 /** Output of the similarity pipeline. */

@@ -62,8 +62,8 @@ selectSubset(const SimilarityResult &analysis, std::size_t subset_size,
         if (rule == RepresentativeRule::Medoid) {
             // Closest to the cluster centroid in PC space; the two
             // members of a pair tie, and the first one wins.
-            rep = cluster[stats::nearestToCentroid(
-                analysis.scores, cluster, analysis.config.metric)];
+            rep = cluster[stats::nearestToCentroid(analysis.scores,
+                                                   cluster)];
         } else if (cluster.size() <= 2) {
             // For singleton and two-member clusters the join height
             // carries no in-cluster information, so take the first
@@ -117,10 +117,8 @@ selectSubsetKmeans(const SimilarityResult &analysis,
         std::size_t rep = cluster.front();
         double best = std::numeric_limits<double>::infinity();
         for (std::size_t leaf : cluster) {
-            double dist =
-                stats::distance(analysis.scores.row(leaf),
-                                clustering.centroids.row(c),
-                                analysis.config.metric);
+            double dist = stats::distance(analysis.scores.row(leaf),
+                                          clustering.centroids.row(c));
             if (dist < best) {
                 best = dist;
                 rep = leaf;

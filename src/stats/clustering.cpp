@@ -321,9 +321,9 @@ agglomerate(const Matrix &distances, Linkage linkage)
 }
 
 Dendrogram
-clusterPoints(const Matrix &points, Linkage linkage, DistanceMetric metric)
+clusterPoints(const Matrix &points, Linkage linkage)
 {
-    return agglomerate(pairwiseDistances(points, metric), linkage);
+    return agglomerate(pairwiseDistances(points), linkage);
 }
 
 } // namespace stats

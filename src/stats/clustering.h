@@ -134,8 +134,7 @@ Dendrogram agglomerate(const Matrix &distances,
  * scores).
  */
 Dendrogram clusterPoints(const Matrix &points,
-                         Linkage linkage = Linkage::Average,
-                         DistanceMetric metric = DistanceMetric::Euclidean);
+                         Linkage linkage = Linkage::Average);
 
 } // namespace stats
 } // namespace speclens

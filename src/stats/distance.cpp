@@ -1,6 +1,6 @@
 /**
  * @file
- * Distance metric implementations.
+ * Euclidean distance implementations.
  */
 
 #include "distance.h"
@@ -12,86 +12,45 @@
 namespace speclens {
 namespace stats {
 
+namespace {
+
+/**
+ * Squared Euclidean distance over raw rows: the one accumulation loop,
+ * so every entry point below is bit-identical to every other.  The
+ * contiguous pointer loop lets the compiler vectorize it and spares
+ * the O(n^2) pairwise kernel a row copy per pair.
+ */
 double
-squaredEuclidean(const std::vector<double> &a, const std::vector<double> &b)
+sumSquares(const double *a, const double *b, std::size_t dims)
 {
-    if (a.size() != b.size())
-        throw std::invalid_argument("squaredEuclidean: length mismatch");
     double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        double d = a[i] - b[i];
+    for (std::size_t k = 0; k < dims; ++k) {
+        double d = a[k] - b[k];
         acc += d * d;
     }
     return acc;
 }
 
+} // namespace
+
 double
-distance(const std::vector<double> &a, const std::vector<double> &b,
-         DistanceMetric metric)
+squaredEuclidean(const std::vector<double> &a, const std::vector<double> &b)
+{
+    if (a.size() != b.size())
+        throw std::invalid_argument("squaredEuclidean: length mismatch");
+    return sumSquares(a.data(), b.data(), a.size());
+}
+
+double
+distance(const std::vector<double> &a, const std::vector<double> &b)
 {
     if (a.size() != b.size())
         throw std::invalid_argument("distance: length mismatch");
-
-    switch (metric) {
-      case DistanceMetric::Euclidean:
-        return std::sqrt(squaredEuclidean(a, b));
-      case DistanceMetric::Manhattan: {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < a.size(); ++i)
-            acc += std::fabs(a[i] - b[i]);
-        return acc;
-      }
-      case DistanceMetric::Chebyshev: {
-        double best = 0.0;
-        for (std::size_t i = 0; i < a.size(); ++i)
-            best = std::max(best, std::fabs(a[i] - b[i]));
-        return best;
-      }
-    }
-    throw std::invalid_argument("distance: unknown metric");
+    return std::sqrt(sumSquares(a.data(), b.data(), a.size()));
 }
-
-namespace {
-
-/**
- * One distance over the raw rows.  Same accumulation order as the
- * vector-based distance() above, so results are bit-identical; the
- * contiguous pointer loops exist so the compiler can vectorize them
- * and so the O(n^2) pairwise kernel stops copying a row per pair.
- */
-double
-rowDistance(const double *a, const double *b, std::size_t dims,
-            DistanceMetric metric)
-{
-    switch (metric) {
-      case DistanceMetric::Euclidean: {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < dims; ++k) {
-            double d = a[k] - b[k];
-            acc += d * d;
-        }
-        return std::sqrt(acc);
-      }
-      case DistanceMetric::Manhattan: {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < dims; ++k)
-            acc += std::fabs(a[k] - b[k]);
-        return acc;
-      }
-      case DistanceMetric::Chebyshev: {
-        double best = 0.0;
-        for (std::size_t k = 0; k < dims; ++k)
-            best = std::max(best, std::fabs(a[k] - b[k]));
-        return best;
-      }
-    }
-    throw std::invalid_argument("distance: unknown metric");
-}
-
-} // namespace
 
 Matrix
-pairwiseDistances(const Matrix &points, DistanceMetric metric)
+pairwiseDistances(const Matrix &points)
 {
     std::size_t n = points.rows();
     std::size_t dims = points.cols();
@@ -99,7 +58,7 @@ pairwiseDistances(const Matrix &points, DistanceMetric metric)
     for (std::size_t i = 0; i < n; ++i) {
         const double *ri = points.rowPtr(i);
         for (std::size_t j = i + 1; j < n; ++j) {
-            double d = rowDistance(ri, points.rowPtr(j), dims, metric);
+            double d = std::sqrt(sumSquares(ri, points.rowPtr(j), dims));
             out(i, j) = d;
             out(j, i) = d;
         }
@@ -109,7 +68,7 @@ pairwiseDistances(const Matrix &points, DistanceMetric metric)
 
 std::size_t
 nearestToCentroid(const Matrix &points, const std::vector<std::size_t> &rows,
-                  DistanceMetric metric, double *distance_out)
+                  double *distance_out)
 {
     if (rows.empty())
         throw std::invalid_argument("nearestToCentroid: no rows");
@@ -124,7 +83,7 @@ nearestToCentroid(const Matrix &points, const std::vector<std::size_t> &rows,
 
     std::vector<double> dist(rows.size());
     for (std::size_t k = 0; k < rows.size(); ++k)
-        dist[k] = distance(points.row(rows[k]), centroid, metric);
+        dist[k] = distance(points.row(rows[k]), centroid);
     double best = *std::min_element(dist.begin(), dist.end());
     std::size_t k = 0;
     while (dist[k] > best * (1.0 + 1e-9))

@@ -1,10 +1,10 @@
 /**
  * @file
- * Distance metrics over feature vectors.
+ * Euclidean distance over feature vectors.
  *
  * The paper measures benchmark similarity as the Euclidean distance
- * between PCA-space coordinates (Section III).  Alternative metrics are
- * provided for the methodology-ablation benchmarks.
+ * between PCA-space coordinates (Section III); it is the only metric
+ * any analysis uses.
  */
 
 #ifndef SPECLENS_STATS_DISTANCE_H
@@ -17,16 +17,8 @@
 namespace speclens {
 namespace stats {
 
-/** Supported point-to-point distance metrics. */
-enum class DistanceMetric {
-    Euclidean, //!< L2 distance; the paper's choice.
-    Manhattan, //!< L1 distance.
-    Chebyshev, //!< L-infinity distance.
-};
-
-/** Distance between two equal-length vectors under @p metric. */
-double distance(const std::vector<double> &a, const std::vector<double> &b,
-                DistanceMetric metric = DistanceMetric::Euclidean);
+/** Euclidean distance between two equal-length vectors. */
+double distance(const std::vector<double> &a, const std::vector<double> &b);
 
 /** Squared Euclidean distance (no sqrt; used by Ward linkage). */
 double squaredEuclidean(const std::vector<double> &a,
@@ -36,8 +28,7 @@ double squaredEuclidean(const std::vector<double> &a,
  * Symmetric pairwise distance matrix between the rows of @p points.
  * Entry (i, j) is the distance between row i and row j.
  */
-Matrix pairwiseDistances(const Matrix &points,
-                         DistanceMetric metric = DistanceMetric::Euclidean);
+Matrix pairwiseDistances(const Matrix &points);
 
 /**
  * Position within @p rows of the row of @p points nearest the rows'
@@ -53,7 +44,6 @@ Matrix pairwiseDistances(const Matrix &points,
  */
 std::size_t nearestToCentroid(const Matrix &points,
                               const std::vector<std::size_t> &rows,
-                              DistanceMetric metric = DistanceMetric::Euclidean,
                               double *distance = nullptr);
 
 } // namespace stats

@@ -63,6 +63,64 @@ enum class PrefetcherKind : std::uint8_t {
 /** Stable lower-case name ("next-line", "stride", "stream"). */
 std::string prefetcherKindName(PrefetcherKind kind);
 
+/**
+ * The L2 data-prefetch engine: the one statement of each engine's
+ * policy (next-line window, stride confidence, stream confirm and
+ * extend).  demand() sees one L2 demand data access, trains on it and
+ * hands every prefetch target address, in issue order, to a sink the
+ * caller supplies.  CacheHierarchy's sink installs the line
+ * (issuePrefetch); the closed-form prewarm replay's sink checks its
+ * proof and books the fill symbolically (src/uarch/prewarm.cpp).  Plain
+ * data, so the replay can copy a hierarchy's engine, read and shift its
+ * state, and hand the final state back with one assignment.
+ */
+struct L2Prefetcher
+{
+    /** One slot of the stride engine's PC-indexed table. */
+    struct StrideEntry
+    {
+        std::uint64_t last_line = 0;
+        std::int64_t delta = 0; //!< Line delta of the tracked stride.
+        std::uint8_t confidence = 0; //!< Saturates at 3; issue at >= 2.
+        std::uint8_t valid = 0;
+    };
+
+    /** One tracked ascending stream of the stream engine. */
+    struct StreamWindow
+    {
+        std::uint64_t last_line = 0; //!< Furthest line fetched so far.
+        std::uint8_t valid = 0;
+    };
+
+    static constexpr std::size_t kStrideEntries = 64;
+    static constexpr std::size_t kStreamWindows = 8;
+    /** A miss within this many lines past a window confirms it. */
+    static constexpr std::uint64_t kStreamConfirmDistance = 4;
+    /** A prefetched-line hit at most this far behind a window's edge
+     *  extends that window. */
+    static constexpr std::uint64_t kStreamHitWindow = 64;
+
+    /**
+     * One L2 demand data access to @p address by the instruction at
+     * @p pc: @p hit when L2 held the line, @p was_prefetched when that
+     * hit consumed a prefetched line.  Calls issue(target) once per
+     * prefetch target address.  Defined below the class.
+     */
+    template <class Issue>
+    void demand(std::uint64_t address, std::uint64_t pc, bool hit,
+                bool was_prefetched, Issue &&issue);
+
+    PrefetcherKind kind = PrefetcherKind::NextLine;
+    unsigned degree = 0; //!< Lines per trigger; zero = prefetcher off.
+    std::uint64_t line_bytes = 64;
+
+    /** Stride table; sized only for an active PrefetcherKind::Stride. */
+    std::vector<StrideEntry> stride_table;
+
+    std::array<StreamWindow, kStreamWindows> windows{};
+    std::size_t next = 0; //!< Round-robin window allocation cursor.
+};
+
 /** Geometry of the whole hierarchy. */
 struct CacheHierarchyConfig
 {
@@ -160,7 +218,7 @@ class CacheHierarchy
     {
         l1i_cache_.reserveTicks(steps);
         l1d_cache_.reserveTicks(steps);
-        const std::uint64_t shared = steps * (2 + prefetch_degree_);
+        const std::uint64_t shared = steps * (2 + prefetcher_.degree);
         l2_cache_.reserveTicks(shared);
         if (l3_cache_)
             l3_cache_->reserveTicks(shared);
@@ -179,7 +237,7 @@ class CacheHierarchy
     bool
     prewarmFillEligible() const
     {
-        return prefetch_degree_ == 0 && l1i_stats_.accesses == 0 &&
+        return prefetcher_.degree == 0 && l1i_stats_.accesses == 0 &&
                l1d_stats_.accesses == 0;
     }
 
@@ -304,30 +362,6 @@ class CacheHierarchy
     }
 
   private:
-    /** One slot of the stride prefetcher's PC-indexed table. */
-    struct StrideEntry
-    {
-        std::uint64_t last_line = 0;
-        std::int64_t delta = 0; //!< Line delta of the tracked stride.
-        std::uint8_t confidence = 0; //!< Saturates at 3; issue at >= 2.
-        std::uint8_t valid = 0;
-    };
-
-    /** One tracked ascending stream of the stream detector. */
-    struct StreamWindow
-    {
-        std::uint64_t last_line = 0; //!< Furthest line fetched so far.
-        std::uint8_t valid = 0;
-    };
-
-    static constexpr std::size_t kStrideEntries = 64;
-    static constexpr std::size_t kStreamWindows = 8;
-    /** A miss within this many lines past a window confirms it. */
-    static constexpr std::uint64_t kStreamConfirmDistance = 4;
-    /** A prefetched-line hit at most this far behind a window's edge
-     *  extends that window. */
-    static constexpr std::uint64_t kStreamHitWindow = 64;
-
     /** Defined inline below; one call per instruction fetch or memory
      *  op, so it must fold into the playback loop. */
     ServiceLevel accessCommon(Cache &l1, SideCounters &l1_stats,
@@ -349,16 +383,6 @@ class CacheHierarchy
     /** Install one prefetch target through L3 (and DRAM) into L2. */
     void issuePrefetch(std::uint64_t target);
 
-    /** Issue the next-line window after @p address. */
-    void prefetchWindow(std::uint64_t address);
-
-    /** Stride engine: train the @p pc slot and issue when confident. */
-    void trainStrideAndIssue(std::uint64_t address, std::uint64_t pc);
-
-    /** Stream engine reactions. */
-    void streamMiss(std::uint64_t line);
-    void streamPrefetchedHit(std::uint64_t line);
-
     Cache l1i_cache_;
     Cache l1d_cache_;
     Cache l2_cache_;
@@ -370,8 +394,7 @@ class CacheHierarchy
     SideCounters l2d_stats_;
     SideCounters l3_stats_;
 
-    unsigned prefetch_degree_ = 0;
-    PrefetcherKind prefetcher_kind_ = PrefetcherKind::NextLine;
+    L2Prefetcher prefetcher_;
     std::uint64_t prefetch_fills_ = 0;
     std::uint64_t prefetch_useful_ = 0;
     std::uint64_t prefetch_evicted_unused_ = 0;
@@ -386,12 +409,6 @@ class CacheHierarchy
      * off.
      */
     std::vector<std::uint8_t> l2_prefetch_bits_;
-
-    /** Stride table; sized only for PrefetcherKind::Stride. */
-    std::vector<StrideEntry> stride_table_;
-
-    std::array<StreamWindow, kStreamWindows> stream_windows_{};
-    std::size_t stream_next_ = 0; //!< Round-robin allocation cursor.
 
     /** Row-buffer model behind the last level; null when absent. */
     std::unique_ptr<DramModel> dram_;
@@ -408,7 +425,77 @@ class CacheHierarchy
 // Hot-path definitions, in the header so the L1 -> L2 -> L3
 // fallthrough inlines into the playback loop.  Prefetch handling is
 // the exception: it is rare and engine-heavy, so it stays out of line
-// behind the prefetch_degree_ check.
+// behind the degree check.
+
+template <class Issue>
+void
+L2Prefetcher::demand(std::uint64_t address, std::uint64_t pc, bool hit,
+                     bool was_prefetched, Issue &&issue)
+{
+    const std::uint64_t line = address / line_bytes;
+    switch (kind) {
+      case PrefetcherKind::NextLine:
+        // A miss, or consuming a prefetched line (which confirms the
+        // stream), fetches the next window so the prefetcher stays
+        // ahead.
+        if (!hit || was_prefetched)
+            for (unsigned i = 1; i <= degree; ++i)
+                issue(address + i * line_bytes);
+        return;
+      case PrefetcherKind::Stride: {
+        StrideEntry &entry = stride_table[(pc >> 2) & (kStrideEntries - 1)];
+        if (!entry.valid) {
+            entry = StrideEntry{line, 0, 0, 1};
+            return;
+        }
+        auto delta = static_cast<std::int64_t>(line - entry.last_line);
+        if (delta == entry.delta) {
+            if (entry.confidence < 3)
+                ++entry.confidence;
+        } else {
+            entry.delta = delta;
+            entry.confidence = 0;
+        }
+        entry.last_line = line;
+        if (entry.confidence >= 2 && entry.delta != 0)
+            for (unsigned k = 1; k <= degree; ++k)
+                issue((line + static_cast<std::uint64_t>(
+                                  static_cast<std::int64_t>(k) *
+                                  entry.delta)) *
+                      line_bytes);
+        return;
+      }
+      case PrefetcherKind::Stream:
+        if (!hit) {
+            for (StreamWindow &window : windows) {
+                if (window.valid && line > window.last_line &&
+                    line - window.last_line <= kStreamConfirmDistance) {
+                    // Second miss just past a tracked window confirms
+                    // an ascending stream: run ahead of it.
+                    for (unsigned k = 1; k <= degree; ++k)
+                        issue((line + k) * line_bytes);
+                    window.last_line = line + degree;
+                    return;
+                }
+            }
+            windows[next] = StreamWindow{line, 1};
+            next = (next + 1) % kStreamWindows;
+        } else if (was_prefetched) {
+            for (StreamWindow &window : windows) {
+                if (window.valid && window.last_line >= line &&
+                    window.last_line - line < kStreamHitWindow) {
+                    // The stream is consuming what we fetched: extend
+                    // it.
+                    for (unsigned k = 1; k <= degree; ++k)
+                        issue((window.last_line + k) * line_bytes);
+                    window.last_line += degree;
+                    return;
+                }
+            }
+        }
+        return;
+    }
+}
 
 inline ServiceLevel
 CacheHierarchy::accessCommon(Cache &l1, SideCounters &l1_stats,
@@ -422,12 +509,12 @@ CacheHierarchy::accessCommon(Cache &l1, SideCounters &l1_stats,
 
     ++l2_side.accesses;
     if (l2_cache_.access(address)) {
-        if (prefetch_degree_ != 0 && allow_prefetch)
+        if (prefetcher_.degree != 0 && allow_prefetch)
             onL2DemandHit(address, pc);
         return ServiceLevel::L2;
     }
     ++l2_side.misses;
-    if (prefetch_degree_ != 0) {
+    if (prefetcher_.degree != 0) {
         if (allow_prefetch) {
             onL2DemandMiss(address, pc);
         } else {

@@ -32,6 +32,57 @@ struct Stream
     std::uint64_t fills = 0;
 };
 
+/** One data region of the prewarm walk: @p elements references
+ *  @p stride bytes apart from @p base. */
+struct WalkRegion
+{
+    std::uint64_t base;
+    std::uint64_t stride;
+    std::uint64_t elements;
+};
+
+/** What the prewarm walk references, in walk order. */
+struct WalkPlan
+{
+    /** The LLC-resident working sets, last set first. */
+    std::vector<WalkRegion> data;
+    /** Code lines fetched after the data, from trace::kCodeBase. */
+    std::uint64_t code_lines = 0;
+};
+
+/**
+ * The one statement of which regions the prewarm walk visits, shared
+ * by apply() and walk().  Working sets go in reverse order, each
+ * max(1, bytes / stride) elements from its own base.  Each element
+ * occupies one cache line, so a set is LLC-resident, and walked,
+ * exactly when its element count fits @p llc_lines.  The code
+ * footprint follows, rounded up to whole lines, so the hot region ends
+ * up most recently used.  A zero stride (no validated profile has one)
+ * gives a region of no elements, which apply() refuses.
+ */
+WalkPlan
+walkPlan(const trace::WorkloadProfile &profile, std::uint64_t llc_lines)
+{
+    WalkPlan plan;
+    const auto &sets = profile.memory.data;
+    for (std::size_t i = sets.size(); i-- > 0;) {
+        auto stride = static_cast<std::uint64_t>(sets[i].stride_bytes);
+        std::uint64_t elements =
+            stride == 0 ? 0
+                        : std::max<std::uint64_t>(
+                              1, static_cast<std::uint64_t>(sets[i].bytes) /
+                                     stride);
+        if (elements > llc_lines)
+            continue;
+        plan.data.push_back(
+            {trace::kDataBase + i * trace::kDataRegionStride, stride,
+             elements});
+    }
+    auto code_bytes = static_cast<std::uint64_t>(profile.memory.code_bytes);
+    plan.code_lines = (code_bytes + trace::kLineBytes - 1) / trace::kLineBytes;
+    return plan;
+}
+
 /**
  * Append one walked region (base / stride / element count) to @p st at
  * unit granularity @p unit (a line or page size), or return false when
@@ -313,11 +364,12 @@ namespace {
 
 /**
  * Symbolic replay of the prewarm walk below L1 with the L2 prefetcher
- * on.  It mirrors CacheHierarchy's demand path and engines
- * (accessCommon, onL2DemandHit/Miss, issuePrefetch and the three
- * engines) line for line, but keeps no cache arrays: L2 residency is
- * the list of lines filled ahead of the current demand, which is exact
- * while the replay's proof holds —
+ * on.  It runs a copy of the hierarchy's own engine (L2Prefetcher) on
+ * each demand, with a sink that checks the proof and books the fill,
+ * and mirrors only the demand path around it (accessCommon,
+ * onL2DemandHit/Miss, issuePrefetch).  It keeps no cache arrays: L2
+ * residency is the list of lines filled ahead of the current demand,
+ * which is exact while the replay's proof holds —
  *
  *  - fills ascend within a region (a demand or prefetch target behind
  *    the fill frontier must still be resident);
@@ -339,19 +391,10 @@ namespace {
 class PrefetchReplay
 {
   public:
-    struct Params
-    {
-        PrefetcherKind kind;
-        unsigned degree;
-        std::uint64_t l2_sets;
-        std::uint64_t line;        //!< Line bytes.
-        std::size_t windows;       //!< Stream windows.
-        std::uint64_t confirm;     //!< Stream confirm distance.
-        std::uint64_t hit_window;  //!< Stream prefetched-hit window.
-    };
-
-    explicit PrefetchReplay(const Params &params)
-        : w_last(params.windows, 0), w_valid(params.windows, 0), p_(params)
+    /** Replay from @p start (a cold hierarchy's engine) over an L2 of
+     *  @p l2_sets sets. */
+    PrefetchReplay(const L2Prefetcher &start, std::uint64_t l2_sets)
+        : engine(start), l2_sets_(l2_sets)
     {
     }
 
@@ -373,14 +416,9 @@ class PrefetchReplay
     std::uint64_t last_unit = 0;   //!< Unit of the last L2 access.
     std::vector<std::uint64_t> far; //!< Prefetches outside any region.
 
-    // Engine state: stride slot 0 (the walk passes no pc) and the
-    // stream windows.
-    std::uint64_t s_last = 0;
-    std::int64_t s_delta = 0;
-    std::uint8_t s_conf = 0, s_valid = 0;
-    std::vector<std::uint64_t> w_last;
-    std::vector<std::uint8_t> w_valid;
-    std::size_t w_next = 0;
+    /** The engine the walk would train.  The walk passes no pc, so
+     *  only stride slot 0 moves. */
+    L2Prefetcher engine;
 
   private:
     /** A line filled at or ahead of the current demand. */
@@ -427,11 +465,8 @@ class PrefetchReplay
     void issue(std::uint64_t target, Piece &cur);
     void fill(std::uint64_t unit, bool prefetch, Piece &cur);
     Ahead *find(std::uint64_t unit);
-    void strideTrain(Piece &cur);
-    void streamMiss(Piece &cur);
-    void streamHit(Piece &cur);
 
-    Params p_;
+    std::uint64_t l2_sets_;
     std::vector<Ahead> ahead_;
     std::size_t head_ = 0;
     std::uint64_t x_ = 0;
@@ -450,15 +485,18 @@ PrefetchReplay::mark(std::uint64_t j, const Piece &cur)
         m.sig.push_back(ahead_[i].unit - x_);
         m.sig.push_back(ahead_[i].bit);
     }
-    m.sig.push_back(s_valid);
-    m.sig.push_back(static_cast<std::uint64_t>(s_delta));
-    m.sig.push_back(s_conf);
-    relative(m.sig, s_last);
-    for (std::size_t w = 0; w < w_last.size(); ++w) {
-        m.sig.push_back(w_valid[w]);
-        relative(m.sig, w_last[w]);
+    if (!engine.stride_table.empty()) {
+        const L2Prefetcher::StrideEntry &slot = engine.stride_table[0];
+        m.sig.push_back(slot.valid);
+        m.sig.push_back(static_cast<std::uint64_t>(slot.delta));
+        m.sig.push_back(slot.confidence);
+        relative(m.sig, slot.last_line);
     }
-    m.sig.push_back(w_next);
+    for (const L2Prefetcher::StreamWindow &window : engine.windows) {
+        m.sig.push_back(window.valid);
+        relative(m.sig, window.last_line);
+    }
+    m.sig.push_back(engine.next);
     return m;
 }
 
@@ -502,11 +540,12 @@ PrefetchReplay::repeat(const Mark &from, std::uint64_t j,
     for (std::size_t i = head_; i < ahead_.size(); ++i)
         ahead_[i].unit += by;
     frontier_ += by;
-    if (near(s_last))
-        s_last += by;
-    for (std::uint64_t &last : w_last)
-        if (near(last))
-            last += by;
+    if (!engine.stride_table.empty() &&
+        near(engine.stride_table[0].last_line))
+        engine.stride_table[0].last_line += by;
+    for (L2Prefetcher::StreamWindow &window : engine.windows)
+        if (near(window.last_line))
+            window.last_line += by;
     // The period ends with its last demand or that demand's fills.
     const std::uint64_t resume = j + reps * p;
     last_unit = !body.fills.empty() &&
@@ -574,66 +613,6 @@ PrefetchReplay::issue(std::uint64_t target, Piece &cur)
 }
 
 void
-PrefetchReplay::strideTrain(Piece &cur)
-{
-    // CacheHierarchy::trainStrideAndIssue on slot 0.
-    if (!s_valid) {
-        s_valid = 1;
-        s_last = x_;
-        s_delta = 0;
-        s_conf = 0;
-        return;
-    }
-    auto delta = static_cast<std::int64_t>(x_ - s_last);
-    if (delta == s_delta) {
-        if (s_conf < 3)
-            ++s_conf;
-    } else {
-        s_delta = delta;
-        s_conf = 0;
-    }
-    s_last = x_;
-    // The engine issues target_line * line_bytes, so a target that
-    // wraps the address space lands on that product's line.
-    if (s_conf >= 2 && s_delta != 0)
-        for (unsigned k = 1; k <= p_.degree; ++k)
-            issue((x_ + static_cast<std::uint64_t>(
-                            static_cast<std::int64_t>(k) * s_delta)) *
-                      p_.line / p_.line,
-                  cur);
-}
-
-void
-PrefetchReplay::streamMiss(Piece &cur)
-{
-    for (std::size_t w = 0; w < w_last.size(); ++w) {
-        if (w_valid[w] && x_ > w_last[w] && x_ - w_last[w] <= p_.confirm) {
-            for (unsigned k = 1; k <= p_.degree; ++k)
-                issue(x_ + k, cur);
-            w_last[w] = x_ + p_.degree;
-            return;
-        }
-    }
-    w_last[w_next] = x_;
-    w_valid[w_next] = 1;
-    w_next = (w_next + 1) % w_last.size();
-}
-
-void
-PrefetchReplay::streamHit(Piece &cur)
-{
-    for (std::size_t w = 0; w < w_last.size(); ++w) {
-        if (w_valid[w] && w_last[w] >= x_ &&
-            w_last[w] - x_ < p_.hit_window) {
-            for (unsigned k = 1; k <= p_.degree; ++k)
-                issue(w_last[w] + k, cur);
-            w_last[w] += p_.degree;
-            return;
-        }
-    }
-}
-
-void
 PrefetchReplay::demand(Piece &cur)
 {
     // CacheHierarchy::accessCommon below L1 for one data line.
@@ -657,22 +636,11 @@ PrefetchReplay::demand(Piece &cur)
         ++misses;
         fill(x_, false, cur);
     }
-    switch (p_.kind) {
-      case PrefetcherKind::NextLine:
-        if (line == nullptr || was_prefetched)
-            for (unsigned i = 1; i <= p_.degree; ++i)
-                issue(x_ + i, cur);
-        break;
-      case PrefetcherKind::Stride:
-        strideTrain(cur);
-        break;
-      case PrefetcherKind::Stream:
-        if (line == nullptr)
-            streamMiss(cur);
-        else if (was_prefetched)
-            streamHit(cur);
-        break;
-    }
+    // The engine issues line addresses; a stride target that wraps the
+    // address space lands on its product's line, as in the hierarchy.
+    const std::uint64_t bytes = engine.line_bytes;
+    engine.demand(x_ * bytes, 0, line != nullptr, was_prefetched,
+                  [&](std::uint64_t target) { issue(target / bytes, cur); });
     if (line == nullptr) {
         // The demand probes L3 after its prefetches did.
         cur.l3.push_back(x_);
@@ -681,7 +649,7 @@ PrefetchReplay::demand(Piece &cur)
     // A fill S_L2 lines ahead shares the set of the line just touched
     // and no other line ahead; any further and a line could be
     // evicted, or overtaken in LRU order, before its demand.
-    if (frontier_ - x_ > p_.l2_sets)
+    if (frontier_ - x_ > l2_sets_)
         ok_ = false;
 }
 
@@ -1051,7 +1019,7 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
     // level's fill stream equal the upper level's — a 128-byte L2 line
     // would see duplicate fills the segment model cannot express.
     const std::uint64_t line = trace::kLineBytes;
-    const bool prefetching = caches.prefetch_degree_ != 0;
+    const bool prefetching = caches.prefetcher_.degree != 0;
     const Cache *levels[] = {&caches.l1i_cache_, &caches.l1d_cache_,
                              &caches.l2_cache_, caches.l3_cache_.get()};
     for (const Cache *level : levels)
@@ -1078,27 +1046,18 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
         return refuse(Refusal::PrefetchPolicy);
 
     // Summarise the walk's reference streams as segments, bailing out
-    // on any pattern outside the provable regime.  Region order,
-    // skip rule and element arithmetic mirror Playback::prewarm().
+    // on any pattern outside the provable regime.
+    const WalkPlan plan = walkPlan(profile, llc_lines);
     Stream d_lines, d_pages, i_lines, i_pages;
-    const auto &sets = profile.memory.data;
-    for (std::size_t i = sets.size(); i-- > 0;) {
-        auto stride = static_cast<std::uint64_t>(sets[i].stride_bytes);
-        if (stride == 0)
-            return refuse(Refusal::StrideShape);
-        std::uint64_t elements = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(sets[i].bytes) / stride);
-        if (elements > llc_lines)
-            continue;
-        std::uint64_t base =
-            trace::kDataBase + i * trace::kDataRegionStride;
-        if (!appendRegion(d_lines, base, stride, elements, line) ||
-            !appendRegion(d_pages, base, stride, elements, dpage))
+    for (const WalkRegion &region : plan.data) {
+        if (region.stride == 0 ||
+            !appendRegion(d_lines, region.base, region.stride,
+                          region.elements, line) ||
+            !appendRegion(d_pages, region.base, region.stride,
+                          region.elements, dpage))
             return refuse(Refusal::StrideShape);
     }
-    auto code_bytes =
-        static_cast<std::uint64_t>(profile.memory.code_bytes);
-    std::uint64_t code_lines = (code_bytes + line - 1) / line;
+    const std::uint64_t code_lines = plan.code_lines;
     if (code_lines != 0) {
         // The code walk is itself a region: stride one line over
         // code_lines elements.
@@ -1117,11 +1076,7 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
     // Below L1: without a prefetcher every level sees the L1 fill
     // stream.  With one, the replay proves the L2 and L3 orders and
     // the demand schedule that fixes L2 stamps and prefetch bits.
-    PrefetchReplay replay({caches.prefetcher_kind_, caches.prefetch_degree_,
-                           caches.l2_cache_.num_sets_, line,
-                           CacheHierarchy::kStreamWindows,
-                           CacheHierarchy::kStreamConfirmDistance,
-                           CacheHierarchy::kStreamHitWindow});
+    PrefetchReplay replay(caches.prefetcher_, caches.l2_cache_.num_sets_);
     std::vector<Segment> l2_stream, l3_stream;
     if (prefetching) {
         for (const Segment &seg : d_lines.segments)
@@ -1215,13 +1170,7 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
         caches.prefetch_useful_ = replay.useful;
         caches.prefetch_evicted_unused_ =
             replay.pf_fills - replay.useful - bits_set;
-        if (!caches.stride_table_.empty())
-            caches.stride_table_[0] = {replay.s_last, replay.s_delta,
-                                       replay.s_conf, replay.s_valid};
-        for (std::size_t w = 0; w < caches.stream_windows_.size(); ++w)
-            caches.stream_windows_[w] = {replay.w_last[w],
-                                         replay.w_valid[w]};
-        caches.stream_next_ = replay.w_next;
+        caches.prefetcher_ = replay.engine;
 
         // DRAM serves the L3 misses — every L3 probe — in L3 order.
         if (caches.dram_)
@@ -1300,24 +1249,14 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
     // distinction: a translation that misses every level is a fill.
     const bool cold = caches.prewarmFillEligible();
 
-    const auto &sets = profile.memory.data;
-    for (std::size_t i = sets.size(); i-- > 0;) {
-        auto stride = static_cast<std::uint64_t>(sets[i].stride_bytes);
-        std::uint64_t elements = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(sets[i].bytes) / stride);
-        // Each element occupies one cache line, so a set is
-        // LLC-resident exactly when its element count fits the last
-        // level's line capacity.
-        if (elements > llc_lines)
-            continue;
-        std::uint64_t base =
-            trace::kDataBase + i * trace::kDataRegionStride;
+    const WalkPlan plan = walkPlan(profile, llc_lines);
+    for (const WalkRegion &region : plan.data) {
         // Sub-line strides re-probe the same line (and page) many
         // times in a row; collapse those guaranteed hits exactly, as
         // in the playback loop (see Cache::repeatLastHit).
-        for (std::uint64_t e = 0; e < elements; ++e) {
+        for (std::uint64_t e = 0; e < region.elements; ++e) {
             reserveTicks();
-            std::uint64_t address = base + e * stride;
+            std::uint64_t address = region.base + e * region.stride;
             std::uint64_t dline = address >> d_line_shift;
             if (dline == last_dline) {
                 ++drun;
@@ -1347,15 +1286,11 @@ PrewarmSolver::walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
     }
     flushRuns();
 
-    // Code last so the hot region ends up most recently used.  The
-    // line walk still touches a fresh I-line every step, but the ITLB
-    // sees each page line_count-per-page times in a row.
-    auto code_bytes =
-        static_cast<std::uint64_t>(profile.memory.code_bytes);
-    for (std::uint64_t offset = 0; offset < code_bytes;
-         offset += trace::kLineBytes) {
+    // Code last.  The line walk touches a fresh I-line every step, but
+    // the ITLB sees each page line_count-per-page times in a row.
+    for (std::uint64_t l = 0; l < plan.code_lines; ++l) {
         reserveTicks();
-        std::uint64_t pc = trace::kCodeBase + offset;
+        std::uint64_t pc = trace::kCodeBase + l * trace::kLineBytes;
         if (cold)
             caches.prewarmFillInstr(pc);
         else

@@ -38,9 +38,10 @@
  *    only while a multi-MRU partition's last fill was itself evicted.
  *  - Active L2 prefetcher: L1D, L1I and the TLBs never see a prefetch,
  *    so their segments are unchanged.  Below L1 each walked region is
- *    replayed symbolically — engine state plus the lines filled ahead
- *    of the demand, with no cache arrays — until its state relative
- *    to the demand line repeats; the repeating period then stands for
+ *    replayed symbolically — a copy of the hierarchy's own
+ *    L2Prefetcher, whose targets go to a proof-checking sink, plus the
+ *    lines filled ahead of the demand, with no cache arrays — until
+ *    its state relative to the demand line repeats; the repeating period then stands for
  *    every later one (grouped segments), so the replay costs the ramp,
  *    one period and the tail.  The replay proves that L2 fills ascend,
  *    that no line is queried after its eviction and that every L3

@@ -268,7 +268,7 @@ StateAuditor::auditPrefetcher(const uarch::CacheHierarchy &caches,
     const std::size_t slots =
         l2.num_sets_ * l2.config_.associativity;
 
-    if (caches.prefetch_degree_ == 0) {
+    if (caches.prefetcher_.degree == 0) {
         // Off: no tracking state may exist and no counter may move.
         if (!caches.l2_prefetch_bits_.empty())
             em.emit("bit-shape", "",
@@ -331,17 +331,17 @@ StateAuditor::auditPrefetcher(const uarch::CacheHierarchy &caches,
     }
 
     // Engine tables exist exactly for the configured kind.
-    const bool is_stride =
-        caches.prefetcher_kind_ == uarch::PrefetcherKind::Stride;
-    if (caches.stride_table_.size() !=
-        (is_stride ? uarch::CacheHierarchy::kStrideEntries : 0u)) {
+    const uarch::L2Prefetcher &engine = caches.prefetcher_;
+    const bool is_stride = engine.kind == uarch::PrefetcherKind::Stride;
+    if (engine.stride_table.size() !=
+        (is_stride ? uarch::L2Prefetcher::kStrideEntries : 0u)) {
         em.emit("stride-shape", "",
-                std::to_string(caches.stride_table_.size()) +
+                std::to_string(engine.stride_table.size()) +
                     " stride entries for engine " +
-                    uarch::prefetcherKindName(caches.prefetcher_kind_));
+                    uarch::prefetcherKindName(engine.kind));
     } else {
-        for (std::size_t i = 0; i < caches.stride_table_.size(); ++i) {
-            const auto &entry = caches.stride_table_[i];
+        for (std::size_t i = 0; i < engine.stride_table.size(); ++i) {
+            const auto &entry = engine.stride_table[i];
             if (entry.confidence > 3)
                 em.emit("stride-confidence",
                         "entry " + std::to_string(i),
@@ -356,26 +356,23 @@ StateAuditor::auditPrefetcher(const uarch::CacheHierarchy &caches,
         }
     }
 
-    if (caches.stream_next_ >= uarch::CacheHierarchy::kStreamWindows) {
+    if (engine.next >= uarch::L2Prefetcher::kStreamWindows) {
         em.emit("stream-ring", "",
-                "allocation cursor " +
-                    std::to_string(caches.stream_next_) + " of " +
-                    std::to_string(
-                        uarch::CacheHierarchy::kStreamWindows) +
+                "allocation cursor " + std::to_string(engine.next) +
+                    " of " +
+                    std::to_string(uarch::L2Prefetcher::kStreamWindows) +
                     " windows");
     }
-    const bool is_stream =
-        caches.prefetcher_kind_ == uarch::PrefetcherKind::Stream;
-    for (std::size_t i = 0; i < caches.stream_windows_.size(); ++i) {
-        const auto &window = caches.stream_windows_[i];
+    const bool is_stream = engine.kind == uarch::PrefetcherKind::Stream;
+    for (std::size_t i = 0; i < engine.windows.size(); ++i) {
+        const auto &window = engine.windows[i];
         if (window.valid > 1)
             em.emit("stream-valid", "window " + std::to_string(i),
                     "valid flag holds " + std::to_string(window.valid));
         else if (!is_stream && window.valid != 0)
             em.emit("stream-shape", "window " + std::to_string(i),
                     "active window for engine " +
-                        uarch::prefetcherKindName(
-                            caches.prefetcher_kind_));
+                        uarch::prefetcherKindName(engine.kind));
         if (em.saturated())
             return;
     }
@@ -658,7 +655,7 @@ StateAuditor::auditPrewarm(const uarch::CacheHierarchy &caches,
     auditTlbs(tlbs, out);
     // A prefetching walk re-stamps L2 on demand hits, so the fill
     // order is only defined without the prefetcher.
-    if (caches.prefetch_degree_ != 0)
+    if (caches.prefetcher_.degree != 0)
         return;
     auditCacheFillState(caches.l1i_cache_, out);
     auditCacheFillState(caches.l1d_cache_, out);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for distance metrics and 2-D geometry.
+ * Unit tests for Euclidean distance and 2-D geometry.
  */
 
 #include <gtest/gtest.h>
@@ -24,9 +24,7 @@ TEST(DistanceTest, NearestToCentroidBreaksOnlyNearTies)
     // rounding-noise scale: a tie, so the earlier position wins.
     Matrix points{{4.0, 0.0}, {-1.0, 0.0}, {-1.0 + 1e-12, 0.0}};
     double dist = 0.0;
-    EXPECT_EQ(nearestToCentroid(points, {0, 1, 2},
-                                DistanceMetric::Euclidean, &dist),
-              1u);
+    EXPECT_EQ(nearestToCentroid(points, {0, 1, 2}, &dist), 1u);
     EXPECT_NEAR(dist, 5.0 / 3.0, 1e-9);
     // A real gap is not a tie; positions index @p rows, not points.
     Matrix apart{{4.0, 0.0}, {-1.5, 0.0}, {-1.0, 0.0}};
@@ -34,18 +32,6 @@ TEST(DistanceTest, NearestToCentroidBreaksOnlyNearTies)
     EXPECT_EQ(nearestToCentroid(apart, {2, 1, 0}), 0u);
     EXPECT_EQ(nearestToCentroid(apart, {1}), 0u);
     EXPECT_THROW(nearestToCentroid(apart, {}), std::invalid_argument);
-}
-
-TEST(DistanceTest, Manhattan)
-{
-    EXPECT_DOUBLE_EQ(
-        distance({1, 2}, {4, -2}, DistanceMetric::Manhattan), 7.0);
-}
-
-TEST(DistanceTest, Chebyshev)
-{
-    EXPECT_DOUBLE_EQ(
-        distance({1, 2}, {4, -2}, DistanceMetric::Chebyshev), 4.0);
 }
 
 TEST(DistanceTest, LengthMismatchThrows)
@@ -57,15 +43,9 @@ TEST(DistanceTest, LengthMismatchThrows)
 TEST(DistanceTest, MetricAxioms)
 {
     std::vector<double> a{1, 2, 3}, b{-1, 0, 5}, c{2, 2, 2};
-    for (DistanceMetric metric :
-         {DistanceMetric::Euclidean, DistanceMetric::Manhattan,
-          DistanceMetric::Chebyshev}) {
-        EXPECT_DOUBLE_EQ(distance(a, a, metric), 0.0);
-        EXPECT_DOUBLE_EQ(distance(a, b, metric),
-                         distance(b, a, metric));
-        EXPECT_LE(distance(a, c, metric),
-                  distance(a, b, metric) + distance(b, c, metric));
-    }
+    EXPECT_DOUBLE_EQ(distance(a, a), 0.0);
+    EXPECT_DOUBLE_EQ(distance(a, b), distance(b, a));
+    EXPECT_LE(distance(a, c), distance(a, b) + distance(b, c));
 }
 
 TEST(DistanceTest, PairwiseMatrix)

@@ -73,11 +73,11 @@ struct StateAuditor::TestAccess
     }
     static auto &strideTable(uarch::CacheHierarchy &h)
     {
-        return h.stride_table_;
+        return h.prefetcher_.stride_table;
     }
     static auto &streamNext(uarch::CacheHierarchy &h)
     {
-        return h.stream_next_;
+        return h.prefetcher_.next;
     }
 
     // ---- DRAM bank state ----
@@ -125,17 +125,17 @@ struct StateAuditor::TestAccess
         out.push_back(caches.prefetch_evicted_unused_);
         out.insert(out.end(), caches.l2_prefetch_bits_.begin(),
                    caches.l2_prefetch_bits_.end());
-        for (const auto &entry : caches.stride_table_) {
+        for (const auto &entry : caches.prefetcher_.stride_table) {
             out.push_back(entry.last_line);
             out.push_back(static_cast<std::uint64_t>(entry.delta));
             out.push_back(entry.confidence);
             out.push_back(entry.valid);
         }
-        for (const auto &window : caches.stream_windows_) {
+        for (const auto &window : caches.prefetcher_.windows) {
             out.push_back(window.last_line);
             out.push_back(window.valid);
         }
-        out.push_back(caches.stream_next_);
+        out.push_back(caches.prefetcher_.next);
         if (caches.dram_) {
             const uarch::DramModel &dram = *caches.dram_;
             out.push_back(dram.accesses_);

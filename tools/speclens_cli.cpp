@@ -301,19 +301,29 @@ serviceConfig(const CliOptions &opts,
     return config;
 }
 
+/** The suites `list`, `export` and `campaign run` name, in campaign
+ *  order. */
+constexpr const char *kSuiteNames[] = {"cpu2017", "cpu2006", "emerging"};
+
+/** The benchmarks of suite @p name (one of kSuiteNames); any other
+ *  name is a usage error. */
+std::vector<suites::BenchmarkInfo>
+namedSuite(const std::string &name)
+{
+    if (name == kSuiteNames[0])
+        return suites::spec2017();
+    if (name == kSuiteNames[1])
+        return suites::spec2006();
+    if (name == kSuiteNames[2])
+        return suites::emergingBenchmarks();
+    usage(1);
+}
+
 int
 cmdList(const CliOptions &opts)
 {
-    std::string which = opts.args.empty() ? "cpu2017" : opts.args[0];
-    std::vector<suites::BenchmarkInfo> list;
-    if (which == "cpu2017")
-        list = suites::spec2017();
-    else if (which == "cpu2006")
-        list = suites::spec2006();
-    else if (which == "emerging")
-        list = suites::emergingBenchmarks();
-    else
-        usage(1);
+    const std::vector<suites::BenchmarkInfo> list =
+        namedSuite(opts.args.empty() ? "cpu2017" : opts.args[0]);
 
     core::TextTable table({"Benchmark", "Category", "Domain",
                            "Language", "Icount (B)", "New in 2017"});
@@ -385,7 +395,10 @@ cmdMemory(const CliOptions &opts)
 int
 cmdSubset(const CliOptions &opts)
 {
-    if (opts.args.empty() || !core::isSubsetCategory(opts.args[0]))
+    std::vector<suites::BenchmarkInfo> suite;
+    suites::Category category;
+    if (opts.args.empty() ||
+        !core::resolveCategory(opts.args[0], suite, category))
         usage(1);
     std::size_t k = 3;
     if (opts.args.size() > 1 && !parsePositional("k", opts.args[1], k))
@@ -405,7 +418,7 @@ cmdSubset(const CliOptions &opts)
 int
 cmdInputs(const CliOptions &opts)
 {
-    if (opts.args.empty())
+    if (opts.args.empty() || (opts.args[0] != "int" && opts.args[0] != "fp"))
         usage(1);
     core::ServiceContext context(serviceConfig(opts));
     core::Characterizer &characterizer =
@@ -478,15 +491,7 @@ cmdExport(const CliOptions &opts)
 {
     if (opts.args.empty())
         usage(1);
-    std::vector<suites::BenchmarkInfo> list;
-    if (opts.args[0] == "cpu2017")
-        list = suites::spec2017();
-    else if (opts.args[0] == "cpu2006")
-        list = suites::spec2006();
-    else if (opts.args[0] == "emerging")
-        list = suites::emergingBenchmarks();
-    else
-        usage(1);
+    const std::vector<suites::BenchmarkInfo> list = namedSuite(opts.args[0]);
 
     core::ServiceContext context(serviceConfig(opts));
     core::Characterizer &characterizer =
@@ -520,21 +525,8 @@ cmdReport(const CliOptions &opts)
     std::vector<suites::BenchmarkInfo> suite;
     core::SuiteReportOptions report;
     const std::string &which = opts.args[0];
-    if (which == "speed-int") {
-        suite = suites::spec2017SpeedInt();
-        report.validation_category = suites::Category::SpeedInt;
-    } else if (which == "rate-int") {
-        suite = suites::spec2017RateInt();
-        report.validation_category = suites::Category::RateInt;
-    } else if (which == "speed-fp") {
-        suite = suites::spec2017SpeedFp();
-        report.validation_category = suites::Category::SpeedFp;
-    } else if (which == "rate-fp") {
-        suite = suites::spec2017RateFp();
-        report.validation_category = suites::Category::RateFp;
-    } else {
+    if (!core::resolveCategory(which, suite, report.validation_category))
         usage(1);
-    }
     report.title = "SpecLens report: SPEC CPU2017 " + which;
 
     core::ServiceContext context(serviceConfig(opts));
@@ -621,14 +613,11 @@ cmdCampaignRun(const CliOptions &opts)
     std::string which =
         opts.args.size() > 1 ? opts.args[1] : std::string("cpu2017");
     std::vector<std::vector<suites::BenchmarkInfo>> suite_sets;
-    if (which == "cpu2017" || which == "all")
-        suite_sets.push_back(suites::spec2017());
-    if (which == "cpu2006" || which == "all")
-        suite_sets.push_back(suites::spec2006());
-    if (which == "emerging" || which == "all")
-        suite_sets.push_back(suites::emergingBenchmarks());
-    if (suite_sets.empty())
-        usage(1);
+    if (which == "all")
+        for (const char *name : kSuiteNames)
+            suite_sets.push_back(namedSuite(name));
+    else
+        suite_sets.push_back(namedSuite(which));
 
     core::ServiceContext context(serviceConfig(opts));
     core::Characterizer &characterizer =
