@@ -1,7 +1,6 @@
 /**
  * @file
- * Strict numeric option parsing shared by the CLI and the serve
- * loadtest.
+ * Strict numeric option parsing for the speclens command line.
  *
  * Command-line numbers used to go through strtoull/atoi, both of which
  * fail silently: "8x" parses as 8, "-1" wraps to a huge unsigned
@@ -10,8 +9,8 @@
  * the one asked for.  parseUnsigned() is built on std::from_chars and
  * rejects all of that explicitly, so every caller can exit 1 with a
  * message naming the defect instead of computing on garbage.
- * numericFlagValue()/stringFlagValue() are the one argv reader both
- * command lines use for a flag's value.
+ * numericFlagValue()/stringFlagValue() are the one argv reader the
+ * command line uses for a flag's value.
  */
 
 #ifndef SPECLENS_CORE_OPTION_PARSE_H

@@ -13,8 +13,12 @@
  * The context owns no threads: each campaign fans its own claimed
  * pairs out through parallelFor() on the calling thread plus at most
  * jobs - 1 helpers, joined before the campaign returns, so concurrent
- * campaigns never wait on each other's pairs (only on a pair both
- * asked for, which runs once).
+ * campaigns never wait on each other's pairs.  A pair that two
+ * campaigns over the same pooled machine set both ask for runs once;
+ * the later one waits for it.  Two sets that share a machine (the 4
+ * sensitivity machines are also profiling machines) keep separate
+ * memos and in-flight maps, so when both miss the store on the same
+ * pair at once, each simulates it, with identical results.
  *
  * The Characterizer memo is the process's one in-memory result cache
  * (the store keeps none).  For the daemon its key space is closed:

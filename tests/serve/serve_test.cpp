@@ -8,10 +8,11 @@
  * each requested (benchmark, machine) pair once, two concurrent
  * identical queries share exactly one simulation, the manifest
  * fingerprint does not depend on the first query, the wire protocol
- * round-trips hostile strings, daemon responses are byte-identical to
- * direct query-op rendering, a warm store answers queries with zero
- * simulations, a graceful drain drops nothing, and finished
- * connections release their handler threads.
+ * round-trips hostile strings, daemon responses to concurrent clients
+ * sending every query op are byte-identical to direct query-op
+ * rendering and leave a store that lints clean, a warm store answers
+ * queries with zero simulations, a graceful drain drops nothing, and
+ * finished connections release their handler threads.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "core/characterization.h"
 #include "core/query_ops.h"
 #include "core/service_context.h"
+#include "lint/linter.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -100,6 +102,30 @@ vmSizeKb()
         if (line.rfind("VmSize:", 0) == 0)
             return std::stoul(line.substr(7));
     return 0;
+}
+
+/**
+ * What the batch CLI prints for @p request, rendered directly on
+ * @p context: the bytes a daemon answer must equal.
+ */
+core::QueryOutcome
+directAnswer(core::ServiceContext &context, const serve::Request &request)
+{
+    switch (request.op) {
+    case serve::Op::Characterize:
+        return core::runCharacterizeQuery(context, request.benchmarks);
+    case serve::Op::Memory:
+        return core::runMemoryQuery(context, request.benchmarks);
+    case serve::Op::Subset:
+        return core::runSubsetQuery(context, request.category, request.k);
+    case serve::Op::Sensitivity:
+        return core::runSensitivityQuery(context, request.metric);
+    case serve::Op::Stats:
+    case serve::Op::Shutdown:
+        break;
+    }
+    return core::queryError("no fixed answer to " +
+                            serve::opName(request.op));
 }
 
 /** Start @p server's accept loop on a background thread. */
@@ -420,47 +446,93 @@ TEST(Protocol, RejectsInexactKAndNestedValues)
         error));
 }
 
-// A daemon answer must be byte-identical to direct query-op
-// rendering, from many concurrent clients at once.
+// The daemon under concurrent load at the CI window (5000+1500), over a
+// fresh store: four clients each send the whole query-op mix, each
+// starting at a different op, so they collide on cells within the
+// profiling set (characterize, subset) and across the sets that share
+// machines (profiling, sensitivity).  Every answer
+// must be ok; every non-stats answer byte-identical across clients and
+// to direct query-op rendering on the server's context; the server
+// must count no error and drop no connection; and the store the fill
+// leaves must lint with no error and no warning.  Simulation counts
+// are not asserted: two machine sets that miss the store on a shared
+// pair at once may both simulate it (with identical bytes).
 TEST(Serve, ConcurrentClientsGetByteIdenticalAnswers)
 {
-    serve::ServerConfig config;
-    config.service = tinyServiceConfig();
-    serve::Server server(config);
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    std::thread accept_thread = serveOnThread(server);
+    const std::string dir = storeDir("concurrent_mix");
+    std::vector<serve::Request> mix(7); // mix[4] stays a stats request
+    mix[0].op = serve::Op::Characterize;
+    mix[0].benchmarks = {"505.mcf_r", "557.xz_r"};
+    mix[1].op = serve::Op::Memory;
+    mix[1].benchmarks = {"519.lbm_r", "505.mcf_r"};
+    mix[2].op = serve::Op::Subset;
+    mix[2].category = "rate-int";
+    mix[3].op = serve::Op::Sensitivity;
+    mix[3].metric = "branch";
+    mix[5].op = serve::Op::Characterize;
+    mix[5].benchmarks = {"519.lbm_r"};
+    mix[6].op = serve::Op::Sensitivity;
+    mix[6].metric = "dtlb";
 
-    core::QueryOutcome direct = core::runCharacterizeQuery(
-        *server.context(), {"505.mcf_r"});
-    ASSERT_TRUE(direct.ok);
+    constexpr std::size_t kClients = 4;
+    std::vector<std::vector<serve::Response>> responses(
+        kClients, std::vector<serve::Response>(mix.size()));
+    {
+        serve::ServerConfig config;
+        config.service.characterization.instructions = 5'000;
+        config.service.characterization.warmup = 1'500;
+        config.service.store_dir = dir;
+        serve::Server server(config);
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        std::thread accept_thread = serveOnThread(server);
 
-    std::vector<std::string> outputs(8);
-    std::vector<std::thread> clients;
-    for (std::size_t c = 0; c < outputs.size(); ++c) {
-        clients.emplace_back([&, c]() {
-            serve::Client client;
-            std::string client_error;
-            if (!client.connect("127.0.0.1", server.port(),
-                                &client_error))
-                return;
-            serve::Request request;
-            request.op = serve::Op::Characterize;
-            request.benchmarks = {"505.mcf_r"};
-            serve::Response response;
-            if (client.call(request, &response, &client_error) &&
-                response.ok)
-                outputs[c] = response.output;
-        });
-    }
-    for (std::thread &client : clients)
-        client.join();
-    for (const std::string &output : outputs)
-        EXPECT_EQ(output, direct.output);
+        std::vector<std::thread> clients;
+        for (std::size_t c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c]() {
+                serve::Client client;
+                std::string client_error;
+                if (!client.connect("127.0.0.1", server.port(),
+                                    &client_error))
+                    return;
+                for (std::size_t i = 0; i < mix.size(); ++i) {
+                    const std::size_t r = (c + i) % mix.size();
+                    client.call(mix[r], &responses[c][r], &client_error);
+                }
+            });
+        }
+        for (std::thread &client : clients)
+            client.join();
+        server.requestDrain();
+        accept_thread.join();
 
-    server.requestDrain();
-    accept_thread.join();
-    EXPECT_EQ(server.stats().dropped, 0u);
+        for (std::size_t r = 0; r < mix.size(); ++r) {
+            const std::string sent = serve::encodeRequest(mix[r]);
+            for (std::size_t c = 0; c < kClients; ++c)
+                EXPECT_TRUE(responses[c][r].ok)
+                    << "client " << c << ": " << sent << ": "
+                    << responses[c][r].error;
+            if (mix[r].op == serve::Op::Stats)
+                continue; // live counters: no fixed bytes
+            const core::QueryOutcome direct =
+                directAnswer(*server.context(), mix[r]);
+            ASSERT_TRUE(direct.ok) << sent << ": " << direct.error;
+            for (std::size_t c = 0; c < kClients; ++c)
+                EXPECT_EQ(responses[c][r].output, direct.output)
+                    << "client " << c << ": " << sent;
+        }
+        EXPECT_EQ(server.stats().requests, kClients * mix.size());
+        EXPECT_EQ(server.stats().errors, 0u);
+        EXPECT_EQ(server.stats().dropped, 0u);
+    } // The context writes the run manifest as the server goes.
+
+    lint::LintContext lint_context = lint::shippedContext();
+    lint_context.deep = false;
+    lint_context.store_dir = dir;
+    const lint::LintReport report = lint::Linter().run(lint_context);
+    EXPECT_EQ(report.errors(), 0u) << lint::renderText(report);
+    EXPECT_EQ(report.warnings(), 0u) << lint::renderText(report);
+    std::filesystem::remove_all(dir);
 }
 
 // A rejected query reports the error without killing the connection.

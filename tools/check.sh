@@ -249,9 +249,10 @@ step "serve smoke"
 # The daemon must answer byte-for-byte what the batch CLI prints for
 # the same question, then drain cleanly on the shutdown op and leave a
 # run manifest whose configuration fingerprint matches the batch
-# CLI's, even though its first query pools another machine set; the
-# loadtest must hold response parity across concurrent clients and
-# leave a well-formed JSON artifact.
+# CLI's, even though its first query pools another machine set.
+# Concurrent clients, their byte parity with direct rendering and a
+# clean lint of the store they fill are checked by the ctest step
+# above (Serve.ConcurrentClientsGetByteIdenticalAnswers).
 SERVE_STORE="$BUILD_DIR/serve-store"
 BATCH_STORE="$BUILD_DIR/serve-batch-store"
 rm -rf "$SERVE_STORE" "$BATCH_STORE"
@@ -292,21 +293,8 @@ BATCH_FP="$(manifest_fingerprint "$BATCH_STORE")"
 [[ -n "$SERVE_FP" && "$SERVE_FP" == "$BATCH_FP" ]] ||
     { echo "daemon manifest fingerprint '$SERVE_FP' differs from" \
            "batch '$BATCH_FP'" >&2; exit 1; }
-rm -rf "$BATCH_STORE"
-"$BUILD_DIR"/bench/bench_serve_loadtest --clients 4 --requests 6 \
-    --instructions 5000 --warmup 1500 --store "$SERVE_STORE" \
-    --out "$BUILD_DIR/serve_loadtest.json" \
-    >"$BUILD_DIR/serve-loadtest.out" 2>/dev/null
-grep -q 'parity: identical responses across clients: yes' \
-    "$BUILD_DIR/serve-loadtest.out"
-grep -q '"p99_ns"' "$BUILD_DIR/serve_loadtest.json"
-"$BUILD_DIR"/tools/speclens lint --no-deep --store "$SERVE_STORE" \
-    >"$BUILD_DIR/serve-lint.out"
-grep -q ' 0 errors, 0 warnings$' "$BUILD_DIR/serve-lint.out" ||
-    { echo "serve store lint is not clean:" >&2
-      cat "$BUILD_DIR/serve-lint.out" >&2; exit 1; }
-rm -rf "$SERVE_STORE" "$BUILD_DIR/serve_loadtest.json"
+rm -rf "$SERVE_STORE" "$BATCH_STORE"
 echo "serve: daemon answers byte-identical to batch, manifest" \
-     "fingerprint matches batch, drain + parity ok"
+     "fingerprint matches batch, drain ok"
 
 step "all checks passed"

@@ -40,6 +40,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <fstream>
@@ -340,7 +341,7 @@ cmdList(const CliOptions &opts)
 }
 
 int
-cmdMachines()
+cmdMachines(const CliOptions &)
 {
     core::TextTable table({"Machine", "Short name", "ISA", "GHz", "L1D",
                            "L2", "LLC", "Predictor"});
@@ -363,8 +364,6 @@ cmdMachines()
 int
 cmdCharacterize(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     core::ServiceContext context(serviceConfig(opts));
     core::QueryOutcome outcome =
         core::runCharacterizeQuery(context, opts.args);
@@ -379,8 +378,6 @@ cmdCharacterize(const CliOptions &opts)
 int
 cmdMemory(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     core::ServiceContext context(
         serviceConfig(opts, suites::memoryCentricMachines()));
     core::QueryOutcome outcome = core::runMemoryQuery(context, opts.args);
@@ -397,8 +394,7 @@ cmdSubset(const CliOptions &opts)
 {
     std::vector<suites::BenchmarkInfo> suite;
     suites::Category category;
-    if (opts.args.empty() ||
-        !core::resolveCategory(opts.args[0], suite, category))
+    if (!core::resolveCategory(opts.args[0], suite, category))
         usage(1);
     std::size_t k = 3;
     if (opts.args.size() > 1 && !parsePositional("k", opts.args[1], k))
@@ -418,7 +414,7 @@ cmdSubset(const CliOptions &opts)
 int
 cmdInputs(const CliOptions &opts)
 {
-    if (opts.args.empty() || (opts.args[0] != "int" && opts.args[0] != "fp"))
+    if (opts.args[0] != "int" && opts.args[0] != "fp")
         usage(1);
     core::ServiceContext context(serviceConfig(opts));
     core::Characterizer &characterizer =
@@ -442,8 +438,6 @@ cmdInputs(const CliOptions &opts)
 int
 cmdCoverage(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     std::vector<suites::BenchmarkInfo> candidates;
     for (const std::string &name : opts.args) {
         const suites::BenchmarkInfo *benchmark = lookup(name);
@@ -472,7 +466,7 @@ cmdCoverage(const CliOptions &opts)
 int
 cmdSensitivity(const CliOptions &opts)
 {
-    if (opts.args.empty() || !core::isSensitivityMetric(opts.args[0]))
+    if (!core::isSensitivityMetric(opts.args[0]))
         usage(1);
     core::ServiceContext context(
         serviceConfig(opts, suites::sensitivityMachines()));
@@ -489,8 +483,6 @@ cmdSensitivity(const CliOptions &opts)
 int
 cmdExport(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     const std::vector<suites::BenchmarkInfo> list = namedSuite(opts.args[0]);
 
     core::ServiceContext context(serviceConfig(opts));
@@ -520,8 +512,6 @@ cmdExport(const CliOptions &opts)
 int
 cmdReport(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     std::vector<suites::BenchmarkInfo> suite;
     core::SuiteReportOptions report;
     const std::string &which = opts.args[0];
@@ -551,8 +541,6 @@ cmdReport(const CliOptions &opts)
 int
 cmdSimpoints(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     const suites::BenchmarkInfo *benchmark = lookup(opts.args[0]);
     if (!benchmark) {
         std::fprintf(stderr, "unknown benchmark: %s\n",
@@ -723,28 +711,6 @@ cmdCampaignInvalidate(const CliOptions &opts)
     return 0;
 }
 
-int
-cmdCampaign(const CliOptions &opts)
-{
-    if (opts.args.empty())
-        usage(1);
-    if (opts.store_dir.empty()) {
-        std::fprintf(stderr,
-                     "error: campaign %s requires --store DIR\n",
-                     opts.args[0].c_str());
-        return 1;
-    }
-    if (opts.args[0] == "run")
-        return cmdCampaignRun(opts);
-    if (opts.args[0] == "info")
-        return cmdCampaignInfo(opts);
-    if (opts.args[0] == "invalidate")
-        return cmdCampaignInvalidate(opts);
-    if (opts.args[0] == "manifest")
-        return cmdCampaignManifest(opts);
-    usage(1);
-}
-
 // ----- serve / query ---------------------------------------------------
 
 /** The live server, for the signal handlers (null outside cmdServe). */
@@ -798,11 +764,8 @@ cmdServe(const CliOptions &opts)
 int
 cmdQuery(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     serve::Request request;
-    if (!serve::opFromName(opts.args[0], request.op))
-        usage(1);
+    serve::opFromName(opts.args[0], request.op); // known: a kCommands row
     if (opts.port == 0) {
         std::fprintf(stderr, "error: query requires --port N\n");
         return 1;
@@ -814,15 +777,13 @@ cmdQuery(const CliOptions &opts)
                                   opts.args.end());
         break;
     case serve::Op::Subset:
-        if (opts.args.size() > 1)
-            request.category = opts.args[1];
+        request.category = opts.args[1];
         if (opts.args.size() > 2 &&
             !parsePositional("k", opts.args[2], request.k))
             return 1;
         break;
     case serve::Op::Sensitivity:
-        if (opts.args.size() > 1)
-            request.metric = opts.args[1];
+        request.metric = opts.args[1];
         break;
     case serve::Op::Stats:
     case serve::Op::Shutdown:
@@ -881,13 +842,6 @@ cmdRepro(const CliOptions &opts)
             selected.push_back(entry);
         }
     }
-    if (selected.empty()) {
-        std::fprintf(stderr,
-                     "error: repro needs --list, --all or reproduction "
-                     "names\n");
-        return 1;
-    }
-
     // The reproduction window, not the CLI defaults; explicit flags win.
     CliOptions window = opts;
     if (!opts.instructions_set)
@@ -970,13 +924,6 @@ campaignFingerprint(const std::vector<suites::BenchmarkInfo> &benchmarks,
 int
 cmdAudit(const CliOptions &opts)
 {
-    if (!opts.args.empty()) {
-        std::fprintf(stderr,
-                     "error: audit takes no arguments, got '%s'\n",
-                     opts.args[0].c_str());
-        return 1;
-    }
-
     // Pinned window unless overridden: large enough to exercise
     // prewarm, warm-up exclusion and sampled mid-run audit points,
     // small enough that 7 replays of the campaign stay fast.
@@ -1070,15 +1017,6 @@ cmdAudit(const CliOptions &opts)
 int
 cmdLint(const CliOptions &opts)
 {
-    // lint is a verification gate: a stray token is more likely a
-    // misspelled flag than an intentional argument, so fail loudly
-    // instead of silently linting with default settings.
-    if (!opts.args.empty()) {
-        std::fprintf(stderr, "error: lint takes no arguments, got '%s'\n",
-                     opts.args[0].c_str());
-        return 1;
-    }
-
     const lint::ReportFormat format = lint::reportFormatFromName(opts.format);
     const lint::Severity min_severity =
         lint::severityFromName(opts.severity);
@@ -1102,6 +1040,110 @@ cmdLint(const CliOptions &opts)
     return report.clean() ? 0 : 1;
 }
 
+/** Any number of positionals. */
+constexpr std::size_t kVariadic = SIZE_MAX;
+
+/**
+ * One command line: its name (a command with subcommands has a row per
+ * subcommand, named "command subcommand"), the number of positionals
+ * it takes after that name, and its handler, which sees every
+ * positional, the subcommand included.
+ */
+struct Command
+{
+    const char *name;
+    std::size_t min_args;
+    std::size_t max_args;
+    int (*run)(const CliOptions &);
+    bool needs_store = false;
+};
+
+const Command kCommands[] = {
+    {"list", 0, 1, cmdList},
+    {"machines", 0, 0, cmdMachines},
+    {"characterize", 1, kVariadic, cmdCharacterize},
+    {"memory", 1, kVariadic, cmdMemory},
+    {"subset", 1, 2, cmdSubset},
+    {"inputs", 1, 1, cmdInputs},
+    {"coverage", 1, kVariadic, cmdCoverage},
+    {"sensitivity", 1, 1, cmdSensitivity},
+    {"export", 1, 2, cmdExport},
+    {"report", 1, 2, cmdReport},
+    {"simpoints", 1, 3, cmdSimpoints},
+    {"campaign run", 0, 1, cmdCampaignRun, true},
+    {"campaign info", 0, 0, cmdCampaignInfo, true},
+    {"campaign invalidate", 0, 1, cmdCampaignInvalidate, true},
+    {"campaign manifest", 0, 0, cmdCampaignManifest, true},
+    {"serve", 0, 0, cmdServe},
+    {"query characterize", 1, kVariadic, cmdQuery},
+    {"query memory", 1, kVariadic, cmdQuery},
+    {"query subset", 1, 2, cmdQuery},
+    {"query sensitivity", 1, 1, cmdQuery},
+    {"query stats", 0, 0, cmdQuery},
+    {"query shutdown", 0, 0, cmdQuery},
+    {"repro", 1, kVariadic, cmdRepro},
+    {"audit", 0, 0, cmdAudit},
+    {"lint", 0, 0, cmdLint},
+};
+
+/**
+ * Resolve @p opts to its row and check the positional count once, for
+ * every command: too few is a usage error, and a stray token (more
+ * likely a misspelled flag than an argument) is named and exits 1
+ * rather than being ignored.
+ */
+int
+dispatch(const CliOptions &opts)
+{
+    std::string name = opts.command;
+    std::size_t named = 0; // positionals that are part of the name
+    const std::string prefix = name + " ";
+    for (const Command &command : kCommands) {
+        if (!std::string_view(command.name).starts_with(prefix))
+            continue;
+        if (opts.args.empty()) {
+            std::fprintf(stderr, "error: %s needs a subcommand\n",
+                         name.c_str());
+            usage(1);
+        }
+        name = prefix + opts.args[0];
+        named = 1;
+        break;
+    }
+    for (const Command &command : kCommands) {
+        if (name != command.name)
+            continue;
+        const std::size_t given = opts.args.size() - named;
+        if (given < command.min_args) {
+            std::fprintf(stderr,
+                         "error: %s needs at least %zu argument%s\n",
+                         name.c_str(), command.min_args,
+                         command.min_args == 1 ? "" : "s");
+            usage(1);
+        }
+        if (given > command.max_args) {
+            const std::string most =
+                command.max_args == 0
+                    ? std::string("no arguments")
+                    : "at most " + std::to_string(command.max_args) +
+                          (command.max_args == 1 ? " argument"
+                                                 : " arguments");
+            std::fprintf(stderr, "error: %s takes %s, got stray '%s'\n",
+                         name.c_str(), most.c_str(),
+                         opts.args[named + command.max_args].c_str());
+            return 1;
+        }
+        if (command.needs_store && opts.store_dir.empty()) {
+            std::fprintf(stderr, "error: %s requires --store DIR\n",
+                         name.c_str());
+            return 1;
+        }
+        return command.run(opts);
+    }
+    std::fprintf(stderr, "unknown command: %s\n", name.c_str());
+    usage(1);
+}
+
 } // namespace
 
 int
@@ -1111,44 +1153,9 @@ main(int argc, char **argv)
     // does not handle itself is a diagnostic and exit 1, never an abort.
     try {
         CliOptions opts = parse(argc, argv);
-        if (opts.command == "list")
-            return cmdList(opts);
-        if (opts.command == "machines")
-            return cmdMachines();
-        if (opts.command == "characterize")
-            return cmdCharacterize(opts);
-        if (opts.command == "memory")
-            return cmdMemory(opts);
-        if (opts.command == "subset")
-            return cmdSubset(opts);
-        if (opts.command == "inputs")
-            return cmdInputs(opts);
-        if (opts.command == "coverage")
-            return cmdCoverage(opts);
-        if (opts.command == "sensitivity")
-            return cmdSensitivity(opts);
-        if (opts.command == "export")
-            return cmdExport(opts);
-        if (opts.command == "report")
-            return cmdReport(opts);
-        if (opts.command == "simpoints")
-            return cmdSimpoints(opts);
-        if (opts.command == "campaign")
-            return cmdCampaign(opts);
-        if (opts.command == "serve")
-            return cmdServe(opts);
-        if (opts.command == "query")
-            return cmdQuery(opts);
-        if (opts.command == "repro")
-            return cmdRepro(opts);
-        if (opts.command == "audit")
-            return cmdAudit(opts);
-        if (opts.command == "lint")
-            return cmdLint(opts);
         if (opts.command == "help" || opts.command == "--help")
             usage(0);
-        std::fprintf(stderr, "unknown command: %s\n", opts.command.c_str());
-        usage(1);
+        return dispatch(opts);
     } catch (const std::exception &ex) {
         std::fprintf(stderr, "speclens: %s\n", ex.what());
         return 1;
