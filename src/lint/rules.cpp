@@ -1338,12 +1338,12 @@ defaultRules()
         "MLP >= 1"));
     rules.push_back(std::make_unique<WorkloadFamilyRule>(
         "SL004", "working-set-shape",
-        "working-set sizes are finite, increase hot->vast and strides "
-        "are line-granular"));
+        "working-set sizes are finite, fit their data regions, increase "
+        "hot->vast and strides are line-granular"));
     rules.push_back(std::make_unique<WorkloadFamilyRule>(
         "SL005", "code-model",
-        "hot code fits inside the finite code footprint and code "
-        "locality is a probability"));
+        "hot code fits inside the finite code footprint, which ends "
+        "below the data, and code locality is a probability"));
     rules.push_back(std::make_unique<WorkloadFamilyRule>(
         "SL006", "branch-model",
         "branch-population fractions are probabilities and the "
@@ -1354,8 +1354,8 @@ defaultRules()
         "level"));
     rules.push_back(std::make_unique<MachineFamilyRule>(
         "SL008", "cache-geometry",
-        "every cache has a power-of-two line size and a geometry its "
-        "ways divide evenly"));
+        "every cache has a power-of-two line size, a geometry its ways "
+        "divide evenly and tags that fit 32 bits"));
     rules.push_back(std::make_unique<MachineFamilyRule>(
         "SL009", "tlb-config",
         "TLB entries/ways/page sizes are sane and a shared L2 TLB "

@@ -42,6 +42,27 @@ constexpr std::uint64_t kDataRegionStride = 1ull << 38;
 constexpr std::uint64_t kDataBase = 1ull << 40;
 constexpr std::uint64_t kCodeBase = 1ull << 22;
 
+/** Data working sets this layout holds, one region each. */
+constexpr std::uint64_t kDataRegions = 4;
+static_assert(std::tuple_size_v<decltype(MemoryModel::data)> == kDataRegions);
+
+/**
+ * The address domain: every address a simulated structure sees is
+ * below this limit.  The generator stays inside it by construction —
+ * checkWorkloadProfile() bounds each working set by the region stride
+ * and the code footprint by the gap up to the data, which
+ * uarch::transformForMachine() keeps — and the L2 prefetcher drops any
+ * target at or past it.  So a line address is
+ * below kAddressLimit >> line_shift, and checkMachineConfig() admits
+ * only geometries whose tags then fit the caches' 32-bit tag words.
+ */
+constexpr std::uint64_t kAddressLimit = 1ull << 41;
+
+static_assert(kDataBase + kDataRegions * kDataRegionStride <= kAddressLimit,
+              "the last data region must end inside the address domain");
+static_assert(kCodeBase < kDataBase,
+              "the code segment must end below the first data region");
+
 /** Generator of data-side effective addresses. */
 class DataAddressStream
 {
@@ -67,7 +88,7 @@ class DataAddressStream
         std::uint64_t cursor = 0;  //!< Sequential element cursor.
     };
 
-    std::array<Region, 4> regions_;
+    std::array<Region, kDataRegions> regions_;
 };
 
 /**

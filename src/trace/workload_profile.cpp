@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "stats/rng.h"
+#include "trace/address_stream.h"
 
 namespace speclens {
 namespace trace {
@@ -60,6 +61,11 @@ checkMemory(std::vector<verify::Violation> &out, const MemoryModel &m)
             shape(field(".bytes"), "footprint",
                   "footprint is " + num(ws.bytes) +
                       " bytes, below one cache line or not finite");
+        else if (ws.bytes > static_cast<double>(kDataRegionStride))
+            shape(field(".bytes"), "address-domain",
+                  "footprint is " + num(ws.bytes) +
+                      " bytes, more than its data region holds (" +
+                      num(static_cast<double>(kDataRegionStride)) + ")");
         if (!finiteAtLeast(ws.stride_bytes, 64.0))
             shape(field(".stride_bytes"), "stride",
                   "stride is " + num(ws.stride_bytes) +
@@ -80,6 +86,11 @@ checkMemory(std::vector<verify::Violation> &out, const MemoryModel &m)
         code("memory.code_bytes", "footprint",
              "code footprint is " + num(m.code_bytes) +
                  " bytes, below one cache line or not finite");
+    else if (m.code_bytes > static_cast<double>(kDataBase - kCodeBase))
+        code("memory.code_bytes", "address-domain",
+             "code footprint is " + num(m.code_bytes) +
+                 " bytes, more than fits below the data regions (" +
+                 num(static_cast<double>(kDataBase - kCodeBase)) + ")");
     if (!finiteAtLeast(m.hot_code_bytes, 64.0))
         code("memory.hot_code_bytes", "footprint",
              "hot code region is " + num(m.hot_code_bytes) +

@@ -220,14 +220,16 @@ struct WorkloadProfile
  * Every workload-model invariant, stated once: a non-empty name, a
  * finite positive instruction count, mix fractions in [0, 1] summing
  * to <= 1, finite line-granular working sets with finite positive
- * weights, a code footprint that holds its hot region, probabilities
- * in [0, 1], 1..2^20 static branches (the branch stream allocates per
- * static branch), finite positive base CPI, finite non-negative
- * dependency CPI and a finite MLP >= 1.  Violation::structure names
- * the lint family that reports it — "mix-range" (SL001), "mix-sum"
- * (SL002), "cpi-components" (SL003), "working-set-shape" (SL004),
- * "code-model" (SL005) or "branch-model" (SL006) — and
- * Violation::location the field path ("memory.data[2].bytes").
+ * weights, each within its data region (trace::kAddressLimit), a code
+ * footprint that ends below the data and holds its hot region,
+ * probabilities in [0, 1], 1..2^20 static branches (the branch stream
+ * allocates per static branch), finite positive base CPI, finite
+ * non-negative dependency CPI and a finite MLP >= 1.
+ * Violation::structure names the lint family that reports it —
+ * "mix-range" (SL001), "mix-sum" (SL002), "cpi-components" (SL003),
+ * "working-set-shape" (SL004), "code-model" (SL005) or
+ * "branch-model" (SL006) — and Violation::location the field path
+ * ("memory.data[2].bytes").
  * Allocates nothing on a clean profile.
  */
 std::vector<verify::Violation>

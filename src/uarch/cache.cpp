@@ -259,7 +259,7 @@ Cache::Cache(const CacheConfig &config)
     // only the tags are initialized.
     const std::size_t lines = num_sets_ * config_.associativity;
     lines_ = LineLease(storageWords(config_));
-    tags_ = reinterpret_cast<std::uint64_t *>(lines_.data());
+    tags_ = reinterpret_cast<std::uint32_t *>(lines_.data());
     stamps_ = reinterpret_cast<std::uint32_t *>(tags_ + lines);
     std::fill(tags_, tags_ + lines, kInvalidTag);
     plru_.assign(config_.policy == ReplacementPolicy::TreePlru ? num_sets_
@@ -278,7 +278,7 @@ Cache::storageWords(const CacheConfig &config)
 {
     const std::size_t bytes =
         config.sets() * config.associativity *
-        (sizeof(std::uint64_t) + sizeof(std::uint32_t));
+        (sizeof(std::uint32_t) + sizeof(std::uint32_t));
     return (bytes + 63) / 64 * (64 / sizeof(std::uint64_t));
 }
 
@@ -291,7 +291,7 @@ Cache::rebaseStamps()
     std::vector<std::uint32_t> ways(assoc);
     std::uint64_t top = 0;
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        const std::uint64_t *tags = &tags_[set * assoc];
+        const std::uint32_t *tags = &tags_[set * assoc];
         std::uint32_t *stamps = &stamps_[set * assoc];
         std::uint32_t valid = 0;
         for (std::uint32_t w = 0; w < assoc; ++w)
@@ -317,9 +317,10 @@ Cache::reserveStorage(std::size_t words)
 bool
 Cache::contains(std::uint64_t address) const
 {
-    std::uint64_t set, tag;
+    std::uint64_t set;
+    std::uint32_t tag;
     splitAddress(address, set, tag);
-    const std::uint64_t *tags = &tags_[set * config_.associativity];
+    const std::uint32_t *tags = &tags_[set * config_.associativity];
     for (std::uint32_t w = 0; w < config_.associativity; ++w)
         if (tags[w] == tag)
             return true;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -96,11 +97,11 @@ struct CacheConfig
 class LineRegion;
 
 /**
- * The tag and stamp words of one Cache: a slice of the building
- * thread's line-storage region when the region has room (see
- * Cache::reserveStorage), else a heap block.  Move-only; a region
- * slice must be released on the thread that took it, before that
- * thread exits.
+ * The line storage of one Cache, counted in 8-byte words (see
+ * Cache::storageWords): a slice of the building thread's line-storage
+ * region when the region has room (see Cache::reserveStorage), else a
+ * heap block.  Move-only; a region slice must be released on the
+ * thread that took it, before that thread exits.
  */
 class LineLease
 {
@@ -136,12 +137,23 @@ class LineLease
 class Cache
 {
   public:
-    /** Move-only: the tag and stamp words are a LineLease. */
+    /** Move-only: the tag and stamp arrays are a LineLease. */
     explicit Cache(const CacheConfig &config);
 
     /**
+     * Tag value marking an invalid way.  A tag is a line address
+     * divided by the set count; line addresses stay below
+     * trace::kAddressLimit >> line_shift, and checkMachineConfig()
+     * rejects every geometry whose largest tag would reach this value,
+     * so the sentinel never collides with a real tag.  That lets the
+     * hit scan drop a separate valid flag and run over one contiguous
+     * 32-bit tag array (32 bytes for an 8-way set).
+     */
+    static constexpr std::uint32_t kInvalidTag = ~0u;
+
+    /**
      * 8-byte words of tag and stamp storage a cache of @p config
-     * takes: a 64-bit tag and a 32-bit stamp per line, so 12 x sets x
+     * takes: a 32-bit tag and a 32-bit stamp per line, so 8 x sets x
      * ways bytes, rounded up to a 64-byte line.
      */
     static std::size_t storageWords(const CacheConfig &config);
@@ -251,18 +263,13 @@ class Cache
 
   private:
     /**
-     * Tag value marking an invalid way.  Real tags are line addresses
-     * divided by the set count, and the modelled address spaces top out
-     * far below 2^64, so the sentinel can never collide — which lets
-     * the hit scan drop the separate valid flag and run over one
-     * contiguous tag array (one cache line for an 8-way set) instead of
-     * a 24-byte AoS Line record.
+     * Set index and tag of @p address (pow2 fast path or modulo).  The
+     * tag is narrowed to its 32-bit word: every address of the domain
+     * yields a tag below kInvalidTag (see there), which a Debug build
+     * asserts and a Release build takes as given.
      */
-    static constexpr std::uint64_t kInvalidTag = ~0ull;
-
-    /** Set index and tag of @p address (pow2 fast path or modulo). */
     void splitAddress(std::uint64_t address, std::uint64_t &set,
-                      std::uint64_t &tag) const;
+                      std::uint32_t &tag) const;
 
     /** Victim way in @p set according to the replacement policy. */
     std::uint32_t victimWay(std::uint64_t set);
@@ -293,7 +300,7 @@ class Cache
 
     // Structure-of-arrays line metadata, num_sets * associativity
     // each, indexed set * associativity + way.
-    std::uint64_t *tags_ = nullptr; //!< kInvalidTag when invalid.
+    std::uint32_t *tags_ = nullptr; //!< kInvalidTag when invalid.
 
     /**
      * LRU ordering stamps, 32 bits each, in [1, tick_] for every valid
@@ -332,7 +339,7 @@ class Cache
 
     /** Predictor entry for (set, tag); only valid when parts != 0. */
     std::uint32_t &
-    wayPredEntry(std::uint64_t set, std::uint64_t tag)
+    wayPredEntry(std::uint64_t set, std::uint32_t tag)
     {
         std::size_t part =
             way_pred_parts_ == 2 ? static_cast<std::size_t>(tag & 1) : 0;
@@ -409,18 +416,21 @@ plruTouchState(std::uint32_t state, std::uint32_t assoc, std::uint32_t way)
 
 inline void
 Cache::splitAddress(std::uint64_t address, std::uint64_t &set,
-                    std::uint64_t &tag) const
+                    std::uint32_t &tag) const
 {
     std::uint64_t line_addr = address >> line_shift_;
+    std::uint64_t line_tag;
     if (sets_pow2_) {
         // Exactly the modulo/division values below, minus the integer
         // divide.
         set = line_addr & set_mask_;
-        tag = line_addr >> set_shift_;
+        line_tag = line_addr >> set_shift_;
     } else {
         set = line_addr % num_sets_;
-        tag = line_addr / num_sets_;
+        line_tag = line_addr / num_sets_;
     }
+    assert(line_tag < kInvalidTag && "address outside trace::kAddressLimit");
+    tag = static_cast<std::uint32_t>(line_tag);
 }
 
 inline std::uint32_t
@@ -455,13 +465,14 @@ inline bool
 Cache::access(std::uint64_t address)
 {
     ++accesses_;
-    std::uint64_t set, tag;
+    std::uint64_t set;
+    std::uint32_t tag;
     splitAddress(address, set, tag);
 
-    std::uint64_t *tags = &tags_[set * config_.associativity];
+    std::uint32_t *tags = &tags_[set * config_.associativity];
     std::uint32_t assoc = config_.associativity;
 
-    // Early-exit scan over the contiguous tag array (one cache line
+    // Early-exit scan over the contiguous tag array (half a cache line
     // for an 8-way set).  The exit branch is well-predicted in
     // practice: instruction-side streams re-probe the same line many
     // times in a row, so the matching way repeats.  Branchless

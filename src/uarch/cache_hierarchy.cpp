@@ -9,8 +9,19 @@
 
 #include "cache_hierarchy.h"
 
+#include "obs/metrics.h"
+#include "trace/address_stream.h"
+
 namespace speclens {
 namespace uarch {
+
+obs::Counter &
+CacheHierarchy::outOfDomainDrops()
+{
+    static obs::Counter &drops =
+        obs::Registry::global().counter("uarch.prefetch.out_of_domain");
+    return drops;
+}
 
 std::string
 prefetcherKindName(PrefetcherKind kind)
@@ -60,6 +71,10 @@ CacheHierarchy::CacheHierarchy(const CacheHierarchyConfig &config)
     }
     if (config.dram)
         dram_ = std::make_unique<DramModel>(*config.dram);
+    // Register the drop count with the prefetcher, so that every
+    // metrics snapshot of a prefetching run shows it, zero included.
+    if (prefetcher_.degree != 0)
+        outOfDomainDrops();
 }
 
 void
@@ -75,6 +90,13 @@ CacheHierarchy::noteDemandFill()
 void
 CacheHierarchy::issuePrefetch(std::uint64_t target)
 {
+    // The engines extrapolate, so a target can leave the address domain
+    // (a stride run past the last data region, or wrapped below 0).
+    // No level may see it: its tag would not fit the 32-bit tag word.
+    if (target >= trace::kAddressLimit) {
+        outOfDomainDrops().add();
+        return;
+    }
     if (l2_cache_.contains(target))
         return;
     // Prefetches install through L3 (and DRAM on an L3 miss) into L2

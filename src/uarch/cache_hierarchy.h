@@ -39,6 +39,9 @@
 #include "uarch/dram_model.h"
 
 namespace speclens {
+namespace obs {
+class Counter;
+}
 namespace verify {
 class StateAuditor;
 }
@@ -380,8 +383,13 @@ class CacheHierarchy
      *  evicted a line still carrying its prefetched bit, count it. */
     void noteDemandFill();
 
-    /** Install one prefetch target through L3 (and DRAM) into L2. */
+    /** Install one prefetch target through L3 (and DRAM) into L2, or
+     *  drop it when it lies outside trace::kAddressLimit. */
     void issuePrefetch(std::uint64_t target);
+
+    /** The uarch.prefetch.out_of_domain counter: prefetch targets
+     *  dropped by issuePrefetch, or by the prewarm replay of it. */
+    static obs::Counter &outOfDomainDrops();
 
     Cache l1i_cache_;
     Cache l1d_cache_;

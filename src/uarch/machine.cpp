@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "stats/rng.h"
+#include "trace/address_stream.h"
 
 namespace speclens {
 namespace uarch {
@@ -20,6 +21,19 @@ namespace {
 using verify::Reporter;
 
 const auto num = verify::renderValue;
+
+/** The address domain's count of @p line_bytes lines, divided by
+ *  @p sets: no tag of a level of that geometry exceeds it. */
+constexpr std::uint64_t
+tagBound(std::uint64_t line_bytes, std::uint64_t sets)
+{
+    return (trace::kAddressLimit >> std::countr_zero(line_bytes)) / sets;
+}
+
+// A TLB of one set and the smallest page checkTlb admits keeps its
+// tags below the 32-bit tag word's sentinel, so no TLB needs the
+// tag-width rule the caches get.
+static_assert(tagBound(4096, 1) < Cache::kInvalidTag);
 
 void
 checkTlb(const Reporter &fail, const TlbConfig &tlb)
@@ -106,6 +120,18 @@ checkMachineConfig(const MachineConfig &machine)
             v.location = loc;
             out.push_back(std::move(v));
         }
+        // Over the address domain (trace::kAddressLimit) every tag must
+        // stay below Cache::kInvalidTag, the 32-bit tag word's sentinel.
+        const std::uint64_t sets = cache->sets();
+        const std::uint64_t bound =
+            sets != 0 ? tagBound(cache->line_bytes, sets) : 0;
+        if (bound >= Cache::kInvalidTag)
+            out.push_back({"cache-geometry", "tag-width", loc,
+                           std::to_string(sets) + " sets of " +
+                               std::to_string(cache->line_bytes) +
+                               "-byte lines give tags up to " +
+                               std::to_string(bound) +
+                               ", past the 32-bit tag word"});
     }
 
     const Reporter tlb{out, "tlb-config"};
@@ -243,10 +269,13 @@ transformForMachine(const trace::WorkloadProfile &profile,
         out.mix.simd *= shrink;
     }
 
-    out.memory.code_bytes =
+    // The code segment still ends below the data regions, so the
+    // scaled footprint stays inside the address domain.
+    out.memory.code_bytes = std::min(
+        static_cast<double>(trace::kDataBase - trace::kCodeBase),
         std::max(64.0, profile.memory.code_bytes * t.code_scale *
                            std::clamp(1.0 + jitter.gaussian(0.0, 0.05),
-                                      0.8, 1.2));
+                                      0.8, 1.2)));
     out.memory.hot_code_bytes =
         std::min(out.memory.hot_code_bytes, out.memory.code_bytes);
 

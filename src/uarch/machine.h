@@ -101,7 +101,8 @@ struct MachineConfig
 /**
  * Every single-machine configuration invariant, stated once: cache
  * capacity and latency order, line-size agreement, cache and TLB
- * geometry (tree-PLRU way counts included), a finite plausible clock,
+ * geometry (tree-PLRU way counts included), tags that fit the 32-bit
+ * tag word over the address domain, a finite plausible clock,
  * predictor size, positive power coefficients, power clock == machine
  * clock and the DRAM geometry.  Violation::structure names the lint
  * family that reports it — "cache-monotonic" (SL007), "cache-geometry"

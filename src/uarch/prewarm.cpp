@@ -11,6 +11,7 @@
 #include <numeric>
 #include <type_traits>
 
+#include "obs/metrics.h"
 #include "trace/address_stream.h"
 
 namespace speclens {
@@ -379,7 +380,8 @@ namespace {
  *    hits);
  *  - prefetch targets stay ahead of the demand inside the region, or
  *    land outside every region exactly once (a stride trained on the
- *    jump between one-line regions).
+ *    jump between one-line regions), and always below
+ *    trace::kAddressLimit.
  *
  * Under those conditions every L3 probe is a first touch, so L3 is a
  * pure fill stream in the replay's L3 order.  Once the state relative
@@ -415,6 +417,9 @@ class PrefetchReplay
     std::uint64_t l3_fills = 0;    //!< L3 probes, every one a miss.
     std::uint64_t last_unit = 0;   //!< Unit of the last L2 access.
     std::vector<std::uint64_t> far; //!< Prefetches outside any region.
+    /** Prefetch targets outside the address domain, which
+     *  CacheHierarchy::issuePrefetch drops before touching any level. */
+    std::uint64_t dropped = 0;
 
     /** The engine the walk would train.  The walk passes no pc, so
      *  only stride slot 0 moves. */
@@ -636,11 +641,17 @@ PrefetchReplay::demand(Piece &cur)
         ++misses;
         fill(x_, false, cur);
     }
-    // The engine issues line addresses; a stride target that wraps the
-    // address space lands on its product's line, as in the hierarchy.
+    // The engine issues line addresses.  One outside the address
+    // domain (a stride run past the last region, or wrapped below 0)
+    // is dropped, as CacheHierarchy::issuePrefetch drops it.
     const std::uint64_t bytes = engine.line_bytes;
     engine.demand(x_ * bytes, 0, line != nullptr, was_prefetched,
-                  [&](std::uint64_t target) { issue(target / bytes, cur); });
+                  [&](std::uint64_t target) {
+                      if (target >= trace::kAddressLimit)
+                          ++dropped;
+                      else
+                          issue(target / bytes, cur);
+                  });
     if (line == nullptr) {
         // The demand probes L3 after its prefetches did.
         cur.l3.push_back(x_);
@@ -666,7 +677,13 @@ PrefetchReplay::region(std::uint64_t x0, std::uint64_t d,
     filled_ = false;
 
     std::vector<Mark> history; // the last kMaxPeriod marks, oldest first
-    bool searching = true;
+    // A demand fills at most l2_sets_ lines ahead (see demand()), so
+    // its first target past the address domain's limit lies within
+    // 2 * l2_sets_ lines of it.  A region that ends closer to the limit
+    // than that replays demand by demand, dropping exactly what the
+    // walk drops; a repeated period of any other region drops nothing.
+    bool searching = x0 + demands * d + 2 * l2_sets_ <
+                     trace::kAddressLimit / engine.line_bytes;
     Piece cur;
     for (std::uint64_t j = 0; j < demands && ok_;) {
         x_ = x0 + j * d;
@@ -909,7 +926,7 @@ PrewarmSolver::solveCache(Cache &cache,
         }
         if (survives) {
             std::size_t idx = static_cast<std::size_t>(r) * assoc + w;
-            cache.tags_[idx] = q;
+            cache.tags_[idx] = static_cast<std::uint32_t>(q);
             std::uint64_t demand_tick = 0;
             bool demanded = kGeneral && seg.region != nullptr &&
                             seg.region->demanded(q * S + r, demand_tick);
@@ -1171,6 +1188,7 @@ PrewarmSolver::apply(CacheHierarchy &caches, TlbHierarchy &tlbs,
         caches.prefetch_evicted_unused_ =
             replay.pf_fills - replay.useful - bits_set;
         caches.prefetcher_ = replay.engine;
+        CacheHierarchy::outOfDomainDrops().add(replay.dropped);
 
         // DRAM serves the L3 misses — every L3 probe — in L3 order.
         if (caches.dram_)

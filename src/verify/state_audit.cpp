@@ -17,6 +17,8 @@
 #include <string>
 #include <variant>
 
+#include "trace/address_stream.h"
+
 namespace speclens {
 namespace verify {
 
@@ -176,13 +178,14 @@ StateAuditor::auditCache(const uarch::Cache &cache,
         return; // line_shift_-derived checks below would be garbage
     }
 
-    // Largest representable line address: tags are line_addr / sets, so
-    // a stored tag must reconstruct to a line address within 64 bits.
-    const std::uint64_t max_line = ~0ull >> cache.line_shift_;
+    // Tags are line_addr / sets, and every line address lies below the
+    // address domain's line limit (trace::kAddressLimit), so a stored
+    // tag must reconstruct, with its set, to a line address below it.
+    const std::uint64_t line_limit = trace::kAddressLimit >> cache.line_shift_;
 
     for (std::uint64_t set = 0; set < cache.num_sets_ && !em.saturated();
          ++set) {
-        const std::uint64_t *tags = &cache.tags_[set * assoc];
+        const std::uint32_t *tags = &cache.tags_[set * assoc];
         const std::uint32_t *stamps = &cache.stamps_[set * assoc];
 
         bool saw_invalid = false;
@@ -198,10 +201,11 @@ StateAuditor::auditCache(const uarch::Cache &cache,
                 em.emit("invalid-suffix", setWay(set, w),
                         "valid way after an invalid way");
             }
-            if (tags[w] > (max_line - set) / cache.num_sets_) {
+            if (set >= line_limit ||
+                tags[w] > (line_limit - 1 - set) / cache.num_sets_) {
                 em.emit("tag-domain", setWay(set, w),
                         "tag " + std::to_string(tags[w]) +
-                            " reconstructs past the address space");
+                            " reconstructs past the address domain");
             }
             for (std::uint32_t v = w + 1; v < assoc; ++v) {
                 if (tags[v] != uarch::Cache::kInvalidTag &&
@@ -615,7 +619,7 @@ StateAuditor::auditCacheFillState(const uarch::Cache &cache,
 
     for (std::uint64_t set = 0; set < cache.num_sets_ && !em.saturated();
          ++set) {
-        const std::uint64_t *tags = &cache.tags_[set * assoc];
+        const std::uint32_t *tags = &cache.tags_[set * assoc];
         const std::uint32_t *stamps = &cache.stamps_[set * assoc];
         std::uint32_t valid = 0;
         while (valid < assoc &&

@@ -6,10 +6,11 @@
  * hierarchy and the branch predictor (it is a friend of each) and
  * proves the invariants catalogued in DESIGN.md section 5f:
  *
- *   cache      tag-domain bounds, no duplicate lines per set, invalid
- *              ways form a suffix, LRU stamps in [1, tick] and unique
- *              per set, tick within a 32-bit stamp (no missed rebase),
- *              tree-PLRU node word in domain, hits <= accesses
+ *   cache      tags inside the address domain, no duplicate lines per
+ *              set, invalid ways form a suffix, LRU stamps in [1, tick]
+ *              and unique per set, tick within a 32-bit stamp (no
+ *              missed rebase), tree-PLRU node word in domain,
+ *              hits <= accesses
  *   way pred   table shape matches the configured kind (one partition
  *              for MRU, two for multi-MRU, none when off), every
  *              predicted way inside the associativity, and the

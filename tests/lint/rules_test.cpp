@@ -25,6 +25,8 @@
 #include "obs/metrics.h"
 #include "stats/fingerprint.h"
 #include "suites/machines.h"
+#include "suites/spec2017.h"
+#include "trace/address_stream.h"
 #include "trace/phased_workload.h"
 #include "uarch/simulation.h"
 
@@ -1061,6 +1063,10 @@ const MachineMutation kMachineMutations[] = {
          ASSERT_TRUE(m.caches.l3.has_value());
          m.caches.l3->size_bytes = m.caches.l2.size_bytes;
      }},
+    {"L1D of 8 sets: 64-byte-line tags reach 2^32 - 1", "SL008",
+     [](uarch::MachineConfig &m) {
+         m.caches.l1d.size_bytes = 8 * m.caches.l1d.associativity * 64;
+     }},
     {"TLB ways not dividing entries", "SL009",
      [](uarch::MachineConfig &m) { m.tlbs.dtlb.associativity = 3; }},
     {"power clock != clock", "SL010",
@@ -1100,6 +1106,7 @@ TEST(MachineConfigAgreement, EveryBuiltMachinePasses)
     for (auto family : {suites::sensitivityMachines(),
                         suites::memoryCentricMachines()})
         machines.insert(machines.end(), family.begin(), family.end());
+    machines.push_back(suites::prefetchAblationMachine());
     for (const uarch::MachineConfig &machine : machines)
         for (const verify::Violation &v : uarch::checkMachineConfig(machine))
             ADD_FAILURE() << machine.name << ": "
@@ -1160,6 +1167,30 @@ TEST(WorkloadModelAgreement, NonFiniteWorkingSetBytes)
                      [](trace::WorkloadProfile &p) {
                          p.memory.data[2].bytes = -kInf;
                      });
+}
+
+TEST(WorkloadModelAgreement, FootprintsPastTheAddressDomain)
+{
+    // A working set fills at most its data region, and the code
+    // segment ends below the first one (trace::kAddressLimit).
+    expectBothReject("SL004", "memory.data[3].bytes",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.data[3].bytes =
+                             2.0 * static_cast<double>(
+                                       trace::kDataRegionStride);
+                     });
+    expectBothReject("SL005", "memory.code_bytes",
+                     [](trace::WorkloadProfile &p) {
+                         p.memory.code_bytes =
+                             static_cast<double>(trace::kDataBase);
+                     });
+    trace::WorkloadProfile full =
+        suites::spec2017Benchmark("505.mcf_r").profile;
+    full.memory.data[3].bytes =
+        static_cast<double>(trace::kDataRegionStride);
+    full.memory.code_bytes =
+        static_cast<double>(trace::kDataBase - trace::kCodeBase);
+    EXPECT_TRUE(trace::checkWorkloadProfile(full).empty());
 }
 
 TEST(WorkloadModelAgreement, NanStride)

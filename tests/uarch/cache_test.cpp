@@ -13,6 +13,7 @@
 #include "suites/machines.h"
 #include "uarch/cache.h"
 #include "uarch/cache_hierarchy.h"
+#include "uarch/machine.h"
 #include "verify/state_audit.h"
 
 #include "../verify/test_access.h"
@@ -331,7 +332,7 @@ expectRebaseExact(const CacheConfig &config)
     const std::uint64_t sets = config.sets();
     for (std::uint64_t set = 0; set < sets; ++set)
         for (std::uint32_t way = 0; way < config.associativity; ++way)
-            if (Access::tag(cache, set, way) != ~0ull)
+            if (Access::tag(cache, set, way) != Cache::kInvalidTag)
                 Access::stamp(cache, set, way) = static_cast<std::uint32_t>(
                     Access::stamp(cache, set, way) + shift);
     Access::tick(cache) += shift;
@@ -355,7 +356,7 @@ expectRebaseExact(const CacheConfig &config)
     std::uint64_t resident = 0;
     for (std::uint64_t set = 0; set < sets; ++set)
         for (std::uint32_t way = 0; way < config.associativity; ++way)
-            resident += Access::tag(cache, set, way) != ~0ull;
+            resident += Access::tag(cache, set, way) != Cache::kInvalidTag;
     EXPECT_GT(cache.misses(), resident) << config.name;
     EXPECT_TRUE(auditOf(cache).empty()) << config.name;
     EXPECT_TRUE(auditOf(twin).empty()) << config.name;
@@ -405,6 +406,55 @@ TEST(CacheStampRebase, RanksKeepEachSetsOrder)
     cache.reserveTicks(Cache::kMaxStamp - 5);
     EXPECT_EQ(Access::tick(cache), 4u);
     EXPECT_TRUE(auditOf(cache).empty());
+}
+
+// ---------------------------------------------------------------------
+// Tag width: over the address domain every tag of an accepted machine
+// fits the 32-bit tag word below Cache::kInvalidTag.  Every built
+// machine passes (MachineConfigAgreement.EveryBuiltMachinePasses).
+
+/** The tag-width violations checkMachineConfig() finds on @p machine. */
+std::vector<verify::Violation>
+tagWidthViolations(const MachineConfig &machine)
+{
+    std::vector<verify::Violation> found;
+    for (const verify::Violation &v : checkMachineConfig(machine))
+        if (v.invariant == "tag-width")
+            found.push_back(v);
+    return found;
+}
+
+TEST(TagWidth, EightSetL1dIsRejected)
+{
+    // 8 sets of 64-byte lines: 2^35 lines / 8 = 2^32 reaches the
+    // sentinel.  16 sets (2^31) are the smallest that fit.
+    MachineConfig machine = suites::skylakeMachine();
+    machine.caches.l1d.size_bytes = 16 * machine.caches.l1d.associativity * 64;
+    EXPECT_TRUE(tagWidthViolations(machine).empty());
+
+    machine.caches.l1d.size_bytes = 8 * machine.caches.l1d.associativity * 64;
+    ASSERT_EQ(machine.caches.l1d.sets(), 8u);
+    const std::vector<verify::Violation> found = tagWidthViolations(machine);
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found.front().structure, "cache-geometry");
+    EXPECT_EQ(found.front().location, "caches.L1D");
+    try {
+        validateMachineConfig(machine);
+        ADD_FAILURE() << "validateMachineConfig accepted an 8-set L1D";
+    } catch (const std::invalid_argument &ex) {
+        EXPECT_NE(std::string(ex.what()).find("tag-width @ caches.L1D"),
+                  std::string::npos)
+            << ex.what();
+    }
+}
+
+TEST(TagWidth, OneSetTlbWithSmallPagesIsAccepted)
+{
+    // 2^41 bytes / 4 KiB pages = 2^29 tags in one set: far inside.
+    MachineConfig machine = suites::skylakeMachine();
+    machine.tlbs.dtlb = TlbConfig{"DTLB", 64, 64, 4096};
+    ASSERT_EQ(machine.tlbs.dtlb.asCacheConfig().sets(), 1u);
+    EXPECT_TRUE(checkMachineConfig(machine).empty());
 }
 
 } // namespace

@@ -236,16 +236,16 @@ levelsOf(const MachineConfig &machine)
     return levels;
 }
 
-TEST(LineStorage, TwelveBytesPerLine)
+TEST(LineStorage, EightBytesPerLine)
 {
-    // A 64-bit tag and a 32-bit stamp per line, rounded up to 64 bytes.
+    // A 32-bit tag and a 32-bit stamp per line, rounded up to 64 bytes.
     std::vector<MachineConfig> machines = shippedMachines();
     for (const MachineConfig &m : suites::sensitivityMachines())
         machines.push_back(m);
     for (const MachineConfig &machine : machines) {
         for (const CacheConfig &level : levelsOf(machine)) {
             const std::uint64_t bytes =
-                12 * level.sets() * level.associativity;
+                8 * level.sets() * level.associativity;
             EXPECT_EQ(Cache::storageWords(level) * 8, (bytes + 63) / 64 * 64)
                 << machine.name << " " << level.name;
         }

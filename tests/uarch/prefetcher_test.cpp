@@ -5,15 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "stats/rng.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
+#include "trace/address_stream.h"
 #include "uarch/cache_hierarchy.h"
 #include "uarch/simulation.h"
+
+#include "../verify/test_access.h"
 
 namespace speclens {
 namespace uarch {
 namespace {
+
+using Access = verify::StateAuditor::TestAccess;
 
 CacheHierarchyConfig
 smallHierarchy(unsigned prefetch_degree)
@@ -204,6 +210,115 @@ TEST(PrefetcherTest, HelpsStreamingBenchmarkEndToEnd)
     // least), mcf pays for the pollution.
     EXPECT_GT(lbm_gain, mcf_gain);
     EXPECT_LT(mcf_gain, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// The address domain: a prefetch target at or past trace::kAddressLimit
+// reaches no level and is counted as uarch.prefetch.out_of_domain.
+
+std::uint64_t
+outOfDomainDrops()
+{
+    return obs::Registry::global()
+        .counter("uarch.prefetch.out_of_domain")
+        .value();
+}
+
+/**
+ * smallHierarchy at degree 1 with 16-set L1s (the top of the domain
+ * gives an 8-set L1 the sentinel tag) and a DRAM model, so that a
+ * dropped prefetch shows as no access at L2, L3 or DRAM.
+ */
+CacheHierarchyConfig
+domainHierarchy(PrefetcherKind kind)
+{
+    CacheHierarchyConfig config = smallHierarchy(1);
+    config.l1i.size_bytes = 2048;
+    config.l1d.size_bytes = 2048;
+    config.prefetcher = kind;
+    config.dram = DramConfig{};
+    return config;
+}
+
+/** A target dropped: only the @p demands demand misses reached L2, L3
+ *  and DRAM, nothing was filled, and the drop count rose by one. */
+void
+expectOneDrop(CacheHierarchy &hierarchy, std::uint64_t demands,
+              std::uint64_t drops_before)
+{
+    EXPECT_EQ(hierarchy.prefetchFills(), 0u);
+    EXPECT_EQ(Access::l2(hierarchy).accesses(), demands);
+    EXPECT_EQ(Access::l3(hierarchy).accesses(), demands);
+    EXPECT_EQ(hierarchy.dramAccesses(), demands);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(outOfDomainDrops(), drops_before + 1);
+    }
+}
+
+TEST(PrefetcherTest, NextLineTargetAtTheLimitIsDropped)
+{
+    const std::uint64_t limit = trace::kAddressLimit;
+    const std::uint64_t before = outOfDomainDrops();
+
+    // One line lower, the target is the domain's last line: filled.
+    CacheHierarchy inside(domainHierarchy(PrefetcherKind::NextLine));
+    inside.accessData(limit - 128);
+    EXPECT_EQ(inside.prefetchFills(), 1u);
+    EXPECT_EQ(Access::l2(inside).accesses(), 2u);
+    EXPECT_EQ(inside.dramAccesses(), 2u);
+    EXPECT_EQ(outOfDomainDrops(), before);
+
+    // A miss on the last line targets the limit itself.
+    CacheHierarchy edge(domainHierarchy(PrefetcherKind::NextLine));
+    edge.accessData(limit - 64);
+    expectOneDrop(edge, 1, before);
+}
+
+TEST(PrefetcherTest, StreamRunningOffTheDomainIsDropped)
+{
+    // A miss allocates a window, the next line's miss confirms it, and
+    // the engine runs ahead past the last line.
+    CacheHierarchy hierarchy(domainHierarchy(PrefetcherKind::Stream));
+    const std::uint64_t before = outOfDomainDrops();
+    hierarchy.accessData(trace::kAddressLimit - 128);
+    hierarchy.accessData(trace::kAddressLimit - 64);
+    expectOneDrop(hierarchy, 2, before);
+}
+
+TEST(PrefetcherTest, StrideWrappedBelowZeroIsDropped)
+{
+    // A descending one-line stride from one PC is confident at line 0
+    // and extrapolates to line -1, which wraps past the domain.
+    CacheHierarchy hierarchy(domainHierarchy(PrefetcherKind::Stride));
+    const std::uint64_t before = outOfDomainDrops();
+    for (std::uint64_t line = 4; line-- > 0;)
+        hierarchy.accessData(line * 64, /*pc=*/0x401000);
+    expectOneDrop(hierarchy, 4, before);
+}
+
+TEST(PrefetcherTest, ShippedMachinesDropNoTarget)
+{
+    // Every target the engines compute on the shipped workloads stays
+    // inside the domain, so the drop changes no shipped result.
+    std::vector<MachineConfig> machines = suites::profilingMachines();
+    for (const MachineConfig &m : suites::sensitivityMachines())
+        machines.push_back(m);
+    for (const MachineConfig &m : suites::memoryCentricMachines())
+        machines.push_back(m);
+    machines.push_back(suites::prefetchAblationMachine());
+
+    SimulationConfig config;
+    config.instructions = 20'000;
+    config.warmup = 5'000;
+    const std::uint64_t before = outOfDomainDrops();
+    std::uint64_t fills = 0;
+    for (const char *name : {"505.mcf_r", "519.lbm_r", "549.fotonik3d_r"})
+        for (const MachineConfig &machine : machines)
+            fills += simulate(suites::spec2017Benchmark(name).profile,
+                              machine, config)
+                         .counters.prefetch_fills;
+    EXPECT_GT(fills, 0u); // the prefetching machines did prefetch
+    EXPECT_EQ(outOfDomainDrops(), before);
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include "suites/machines.h"
 #include "suites/spec2006.h"
 #include "suites/spec2017.h"
+#include "trace/address_stream.h"
 #include "trace/phased_workload.h"
 #include "uarch/machine.h"
 #include "uarch/prewarm.h"
@@ -356,6 +357,32 @@ TEST(PrewarmEquivalence, PrefetchEngineEdgeCases)
                 }
             }
         }
+    }
+}
+
+TEST(PrewarmEquivalence, PrefetchRunningOffTheAddressDomain)
+{
+    // The last data region filled up to trace::kAddressLimit, one L2 set
+    // count (2^14 lines) per element: the stride engine runs one
+    // element ahead, so the replay repeats a period over the region and
+    // the last demand's target is the limit itself.  Both paths must
+    // drop it, and count it, alike.
+    uarch::CacheHierarchyConfig caches =
+        prefetchConfigFor(uarch::PrefetcherKind::Stride, 1);
+    caches.l2 = CacheConfig{"L2", 1024 * 1024, 1, 64, ReplacementPolicy::Lru};
+    caches.l3 =
+        CacheConfig{"L3", 16 * 1024 * 1024, 16, 64, ReplacementPolicy::Lru};
+    trace::WorkloadProfile profile = profileFor(1 << 20, 0, 64, 0);
+    profile.memory.data[3].bytes =
+        static_cast<double>(trace::kDataRegionStride);
+
+    obs::Counter &drops =
+        obs::Registry::global().counter("uarch.prefetch.out_of_domain");
+    const std::uint64_t before = drops.value();
+    expectStateEquivalence(caches, tlbConfigFor(0), profile, "domain-top");
+    if (obs::kMetricsEnabled) {
+        // One drop on each path.
+        EXPECT_EQ(drops.value() - before, 2u);
     }
 }
 

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "suites/machines.h"
 #include "suites/spec2017.h"
+#include "trace/address_stream.h"
 #include "trace/phased_workload.h"
 #include "uarch/machine.h"
 #include "uarch/simulation.h"
@@ -49,6 +50,21 @@ TEST(MachineTransformTest, RiscScalesMemoryMixDown)
               (profile.mix.load + profile.mix.store) * 1.02);
     // Result remains a valid profile.
     EXPECT_NO_THROW(transformed.validate());
+}
+
+TEST(MachineTransformTest, ScaledCodeStaysBelowTheData)
+{
+    // The largest valid code footprint, grown by the largest code_scale
+    // lint admits: the code segment must still end below the data.
+    trace::WorkloadProfile p =
+        suites::spec2017Benchmark("502.gcc_r").profile;
+    p.memory.code_bytes =
+        static_cast<double>(trace::kDataBase - trace::kCodeBase);
+    MachineConfig machine = suites::skylakeMachine();
+    machine.transform.code_scale = 2.0;
+    const trace::WorkloadProfile out = transformForMachine(p, machine);
+    EXPECT_EQ(out.memory.code_bytes, p.memory.code_bytes);
+    EXPECT_TRUE(trace::checkWorkloadProfile(out).empty());
 }
 
 TEST(MachineTransformTest, OverfullMixRenormalised)

@@ -18,6 +18,7 @@
 
 #include "suites/machines.h"
 #include "suites/spec2017.h"
+#include "trace/address_stream.h"
 #include "trace/phased_workload.h"
 #include "trace/record_batch.h"
 #include "uarch/branch_predictor.h"
@@ -92,14 +93,23 @@ TEST(StateAudit, InvalidSuffixTrips)
 {
     uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
     // Invalidate way 0 while ways 1..3 stay valid.
-    Access::tag(cache, 0, 0) = ~0ull;
+    Access::tag(cache, 0, 0) = uarch::Cache::kInvalidTag;
     EXPECT_EQ(countInvariant(audit(cache), "invalid-suffix"), 3u);
 }
 
 TEST(StateAudit, TagDomainTrips)
 {
-    uarch::Cache cache = warmedCache(uarch::ReplacementPolicy::Lru);
-    Access::tag(cache, 0, 0) = ~0ull - 1;
+    // 16 sets of 64-byte lines: set 0's first tag past the address
+    // domain, 2^35 lines / 16, fits the 32-bit tag word (on fewer sets
+    // only the sentinel would lie past the domain).
+    uarch::Cache cache(uarch::CacheConfig{"test", 4096, 4, 64,
+                                          uarch::ReplacementPolicy::Lru});
+    for (std::uint64_t i = 0; i < 64; ++i)
+        cache.access(i * 64);
+    const std::uint64_t first = (trace::kAddressLimit >> 6) / 16;
+    Access::tag(cache, 0, 0) = static_cast<std::uint32_t>(first - 1);
+    EXPECT_EQ(countInvariant(audit(cache), "tag-domain"), 0u);
+    Access::tag(cache, 0, 0) = static_cast<std::uint32_t>(first);
     EXPECT_EQ(countInvariant(audit(cache), "tag-domain"), 1u);
 }
 

@@ -36,13 +36,21 @@ struct StateAuditor::TestAccess
     {
         return h.l1d_cache_;
     }
+    static uarch::Cache &l2(uarch::CacheHierarchy &h)
+    {
+        return h.l2_cache_;
+    }
+    static uarch::Cache &l3(uarch::CacheHierarchy &h)
+    {
+        return *h.l3_cache_;
+    }
     static uarch::DramModel &dram(uarch::CacheHierarchy &h)
     {
         return *h.dram_;
     }
 
     // ---- one cache (or TLB level) ----
-    static std::uint64_t &tag(uarch::Cache &c, std::size_t set,
+    static std::uint32_t &tag(uarch::Cache &c, std::size_t set,
                               std::size_t way)
     {
         return c.tags_[set * c.config_.associativity + way];
@@ -175,8 +183,8 @@ struct StateAuditor::TestAccess
         out.insert(out.end(), cache.way_pred_.begin(),
                    cache.way_pred_.end());
         for (std::uint64_t i = 0; i < slots; ++i) {
-            std::uint64_t tag = cache.tags_[i];
-            out.push_back(tag);
+            const std::uint32_t tag = cache.tags_[i];
+            out.push_back(tag); // widened: the digest is 64-bit words
             // Stamps are deliberately uninitialized until written:
             // only LRU writes them, and only for filled ways.
             if (stamped && tag != uarch::Cache::kInvalidTag)

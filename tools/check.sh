@@ -166,11 +166,17 @@ step "memory-centric model reuse"
 # The memory-centric family (prefetch engines, way prediction, DRAM
 # model) must round-trip the store like every other campaign: a warm
 # repeat executes zero simulations and prints byte-identical stdout.
+# No prefetch target may leave the address domain on the cold run.
 MEM_STORE="$BUILD_DIR/memory-store"
 rm -rf "$MEM_STORE"
 "$BUILD_DIR"/tools/speclens repro table_memory_centric \
     --store "$MEM_STORE" --instructions 20000 --warmup 5000 \
+    --metrics "$BUILD_DIR/memory-cold.prom" \
     >"$BUILD_DIR/memory-cold.out" 2>"$BUILD_DIR/memory-cold.err"
+! grep -q '^speclens_uarch_prefetch_out_of_domain_total [1-9]' \
+    "$BUILD_DIR/memory-cold.prom" ||
+    { echo "prefetch targets left the address domain:" >&2
+      grep out_of_domain "$BUILD_DIR/memory-cold.prom" >&2; exit 1; }
 "$BUILD_DIR"/tools/speclens repro table_memory_centric \
     --store "$MEM_STORE" --instructions 20000 --warmup 5000 \
     >"$BUILD_DIR/memory-warm.out" 2>"$BUILD_DIR/memory-warm.err"
