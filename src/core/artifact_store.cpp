@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <climits>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -238,16 +239,18 @@ serializePhasedEntry(const StoreKey &key,
 
 /**
  * Read a whole file; false on any I/O failure.  One open(), then read()
- * through a stack buffer until end of file (an entry is a few hundred
- * bytes: one read and the end-of-file read), retrying on EINTR.  This
- * is the read path behind load(), loadPhased() and scanStore().
+ * through a stack buffer, retrying on EINTR, until a read returns less
+ * than the buffer: on a regular file that is end of file, so an entry
+ * (a few hundred bytes) costs one read, not a second one that returns
+ * 0.  A longer file keeps reading until a short read.  This is the read
+ * path behind load(), loadPhased() and scanStore().
  */
 bool
-readFile(const std::string &path, std::string &out)
+readFile(const char *path, std::string &out)
 {
     int fd;
     do
-        fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        fd = ::open(path, O_RDONLY | O_CLOEXEC);
     while (fd < 0 && errno == EINTR);
     if (fd < 0)
         return false;
@@ -258,7 +261,8 @@ readFile(const std::string &path, std::string &out)
         n = ::read(fd, chunk, sizeof(chunk));
         if (n > 0)
             bytes.append(chunk, static_cast<std::size_t>(n));
-    } while (n > 0 || (n < 0 && errno == EINTR));
+    } while (n == static_cast<ssize_t>(sizeof(chunk)) ||
+             (n < 0 && errno == EINTR));
     ::close(fd);
     if (n < 0)
         return false;
@@ -589,8 +593,10 @@ CampaignStore::CampaignStore(std::string directory)
     // store to misses + failed saves rather than aborting the run.
     std::error_code ec;
     fs::create_directories(directory_, ec);
-    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard)
+    for (std::size_t shard = 0; shard < kStoreShardCount; ++shard) {
         fs::create_directories(shardPath(shard), ec);
+        shard_prefixes_[shard] = shardPath(shard) + "/";
+    }
 
     std::size_t swept = sweepOrphanedTempFiles();
     if (swept > 0) {
@@ -644,11 +650,39 @@ CampaignStore::sweepOrphanedTempFiles()
     return removed;
 }
 
+namespace {
+
+/** Length of an entry file name: hex16 plus kStoreEntrySuffix. */
+constexpr std::size_t kEntryNameLength =
+    16 + std::char_traits<char>::length(kStoreEntrySuffix);
+
+} // namespace
+
+std::size_t
+CampaignStore::entryPathLength(std::uint64_t fingerprint) const
+{
+    return shard_prefixes_[storeShardIndex(fingerprint)].size() +
+           kEntryNameLength;
+}
+
+std::size_t
+CampaignStore::writeEntryPath(std::uint64_t fingerprint, char *out) const
+{
+    const std::string &prefix =
+        shard_prefixes_[storeShardIndex(fingerprint)];
+    std::memcpy(out, prefix.data(), prefix.size());
+    stats::writeHex16(fingerprint, out + prefix.size());
+    std::memcpy(out + prefix.size() + 16, kStoreEntrySuffix,
+                kEntryNameLength - 16);
+    return prefix.size() + kEntryNameLength;
+}
+
 std::string
 CampaignStore::entryPath(const StoreKey &key) const
 {
-    return shardPath(storeShardIndex(key.fingerprint)) + "/" +
-           stats::hex16(key.fingerprint) + kStoreEntrySuffix;
+    std::string path(entryPathLength(key.fingerprint), '\0');
+    writeEntryPath(key.fingerprint, path.data());
+    return path;
 }
 
 StoreStatus
@@ -673,7 +707,12 @@ CampaignStore::loadEntry(const StoreKey &key,
     obs::Span span(instruments.load_time);
     std::string bytes;
     StoreStatus status = StoreStatus::Miss;
-    if (readFile(entryPath(key), bytes)) {
+    // A path past PATH_MAX is a miss: open() would refuse it as well.
+    char path[PATH_MAX];
+    const bool fits = entryPathLength(key.fingerprint) < sizeof(path);
+    if (fits)
+        path[writeEntryPath(key.fingerprint, path)] = '\0';
+    if (fits && readFile(path, bytes)) {
         instruments.bytes_read.add(bytes.size());
         status = verifyEntry(bytes, key.fingerprint, pair, phased,
                              nullptr);
@@ -798,7 +837,7 @@ scanStore(const std::string &directory)
             parseStoreEntryName(file.filename().string(), addressed);
 
         std::string bytes;
-        if (!readFile(file.string(), bytes)) {
+        if (!readFile(file.c_str(), bytes)) {
             info.status = StoreStatus::Corrupt;
             info.detail = "unreadable";
         } else if (!valid_name) {

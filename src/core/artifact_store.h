@@ -72,6 +72,7 @@
 #ifndef SPECLENS_CORE_ARTIFACT_STORE_H
 #define SPECLENS_CORE_ARTIFACT_STORE_H
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -390,7 +391,24 @@ class CampaignStore
     /** Temp-file + atomic-rename write of one serialized entry. */
     bool writeEntry(const std::string &bytes, const std::string &path);
 
+    /**
+     * Write @p fingerprint's entry path, without a terminator, to
+     * @p out: its shard prefix, hex16, kStoreEntrySuffix.  Returns the
+     * length written; @p out must hold entryPathLength() chars.
+     */
+    std::size_t writeEntryPath(std::uint64_t fingerprint, char *out) const;
+
+    /** Length of @p fingerprint's entry path. */
+    std::size_t entryPathLength(std::uint64_t fingerprint) const;
+
     std::string directory_;
+
+    /**
+     * `<directory>/shard-<x>/` per shard, built once in the
+     * constructor: a load writes its entry path from it with no
+     * formatting and no concatenation.
+     */
+    std::array<std::string, kStoreShardCount> shard_prefixes_;
 
     // Lock-free I/O counters (materialized by counters()).
     std::atomic<std::size_t> hits_{0};

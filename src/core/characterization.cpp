@@ -42,16 +42,50 @@ makeStoreKey(const trace::WorkloadProfile &profile,
     return makeStoreKey(profile, machine, config.simulationConfig());
 }
 
+namespace {
+
+std::uint64_t
+windowFingerprint(const CharacterizationConfig &config)
+{
+    stats::Fingerprinter fp;
+    config.hashInto(fp);
+    return fp.value();
+}
+
+} // namespace
+
+ResultMemo::ResultMemo(const CharacterizationConfig &config)
+    : window_(windowFingerprint(config))
+{
+}
+
+std::size_t
+ResultMemo::cachedMeasurements() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<std::size_t>(std::count_if(
+        slots_.begin(), slots_.end(),
+        [](const auto &slot) { return !slot.second.batch; }));
+}
+
 Characterizer::Characterizer(std::vector<uarch::MachineConfig> machines,
-                             CharacterizationConfig config)
-    : machines_(std::move(machines)), config_(config)
+                             CharacterizationConfig config,
+                             std::shared_ptr<ResultMemo> memo)
+    : machines_(std::move(machines)), config_(config),
+      memo_(memo ? std::move(memo) : std::make_shared<ResultMemo>(config))
 {
     if (machines_.empty())
         throw std::invalid_argument("Characterizer: no machines");
+    if (memo_->window_ != windowFingerprint(config_))
+        throw std::invalid_argument(
+            "Characterizer: shared memo has another window");
     // A malformed machine model corrupts every measurement silently,
     // so fail fast before any simulation runs.
-    for (const uarch::MachineConfig &machine : machines_)
+    machine_keys_.reserve(machines_.size());
+    for (const uarch::MachineConfig &machine : machines_) {
         uarch::validateMachineConfig(machine);
+        machine_keys_.push_back(machine.fingerprint());
+    }
 }
 
 uarch::SimulationResult
@@ -115,16 +149,20 @@ Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
     static obs::Counter &dedup_shared =
         obs::Registry::global().counter("core.characterize.dedup_shared");
 
-    // A pair this call runs, its slot in memo_ and its benchmark's
+    using Batch = ResultMemo::Batch;
+    ResultMemo &memo = *memo_;
+
+    // A pair this call runs, its memo slot and its benchmark's
     // store-key prefix.
     struct Job
     {
         const suites::BenchmarkInfo *benchmark;
         std::size_t machine_index;
-        std::map<CacheKey, Slot>::iterator slot;
+        std::map<ResultMemo::Key, ResultMemo::Slot>::iterator slot;
         stats::Fingerprinter key_prefix;
     };
-    // A pair another call has in flight: that call's batch and index.
+    // A pair another call (of this or another Characterizer sharing
+    // the memo) has in flight: that call's batch and index.
     struct Awaited
     {
         std::shared_ptr<const Batch> batch;
@@ -138,11 +176,11 @@ Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
         // claims (prepare() lists pairs benchmark by benchmark).
         const suites::BenchmarkInfo *hashed = nullptr;
         stats::Fingerprinter key_prefix;
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<std::mutex> lock(memo.mutex_);
         for (const auto &[benchmark, mi] : pairs) {
-            auto [slot, fresh] =
-                memo_.try_emplace(CacheKey{benchmark->profile.name, mi});
-            Slot &entry = slot->second;
+            auto [slot, fresh] = memo.slots_.try_emplace(
+                ResultMemo::Key{benchmark->profile.name, machine_keys_[mi]});
+            ResultMemo::Slot &entry = slot->second;
             if (fresh) {
                 if (store_ && benchmark != hashed) {
                     key_prefix = pairKeyPrefix(benchmark->profile,
@@ -174,28 +212,29 @@ Characterizer::fill(const std::vector<Pair> &pairs, std::size_t jobs)
             error = std::current_exception();
         }
         {
-            std::lock_guard<std::mutex> lock(mutex_);
+            std::lock_guard<std::mutex> lock(memo.mutex_);
             Batch::Outcome &outcome = batch->outcomes[i];
             if (error) {
                 outcome.error = error;
                 if (!first_error)
                     first_error = error;
-                memo_.erase(job.slot);
+                memo.slots_.erase(job.slot);
             } else {
                 job.slot->second.result = std::move(result);
                 job.slot->second.batch.reset();
             }
             outcome.done = true;
         }
-        published_.notify_all();
+        memo.published_.notify_all();
     };
     parallelFor(claimed.size(), jobs == 0 ? config_.jobs : jobs, run);
 
     if (!awaited.empty()) {
-        std::unique_lock<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(memo.mutex_);
         for (const Awaited &a : awaited) {
             const Batch::Outcome &outcome = a.batch->outcomes[a.index];
-            published_.wait(lock, [&outcome] { return outcome.done; });
+            memo.published_.wait(lock,
+                                 [&outcome] { return outcome.done; });
             if (outcome.error && !first_error)
                 first_error = outcome.error;
         }
@@ -239,27 +278,19 @@ Characterizer::simulation(const suites::BenchmarkInfo &benchmark,
         obs::Registry::global().counter("core.characterize.memo_hits");
     if (machine_index >= machines_.size())
         throw std::out_of_range("Characterizer: machine index");
-    const CacheKey key{benchmark.profile.name, machine_index};
+    const ResultMemo::Key key{benchmark.profile.name,
+                              machine_keys_[machine_index]};
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = memo_.find(key);
-        if (it != memo_.end() && !it->second.batch) {
+        std::lock_guard<std::mutex> lock(memo_->mutex_);
+        auto it = memo_->slots_.find(key);
+        if (it != memo_->slots_.end() && !it->second.batch) {
             memo_hits.add();
             return it->second.result;
         }
     }
     fill({{&benchmark, machine_index}}, 1);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return memo_.at(key).result;
-}
-
-std::size_t
-Characterizer::cachedMeasurements() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<std::size_t>(std::count_if(
-        memo_.begin(), memo_.end(),
-        [](const auto &slot) { return !slot.second.batch; }));
+    std::lock_guard<std::mutex> lock(memo_->mutex_);
+    return memo_->slots_.at(key).result;
 }
 
 MetricVector

@@ -8,6 +8,9 @@
  * (full suite, sub-suite, metric subset, machine subset) are assembled
  * from the cache.  Treating each performance-counter/machine pair as a
  * distinct feature reproduces the paper's 20 x 7 = 140-metric design.
+ * Characterizers over different machine sets may share one ResultMemo
+ * (a ServiceContext's do), so a machine two sets both list is measured
+ * once for both.
  *
  * The pairs are mutually independent and independently seeded, so the
  * campaign is embarrassingly parallel: prepare() (used internally by
@@ -88,6 +91,82 @@ StoreKey makeStoreKey(const trace::WorkloadProfile &profile,
                       const uarch::MachineConfig &machine,
                       const CharacterizationConfig &config);
 
+/**
+ * The memo of measured (benchmark, machine) pairs and the one mutex of
+ * its claim/publish protocol (see Characterizer::fill).  A slot is
+ * keyed by (profile name, machine fingerprint), not by a machine's
+ * position in one Characterizer's set, so Characterizers over
+ * different machine sets can share one memo: a pair is measured once
+ * for all of them, and a pair one of them has in flight is awaited,
+ * not re-run, by the others.  Every sharer must measure at the memo's
+ * window; Characterizer's constructor checks it.
+ */
+class ResultMemo
+{
+  public:
+    /** An empty memo for campaigns at @p config's window. */
+    explicit ResultMemo(const CharacterizationConfig &config);
+
+    ResultMemo(const ResultMemo &) = delete;
+    ResultMemo &operator=(const ResultMemo &) = delete;
+
+    /** Number of memoised (published) measurements. */
+    std::size_t cachedMeasurements() const;
+
+  private:
+    friend class Characterizer;
+
+    /** (profile name, MachineConfig::fingerprint()). */
+    using Key = std::pair<std::string, std::uint64_t>;
+
+    /**
+     * The claims of one fill() call: per claimed pair, whether it is
+     * published yet and the error it threw, if any.  Callers that find
+     * one of these pairs in flight share ownership and wait for its
+     * `done`, so the outcome outlives the memo slot of a failed pair.
+     */
+    struct Batch
+    {
+        struct Outcome
+        {
+            bool done = false;
+            std::exception_ptr error;
+        };
+        std::vector<Outcome> outcomes;
+    };
+
+    /**
+     * One memo slot.  In flight while `batch` is set (this is pair
+     * `index` of that batch); a cached result once published.  A pair
+     * that throws loses its slot, so a later call claims it afresh.
+     */
+    struct Slot
+    {
+        uarch::SimulationResult result;
+        std::shared_ptr<Batch> batch;
+        std::size_t index = 0;
+    };
+
+    /** Fingerprint of the window every sharer must use. */
+    std::uint64_t window_;
+
+    /**
+     * Guards slots_ and every Batch; held only for lookups, claims and
+     * publishes, never while a pair is measured.  published_ is
+     * signalled after each publish.
+     */
+    mutable std::mutex mutex_;
+    std::condition_variable published_;
+
+    /**
+     * A slot per pair that is cached or in flight.  A std::map keeps
+     * references stable across concurrent inserts, so simulation() can
+     * hand out long-lived references while other threads keep filling
+     * the memo, and a claimed slot becomes the cached entry in place.
+     */
+    std::map<Key, Slot> slots_;
+};
+
 /** Runs and memoises benchmark-on-machine measurements. */
 class Characterizer
 {
@@ -96,9 +175,13 @@ class Characterizer
      * @param machines Machines to measure on (order defines feature
      *        layout).
      * @param config Simulation window parameters.
+     * @param memo Memo to share with other Characterizers at the same
+     *        window (std::invalid_argument if its window differs); null
+     *        gives this instance a memo of its own.
      */
     explicit Characterizer(std::vector<uarch::MachineConfig> machines,
-                           CharacterizationConfig config = {});
+                           CharacterizationConfig config = {},
+                           std::shared_ptr<ResultMemo> memo = nullptr);
 
     /** Machines in feature order. */
     const std::vector<uarch::MachineConfig> &machines() const
@@ -204,42 +287,19 @@ class Characterizer
     featureNames(MetricSelection selection,
                  const std::vector<std::size_t> &machine_indices) const;
 
-    /** Number of memoised (benchmark, machine) measurements. */
-    std::size_t cachedMeasurements() const;
+    /**
+     * Number of memoised (benchmark, machine) measurements in this
+     * instance's memo, including those of the Characterizers sharing
+     * it.
+     */
+    std::size_t cachedMeasurements() const
+    {
+        return memo_->cachedMeasurements();
+    }
 
   private:
-    using CacheKey = std::pair<std::string, std::size_t>;
-
     /** One requested (benchmark, machine index) pair. */
     using Pair = std::pair<const suites::BenchmarkInfo *, std::size_t>;
-
-    /**
-     * The claims of one fill() call: per claimed pair, whether it is
-     * published yet and the error it threw, if any.  Callers that find
-     * one of these pairs in flight share ownership and wait for its
-     * `done`, so the outcome outlives the memo slot of a failed pair.
-     */
-    struct Batch
-    {
-        struct Outcome
-        {
-            bool done = false;
-            std::exception_ptr error;
-        };
-        std::vector<Outcome> outcomes;
-    };
-
-    /**
-     * One memo slot.  In flight while `batch` is set (this is pair
-     * `index` of that batch); a cached result once published.  A pair
-     * that throws loses its slot, so a later call claims it afresh.
-     */
-    struct Slot
-    {
-        uarch::SimulationResult result;
-        std::shared_ptr<Batch> batch;
-        std::size_t index = 0;
-    };
 
     /** Run one uncached simulation (no lock held). */
     uarch::SimulationResult
@@ -270,26 +330,12 @@ class Characterizer
     void fill(const std::vector<Pair> &pairs, std::size_t jobs);
 
     std::vector<uarch::MachineConfig> machines_;
+    /** MachineConfig::fingerprint() of each machine: its memo key. */
+    std::vector<std::uint64_t> machine_keys_;
     CharacterizationConfig config_;
     std::shared_ptr<CampaignStore> store_;
+    std::shared_ptr<ResultMemo> memo_;
     std::atomic<std::size_t> simulations_run_{0};
-
-    /**
-     * Guards memo_ and every Batch; held only for lookups, claims and
-     * publishes, never while a pair is measured.  published_ is
-     * signalled after each publish.
-     */
-    mutable std::mutex mutex_;
-    std::condition_variable published_;
-
-    /**
-     * The memo: a slot per (profile name, machine index) pair that is
-     * cached or in flight.  A std::map keeps references stable across
-     * concurrent inserts, so simulation() can hand out long-lived
-     * references while other threads keep filling the memo, and a
-     * claimed slot becomes the cached entry in place.
-     */
-    std::map<CacheKey, Slot> memo_;
 };
 
 } // namespace core

@@ -26,7 +26,8 @@ ServiceContext::ServiceContext(ServiceConfig config)
       emerging_(suites::emergingBenchmarks()),
       profiling_machines_(suites::profilingMachines()),
       sensitivity_machines_(suites::sensitivityMachines()),
-      memory_machines_(suites::memoryCentricMachines())
+      memory_machines_(suites::memoryCentricMachines()),
+      memo_(std::make_shared<ResultMemo>(config_.characterization))
 {
     // Name index over the snapshots; first-listed suite wins on a
     // (nonexistent today) name collision.  Pointers stay valid: the
@@ -122,9 +123,8 @@ ServiceContext::characterizerFor(
     if (it != characterizers_.end())
         return *it->second;
 
-    auto characterizer =
-        std::make_unique<Characterizer>(machines,
-                                        config_.characterization);
+    auto characterizer = std::make_unique<Characterizer>(
+        machines, config_.characterization, memo_);
     if (store_)
         characterizer->attachStore(store_);
     return *characterizers_.emplace(key, std::move(characterizer))
@@ -144,11 +144,7 @@ ServiceContext::simulationsRun() const
 std::size_t
 ServiceContext::cachedMeasurements() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t total = 0;
-    for (const auto &entry : characterizers_)
-        total += entry.second->cachedMeasurements();
-    return total;
+    return memo_->cachedMeasurements();
 }
 
 std::string

@@ -8,24 +8,25 @@
  * request of the `speclens serve` daemon.  It
  * snapshots the shipped benchmark suites and machine sets into an
  * immutable registry, opens the CampaignStore once, and pools
- * Characterizers keyed by machine set so every request against the
- * same machines shares one memo cache and one in-flight dedup map.
+ * Characterizers keyed by machine set.  Every pooled Characterizer
+ * shares the context's one ResultMemo: one memo cache and one
+ * in-flight dedup map keyed by (profile name, machine fingerprint).
  * The context owns no threads: each campaign fans its own claimed
  * pairs out through parallelFor() on the calling thread plus at most
  * jobs - 1 helpers, joined before the campaign returns, so concurrent
  * campaigns never wait on each other's pairs.  A pair that two
- * campaigns over the same pooled machine set both ask for runs once;
- * the later one waits for it.  Two sets that share a machine (the 4
- * sensitivity machines are also profiling machines) keep separate
- * memos and in-flight maps, so when both miss the store on the same
- * pair at once, each simulates it, with identical results.
+ * campaigns both ask for runs once and the later one waits for it,
+ * also when they measure on different machine sets that share the
+ * machine (the 4 sensitivity machines are also profiling machines):
+ * the context runs at most one simulation per distinct pair.
  *
- * The Characterizer memo is the process's one in-memory result cache
- * (the store keeps none).  For the daemon its key space is closed:
- * the query ops (query_ops.h) name benchmarks through findBenchmark()
- * and measure on the context's fixed sets (7 profiling, 4 sensitivity,
- * 4 memory-centric machines), all at the context's one window.  It
- * therefore holds at most (|CPU2017| + |CPU2006| + |emerging|) x 15
+ * The memo is the process's one in-memory result cache (the store
+ * keeps none).  For the daemon its key space is closed: the query ops
+ * (query_ops.h) name benchmarks through findBenchmark() and measure on
+ * the context's fixed sets (7 profiling, 4 sensitivity, 4
+ * memory-centric machines: 11 distinct machines, since the sensitivity
+ * set repeats profiling machines), all at the context's one window.
+ * It therefore holds at most (|CPU2017| + |CPU2006| + |emerging|) x 11
  * results and needs no eviction.
  *
  * On destruction, when a store is attached, the context prints the
@@ -151,10 +152,11 @@ class ServiceContext
 
     /**
      * The pooled Characterizer for @p machines, created (with the
-     * store attached) on first use
-     * and keyed by the machine-set fingerprint, so concurrent requests
-     * over the same machines share one memo cache and one in-flight
-     * dedup map.  The reference stays valid for the context lifetime.
+     * store and the context's memo attached) on first use and keyed by
+     * the machine-set fingerprint.  Every pooled Characterizer shares
+     * one memo cache and one in-flight dedup map, so no pair is
+     * measured twice in one context.  The reference stays valid for
+     * the context lifetime.
      */
     Characterizer &
     characterizerFor(const std::vector<uarch::MachineConfig> &machines);
@@ -169,8 +171,9 @@ class ServiceContext
     std::size_t simulationsRun() const;
 
     /**
-     * Results memoised across every pooled Characterizer: one per
-     * distinct (benchmark, machine) pair measured so far.
+     * Results in the context's memo: one per distinct (benchmark,
+     * machine fingerprint) pair measured so far, whichever pooled
+     * Characterizers asked for it.
      */
     std::size_t cachedMeasurements() const;
 
@@ -211,6 +214,7 @@ class ServiceContext
     std::vector<uarch::MachineConfig> memory_machines_;
 
     std::shared_ptr<CampaignStore> store_;
+    std::shared_ptr<ResultMemo> memo_;
 
     mutable std::mutex mutex_;
     std::map<std::uint64_t, std::unique_ptr<Characterizer>>

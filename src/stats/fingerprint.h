@@ -27,7 +27,6 @@
 #define SPECLENS_STATS_FINGERPRINT_H
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -91,6 +90,20 @@ class Fingerprinter
 };
 
 /**
+ * Write @p value as 16 lower-case hex digits to @p out (no
+ * terminator), one table lookup per digit.
+ */
+inline void
+writeHex16(std::uint64_t value, char *out)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    for (int i = 15; i >= 0; --i) {
+        out[i] = kDigits[value & 0xf];
+        value >>= 4;
+    }
+}
+
+/**
  * @p value as 16 lower-case hex digits: the one rendering of a 64-bit
  * fingerprint, used for store entry names, manifests, BENCH files and
  * the audit report.
@@ -98,10 +111,9 @@ class Fingerprinter
 inline std::string
 hex16(std::uint64_t value)
 {
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
+    std::string out(16, '0');
+    writeHex16(value, out.data());
+    return out;
 }
 
 } // namespace stats

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -338,6 +339,102 @@ TEST(MemoProtocolTest, ThrowingPairRethrowsInEveryCallerAndIsRetried)
     EXPECT_EQ(characterizer.simulationsRun(), 1u);
     characterizer.attachStore(nullptr);
     std::filesystem::remove_all(dir);
+}
+
+// ----- One memo per ServiceContext -----------------------------------
+
+/** A context at the small window over a fresh store named @p test. */
+ServiceConfig
+sharingConfig(const std::string &test)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("speclens_memo_sharing_" + test);
+    std::filesystem::remove_all(dir);
+    ServiceConfig config;
+    config.characterization = smallConfig(2);
+    config.store_dir = dir.string();
+    return config;
+}
+
+// Every sensitivity machine is a profiling machine, so once the
+// profiling pool has measured a suite, the sensitivity pool finds all
+// its pairs in the context's memo: the store is not read, nothing is
+// simulated, and the memo does not grow.
+TEST(MemoSharingTest, SensitivityPoolReusesProfilingTwins)
+{
+    const ServiceConfig config = sharingConfig("twins");
+    {
+        ServiceContext context(config);
+        const std::vector<suites::BenchmarkInfo> suite = smallSuite(3);
+        context.characterizerFor(context.profilingMachines()).prepare(suite);
+        const StoreCounters before = context.store()->counters();
+        const std::size_t simulated = context.simulationsRun();
+        const std::size_t cached = context.cachedMeasurements();
+        EXPECT_EQ(simulated, suite.size() * 7);
+
+        Characterizer &sensitivity =
+            context.characterizerFor(context.sensitivityMachines());
+        sensitivity.prepare(suite);
+        const StoreCounters after = context.store()->counters();
+        EXPECT_EQ(after.hits, before.hits);
+        EXPECT_EQ(after.misses, before.misses);
+        EXPECT_EQ(after.computed, before.computed);
+        EXPECT_EQ(context.simulationsRun(), simulated);
+        EXPECT_EQ(sensitivity.simulationsRun(), 0u);
+        EXPECT_EQ(context.cachedMeasurements(), cached);
+    }
+    std::filesystem::remove_all(config.store_dir);
+}
+
+// Two threads preparing the profiling and the sensitivity pool over the
+// same suite at once, cold and then warm: the cold context simulates
+// each distinct pair once (a twin the other pool has in flight is
+// awaited), and a second context over the filled store reads each
+// stored pair exactly once.
+TEST(MemoSharingTest, ConcurrentPoolsMeasureEachDistinctPairOnce)
+{
+    const ServiceConfig config = sharingConfig("concurrent");
+    const std::vector<suites::BenchmarkInfo> suite = smallSuite(4);
+    const std::size_t distinct = suite.size() * 7;
+    auto bothPools = [&suite](ServiceContext &context) {
+        Characterizer &profiling =
+            context.characterizerFor(context.profilingMachines());
+        Characterizer &sensitivity =
+            context.characterizerFor(context.sensitivityMachines());
+        runTogether([&]() { profiling.prepare(suite); },
+                    [&]() { sensitivity.prepare(suite); });
+    };
+    {
+        ServiceContext cold(config);
+        bothPools(cold);
+        EXPECT_EQ(cold.simulationsRun(), distinct);
+        EXPECT_EQ(cold.cachedMeasurements(), distinct);
+        EXPECT_EQ(cold.store()->counters().computed, distinct);
+        EXPECT_EQ(cold.store()->entryCount(), distinct);
+    }
+    {
+        ServiceContext warm(config);
+        bothPools(warm);
+        EXPECT_EQ(warm.simulationsRun(), 0u);
+        EXPECT_EQ(warm.store()->counters().hits, distinct);
+        EXPECT_EQ(warm.store()->counters().misses, 0u);
+        EXPECT_EQ(warm.cachedMeasurements(), distinct);
+    }
+    std::filesystem::remove_all(config.store_dir);
+}
+
+// A memo is only shared at one window: a Characterizer at another
+// window would read results measured at the wrong length.
+TEST(MemoSharingTest, SharedMemoRejectsAnotherWindow)
+{
+    auto memo = std::make_shared<ResultMemo>(smallConfig(1));
+    EXPECT_NO_THROW(
+        Characterizer(suites::profilingMachines(), smallConfig(4), memo));
+    CharacterizationConfig longer = smallConfig(1);
+    longer.instructions *= 2;
+    EXPECT_THROW(Characterizer(suites::profilingMachines(), longer, memo),
+                 std::invalid_argument);
 }
 
 } // namespace

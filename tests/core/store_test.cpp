@@ -250,6 +250,40 @@ TEST(CampaignStore, TruncatedEntryRecomputes)
     std::filesystem::remove_all(dir);
 }
 
+// An entry with bytes past its payload is Corrupt, whatever the
+// length: one byte more, padded to exactly one read buffer (4 KiB, so
+// the reader must read again to find the end), and several buffers
+// long.  A valid entry still loads after each.
+TEST(CampaignStore, OverlongEntryRejected)
+{
+    const std::string dir = storeDir("overlong");
+    const uarch::SimulationConfig window = tinyWindow();
+    const auto &benchmark = suites::spec2017Benchmark("505.mcf_r");
+    const auto &machine = suites::skylakeMachine();
+
+    core::CampaignStore store(dir);
+    core::storedSimulate(&store, benchmark.profile, machine, window);
+    core::StoreKey key =
+        core::makeStoreKey(benchmark.profile, machine, window);
+    const std::string path = store.entryPath(key);
+    const std::string original = readFile(path);
+    ASSERT_LT(original.size(), 4096u);
+
+    uarch::SimulationResult out;
+    for (std::size_t size :
+         {original.size() + 1, std::size_t{4096}, std::size_t{3 * 4096 + 7}}) {
+        std::string padded = original;
+        padded.resize(size, '\0');
+        writeFile(path, padded);
+        EXPECT_EQ(store.load(key, out), core::StoreStatus::Corrupt)
+            << size << " bytes";
+        writeFile(path, original);
+        EXPECT_EQ(store.load(key, out), core::StoreStatus::Hit);
+    }
+    EXPECT_EQ(store.counters().corrupt, 3u);
+    std::filesystem::remove_all(dir);
+}
+
 // A flipped payload byte fails the checksum; a flipped checksum byte
 // does too.  Both are Corrupt, never a wrong result.
 TEST(CampaignStore, ChecksumFlipDetected)
@@ -575,6 +609,32 @@ TEST(CampaignStore, PhasedRoundTripAndKindMismatch)
         &warm, workload, suites::skylakeMachine(), window);
     EXPECT_EQ(again.combined_cpi, fresh.combined_cpi);
     EXPECT_EQ(warm.counters().computed, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+// A valid entry longer than one 4 KiB read (a phased entry with many
+// phases) is read to its end, not cut at the first full buffer.
+TEST(CampaignStore, EntryLongerThanOneReadLoads)
+{
+    const std::string dir = storeDir("long_entry");
+    uarch::SimulationConfig window = tinyWindow();
+    window.instructions = 16'000; // room for 16 phases
+    const auto &base = suites::spec2017Benchmark("502.gcc_r");
+    trace::PhasedWorkload workload =
+        trace::derivePhases(base.profile, 16, 0.35);
+
+    core::CampaignStore store(dir);
+    uarch::PhasedSimulationResult fresh = core::storedSimulatePhased(
+        &store, workload, suites::skylakeMachine(), window);
+    core::StoreKey key = core::makeStoreKey(
+        workload, suites::skylakeMachine(), window);
+    ASSERT_GT(readFile(store.entryPath(key)).size(), 4096u);
+
+    uarch::PhasedSimulationResult loaded;
+    ASSERT_EQ(store.loadPhased(key, loaded), core::StoreStatus::Hit);
+    ASSERT_EQ(loaded.per_phase.size(), fresh.per_phase.size());
+    for (std::size_t k = 0; k < fresh.per_phase.size(); ++k)
+        expectBitIdentical(fresh.per_phase[k], loaded.per_phase[k]);
     std::filesystem::remove_all(dir);
 }
 

@@ -16,16 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "core/characterization.h"
 #include "pca_reference.h"
 #include "stats/clustering.h"
 #include "stats/pca.h"
 #include "stats/rng.h"
-#include "suites/emerging.h"
-#include "suites/input_sets.h"
-#include "suites/machines.h"
-#include "suites/spec2006.h"
-#include "suites/spec2017.h"
+#include "suite_matrices.h"
 
 namespace speclens {
 namespace stats {
@@ -147,40 +142,7 @@ TEST(PcaParity, TallMatrices)
 // window.  One test, so the campaign is simulated once.
 TEST(PcaParity, ReproductionSuiteMatrices)
 {
-    core::CharacterizationConfig config;
-    config.instructions = 150'000;
-    config.warmup = 40'000;
-    core::Characterizer characterizer(suites::profilingMachines(), config);
-
-    auto join = [](std::vector<suites::BenchmarkInfo> a,
-                   const std::vector<suites::BenchmarkInfo> &b) {
-        a.insert(a.end(), b.begin(), b.end());
-        return a;
-    };
-    const std::vector<std::pair<std::string,
-                                std::vector<suites::BenchmarkInfo>>>
-        matrices = {
-            {"cpu2017", suites::spec2017()},
-            {"speed-int", suites::spec2017SpeedInt()},
-            {"rate-int", suites::spec2017RateInt()},
-            {"speed-fp", suites::spec2017SpeedFp()},
-            {"rate-fp", suites::spec2017RateFp()},
-            {"cpu2006", suites::spec2006()},
-            {"emerging", suites::emergingBenchmarks()},
-            {"cpu2017+cpu2006", join(suites::spec2017(), suites::spec2006())},
-            {"cpu2017+emerging",
-             join(suites::spec2017(), suites::emergingBenchmarks())},
-            {"inputs-int", suites::flattenGroups(suites::inputSetGroupsInt())},
-            {"inputs-fp", suites::flattenGroups(suites::inputSetGroupsFp())},
-        };
-
-    std::vector<suites::BenchmarkInfo> all;
-    for (const auto &[name, suite] : matrices)
-        all = join(std::move(all), suite);
-    characterizer.prepare(all);
-
-    for (const auto &[name, suite] : matrices) {
-        Matrix features = characterizer.featureMatrix(suite);
+    for (const auto &[name, features] : reproductionSuiteMatrices()) {
         ASSERT_LT(features.rows(), features.cols()) << name;
         expectParity(features, RetentionPolicy::kaiser(), name);
 
