@@ -71,34 +71,28 @@ parallelFor(std::size_t count, std::size_t jobs,
     const ParallelInstruments &instruments = ParallelInstruments::get();
     instruments.batches.add();
     instruments.tasks.add(count);
-    std::uint64_t batch_start = obs::kMetricsEnabled ? obs::nowNs() : 0;
+    std::uint64_t batch_start = obs::nowNs();
     std::atomic<std::uint64_t> busy_ns{0};
 
     auto timedBody = [&](std::size_t i) {
-        if constexpr (obs::kMetricsEnabled) {
-            std::uint64_t t0 = obs::nowNs();
-            body(i);
-            std::uint64_t elapsed = obs::nowNs() - t0;
-            instruments.task_time.record(elapsed);
-            busy_ns.fetch_add(elapsed, std::memory_order_relaxed);
-        } else {
-            body(i);
-        }
+        std::uint64_t t0 = obs::nowNs();
+        body(i);
+        std::uint64_t elapsed = obs::nowNs() - t0;
+        instruments.task_time.record(elapsed);
+        busy_ns.fetch_add(elapsed, std::memory_order_relaxed);
     };
 
     auto finishBatch = [&]() {
-        if constexpr (obs::kMetricsEnabled) {
-            std::uint64_t wall = obs::nowNs() - batch_start;
-            instruments.batch_time.record(wall);
-            // Fraction of worker wall-time spent inside task bodies —
-            // 1.0 means no claim/join overhead and no idle tail.
-            if (wall > 0 && threads > 0)
-                instruments.utilization.set(
-                    static_cast<double>(
-                        busy_ns.load(std::memory_order_relaxed)) /
-                    (static_cast<double>(wall) *
-                     static_cast<double>(threads)));
-        }
+        std::uint64_t wall = obs::nowNs() - batch_start;
+        instruments.batch_time.record(wall);
+        // Fraction of worker wall-time spent inside task bodies —
+        // 1.0 means no claim/join overhead and no idle tail.
+        if (wall > 0 && threads > 0)
+            instruments.utilization.set(
+                static_cast<double>(
+                    busy_ns.load(std::memory_order_relaxed)) /
+                (static_cast<double>(wall) *
+                 static_cast<double>(threads)));
     };
 
     if (threads <= 1) {

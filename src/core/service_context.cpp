@@ -11,35 +11,14 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "stats/fingerprint.h"
-#include "suites/emerging.h"
-#include "suites/machines.h"
-#include "suites/spec2006.h"
-#include "suites/spec2017.h"
 
 namespace speclens {
 namespace core {
 
 ServiceContext::ServiceContext(ServiceConfig config)
     : config_(std::move(config)),
-      cpu2017_(suites::spec2017()),
-      cpu2006_(suites::spec2006()),
-      emerging_(suites::emergingBenchmarks()),
-      profiling_machines_(suites::profilingMachines()),
-      sensitivity_machines_(suites::sensitivityMachines()),
-      memory_machines_(suites::memoryCentricMachines()),
       memo_(std::make_shared<ResultMemo>(config_.characterization))
 {
-    // Name index over the snapshots; first-listed suite wins on a
-    // (nonexistent today) name collision.  Pointers stay valid: the
-    // vectors are never touched again.
-    auto indexSuite = [&](const std::vector<suites::BenchmarkInfo> &list) {
-        for (const suites::BenchmarkInfo &benchmark : list)
-            by_name_.emplace(benchmark.name, &benchmark);
-    };
-    indexSuite(cpu2017_);
-    indexSuite(cpu2006_);
-    indexSuite(emerging_);
-
     // Anything that changes what a campaign measures must change this,
     // so manifests from different configurations never look comparable.
     // The tag keeps its old name so existing manifests stay comparable.
@@ -69,7 +48,6 @@ ServiceContext::~ServiceContext()
     manifest.run = {
         {"store_dir", store_->directory()},
         {"machines", std::to_string(config_.machines.size())},
-        {"metrics", obs::kMetricsEnabled ? "on" : "off"},
     };
     manifest.totals = {
         {"entries", store_->entryCount()},
@@ -92,13 +70,6 @@ ServiceContext::~ServiceContext()
     obs::writeManifest(store_->directory() + "/" +
                            obs::kManifestFileName,
                        manifest);
-}
-
-const suites::BenchmarkInfo *
-ServiceContext::findBenchmark(const std::string &name) const
-{
-    auto it = by_name_.find(name);
-    return it == by_name_.end() ? nullptr : it->second;
 }
 
 std::uint64_t

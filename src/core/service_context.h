@@ -6,8 +6,8 @@
  * One ServiceContext serves a whole process — a batch CLI command
  * (every entry of one `speclens repro` run shares it), or every
  * request of the `speclens serve` daemon.  It
- * snapshots the shipped benchmark suites and machine sets into an
- * immutable registry, opens the CampaignStore once, and pools
+ * reads the shipped benchmark suites and machine sets from the
+ * immutable suites:: registry, opens the CampaignStore once, and pools
  * Characterizers keyed by machine set.  Every pooled Characterizer
  * shares the context's one ResultMemo: one memo cache and one
  * in-flight dedup map keyed by (profile name, machine fingerprint).
@@ -39,7 +39,7 @@
  * ServiceConfig::machines, fixed at construction, so it does not
  * depend on which query a daemon answers first.
  *
- * Thread safety: the registry is immutable after construction;
+ * Thread safety: the registry is immutable;
  * characterizerFor() is guarded by one mutex (the returned references
  * stay valid for the context's lifetime); the store and Characterizers
  * are internally thread-safe.
@@ -58,7 +58,10 @@
 #include "core/artifact_store.h"
 #include "core/characterization.h"
 #include "suites/benchmark_info.h"
+#include "suites/emerging.h"
 #include "suites/machines.h"
+#include "suites/spec2006.h"
+#include "suites/spec2017.h"
 #include "uarch/machine.h"
 
 namespace speclens {
@@ -105,47 +108,50 @@ class ServiceContext
 
     // ----- Immutable model registry --------------------------------
 
-    /** SPEC CPU2017 benchmarks (snapshot, feature order). */
+    // Each accessor returns the suites:: registry's own static, so a
+    // context copies no suite and no machine set.
+
+    /** SPEC CPU2017 benchmarks (feature order): suites::spec2017(). */
     const std::vector<suites::BenchmarkInfo> &cpu2017() const
     {
-        return cpu2017_;
+        return suites::spec2017();
     }
 
-    /** SPEC CPU2006 benchmarks (snapshot). */
+    /** SPEC CPU2006 benchmarks: suites::spec2006(). */
     const std::vector<suites::BenchmarkInfo> &cpu2006() const
     {
-        return cpu2006_;
+        return suites::spec2006();
     }
 
-    /** Emerging-workload benchmarks (snapshot). */
+    /** Emerging-workload benchmarks: suites::emergingBenchmarks(). */
     const std::vector<suites::BenchmarkInfo> &emerging() const
     {
-        return emerging_;
+        return suites::emergingBenchmarks();
     }
 
-    /**
-     * Registry lookup by benchmark name across all snapshotted suites
-     * (CPU2017 first, then CPU2006, then emerging); null when unknown.
-     */
+    /** suites::shippedBenchmark(): null when @p name is unknown. */
     const suites::BenchmarkInfo *findBenchmark(
-        const std::string &name) const;
+        const std::string &name) const
+    {
+        return suites::shippedBenchmark(name);
+    }
 
-    /** The paper's seven profiling machines (snapshot). */
+    /** The paper's seven profiling machines. */
     const std::vector<uarch::MachineConfig> &profilingMachines() const
     {
-        return profiling_machines_;
+        return suites::profilingMachines();
     }
 
-    /** The sensitivity-analysis machine set (snapshot). */
+    /** The sensitivity-analysis machine set. */
     const std::vector<uarch::MachineConfig> &sensitivityMachines() const
     {
-        return sensitivity_machines_;
+        return suites::sensitivityMachines();
     }
 
-    /** The memory-centric machine variants (snapshot). */
+    /** The memory-centric machine variants. */
     const std::vector<uarch::MachineConfig> &memoryMachines() const
     {
-        return memory_machines_;
+        return suites::memoryCentricMachines();
     }
 
     // ----- Shared campaign machinery -------------------------------
@@ -203,15 +209,6 @@ class ServiceContext
     machineSetFingerprint(const std::vector<uarch::MachineConfig> &machines);
 
     ServiceConfig config_;
-
-    // Immutable registry (filled in the constructor, then read-only).
-    std::vector<suites::BenchmarkInfo> cpu2017_;
-    std::vector<suites::BenchmarkInfo> cpu2006_;
-    std::vector<suites::BenchmarkInfo> emerging_;
-    std::map<std::string, const suites::BenchmarkInfo *> by_name_;
-    std::vector<uarch::MachineConfig> profiling_machines_;
-    std::vector<uarch::MachineConfig> sensitivity_machines_;
-    std::vector<uarch::MachineConfig> memory_machines_;
 
     std::shared_ptr<CampaignStore> store_;
     std::shared_ptr<ResultMemo> memo_;

@@ -10,30 +10,17 @@ namespace obs {
 
 namespace {
 
-/**
- * Generic create-on-first-lookup over one instrument map.  With
- * metrics compiled out nothing is registered: every lookup returns a
- * shared static dummy whose mutators are already no-ops, so disabled
- * builds carry no per-name allocations and export empty snapshots.
- */
+/** Generic create-on-first-lookup over one instrument map. */
 template <typename T>
 T &
 lookup(std::mutex &mutex, std::map<std::string, std::unique_ptr<T>> &map,
        const std::string &name)
 {
-    if constexpr (!kMetricsEnabled) {
-        (void)mutex;
-        (void)map;
-        (void)name;
-        static T dummy;
-        return dummy;
-    } else {
-        std::lock_guard<std::mutex> lock(mutex);
-        std::unique_ptr<T> &slot = map[name];
-        if (!slot)
-            slot = std::make_unique<T>();
-        return *slot;
-    }
+    std::lock_guard<std::mutex> lock(mutex);
+    std::unique_ptr<T> &slot = map[name];
+    if (!slot)
+        slot = std::make_unique<T>();
+    return *slot;
 }
 
 } // namespace

@@ -28,12 +28,6 @@
  * Determinism contract: metrics NEVER touch stdout.  Exporters write
  * to files or stderr only, so the byte-identical-stdout guarantees of
  * the parallel engine and the artifact store hold with metrics on.
- *
- * Compile-time kill switch: configuring with -DSPECLENS_METRICS=OFF
- * defines SPECLENS_METRICS_OFF and compiles every mutation hook to a
- * no-op — instruments register nothing, snapshots are empty, spans
- * read no clocks.  The API surface is unchanged, so call sites need no
- * conditional compilation.
  */
 
 #ifndef SPECLENS_OBS_METRICS_H
@@ -53,13 +47,6 @@
 namespace speclens {
 namespace obs {
 
-/** True when the build records metrics (SPECLENS_METRICS=ON). */
-#ifdef SPECLENS_METRICS_OFF
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
-
 /** Monotonic timestamp in nanoseconds (steady_clock). */
 inline std::uint64_t
 nowNs()
@@ -77,11 +64,7 @@ class Counter
     void
     add(std::uint64_t n = 1)
     {
-#ifndef SPECLENS_METRICS_OFF
         value_.fetch_add(n, std::memory_order_relaxed);
-#else
-        (void)n;
-#endif
     }
 
     std::uint64_t
@@ -103,13 +86,9 @@ class Gauge
     void
     set(double v)
     {
-#ifndef SPECLENS_METRICS_OFF
         std::uint64_t bits = 0;
         std::memcpy(&bits, &v, sizeof(bits));
         bits_.store(bits, std::memory_order_relaxed);
-#else
-        (void)v;
-#endif
     }
 
     double
@@ -143,7 +122,6 @@ class Timing
     void
     record(std::uint64_t ns)
     {
-#ifndef SPECLENS_METRICS_OFF
         count_.fetch_add(1, std::memory_order_relaxed);
         total_.fetch_add(ns, std::memory_order_relaxed);
         std::uint64_t seen = min_.load(std::memory_order_relaxed);
@@ -156,9 +134,6 @@ class Timing
                !max_.compare_exchange_weak(seen, ns,
                                            std::memory_order_relaxed)) {
         }
-#else
-        (void)ns;
-#endif
     }
 
     TimingStats
@@ -243,8 +218,7 @@ class Registry
 
 /**
  * RAII timing span: records the enclosed scope's wall time into a
- * Timing on destruction.  With metrics compiled out the constructor
- * and destructor are empty — no clock is read.
+ * Timing on destruction.
  *
  *   static obs::Timing &t =
  *       obs::Registry::global().timing("stats.pca.fit");
@@ -253,22 +227,15 @@ class Registry
 class Span
 {
   public:
-#ifndef SPECLENS_METRICS_OFF
     explicit Span(Timing &timing) : timing_(&timing), start_(nowNs()) {}
     ~Span() { timing_->record(nowNs() - start_); }
-#else
-    explicit Span(Timing &) {}
-    ~Span() = default;
-#endif
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
   private:
-#ifndef SPECLENS_METRICS_OFF
     Timing *timing_;
     std::uint64_t start_;
-#endif
 };
 
 } // namespace obs

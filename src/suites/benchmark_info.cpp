@@ -5,7 +5,12 @@
 
 #include "benchmark_info.h"
 
+#include <map>
 #include <stdexcept>
+
+#include "suites/emerging.h"
+#include "suites/spec2006.h"
+#include "suites/spec2017.h"
 
 namespace speclens {
 namespace suites {
@@ -100,6 +105,22 @@ findBenchmark(const std::vector<BenchmarkInfo> &list, const std::string &name)
         if (b.name == name)
             return b;
     throw std::out_of_range("findBenchmark: unknown benchmark " + name);
+}
+
+const BenchmarkInfo *
+shippedBenchmark(const std::string &name)
+{
+    using Index = std::map<std::string, const BenchmarkInfo *>;
+    static const Index by_name = [] {
+        Index index;
+        for (const auto *suite :
+             {&spec2017(), &spec2006(), &emergingBenchmarks()})
+            for (const BenchmarkInfo &b : *suite)
+                index.emplace(b.name, &b);
+        return index;
+    }();
+    auto it = by_name.find(name);
+    return it == by_name.end() ? nullptr : it->second;
 }
 
 std::vector<BenchmarkInfo>

@@ -121,6 +121,13 @@ struct BenchmarkInfo
 const BenchmarkInfo &findBenchmark(const std::vector<BenchmarkInfo> &list,
                                    const std::string &name);
 
+/**
+ * The shipped benchmark named @p name, searched in CPU2017, then
+ * CPU2006, then the emerging workloads (the first suite wins a name
+ * collision, of which there is none today); null when unknown.
+ */
+const BenchmarkInfo *shippedBenchmark(const std::string &name);
+
 /** All benchmarks of @p category from @p list, in listed order. */
 std::vector<BenchmarkInfo>
 filterByCategory(const std::vector<BenchmarkInfo> &list, Category category);

@@ -161,15 +161,18 @@ graphBenchmarks()
     return v;
 }
 
-std::vector<BenchmarkInfo>
+const std::vector<BenchmarkInfo> &
 emergingBenchmarks()
 {
-    std::vector<BenchmarkInfo> v = edaBenchmarks();
-    for (const BenchmarkInfo &b : databaseBenchmarks())
-        v.push_back(b);
-    for (const BenchmarkInfo &b : graphBenchmarks())
-        v.push_back(b);
-    return v;
+    static const std::vector<BenchmarkInfo> suite = [] {
+        std::vector<BenchmarkInfo> v = edaBenchmarks();
+        for (const BenchmarkInfo &b : databaseBenchmarks())
+            v.push_back(b);
+        for (const BenchmarkInfo &b : graphBenchmarks())
+            v.push_back(b);
+        return v;
+    }();
+    return suite;
 }
 
 } // namespace suites

@@ -36,7 +36,7 @@ std::vector<BenchmarkInfo> databaseBenchmarks();
 std::vector<BenchmarkInfo> graphBenchmarks();
 
 /** All emerging workloads in Fig. 13 order (EDA, database, graph). */
-std::vector<BenchmarkInfo> emergingBenchmarks();
+const std::vector<BenchmarkInfo> &emergingBenchmarks();
 
 } // namespace suites
 } // namespace speclens

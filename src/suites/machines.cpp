@@ -272,16 +272,18 @@ skylakeMachine()
     return profilingMachines().front();
 }
 
-std::vector<uarch::MachineConfig>
+const std::vector<uarch::MachineConfig> &
 sensitivityMachines()
 {
     const auto &all = profilingMachines();
     // Spread across generations and ISAs: Skylake, Harpertown,
     // SPARC T4 and Opteron give the widest structural contrast.
-    return {all[0], all[3], all[5], all[6]};
+    static const std::vector<MachineConfig> machines = {all[0], all[3],
+                                                        all[5], all[6]};
+    return machines;
 }
 
-std::vector<uarch::MachineConfig>
+const std::vector<uarch::MachineConfig> &
 memoryCentricMachines()
 {
     using uarch::PrefetcherKind;
@@ -302,7 +304,7 @@ memoryCentricMachines()
         return m;
     };
 
-    return {
+    static const std::vector<MachineConfig> machines = {
         // Prefetcher off: the DRAM/way-prediction baseline the three
         // engines are measured against.
         variant("Skylake + DRAM model", "skylake-dram",
@@ -314,6 +316,7 @@ memoryCentricMachines()
         variant("Skylake + stream prefetch", "skylake-stream",
                 PrefetcherKind::Stream, 4),
     };
+    return machines;
 }
 
 uarch::MachineConfig

@@ -36,7 +36,7 @@ const std::vector<uarch::MachineConfig> &profilingMachines();
 const uarch::MachineConfig &skylakeMachine();
 
 /** The four machines of the Table IX sensitivity classification. */
-std::vector<uarch::MachineConfig> sensitivityMachines();
+const std::vector<uarch::MachineConfig> &sensitivityMachines();
 
 /**
  * Skylake-derived variants for the memory-centric analysis family:
@@ -46,7 +46,7 @@ std::vector<uarch::MachineConfig> sensitivityMachines();
  * "skylake-nl", "skylake-stride", "skylake-stream") keep manifests,
  * feature-matrix labels and store fingerprints separable.
  */
-std::vector<uarch::MachineConfig> memoryCentricMachines();
+const std::vector<uarch::MachineConfig> &memoryCentricMachines();
 
 /**
  * The prefetcher ablation's Skylake with a degree-4 L2 stream

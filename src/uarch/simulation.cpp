@@ -74,71 +74,49 @@ SimulationResult::hashInto(stats::Fingerprinter &fp) const
 
 namespace {
 
-/** Structure counters snapshot used to subtract warm-up windows. */
-struct Snapshot
-{
-    SideCounters l1d, l1i, l2d, l2i, l3;
-    std::uint64_t dtlb_acc, dtlb_miss, itlb_acc, itlb_miss;
-    std::uint64_t l2tlb_miss, walks;
-    std::uint64_t pf_fills, pf_useful, pf_evicted;
-    std::uint64_t wp_hits, wp_mispred;
-    std::uint64_t dram_acc, dram_row_hits, dram_busy, dram_budget;
-};
-
-Snapshot
+/**
+ * The structure counters of @p caches and @p tlbs, used to subtract
+ * warm-up windows; every retirement count is left 0.
+ */
+PerfCounters
 capture(const CacheHierarchy &caches, const TlbHierarchy &tlbs)
 {
-    return Snapshot{caches.l1d(),
-                    caches.l1i(),
-                    caches.l2d(),
-                    caches.l2i(),
-                    caches.l3(),
-                    tlbs.dtlbAccesses(),
-                    tlbs.dtlbMisses(),
-                    tlbs.itlbAccesses(),
-                    tlbs.itlbMisses(),
-                    tlbs.l2tlbMisses(),
-                    tlbs.pageWalks(),
-                    caches.prefetchFills(),
-                    caches.prefetchUseful(),
-                    caches.prefetchEvictedUnused(),
-                    caches.wayPredHits(),
-                    caches.wayPredMispredicts(),
-                    caches.dramAccesses(),
-                    caches.dramRowHits(),
-                    caches.dramBusyCycles(),
-                    caches.dramBudgetCycles()};
+    PerfCounters s;
+    s.l1d_accesses = caches.l1d().accesses;
+    s.l1d_misses = caches.l1d().misses;
+    s.l1i_accesses = caches.l1i().accesses;
+    s.l1i_misses = caches.l1i().misses;
+    s.l2d_accesses = caches.l2d().accesses;
+    s.l2d_misses = caches.l2d().misses;
+    s.l2i_accesses = caches.l2i().accesses;
+    s.l2i_misses = caches.l2i().misses;
+    s.l3_accesses = caches.l3().accesses;
+    s.l3_misses = caches.l3().misses;
+    s.dtlb_accesses = tlbs.dtlbAccesses();
+    s.dtlb_misses = tlbs.dtlbMisses();
+    s.itlb_accesses = tlbs.itlbAccesses();
+    s.itlb_misses = tlbs.itlbMisses();
+    s.l2tlb_misses = tlbs.l2tlbMisses();
+    s.page_walks = tlbs.pageWalks();
+    s.prefetch_fills = caches.prefetchFills();
+    s.prefetch_useful = caches.prefetchUseful();
+    s.prefetch_evicted_unused = caches.prefetchEvictedUnused();
+    s.way_pred_hits = caches.wayPredHits();
+    s.way_pred_mispredicts = caches.wayPredMispredicts();
+    s.dram_accesses = caches.dramAccesses();
+    s.dram_row_hits = caches.dramRowHits();
+    s.dram_busy_cycles = caches.dramBusyCycles();
+    s.dram_budget_cycles = caches.dramBudgetCycles();
+    return s;
 }
 
-/** Add the structure-count delta between two snapshots to counters. */
+/** Add the counter delta between two captures to @p c. */
 void
-addDelta(PerfCounters &c, const Snapshot &start, const Snapshot &end)
+addDelta(PerfCounters &c, const PerfCounters &start,
+         const PerfCounters &end)
 {
-    c.l1d_accesses += end.l1d.accesses - start.l1d.accesses;
-    c.l1d_misses += end.l1d.misses - start.l1d.misses;
-    c.l1i_accesses += end.l1i.accesses - start.l1i.accesses;
-    c.l1i_misses += end.l1i.misses - start.l1i.misses;
-    c.l2d_accesses += end.l2d.accesses - start.l2d.accesses;
-    c.l2d_misses += end.l2d.misses - start.l2d.misses;
-    c.l2i_accesses += end.l2i.accesses - start.l2i.accesses;
-    c.l2i_misses += end.l2i.misses - start.l2i.misses;
-    c.l3_accesses += end.l3.accesses - start.l3.accesses;
-    c.l3_misses += end.l3.misses - start.l3.misses;
-    c.dtlb_accesses += end.dtlb_acc - start.dtlb_acc;
-    c.dtlb_misses += end.dtlb_miss - start.dtlb_miss;
-    c.itlb_accesses += end.itlb_acc - start.itlb_acc;
-    c.itlb_misses += end.itlb_miss - start.itlb_miss;
-    c.l2tlb_misses += end.l2tlb_miss - start.l2tlb_miss;
-    c.page_walks += end.walks - start.walks;
-    c.prefetch_fills += end.pf_fills - start.pf_fills;
-    c.prefetch_useful += end.pf_useful - start.pf_useful;
-    c.prefetch_evicted_unused += end.pf_evicted - start.pf_evicted;
-    c.way_pred_hits += end.wp_hits - start.wp_hits;
-    c.way_pred_mispredicts += end.wp_mispred - start.wp_mispred;
-    c.dram_accesses += end.dram_acc - start.dram_acc;
-    c.dram_row_hits += end.dram_row_hits - start.dram_row_hits;
-    c.dram_busy_cycles += end.dram_busy - start.dram_busy;
-    c.dram_budget_cycles += end.dram_budget - start.dram_budget;
+    for (const auto &field : kPerfCounterFields)
+        c.*field.member += end.*field.member - start.*field.member;
 }
 
 /**
@@ -305,7 +283,7 @@ class Playback
     playLoop(Predictor &predictor, trace::TraceGenerator &generator,
              std::uint64_t count, PerfCounters *record)
     {
-        Snapshot start = capture(caches_, tlbs_);
+        PerfCounters start = capture(caches_, tlbs_);
 
         // Retirement counts accumulate in locals and flush to the
         // PerfCounters struct once after the loop: one count per op

@@ -126,8 +126,8 @@ struct SimulationResult
  * evidence accumulates in @p trail (verify.audits / verify.violations
  * obs counters move in step).  A null @p trail audits nothing.
  * Auditing never mutates structure state, so the result is
- * bit-identical to an unaudited run.  This is the entry point behind
- * `speclens audit`.
+ * bit-identical to an unaudited run.  The StateAudit tests pass a
+ * trail; shipped callers pass none.
  */
 SimulationResult simulate(const trace::WorkloadProfile &profile,
                           const MachineConfig &machine,

@@ -99,19 +99,27 @@ byteIdentical(const stats::Matrix &a, const stats::Matrix &b)
                        a.data().size() * sizeof(double)) == 0;
 }
 
+// Results are bit-identical for any job count (1, 2, 8 and 0, one per
+// hardware thread) at each of two seed salts, and the salt reaches the
+// generator: the two salts' matrices differ.
 TEST(CharacterizerParallelTest, FeatureMatrixBitIdenticalAcrossJobCounts)
 {
     std::vector<suites::BenchmarkInfo> suite = smallSuite(6);
-    auto matrixFor = [&suite](std::size_t jobs) {
-        Characterizer characterizer(suites::profilingMachines(),
-                                    smallConfig(jobs));
+    auto matrixFor = [&suite](std::size_t jobs, std::uint64_t salt) {
+        CharacterizationConfig config = smallConfig(jobs);
+        config.seed_salt = salt;
+        Characterizer characterizer(suites::profilingMachines(), config);
         return characterizer.featureMatrix(suite);
     };
-    stats::Matrix jobs1 = matrixFor(1);
-    stats::Matrix jobs2 = matrixFor(2);
-    stats::Matrix jobs8 = matrixFor(8);
-    EXPECT_TRUE(byteIdentical(jobs1, jobs2));
-    EXPECT_TRUE(byteIdentical(jobs1, jobs8));
+    std::vector<stats::Matrix> by_salt;
+    for (std::uint64_t salt : {0u, 1u}) {
+        stats::Matrix jobs1 = matrixFor(1, salt);
+        for (std::size_t jobs : {2u, 8u, 0u})
+            EXPECT_TRUE(byteIdentical(jobs1, matrixFor(jobs, salt)))
+                << "salt " << salt << ", jobs " << jobs;
+        by_salt.push_back(std::move(jobs1));
+    }
+    EXPECT_FALSE(byteIdentical(by_salt[0], by_salt[1]));
 }
 
 // The old unordered_set prefetch tracker made the memory-centric

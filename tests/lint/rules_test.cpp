@@ -370,8 +370,6 @@ TEST(Rules, SL017_IdenticalWorkloadsDegenerateEveryColumn)
 // CPU2017 benchmark on Skylake once, not once per deep rule.
 TEST(Rules, DeepRunSimulatesEachCpu2017BenchmarkOnce)
 {
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "metrics compiled out";
     obs::Counter &simulations = obs::Registry::global().counter(
         "core.characterize.simulations");
     LintContext context = cleanContext();

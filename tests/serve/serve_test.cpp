@@ -35,7 +35,9 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "stats/fingerprint.h"
+#include "suites/emerging.h"
 #include "suites/machines.h"
+#include "suites/spec2006.h"
 #include "suites/spec2017.h"
 #include "uarch/simulation.h"
 
@@ -373,6 +375,20 @@ TEST(ServiceContext, RegistryFindsBenchmarksAcrossSuites)
     EXPECT_EQ(context.findBenchmark("no-such-benchmark"), nullptr);
     EXPECT_FALSE(context.cpu2017().empty());
     EXPECT_FALSE(context.cpu2006().empty());
+
+    // The context reads the one suites:: registry; it copies nothing.
+    EXPECT_EQ(&context.cpu2017(), &suites::spec2017());
+    EXPECT_EQ(&context.cpu2006(), &suites::spec2006());
+    EXPECT_EQ(&context.emerging(), &suites::emergingBenchmarks());
+    EXPECT_EQ(&context.profilingMachines(), &suites::profilingMachines());
+    EXPECT_EQ(&context.sensitivityMachines(),
+              &suites::sensitivityMachines());
+    EXPECT_EQ(&context.memoryMachines(), &suites::memoryCentricMachines());
+    for (const auto *suite :
+         {&suites::spec2017(), &suites::spec2006(),
+          &suites::emergingBenchmarks()})
+        for (const suites::BenchmarkInfo &b : *suite)
+            EXPECT_EQ(context.findBenchmark(b.name), &b) << b.name;
 }
 
 // Wire protocol: requests and responses round-trip, including strings

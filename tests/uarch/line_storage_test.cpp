@@ -199,8 +199,6 @@ TEST(LineStorage, TwoHierarchiesAliveAtOnce)
 
 TEST(LineStorage, GrowsOncePerThreadAndSize)
 {
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "metrics compiled out";
     obs::Counter &grows =
         obs::Registry::global().counter("uarch.line_storage.grows");
     obs::Gauge &bytes =
@@ -251,8 +249,6 @@ TEST(LineStorage, EightBytesPerLine)
         }
     }
 
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "metrics compiled out";
     // A fresh thread maps the machine's summed words once, rounded up
     // to a 4 KiB page.  The gauge is a process-wide high-water, so the
     // exact growth shows only while nothing has reserved before.

@@ -250,9 +250,7 @@ expectOneDrop(CacheHierarchy &hierarchy, std::uint64_t demands,
     EXPECT_EQ(Access::l2(hierarchy).accesses(), demands);
     EXPECT_EQ(Access::l3(hierarchy).accesses(), demands);
     EXPECT_EQ(hierarchy.dramAccesses(), demands);
-    if (obs::kMetricsEnabled) {
-        EXPECT_EQ(outOfDomainDrops(), drops_before + 1);
-    }
+    EXPECT_EQ(outOfDomainDrops(), drops_before + 1);
 }
 
 TEST(PrefetcherTest, NextLineTargetAtTheLimitIsDropped)

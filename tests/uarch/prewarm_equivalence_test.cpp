@@ -380,10 +380,8 @@ TEST(PrewarmEquivalence, PrefetchRunningOffTheAddressDomain)
         obs::Registry::global().counter("uarch.prefetch.out_of_domain");
     const std::uint64_t before = drops.value();
     expectStateEquivalence(caches, tlbConfigFor(0), profile, "domain-top");
-    if (obs::kMetricsEnabled) {
-        // One drop on each path.
-        EXPECT_EQ(drops.value() - before, 2u);
-    }
+    // One drop on each path.
+    EXPECT_EQ(drops.value() - before, 2u);
 }
 
 TEST(PrewarmEquivalence, PrefetchRegionsOfMixedStrides)
@@ -435,7 +433,6 @@ TEST(PrewarmEquivalence, PrefetchOutsideTheProofFallsBackUntouched)
                            uarch::PrewarmSolver::Refusal::PrefetchPolicy);
 }
 
-#ifndef SPECLENS_METRICS_OFF
 /** Every refusal reason's counter, in enum order. */
 std::vector<obs::Counter *>
 refusalCounters()
@@ -543,6 +540,5 @@ TEST(PrewarmEquivalence, ReproSizedCampaignRecordsNoRefusals)
     EXPECT_EQ(walked.value(), walked_before);
     EXPECT_EQ(counterValues(refused), refused_before);
 }
-#endif
 
 } // namespace

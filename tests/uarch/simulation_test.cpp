@@ -245,7 +245,6 @@ TEST(SimulationTest, TwoLevelMachineRuns)
               r.counters.dtlb_misses + r.counters.itlb_misses);
 }
 
-#ifndef SPECLENS_METRICS_OFF
 // Phased runs go through the same driver as simulate(), so they move
 // the uarch.prefetch.fills manifest metric too — by exactly the run's
 // combined fills, or manifests under-report memory-centric campaigns.
@@ -272,7 +271,6 @@ TEST(SimulationTest, PhasedRunMovesPrefetchFillsMetric)
     ASSERT_GT(r.combined_counters.prefetch_fills, 0u);
     EXPECT_EQ(fills.value() - before, r.combined_counters.prefetch_fills);
 }
-#endif
 
 } // namespace
 } // namespace uarch

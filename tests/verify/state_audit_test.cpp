@@ -503,41 +503,60 @@ TEST(StateAudit, SimulateAuditedRunsCleanOnShippedModels)
     }
 }
 
+/** The 7 profiling machines, then the 4 memory-centric ones. */
+std::vector<uarch::MachineConfig>
+profilingAndMemoryMachines()
+{
+    std::vector<uarch::MachineConfig> machines =
+        suites::profilingMachines();
+    const std::vector<uarch::MachineConfig> &memory =
+        suites::memoryCentricMachines();
+    machines.insert(machines.end(), memory.begin(), memory.end());
+    return machines;
+}
+
 // Every measured window on every profiling and memory-centric machine
 // satisfies the counter identities the store enforces on load, with
-// the machine's topology identities on top.
+// the machine's topology identities on top.  The trail also arms every
+// structural audit (cache, TLB, predictor and prewarm state), so every
+// 7th CPU2017 model on all 11 machines is the plain-run half of the
+// structural proof.
 TEST(StateAudit, SimulateTrailHoldsCounterIdentitiesOnEveryMachine)
 {
     uarch::SimulationConfig config;
     config.instructions = 20'000;
     config.warmup = 5'000;
-    const auto &benchmark = suites::spec2017()[0];
-    std::vector<uarch::MachineConfig> machines =
-        suites::profilingMachines();
-    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
-        machines.push_back(std::move(m));
-    for (const uarch::MachineConfig &machine : machines) {
-        AuditTrail trail;
-        uarch::simulate(benchmark.profile, machine, config, &trail);
-        for (const Violation &v : trail.violations)
-            ADD_FAILURE() << machine.name << ": " << renderViolation(v);
+    const std::vector<uarch::MachineConfig> machines =
+        profilingAndMemoryMachines();
+    const std::vector<suites::BenchmarkInfo> &all = suites::spec2017();
+    std::size_t runs = 0;
+    for (std::size_t i = 0; i < all.size(); i += 7) {
+        for (const uarch::MachineConfig &machine : machines) {
+            AuditTrail trail;
+            uarch::simulate(all[i].profile, machine, config, &trail);
+            ++runs;
+            EXPECT_GT(trail.audits, 0u) << all[i].name << " on "
+                                        << machine.name;
+            for (const Violation &v : trail.violations)
+                ADD_FAILURE() << all[i].name << " on " << machine.name
+                              << ": " << renderViolation(v);
+        }
     }
+    EXPECT_EQ(runs, 7u * 11u);
 }
 
 // Phased runs carry cache, TLB and predictor state across phase
 // boundaries, so only an audit trail proves the structures stay legal
-// there.  Every 7th CPU2017 model (the `speclens audit` sample), split
-// into 8 phases at drift 0.35, on every profiling and memory-centric
-// machine: each run is audited and none may break an invariant.
+// there.  Every 7th CPU2017 model, split into 8 phases at drift 0.35,
+// on every profiling and memory-centric machine: each run is audited
+// and none may break an invariant.
 TEST(StateAudit, PhasedRunsAuditCleanOnShippedMachines)
 {
     uarch::SimulationConfig config;
     config.instructions = 20'000;
     config.warmup = 5'000;
-    std::vector<uarch::MachineConfig> machines =
-        suites::profilingMachines();
-    for (uarch::MachineConfig &m : suites::memoryCentricMachines())
-        machines.push_back(std::move(m));
+    const std::vector<uarch::MachineConfig> machines =
+        profilingAndMemoryMachines();
     const std::vector<suites::BenchmarkInfo> &all = suites::spec2017();
     std::uint64_t audits = 0;
     for (std::size_t i = 0; i < all.size(); i += 7) {

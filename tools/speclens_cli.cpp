@@ -18,9 +18,6 @@
  *                             render reproduced paper tables/figures
  *   lint                      statically verify every workload model,
  *                             machine config and calibration table
- *   audit                     prove structural invariants over a
- *                             pinned mini-campaign and diff result
- *                             fingerprints across job counts / salts
  *
  * Global options: --instructions N, --warmup N (simulation window),
  * --jobs N (simulation worker threads; default one per hardware
@@ -68,7 +65,6 @@
 #include "lint/rules.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "stats/fingerprint.h"
 #include "suites/emerging.h"
 #include "suites/input_sets.h"
 #include "suites/machines.h"
@@ -167,12 +163,7 @@ usage(int code)
         "  lint [--format text|json] [--severity info|warning|error]\n"
         "       [--no-deep] [--store DIR]    verify models and tables\n"
         "                                    (and store integrity plus\n"
-        "                                    the run manifest)\n"
-        "  audit                             prove structural invariants\n"
-        "                                    over a pinned mini-campaign\n"
-        "                                    and replay it across job\n"
-        "                                    counts and seed salts,\n"
-        "                                    diffing result fingerprints\n",
+        "                                    the run manifest)\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
 }
@@ -265,24 +256,6 @@ parse(int argc, char **argv)
     return opts;
 }
 
-/** Benchmark lookup across every database. */
-const suites::BenchmarkInfo *
-lookup(const std::string &name)
-{
-    for (const auto *list :
-         {&suites::spec2017(), &suites::spec2006()}) {
-        for (const suites::BenchmarkInfo &b : *list)
-            if (b.name == name)
-                return &b;
-    }
-    static const std::vector<suites::BenchmarkInfo> emerging =
-        suites::emergingBenchmarks();
-    for (const suites::BenchmarkInfo &b : emerging)
-        if (b.name == name)
-            return &b;
-    return nullptr;
-}
-
 /**
  * Service configuration from the window and store options; @p machines
  * is the set the command's manifest describes.
@@ -308,7 +281,7 @@ constexpr const char *kSuiteNames[] = {"cpu2017", "cpu2006", "emerging"};
 
 /** The benchmarks of suite @p name (one of kSuiteNames); any other
  *  name is a usage error. */
-std::vector<suites::BenchmarkInfo>
+const std::vector<suites::BenchmarkInfo> &
 namedSuite(const std::string &name)
 {
     if (name == kSuiteNames[0])
@@ -323,7 +296,7 @@ namedSuite(const std::string &name)
 int
 cmdList(const CliOptions &opts)
 {
-    const std::vector<suites::BenchmarkInfo> list =
+    const std::vector<suites::BenchmarkInfo> &list =
         namedSuite(opts.args.empty() ? "cpu2017" : opts.args[0]);
 
     core::TextTable table({"Benchmark", "Category", "Domain",
@@ -440,7 +413,8 @@ cmdCoverage(const CliOptions &opts)
 {
     std::vector<suites::BenchmarkInfo> candidates;
     for (const std::string &name : opts.args) {
-        const suites::BenchmarkInfo *benchmark = lookup(name);
+        const suites::BenchmarkInfo *benchmark =
+            suites::shippedBenchmark(name);
         if (!benchmark) {
             std::fprintf(stderr, "unknown benchmark: %s\n",
                          name.c_str());
@@ -480,10 +454,36 @@ cmdSensitivity(const CliOptions &opts)
     return 0;
 }
 
+/**
+ * Write file @p path with @p write(std::ostream &).  Prints "cannot
+ * open PATH" or "cannot write PATH" to stderr and returns false when
+ * the file cannot be created or its bytes do not all reach it (a full
+ * disk shows only when the stream is flushed, so the file is closed
+ * before the check).
+ */
+template <typename Write>
+bool
+writeFile(const std::string &path, Write write)
+{
+    std::ofstream file(path);
+    if (!file) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return false;
+    }
+    write(file);
+    file.close();
+    if (!file) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    return true;
+}
+
 int
 cmdExport(const CliOptions &opts)
 {
-    const std::vector<suites::BenchmarkInfo> list = namedSuite(opts.args[0]);
+    const std::vector<suites::BenchmarkInfo> &list =
+        namedSuite(opts.args[0]);
 
     core::ServiceContext context(serviceConfig(opts));
     core::Characterizer &characterizer =
@@ -491,14 +491,11 @@ cmdExport(const CliOptions &opts)
     stats::Matrix features = characterizer.featureMatrix(list);
 
     if (opts.args.size() > 1) {
-        std::ofstream file(opts.args[1]);
-        if (!file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         opts.args[1].c_str());
+        if (!writeFile(opts.args[1], [&](std::ostream &file) {
+                core::writeCsv(file, suites::benchmarkNames(list),
+                               characterizer.featureNames(), features);
+            }))
             return 1;
-        }
-        core::writeCsv(file, suites::benchmarkNames(list),
-                       characterizer.featureNames(), features);
         std::printf("wrote %zu rows x %zu features to %s\n",
                     features.rows(), features.cols(),
                     opts.args[1].c_str());
@@ -523,13 +520,10 @@ cmdReport(const CliOptions &opts)
     core::Characterizer &characterizer =
         context.characterizerFor(context.profilingMachines());
     if (opts.args.size() > 1) {
-        std::ofstream file(opts.args[1]);
-        if (!file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         opts.args[1].c_str());
+        if (!writeFile(opts.args[1], [&](std::ostream &file) {
+                core::writeSuiteReport(file, characterizer, suite, report);
+            }))
             return 1;
-        }
-        core::writeSuiteReport(file, characterizer, suite, report);
         std::printf("wrote report to %s\n", opts.args[1].c_str());
     } else {
         core::writeSuiteReport(std::cout, characterizer, suite,
@@ -541,7 +535,8 @@ cmdReport(const CliOptions &opts)
 int
 cmdSimpoints(const CliOptions &opts)
 {
-    const suites::BenchmarkInfo *benchmark = lookup(opts.args[0]);
+    const suites::BenchmarkInfo *benchmark =
+        suites::shippedBenchmark(opts.args[0]);
     if (!benchmark) {
         std::fprintf(stderr, "unknown benchmark: %s\n",
                      opts.args[0].c_str());
@@ -877,143 +872,6 @@ cmdRepro(const CliOptions &opts)
     return 0;
 }
 
-// ====================================================================
-// audit: run the structural invariant prover over a pinned
-// mini-campaign, then prove scheduling determinism by replaying the
-// campaign across worker counts and seed salts.
-// ====================================================================
-
-/** The audit campaign: a pinned benchmark subset on every machine. */
-std::vector<suites::BenchmarkInfo>
-auditBenchmarks()
-{
-    // Every 7th CPU2017 entry: seven benchmarks spanning INT and FP,
-    // small enough that the audited replay matrix (3 job counts x 2
-    // salts) stays interactive.
-    std::vector<suites::BenchmarkInfo> picked;
-    const std::vector<suites::BenchmarkInfo> &all = suites::spec2017();
-    for (std::size_t i = 0; i < all.size(); i += 7)
-        picked.push_back(all[i]);
-    return picked;
-}
-
-/**
- * Fingerprint of the full audit campaign run at @p jobs workers.
- * Results are memoised per Characterizer, so each call simulates the
- * whole campaign afresh on a fresh Characterizer, through the same
- * parallelFor fan-out a ServiceContext's characterizers use.
- */
-std::uint64_t
-campaignFingerprint(const std::vector<suites::BenchmarkInfo> &benchmarks,
-                    const std::vector<uarch::MachineConfig> &machines,
-                    const core::CharacterizationConfig &config)
-{
-    core::Characterizer characterizer(machines, config);
-    std::vector<std::size_t> machine_indices;
-    for (std::size_t m = 0; m < machines.size(); ++m)
-        machine_indices.push_back(m);
-    characterizer.prepare(benchmarks, machine_indices, config.jobs);
-    stats::Fingerprinter fp;
-    fp.tag("speclens-audit-campaign-v1");
-    for (const suites::BenchmarkInfo &b : benchmarks)
-        for (std::size_t m = 0; m < machines.size(); ++m)
-            characterizer.simulation(b, m).hashInto(fp);
-    return fp.value();
-}
-
-int
-cmdAudit(const CliOptions &opts)
-{
-    // Pinned window unless overridden: large enough to exercise
-    // prewarm, warm-up exclusion and sampled mid-run audit points,
-    // small enough that 7 replays of the campaign stay fast.
-    uarch::SimulationConfig window;
-    window.instructions =
-        opts.instructions_set ? opts.instructions : 60'000;
-    window.warmup = opts.warmup_set ? opts.warmup : 20'000;
-    window.seed_salt = opts.seed_salt;
-
-    const std::vector<suites::BenchmarkInfo> benchmarks =
-        auditBenchmarks();
-    const std::vector<uarch::MachineConfig> machines =
-        suites::profilingMachines();
-
-    // -- Stage 1: invariant prover, forced on regardless of build. --
-    std::uint64_t audits = 0;
-    std::size_t violations = 0;
-    std::size_t simulations = 0;
-    for (const suites::BenchmarkInfo &b : benchmarks) {
-        for (const uarch::MachineConfig &machine : machines) {
-            verify::AuditTrail trail;
-            (void)uarch::simulate(b.profile, machine, window, &trail);
-            ++simulations;
-            audits += trail.audits;
-            for (const verify::Violation &v : trail.violations)
-                std::fprintf(stderr, "audit: %s on %s: %s\n",
-                             b.name.c_str(), machine.name.c_str(),
-                             verify::renderViolation(v).c_str());
-            violations += trail.violations.size();
-        }
-    }
-    std::printf("invariants: %zu simulations, %llu audit points, %zu "
-                "violations\n",
-                simulations, static_cast<unsigned long long>(audits),
-                violations);
-
-    // -- Stage 2: determinism across worker counts and seed salts. --
-    // The campaign contract says results are bit-identical for any
-    // job count; replay the same configuration at 1, 2 and
-    // one-per-hardware-thread workers and diff full-result
-    // fingerprints.  Two salts prove the salt both perturbs results
-    // and stays deterministic itself.
-    bool deterministic = true;
-    std::vector<std::uint64_t> salt_fingerprints;
-    for (std::uint64_t salt_offset : {0ull, 1ull}) {
-        core::CharacterizationConfig config;
-        config.instructions = window.instructions;
-        config.warmup = window.warmup;
-        config.seed_salt = opts.seed_salt + salt_offset;
-        std::uint64_t first = 0;
-        bool agree = true;
-        for (std::size_t jobs : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{0}}) {
-            config.jobs = jobs;
-            std::uint64_t fp =
-                campaignFingerprint(benchmarks, machines, config);
-            if (jobs == 1)
-                first = fp;
-            else if (fp != first) {
-                agree = false;
-                std::fprintf(stderr,
-                             "audit: salt %llu: --jobs %zu diverged: "
-                             "%s != %s\n",
-                             static_cast<unsigned long long>(
-                                 config.seed_salt),
-                             jobs, stats::hex16(fp).c_str(),
-                             stats::hex16(first).c_str());
-            }
-        }
-        std::printf("determinism: salt %llu: jobs {1, 2, auto} %s "
-                    "(fingerprint %s)\n",
-                    static_cast<unsigned long long>(config.seed_salt),
-                    agree ? "agree" : "DIVERGED",
-                    stats::hex16(first).c_str());
-        deterministic = deterministic && agree;
-        salt_fingerprints.push_back(first);
-    }
-    if (salt_fingerprints[0] == salt_fingerprints[1]) {
-        std::fprintf(stderr,
-                     "audit: distinct seed salts produced identical "
-                     "results; the salt is not reaching the "
-                     "generator\n");
-        deterministic = false;
-    }
-
-    bool ok = violations == 0 && deterministic;
-    std::printf("audit: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
 int
 cmdLint(const CliOptions &opts)
 {
@@ -1082,7 +940,6 @@ const Command kCommands[] = {
     {"query stats", 0, 0, cmdQuery},
     {"query shutdown", 0, 0, cmdQuery},
     {"repro", 1, kVariadic, cmdRepro},
-    {"audit", 0, 0, cmdAudit},
     {"lint", 0, 0, cmdLint},
 };
 
